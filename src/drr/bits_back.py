@@ -32,7 +32,14 @@ from .errors import (
     InsufficientInitialBitsError,
     InvalidInputError,
 )
-from .rans import DEFAULT_PRECISION, AnsCoder, QuantizedPmf, pmf_quantize
+from .rans import (
+    DEFAULT_PRECISION,
+    RANS_L,
+    AnsCoder,
+    QuantizedPmf,
+    pmf_quantize,
+    quantize_rows,
+)
 
 MODEL_MAGIC = b"DRRM"
 MODEL_FORMAT_VERSION = 1
@@ -242,8 +249,10 @@ def mean_elbo(blocks, model: LatentChainModel) -> float:
 class CodingTables:
     """Per-row frequency tables for one model at one coder precision.
 
-    `dyadic` is the same model with every row replaced by its quantized
-    probabilities; bounds computed from it match coding costs exactly.
+    The rows of each table are views of one 2-D frequency array and one 2-D
+    cumulative array.  `dyadic` is the same model with every row replaced by
+    its quantized probabilities; bounds computed from it match coding costs
+    exactly.
     """
 
     precision: int
@@ -259,24 +268,42 @@ class CodingTables:
 
 
 def build_coding_tables(model: LatentChainModel, precision: int = DEFAULT_PRECISION) -> CodingTables:
+    """Quantize every table of `model` for the coder, one call per table.
+
+    Tables are derived once per model, not once per use:
+    `LatentModelPair.tables` builds them once per pair and precision and
+    hands the same tables to every later caller, so the models of a pair are
+    immutable.
+    """
     model.validate()
+    scale = float(1 << precision)
 
-    def quantize_rows(table):
-        return [pmf_quantize(row, precision) for row in table]
+    def read_only(*arrays):
+        for array in arrays:  # the tables are shared by everyone who codes with them
+            array.flags.writeable = False
 
-    q_obs_rows = quantize_rows(model.q_obs)
-    q_link_rows = [quantize_rows(t) for t in model.q_link]
-    p_obs_rows = quantize_rows(model.p_obs)
-    p_link_rows = [quantize_rows(t) for t in model.p_link]
+    def quantize_table(table):
+        freqs, cdf = quantize_rows(table, precision)
+        probs = freqs / scale
+        read_only(freqs, cdf, probs)
+        rows = [QuantizedPmf(precision=precision, freqs=f, cdf=c) for f, c in zip(freqs, cdf)]
+        return rows, probs
+
+    q_obs_rows, q_obs = quantize_table(model.q_obs)
+    q_links = [quantize_table(t) for t in model.q_link]
+    p_obs_rows, p_obs = quantize_table(model.p_obs)
+    p_links = [quantize_table(t) for t in model.p_link]
     p_top_pmf = pmf_quantize(model.p_top, precision)
+    p_top = p_top_pmf.probs()
+    read_only(p_top_pmf.freqs, p_top_pmf.cdf, p_top)
 
     dyadic = replace(
         model,
-        p_obs=np.stack([r.probs() for r in p_obs_rows]),
-        p_link=[np.stack([r.probs() for r in rows]) for rows in p_link_rows],
-        p_top=p_top_pmf.probs(),
-        q_obs=np.stack([r.probs() for r in q_obs_rows]),
-        q_link=[np.stack([r.probs() for r in rows]) for rows in q_link_rows],
+        p_obs=p_obs,
+        p_link=[probs for _, probs in p_links],
+        p_top=p_top,
+        q_obs=q_obs,
+        q_link=[probs for _, probs in q_links],
     )
     return CodingTables(
         precision=precision,
@@ -284,9 +311,9 @@ def build_coding_tables(model: LatentChainModel, precision: int = DEFAULT_PRECIS
         levels=model.levels,
         block_len=model.block_len,
         q_obs_rows=q_obs_rows,
-        q_link_rows=q_link_rows,
+        q_link_rows=[rows for rows, _ in q_links],
         p_obs_rows=p_obs_rows,
-        p_link_rows=p_link_rows,
+        p_link_rows=[rows for rows, _ in p_links],
         p_top_pmf=p_top_pmf,
         dyadic=dyadic,
     )
@@ -444,6 +471,7 @@ def bitswap_decode_block(coder: AnsCoder, block_len: int, tables: CodingTables) 
 
 _ENCODERS = {"bitswap": bitswap_encode_block, "bb": bb_encode_block}
 _DECODERS = {"bitswap": bitswap_decode_block, "bb": bb_decode_block}
+METHODS = tuple(_ENCODERS)  # the coding schedules, by name
 
 
 @dataclass
@@ -529,7 +557,11 @@ def decode_stream(stream: CompressedStream, sections, method: str = "bitswap") -
 
     `sections` lists (block_lens, tables) in the order they were encoded;
     the result keeps that order.  The coder must unwind exactly to its
-    seeded prefix, anything else means the stream or the tables are wrong.
+    seeded prefix, anything else means the stream or the tables are wrong:
+    the final state must be the fresh state RANS_L and, when the stream
+    carries its `initial_bits`, the stack must hold exactly that many bits.
+    This catches most corruption but not all of it: full integrity needs a
+    CRC32 of the payload, which the stream format does not carry yet.
     """
     sections = [(list(lens), tables) for lens, tables in sections]
     coder = AnsCoder.deserialize(stream.payload)
@@ -548,6 +580,12 @@ def decode_stream(stream: CompressedStream, sections, method: str = "bitswap") -
     if decoded != stream.symbol_count:
         raise DataCorruptionError(
             f"decoded {decoded} symbols, stream header says {stream.symbol_count}")
+    if coder.state != RANS_L:
+        raise DataCorruptionError("coder did not unwind to its initial state")
+    if stream.initial_bits is not None and len(coder.stack) != stream.initial_bits // 8:
+        raise DataCorruptionError(
+            f"coder unwound to {len(coder.stack)} bytes, "
+            f"expected the {stream.initial_bits // 8} seeded bytes")
     return out
 
 
@@ -556,13 +594,14 @@ class CompressedStream:
     """One self-contained coded message plus its accounting.
 
     Accounting fields are populated when the stream is produced in process;
-    a stream read back from bytes carries only what the format stores.
+    a stream read back from bytes carries only what the format stores, so
+    its `initial_bits` is None unless the caller knows it from elsewhere.
     """
 
     payload: bytes
     symbol_count: int
     model_version: int
-    initial_bits: int = 0
+    initial_bits: int | None = None
     gross_bits: float | None = None
     returned_bits: float | None = None
     net_bits: float | None = None

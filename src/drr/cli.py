@@ -48,6 +48,8 @@ from .replay_store import (
     decompress_grid,
     format_megabytes,
     grid_blocks,
+    parse_record,
+    parse_shape,
 )
 from .vq_codec import (
     CodecConfig,
@@ -165,14 +167,13 @@ def cmd_compress(args) -> int:
         print(f"wrote model pair to {args.model}")
 
     os.makedirs(args.out, exist_ok=True)
-    tables = pair.tables(args.precision)
     lines = [STREAM_SET_HEADER]
     net = 0.0
     symbols = 0
     payload = 0
     for i, (path, grid) in enumerate(zip(paths, grids)):
-        stream = compress_grid(grid, pair, tables=tables, initial_bits=args.initial_bits,
-                               seed=[args.seed, i])
+        stream = compress_grid(grid, pair, precision=args.precision,
+                               initial_bits=args.initial_bits, seed=[args.seed, i])
         name = f"stream_{i:04d}.drrs"
         blob = serialize_stream(stream)
         with open(os.path.join(args.out, name), "wb") as f:
@@ -203,16 +204,15 @@ def cmd_decompress(args) -> int:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines or lines[0] != STREAM_SET_HEADER:
         raise DataCorruptionError(f"{index_path}: bad stream-set header")
+    entries = [parse_record(line, "stream", ("file", "source", "top", "bottom"))
+               for line in lines[1:]]
     os.makedirs(args.out, exist_ok=True)
-    tables = pair.tables(args.precision)
     count = 0
-    for line in lines[1:]:
-        entry = dict(p.split("=", 1) for p in line.split()[1:])
+    for entry in entries:
         with open(os.path.join(args.in_dir, entry["file"]), "rb") as f:
             stream = deserialize_stream(f.read())
-        top_shape = tuple(int(v) for v in entry["top"].split(","))
-        bottom_shape = tuple(int(v) for v in entry["bottom"].split(","))
-        grid = decompress_grid(stream, pair, top_shape, bottom_shape, tables=tables)
+        grid = decompress_grid(stream, pair, parse_shape(entry["top"]),
+                               parse_shape(entry["bottom"]), precision=args.precision)
         write_image(os.path.join(args.out, entry["source"]), decode_codes(grid, codec))
         count += 1
     print(f"reconstructed {count} images into {args.out}")

@@ -59,48 +59,104 @@ class QuantizedPmf:
         return self.precision - math.log2(int(self.freqs[symbol]))
 
 
+def quantize_rows(probs, precision: int = DEFAULT_PRECISION) -> tuple[np.ndarray, np.ndarray]:
+    """Round every row of a probability table to integer frequencies summing
+    to 2**precision.
+
+    Returns int64 `freqs` of shape (R, A) and `cdf` of shape (R, A + 1).
+    Each row gets largest-remainder rounding with every frequency clamped to
+    at least 1; ties go to the lowest symbol.  Rows are validated and rounded
+    independently, so a row comes out the same whatever table it sits in.
+    Rejects alphabets larger than 2**precision, which could not give each
+    symbol a nonzero frequency.
+    """
+    p = np.ascontiguousarray(probs, dtype=np.float64)
+    if p.ndim != 2 or p.size == 0:
+        raise InvalidInputError("pmf table must be a nonempty 2-d array")
+    if not (MIN_PRECISION <= precision <= MAX_PRECISION):
+        raise InvalidInputError(f"precision {precision} outside [{MIN_PRECISION}, {MAX_PRECISION}]")
+    n_rows, n = p.shape
+    invalid = ~np.isfinite(p).all(axis=1) | (p < 0).any(axis=1)
+    if invalid.any():
+        raise InvalidInputError(
+            f"pmf row {np.argmax(invalid)}: entries must be finite and nonnegative")
+    total = p.sum(axis=1)
+    if np.any(total <= 0):
+        raise InvalidInputError(f"pmf row {np.argmax(total <= 0)}: must have positive mass")
+    target = 1 << precision
+    if n > target:
+        raise InvalidInputError(f"alphabet size {n} exceeds 2**{precision}")
+
+    scaled = p * (target / total)[:, None]
+    floors = np.floor(scaled)
+    freqs = np.maximum(floors.astype(np.int64), 1)
+    diff = target - freqs.sum(axis=1)
+    short = np.flatnonzero(diff > 0)
+    if short.size:
+        # Hand out +1 by descending remainder, lowest symbol first on ties;
+        # a shortfall longer than the alphabet wraps around that order.
+        order = np.argsort(floors[short] - scaled[short], axis=1, kind="stable")
+        d = diff[short, None]
+        freqs[short[:, None], order] += d // n + (np.arange(n) < d % n)
+    over = np.flatnonzero(diff < 0)
+    if over.size:
+        freqs[over] -= _clamp_takebacks(freqs[over], scaled[over], -diff[over])
+
+    cdf = np.zeros((n_rows, n + 1), dtype=np.int64)
+    np.cumsum(freqs, axis=1, out=cdf[:, 1:])
+    return freqs, cdf
+
+
+def _clamp_takebacks(freqs: np.ndarray, scaled: np.ndarray, excess: np.ndarray) -> np.ndarray:
+    """Units to take back per symbol where the min-frequency clamp overshot.
+
+    The rule takes back one unit at a time from the symbol furthest above
+    its ideal share, float(f) - scaled, among symbols still above 1 (lowest
+    symbol on ties), `excess` times per row.  A symbol's t-th take-back
+    scores float(f - t) - scaled, which falls strictly with t, so the rule
+    picks the `excess` best of all candidates (j, t), 0 <= t < f_j - 1,
+    ordered by score descending, then symbol ascending.
+
+    Only the first k + 1 take-backs of each symbol can be among them, where
+    k is the least depth whose candidates t < k number at least `excess`.
+    A symbol with room to give was not clamped, so f <= scaled < f + 1:
+    every score with t <= k - 1 is at least -k, and every score with
+    t >= k + 1 is at most -(k + 1).
+    """
+    n_rows, n = freqs.shape
+    room = freqs - 1  # take-backs each symbol allows
+    # Least k with sum_j min(room_j, k) >= excess, from the sorted rooms.
+    sorted_room = np.sort(room, axis=1)
+    below = np.cumsum(sorted_room, axis=1) - sorted_room
+    reach = below + sorted_room * (n - np.arange(n))
+    i = np.argmax(reach >= excess[:, None], axis=1)
+    k = -((below[np.arange(n_rows), i] - excess) // (n - i))
+    depth = np.minimum(room, (k + 1)[:, None]).ravel()
+
+    owner = np.repeat(np.arange(n_rows * n), depth)  # flat (row, symbol) per candidate
+    first = np.cumsum(depth) - depth
+    t = np.arange(owner.size) - first[owner]
+    score = (freqs.ravel()[owner] - t).astype(np.float64) - scaled.ravel()[owner]
+    row = owner // n
+    # Stable, so equal scores keep (row, symbol) order: lowest symbol first.
+    order = np.lexsort((-score, row))
+    row_start = np.searchsorted(row, np.arange(n_rows))
+    rank = np.arange(order.size) - row_start[row[order]]
+    taken = order[rank < excess[row[order]]]
+    return np.bincount(owner[taken], minlength=n_rows * n).reshape(n_rows, n)
+
+
 def pmf_quantize(probs, precision: int = DEFAULT_PRECISION) -> QuantizedPmf:
     """Round a probability vector to integer frequencies summing to 2**precision.
 
-    Largest-remainder rounding with every frequency clamped to at least 1;
-    ties go to the lowest symbol.  Rejects alphabets larger than
-    2**precision, which could not give each symbol a nonzero frequency.
+    The one-row case of `quantize_rows`: largest-remainder rounding with
+    every frequency clamped to at least 1; ties go to the lowest symbol.
     """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise InvalidInputError("pmf must be a nonempty 1-d array")
-    if not (MIN_PRECISION <= precision <= MAX_PRECISION):
-        raise InvalidInputError(f"precision {precision} outside [{MIN_PRECISION}, {MAX_PRECISION}]")
-    if not np.all(np.isfinite(p)) or np.any(p < 0):
-        raise InvalidInputError("pmf entries must be finite and nonnegative")
-    total = p.sum()
-    if total <= 0:
-        raise InvalidInputError("pmf must have positive mass")
-    target = 1 << precision
-    n = p.size
-    if n > target:
-        raise InvalidInputError(f"alphabet size {n} exceeds 2**{precision}")
-
-    scaled = p * (target / total)
-    freqs = np.maximum(np.floor(scaled).astype(np.int64), 1)
-    diff = target - int(freqs.sum())
-    if diff > 0:
-        # Hand out +1 by descending remainder, lowest symbol first on ties.
-        remainders = scaled - np.floor(scaled)
-        order = np.lexsort((np.arange(n), -remainders))
-        for i in range(diff):
-            freqs[order[i % n]] += 1
-    elif diff < 0:
-        # The min-frequency clamp overshot; take back from the symbols that
-        # are furthest above their ideal share, never dropping below 1.
-        for _ in range(-diff):
-            over = freqs.astype(np.float64) - scaled
-            over[freqs <= 1] = -np.inf
-            freqs[int(np.argmax(over))] -= 1
-
-    cdf = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(freqs, out=cdf[1:])
-    return QuantizedPmf(precision=precision, freqs=freqs, cdf=cdf)
+    freqs, cdf = quantize_rows(p[None, :], precision)
+    return QuantizedPmf(precision=precision, freqs=freqs[0], cdf=cdf[0])
 
 
 def entropy_from_freqs(freqs) -> float:

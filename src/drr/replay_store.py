@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits_back import (
+    METHODS,
     CodingTables,
     CompressedStream,
     FitConfig,
@@ -33,7 +34,7 @@ from .bits_back import (
     serialize_stream,
 )
 from .errors import DataCorruptionError, InvalidInputError, StateError
-from .rans import DEFAULT_PRECISION
+from .rans import DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION
 from .vq_codec import (
     CodecParams,
     CodeGrid,
@@ -69,6 +70,41 @@ def raw_store_bytes(n_images: int, image_shape) -> int:
     """Bytes to hold images at one byte per channel value."""
     h, w, c = image_shape
     return int(n_images) * int(h) * int(w) * int(c)
+
+
+def parse_record(line: str, kind: str | None, keys=()) -> dict[str, str]:
+    """The key=value fields of one index line.
+
+    `kind` is the word the line must start with (None for a line of fields
+    only) and `keys` the fields it must carry.  A malformed line raises
+    DataCorruptionError.
+    """
+    words = line.split()
+    if kind is not None:
+        if not words or words[0] != kind:
+            raise DataCorruptionError(f"expected a {kind} line, got: {line}")
+        words = words[1:]
+    fields = {}
+    for word in words:
+        key, sep, value = word.partition("=")
+        if not sep or not key:
+            raise DataCorruptionError(f"malformed field {word!r} in: {line}")
+        fields[key] = value
+    missing = [key for key in keys if key not in fields]
+    if missing:
+        raise DataCorruptionError(f"missing {', '.join(missing)} in: {line}")
+    return fields
+
+
+def parse_shape(text: str) -> tuple[int, ...]:
+    """A comma-separated shape of positive integers, such as `16,16,3`."""
+    try:
+        shape = tuple(int(v) for v in text.split(","))
+    except ValueError as exc:
+        raise DataCorruptionError(f"bad shape {text!r}") from exc
+    if min(shape) < 1:
+        raise DataCorruptionError(f"bad shape {text!r}")
+    return shape
 
 
 def bytes_to_megabytes(n_bytes: int) -> float:
@@ -149,12 +185,19 @@ class RawExemplarStore:
 
 # -- model pair ------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class LatentModelPair:
-    """One chain model per grid level, versioned in lockstep."""
+    """One chain model per grid level, versioned in lockstep.
+
+    A pair is a value.  Its fields cannot be rebound, and its models must
+    not be mutated once the pair exists: a refit makes a new pair.  Coding
+    tables are derived once per pair and precision, on first use, and every
+    later `tables` call returns the same ones.
+    """
 
     top: LatentChainModel
     bottom: LatentChainModel
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.top.version != self.bottom.version:
@@ -168,8 +211,11 @@ class LatentModelPair:
         return LatentModelPair(self.top.copy(), self.bottom.copy())
 
     def tables(self, precision: int = DEFAULT_PRECISION) -> tuple[CodingTables, CodingTables]:
-        return (build_coding_tables(self.top, precision),
-                build_coding_tables(self.bottom, precision))
+        """(top, bottom) coding tables, built on the first call per precision."""
+        if precision not in self._tables:
+            self._tables[precision] = (build_coding_tables(self.top, precision),
+                                       build_coding_tables(self.bottom, precision))
+        return self._tables[precision]
 
     def serialize(self) -> bytes:
         return serialize_models([self.top, self.bottom])
@@ -194,10 +240,9 @@ def _block_lens(n_symbols: int, block_len: int) -> list[int]:
 
 
 def compress_grid(grid: CodeGrid, pair: LatentModelPair,
-                  tables: tuple[CodingTables, CodingTables] | None = None,
                   precision: int = DEFAULT_PRECISION,
                   initial_bits: int = 256, seed=0, method: str = "bitswap") -> CompressedStream:
-    top_tables, bottom_tables = tables if tables is not None else pair.tables(precision)
+    top_tables, bottom_tables = pair.tables(precision)
     top_blocks, bottom_blocks = grid_blocks(grid, pair)
     return encode_stream([(top_blocks, top_tables), (bottom_blocks, bottom_tables)],
                          initial_bits=initial_bits, seed=seed, method=method)
@@ -258,6 +303,13 @@ class ReplayBuffer:
                  seed: int = 0, method: str = "bitswap"):
         if exemplars_per_class < 1:
             raise InvalidInputError("need at least one exemplar per class")
+        if not MIN_PRECISION <= precision <= MAX_PRECISION:
+            raise InvalidInputError(
+                f"precision {precision} outside [{MIN_PRECISION}, {MAX_PRECISION}]")
+        if initial_bits < 0 or initial_bits % 8:
+            raise InvalidInputError("initial_bits must be a nonnegative multiple of 8")
+        if method not in METHODS:
+            raise InvalidInputError(f"unknown coding method {method!r}; expected one of {METHODS}")
         self.codec = codec
         self.pair = pair
         self.exemplars_per_class = exemplars_per_class
@@ -282,8 +334,7 @@ class ReplayBuffer:
     def _stream_seed(self, label: int, index: int):
         return [self.seed, int(label) + 1, index + 1]
 
-    def _decode_shelf_grids(self, shelf: ClassShelf,
-                            tables: tuple[CodingTables, CodingTables]) -> list[CodeGrid]:
+    def _decode_shelf_grids(self, shelf: ClassShelf) -> list[CodeGrid]:
         grids = []
         for stream in shelf.streams:
             if stream.model_version != self.pair.version:
@@ -291,7 +342,7 @@ class ReplayBuffer:
                     f"stream for class {shelf.label} has model version "
                     f"{stream.model_version}, buffer is at {self.pair.version}")
             grids.append(decompress_grid(stream, self.pair, shelf.top_shape,
-                                         shelf.bottom_shape, tables=tables,
+                                         shelf.bottom_shape, precision=self.precision,
                                          method=self.method))
         return grids
 
@@ -317,10 +368,8 @@ class ReplayBuffer:
             new_per_class[label] = [encode_image(img, self.codec) for img in chosen]
             chosen_shapes[label] = tuple(chosen.shape[1:])
 
-        old_tables = self.pair.tables(self.precision)
-        buffered: list[tuple[ClassShelf, list[CodeGrid]]] = []
-        for shelf in self._shelves.values():
-            buffered.append((shelf, self._decode_shelf_grids(shelf, old_tables)))
+        buffered = [(shelf, self._decode_shelf_grids(shelf))
+                    for shelf in self._shelves.values()]
 
         def split_blocks(grids):
             top, bottom = [], []
@@ -336,10 +385,9 @@ class ReplayBuffer:
             finetune(self.pair.top, new_top, fit_config, buffered_blocks=old_top),
             finetune(self.pair.bottom, new_bottom, fit_config, buffered_blocks=old_bottom))
 
-        tables = self.pair.tables(self.precision)
-
         def encode_all(label, grids):
-            return [compress_grid(g, self.pair, tables=tables, initial_bits=self.initial_bits,
+            return [compress_grid(g, self.pair, precision=self.precision,
+                                  initial_bits=self.initial_bits,
                                   seed=self._stream_seed(label, i), method=self.method)
                     for i, g in enumerate(grids)]
 
@@ -369,9 +417,7 @@ class ReplayBuffer:
     def reconstruct_class(self, label: int) -> np.ndarray:
         if label not in self._shelves:
             raise InvalidInputError(f"class {label} is not stored")
-        shelf = self._shelves[label]
-        tables = self.pair.tables(self.precision)
-        grids = self._decode_shelf_grids(shelf, tables)
+        grids = self._decode_shelf_grids(self._shelves[label])
         return np.stack([decode_codes(g, self.codec) for g in grids])
 
     def reconstruct_all(self) -> dict[int, np.ndarray]:
@@ -432,38 +478,31 @@ class ReplayBuffer:
             raise DataCorruptionError(f"unreadable buffer directory: {exc}") from exc
         if not lines or lines[0] != INDEX_HEADER:
             raise DataCorruptionError("bad index header")
-
-        def fields(line, kind):
-            parts = line.split()
-            if parts[0] != kind:
-                raise DataCorruptionError(f"expected a {kind} line, got: {line}")
-            return dict(p.split("=", 1) for p in parts[1:])
-
-        def int_tuple(text):
-            return tuple(int(v) for v in text.split(","))
-
-        opts = dict(p.split("=", 1) for p in lines[1].split())
-        buffer = ReplayBuffer.__new__(ReplayBuffer)
-        buffer.codec = codec
-        buffer.pair = pair
-        buffer.exemplars_per_class = int(opts["exemplars_per_class"])
-        buffer.precision = int(opts["precision"])
-        buffer.initial_bits = int(opts["initial_bits"])
-        buffer.seed = int(opts["seed"])
-        buffer.method = opts["method"]
-        buffer._shelves = {}
+        if len(lines) < 2:
+            raise DataCorruptionError("index has no options line")
+        opts = parse_record(lines[1], None, ("seed", "precision", "initial_bits",
+                                             "exemplars_per_class", "method"))
+        try:
+            buffer = ReplayBuffer(codec, pair,
+                                  exemplars_per_class=int(opts["exemplars_per_class"]),
+                                  precision=int(opts["precision"]),
+                                  initial_bits=int(opts["initial_bits"]),
+                                  seed=int(opts["seed"]), method=opts["method"])
+        except ValueError as exc:
+            raise DataCorruptionError(f"corrupt buffer options: {exc}") from exc
         try:
             i = 2
             while i < len(lines):
-                info = fields(lines[i], "class")
+                info = parse_record(lines[i], "class",
+                                    ("label", "image", "top", "bottom", "count"))
                 i += 1
                 label = int(info["label"])
                 shelf = ClassShelf(label=label,
-                                   image_shape=int_tuple(info["image"]),
-                                   top_shape=int_tuple(info["top"]),
-                                   bottom_shape=int_tuple(info["bottom"]))
+                                   image_shape=parse_shape(info["image"]),
+                                   top_shape=parse_shape(info["top"]),
+                                   bottom_shape=parse_shape(info["bottom"]))
                 for _ in range(int(info["count"])):
-                    entry = fields(lines[i], "stream")
+                    entry = parse_record(lines[i], "stream", ("label", "file", "version"))
                     i += 1
                     if int(entry["label"]) != label:
                         raise DataCorruptionError("stream entry under the wrong class")
@@ -473,9 +512,10 @@ class ReplayBuffer:
                         raise DataCorruptionError(
                             f"stream file version {stream.model_version} does not "
                             f"match index version {entry['version']}")
+                    stream.initial_bits = buffer.initial_bits
                     shelf.streams.append(stream)
                 buffer._shelves[label] = shelf
-        except (OSError, KeyError, ValueError, IndexError) as exc:
+        except (OSError, ValueError, IndexError) as exc:
             raise DataCorruptionError(f"corrupt buffer index: {exc}") from exc
         for shelf in buffer._shelves.values():
             for stream in shelf.streams:

@@ -1,0 +1,44 @@
+"""Shared test helpers."""
+
+import os
+
+import numpy as np
+import pytest
+
+# Tests that run `python -m drr.cli` in a subprocess import the same source
+# tree as the tests themselves, installed or not.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    path for path in (_SRC, os.environ.get("PYTHONPATH")) if path)
+
+
+def scalar_pmf_quantize(probs, precision):
+    """Frequencies from the one-row-at-a-time quantiser, kept verbatim as the
+    reference `drr.rans.quantize_rows` must match bit for bit.
+
+    Largest-remainder rounding with every frequency clamped to at least 1;
+    ties go to the lowest symbol.  A clamp overshoot is taken back one unit
+    at a time from the symbol furthest above its ideal share.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    target = 1 << precision
+    n = p.size
+    scaled = p * (target / p.sum())
+    freqs = np.maximum(np.floor(scaled).astype(np.int64), 1)
+    diff = target - int(freqs.sum())
+    if diff > 0:
+        remainders = scaled - np.floor(scaled)
+        order = np.lexsort((np.arange(n), -remainders))
+        for i in range(diff):
+            freqs[order[i % n]] += 1
+    elif diff < 0:
+        for _ in range(-diff):
+            over = freqs.astype(np.float64) - scaled
+            over[freqs <= 1] = -np.inf
+            freqs[int(np.argmax(over))] -= 1
+    return freqs
+
+
+@pytest.fixture
+def reference_quantize():
+    return scalar_pmf_quantize

@@ -8,6 +8,7 @@ dominance of the interleaved schedule.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,10 +40,11 @@ from drr.bits_back import (
 )
 from drr.errors import (
     DataCorruptionError,
+    DrrError,
     InsufficientInitialBitsError,
     InvalidInputError,
 )
-from drr.rans import AnsCoder
+from drr.rans import AnsCoder, QuantizedPmf
 
 LN2 = math.log(2.0)
 
@@ -239,6 +241,51 @@ class TestCodingTables:
         assert len(tables.p_link_rows[0]) == 3
         assert len(tables.q_link_rows[0]) == 5
         assert tables.model_version == model.version
+
+    @staticmethod
+    def reference_tables(model, precision, quantize):
+        """Tables assembled row by row from the scalar reference quantiser."""
+        def rows(table):
+            out = []
+            for row in table:
+                freqs = quantize(row, precision)
+                cdf = np.concatenate([[0], np.cumsum(freqs)])
+                out.append(QuantizedPmf(precision=precision, freqs=freqs, cdf=cdf))
+            return out
+
+        return replace(build_coding_tables(model, precision),
+                       q_obs_rows=rows(model.q_obs),
+                       q_link_rows=[rows(t) for t in model.q_link],
+                       p_obs_rows=rows(model.p_obs),
+                       p_link_rows=[rows(t) for t in model.p_link],
+                       p_top_pmf=rows(model.p_top[None, :])[0])
+
+    @staticmethod
+    def all_rows(tables):
+        return (tables.q_obs_rows + [r for rows in tables.q_link_rows for r in rows]
+                + tables.p_obs_rows + [r for rows in tables.p_link_rows for r in rows]
+                + [tables.p_top_pmf])
+
+    @pytest.mark.parametrize("method", ["bitswap", "bb"])
+    def test_streams_match_reference_tables_bytewise(self, method, reference_quantize):
+        # Peaked rows over a wide alphabet make the min-1 clamp overshoot,
+        # the branch the row routine computes in closed form.
+        truth = random_model(200, (16, 6), block_len=8, seed=8, concentration=0.05)
+        blocks = sample_blocks(truth, 60, np.random.default_rng(9))
+        model = fit(random_model(200, (16, 6), block_len=8, seed=10), blocks,
+                    FitConfig(iterations=5))
+        for precision in (10, 12, 16):
+            tables = build_coding_tables(model, precision)
+            reference = self.reference_tables(model, precision, reference_quantize)
+            clamped = np.maximum(np.floor(model.p_obs * (1 << precision)), 1).sum(axis=1)
+            assert np.any(clamped > 1 << precision)
+            for row, ref in zip(self.all_rows(tables), self.all_rows(reference)):
+                assert np.array_equal(row.freqs, ref.freqs)
+                assert np.array_equal(row.cdf, ref.cdf)
+            a = encode_stream([(blocks, tables)], initial_bits=1024, seed=3, method=method)
+            b = encode_stream([(blocks, reference)], initial_bits=1024, seed=3, method=method)
+            assert a.payload == b.payload
+            assert a.net_bits == b.net_bits
 
 
 def fresh_pair(n_bits=2048, seed=77):
@@ -444,6 +491,44 @@ class TestStreams:
     def test_empty_sections_rejected(self):
         with pytest.raises(InvalidInputError):
             encode_stream([])
+
+    def test_unwind_check_catches_silent_payload_flips(self):
+        # A flipped payload bit often decodes to wrong blocks with no error
+        # along the way; the unwind check must turn every one of those
+        # seen here into DataCorruptionError.
+        model, blocks = self.make_fitted(seed=3)
+        tables = build_coding_tables(model)
+        blocks = blocks[:12]
+        lens = [len(b) for b in blocks]
+        stream = encode_stream([(blocks, tables)], initial_bits=256, seed=5)
+        silent = 0
+        for byte in range(14, len(stream.payload)):  # past the coder header
+            for bit in range(8):
+                data = bytearray(stream.payload)
+                data[byte] ^= 1 << bit
+                try:
+                    out = decode_blocks(AnsCoder.deserialize(bytes(data)), lens, tables)
+                except DrrError:
+                    continue
+                if all(np.array_equal(x, y) for x, y in zip(out, blocks)):
+                    continue
+                silent += 1
+                with pytest.raises(DataCorruptionError):
+                    decode_stream(replace(stream, payload=bytes(data)), [(lens, tables)])
+        assert silent > 100
+
+    def test_unwind_checks_seeded_prefix_length(self):
+        model, blocks = self.make_fitted(seed=3)
+        tables = build_coding_tables(model)
+        lens = [len(b) for b in blocks[:6]]
+        stream = encode_stream([(blocks[:6], tables)], initial_bits=256, seed=5)
+        with pytest.raises(DataCorruptionError):
+            decode_stream(replace(stream, initial_bits=512), [(lens, tables)])
+        # a stream read back from bytes does not know its prefix length
+        back = deserialize_stream(serialize_stream(stream))
+        assert back.initial_bits is None
+        out = decode_stream(back, [(lens, tables)])
+        assert all(np.array_equal(x, y) for x, y in zip(out[0], blocks[:6]))
 
 
 class TestFit:

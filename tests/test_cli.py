@@ -191,6 +191,35 @@ class TestCompressDecompress:
         assert code == EXIT_CORRUPT
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda line: line.replace("source=", "source"),
+        lambda line: line.replace("stream ", "strm "),
+        lambda line: line.replace("file=", "name="),
+        lambda line: line.replace("top=", "top=x"),
+    ])
+    def test_malformed_index_line_is_corrupt(self, workspace, compressed, tmp_path,
+                                             capsys, edit):
+        bad_dir = tmp_path / "bad"
+        bad_dir.mkdir()
+        for name in os.listdir(compressed["out"]):
+            with open(os.path.join(compressed["out"], name), "rb") as f:
+                blob = f.read()
+            if name == "index.txt":
+                lines = blob.decode().splitlines()
+                lines[3] = edit(lines[3])
+                blob = ("\n".join(lines) + "\n").encode()
+            with open(bad_dir / name, "wb") as f:
+                f.write(blob)
+        args = ["decompress", "--codec", workspace["codec"], "--model", compressed["model"],
+                "--in", str(bad_dir), "--out", str(tmp_path / "r")]
+        assert main(args) == EXIT_CORRUPT
+        assert "corrupt data" in capsys.readouterr().err
+        proc = subprocess.run([sys.executable, "-m", "drr.cli", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_CORRUPT
+        assert "Traceback" not in proc.stderr
+
+
 RUN_PHASES_CONFIG = """
 # tiny phased run for tests
 mode = drr

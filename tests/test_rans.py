@@ -17,6 +17,7 @@ from drr.rans import (
     entropy_from_freqs,
     entropy_from_sample,
     pmf_quantize,
+    quantize_rows,
 )
 
 
@@ -61,6 +62,105 @@ class TestPmfQuantize:
     def test_dyadic_probs_sum_to_one_exactly(self):
         pmf = pmf_quantize(np.random.default_rng(0).random(37))
         assert pmf.probs().sum() == 1.0
+
+
+class TestQuantizeRows:
+    """The row routine against the scalar reference in conftest.py."""
+
+    @staticmethod
+    def assert_matches(table, precision, reference):
+        table = np.asarray(table, dtype=np.float64)
+        freqs, cdf = quantize_rows(table, precision)
+        assert freqs.shape == table.shape and cdf.shape == (len(table), table.shape[1] + 1)
+        for row, f, c in zip(table, freqs, cdf):
+            assert np.array_equal(f, reference(row, precision))
+            assert c[0] == 0 and np.array_equal(np.diff(c), f)
+
+    def test_clamp_overshoot_near_full_alphabet(self, reference_quantize):
+        # A few heavy symbols over a crowd of near-zero ones: the min-1 clamp
+        # overshoots by almost the whole alphabet.
+        rng = np.random.default_rng(0)
+        for precision, n in [(8, 250), (10, 1000), (12, 4090)]:
+            table = np.full((4, n), 1e-12)
+            table[0, rng.integers(0, n)] = 1.0
+            table[1, :3] = [0.3, 0.3, 0.4]
+            table[2] = rng.dirichlet(np.full(n, 0.01))
+            table[3, rng.integers(0, n, 5)] = rng.random(5)
+            self.assert_matches(table, precision, reference_quantize)
+
+    def test_remainder_ties(self, reference_quantize):
+        self.assert_matches([[1.0, 1.0, 1.0]], 4, reference_quantize)
+        self.assert_matches([[1.0] * 5 + [0.0] * 2, [2.0, 1.0, 1.0, 2.0, 0.0, 0.0, 1.0]],
+                            3, reference_quantize)
+        # equal heavy symbols and equal clamped ones tie on both branches
+        self.assert_matches([[0.25] * 4 + [1e-9] * 60, [1.0] * 7 + [0.0] * 57],
+                            6, reference_quantize)
+        rng = np.random.default_rng(1)
+        self.assert_matches(rng.integers(0, 4, size=(20, 37)) + np.eye(20, 37), 9,
+                            reference_quantize)
+
+    def test_shortfall_as_long_as_the_alphabet(self, reference_quantize):
+        # p * (2**precision / p) rounds to just below 2**precision here, so
+        # the one symbol's floor falls a whole unit short.
+        for precision in (4, 12):
+            self.assert_matches([[0.9350724237877682]], precision, reference_quantize)
+
+    def test_precision_two_and_sixteen(self, reference_quantize):
+        rng = np.random.default_rng(2)
+        for n in (1, 2, 3, 4):
+            self.assert_matches(rng.dirichlet(np.full(n, 0.2), size=6), 2, reference_quantize)
+        self.assert_matches([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]], 2, reference_quantize)
+        for alpha in (0.01, 0.1, 1.0):
+            self.assert_matches(rng.dirichlet(np.full(300, alpha), size=5), 16,
+                                reference_quantize)
+        self.assert_matches(np.where(rng.random((3, 500)) < 0.95, 1e-15, 1.0), 16,
+                            reference_quantize)
+
+    def test_alphabet_equal_to_two_to_the_precision(self, reference_quantize):
+        rng = np.random.default_rng(3)
+        for precision in (2, 5, 8):
+            n = 1 << precision
+            table = np.vstack([np.ones(n), np.eye(n)[0], rng.dirichlet(np.full(n, 0.05))])
+            self.assert_matches(table, precision, reference_quantize)
+            assert np.all(quantize_rows(table, precision)[0] == 1)
+
+    def test_dirichlet_fuzz(self, reference_quantize):
+        rng = np.random.default_rng(4)
+        for _ in range(60):
+            precision = int(rng.integers(2, 17))
+            n = int(rng.integers(1, min(1 << precision, 600) + 1))
+            alpha = float(rng.choice([0.01, 0.1, 0.3, 1.0]))
+            self.assert_matches(rng.dirichlet(np.full(n, alpha), size=int(rng.integers(1, 6))),
+                                precision, reference_quantize)
+
+    def test_rows_match_pmf_quantize(self):
+        table = np.random.default_rng(5).random((7, 13)) ** 4
+        freqs, cdf = quantize_rows(table, 10)
+        for row, f, c in zip(table, freqs, cdf):
+            pmf = pmf_quantize(row, precision=10)
+            assert np.array_equal(pmf.freqs, f) and np.array_equal(pmf.cdf, c)
+
+    def test_rejects_bad_rows_and_shapes(self):
+        good = np.full((3, 4), 0.25)
+        for bad_value in (-0.1, np.nan, np.inf):
+            table = good.copy()
+            table[1, 2] = bad_value
+            with pytest.raises(InvalidInputError):
+                quantize_rows(table)
+        table = good.copy()
+        table[2] = 0.0
+        with pytest.raises(InvalidInputError):
+            quantize_rows(table)
+        with pytest.raises(InvalidInputError):
+            quantize_rows(np.ones((2, 17)), precision=4)
+        with pytest.raises(InvalidInputError):
+            quantize_rows(good, precision=1)
+        with pytest.raises(InvalidInputError):
+            quantize_rows(np.ones(4))
+        with pytest.raises(InvalidInputError):
+            quantize_rows(np.ones((0, 4)))
+        with pytest.raises(InvalidInputError):
+            pmf_quantize(good)
 
 
 class TestEntropy:

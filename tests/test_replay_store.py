@@ -1,9 +1,12 @@
 """Replay buffer, raw baseline, and memory accounting tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from drr.bits_back import FitConfig, random_model
+from drr import replay_store
+from drr.bits_back import FitConfig, build_coding_tables, random_model
 from drr.errors import DataCorruptionError, InvalidInputError, StateError
 from drr.replay_store import (
     DEFAULT_EXEMPLARS_PER_CLASS,
@@ -138,6 +141,35 @@ class TestPair:
         with pytest.raises(DataCorruptionError):
             LatentModelPair.deserialize(single)
 
+    def test_pair_is_frozen(self):
+        pair = make_pair()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.top = pair.bottom
+
+    def test_tables_built_once_per_precision(self):
+        pair = make_pair()
+        tables = pair.tables()
+        assert pair.tables() is tables
+        assert pair.tables(10) is not tables
+        assert pair.tables(10)[0].precision == 10
+        assert pair.copy().tables() is not tables
+        with pytest.raises(ValueError):  # shared, so nobody may write to them
+            tables[0].p_obs_rows[0].freqs[0] += 1
+        with pytest.raises(ValueError):
+            tables[1].dyadic.q_obs[0, 0] = 0.5
+
+    def test_equal_versions_never_share_tables(self):
+        a = make_pair(seed=0, version=3)
+        b = make_pair(seed=5, version=3)
+        ta, tb = a.tables(), b.tables()
+        assert ta[0].model_version == tb[0].model_version
+        assert not np.array_equal(ta[0].dyadic.p_obs, tb[0].dyadic.p_obs)
+        for pair, tables in ((a, ta), (b, tb)):
+            for model, cached in zip((pair.top, pair.bottom), tables):
+                fresh = build_coding_tables(model)
+                for (_, x), (_, y) in zip(cached.dyadic.tables(), fresh.dyadic.tables()):
+                    assert np.array_equal(x, y)
+
 
 class TestGridCoding:
     def test_grid_round_trip(self, frozen_codec):
@@ -260,6 +292,38 @@ class TestReplayBuffer:
                 assert sa.payload == sb.payload
 
 
+class TestTableBuilds:
+    @staticmethod
+    def count_builds(monkeypatch):
+        built = []
+        real = replay_store.build_coding_tables
+
+        def counting(model, precision):
+            built.append(model.version)
+            return real(model, precision)
+
+        monkeypatch.setattr(replay_store, "build_coding_tables", counting)
+        return built
+
+    def test_ingest_builds_two_per_phase(self, frozen_codec, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        buffer = ReplayBuffer(frozen_codec, make_pair(seed=21), exemplars_per_class=3, seed=1)
+        for phase in range(3):
+            buffer.ingest_phase({phase: toy_images(8, seed=50 + phase)}, FitConfig(iterations=1))
+            buffer.reconstruct_all()
+            assert built == [v for v in range(1, phase + 2) for _ in range(2)]
+
+    def test_read_pass_builds_two(self, frozen_codec, monkeypatch, tmp_path):
+        buffer, _ = filled_buffer(frozen_codec, n_classes=3)
+        buffer.save(str(tmp_path))
+        built = self.count_builds(monkeypatch)
+        loaded = ReplayBuffer.load(str(tmp_path))
+        loaded.reconstruct_all()
+        assert len(built) == 2
+        loaded.reconstruct_all()
+        assert len(built) == 2
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, frozen_codec, tmp_path):
         buffer, _ = filled_buffer(frozen_codec, n_classes=2)
@@ -294,6 +358,46 @@ class TestPersistence:
         buffer, _ = filled_buffer(frozen_codec, n_classes=1)
         buffer.save(str(tmp_path))
         (tmp_path / "streams" / "0_0.drrs").unlink()
+        with pytest.raises(DataCorruptionError):
+            ReplayBuffer.load(str(tmp_path))
+
+    def test_loaded_streams_carry_initial_bits(self, frozen_codec, tmp_path):
+        buffer, _ = filled_buffer(frozen_codec, n_classes=1)
+        buffer.save(str(tmp_path))
+        loaded = ReplayBuffer.load(str(tmp_path))
+        assert all(s.initial_bits == buffer.initial_bits for s in loaded._shelves[0].streams)
+
+    @pytest.mark.parametrize("options", [
+        "seed=11 precision=12 initial_bits=256 exemplars_per_class=5",
+        "seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=zip",
+        "seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=bitswap loose",
+        "seed=eleven precision=12 initial_bits=256 exemplars_per_class=5 method=bitswap",
+        "seed=11 precision=40 initial_bits=256 exemplars_per_class=5 method=bitswap",
+        None,
+    ])
+    def test_malformed_options_line_rejected(self, frozen_codec, tmp_path, options):
+        buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
+        buffer.save(str(tmp_path))
+        index = tmp_path / "index.txt"
+        lines = index.read_text().splitlines()
+        lines = lines[:1] if options is None else [lines[0], options] + lines[2:]
+        index.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataCorruptionError):
+            ReplayBuffer.load(str(tmp_path))
+
+    @pytest.mark.parametrize("edit", [
+        lambda line: line.replace("label=", "label"),
+        lambda line: line.replace("class ", "klass "),
+        lambda line: line.replace(" count=5", ""),
+        lambda line: line.replace("top=", "top=-"),
+    ])
+    def test_malformed_class_line_rejected(self, frozen_codec, tmp_path, edit):
+        buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
+        buffer.save(str(tmp_path))
+        index = tmp_path / "index.txt"
+        lines = index.read_text().splitlines()
+        lines[2] = edit(lines[2])
+        index.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataCorruptionError):
             ReplayBuffer.load(str(tmp_path))
 
