@@ -17,6 +17,14 @@ evidence lower bound of the model, so tighter models pay fewer bits.
 All tables are quantized to coder frequencies before any coding, and the
 accounting runs on those quantized tables, so measured net bits line up
 exactly with the bound computed from the same quantized model.
+
+Streams are coded on the lane coder: `encode_streams` and `decode_streams`
+code N messages of one geometry side by side, one lane each, with the
+block chain of every lane still sequential; `encode_stream` and
+`decode_stream` are the one-lane case.  The block functions on a scalar
+`AnsCoder` (`bb_*`, `bitswap_*`, `encode_blocks`, `decode_blocks`) are the
+reference: every lane produces the same bytes and the same accounting
+floats as they do.
 """
 
 from __future__ import annotations
@@ -36,6 +44,8 @@ from .rans import (
     DEFAULT_PRECISION,
     RANS_L,
     AnsCoder,
+    LaneCoder,
+    PmfTable,
     QuantizedPmf,
     pmf_quantize,
     quantize_rows,
@@ -250,9 +260,11 @@ class CodingTables:
     """Per-row frequency tables for one model at one coder precision.
 
     The rows of each table are views of one 2-D frequency array and one 2-D
-    cumulative array.  `dyadic` is the same model with every row replaced by
-    its quantized probabilities; bounds computed from it match coding costs
-    exactly.
+    cumulative array.  The `*_table` fields hold the same rows laid out for
+    the lane coder, derived from the row lists on construction, with each
+    symbol's cost computed once.  `dyadic` is the same model with every row
+    replaced by its quantized probabilities; bounds computed from it match
+    coding costs exactly.
     """
 
     precision: int
@@ -265,6 +277,21 @@ class CodingTables:
     p_link_rows: list[list[QuantizedPmf]]
     p_top_pmf: QuantizedPmf
     dyadic: LatentChainModel
+    q_obs_table: PmfTable = field(init=False, repr=False)
+    q_link_tables: list[PmfTable] = field(init=False, repr=False)
+    p_obs_table: PmfTable = field(init=False, repr=False)
+    p_link_tables: list[PmfTable] = field(init=False, repr=False)
+    p_top_table: PmfTable = field(init=False, repr=False)
+
+    def __post_init__(self):
+        def table(rows):
+            return PmfTable.from_freqs(np.stack([row.freqs for row in rows]), self.precision)
+
+        self.q_obs_table = table(self.q_obs_rows)
+        self.q_link_tables = [table(rows) for rows in self.q_link_rows]
+        self.p_obs_table = table(self.p_obs_rows)
+        self.p_link_tables = [table(rows) for rows in self.p_link_rows]
+        self.p_top_table = table([self.p_top_pmf])
 
 
 def build_coding_tables(model: LatentChainModel, precision: int = DEFAULT_PRECISION) -> CodingTables:
@@ -511,15 +538,86 @@ def decode_blocks(coder: AnsCoder, block_lens, tables: CodingTables,
     return out
 
 
+# -- lane coding -----------------------------------------------------------------
+
+_INTERLEAVED = {"bitswap": True, "bb": False}  # schedule -> push each level before the next pop
+
+
+def _encode_block_lanes(coder: LaneCoder, x: np.ndarray, tables: CodingTables,
+                        interleaved: bool):
+    """Block x[i] on lane i, under either schedule.
+
+    Every lane runs exactly the operations of `bitswap_encode_block`
+    (interleaved) or `bb_encode_block`, and adds up its costs and notes its
+    information level at the same points in the same order, so each lane's
+    accounting is bit-identical to the scalar block's.  Returns per lane the
+    bits pushed, the bits popped, and the information level at the start
+    and at its lowest.
+    """
+    pushed = np.zeros(coder.lanes)
+    popped = np.zeros(coder.lanes)
+    start = coder.potential()
+    low = start.copy()
+
+    def note():
+        np.minimum(low, coder.potential(), out=low)
+
+    def pop(rows, table):
+        symbols = coder.pop(rows, table)
+        np.add(popped, table.cost(rows, symbols), out=popped)
+        note()
+        return symbols
+
+    def push(symbols, rows, table):
+        coder.push(symbols, rows, table)
+        np.add(pushed, table.cost(rows, symbols), out=pushed)
+
+    z = [pop(x[:, 0], tables.q_obs_table)]
+    if not interleaved:
+        for i in range(tables.levels - 1):
+            z.append(pop(z[i], tables.q_link_tables[i]))
+    for s in x.T[::-1]:
+        push(s, z[0], tables.p_obs_table)
+    note()
+    for i in range(tables.levels - 1):
+        if interleaved:
+            z.append(pop(z[i], tables.q_link_tables[i]))
+        push(z[i], z[i + 1], tables.p_link_tables[i])
+        if interleaved:
+            note()
+    push(z[-1], np.zeros(coder.lanes, dtype=np.int64), tables.p_top_table)
+    note()
+    return pushed, popped, start, low
+
+
+def _decode_block_lanes(coder: LaneCoder, block_len: int, tables: CodingTables,
+                        interleaved: bool) -> np.ndarray:
+    """Exact inverse of `_encode_block_lanes`; returns the (lanes, block_len) block."""
+    z = [None] * tables.levels
+    z[-1] = coder.pop(np.zeros(coder.lanes, dtype=np.int64), tables.p_top_table)
+    for i in reversed(range(tables.levels - 1)):
+        z[i] = coder.pop(z[i + 1], tables.p_link_tables[i])
+        if interleaved:
+            coder.push(z[i + 1], z[i], tables.q_link_tables[i])
+    x = np.stack([coder.pop(z[0], tables.p_obs_table) for _ in range(block_len)], axis=1)
+    if not interleaved:
+        for i in reversed(range(tables.levels - 1)):
+            coder.push(z[i + 1], z[i], tables.q_link_tables[i])
+    coder.push(z[0], x[:, 0], tables.q_obs_table)
+    return x
+
+
 # -- compressed streams --------------------------------------------------------
 
-def encode_stream(sections, initial_bits: int = DEFAULT_INITIAL_BITS, seed: int = 0,
-                  method: str = "bitswap") -> "CompressedStream":
-    """Code sections of blocks (each with its own tables) into one message.
+def encode_streams(sections, seeds, initial_bits: int = DEFAULT_INITIAL_BITS,
+                   method: str = "bitswap") -> list["CompressedStream"]:
+    """Code N messages of one geometry side by side, one coder lane each.
 
-    The payload physically contains the seeded initial bits; the accounting
-    fields exclude them, counting only what the blocks pushed minus what
-    they recovered.
+    `sections` lists (blocks, tables) as for `encode_stream`, except that
+    each block is an (N, len) array whose row i belongs to message i, and
+    message i starts from the initial bits seeded with seeds[i].  Stream i
+    is exactly what `encode_stream` gives for its own blocks and seed: the
+    same payload and the same accounting, bit for bit.
     """
     sections = list(sections)
     if not sections:
@@ -527,33 +625,92 @@ def encode_stream(sections, initial_bits: int = DEFAULT_INITIAL_BITS, seed: int 
     versions = {tables.model_version for _, tables in sections}
     if len(versions) != 1:
         raise InvalidInputError("all sections in a stream must share a model version")
-    coder = AnsCoder.with_random_bits(initial_bits, seed=seed)
+    interleaved = _INTERLEAVED[method]
+    coder = LaneCoder.with_random_bits(initial_bits, seeds)
     start = coder.potential()
-    low = start
-    gross = returned = 0.0
+    low = start.copy()
+    gross = np.zeros(coder.lanes)
+    returned = np.zeros(coder.lanes)
     count = 0
     for blocks, tables in sections:
         for block in blocks:
-            before = coder.potential()
-            trace = _ENCODERS[method](coder, block, tables)
-            gross += trace.pushed
-            returned += trace.popped
-            low = min(low, before - trace.peak_demand)
-            count += len(np.atleast_1d(block))
-    return CompressedStream(
-        payload=coder.serialize(),
-        symbol_count=count,
-        model_version=versions.pop(),
-        initial_bits=initial_bits,
-        gross_bits=gross,
-        returned_bits=returned,
-        net_bits=gross - returned,
-        peak_demand_bits=start - low,
-    )
+            x = np.asarray(block, dtype=np.int64)
+            if x.ndim != 2 or len(x) != coder.lanes:
+                raise InvalidInputError(f"each block must hold one row per message ({coder.lanes})")
+            _check_block(x, tables)
+            try:
+                pushed, popped, before, block_low = _encode_block_lanes(coder, x, tables,
+                                                                        interleaved)
+            except ExhaustedStreamError as exc:
+                raise InsufficientInitialBitsError(
+                    "auxiliary bits exhausted while sampling latents; "
+                    "seed the coder with more initial bits") from exc
+            gross += pushed
+            returned += popped
+            # before - (before - low), not low: the float encode_stream always kept.
+            np.minimum(low, before - (before - block_low), out=low)
+            count += x.shape[1]
+    version = versions.pop()
+    return [CompressedStream(payload=payload, symbol_count=count, model_version=version,
+                             initial_bits=initial_bits, gross_bits=g, returned_bits=r,
+                             net_bits=g - r, peak_demand_bits=peak)
+            for payload, g, r, peak in zip(coder.serialize(), gross.tolist(),
+                                           returned.tolist(), (start - low).tolist())]
+
+
+def decode_streams(streams, sections, method: str = "bitswap") -> list[list[np.ndarray]]:
+    """Invert `encode_streams`: decode N streams of one geometry side by side.
+
+    `sections` lists (block_lens, tables) as for `decode_stream`, shared by
+    every stream.  The result holds per section its blocks in encode order,
+    each an (N, len) array whose row i comes from streams[i].  Every stream
+    gets each check `decode_stream` makes, and one bad stream fails the call.
+    """
+    streams = list(streams)
+    sections = [(list(lens), tables) for lens, tables in sections]
+    interleaved = _INTERLEAVED[method]
+    coder = LaneCoder.deserialize(stream.payload for stream in streams)
+    decoded = sum(sum(lens) for lens, _ in sections)
+    for stream in streams:
+        for _, tables in sections:
+            if tables.model_version != stream.model_version:
+                raise DataCorruptionError(
+                    f"stream was coded with model version {stream.model_version}, "
+                    f"got tables for version {tables.model_version}")
+        if decoded != stream.symbol_count:
+            raise DataCorruptionError(
+                f"decoding {decoded} symbols, stream header says {stream.symbol_count}")
+    try:
+        out = [[_decode_block_lanes(coder, n, tables, interleaved) for n in reversed(lens)][::-1]
+               for lens, tables in reversed(sections)]
+    except ExhaustedStreamError as exc:
+        raise DataCorruptionError("stream ended mid-decode") from exc
+    out.reverse()
+    if np.any(coder.state != RANS_L):
+        raise DataCorruptionError("coder did not unwind to its initial state")
+    for stream, height in zip(streams, coder.height.tolist()):
+        if stream.initial_bits is not None and height != stream.initial_bits // 8:
+            raise DataCorruptionError(
+                f"coder unwound to {height} bytes, "
+                f"expected the {stream.initial_bits // 8} seeded bytes")
+    return out
+
+
+def encode_stream(sections, initial_bits: int = DEFAULT_INITIAL_BITS, seed: int = 0,
+                  method: str = "bitswap") -> "CompressedStream":
+    """Code sections of blocks (each with its own tables) into one message.
+
+    The payload physically contains the seeded initial bits; the accounting
+    fields exclude them, counting only what the blocks pushed minus what
+    they recovered.  The one-lane case of `encode_streams`.
+    """
+    sections = [([np.reshape(block, (1, -1)) for block in blocks], tables)
+                for blocks, tables in sections]
+    return encode_streams(sections, [seed], initial_bits=initial_bits, method=method)[0]
 
 
 def decode_stream(stream: CompressedStream, sections, method: str = "bitswap") -> list[list[np.ndarray]]:
-    """Invert `encode_stream`.
+    """Invert `encode_stream`; the one-lane case of `decode_streams`.
 
     `sections` lists (block_lens, tables) in the order they were encoded;
     the result keeps that order.  The coder must unwind exactly to its
@@ -563,30 +720,8 @@ def decode_stream(stream: CompressedStream, sections, method: str = "bitswap") -
     This catches most corruption but not all of it: full integrity needs a
     CRC32 of the payload, which the stream format does not carry yet.
     """
-    sections = [(list(lens), tables) for lens, tables in sections]
-    coder = AnsCoder.deserialize(stream.payload)
-    for _, tables in sections:
-        if tables.model_version != stream.model_version:
-            raise DataCorruptionError(
-                f"stream was coded with model version {stream.model_version}, "
-                f"got tables for version {tables.model_version}")
-    try:
-        out = [decode_blocks(coder, lens, tables, method=method)
-               for lens, tables in reversed(sections)]
-    except ExhaustedStreamError as exc:
-        raise DataCorruptionError("stream ended mid-decode") from exc
-    out.reverse()
-    decoded = sum(sum(lens) for lens, _ in sections)
-    if decoded != stream.symbol_count:
-        raise DataCorruptionError(
-            f"decoded {decoded} symbols, stream header says {stream.symbol_count}")
-    if coder.state != RANS_L:
-        raise DataCorruptionError("coder did not unwind to its initial state")
-    if stream.initial_bits is not None and len(coder.stack) != stream.initial_bits // 8:
-        raise DataCorruptionError(
-            f"coder unwound to {len(coder.stack)} bytes, "
-            f"expected the {stream.initial_bits // 8} seeded bytes")
-    return out
+    return [[block[0] for block in blocks]
+            for blocks in decode_streams([stream], sections, method=method)]
 
 
 @dataclass

@@ -44,8 +44,8 @@ from .learner import (
 from .rans import DEFAULT_PRECISION
 from .replay_store import (
     LatentModelPair,
-    compress_grid,
-    decompress_grid,
+    compress_grids,
+    decompress_grids,
     format_megabytes,
     grid_blocks,
     parse_record,
@@ -171,9 +171,9 @@ def cmd_compress(args) -> int:
     net = 0.0
     symbols = 0
     payload = 0
-    for i, (path, grid) in enumerate(zip(paths, grids)):
-        stream = compress_grid(grid, pair, precision=args.precision,
-                               initial_bits=args.initial_bits, seed=[args.seed, i])
+    streams = compress_grids(grids, pair, [[args.seed, i] for i in range(len(grids))],
+                             precision=args.precision, initial_bits=args.initial_bits)
+    for i, (path, grid, stream) in enumerate(zip(paths, grids, streams)):
         name = f"stream_{i:04d}.drrs"
         blob = serialize_stream(stream)
         with open(os.path.join(args.out, name), "wb") as f:
@@ -206,16 +206,16 @@ def cmd_decompress(args) -> int:
         raise DataCorruptionError(f"{index_path}: bad stream-set header")
     entries = [parse_record(line, "stream", ("file", "source", "top", "bottom"))
                for line in lines[1:]]
-    os.makedirs(args.out, exist_ok=True)
-    count = 0
+    streams = []
     for entry in entries:
         with open(os.path.join(args.in_dir, entry["file"]), "rb") as f:
-            stream = deserialize_stream(f.read())
-        grid = decompress_grid(stream, pair, parse_shape(entry["top"]),
-                               parse_shape(entry["bottom"]), precision=args.precision)
+            streams.append(deserialize_stream(f.read()))
+    shapes = [(parse_shape(entry["top"]), parse_shape(entry["bottom"])) for entry in entries]
+    grids = decompress_grids(streams, pair, shapes, precision=args.precision)
+    os.makedirs(args.out, exist_ok=True)
+    for entry, grid in zip(entries, grids):
         write_image(os.path.join(args.out, entry["source"]), decode_codes(grid, codec))
-        count += 1
-    print(f"reconstructed {count} images into {args.out}")
+    print(f"reconstructed {len(grids)} images into {args.out}")
     return EXIT_OK
 
 
@@ -327,7 +327,23 @@ def cmd_run_phases(args) -> int:
     return EXIT_OK
 
 
+# The fields `report` reads from each record, with their types.
+PHASE_FIELDS = {"index": int, "classes_seen": int, "accuracy": float,
+                "total_bytes": int, "raw_equiv_bytes": int}
+SUMMARY_FIELDS = ("average", "last")
+
+
+def _number(kind, record: dict, key: str, path: str):
+    """record[key] as `kind`, or DataCorruptionError."""
+    try:
+        return kind(record[key])
+    except ValueError as exc:
+        raise DataCorruptionError(f"{path}: bad {key} {record[key]!r}") from exc
+
+
 def _parse_results(path: str):
+    """Typed phase records and summary of a results file; other records
+    (the config line) are skipped."""
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines:
@@ -337,12 +353,16 @@ def _parse_results(path: str):
     phases = []
     summary = None
     for line in lines[1:]:
-        kind, _, rest = line.partition(" ")
-        entry = dict(p.split("=", 1) for p in rest.split())
+        kind = line.split(" ", 1)[0]
         if kind == "phase":
-            phases.append(entry)
+            entry = parse_record(line, "phase", PHASE_FIELDS)
+            phases.append({key: _number(kind, entry, key, path)
+                           for key, kind in PHASE_FIELDS.items()})
         elif kind == "summary":
-            summary = entry
+            entry = parse_record(line, "summary", SUMMARY_FIELDS)
+            summary = {"last": _number(float, entry, "last", path),
+                       "average": (None if entry["average"] == "absent"
+                                   else _number(float, entry, "average", path))}
     if not phases or summary is None:
         raise DataCorruptionError(f"{path}: missing phase or summary records")
     return phases, summary
@@ -350,22 +370,22 @@ def _parse_results(path: str):
 
 def cmd_report(args) -> int:
     phases, summary = _parse_results(args.results)
-    accuracies = [float(p["accuracy"]) for p in phases]
+    accuracies = [p["accuracy"] for p in phases]
     print(f"{'phase':>5} {'classes':>8} {'accuracy':>9} {'buffer MB':>10} {'raw-equiv MB':>13}")
     for p in phases:
-        print(f"{p['index']:>5} {p['classes_seen']:>8} {float(p['accuracy']):>9.4f} "
-              f"{format_megabytes(int(p['total_bytes'])):>10} "
-              f"{format_megabytes(int(p['raw_equiv_bytes'])):>13}")
+        print(f"{p['index']:>5} {p['classes_seen']:>8} {p['accuracy']:>9.4f} "
+              f"{format_megabytes(p['total_bytes']):>10} "
+              f"{format_megabytes(p['raw_equiv_bytes']):>13}")
     if len(accuracies) > 1:
         average = float(np.mean(accuracies[1:]))
         stated = summary["average"]
-        if stated == "absent" or abs(float(stated) - average) > 1e-12:
+        if stated is None or abs(stated - average) > 1e-12:
             raise DataCorruptionError("summary average disagrees with phase records")
         print(f"average (phases 1..N): {average:.4f}")
-    elif summary["average"] != "absent":
+    elif summary["average"] is not None:
         raise DataCorruptionError("summary average should be absent with no phases")
     last = accuracies[-1]
-    if abs(float(summary["last"]) - last) > 1e-12:
+    if abs(summary["last"] - last) > 1e-12:
         raise DataCorruptionError("summary last disagrees with phase records")
     print(f"last phase: {last:.4f}")
     return EXIT_OK

@@ -11,6 +11,17 @@ the whole 64-bit word.
     coder = AnsCoder()
     coder.push(1, pmf)
     assert coder.pop(pmf) == 1
+
+`LaneCoder` runs many independent messages at once, one lane each, in the
+manner of interleaved rANS: a uint64 state vector, one 2-D byte stack with
+a height per lane, and every lane coding against its own row of a
+`PmfTable`.  Lane i produces exactly the bytes an `AnsCoder` would, so
+`AnsCoder` remains the scalar reference.
+
+    table = PmfTable.from_freqs(quantize_rows([[0.5, 0.5], [0.9, 0.1]])[0], 12)
+    lanes = LaneCoder.with_random_bits(64, seeds=[1, 2])
+    lanes.push(np.array([1, 0]), np.array([0, 1]), table)
+    assert lanes.pop(np.array([0, 1]), table).tolist() == [1, 0]
 """
 
 from __future__ import annotations
@@ -159,6 +170,45 @@ def pmf_quantize(probs, precision: int = DEFAULT_PRECISION) -> QuantizedPmf:
     return QuantizedPmf(precision=precision, freqs=freqs[0], cdf=cdf[0])
 
 
+@dataclass(frozen=True)
+class PmfTable:
+    """Rows of quantized pmfs laid out flat for `LaneCoder`.
+
+    Entry r * alphabet + s holds symbol s of row r.  `keys` is every row's
+    cumulative table offset by row << precision, so one `searchsorted` finds
+    the symbols of many lanes in many rows at once.  `costs` are the ideal
+    code lengths precision - log2(freq), from `math.log2` as in
+    `QuantizedPmf.cost_bits`: `np.log2` may round differently.
+    """
+
+    precision: int
+    alphabet: int
+    freqs: np.ndarray     # uint64, shape (R * A,)
+    starts: np.ndarray    # uint64, shape (R * A,): cdf without its last entry
+    keys: np.ndarray      # uint64, shape (R * A,): starts + (row << precision)
+    row_keys: np.ndarray  # uint64, shape (R,): row << precision
+    costs: np.ndarray     # float64, shape (R * A,)
+
+    @classmethod
+    def from_freqs(cls, freqs, precision: int) -> "PmfTable":
+        """Table of the rows of `freqs`, each summing to 2**precision."""
+        freqs = np.asarray(freqs, dtype=np.uint64)
+        n_rows, alphabet = freqs.shape
+        starts = np.cumsum(freqs, axis=1) - freqs
+        row_keys = np.arange(n_rows, dtype=np.uint64) << np.uint64(precision)
+        unique, inverse = np.unique(freqs.ravel(), return_inverse=True)
+        costs = np.array([precision - math.log2(int(f)) for f in unique])[inverse]
+        tables = (freqs.ravel(), starts.ravel(), (starts + row_keys[:, None]).ravel(),
+                  row_keys, costs)
+        for array in tables:  # tables are shared by everyone who codes with them
+            array.flags.writeable = False
+        return cls(precision, alphabet, *tables)
+
+    def cost(self, rows: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+        """Ideal code length of symbols[i] under row rows[i], in bits."""
+        return self.costs[rows * self.alphabet + symbols]
+
+
 def entropy_from_freqs(freqs) -> float:
     """Shannon entropy in bits of a frequency (or probability) vector."""
     f = np.asarray(freqs, dtype=np.float64)
@@ -280,3 +330,89 @@ class AnsCoder:
 
     def __repr__(self) -> str:
         return f"AnsCoder(state={self.state:#x}, stack_bytes={len(self.stack)})"
+
+
+class LaneCoder:
+    """Many independent rANS messages coded side by side, one per lane.
+
+    `state` holds one uint64 state per lane and `stack` one row of bytes per
+    lane, of which the first `height[i]` are lane i's byte stack, bottom
+    first.  Every push and pop acts on all lanes at once, each against its
+    own row of a `PmfTable`, and renormalization loops only while some lane
+    still needs a byte.  Lane i is bit for bit the `AnsCoder` that performed
+    the same pushes and pops.
+    """
+
+    __slots__ = ("state", "stack", "height")
+
+    def __init__(self, coders):
+        coders = list(coders)
+        if not coders:
+            raise InvalidInputError("a lane coder needs at least one lane")
+        self.state = np.array([c.state for c in coders], dtype=np.uint64)
+        self.height = np.array([len(c.stack) for c in coders], dtype=np.int64)
+        self.stack = np.zeros((len(coders), int(self.height.max()) + 64), dtype=np.uint8)
+        for lane, coder in enumerate(coders):
+            self.stack[lane, :len(coder.stack)] = np.frombuffer(coder.stack, dtype=np.uint8)
+
+    @classmethod
+    def with_random_bits(cls, n_bits: int, seeds) -> "LaneCoder":
+        """Lane i holds `AnsCoder.with_random_bits(n_bits, seeds[i])`."""
+        return cls(AnsCoder.with_random_bits(n_bits, seed) for seed in seeds)
+
+    @classmethod
+    def deserialize(cls, payloads) -> "LaneCoder":
+        """One lane per `AnsCoder.serialize` payload."""
+        return cls(AnsCoder.deserialize(data) for data in payloads)
+
+    def coders(self) -> list[AnsCoder]:
+        """Each lane as a scalar coder (without `ideal_bits`)."""
+        return [AnsCoder(int(state), self.stack[lane, :height].tobytes())
+                for lane, (state, height) in enumerate(zip(self.state.tolist(),
+                                                           self.height.tolist()))]
+
+    def serialize(self) -> list[bytes]:
+        return [coder.serialize() for coder in self.coders()]
+
+    @property
+    def lanes(self) -> int:
+        return len(self.state)
+
+    def potential(self) -> np.ndarray:
+        """`AnsCoder.potential` of every lane, computed the same way."""
+        logs = np.fromiter(map(math.log2, self.state.tolist()), np.float64, self.lanes)
+        return 8.0 * self.height + logs
+
+    def push(self, symbols: np.ndarray, rows: np.ndarray, table: PmfTable) -> None:
+        """Encode symbols[i] on lane i under row rows[i] of `table`."""
+        index = rows * table.alphabet + symbols
+        f = table.freqs[index]
+        x = self.state
+        # Renormalize so every post-push state stays below RANS_L << 8.
+        x_max = f * np.uint64((RANS_L >> table.precision) << RENORM_SHIFT)
+        need = (x >= x_max).nonzero()[0]
+        while need.size:
+            if int(self.height[need].max()) == self.stack.shape[1]:
+                self.stack = np.concatenate([self.stack, np.zeros_like(self.stack)], axis=1)
+            self.stack[need, self.height[need]] = (x[need] & 0xFF).astype(np.uint8)
+            self.height[need] += 1
+            x[need] >>= RENORM_SHIFT
+            need = need[x[need] >= x_max[need]]
+        self.state = ((x // f) << np.uint64(table.precision)) + x % f + table.starts[index]
+
+    def pop(self, rows: np.ndarray, table: PmfTable) -> np.ndarray:
+        """Decode one symbol per lane under row rows[i] (inverse of push)."""
+        precision = np.uint64(table.precision)
+        cum = self.state & np.uint64((1 << table.precision) - 1)
+        index = table.keys.searchsorted(cum + table.row_keys[rows], side="right") - 1
+        x = table.freqs[index] * (self.state >> precision) + (cum - table.starts[index])
+        need = (x < RANS_L).nonzero()[0]
+        while need.size:
+            height = self.height[need] - 1
+            if height.min() < 0:
+                raise ExhaustedStreamError("byte stack underflow during pop")
+            self.height[need] = height
+            x[need] = (x[need] << np.uint64(RENORM_SHIFT)) | self.stack[need, height]
+            need = need[x[need] < RANS_L]
+        self.state = x
+        return index - rows * table.alphabet

@@ -4,7 +4,8 @@ Exemplars are kept as discrete code grids, losslessly entropy-coded with a
 pair of latent-chain models (one per grid level) and a frozen patch codec.
 When a new class arrives, the buffer decodes everything it holds, refits
 the chain models on the union, and re-encodes every stream with the new
-tables, so all stored streams always share one model version.
+tables, so all stored streams always share one model version.  Streams of
+one geometry are decoded and encoded together, one lane of the coder each.
 
 A raw store keeping byte-per-channel pixels provides the memory baseline;
 both report through the same arithmetic so the comparison is honest.
@@ -26,9 +27,11 @@ from .bits_back import (
     build_coding_tables,
     chunk_symbols,
     decode_stream,
+    decode_streams,
     deserialize_models,
     deserialize_stream,
     encode_stream,
+    encode_streams,
     finetune,
     serialize_models,
     serialize_stream,
@@ -264,6 +267,63 @@ def decompress_grid(stream: CompressedStream, pair: LatentModelPair,
                     bottom=bottom.reshape(bottom_shape).astype(np.int32))
 
 
+def _lane_blocks(symbols: np.ndarray, block_len: int) -> list[np.ndarray]:
+    """Columns of an (N, n) symbol array in blocks; the last may be shorter."""
+    return [symbols[:, i:i + block_len] for i in range(0, symbols.shape[1], block_len)]
+
+
+def _by_geometry(shapes) -> list[list[int]]:
+    """Indices of equal (top, bottom) shapes, grouped in first-seen order."""
+    groups: dict[tuple, list[int]] = {}
+    for i, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(i)
+    return list(groups.values())
+
+
+def compress_grids(grids, pair: LatentModelPair, seeds,
+                   precision: int = DEFAULT_PRECISION, initial_bits: int = 256,
+                   method: str = "bitswap") -> list[CompressedStream]:
+    """`compress_grid` of every grid: stream i equals
+    compress_grid(grids[i], seed=seeds[i]) bit for bit.  Grids of one
+    geometry are coded side by side, one coder lane each."""
+    grids, seeds = list(grids), list(seeds)
+    out = [None] * len(grids)
+    for members in _by_geometry((g.top.shape, g.bottom.shape) for g in grids):
+        top_tables, bottom_tables = pair.tables(precision)
+        top = np.stack([grids[i].top.ravel() for i in members])
+        bottom = np.stack([grids[i].bottom.ravel() for i in members])
+        streams = encode_streams(
+            [(_lane_blocks(top, pair.top.block_len), top_tables),
+             (_lane_blocks(bottom, pair.bottom.block_len), bottom_tables)],
+            [seeds[i] for i in members], initial_bits=initial_bits, method=method)
+        for i, stream in zip(members, streams):
+            out[i] = stream
+    return out
+
+
+def decompress_grids(streams, pair: LatentModelPair, shapes,
+                     precision: int = DEFAULT_PRECISION,
+                     method: str = "bitswap") -> list[CodeGrid]:
+    """`decompress_grid` of every stream, where shapes[i] is the (top shape,
+    bottom shape) of stream i.  Streams of one geometry are decoded side by
+    side, one coder lane each."""
+    streams, shapes = list(streams), [(tuple(t), tuple(b)) for t, b in shapes]
+    out = [None] * len(streams)
+    for members in _by_geometry(shapes):
+        top_tables, bottom_tables = pair.tables(precision)
+        top_shape, bottom_shape = shapes[members[0]]
+        top_lens = _block_lens(int(np.prod(top_shape)), pair.top.block_len)
+        bottom_lens = _block_lens(int(np.prod(bottom_shape)), pair.bottom.block_len)
+        top, bottom = (np.concatenate(blocks, axis=1).astype(np.int32)
+                       for blocks in decode_streams([streams[i] for i in members],
+                                                    [(top_lens, top_tables),
+                                                     (bottom_lens, bottom_tables)],
+                                                    method=method))
+        for i, t, b in zip(members, top, bottom):
+            out[i] = CodeGrid(top=t.reshape(top_shape), bottom=b.reshape(bottom_shape))
+    return out
+
+
 # -- compressed replay buffer ------------------------------------------------------
 
 @dataclass
@@ -334,17 +394,32 @@ class ReplayBuffer:
     def _stream_seed(self, label: int, index: int):
         return [self.seed, int(label) + 1, index + 1]
 
-    def _decode_shelf_grids(self, shelf: ClassShelf) -> list[CodeGrid]:
-        grids = []
-        for stream in shelf.streams:
-            if stream.model_version != self.pair.version:
-                raise DataCorruptionError(
-                    f"stream for class {shelf.label} has model version "
-                    f"{stream.model_version}, buffer is at {self.pair.version}")
-            grids.append(decompress_grid(stream, self.pair, shelf.top_shape,
-                                         shelf.bottom_shape, precision=self.precision,
-                                         method=self.method))
-        return grids
+    def _decode_grids(self, shelves) -> dict[int, list[CodeGrid]]:
+        """The code grids of every stream on the given shelves, per label,
+        decoded in one batch."""
+        shelves = list(shelves)
+        for shelf in shelves:
+            for stream in shelf.streams:
+                if stream.model_version != self.pair.version:
+                    raise DataCorruptionError(
+                        f"stream for class {shelf.label} has model version "
+                        f"{stream.model_version}, buffer is at {self.pair.version}")
+        grids = iter(decompress_grids(
+            [stream for shelf in shelves for stream in shelf.streams], self.pair,
+            [(shelf.top_shape, shelf.bottom_shape) for shelf in shelves for _ in shelf.streams],
+            precision=self.precision, method=self.method))
+        return {shelf.label: [next(grids) for _ in shelf.streams] for shelf in shelves}
+
+    def _encode_grids(self, grids_by_label: dict[int, list[CodeGrid]]
+                      ) -> dict[int, list[CompressedStream]]:
+        """A stream per grid under the current pair, seeded per label and
+        index, encoded in one batch."""
+        streams = iter(compress_grids(
+            [g for grids in grids_by_label.values() for g in grids], self.pair,
+            [self._stream_seed(label, i) for label, grids in grids_by_label.items()
+             for i in range(len(grids))],
+            precision=self.precision, initial_bits=self.initial_bits, method=self.method))
+        return {label: [next(streams) for _ in grids] for label, grids in grids_by_label.items()}
 
     def ingest_phase(self, class_data, fit_config: FitConfig = FitConfig()) -> dict[int, IngestReport]:
         """Add one phase's classes: pick exemplars per class, refit the
@@ -368,8 +443,7 @@ class ReplayBuffer:
             new_per_class[label] = [encode_image(img, self.codec) for img in chosen]
             chosen_shapes[label] = tuple(chosen.shape[1:])
 
-        buffered = [(shelf, self._decode_shelf_grids(shelf))
-                    for shelf in self._shelves.values()]
+        buffered = self._decode_grids(self._shelves.values())
 
         def split_blocks(grids):
             top, bottom = [], []
@@ -380,26 +454,21 @@ class ReplayBuffer:
             return top, bottom
 
         new_top, new_bottom = split_blocks(g for grids in new_per_class.values() for g in grids)
-        old_top, old_bottom = split_blocks(g for _, grids in buffered for g in grids)
+        old_top, old_bottom = split_blocks(g for grids in buffered.values() for g in grids)
         self.pair = LatentModelPair(
             finetune(self.pair.top, new_top, fit_config, buffered_blocks=old_top),
             finetune(self.pair.bottom, new_bottom, fit_config, buffered_blocks=old_bottom))
 
-        def encode_all(label, grids):
-            return [compress_grid(g, self.pair, precision=self.precision,
-                                  initial_bits=self.initial_bits,
-                                  seed=self._stream_seed(label, i), method=self.method)
-                    for i, g in enumerate(grids)]
-
-        for shelf, grids in buffered:
-            shelf.streams = encode_all(shelf.label, grids)
+        streams = self._encode_grids({**buffered, **new_per_class})
+        for label in buffered:
+            self._shelves[label].streams = streams[label]
 
         reports = {}
         for label, grids in new_per_class.items():
             shelf = ClassShelf(label=label, image_shape=chosen_shapes[label],
                                top_shape=tuple(grids[0].top.shape),
-                               bottom_shape=tuple(grids[0].bottom.shape))
-            shelf.streams = encode_all(label, grids)
+                               bottom_shape=tuple(grids[0].bottom.shape),
+                               streams=streams[label])
             self._shelves[label] = shelf
             reports[label] = IngestReport(
                 label=label,
@@ -417,11 +486,14 @@ class ReplayBuffer:
     def reconstruct_class(self, label: int) -> np.ndarray:
         if label not in self._shelves:
             raise InvalidInputError(f"class {label} is not stored")
-        grids = self._decode_shelf_grids(self._shelves[label])
+        grids = self._decode_grids([self._shelves[label]])[label]
         return np.stack([decode_codes(g, self.codec) for g in grids])
 
     def reconstruct_all(self) -> dict[int, np.ndarray]:
-        return {label: self.reconstruct_class(label) for label in self.class_labels}
+        """Every stored class, with all streams decoded in one batch."""
+        grids = self._decode_grids(self._shelves.values())
+        return {label: np.stack([decode_codes(g, self.codec) for g in grids[label]])
+                for label in self.class_labels}
 
     def account(self) -> MemoryReport:
         count = self.exemplar_count
@@ -497,11 +569,14 @@ class ReplayBuffer:
                                     ("label", "image", "top", "bottom", "count"))
                 i += 1
                 label = int(info["label"])
+                count = int(info["count"])
+                if count < 1:
+                    raise DataCorruptionError(f"class {label} holds {count} streams")
                 shelf = ClassShelf(label=label,
                                    image_shape=parse_shape(info["image"]),
                                    top_shape=parse_shape(info["top"]),
                                    bottom_shape=parse_shape(info["bottom"]))
-                for _ in range(int(info["count"])):
+                for _ in range(count):
                     entry = parse_record(lines[i], "stream", ("label", "file", "version"))
                     i += 1
                     if int(entry["label"]) != label:

@@ -303,6 +303,29 @@ class TestRunPhases:
         open(path, "w").close()
         assert main(["report", "--results", path]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("kind,old,new", [
+        ("phase", "phase ", "phase loose "),
+        ("phase", "accuracy=", "acc="),
+        ("phase", "accuracy=", "accuracy=high"),
+        ("phase", "total_bytes=", "total_bytes=1.5e"),
+        ("summary", " last=", " final="),
+        ("summary", "average=", "average=none"),
+    ])
+    def test_report_malformed_results_is_corrupt(self, results, tmp_path, capsys,
+                                                 kind, old, new):
+        with open(results["out"]) as f:
+            lines = [line.replace(old, new, 1) if line.startswith(kind) else line
+                     for line in f.read().splitlines()]
+        bad = str(tmp_path / "bad.txt")
+        with open(bad, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        assert main(["report", "--results", bad]) == EXIT_CORRUPT
+        assert "corrupt data" in capsys.readouterr().err
+        proc = subprocess.run([sys.executable, "-m", "drr.cli", "report", "--results", bad],
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_CORRUPT
+        assert "Traceback" not in proc.stderr
+
 
 class TestInspect:
     def test_identifies_each_artifact(self, workspace, tmp_path, capsys):

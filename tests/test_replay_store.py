@@ -401,6 +401,19 @@ class TestPersistence:
         with pytest.raises(DataCorruptionError):
             ReplayBuffer.load(str(tmp_path))
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_class_without_streams_rejected(self, frozen_codec, tmp_path, count):
+        # A shelf with no streams would reach the coder as a zero-lane batch.
+        buffer, _ = filled_buffer(frozen_codec, n_classes=2, fit_iterations=0)
+        buffer.save(str(tmp_path))
+        index = tmp_path / "index.txt"
+        lines = [line for line in index.read_text().splitlines()
+                 if not line.startswith("stream label=0 ")]
+        lines[2] = lines[2].replace(" count=5", f" count={count}")
+        index.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataCorruptionError):
+            ReplayBuffer.load(str(tmp_path))
+
     def test_tampered_model_version_rejected(self, frozen_codec, tmp_path):
         buffer, _ = filled_buffer(frozen_codec, n_classes=1)
         buffer.save(str(tmp_path))
