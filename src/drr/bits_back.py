@@ -9,9 +9,11 @@ latent given a block's leading symbol, then per-level transition tables.
 Encoding uses the bits-back construction on a stack coder: latents are
 *popped* from the message under the inference tables (recovering their cost
 later), then the observed block and the latents are pushed under the
-generative tables.  The interleaved variant pushes each level before
-popping the next, which needs less auxiliary slack up front than popping
-the whole chain first.  Net cost per block is, on average, the negative
+generative tables.  There are two schedules (METHODS): plain bits-back
+("bb") pops the whole chain first; the interleaved one ("bitswap") pushes
+each level before popping the next, which needs less auxiliary slack up
+front.  Both are the same code with one flag, read from one schedule map
+by `check_method`.  Net cost per block is, on average, the negative
 evidence lower bound of the model, so tighter models pay fewer bits.
 
 All tables are quantized to coder frequencies before any coding, and the
@@ -21,15 +23,16 @@ exactly with the bound computed from the same quantized model.
 Streams are coded on the lane coder: `encode_streams` and `decode_streams`
 code N messages of one geometry side by side, one lane each, with the
 block chain of every lane still sequential; `encode_stream` and
-`decode_stream` are the one-lane case.  The block functions on a scalar
-`AnsCoder` (`bb_*`, `bitswap_*`, `encode_blocks`, `decode_blocks`) are the
-reference: every lane produces the same bytes and the same accounting
-floats as they do.
+`decode_stream` are the one-lane case.  `encode_block` and `decode_block`
+code one block on a scalar `AnsCoder` under either schedule, and
+`encode_blocks`/`decode_blocks` chain them; they are the reference: every
+lane produces the same bytes and the same accounting floats as they do.
 """
 
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -192,10 +195,34 @@ def chunk_symbols(symbols, block_len: int) -> list[np.ndarray]:
 
 # -- exact bound computation -------------------------------------------------
 
+def _check_block(block, obs_alphabet: int) -> np.ndarray:
+    """The block's symbols as a flat int64 array; InvalidInputError unless
+    there is at least one and all are within the alphabet."""
+    x = np.asarray(block, dtype=np.int64).reshape(-1)
+    if x.size == 0 or x.min() < 0 or x.max() >= obs_alphabet:
+        raise InvalidInputError("block symbols must be nonempty and within the alphabet")
+    return x
+
+
 def _block_stats(blocks, obs_alphabet: int):
+    """Each block's first symbol and symbol histogram; InvalidInputError
+    unless there are blocks and each passes `_check_block`."""
+    blocks = [_check_block(b, obs_alphabet) for b in blocks]
+    if not blocks:
+        raise InvalidInputError("no blocks given")
     x0 = np.array([int(b[0]) for b in blocks])
     hist = np.stack([np.bincount(b, minlength=obs_alphabet) for b in blocks]).astype(np.float64)
     return x0, hist
+
+
+def _obs_loglik(hist: np.ndarray, p_obs: np.ndarray) -> np.ndarray:
+    """log p(block | z_0 = a) per block and a, from the blocks' histograms:
+    exactly -inf where a used symbol has zero mass under row a."""
+    with np.errstate(divide="ignore"):
+        log_p_obs = np.log(p_obs)
+    ll = hist @ np.where(np.isfinite(log_p_obs), log_p_obs, 0.0).T
+    ll[(hist > 0) @ (p_obs.T == 0)] = -np.inf
+    return ll
 
 
 def elbo_per_block(blocks, model: LatentChainModel) -> np.ndarray:
@@ -205,22 +232,11 @@ def elbo_per_block(blocks, model: LatentChainModel) -> np.ndarray:
     sampled.  Blocks containing a symbol the model gives zero mass produce
     -inf.
     """
-    if len(blocks) == 0:
-        raise InvalidInputError("no blocks given")
-    for b in blocks:
-        arr = np.asarray(b)
-        if arr.size == 0 or arr.min() < 0 or arr.max() >= model.obs_alphabet:
-            raise InvalidInputError("block symbols must be nonempty and within the alphabet")
     x0, hist = _block_stats(blocks, model.obs_alphabet)
+    ll = _obs_loglik(hist, model.p_obs)
     with np.errstate(divide="ignore"):
-        log_p_obs = np.log(model.p_obs)
         log_q_obs = np.log(model.q_obs)
         log_p_top = np.log(model.p_top)
-
-    # E_q[log p(x | z_0)], with exact -inf where a used symbol has zero mass.
-    ll = hist @ np.where(np.isfinite(log_p_obs), log_p_obs, 0.0).T
-    impossible = (hist > 0) @ (model.p_obs.T == 0)
-    ll[impossible] = -np.inf
 
     m = model.q_obs[x0]  # (n, A_0) marginal of z_0 under q
     lq = log_q_obs[x0]
@@ -361,144 +377,114 @@ class BlockTrace:
         return self.pushed - self.popped
 
 
-class _Tracker:
-    """Watches the coder's information level to find the auxiliary peak."""
-
-    def __init__(self, coder: AnsCoder):
-        self.coder = coder
-        self.start = coder.potential()
-        self.low = self.start
-
-    def note(self):
-        level = self.coder.potential()
-        if level < self.low:
-            self.low = level
-
-    @property
-    def peak_demand(self) -> float:
-        return self.start - self.low
+# schedule -> push each level before popping the next (the Bit-Swap order)
+_INTERLEAVED = {"bitswap": True, "bb": False}
+METHODS = tuple(_INTERLEAVED)  # the coding schedules, by name
 
 
-def _pop_latent(coder: AnsCoder, pmf: QuantizedPmf) -> int:
+def check_method(method: str) -> bool:
+    """Whether schedule `method` is interleaved; InvalidInputError if it is
+    not one of METHODS."""
+    if method not in _INTERLEAVED:
+        raise InvalidInputError(f"unknown coding method {method!r}; expected one of {METHODS}")
+    return _INTERLEAVED[method]
+
+
+@contextmanager
+def _latent_pops():
+    """Report an exhausted coder while latents are popped as too few initial bits."""
     try:
-        return coder.pop(pmf)
+        yield
     except ExhaustedStreamError as exc:
         raise InsufficientInitialBitsError(
             "auxiliary bits exhausted while sampling latents; "
             "seed the coder with more initial bits") from exc
 
 
-def _check_block(x: np.ndarray, tables: CodingTables) -> np.ndarray:
-    x = np.asarray(x, dtype=np.int64).reshape(-1)
-    if x.size == 0:
-        raise InvalidInputError("cannot code an empty block")
-    if x.min() < 0 or x.max() >= len(tables.q_obs_rows):
-        raise InvalidInputError("block symbol outside the observed alphabet")
+def encode_block(coder: AnsCoder, x, tables: CodingTables, method: str) -> BlockTrace:
+    """Code one block under either schedule.
+
+    Plain bits-back ("bb") pops the whole latent chain, then pushes the
+    block and every latent.  The interleaved schedule ("bitswap") pushes
+    each level before popping the next, so the pushes replenish the stack
+    between pops and the auxiliary peak never exceeds the plain one's; for
+    a single-level chain the two are identical.  The information level is
+    noted after every pop, after the block's pushes, after each interleaved
+    link push and at the end; the peak demand is its largest drop.
+    """
+    interleaved = check_method(method)
+    x = _check_block(x, tables.dyadic.obs_alphabet)
+    start = low = coder.potential()
+    pushed = popped = 0.0
+
+    def note():
+        nonlocal low
+        low = min(low, coder.potential())
+
+    def pop(pmf):
+        nonlocal popped
+        symbol = coder.pop(pmf)
+        popped += pmf.cost_bits(symbol)
+        note()
+        return symbol
+
+    def push(symbol, pmf):
+        nonlocal pushed
+        coder.push(symbol, pmf)
+        pushed += pmf.cost_bits(symbol)
+
+    with _latent_pops():
+        z = [pop(tables.q_obs_rows[x[0]])]
+        if not interleaved:
+            for i in range(tables.levels - 1):
+                z.append(pop(tables.q_link_rows[i][z[i]]))
+        row = tables.p_obs_rows[z[0]]
+        for s in x[::-1]:
+            push(int(s), row)
+        note()
+        for i in range(tables.levels - 1):
+            if interleaved:
+                z.append(pop(tables.q_link_rows[i][z[i]]))
+            push(z[i], tables.p_link_rows[i][z[i + 1]])
+            if interleaved:
+                note()
+        push(z[-1], tables.p_top_pmf)
+        note()
+    return BlockTrace(pushed=pushed, popped=popped, peak_demand=start - low)
+
+
+def decode_block(coder: AnsCoder, block_len: int, tables: CodingTables, method: str) -> np.ndarray:
+    """Exact inverse of `encode_block`; restores the popped bits."""
+    interleaved = check_method(method)
+    z = [0] * tables.levels
+    z[-1] = coder.pop(tables.p_top_pmf)
+    for i in reversed(range(tables.levels - 1)):
+        z[i] = coder.pop(tables.p_link_rows[i][z[i + 1]])
+        if interleaved:
+            coder.push(z[i + 1], tables.q_link_rows[i][z[i]])
+    row = tables.p_obs_rows[z[0]]
+    x = np.array([coder.pop(row) for _ in range(block_len)], dtype=np.int64)
+    if not interleaved:
+        for i in reversed(range(tables.levels - 1)):
+            coder.push(z[i + 1], tables.q_link_rows[i][z[i]])
+    coder.push(z[0], tables.q_obs_rows[x[0]])
     return x
 
 
 def bb_encode_block(coder: AnsCoder, x, tables: CodingTables) -> BlockTrace:
-    """Plain bits-back: pop the whole latent chain, then push everything."""
-    x = _check_block(x, tables)
-    track = _Tracker(coder)
-    pushed = popped = 0.0
-    levels = tables.levels
-    z = [0] * levels
-
-    pmf = tables.q_obs_rows[x[0]]
-    z[0] = _pop_latent(coder, pmf)
-    popped += pmf.cost_bits(z[0])
-    track.note()
-    for i in range(levels - 1):
-        pmf = tables.q_link_rows[i][z[i]]
-        z[i + 1] = _pop_latent(coder, pmf)
-        popped += pmf.cost_bits(z[i + 1])
-        track.note()
-
-    row = tables.p_obs_rows[z[0]]
-    for s in x[::-1]:
-        coder.push(int(s), row)
-        pushed += row.cost_bits(int(s))
-    track.note()
-    for i in range(levels - 1):
-        link = tables.p_link_rows[i][z[i + 1]]
-        coder.push(z[i], link)
-        pushed += link.cost_bits(z[i])
-    coder.push(z[levels - 1], tables.p_top_pmf)
-    pushed += tables.p_top_pmf.cost_bits(z[levels - 1])
-    track.note()
-    return BlockTrace(pushed=pushed, popped=popped, peak_demand=track.peak_demand)
+    return encode_block(coder, x, tables, "bb")
 
 
 def bb_decode_block(coder: AnsCoder, block_len: int, tables: CodingTables) -> np.ndarray:
-    """Exact inverse of `bb_encode_block`; restores the popped bits."""
-    levels = tables.levels
-    z = [0] * levels
-    z[levels - 1] = coder.pop(tables.p_top_pmf)
-    for i in reversed(range(levels - 1)):
-        z[i] = coder.pop(tables.p_link_rows[i][z[i + 1]])
-    row = tables.p_obs_rows[z[0]]
-    x = np.array([coder.pop(row) for _ in range(block_len)], dtype=np.int64)
-    for i in reversed(range(levels - 1)):
-        coder.push(z[i + 1], tables.q_link_rows[i][z[i]])
-    coder.push(z[0], tables.q_obs_rows[x[0]])
-    return x
+    return decode_block(coder, block_len, tables, "bb")
 
 
 def bitswap_encode_block(coder: AnsCoder, x, tables: CodingTables) -> BlockTrace:
-    """Interleaved bits-back: push each level before popping the next.
-
-    Identical to `bb_encode_block` for a single-level chain; for deeper
-    chains the pushes replenish the stack between pops, so the auxiliary
-    peak never exceeds the plain schedule's.
-    """
-    x = _check_block(x, tables)
-    track = _Tracker(coder)
-    pushed = popped = 0.0
-    levels = tables.levels
-    z = [0] * levels
-
-    pmf = tables.q_obs_rows[x[0]]
-    z[0] = _pop_latent(coder, pmf)
-    popped += pmf.cost_bits(z[0])
-    track.note()
-    row = tables.p_obs_rows[z[0]]
-    for s in x[::-1]:
-        coder.push(int(s), row)
-        pushed += row.cost_bits(int(s))
-    track.note()
-    for i in range(levels - 1):
-        pmf = tables.q_link_rows[i][z[i]]
-        z[i + 1] = _pop_latent(coder, pmf)
-        popped += pmf.cost_bits(z[i + 1])
-        track.note()
-        link = tables.p_link_rows[i][z[i + 1]]
-        coder.push(z[i], link)
-        pushed += link.cost_bits(z[i])
-        track.note()
-    coder.push(z[levels - 1], tables.p_top_pmf)
-    pushed += tables.p_top_pmf.cost_bits(z[levels - 1])
-    track.note()
-    return BlockTrace(pushed=pushed, popped=popped, peak_demand=track.peak_demand)
+    return encode_block(coder, x, tables, "bitswap")
 
 
 def bitswap_decode_block(coder: AnsCoder, block_len: int, tables: CodingTables) -> np.ndarray:
-    """Exact inverse of `bitswap_encode_block`."""
-    levels = tables.levels
-    z = [0] * levels
-    z[levels - 1] = coder.pop(tables.p_top_pmf)
-    for i in reversed(range(levels - 1)):
-        z[i] = coder.pop(tables.p_link_rows[i][z[i + 1]])
-        coder.push(z[i + 1], tables.q_link_rows[i][z[i]])
-    row = tables.p_obs_rows[z[0]]
-    x = np.array([coder.pop(row) for _ in range(block_len)], dtype=np.int64)
-    coder.push(z[0], tables.q_obs_rows[x[0]])
-    return x
-
-
-_ENCODERS = {"bitswap": bitswap_encode_block, "bb": bb_encode_block}
-_DECODERS = {"bitswap": bitswap_decode_block, "bb": bb_decode_block}
-METHODS = tuple(_ENCODERS)  # the coding schedules, by name
+    return decode_block(coder, block_len, tables, "bitswap")
 
 
 @dataclass
@@ -522,35 +508,32 @@ class StreamStats:
 def encode_blocks(coder: AnsCoder, blocks, tables: CodingTables,
                   method: str = "bitswap") -> StreamStats:
     """Encode blocks in order; decode unwinds them back to front."""
-    encode = _ENCODERS[method]
+    check_method(method)
     stats = StreamStats()
     for block in blocks:
-        stats.add(encode(coder, block, tables))
+        stats.add(encode_block(coder, block, tables, method))
     return stats
 
 
 def decode_blocks(coder: AnsCoder, block_lens, tables: CodingTables,
                   method: str = "bitswap") -> list[np.ndarray]:
     """Decode `len(block_lens)` blocks and return them in encode order."""
-    decode = _DECODERS[method]
-    out = [decode(coder, n, tables) for n in reversed(list(block_lens))]
+    check_method(method)
+    out = [decode_block(coder, n, tables, method) for n in reversed(list(block_lens))]
     out.reverse()
     return out
 
 
 # -- lane coding -----------------------------------------------------------------
 
-_INTERLEAVED = {"bitswap": True, "bb": False}  # schedule -> push each level before the next pop
-
-
 def _encode_block_lanes(coder: LaneCoder, x: np.ndarray, tables: CodingTables,
                         interleaved: bool):
     """Block x[i] on lane i, under either schedule.
 
-    Every lane runs exactly the operations of `bitswap_encode_block`
-    (interleaved) or `bb_encode_block`, and adds up its costs and notes its
-    information level at the same points in the same order, so each lane's
-    accounting is bit-identical to the scalar block's.  Returns per lane the
+    Every lane runs exactly the operations of `encode_block` under the same
+    schedule, and adds up its costs and notes its information level at the
+    same points in the same order, so each lane's accounting is
+    bit-identical to the scalar block's.  Returns per lane the
     bits pushed, the bits popped, and the information level at the start
     and at its lowest.
     """
@@ -625,7 +608,7 @@ def encode_streams(sections, seeds, initial_bits: int = DEFAULT_INITIAL_BITS,
     versions = {tables.model_version for _, tables in sections}
     if len(versions) != 1:
         raise InvalidInputError("all sections in a stream must share a model version")
-    interleaved = _INTERLEAVED[method]
+    interleaved = check_method(method)
     coder = LaneCoder.with_random_bits(initial_bits, seeds)
     start = coder.potential()
     low = start.copy()
@@ -637,14 +620,10 @@ def encode_streams(sections, seeds, initial_bits: int = DEFAULT_INITIAL_BITS,
             x = np.asarray(block, dtype=np.int64)
             if x.ndim != 2 or len(x) != coder.lanes:
                 raise InvalidInputError(f"each block must hold one row per message ({coder.lanes})")
-            _check_block(x, tables)
-            try:
+            _check_block(x, tables.dyadic.obs_alphabet)
+            with _latent_pops():
                 pushed, popped, before, block_low = _encode_block_lanes(coder, x, tables,
                                                                         interleaved)
-            except ExhaustedStreamError as exc:
-                raise InsufficientInitialBitsError(
-                    "auxiliary bits exhausted while sampling latents; "
-                    "seed the coder with more initial bits") from exc
             gross += pushed
             returned += popped
             # before - (before - low), not low: the float encode_stream always kept.
@@ -667,8 +646,8 @@ def decode_streams(streams, sections, method: str = "bitswap") -> list[list[np.n
     gets each check `decode_stream` makes, and one bad stream fails the call.
     """
     streams = list(streams)
+    interleaved = check_method(method)
     sections = [(list(lens), tables) for lens, tables in sections]
-    interleaved = _INTERLEAVED[method]
     coder = LaneCoder.deserialize(stream.payload for stream in streams)
     decoded = sum(sum(lens) for lens, _ in sections)
     for stream in streams:
@@ -802,18 +781,11 @@ def fit(model: LatentChainModel, blocks, config: FitConfig = FitConfig()) -> Lat
     bound over its own block of coordinates, so the bound never decreases.
     Zero iterations returns the model unchanged.
     """
-    if len(blocks) == 0:
-        raise InvalidInputError("fit needs at least one block")
+    x0, hist = _block_stats(blocks, model.obs_alphabet)
     model.validate()
     m = model.copy()
     if config.iterations == 0:
         return m
-    blocks = [np.asarray(b, dtype=np.int64).reshape(-1) for b in blocks]
-    for b in blocks:
-        if b.size == 0 or b.min() < 0 or b.max() >= m.obs_alphabet:
-            raise InvalidInputError("block symbols must be nonempty and within the alphabet")
-    x0, hist = _block_stats(blocks, m.obs_alphabet)
-    n = len(blocks)
     levels = m.levels
     x0_counts = np.bincount(x0, minlength=m.obs_alphabet).astype(np.float64)
 
@@ -850,10 +822,7 @@ def fit(model: LatentChainModel, blocks, config: FitConfig = FitConfig()) -> Lat
                 lq = np.log(q)
             psi = np.where(q > 0, q * (scores - lq), 0.0).sum(axis=1)
 
-        with np.errstate(divide="ignore"):
-            log_p_obs = np.log(m.p_obs)
-        ll = hist @ np.where(np.isfinite(log_p_obs), log_p_obs, 0.0).T
-        ll[(hist > 0) @ (m.p_obs.T == 0)] = -np.inf
+        ll = _obs_loglik(hist, m.p_obs)
         sums = np.zeros((m.obs_alphabet, m.alphabets[0]))
         np.add.at(sums, x0, ll)
         seen = x0_counts > 0

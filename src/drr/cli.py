@@ -23,7 +23,6 @@ from .bits_back import (
     deserialize_models,
     deserialize_stream,
     fit,
-    random_model,
     serialize_stream,
 )
 from .errors import (
@@ -47,7 +46,6 @@ from .replay_store import (
     compress_grids,
     decompress_grids,
     format_megabytes,
-    grid_blocks,
     parse_record,
     parse_shape,
 )
@@ -110,8 +108,8 @@ def _list_images(directory: str) -> list[str]:
 # -- pretrain-codec ----------------------------------------------------------------
 
 def cmd_pretrain_codec(args) -> int:
-    images = np.stack([read_image(p) for p in _list_images(args.data)])
-    config = CodecConfig(patch=args.patch, pool=args.pool, channels=images.shape[-1],
+    images = [read_image(p) for p in _list_images(args.data)]
+    config = CodecConfig(patch=args.patch, pool=args.pool, channels=images[0].shape[-1],
                          codebook_size=args.codebook_size, embed_dim=args.embed_dim,
                          beta=args.beta, lr=args.lr, epochs=args.epochs, seed=args.seed)
     params = freeze(train_codec(images, config))
@@ -135,10 +133,15 @@ def _load_pair(path: str) -> LatentModelPair:
         return LatentModelPair.deserialize(f.read())
 
 
-def _make_pair(codebook_size: int, alphabets, block_len: int, seed: int) -> LatentModelPair:
-    return LatentModelPair(
-        random_model(codebook_size, alphabets, block_len=block_len, seed=2 * seed + 1),
-        random_model(codebook_size, alphabets, block_len=block_len, seed=2 * seed + 2))
+def parse_alphabets(text: str) -> tuple[int, ...]:
+    """Chain alphabets such as `16,8`: positive integers, one per level."""
+    try:
+        alphabets = tuple(int(a) for a in text.split(","))
+    except ValueError:
+        alphabets = ()
+    if not alphabets or min(alphabets) < 1:
+        raise InvalidInputError(f"bad alphabets {text!r}; expected positive integers such as 16,8")
+    return alphabets
 
 
 def cmd_compress(args) -> int:
@@ -150,15 +153,10 @@ def cmd_compress(args) -> int:
     if os.path.exists(args.model):
         pair = _load_pair(args.model)
     else:
-        alphabets = tuple(int(a) for a in args.alphabets.split(","))
-        pair = _make_pair(codec.codebook_size, alphabets,
-                          args.block_len, args.seed)
+        pair = LatentModelPair.seeded(codec.codebook_size, parse_alphabets(args.alphabets),
+                                      args.block_len, args.seed)
         if args.fit_iterations > 0:
-            top, bottom = [], []
-            for g in grids:
-                t, b = grid_blocks(g, pair)
-                top += t
-                bottom += b
+            top, bottom = pair.blocks(grids)
             pair = LatentModelPair(
                 fit(pair.top, top, FitConfig(args.fit_iterations)),
                 fit(pair.bottom, bottom, FitConfig(args.fit_iterations)))
@@ -206,6 +204,10 @@ def cmd_decompress(args) -> int:
         raise DataCorruptionError(f"{index_path}: bad stream-set header")
     entries = [parse_record(line, "stream", ("file", "source", "top", "bottom"))
                for line in lines[1:]]
+    for entry in entries:
+        source = entry["source"]
+        if source in ("", ".", "..") or os.path.basename(source) != source or "\0" in source:
+            raise DataCorruptionError(f"{index_path}: source {source!r} is not a plain file name")
     streams = []
     for entry in entries:
         with open(os.path.join(args.in_dir, entry["file"]), "rb") as f:
@@ -277,7 +279,7 @@ def experiment_config_from_values(values: dict) -> ExperimentConfig:
                           epochs=values["epochs"], lr=values["lr"],
                           batch_size=values["batch_size"],
                           hidden_dim=values["hidden_dim"], seed=values["seed"]),
-        latent=LatentSpec(alphabets=tuple(int(a) for a in values["alphabets"].split(",")),
+        latent=LatentSpec(alphabets=parse_alphabets(values["alphabets"]),
                           block_len=values["block_len"],
                           precision=values["precision"],
                           initial_bits=values["initial_bits"],

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits_back import FitConfig, random_model
+from .bits_back import FitConfig
 from .errors import DegenerateInputError, InvalidInputError
 from .rans import DEFAULT_PRECISION
 from .replay_store import (
@@ -87,18 +87,12 @@ def ib_loss(r1: np.ndarray, r2: np.ndarray) -> tuple[float, np.ndarray]:
     """Negative cosine similarity; gradient only for r2.
 
     r1 is the raw-image representation and is treated as a constant: no
-    gradient is returned for it, so nothing can flow up its branch.
+    gradient is returned for it, so nothing can flow up its branch.  The
+    one-pair case of `_ib_pairs`.
     """
-    r1 = np.asarray(r1, dtype=np.float64)
     r2 = np.asarray(r2, dtype=np.float64)
-    n1 = float(np.linalg.norm(r1))
-    n2 = float(np.linalg.norm(r2))
-    if n1 < 1e-12 or n2 < 1e-12:
-        raise DegenerateInputError("cosine alignment needs nonzero representations")
-    u1 = r1 / n1
-    u2 = r2 / n2
-    c = float(u1 @ u2)
-    return -c, (-u1 + c * u2) / n2
+    loss, grad = _ib_pairs(np.asarray(r1, dtype=np.float64).reshape(1, -1), r2.reshape(1, -1))
+    return loss, grad.reshape(r2.shape)
 
 
 def _ib_pairs(r1: np.ndarray, r2: np.ndarray) -> tuple[float, np.ndarray]:
@@ -443,11 +437,8 @@ def run_experiment(train_images: np.ndarray, train_labels: np.ndarray,
     initial = schedule.classes_for_phase(0)
     codec = freeze(train_codec(
         np.concatenate([train_by_class[label] for label in initial]), config.codec))
-    pair = LatentModelPair(
-        random_model(config.codec.codebook_size, config.latent.alphabets,
-                     block_len=config.latent.block_len, seed=2 * schedule.seed + 1),
-        random_model(config.codec.codebook_size, config.latent.alphabets,
-                     block_len=config.latent.block_len, seed=2 * schedule.seed + 2))
+    pair = LatentModelPair.seeded(config.codec.codebook_size, config.latent.alphabets,
+                                  config.latent.block_len, schedule.seed)
     buffer = ReplayBuffer(codec, pair,
                           exemplars_per_class=config.exemplars_per_class,
                           precision=config.latent.precision,

@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits_back import (
-    METHODS,
     CodingTables,
     CompressedStream,
     FitConfig,
     LatentChainModel,
     build_coding_tables,
+    check_method,
     chunk_symbols,
     decode_stream,
     decode_streams,
@@ -33,6 +33,7 @@ from .bits_back import (
     encode_stream,
     encode_streams,
     finetune,
+    random_model,
     serialize_models,
     serialize_stream,
 )
@@ -210,8 +211,23 @@ class LatentModelPair:
     def version(self) -> int:
         return self.top.version
 
+    @classmethod
+    def seeded(cls, obs_alphabet: int, alphabets, block_len: int, seed: int) -> "LatentModelPair":
+        """Unfitted pair of `random_model`s, top seeded 2*seed+1, bottom 2*seed+2."""
+        return cls(random_model(obs_alphabet, alphabets, block_len=block_len, seed=2 * seed + 1),
+                   random_model(obs_alphabet, alphabets, block_len=block_len, seed=2 * seed + 2))
+
     def copy(self) -> "LatentModelPair":
         return LatentModelPair(self.top.copy(), self.bottom.copy())
+
+    def blocks(self, grids) -> tuple[list, list]:
+        """(top, bottom) blocks of every grid, grid by grid: each level's
+        row-major symbols, chunked to that level's block length."""
+        top, bottom = [], []
+        for grid in grids:
+            top += chunk_symbols(grid.top.ravel(), self.top.block_len)
+            bottom += chunk_symbols(grid.bottom.ravel(), self.bottom.block_len)
+        return top, bottom
 
     def tables(self, precision: int = DEFAULT_PRECISION) -> tuple[CodingTables, CodingTables]:
         """(top, bottom) coding tables, built on the first call per precision."""
@@ -233,8 +249,7 @@ class LatentModelPair:
 
 def grid_blocks(grid: CodeGrid, pair: LatentModelPair) -> tuple[list, list]:
     """Row-major symbols of each level, chunked to that level's block length."""
-    return (chunk_symbols(grid.top.ravel(), pair.top.block_len),
-            chunk_symbols(grid.bottom.ravel(), pair.bottom.block_len))
+    return pair.blocks([grid])
 
 
 def _block_lens(n_symbols: int, block_len: int) -> list[int]:
@@ -246,7 +261,7 @@ def compress_grid(grid: CodeGrid, pair: LatentModelPair,
                   precision: int = DEFAULT_PRECISION,
                   initial_bits: int = 256, seed=0, method: str = "bitswap") -> CompressedStream:
     top_tables, bottom_tables = pair.tables(precision)
-    top_blocks, bottom_blocks = grid_blocks(grid, pair)
+    top_blocks, bottom_blocks = pair.blocks([grid])
     return encode_stream([(top_blocks, top_tables), (bottom_blocks, bottom_tables)],
                          initial_bits=initial_bits, seed=seed, method=method)
 
@@ -368,8 +383,7 @@ class ReplayBuffer:
                 f"precision {precision} outside [{MIN_PRECISION}, {MAX_PRECISION}]")
         if initial_bits < 0 or initial_bits % 8:
             raise InvalidInputError("initial_bits must be a nonnegative multiple of 8")
-        if method not in METHODS:
-            raise InvalidInputError(f"unknown coding method {method!r}; expected one of {METHODS}")
+        check_method(method)
         self.codec = codec
         self.pair = pair
         self.exemplars_per_class = exemplars_per_class
@@ -394,16 +408,19 @@ class ReplayBuffer:
     def _stream_seed(self, label: int, index: int):
         return [self.seed, int(label) + 1, index + 1]
 
-    def _decode_grids(self, shelves) -> dict[int, list[CodeGrid]]:
-        """The code grids of every stream on the given shelves, per label,
-        decoded in one batch."""
-        shelves = list(shelves)
+    def _check_versions(self, shelves) -> None:
         for shelf in shelves:
             for stream in shelf.streams:
                 if stream.model_version != self.pair.version:
                     raise DataCorruptionError(
                         f"stream for class {shelf.label} has model version "
-                        f"{stream.model_version}, buffer is at {self.pair.version}")
+                        f"{stream.model_version}, the models are at {self.pair.version}")
+
+    def _decode_grids(self, shelves) -> dict[int, list[CodeGrid]]:
+        """The code grids of every stream on the given shelves, per label,
+        decoded in one batch."""
+        shelves = list(shelves)
+        self._check_versions(shelves)
         grids = iter(decompress_grids(
             [stream for shelf in shelves for stream in shelf.streams], self.pair,
             [(shelf.top_shape, shelf.bottom_shape) for shelf in shelves for _ in shelf.streams],
@@ -444,17 +461,8 @@ class ReplayBuffer:
             chosen_shapes[label] = tuple(chosen.shape[1:])
 
         buffered = self._decode_grids(self._shelves.values())
-
-        def split_blocks(grids):
-            top, bottom = [], []
-            for g in grids:
-                t, b = grid_blocks(g, self.pair)
-                top += t
-                bottom += b
-            return top, bottom
-
-        new_top, new_bottom = split_blocks(g for grids in new_per_class.values() for g in grids)
-        old_top, old_bottom = split_blocks(g for grids in buffered.values() for g in grids)
+        new_top, new_bottom = self.pair.blocks(g for grids in new_per_class.values() for g in grids)
+        old_top, old_bottom = self.pair.blocks(g for grids in buffered.values() for g in grids)
         self.pair = LatentModelPair(
             finetune(self.pair.top, new_top, fit_config, buffered_blocks=old_top),
             finetune(self.pair.bottom, new_bottom, fit_config, buffered_blocks=old_bottom))
@@ -592,10 +600,5 @@ class ReplayBuffer:
                 buffer._shelves[label] = shelf
         except (OSError, ValueError, IndexError) as exc:
             raise DataCorruptionError(f"corrupt buffer index: {exc}") from exc
-        for shelf in buffer._shelves.values():
-            for stream in shelf.streams:
-                if stream.model_version != pair.version:
-                    raise DataCorruptionError(
-                        f"stream for class {shelf.label} has model version "
-                        f"{stream.model_version}, models file is at {pair.version}")
+        buffer._check_versions(buffer._shelves.values())
         return buffer

@@ -313,8 +313,8 @@ def vq_loss_and_grads(image: np.ndarray, params: CodecParams):
 
 def init_codec_params(config: CodecConfig) -> CodecParams:
     """Seeded initialization; codebook rows i.i.d. uniform in [-1/K, 1/K]."""
-    if config.patch < 1 or config.pool < 1 or config.channels < 1:
-        raise InvalidInputError("patch, pool and channels must be positive")
+    if min(config.patch, config.pool, config.channels, config.codebook_size, config.embed_dim) < 1:
+        raise InvalidInputError("patch, pool, channels, codebook size and embed dim must be positive")
     rng = np.random.default_rng(config.seed)
     d = config.embed_dim
     patch_dim = config.patch * config.patch * config.channels
@@ -356,7 +356,10 @@ def train_codec(dataset, config: CodecConfig, params: CodecParams | None = None)
         params = init_codec_params(config)
     else:
         params = params.copy()
-    images = np.stack([validate_image(img, params) for img in dataset])
+    images = [validate_image(img, params) for img in dataset]
+    if len({img.shape for img in images}) != 1:
+        raise InvalidInputError("training images must all have one shape")
+    images = np.stack(images)
     for _ in range(config.epochs):
         _, grads = _batch_loss_and_grads(images, params)
         for name in params.weight_fields():

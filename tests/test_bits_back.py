@@ -7,6 +7,7 @@ accounting identity against the coder's own tally, and the auxiliary-bit
 dominance of the interleaved schedule.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -21,14 +22,18 @@ from drr.bits_back import (
     bitswap_encode_block,
     build_coding_tables,
     chunk_symbols,
+    decode_block,
     decode_blocks,
     decode_stream,
+    decode_streams,
     deserialize_models,
     deserialize_stream,
     elbo,
     elbo_per_block,
+    encode_block,
     encode_blocks,
     encode_stream,
+    encode_streams,
     finetune,
     fit,
     mean_elbo,
@@ -637,3 +642,62 @@ class TestModelSnapshots:
     def test_empty_snapshot_rejected(self):
         with pytest.raises(InvalidInputError):
             serialize_models([])
+
+
+def pinned_block_coding(method, precision):
+    """sha256 of the coder after `encode_blocks` of fixed blocks, with the
+    accounting floats by repr; the last block is short."""
+    tables = build_coding_tables(random_model(12, (5, 4, 3), block_len=6, seed=5), precision)
+    blocks = chunk_symbols(np.random.default_rng(4).integers(0, 12, 100), 6)
+    coder = AnsCoder.with_random_bits(512, seed=9)
+    stats = encode_blocks(coder, blocks, tables, method=method)
+    return (hashlib.sha256(coder.serialize()).hexdigest(), repr(stats.gross_bits),
+            repr(stats.returned_bits), repr(stats.peak_demand_bits), repr(stats.net_bits))
+
+
+class TestScalarReference:
+    @pytest.mark.parametrize("method,precision,pinned", [
+        ("bitswap", 12, ("768327b1c9325ac6604dd95846081403f087c866d4dd96be6bba30e51c4ffefb",
+                         "494.96263977927487", "98.29180036046607", "3.870716979131771",
+                         "396.6708394188088")),
+        ("bitswap", 16, ("69b45524b1fa57fa26cf55874da791ab087801fac79dd1be49dff56d419785dc",
+                         "502.648867505594", "80.37065883418774", "3.081882398602488",
+                         "422.2782086714063")),
+        ("bb", 12, ("b899eefe6cc09bb319369ef1344e14f496204086af17b94e3fb358e59a97ad4a",
+                    "491.3050780178623", "93.64732578168423", "7.657901380468957",
+                    "397.65775223617806")),
+        ("bb", 16, ("48768cea2ec19027da005f9f5eb20ceba07fddd35f4f6748dc390c519e0f48fc",
+                    "492.75715461508895", "96.76993628124339", "7.008106260575005",
+                    "395.9872183338456")),
+    ])
+    def test_block_coding_is_pinned(self, method, precision, pinned):
+        # The scalar coder's bytes and accounting floats at fixed seeds: the
+        # lane coder is checked against this reference, so it must not move.
+        assert pinned_block_coding(method, precision) == pinned
+
+    def test_unknown_method_rejected_everywhere(self):
+        tables = build_coding_tables(random_model(8, (4, 3), block_len=4, seed=1))
+        block = np.array([1, 2, 3, 4])
+        coder = AnsCoder.with_random_bits(512, seed=0)
+        calls = [
+            lambda: encode_block(coder, block, tables, "zip"),
+            lambda: decode_block(coder, 4, tables, "zip"),
+            lambda: encode_blocks(coder, [block], tables, method="zip"),
+            lambda: decode_blocks(coder, [4], tables, method="zip"),
+            lambda: encode_stream([([block], tables)], method="zip"),
+            lambda: encode_streams([([block[None]], tables)], [0], method="zip"),
+        ]
+        stream = encode_stream([([block], tables)])
+        calls += [
+            lambda: decode_stream(stream, [([4], tables)], method="zip"),
+            lambda: decode_streams([stream], [([4], tables)], method="zip"),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="unknown coding method"):
+                call()
+        assert coder.serialize() == AnsCoder.with_random_bits(512, seed=0).serialize()
+
+    def test_zero_iteration_fit_still_checks_blocks(self):
+        model = random_model(6, (3,), block_len=2, seed=1)
+        with pytest.raises(InvalidInputError):
+            fit(model, [np.array([0, 6])], FitConfig(iterations=0))

@@ -356,3 +356,82 @@ class TestInspect:
         with open(path, "wb") as f:
             f.write(b"junkjunkjunk")
         assert main(["inspect", "--file", path]) == EXIT_USAGE
+
+
+def bad_input_cases(workspace, root):
+    """(name, argv) pairs of malformed input that must exit 1, each with its
+    inputs written under `root`."""
+    mixed = root / "mixed"
+    mixed.mkdir()
+    write_image(str(mixed / "a.img"), toy_images(1, side=8, seed=1)[0])
+    write_image(str(mixed / "b.img"), toy_images(1, side=16, seed=2)[0])
+    config = root / "alphabets.conf"
+    config.write_text("alphabets = a,b\n")
+    pretrain = ["pretrain-codec", "--data", workspace["data"], "--out", str(root / "c.drrc"),
+                "--epochs", "1"]
+    compress = ["compress", "--codec", workspace["codec"], "--model", str(root / "m.drrm"),
+                "--in", workspace["data"], "--out", str(root / "s")]
+    return [
+        ("mixed image sizes", ["pretrain-codec", "--data", str(mixed),
+                               "--out", str(root / "c.drrc"), "--epochs", "1"]),
+        ("codebook size 0", pretrain + ["--codebook-size", "0"]),
+        ("embed dim 0", pretrain + ["--embed-dim", "0"]),
+        ("alphabets a,b", compress + ["--alphabets", "a,b"]),
+        ("alphabets 0,4", compress + ["--alphabets", "0,4"]),
+        ("alphabets empty", compress + ["--alphabets", ""]),
+        ("config alphabets a,b", ["run-phases", "--config", str(config),
+                                  "--out", str(root / "r.txt")]),
+    ]
+
+
+def traversal_copy(compressed, directory, source):
+    """A copy of the stream set whose first index line names `source`."""
+    directory.mkdir()
+    for name in os.listdir(compressed["out"]):
+        with open(os.path.join(compressed["out"], name), "rb") as f:
+            blob = f.read()
+        if name == "index.txt":
+            lines = blob.decode().splitlines()
+            words = [f"source={source}" if w.startswith("source=") else w
+                     for w in lines[1].split()]
+            lines[1] = " ".join(words)
+            blob = ("\n".join(lines) + "\n").encode()
+        with open(directory / name, "wb") as f:
+            f.write(blob)
+    return str(directory)
+
+
+class TestBadInput:
+    def test_each_case_is_usage(self, workspace, tmp_path, capsys):
+        for name, argv in bad_input_cases(workspace, tmp_path):
+            assert main(argv) == EXIT_USAGE, name
+            assert "error:" in capsys.readouterr().err, name
+
+    @pytest.mark.parametrize("source", ["../evil.img", "{tmp}/evil.img", "sub/evil.img",
+                                        "..", ""])
+    def test_decompress_writes_only_inside_out(self, workspace, compressed, tmp_path,
+                                               capsys, source):
+        source = source.format(tmp=tmp_path)
+        streams = traversal_copy(compressed, tmp_path / "streams", source)
+        out = tmp_path / "deep" / "recon"
+        code = main(["decompress", "--codec", workspace["codec"],
+                     "--model", compressed["model"], "--in", streams, "--out", str(out)])
+        assert code == EXIT_CORRUPT
+        assert "not a plain file name" in capsys.readouterr().err
+        assert not (tmp_path / "deep").exists()
+        assert not (tmp_path / "evil.img").exists()
+
+    def test_subprocess_sweep_exits_cleanly(self, workspace, compressed, tmp_path):
+        cases = bad_input_cases(workspace, tmp_path)
+        streams = traversal_copy(compressed, tmp_path / "streams", "../evil.img")
+        cases.append(("source ../evil.img",
+                      ["decompress", "--codec", workspace["codec"],
+                       "--model", compressed["model"], "--in", streams,
+                       "--out", str(tmp_path / "out" / "recon")]))
+        for name, argv in cases:
+            proc = subprocess.run([sys.executable, "-m", "drr.cli", *argv],
+                                  capture_output=True, text=True)
+            assert proc.returncode in (EXIT_USAGE, EXIT_IO, EXIT_CORRUPT), name
+            assert "Traceback" not in proc.stderr, name
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "evil.img").exists()

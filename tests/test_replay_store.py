@@ -171,6 +171,34 @@ class TestPair:
                     assert np.array_equal(x, y)
 
 
+class TestPairHelpers:
+    def test_seeded_matches_explicit_random_models(self):
+        for seed in (0, 3):
+            pair = LatentModelPair.seeded(32, (6, 4), 8, seed)
+            explicit = LatentModelPair(
+                random_model(32, (6, 4), block_len=8, seed=2 * seed + 1),
+                random_model(32, (6, 4), block_len=8, seed=2 * seed + 2))
+            assert pair.version == 0
+            for got, want in zip(pair.tables(), explicit.tables()):
+                for a, b in zip(got.dyadic.tables(), want.dyadic.tables()):
+                    assert a[0] == b[0] and np.array_equal(a[1], b[1])
+            assert pair.serialize() == explicit.serialize()
+
+    def test_blocks_concatenate_grid_blocks(self, frozen_codec):
+        pair = LatentModelPair.seeded(32, (6, 4), 3, 1)  # 3 leaves short last blocks
+        grids = [encode_image(img, frozen_codec) for img in toy_images(4, seed=6)]
+        top, bottom = pair.blocks(iter(grids))
+        want_top, want_bottom = [], []
+        for grid in grids:
+            t, b = grid_blocks(grid, pair)
+            want_top += t
+            want_bottom += b
+        assert len(top) == len(want_top) and len(bottom) == len(want_bottom)
+        assert all(np.array_equal(a, b) for a, b in zip(top, want_top))
+        assert all(np.array_equal(a, b) for a, b in zip(bottom, want_bottom))
+        assert pair.blocks([]) == ([], [])
+
+
 class TestGridCoding:
     def test_grid_round_trip(self, frozen_codec):
         pair = make_pair()
