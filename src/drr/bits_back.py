@@ -42,6 +42,7 @@ from .errors import (
     ExhaustedStreamError,
     InsufficientInitialBitsError,
     InvalidInputError,
+    check_seed,
 )
 from .rans import (
     DEFAULT_PRECISION,
@@ -147,6 +148,7 @@ def random_model(obs_alphabet: int, alphabets, block_len: int = DEFAULT_BLOCK_LE
                  version: int = 0) -> LatentChainModel:
     """Seeded model with Dirichlet rows; a generic starting point for `fit`."""
     alphabets = tuple(int(a) for a in alphabets)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
 
     def rows(n, a):

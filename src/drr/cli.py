@@ -43,6 +43,7 @@ from .learner import (
 from .rans import DEFAULT_PRECISION
 from .replay_store import (
     LatentModelPair,
+    check_plain_name,
     compress_grids,
     decompress_grids,
     format_megabytes,
@@ -205,9 +206,8 @@ def cmd_decompress(args) -> int:
     entries = [parse_record(line, "stream", ("file", "source", "top", "bottom"))
                for line in lines[1:]]
     for entry in entries:
-        source = entry["source"]
-        if source in ("", ".", "..") or os.path.basename(source) != source or "\0" in source:
-            raise DataCorruptionError(f"{index_path}: source {source!r} is not a plain file name")
+        for key in ("file", "source"):
+            check_plain_name(entry[key], f"{index_path}: {key}")
     streams = []
     for entry in entries:
         with open(os.path.join(args.in_dir, entry["file"]), "rb") as f:

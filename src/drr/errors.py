@@ -1,9 +1,11 @@
-"""Shared exception types.
+"""Shared exception types, and the one seed check.
 
 Every module raises from this small hierarchy so callers (and the CLI exit
 code mapping) can distinguish bad arguments, illegal state transitions, and
 corrupted data without string matching.
 """
+
+import numbers
 
 
 class DrrError(Exception):
@@ -32,3 +34,11 @@ class DataCorruptionError(DrrError):
 
 class DegenerateInputError(DrrError, ValueError):
     """A numeric input has no well-defined result (e.g. a zero-norm vector)."""
+
+
+def check_seed(seed, name: str = "seed") -> None:
+    """Raise InvalidInputError unless `seed` is a nonnegative integer or a
+    list or tuple of them: the seeds numpy's generators accept."""
+    values = seed if isinstance(seed, (list, tuple)) else [seed]
+    if any(not isinstance(v, numbers.Integral) or v < 0 for v in values):
+        raise InvalidInputError(f"{name} must be a nonnegative integer, got {seed!r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits_back import FitConfig
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import DegenerateInputError, InvalidInputError, check_seed
 from .rans import DEFAULT_PRECISION
 from .replay_store import (
     IngestReport,
@@ -57,6 +57,7 @@ def init_classifier(input_dim: int, hidden_dim: int, n_classes: int,
                     seed: int) -> ClassifierParams:
     if min(input_dim, hidden_dim, n_classes) < 1:
         raise InvalidInputError("classifier dimensions must be positive")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
 
     def linear(out_dim, in_dim):
@@ -112,9 +113,10 @@ def cross_entropy(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     """Mean natural-log cross-entropy and gradient wrt the scores."""
     n = len(labels)
     shifted = scores - scores.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_z - shifted[np.arange(n), labels]))
-    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    z = probs.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(n), labels]))
+    probs /= z
     probs[np.arange(n), labels] -= 1.0
     return loss, probs / n
 
@@ -123,7 +125,8 @@ def cross_entropy(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
 class Batch:
     """Reconstructed rows with labels, plus optional raw/reconstruction pairs.
 
-    `pair_rows[j]` is the row of `recon` that `raw[j]` is a view of.
+    `pair_rows[j]` is the row of `recon` that `raw[j]` is a view of; each
+    row has at most one raw view, so pair rows are distinct.
     """
 
     recon: np.ndarray
@@ -146,6 +149,8 @@ class Batch:
             if len(self.raw) and (self.pair_rows.min() < 0
                                   or self.pair_rows.max() >= len(self.recon)):
                 raise InvalidInputError("pair row outside the batch")
+            if len(set(self.pair_rows.tolist())) != len(self.pair_rows):
+                raise InvalidInputError("pair rows must be distinct")
 
 
 def total_loss(params: ClassifierParams, batch: Batch, ib_weight: float,
@@ -163,10 +168,6 @@ def total_loss(params: ClassifierParams, batch: Batch, ib_weight: float,
     h = features(params, x)
     scores = h @ params.w2.T + params.b2
     ce, d_scores = cross_entropy(scores, batch.labels)
-
-    grads = ClassifierParams(
-        w1=np.zeros_like(params.w1), b1=np.zeros_like(params.b1),
-        w2=d_scores.T @ h, b2=d_scores.sum(axis=0))
     dh = d_scores @ params.w2
 
     align = 0.0
@@ -174,11 +175,11 @@ def total_loss(params: ClassifierParams, batch: Batch, ib_weight: float,
         if raw_features is None:
             raw_features = features(params, batch.raw)
         align, d_pairs = _ib_pairs(raw_features, h[batch.pair_rows])
-        np.add.at(dh, batch.pair_rows, ib_weight * d_pairs)
+        dh[batch.pair_rows] += ib_weight * d_pairs
 
     da = dh * (1.0 - h * h)
-    grads.w1 = da.T @ x
-    grads.b1 = da.sum(axis=0)
+    grads = ClassifierParams(w1=da.T @ x, b1=da.sum(axis=0),
+                             w2=d_scores.T @ h, b2=d_scores.sum(axis=0))
     return ce + ib_weight * align, grads, {"ce": ce, "align": align}
 
 
@@ -201,6 +202,7 @@ class TrainConfig:
             raise InvalidInputError("alignment weight must be nonnegative")
         if min(self.epochs, self.batch_size, self.hidden_dim) < 1 or self.lr <= 0:
             raise InvalidInputError("bad training configuration")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -302,6 +304,7 @@ class PhaseSchedule:
         if self.initial_classes + self.n_phases * self.classes_per_phase != self.total_classes:
             raise InvalidInputError(
                 "initial + phases x per-phase must equal total classes")
+        check_seed(self.seed)
 
     def classes_for_phase(self, phase: int) -> list[int]:
         self.validate()
@@ -359,6 +362,8 @@ def make_toy_dataset(n_classes: int, per_class: int, side: int = 16,
     """
     if n_classes < 1 or per_class < 1:
         raise InvalidInputError("need at least one class and one sample")
+    check_seed(seed)
+    check_seed(salt, "salt")
     yy, xx = np.mgrid[0:side, 0:side] / side
     images = np.empty((n_classes * per_class, side, side, channels))
     labels = np.repeat(np.arange(n_classes), per_class)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataCorruptionError, ExhaustedStreamError, InvalidInputError
+from .errors import DataCorruptionError, ExhaustedStreamError, InvalidInputError, check_seed
 
 RANS_L = 1 << 32  # lower bound of the normalized state interval
 RENORM_SHIFT = 8  # renormalization emits one byte at a time
@@ -252,6 +252,7 @@ class AnsCoder:
         """
         if n_bits < 0 or n_bits % 8 != 0:
             raise InvalidInputError("n_bits must be a nonnegative multiple of 8")
+        check_seed(seed)
         rng = np.random.default_rng(seed)
         raw = rng.integers(0, 256, size=n_bits // 8, dtype=np.uint8).tobytes()
         return cls(stack=raw)

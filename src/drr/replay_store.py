@@ -37,7 +37,7 @@ from .bits_back import (
     serialize_models,
     serialize_stream,
 )
-from .errors import DataCorruptionError, InvalidInputError, StateError
+from .errors import DataCorruptionError, InvalidInputError, StateError, check_seed
 from .rans import DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION
 from .vq_codec import (
     CodecParams,
@@ -111,6 +111,13 @@ def parse_shape(text: str) -> tuple[int, ...]:
     return shape
 
 
+def check_plain_name(name: str, what: str) -> None:
+    """DataCorruptionError unless `name` names an entry directly inside a
+    directory, so a name read from an index cannot reach outside it."""
+    if name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
+        raise DataCorruptionError(f"{what} {name!r} is not a plain file name")
+
+
 def bytes_to_megabytes(n_bytes: int) -> float:
     return n_bytes / BYTES_PER_MEGABYTE
 
@@ -157,6 +164,7 @@ class RawExemplarStore:
     def __init__(self, exemplars_per_class: int = DEFAULT_EXEMPLARS_PER_CLASS, seed: int = 0):
         if exemplars_per_class < 1:
             raise InvalidInputError("need at least one exemplar per class")
+        check_seed(seed)
         self.exemplars_per_class = exemplars_per_class
         self.seed = seed
         self._classes: dict[int, np.ndarray] = {}
@@ -214,6 +222,7 @@ class LatentModelPair:
     @classmethod
     def seeded(cls, obs_alphabet: int, alphabets, block_len: int, seed: int) -> "LatentModelPair":
         """Unfitted pair of `random_model`s, top seeded 2*seed+1, bottom 2*seed+2."""
+        check_seed(seed)
         return cls(random_model(obs_alphabet, alphabets, block_len=block_len, seed=2 * seed + 1),
                    random_model(obs_alphabet, alphabets, block_len=block_len, seed=2 * seed + 2))
 
@@ -384,6 +393,7 @@ class ReplayBuffer:
         if initial_bits < 0 or initial_bits % 8:
             raise InvalidInputError("initial_bits must be a nonnegative multiple of 8")
         check_method(method)
+        check_seed(seed)
         self.codec = codec
         self.pair = pair
         self.exemplars_per_class = exemplars_per_class
@@ -589,6 +599,11 @@ class ReplayBuffer:
                     i += 1
                     if int(entry["label"]) != label:
                         raise DataCorruptionError("stream entry under the wrong class")
+                    folder, _, name = entry["file"].partition("/")
+                    if folder != STREAM_DIR:
+                        raise DataCorruptionError(
+                            f"stream file {entry['file']!r} is not in {STREAM_DIR}/")
+                    check_plain_name(name, "stream file")
                     with open(os.path.join(directory, entry["file"]), "rb") as f:
                         stream = deserialize_stream(f.read())
                     if stream.model_version != int(entry["version"]):

@@ -21,7 +21,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataCorruptionError, InvalidInputError, StateError
+from .errors import (
+    DataCorruptionError,
+    DegenerateInputError,
+    InvalidInputError,
+    StateError,
+    check_seed,
+)
 
 CODEC_MAGIC = b"DRRC"
 CODEC_FORMAT_VERSION = 1
@@ -145,14 +151,48 @@ def quantize(z: np.ndarray, codebook: np.ndarray) -> tuple[int, np.ndarray]:
     return k, codebook[k].copy()
 
 
+# Rows per distance buffer in `_nearest_indices`: at K=512 the buffer is
+# 2 MB, where the whole (N, K) distance matrix of 120 paper-shaped images
+# is 31 MB.
+_SEARCH_ROWS = 512
+
+
+def _row_chunks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of near-equal row chunks covering range(n), each at
+    most _SEARCH_ROWS rows long.
+
+    Beyond one chunk, every chunk has at least _SEARCH_ROWS // 2 rows.  No
+    chunk is tiny because BLAS runs other kernels for one- or two-row
+    products (gemv for one row), which round differently from the same rows
+    inside a larger product; larger chunks give the whole-batch product's
+    bits.
+    """
+    count = max(1, -(-n // _SEARCH_ROWS))
+    bounds = [i * n // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def _nearest_indices(z: np.ndarray, codebook: np.ndarray) -> np.ndarray:
-    """Row-wise nearest codebook indices for a (N, d) batch."""
-    d2 = (
-        (z ** 2).sum(axis=1, keepdims=True)
-        - 2.0 * z @ codebook.T
-        + (codebook ** 2).sum(axis=1)
-    )
-    return np.argmin(d2, axis=1)
+    """Row-wise nearest codebook indices for a (N, d) batch.
+
+    The distance is (|z|^2 - 2 z.c) + |c|^2, evaluated in place in one
+    (rows, K) buffer reused across row chunks.  Ties break toward the
+    lowest index.
+    """
+    n = z.shape[0]
+    z_sq = (z ** 2).sum(axis=1, keepdims=True)
+    z2 = 2.0 * z
+    c_sq = (codebook ** 2).sum(axis=1)
+    chunks = _row_chunks(n)
+    buf = np.empty((max(stop - start for start, stop in chunks), codebook.shape[0]))
+    out = np.empty(n, dtype=np.intp)
+    for start, stop in chunks:
+        d2 = buf[:stop - start]
+        np.matmul(z2[start:stop], codebook.T, out=d2)
+        np.subtract(z_sq[start:stop], d2, out=d2)
+        d2 += c_sq
+        out[start:stop] = d2.argmin(axis=1)
+    return out
 
 
 def _extract_patches(images: np.ndarray, patch: int) -> np.ndarray:
@@ -170,15 +210,26 @@ def _assemble_patches(patches: np.ndarray, patch: int, channels: int) -> np.ndar
     return cells.transpose(0, 1, 3, 2, 4, 5).reshape(n, hb * patch, wb * patch, channels)
 
 
+def _cells(grid: np.ndarray, t: int) -> np.ndarray:
+    """(n, H, W, d) -> (n, H/t, t, W/t, t, d): the t x t cells under each
+    top position; a view of a contiguous grid, so writes reach the grid."""
+    n, h, w, d = grid.shape
+    return grid.reshape(n, h // t, t, w // t, t, d)
+
+
 def _encode_features(images: np.ndarray, params: CodecParams):
-    """Forward pass up to the quantizers for a batch of images."""
-    t = params.pool
+    """Forward pass up to the quantizers for a batch of images:
+    (patches, z_bottom, pooled, z_top)."""
     patches = _extract_patches(images, params.patch)
+    return (patches, *_embed_patches(patches, params))
+
+
+def _embed_patches(patches: np.ndarray, params: CodecParams):
+    """Encoder outputs of a patch batch: (z_bottom, pooled, z_top)."""
     z_bottom = patches @ params.enc_bottom_w.T + params.enc_bottom_b
-    n, hb, wb, d = z_bottom.shape
-    pooled = z_bottom.reshape(n, hb // t, t, wb // t, t, d).mean(axis=(2, 4))
+    pooled = _cells(z_bottom, params.pool).mean(axis=(2, 4))
     z_top = pooled @ params.enc_top_w.T + params.enc_top_b
-    return patches, z_bottom, pooled, z_top
+    return z_bottom, pooled, z_top
 
 
 def _quantize_grids(z_bottom: np.ndarray, z_top: np.ndarray, params: CodecParams):
@@ -204,10 +255,9 @@ def _decode_embeddings(emb_top: np.ndarray, emb_bottom: np.ndarray, params: Code
 
     Returns (patch reconstructions, summed hidden grid).
     """
-    t = params.pool
     u = emb_top @ params.dec_top_w.T + params.dec_top_b
-    u_up = u.repeat(t, axis=1).repeat(t, axis=2)
-    hidden = emb_bottom + u_up
+    hidden = (_cells(emb_bottom, params.pool)
+              + u[:, :, None, :, None, :]).reshape(emb_bottom.shape)
     patches = hidden @ params.dec_bottom_w.T + params.dec_bottom_b
     return patches, hidden
 
@@ -229,17 +279,30 @@ def decode_codes(grid: CodeGrid, params: CodecParams) -> np.ndarray:
     return np.clip(images[0], 0.0, 1.0)
 
 
-def _batch_loss_and_grads(images: np.ndarray, params: CodecParams):
-    """Mean loss over a batch and gradients for every weight field.
+def _codebook_grad(idx: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """(k, d) sums of `rows` by codebook index `idx`.
+
+    One bincount over the flat bins idx * d + column.  It adds each row in
+    input order, as `np.add.at` into zeros would, so the sums are
+    bit-identical to that.
+    """
+    d = rows.shape[1]
+    bins = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
+    return np.bincount(bins, weights=rows.ravel(), minlength=k * d).reshape(k, d)
+
+
+def _patch_loss_and_grads(patches: np.ndarray, params: CodecParams):
+    """Mean loss over a patch batch and gradients for every weight field.
 
     The three terms: squared reconstruction error (straight-through through
     both quantizers), codebook pull (gradient to codebooks only), and the
     beta-weighted commitment pull (gradient to encoder outputs only).
     """
-    n = images.shape[0]
+    n = patches.shape[0]
     t = params.pool
     d = params.embed_dim
-    patches, z_bottom, pooled, z_top = _encode_features(images, params)
+    k = params.codebook_size
+    z_bottom, pooled, z_top = _embed_patches(patches, params)
     idx_b, idx_t = _quantize_grids(z_bottom, z_top, params)
     q_bottom = params.codebook_bottom[idx_b]
     q_top = params.codebook_top[idx_t]
@@ -262,7 +325,7 @@ def _batch_loss_and_grads(images: np.ndarray, params: CodecParams):
     g_dec_bottom_b = flat_dr.sum(axis=0)
 
     d_hidden = d_recon @ params.dec_bottom_w
-    d_u = d_hidden.reshape(n, idx_t.shape[1], t, idx_t.shape[2], t, d).sum(axis=(2, 4))
+    d_u = _cells(d_hidden, t).sum(axis=(2, 4))
     flat_du = d_u.reshape(-1, d)
     g_dec_top_w = flat_du.T @ q_top.reshape(-1, d)
     g_dec_top_b = flat_du.sum(axis=0)
@@ -275,20 +338,18 @@ def _batch_loss_and_grads(images: np.ndarray, params: CodecParams):
     g_enc_top_w = flat_dzt.T @ pooled.reshape(-1, d)
     g_enc_top_b = flat_dzt.sum(axis=0)
 
+    # Average pooling spreads each pooled gradient evenly over its cell.
     d_pooled = d_z_top @ params.enc_top_w
-    d_z_bottom = d_z_bottom + (
-        d_pooled[:, :, None, :, None, :] / (t * t)
-    ).repeat(t, axis=2).repeat(t, axis=4).reshape(z_bottom.shape)
+    spread = _cells(d_z_bottom, t)
+    spread += (d_pooled / (t * t))[:, :, None, :, None, :]
 
     flat_dzb = d_z_bottom.reshape(-1, d)
     g_enc_bottom_w = flat_dzb.T @ patches.reshape(-1, params.patch_dim)
     g_enc_bottom_b = flat_dzb.sum(axis=0)
 
     # Codebook term: pulls selected rows toward the (stopped) encoder outputs.
-    g_cb_bottom = np.zeros_like(params.codebook_bottom)
-    np.add.at(g_cb_bottom, idx_b.ravel(), (-2.0 / n) * diff_b.reshape(-1, d))
-    g_cb_top = np.zeros_like(params.codebook_top)
-    np.add.at(g_cb_top, idx_t.ravel(), (-2.0 / n) * diff_t.reshape(-1, d))
+    g_cb_bottom = _codebook_grad(idx_b, (-2.0 / n) * diff_b.reshape(-1, d), k)
+    g_cb_top = _codebook_grad(idx_t, (-2.0 / n) * diff_t.reshape(-1, d), k)
 
     grads = {
         "enc_bottom_w": g_enc_bottom_w,
@@ -305,6 +366,11 @@ def _batch_loss_and_grads(images: np.ndarray, params: CodecParams):
     return loss, grads
 
 
+def _batch_loss_and_grads(images: np.ndarray, params: CodecParams):
+    """`_patch_loss_and_grads` of a batch of images."""
+    return _patch_loss_and_grads(_extract_patches(images, params.patch), params)
+
+
 def vq_loss_and_grads(image: np.ndarray, params: CodecParams):
     """Training loss and analytic gradients for a single image."""
     img = validate_image(image, params)
@@ -315,6 +381,7 @@ def init_codec_params(config: CodecConfig) -> CodecParams:
     """Seeded initialization; codebook rows i.i.d. uniform in [-1/K, 1/K]."""
     if min(config.patch, config.pool, config.channels, config.codebook_size, config.embed_dim) < 1:
         raise InvalidInputError("patch, pool, channels, codebook size and embed dim must be positive")
+    check_seed(config.seed)
     rng = np.random.default_rng(config.seed)
     d = config.embed_dim
     patch_dim = config.patch * config.patch * config.channels
@@ -359,12 +426,16 @@ def train_codec(dataset, config: CodecConfig, params: CodecParams | None = None)
     images = [validate_image(img, params) for img in dataset]
     if len({img.shape for img in images}) != 1:
         raise InvalidInputError("training images must all have one shape")
-    images = np.stack(images)
+    # The images never change, so their patches are cut once.
+    patches = _extract_patches(np.stack(images), params.patch)
     for _ in range(config.epochs):
-        _, grads = _batch_loss_and_grads(images, params)
+        _, grads = _patch_loss_and_grads(patches, params)
         for name in params.weight_fields():
             arr = getattr(params, name)
             arr -= config.lr * grads[name]
+    if not all(np.all(np.isfinite(getattr(params, name))) for name in params.weight_fields()):
+        raise DegenerateInputError(
+            "codec training diverged to non-finite weights; lower the learning rate")
     return params
 
 

@@ -435,3 +435,88 @@ class TestBadInput:
             assert "Traceback" not in proc.stderr, name
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "evil.img").exists()
+
+
+SMALL_RUN_CONFIG = """
+total_classes = 4
+initial_classes = 2
+n_phases = 1
+classes_per_phase = 2
+train_per_class = 6
+test_per_class = 4
+side = 8
+codebook_size = 16
+embed_dim = 6
+codec_epochs = 30
+epochs = 5
+alphabets = 4,3
+block_len = 4
+fit_iterations = 1
+exemplars_per_class = 4
+"""
+
+
+def rejected_cases(workspace, compressed, root):
+    """(name, argv) pairs that must exit 1: negative seeds and a codec whose
+    training diverges, with their inputs written under `root`."""
+    configs = {"seed": "seed = -1", "data_seed": "data_seed = -2",
+               "codec_lr": "codec_lr = 10000"}
+    for key, line in configs.items():
+        (root / f"{key}.conf").write_text(SMALL_RUN_CONFIG + line + "\n")
+    compress = ["compress", "--codec", workspace["codec"], "--in", workspace["data"],
+                "--out", str(root / "s"), "--seed", "-1"]
+    return [
+        ("compress --seed -1, new model", compress + ["--model", str(root / "m.drrm"),
+                                                      "--alphabets", "4,3"]),
+        ("compress --seed -1, saved model", compress + ["--model", compressed["model"]]),
+        ("pretrain-codec --seed -1", ["pretrain-codec", "--data", workspace["data"],
+                                      "--out", str(root / "c.drrc"), "--epochs", "1",
+                                      "--seed", "-1"]),
+        ("pretrain-codec diverges", ["pretrain-codec", "--data", workspace["data"],
+                                     "--out", str(root / "c.drrc"), "--epochs", "30",
+                                     "--lr", "10000", "--codebook-size", "16",
+                                     "--embed-dim", "6"]),
+    ] + [(f"run-phases {line}", ["run-phases", "--config", str(root / f"{key}.conf"),
+                                 "--out", str(root / "r.txt")])
+         for key, line in configs.items()]
+
+
+class TestRejectedRuns:
+    def test_each_case_is_usage(self, workspace, compressed, tmp_path, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, argv in rejected_cases(workspace, compressed, tmp_path):
+                assert main(argv) == EXIT_USAGE, name
+                assert "error:" in capsys.readouterr().err, name
+        assert not (tmp_path / "c.drrc").exists()
+        assert not (tmp_path / "r.txt").exists()
+
+    def test_subprocess_exits_without_traceback(self, workspace, compressed, tmp_path):
+        for name, argv in rejected_cases(workspace, compressed, tmp_path):
+            proc = subprocess.run([sys.executable, "-m", "drr.cli", *argv],
+                                  capture_output=True, text=True)
+            assert proc.returncode == EXIT_USAGE, name
+            assert "Traceback" not in proc.stderr, name
+
+    @pytest.mark.parametrize("name", ["../outside.drrs", "{tmp}/outside.drrs",
+                                      "sub/stream_0000.drrs", "..", ""])
+    def test_decompress_reads_only_inside_in(self, workspace, compressed, tmp_path,
+                                             capsys, name):
+        # The stream really is at the named place: only the check stops it.
+        streams = tmp_path / "streams"
+        streams.mkdir()
+        for entry in os.listdir(compressed["out"]):
+            with open(os.path.join(compressed["out"], entry), "rb") as f:
+                (streams / entry).write_bytes(f.read())
+        (streams / "sub").mkdir()
+        (streams / "sub" / "stream_0000.drrs").write_bytes(
+            (streams / "stream_0000.drrs").read_bytes())
+        (tmp_path / "outside.drrs").write_bytes((streams / "stream_0000.drrs").read_bytes())
+        index = streams / "index.txt"
+        index.write_text(index.read_text().replace(
+            "file=stream_0000.drrs", "file=" + name.format(tmp=tmp_path), 1))
+        out = tmp_path / "recon"
+        code = main(["decompress", "--codec", workspace["codec"],
+                     "--model", compressed["model"], "--in", str(streams), "--out", str(out)])
+        assert code == EXIT_CORRUPT
+        assert "not a plain file name" in capsys.readouterr().err
+        assert not out.exists()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from drr.bits_back import random_model
 from drr.errors import DegenerateInputError, InvalidInputError
 from drr.learner import (
     Batch,
@@ -27,7 +28,9 @@ from drr.learner import (
     total_loss,
     train_phase,
 )
-from drr.vq_codec import CodecConfig
+from drr.rans import AnsCoder
+from drr.replay_store import LatentModelPair, RawExemplarStore
+from drr.vq_codec import CodecConfig, init_codec_params
 
 
 class TestIbLoss:
@@ -390,3 +393,63 @@ class TestRunExperiment:
         config = small_experiment_config(n_phases=2, classes_per_phase=2)
         with pytest.raises(InvalidInputError):
             run_experiment(train_x, train_y, test_x, test_y, config)
+
+
+def reference_total_loss(params, batch, ib_weight):
+    """`total_loss` as first written: exp taken three times, zero-filled w1/b1
+    gradients, and `np.add.at` for the paired rows.  Kept as the reference the
+    trimmed step must match bit for bit."""
+    from drr.learner import _ib_pairs
+    x = batch.recon
+    h = features(params, x)
+    scores = h @ params.w2.T + params.b2
+    n = len(batch.labels)
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    ce = float(np.mean(log_z - shifted[np.arange(n), batch.labels]))
+    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    probs[np.arange(n), batch.labels] -= 1.0
+    d_scores = probs / n
+    dh = d_scores @ params.w2
+    align, d_pairs = _ib_pairs(features(params, batch.raw), h[batch.pair_rows])
+    np.add.at(dh, batch.pair_rows, ib_weight * d_pairs)
+    da = dh * (1.0 - h * h)
+    return ce + ib_weight * align, (da.T @ x, da.sum(axis=0), d_scores.T @ h,
+                                    d_scores.sum(axis=0))
+
+
+class TestTrimmedStep:
+    def test_total_loss_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(40)
+        for case in range(20):
+            batch = random_batch(rng, n=12, dim=7, classes=4, pairs=int(rng.integers(1, 12)))
+            params = init_classifier(7, 5, 4, seed=case)
+            loss, grads, _ = total_loss(params, batch, 0.3)
+            ref_loss, ref_grads = reference_total_loss(params, batch, 0.3)
+            assert loss == ref_loss
+            for got, want in zip((grads.w1, grads.b1, grads.w2, grads.b2), ref_grads):
+                assert np.array_equal(got, want)
+
+    def test_repeated_pair_rows_rejected(self):
+        batch = random_batch(np.random.default_rng(41), pairs=3)
+        batch.pair_rows = np.array([1, 4, 1])
+        with pytest.raises(InvalidInputError):
+            total_loss(init_classifier(5, 4, 3, seed=0), batch, 0.1)
+
+
+class TestNegativeSeeds:
+    @pytest.mark.parametrize("make", [
+        lambda: init_classifier(4, 3, 2, seed=-1),
+        lambda: TrainConfig(seed=-1).validate(),
+        lambda: PhaseSchedule(4, 2, 1, 2, seed=-1).validate(),
+        lambda: make_toy_dataset(2, 2, seed=-2),
+        lambda: make_toy_dataset(2, 2, salt=-8),
+        lambda: init_codec_params(CodecConfig(seed=-1)),
+        lambda: random_model(8, (4,), seed=-1),
+        lambda: LatentModelPair.seeded(8, (4,), 4, -1),
+        lambda: RawExemplarStore(2, seed=-1),
+        lambda: AnsCoder.with_random_bits(64, [3, -1]),
+    ])
+    def test_rejected_as_invalid_input(self, make):
+        with pytest.raises(InvalidInputError):
+            make()

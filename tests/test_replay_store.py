@@ -449,3 +449,32 @@ class TestPersistence:
         (tmp_path / "models.drrm").write_bytes(stale.serialize())
         with pytest.raises(DataCorruptionError):
             ReplayBuffer.load(str(tmp_path))
+
+
+class TestIndexPaths:
+    @pytest.mark.parametrize("name", ["../outside.drrs", "streams/../../outside.drrs",
+                                      "{root}/outside.drrs", "streams/", "streams/..",
+                                      "other/0_0.drrs", "0_0.drrs"])
+    def test_stream_file_outside_the_stream_dir_rejected(self, frozen_codec, tmp_path, name):
+        # The stream really is at the named place: only the check stops it.
+        buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
+        directory = tmp_path / "buf"
+        buffer.save(str(directory))
+        blob = (directory / "streams" / "0_0.drrs").read_bytes()
+        (tmp_path / "outside.drrs").write_bytes(blob)
+        (directory / "other").mkdir()
+        (directory / "other" / "0_0.drrs").write_bytes(blob)
+        (directory / "0_0.drrs").write_bytes(blob)
+        index = directory / "index.txt"
+        index.write_text(index.read_text().replace(
+            "file=streams/0_0.drrs", "file=" + name.format(root=tmp_path)))
+        with pytest.raises(DataCorruptionError, match="stream file"):
+            ReplayBuffer.load(str(directory))
+
+    def test_negative_seed_in_options_rejected(self, frozen_codec, tmp_path):
+        buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
+        buffer.save(str(tmp_path))
+        index = tmp_path / "index.txt"
+        index.write_text(index.read_text().replace("seed=11 ", "seed=-1 "))
+        with pytest.raises(DataCorruptionError):
+            ReplayBuffer.load(str(tmp_path))

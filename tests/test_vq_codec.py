@@ -363,3 +363,100 @@ class TestSerialization:
         bad = b"XXXX" + blob[4:]
         with pytest.raises(DataCorruptionError):
             deserialize_codec(bad)
+
+
+def codec_digest(dataset, config):
+    import hashlib
+    return hashlib.sha256(serialize_codec(train_codec(dataset, config))).hexdigest()
+
+
+class TestTrainingPins:
+    """Fixed-seed codec files, pinned to the bytes the image-batch training
+    loop wrote before training moved to patch batches.  Float64 weights
+    depend on BLAS rounding, so another BLAS build may need new digests."""
+
+    def test_acceptance_toy_config(self):
+        from drr.learner import make_toy_dataset
+        images, labels = make_toy_dataset(8, 14, side=16, seed=123, salt=0)
+        config = CodecConfig(patch=4, pool=2, channels=3, codebook_size=32,
+                             embed_dim=8, epochs=300, lr=0.005, seed=0)
+        assert codec_digest(images[labels < 4], config) == (
+            "e8861a234100c960da1e54052358a3004538f1bd5cc60053292baa3e988bb7cb")
+
+    def test_paper_shaped_two_epochs(self):
+        from drr.learner import make_toy_dataset
+        images, _ = make_toy_dataset(5, 24, side=32, seed=0)
+        assert codec_digest(images, CodecConfig(epochs=2)) == (
+            "7ed22e56925170cc8364dae9af65829892853e1054189d05ab0c707dd2be9eed")
+
+    def test_divergence_is_rejected(self):
+        from drr.errors import DegenerateInputError
+        rng = np.random.default_rng(24)
+        with pytest.raises(DegenerateInputError), np.errstate(over="ignore", invalid="ignore"):
+            train_codec([random_image(rng) for _ in range(2)],
+                        tiny_config(lr=1e4, epochs=40))
+
+
+class TestNearestIndices:
+    """The batched code search agrees with `quantize` row by row, in every
+    chunk of its distance buffer."""
+
+    @staticmethod
+    def rowwise(z, codebook):
+        return np.array([quantize(row, codebook)[0] for row in z])
+
+    def test_random_rows(self):
+        from drr.vq_codec import _nearest_indices
+        rng = np.random.default_rng(30)
+        for k, d, n in [(1, 3, 5), (7, 2, 40), (32, 8, 300), (512, 64, 64)]:
+            codebook = rng.normal(size=(k, d))
+            z = rng.normal(size=(n, d))
+            assert np.array_equal(_nearest_indices(z, codebook), self.rowwise(z, codebook))
+
+    def test_exact_ties_go_to_the_lowest_index(self):
+        from drr.vq_codec import _nearest_indices
+        # Small integers: both distance formulas are exact, so ties are real.
+        codebook = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        z = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [1.0, 1.0], [0.0, -2.0], [-1.0, -1.0]])
+        expected = np.array([0, 0, 1, 0, 4, 1])
+        assert np.array_equal(self.rowwise(z, codebook), expected)
+        assert np.array_equal(_nearest_indices(z, codebook), expected)
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    def test_sizes_around_the_chunk(self, offset):
+        from drr.vq_codec import _SEARCH_ROWS, _nearest_indices
+        n = 1 if offset is None else _SEARCH_ROWS + offset
+        rng = np.random.default_rng(31 + n)
+        codebook = rng.normal(size=(24, 6))
+        z = rng.normal(size=(n, 6))
+        z[::3] = codebook[rng.integers(0, 24, size=len(z[::3]))]  # exact hits
+        got = _nearest_indices(z, codebook)
+        assert got.shape == (n,)
+        assert np.array_equal(got, self.rowwise(z, codebook))
+
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 511, 512, 513, 514, 1023, 1024, 1025,
+                                   1537, 7680, 261121, 10 ** 6 + 1])
+    def test_row_chunks_cover_without_tiny_chunks(self, n):
+        from drr.vq_codec import _SEARCH_ROWS, _row_chunks
+        chunks = _row_chunks(n)
+        assert chunks[0][0] == 0 and chunks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        sizes = [stop - start for start, stop in chunks]
+        assert max(sizes) <= _SEARCH_ROWS
+        if n > _SEARCH_ROWS:
+            assert min(sizes) >= _SEARCH_ROWS // 2
+
+
+class TestCodebookGrad:
+    def test_matches_add_at_bit_for_bit(self):
+        from drr.vq_codec import _codebook_grad
+        rng = np.random.default_rng(32)
+        for k, d, n in [(1, 1, 1), (5, 3, 40), (32, 8, 900), (512, 64, 2000)]:
+            idx = rng.integers(0, max(1, k // 2), size=n).astype(np.int32)
+            rows = rng.normal(size=(n, d)) * np.exp(rng.uniform(-20, 20, size=(n, 1)))
+            reference = np.zeros((k, d))
+            np.add.at(reference, idx, rows)
+            got = _codebook_grad(idx, rows, k)
+            assert got.shape == (k, d)
+            assert np.array_equal(got, reference)
