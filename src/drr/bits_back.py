@@ -208,22 +208,36 @@ def _check_block(block, obs_alphabet: int) -> np.ndarray:
 
 def _block_stats(blocks, obs_alphabet: int):
     """Each block's first symbol and symbol histogram; InvalidInputError
-    unless there are blocks and each passes `_check_block`."""
-    blocks = [_check_block(b, obs_alphabet) for b in blocks]
-    if not blocks:
+    unless there are blocks and each passes `_check_block`.
+
+    The histogram is one `np.bincount` over the flat bins
+    block * obs_alphabet + symbol.
+    """
+    flat = [np.asarray(b, dtype=np.int64).reshape(-1) for b in blocks]
+    if not flat:
         raise InvalidInputError("no blocks given")
-    x0 = np.array([int(b[0]) for b in blocks])
-    hist = np.stack([np.bincount(b, minlength=obs_alphabet) for b in blocks]).astype(np.float64)
-    return x0, hist
+    lens = np.array([len(b) for b in flat])
+    if lens.min() == 0:
+        raise InvalidInputError("block symbols must be nonempty and within the alphabet")
+    symbols = _check_block(np.concatenate(flat), obs_alphabet)
+    x0 = symbols[np.cumsum(lens) - lens]
+    bins = np.repeat(np.arange(len(flat)) * obs_alphabet, lens) + symbols
+    hist = np.bincount(bins, minlength=len(flat) * obs_alphabet)
+    return x0, hist.reshape(len(flat), obs_alphabet).astype(np.float64)
 
 
 def _obs_loglik(hist: np.ndarray, p_obs: np.ndarray) -> np.ndarray:
     """log p(block | z_0 = a) per block and a, from the blocks' histograms:
-    exactly -inf where a used symbol has zero mass under row a."""
+    exactly -inf where a used symbol has zero mass under row a.
+
+    The histograms hold small integer counts, so the float product with the
+    zero-mass indicator is exact and positive just where the boolean product
+    `(hist > 0) @ (p_obs.T == 0)` is true.
+    """
     with np.errstate(divide="ignore"):
         log_p_obs = np.log(p_obs)
     ll = hist @ np.where(np.isfinite(log_p_obs), log_p_obs, 0.0).T
-    ll[(hist > 0) @ (p_obs.T == 0)] = -np.inf
+    ll[hist @ (p_obs == 0).T.astype(np.float64) > 0] = -np.inf
     return ll
 
 
@@ -789,7 +803,9 @@ def fit(model: LatentChainModel, blocks, config: FitConfig = FitConfig()) -> Lat
     if config.iterations == 0:
         return m
     levels = m.levels
+    a0 = m.alphabets[0]
     x0_counts = np.bincount(x0, minlength=m.obs_alphabet).astype(np.float64)
+    x0_bins = (x0[:, None] * a0 + np.arange(a0)).ravel()
 
     for _ in range(config.iterations):
         # expected latent marginals per block under the inference tables
@@ -825,8 +841,9 @@ def fit(model: LatentChainModel, blocks, config: FitConfig = FitConfig()) -> Lat
             psi = np.where(q > 0, q * (scores - lq), 0.0).sum(axis=1)
 
         ll = _obs_loglik(hist, m.p_obs)
-        sums = np.zeros((m.obs_alphabet, m.alphabets[0]))
-        np.add.at(sums, x0, ll)
+        # sums[k] = total ll of the blocks starting with k, added in block order
+        sums = np.bincount(x0_bins, weights=ll.ravel(),
+                           minlength=m.obs_alphabet * a0).reshape(m.obs_alphabet, a0)
         seen = x0_counts > 0
         mean_ll = sums[seen] / x0_counts[seen, None]
         m.q_obs[seen] = _softmax_rows(mean_ll + psi[None, :])

@@ -98,27 +98,69 @@ def ib_loss(r1: np.ndarray, r2: np.ndarray) -> tuple[float, np.ndarray]:
 
 def _ib_pairs(r1: np.ndarray, r2: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean pairwise alignment loss and its gradient for the r2 rows."""
-    n1 = np.linalg.norm(r1, axis=1)
-    n2 = np.linalg.norm(r2, axis=1)
-    if np.any(n1 < 1e-12) or np.any(n2 < 1e-12):
+    c, grad = _ib_grad(r1, r2)
+    return float(np.mean(-c)), grad
+
+
+def _ib_grad(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine similarity of each row pair, and the gradient of the mean
+    alignment loss for the r2 rows.
+
+    The row norms are `np.linalg.norm`'s own arithmetic for real rows,
+    without its call overhead.
+    """
+    n1 = np.sqrt(np.add.reduce(r1 * r1, axis=1))
+    n2 = np.sqrt(np.add.reduce(r2 * r2, axis=1))
+    if (n1 < 1e-12).any() or (n2 < 1e-12).any():
         raise DegenerateInputError("cosine alignment needs nonzero representations")
     u1 = r1 / n1[:, None]
     u2 = r2 / n2[:, None]
-    c = np.sum(u1 * u2, axis=1)
-    grad = (-u1 + c[:, None] * u2) / n2[:, None] / len(r1)
-    return float(np.mean(-c)), grad
+    c = np.add.reduce(u1 * u2, axis=1)
+    grad = (c[:, None] * u2 - u1) / n2[:, None] / len(r1)
+    return c, grad
 
 
 def cross_entropy(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean natural-log cross-entropy and gradient wrt the scores."""
+    shifted, z, grad = _softmax_grad(scores, labels)
+    return _mean_cross_entropy(shifted, z, labels), grad
+
+
+def _softmax_grad(scores: np.ndarray, labels: np.ndarray):
+    """(max-shifted scores, their softmax denominators, gradient of the mean
+    cross-entropy wrt the scores); the loss value is read off the first two."""
     n = len(labels)
     shifted = scores - scores.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     z = probs.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(n), labels]))
     probs /= z
     probs[np.arange(n), labels] -= 1.0
-    return loss, probs / n
+    probs /= n
+    return shifted, z, probs
+
+
+def _mean_cross_entropy(shifted: np.ndarray, z: np.ndarray, labels: np.ndarray) -> float:
+    return float(np.mean(np.log(z[:, 0]) - shifted[np.arange(len(labels)), labels]))
+
+
+def _check_pairs(raw, pair_rows, n_rows: int) -> None:
+    """InvalidInputError unless raw views and their rows come together, one
+    row per view, each an integer in range(n_rows) and no row twice."""
+    if (raw is None) != (pair_rows is None):
+        raise InvalidInputError("raw images and pair rows come together")
+    if raw is None:
+        return
+    pair_rows = np.asarray(pair_rows)
+    if pair_rows.ndim != 1 or len(raw) != len(pair_rows):
+        raise InvalidInputError("each raw image needs its paired row")
+    if not len(pair_rows):
+        return
+    if not np.issubdtype(pair_rows.dtype, np.integer):
+        raise InvalidInputError("pair rows must be integers")
+    if pair_rows.min() < 0 or pair_rows.max() >= n_rows:
+        raise InvalidInputError("pair row outside the batch")
+    if len(set(pair_rows.tolist())) != len(pair_rows):
+        raise InvalidInputError("pair rows must be distinct")
 
 
 @dataclass
@@ -141,16 +183,33 @@ class Batch:
             raise InvalidInputError("empty batch")
         if self.labels.min() < 0 or self.labels.max() >= n_classes:
             raise InvalidInputError("label outside the classifier's classes")
-        if (self.raw is None) != (self.pair_rows is None):
-            raise InvalidInputError("raw images and pair rows come together")
-        if self.raw is not None:
-            if len(self.raw) != len(self.pair_rows):
-                raise InvalidInputError("each raw image needs its paired row")
-            if len(self.raw) and (self.pair_rows.min() < 0
-                                  or self.pair_rows.max() >= len(self.recon)):
-                raise InvalidInputError("pair row outside the batch")
-            if len(set(self.pair_rows.tolist())) != len(self.pair_rows):
-                raise InvalidInputError("pair rows must be distinct")
+        _check_pairs(self.raw, self.pair_rows, len(self.recon))
+
+
+def _gradients(params: ClassifierParams, x: np.ndarray, labels: np.ndarray,
+               ib_weight: float, raw_features: np.ndarray | None = None, pair_rows=slice(None)):
+    """Gradients of the total loss on rows `x`, unchecked.
+
+    `raw_features` are the constant raw-branch representations of the rows
+    `pair_rows` selects (every row by default), or None for no alignment
+    term.  Returns (grads, shifted scores, softmax denominators, pair
+    cosines or None): the gradient's own intermediates, from which
+    `total_loss` reads the loss value.
+    """
+    h = features(params, x)
+    scores = h @ params.w2.T + params.b2
+    shifted, z, d_scores = _softmax_grad(scores, labels)
+    dh = d_scores @ params.w2
+
+    c = None
+    if raw_features is not None:
+        c, d_pairs = _ib_grad(raw_features, h[pair_rows])
+        dh[pair_rows] += ib_weight * d_pairs
+
+    da = dh * (1.0 - h * h)
+    grads = ClassifierParams(w1=da.T @ x, b1=da.sum(axis=0),
+                             w2=d_scores.T @ h, b2=d_scores.sum(axis=0))
+    return grads, shifted, z, c
 
 
 def total_loss(params: ClassifierParams, batch: Batch, ib_weight: float,
@@ -164,22 +223,13 @@ def total_loss(params: ClassifierParams, batch: Batch, ib_weight: float,
     if ib_weight < 0:
         raise InvalidInputError("alignment weight must be nonnegative")
     batch.validate(params.n_classes)
-    x = batch.recon
-    h = features(params, x)
-    scores = h @ params.w2.T + params.b2
-    ce, d_scores = cross_entropy(scores, batch.labels)
-    dh = d_scores @ params.w2
-
-    align = 0.0
-    if batch.raw is not None and len(batch.raw):
-        if raw_features is None:
-            raw_features = features(params, batch.raw)
-        align, d_pairs = _ib_pairs(raw_features, h[batch.pair_rows])
-        dh[batch.pair_rows] += ib_weight * d_pairs
-
-    da = dh * (1.0 - h * h)
-    grads = ClassifierParams(w1=da.T @ x, b1=da.sum(axis=0),
-                             w2=d_scores.T @ h, b2=d_scores.sum(axis=0))
+    paired = batch.raw is not None and len(batch.raw)
+    if paired and raw_features is None:
+        raw_features = features(params, batch.raw)
+    grads, shifted, z, c = _gradients(params, batch.recon, batch.labels, ib_weight,
+                                      raw_features if paired else None, batch.pair_rows)
+    ce = _mean_cross_entropy(shifted, z, batch.labels)
+    align = float(np.mean(-c)) if paired else 0.0
     return ce + ib_weight * align, grads, {"ce": ce, "align": align}
 
 
@@ -208,12 +258,31 @@ class TrainConfig:
 @dataclass
 class PhaseData:
     """One phase's training material: reconstructions, and raw views where
-    the mode provides them."""
+    the mode provides them.  `raw_pair_rows[j]` is the row of `images`
+    that `raw_images[j]` is a view of, under the same rules as a `Batch`."""
 
     images: np.ndarray
     labels: np.ndarray
     raw_images: np.ndarray | None = None
     raw_pair_rows: np.ndarray | None = None
+
+    def validate(self, n_classes: int) -> None:
+        """InvalidInputError unless the rows align with their labels, every
+        class in range(n_classes) is present and the raw views pair up,
+        each of one reconstruction's shape."""
+        labels = np.asarray(self.labels)
+        if len(labels) == 0:
+            raise InvalidInputError("no training rows")
+        if len(self.images) != len(labels):
+            raise InvalidInputError("images and labels must align")
+        present = set(np.unique(labels).tolist())
+        if present != set(range(n_classes)):
+            missing = sorted(set(range(n_classes)) - present)
+            raise InvalidInputError(f"replay set is missing classes {missing}")
+        _check_pairs(self.raw_images, self.raw_pair_rows, len(labels))
+        if (self.raw_images is not None
+                and np.shape(self.raw_images)[1:] != np.shape(self.images)[1:]):
+            raise InvalidInputError("raw images must have the reconstructions' shape")
 
 
 def train_phase(data: PhaseData, n_classes: int, config: TrainConfig) -> ClassifierParams:
@@ -221,24 +290,21 @@ def train_phase(data: PhaseData, n_classes: int, config: TrainConfig) -> Classif
 
     A function of (data, config) alone; phase history enters only through
     the data, which is what makes equal final replay sets give equal
-    classifiers.
+    classifiers.  The data is checked once per phase; each step then
+    computes only the gradients the update reads, and no loss values.
     """
     config.validate()
+    data.validate(n_classes)
     labels = np.asarray(data.labels)
-    if len(labels) == 0:
-        raise InvalidInputError("no training rows")
-    present = set(np.unique(labels).tolist())
-    if present != set(range(n_classes)):
-        missing = sorted(set(range(n_classes)) - present)
-        raise InvalidInputError(f"replay set is missing classes {missing}")
     x = np.asarray(data.images, dtype=np.float64).reshape(len(labels), -1)
 
     raw = None
-    pair_of_row = None
     if data.raw_images is not None:
         raw = np.asarray(data.raw_images, dtype=np.float64).reshape(len(data.raw_images), -1)
         pair_of_row = np.full(len(labels), -1, dtype=np.int64)
-        pair_of_row[np.asarray(data.raw_pair_rows)] = np.arange(len(raw))
+        pair_of_row[np.asarray(data.raw_pair_rows, dtype=np.int64)] = np.arange(len(raw))
+        # the pair rows are distinct and in range, so this pairs every row
+        every_row_paired = len(raw) == len(labels)
 
     params = init_classifier(x.shape[1], config.hidden_dim, n_classes, config.seed)
     rng = np.random.default_rng(config.seed)
@@ -246,12 +312,16 @@ def train_phase(data: PhaseData, n_classes: int, config: TrainConfig) -> Classif
         order = rng.permutation(len(labels))
         for start in range(0, len(order), config.batch_size):
             rows = order[start:start + config.batch_size]
-            batch = Batch(recon=x[rows], labels=labels[rows])
+            raw_features, pair_rows = None, slice(None)
             if raw is not None:
-                hit = pair_of_row[rows] >= 0
-                batch.raw = raw[pair_of_row[rows[hit]]]
-                batch.pair_rows = np.flatnonzero(hit)
-            _, grads, _ = total_loss(params, batch, config.ib_weight)
+                raw_rows = pair_of_row[rows]
+                if not every_row_paired:
+                    hit = raw_rows >= 0
+                    raw_rows, pair_rows = raw_rows[hit], np.flatnonzero(hit)
+                if len(raw_rows):
+                    raw_features = features(params, raw[raw_rows])
+            grads = _gradients(params, x[rows], labels[rows], config.ib_weight,
+                               raw_features, pair_rows)[0]
             params.w1 -= config.lr * grads.w1
             params.b1 -= config.lr * grads.b1
             params.w2 -= config.lr * grads.w2

@@ -39,12 +39,16 @@ from .bits_back import (
 )
 from .errors import DataCorruptionError, InvalidInputError, StateError, check_seed
 from .rans import DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION
-from .vq_codec import (
+# encode_image and decode_codes are not called here any more, but stay
+# importable from this module: the benchmark's tracer wraps them by name.
+from .vq_codec import (  # noqa: F401
     CodecParams,
     CodeGrid,
     decode_codes,
+    decode_images,
     deserialize_codec,
     encode_image,
+    encode_images,
     serialize_codec,
 )
 
@@ -467,7 +471,7 @@ class ReplayBuffer:
         for label, images in items:
             rng = np.random.default_rng([self.seed, label])
             chosen = select_exemplars(images, self.exemplars_per_class, rng)
-            new_per_class[label] = [encode_image(img, self.codec) for img in chosen]
+            new_per_class[label] = encode_images(chosen, self.codec)
             chosen_shapes[label] = tuple(chosen.shape[1:])
 
         buffered = self._decode_grids(self._shelves.values())
@@ -505,13 +509,13 @@ class ReplayBuffer:
         if label not in self._shelves:
             raise InvalidInputError(f"class {label} is not stored")
         grids = self._decode_grids([self._shelves[label]])[label]
-        return np.stack([decode_codes(g, self.codec) for g in grids])
+        return decode_images(grids, self.codec)
 
     def reconstruct_all(self) -> dict[int, np.ndarray]:
-        """Every stored class, with all streams decoded in one batch."""
+        """Every stored class, with all streams decoded in one batch and the
+        images of each class in one decoder pass."""
         grids = self._decode_grids(self._shelves.values())
-        return {label: np.stack([decode_codes(g, self.codec) for g in grids[label]])
-                for label in self.class_labels}
+        return {label: decode_images(grids[label], self.codec) for label in self.class_labels}
 
     def account(self) -> MemoryReport:
         count = self.exemplar_count

@@ -138,6 +138,18 @@ def validate_image(image: np.ndarray, params: CodecParams | None = None) -> np.n
     return img
 
 
+def _validated_batch(images, params: CodecParams) -> np.ndarray:
+    """The images as one float64 (n, H, W, C) array, each checked by
+    `validate_image`; InvalidInputError unless there is at least one and
+    all share one shape."""
+    images = [validate_image(img, params) for img in images]
+    if not images:
+        raise InvalidInputError("need at least one image")
+    if len({img.shape for img in images}) != 1:
+        raise InvalidInputError("images must all have one shape")
+    return np.stack(images)
+
+
 def quantize(z: np.ndarray, codebook: np.ndarray) -> tuple[int, np.ndarray]:
     """Nearest codebook row to `z` under Euclidean distance.
 
@@ -242,12 +254,24 @@ def _quantize_grids(z_bottom: np.ndarray, z_top: np.ndarray, params: CodecParams
     )
 
 
+def encode_images(images, params: CodecParams) -> list[CodeGrid]:
+    """The code grids of a batch of images of one shape, from one encoder
+    pass and one code search per level.
+
+    Each grid is bit-identical to the image's own `encode_image`, the
+    one-image case: the stacked matmuls keep every image's sub-matrices,
+    never one 2-D product over the batch, and the code search's chunks are
+    never tiny (see `_row_chunks`).
+    """
+    batch = _validated_batch(images, params)
+    _, z_bottom, _, z_top = _encode_features(batch, params)
+    idx_b, idx_t = _quantize_grids(z_bottom, z_top, params)
+    return [CodeGrid(top=top, bottom=bottom) for top, bottom in zip(idx_t, idx_b)]
+
+
 def encode_image(image: np.ndarray, params: CodecParams) -> CodeGrid:
     """Deterministically map an image to its two code grids."""
-    img = validate_image(image, params)
-    _, z_bottom, _, z_top = _encode_features(img[None], params)
-    idx_b, idx_t = _quantize_grids(z_bottom, z_top, params)
-    return CodeGrid(top=idx_t[0], bottom=idx_b[0])
+    return encode_images([image], params)[0]
 
 
 def _decode_embeddings(emb_top: np.ndarray, emb_bottom: np.ndarray, params: CodecParams):
@@ -262,21 +286,36 @@ def _decode_embeddings(emb_top: np.ndarray, emb_bottom: np.ndarray, params: Code
     return patches, hidden
 
 
-def decode_codes(grid: CodeGrid, params: CodecParams) -> np.ndarray:
-    """Reconstruct an image from its code grids, clamped to [0, 1]."""
+def decode_images(grids, params: CodecParams) -> np.ndarray:
+    """Reconstruct the (n, H, W, C) images of code grids of one geometry,
+    clamped to [0, 1], in one decoder pass.
+
+    Each image is bit-identical to its grid's own `decode_codes`, the
+    one-grid case: the stacked matmuls keep every grid's sub-matrices.
+    """
+    grids = list(grids)
+    if not grids:
+        raise InvalidInputError("need at least one code grid")
+    if len({(g.top.shape, g.bottom.shape) for g in grids}) != 1:
+        raise InvalidInputError("code grids must all have one geometry")
+    top = np.stack([g.top for g in grids])
+    bottom = np.stack([g.bottom for g in grids])
     k = params.codebook_size
-    for name, idx in (("top", grid.top), ("bottom", grid.bottom)):
-        if idx.ndim != 2 or idx.min() < 0 or idx.max() >= k:
+    for name, idx in (("top", top), ("bottom", bottom)):
+        if idx.ndim != 3 or idx.min() < 0 or idx.max() >= k:
             raise InvalidInputError(f"{name} indices must be a 2-d grid in [0, {k})")
-    ht, wt = grid.top.shape
-    hb, wb = grid.bottom.shape
+    _, ht, wt = top.shape
+    _, hb, wb = bottom.shape
     if (hb, wb) != (ht * params.pool, wt * params.pool):
         raise InvalidInputError("grid shapes do not match the pooling factor")
-    emb_t = params.codebook_top[grid.top][None]
-    emb_b = params.codebook_bottom[grid.bottom][None]
-    patches, _ = _decode_embeddings(emb_t, emb_b, params)
-    images = _assemble_patches(patches, params.patch, params.channels)
-    return np.clip(images[0], 0.0, 1.0)
+    patches, _ = _decode_embeddings(params.codebook_top[top], params.codebook_bottom[bottom],
+                                    params)
+    return np.clip(_assemble_patches(patches, params.patch, params.channels), 0.0, 1.0)
+
+
+def decode_codes(grid: CodeGrid, params: CodecParams) -> np.ndarray:
+    """Reconstruct an image from its code grids, clamped to [0, 1]."""
+    return decode_images([grid], params)[0]
 
 
 def _codebook_grad(idx: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
@@ -291,12 +330,14 @@ def _codebook_grad(idx: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(bins, weights=rows.ravel(), minlength=k * d).reshape(k, d)
 
 
-def _patch_loss_and_grads(patches: np.ndarray, params: CodecParams):
-    """Mean loss over a patch batch and gradients for every weight field.
+def _patch_grads(patches: np.ndarray, params: CodecParams):
+    """Gradients for every weight field of the mean loss over a patch batch.
 
     The three terms: squared reconstruction error (straight-through through
     both quantizers), codebook pull (gradient to codebooks only), and the
     beta-weighted commitment pull (gradient to encoder outputs only).
+    Returns (grads, (err, diff_b, diff_t)): the residuals the loss value is
+    read from, which training never reads.
     """
     n = patches.shape[0]
     t = params.pool
@@ -312,11 +353,8 @@ def _patch_loss_and_grads(patches: np.ndarray, params: CodecParams):
     recon, hidden = _decode_embeddings(q_top, q_bottom, params)
 
     err = recon - patches
-    loss_rec = (err ** 2).sum()
     diff_b = z_bottom - q_bottom
     diff_t = z_top - q_top
-    loss_codebook = (diff_b ** 2).sum() + (diff_t ** 2).sum()
-    loss = (loss_rec + (1.0 + params.beta) * loss_codebook) / n
 
     d_recon = 2.0 * err / n
     flat_dr = d_recon.reshape(-1, params.patch_dim)
@@ -363,7 +401,15 @@ def _patch_loss_and_grads(patches: np.ndarray, params: CodecParams):
         "codebook_top": g_cb_top,
         "codebook_bottom": g_cb_bottom,
     }
-    return loss, grads
+    return grads, (err, diff_b, diff_t)
+
+
+def _patch_loss_and_grads(patches: np.ndarray, params: CodecParams):
+    """Mean loss over a patch batch and gradients for every weight field."""
+    grads, (err, diff_b, diff_t) = _patch_grads(patches, params)
+    loss_rec = (err ** 2).sum()
+    loss_codebook = (diff_b ** 2).sum() + (diff_t ** 2).sum()
+    return (loss_rec + (1.0 + params.beta) * loss_codebook) / patches.shape[0], grads
 
 
 def _batch_loss_and_grads(images: np.ndarray, params: CodecParams):
@@ -423,16 +469,16 @@ def train_codec(dataset, config: CodecConfig, params: CodecParams | None = None)
         params = init_codec_params(config)
     else:
         params = params.copy()
-    images = [validate_image(img, params) for img in dataset]
-    if len({img.shape for img in images}) != 1:
-        raise InvalidInputError("training images must all have one shape")
     # The images never change, so their patches are cut once.
-    patches = _extract_patches(np.stack(images), params.patch)
-    for _ in range(config.epochs):
-        _, grads = _patch_loss_and_grads(patches, params)
-        for name in params.weight_fields():
-            arr = getattr(params, name)
-            arr -= config.lr * grads[name]
+    patches = _extract_patches(_validated_batch(dataset, params), params.patch)
+    # A diverging run overflows on the way to non-finite weights; that is
+    # reported once, below, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            grads, _ = _patch_grads(patches, params)
+            for name in params.weight_fields():
+                arr = getattr(params, name)
+                arr -= config.lr * grads[name]
     if not all(np.all(np.isfinite(getattr(params, name))) for name in params.weight_fields()):
         raise DegenerateInputError(
             "codec training diverged to non-finite weights; lower the learning rate")

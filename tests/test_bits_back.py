@@ -701,3 +701,125 @@ class TestScalarReference:
         model = random_model(6, (3,), block_len=2, seed=1)
         with pytest.raises(InvalidInputError):
             fit(model, [np.array([0, 6])], FitConfig(iterations=0))
+
+
+def reference_block_stats(blocks, obs_alphabet):
+    """`_block_stats` as it was with one `np.bincount` per block, kept
+    verbatim as the reference the single-bincount histogram must match."""
+    from drr.bits_back import _check_block
+    blocks = [_check_block(b, obs_alphabet) for b in blocks]
+    if not blocks:
+        raise InvalidInputError("no blocks given")
+    x0 = np.array([int(b[0]) for b in blocks])
+    hist = np.stack([np.bincount(b, minlength=obs_alphabet) for b in blocks]).astype(np.float64)
+    return x0, hist
+
+
+def reference_obs_loglik(hist, p_obs):
+    """`_obs_loglik` as it was with the boolean zero-mass product, verbatim."""
+    with np.errstate(divide="ignore"):
+        log_p_obs = np.log(p_obs)
+    ll = hist @ np.where(np.isfinite(log_p_obs), log_p_obs, 0.0).T
+    ll[(hist > 0) @ (p_obs.T == 0)] = -np.inf
+    return ll
+
+
+def model_digest(model):
+    """sha256 of every table's bytes and the version."""
+    data = b"".join(t.tobytes() for _, t in model.tables()) + str(model.version).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def zero_mass_case():
+    """Blocks over 5 of 12 codes, so the first refit gives p_obs zero columns.
+    Blocks opening with 0-2 never reach latent 0, and those opening with 3
+    or 4 hold only 3 and 4, so latent 0 gives codes 0-2 zero mass and their
+    blocks score -inf under it on every iteration.  The last block is short."""
+    model = random_model(12, (4, 3), block_len=6, seed=21)
+    model.q_obs[:3, 0] = 0.0
+    model.q_obs /= model.q_obs.sum(axis=1, keepdims=True)
+    rng = np.random.default_rng(22)
+    mixed = rng.integers(0, 5, size=(20, 6))
+    mixed[:, 0] = rng.integers(0, 3, size=20)
+    narrow = rng.integers(3, 5, size=(10, 6))
+    blocks = [b for pair in zip(mixed[:10], narrow) for b in pair] + list(mixed[10:])
+    blocks.append(np.array([2, 0, 1, 4]))
+    return model, blocks
+
+
+def negative_entry_case():
+    """No block reaches latent 3, so every refit keeps its p_obs row, which
+    holds a -1e-10 entry (allowed by `validate`): its log is NaN.  One
+    level, so the unreachable latent has no link row to refit."""
+    model = random_model(12, (4,), block_len=6, seed=23)
+    model.q_obs[:, 3] = 0.0
+    model.q_obs /= model.q_obs.sum(axis=1, keepdims=True)
+    model.p_obs[3, 5] += model.p_obs[3, 2] + 1e-10
+    model.p_obs[3, 2] = -1e-10
+    model.validate()
+    symbols = np.random.default_rng(24).integers(0, 12, size=6 * 25 + 3)
+    return model, chunk_symbols(symbols, 6)
+
+
+class TestFitStatistics:
+    # Taken when `fit` built its histogram per block, masked zero mass with
+    # a boolean product and summed with `np.add.at`.
+    @pytest.mark.parametrize("case, pinned_fit, pinned_finetune", [
+        (zero_mass_case,
+         "5a5674a3960c34549a08c2a5768a4e2ba7799eab71776a2f5b0bc2b4902a6694",
+         "7220f73561d5790dd676f7a937a6a9760a26ea5db7fb349439af639090a76f6c"),
+        (negative_entry_case,
+         "7d1835d1e3b953e0d460944227c3a3d4bbd739301cc8d33b409caaeb65cb09d6",
+         "6557f78a26db88e0479fb5c7b9d7032ae5b35a32ce2f1aa2e4c5f71d2b073150"),
+    ])
+    def test_fit_and_finetune_are_pinned(self, case, pinned_fit, pinned_finetune):
+        model, blocks = case()
+        with np.errstate(invalid="ignore"):  # the log of the negative entry
+            fitted = fit(model, blocks, FitConfig(iterations=4))
+            tuned = finetune(model, blocks[:7], FitConfig(iterations=3),
+                             buffered_blocks=blocks[7:])
+        for out in (fitted, tuned):
+            assert all(np.all(np.isfinite(t)) for _, t in out.tables())
+        assert model_digest(fitted) == pinned_fit
+        assert model_digest(tuned) == pinned_finetune
+
+    def test_zero_mass_case_reaches_minus_inf(self):
+        from drr.bits_back import _block_stats, _obs_loglik
+        model, blocks = zero_mass_case()
+        _, hist = _block_stats(blocks, model.obs_alphabet)
+        refit = fit(model, blocks, FitConfig(iterations=1))
+        assert np.isneginf(_obs_loglik(hist, refit.p_obs)).any()
+
+    def test_block_stats_match_reference(self):
+        from drr.bits_back import _block_stats
+        rng = np.random.default_rng(30)
+        for k, block_len, n in [(12, 6, 31), (512, 16, 97), (3, 1, 5), (7, 5, 1)]:
+            symbols = rng.integers(0, k, size=block_len * n - block_len // 2)
+            blocks = chunk_symbols(symbols, block_len)
+            got = _block_stats(blocks, k)
+            want = reference_block_stats(blocks, k)
+            assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("blocks", [[], [np.array([0, 1]), np.array([], dtype=int)],
+                                        [np.array([0, 12])], [np.array([-1, 3])]])
+    def test_block_stats_rejects_what_the_reference_rejects(self, blocks):
+        from drr.bits_back import _block_stats
+        for stats in (_block_stats, reference_block_stats):
+            with pytest.raises(InvalidInputError):
+                stats(blocks, 12)
+
+    def test_obs_loglik_matches_reference(self):
+        from drr.bits_back import _block_stats, _obs_loglik
+        rng = np.random.default_rng(31)
+        symbols = rng.integers(0, 9, size=6 * 40 - 2)
+        _, hist = _block_stats(chunk_symbols(symbols, 6), 12)
+        p_obs = rng.dirichlet(np.ones(12), size=5)
+        p_obs[:, 9:] = 0.0            # unused codes: zero columns
+        p_obs[1, [2, 4]] = 0.0        # used codes with zero mass: -inf
+        p_obs[3, 6] = -1e-10          # allowed negative entry: NaN log
+        with np.errstate(invalid="ignore"):
+            got = _obs_loglik(hist, p_obs)
+            want = reference_obs_loglik(hist, p_obs)
+        assert np.isneginf(got).any() and np.isfinite(got).any()
+        assert np.array_equal(got, want)

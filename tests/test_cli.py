@@ -520,3 +520,52 @@ class TestRejectedRuns:
         assert code == EXIT_CORRUPT
         assert "not a plain file name" in capsys.readouterr().err
         assert not out.exists()
+
+
+# The acceptance-13 run-phases config; with `seed = 24` its codec training
+# diverges to non-finite weights.
+DIVERGING_RUN_CONFIG = """
+mode = ib-drr
+ib_weight = 0.5
+seed = 24
+epochs = 200
+lr = 0.08
+batch_size = 16
+hidden_dim = 24
+total_classes = 8
+initial_classes = 4
+n_phases = 2
+classes_per_phase = 2
+train_per_class = 14
+test_per_class = 8
+side = 16
+channels = 3
+data_seed = 123
+patch = 4
+pool = 2
+codebook_size = 32
+embed_dim = 8
+codec_epochs = 300
+codec_lr = 0.005
+beta = 0.25
+alphabets = 6,4
+block_len = 8
+precision = 12
+initial_bits = 256
+fit_iterations = 3
+exemplars_per_class = 10
+"""
+
+
+def test_diverging_codec_prints_only_the_error_line(tmp_path):
+    config = tmp_path / "diverge.conf"
+    config.write_text(DIVERGING_RUN_CONFIG)
+    proc = subprocess.run([sys.executable, "-m", "drr.cli", "run-phases",
+                           "--config", str(config), "--out", str(tmp_path / "r.txt")],
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_USAGE
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: codec training diverged to non-finite weights; lower the learning rate"]
+    assert not (tmp_path / "r.txt").exists()

@@ -1,5 +1,6 @@
 """Classifier, losses, metrics, and phased-experiment tests."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -453,3 +454,77 @@ class TestNegativeSeeds:
     def test_rejected_as_invalid_input(self, make):
         with pytest.raises(InvalidInputError):
             make()
+
+
+def pinned_train_phase(mode):
+    """sha256 of the parameters `train_phase` returns on fixed toy data: no
+    raw views (drr), every row paired in shuffled order (ib-drr), or 11 of
+    27 rows paired (ib-drr-star).  Batches of 5 leave a short last one."""
+    images, labels = make_toy_dataset(3, 9, side=8, seed=5)
+    rng = np.random.default_rng(17)
+    raw = np.clip(images + rng.normal(0.0, 0.05, size=images.shape), 0.0, 1.0)
+    data = PhaseData(images=images, labels=labels)
+    if mode != "drr":
+        rows = (rng.permutation(len(labels)) if mode == "ib-drr"
+                else rng.choice(len(labels), size=11, replace=False))
+        data = PhaseData(images=images, labels=labels, raw_images=raw[rows], raw_pair_rows=rows)
+    config = TrainConfig(mode=mode, ib_weight=0.5, epochs=7, lr=0.08, batch_size=5,
+                         hidden_dim=7, seed=3)
+    params = train_phase(data, 3, config)
+    return hashlib.sha256(b"".join(
+        a.tobytes() for a in (params.w1, params.b1, params.w2, params.b2))).hexdigest()
+
+
+class TestLeanStep:
+    # Taken with the step that built and validated a Batch and computed the
+    # loss values every step; the gradient-only step must match bit for bit.
+    @pytest.mark.parametrize("mode, pinned", [
+        ("drr", "f1122a31550d6274c1c715fdec2fd87891723b06a4c3874b38bfadfe3db27a9b"),
+        ("ib-drr", "f127b2fdb62369e8465316cd4078b07d9e77cac87b266260b3b381ddfba837f4"),
+        ("ib-drr-star", "28f7d6e8042f4907a73c4704926230bdf2cd539ac0ce26790161b8c0fffd07e6"),
+    ])
+    def test_train_phase_is_pinned(self, mode, pinned):
+        assert pinned_train_phase(mode) == pinned
+
+    @pytest.mark.parametrize("pair_rows", [
+        [-1, 2],      # negative: would pair with the last row
+        [1, 1],       # repeated: would drop a raw image
+        [0, 99],      # outside the rows
+        [0, 1, 2],    # one row more than the two raw images
+    ])
+    def test_bad_pair_rows_rejected(self, pair_rows):
+        data = separable_data(n_per=5)
+        bad = PhaseData(images=data.images, labels=data.labels,
+                        raw_images=data.images[:2], raw_pair_rows=np.array(pair_rows))
+        with pytest.raises(InvalidInputError):
+            train_phase(bad, 2, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("with_raw", [True, False])
+    def test_raw_images_and_pair_rows_come_together(self, with_raw):
+        data = separable_data(n_per=5)
+        half = (PhaseData(images=data.images, labels=data.labels, raw_images=data.images[:2])
+                if with_raw else
+                PhaseData(images=data.images, labels=data.labels, raw_pair_rows=np.arange(2)))
+        with pytest.raises(InvalidInputError):
+            train_phase(half, 2, TrainConfig(epochs=1))
+
+    def test_images_and_labels_must_align(self):
+        data = separable_data(n_per=5)
+        with pytest.raises(InvalidInputError):
+            train_phase(PhaseData(images=data.images[:-1], labels=data.labels), 2,
+                        TrainConfig(epochs=1))
+
+    def test_raw_images_must_match_the_reconstructions(self):
+        data = separable_data(n_per=5)
+        bad = PhaseData(images=data.images, labels=data.labels,
+                        raw_images=np.zeros((2, 1, 1, 1)), raw_pair_rows=np.arange(2))
+        with pytest.raises(InvalidInputError):
+            train_phase(bad, 2, TrainConfig(epochs=1))
+
+    def test_zero_raw_representation_rejected(self):
+        # b1 starts at zero, so an all-zero raw image has a zero representation
+        data = separable_data(n_per=5)
+        paired = PhaseData(images=data.images, labels=data.labels,
+                           raw_images=np.zeros((3, 2, 1, 1)), raw_pair_rows=np.arange(3))
+        with pytest.raises(DegenerateInputError):
+            train_phase(paired, 2, TrainConfig(epochs=1))

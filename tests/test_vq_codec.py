@@ -460,3 +460,67 @@ class TestCodebookGrad:
             got = _codebook_grad(idx, rows, k)
             assert got.shape == (k, d)
             assert np.array_equal(got, reference)
+
+
+def batch_digests(images, codec):
+    """sha256 of the code grids `encode_images` gives and of the images
+    `decode_images` rebuilds from them."""
+    import hashlib
+    from drr.vq_codec import decode_images, encode_images
+    grids = encode_images(images, codec)
+    recon = decode_images(grids, codec)
+    codes = b"".join(g.top.tobytes() + g.bottom.tobytes() for g in grids)
+    return hashlib.sha256(codes).hexdigest(), hashlib.sha256(recon.tobytes()).hexdigest()
+
+
+class TestBatchCoding:
+    """Batched encode and decode against the bits of one image at a time,
+    pinned from the per-image `encode_image` / `decode_codes` loop."""
+
+    def test_acceptance_toy_codec_is_pinned(self):
+        from drr.learner import make_toy_dataset
+        images, labels = make_toy_dataset(8, 14, side=16, seed=123, salt=0)
+        codec = train_codec(images[labels < 4], CodecConfig(
+            patch=4, pool=2, channels=3, codebook_size=32, embed_dim=8, epochs=300,
+            lr=0.005, seed=0))
+        assert batch_digests(images, codec) == (
+            "318934d56a7dd6483611ba4783b25045bd6bdb4abc2ce6aea0fe069581f0c3d5",
+            "a45ac700cea348123bac88b87b2eab6201d22997ebfb0764524c0bb8d6cccc86")
+
+    @pytest.mark.parametrize("epochs, seed, pinned", [
+        (2, 0, ("78911db4928463112bfada38e504f7feac224c39d6a9d752eb4c12d7008fe378",
+                "bdda733c08dbf0b418d743db46e01d49dc8473a47b73a899f1b6346735532f6e")),
+        (0, 4, ("0c0a1be13622488bcf6a61885cafb1819f8cfdee90f68cb26446185a919c4757",
+                "3b41e66141e0e43eea55ffadbf3256f2815fbc434cc9f9127f9d5d06633f145c")),
+    ])
+    def test_paper_shaped_codec_is_pinned(self, epochs, seed, pinned):
+        # 120 images: 7,680 bottom rows, searched in 15 chunks
+        from drr.learner import make_toy_dataset
+        images, _ = make_toy_dataset(5, 24, side=32, seed=0)
+        codec = train_codec(images, CodecConfig(epochs=epochs, seed=seed))
+        assert batch_digests(images, codec) == pinned
+
+    def test_batch_equals_one_at_a_time(self):
+        from drr.vq_codec import decode_images, encode_images
+        rng = np.random.default_rng(12)
+        params = train_codec([random_image(rng) for _ in range(4)],
+                             tiny_config(epochs=5, codebook_size=6))
+        images = [random_image(rng) for _ in range(9)]
+        grids = encode_images(images, params)
+        assert grids == [encode_image(x, params) for x in images]
+        recon = decode_images(grids, params)
+        assert recon.shape == (9, 8, 8, 1)
+        assert all(np.array_equal(r, decode_codes(g, params)) for r, g in zip(recon, grids))
+
+    def test_bad_batches_rejected(self):
+        from drr.vq_codec import decode_images, encode_images
+        rng = np.random.default_rng(13)
+        params = init_codec_params(tiny_config())
+        grid = encode_image(random_image(rng), params)
+        small = encode_image(random_image(rng, h=4, w=4), params)
+        for call in (lambda: encode_images([], params),
+                     lambda: encode_images([random_image(rng), random_image(rng, h=4)], params),
+                     lambda: decode_images([], params),
+                     lambda: decode_images([grid, small], params)):
+            with pytest.raises(InvalidInputError):
+                call()
