@@ -44,7 +44,9 @@ from .errors import (
     InvalidInputError,
     check_seed,
 )
-from .rans import (
+# pmf_quantize is not called here any more, but stays importable from this
+# module: the benchmark's tracer wraps it by name.
+from .rans import (  # noqa: F401
     DEFAULT_PRECISION,
     RANS_L,
     AnsCoder,
@@ -117,6 +119,13 @@ class LatentChainModel:
         return out
 
     def validate(self, atol: float = 1e-9) -> None:
+        """InvalidInputError unless every shape fits the alphabets and every
+        row is a PMF: no entry below -atol or non-finite, and every row sum
+        within `np.allclose` (atol, default rtol) of 1.
+
+        All tables are checked in one pass; only a failing model is walked
+        table by table, to name the first table that fails.
+        """
         k, alphas, levels = self.obs_alphabet, self.alphabets, self.levels
         if levels < 1 or k < 1 or self.block_len < 1 or min(alphas) < 1:
             raise InvalidInputError("levels, alphabets, and block length must be positive")
@@ -135,8 +144,12 @@ class LatentChainModel:
                 raise InvalidInputError(f"p_link[{i}] must have shape {(alphas[i + 1], alphas[i])}")
             if self.q_link[i].shape != (alphas[i], alphas[i + 1]):
                 raise InvalidInputError(f"q_link[{i}] must have shape {(alphas[i], alphas[i + 1])}")
-        for name, table in self.tables():
-            rows = np.atleast_2d(table)
+        named = [(name, np.atleast_2d(table)) for name, table in self.tables()]
+        entries = np.concatenate([rows.ravel() for _, rows in named])
+        if not np.any((entries < -atol) | ~np.isfinite(entries)) and np.allclose(
+                np.concatenate([rows.sum(axis=1) for _, rows in named]), 1.0, atol=atol):
+            return
+        for name, rows in named:
             if np.any(rows < -atol) or not np.all(np.isfinite(rows)):
                 raise InvalidInputError(f"{name} has negative or non-finite entries")
             if not np.allclose(rows.sum(axis=1), 1.0, atol=atol):
@@ -291,12 +304,12 @@ def mean_elbo(blocks, model: LatentChainModel) -> float:
 class CodingTables:
     """Per-row frequency tables for one model at one coder precision.
 
-    The rows of each table are views of one 2-D frequency array and one 2-D
-    cumulative array.  The `*_table` fields hold the same rows laid out for
-    the lane coder, derived from the row lists on construction, with each
-    symbol's cost computed once.  `dyadic` is the same model with every row
-    replaced by its quantized probabilities; bounds computed from it match
-    coding costs exactly.
+    The rows of all tables of one alphabet are views of one 2-D frequency
+    array and one 2-D cumulative array.  The `*_table` fields hold the same
+    rows laid out for the lane coder, derived from the row lists on
+    construction, with each symbol's cost read from `code_lengths`.
+    `dyadic` is the same model with every row replaced by its quantized
+    probabilities; bounds computed from it match coding costs exactly.
     """
 
     precision: int
@@ -317,7 +330,7 @@ class CodingTables:
 
     def __post_init__(self):
         def table(rows):
-            return PmfTable.from_freqs(np.stack([row.freqs for row in rows]), self.precision)
+            return PmfTable.from_freqs(np.array([row.freqs for row in rows]), self.precision)
 
         self.q_obs_table = table(self.q_obs_rows)
         self.q_link_tables = [table(rows) for rows in self.q_link_rows]
@@ -327,53 +340,51 @@ class CodingTables:
 
 
 def build_coding_tables(model: LatentChainModel, precision: int = DEFAULT_PRECISION) -> CodingTables:
-    """Quantize every table of `model` for the coder, one call per table.
+    """Quantize every table of `model` for the coder, one `quantize_rows`
+    call per alphabet.
 
-    Tables are derived once per model, not once per use:
-    `LatentModelPair.tables` builds them once per pair and precision and
-    hands the same tables to every later caller, so the models of a pair are
-    immutable.
+    `quantize_rows` rounds each row independently of its table, so the
+    tables sharing an alphabet are stacked and quantized together, and each
+    gets the rows it would get on its own.  Tables are derived once per
+    model, not once per use: `LatentModelPair.tables` builds them once per
+    pair and precision and hands the same tables to every later caller, so
+    the models of a pair are immutable.
     """
     model.validate()
-    scale = float(1 << precision)
-
-    def read_only(*arrays):
-        for array in arrays:  # the tables are shared by everyone who codes with them
+    tables = [np.atleast_2d(table) for _, table in model.tables()]
+    rows = [None] * len(tables)
+    probs = [None] * len(tables)
+    by_alphabet: dict[int, list[int]] = {}
+    for i, table in enumerate(tables):
+        by_alphabet.setdefault(table.shape[1], []).append(i)
+    for members in by_alphabet.values():
+        freqs, cdf = quantize_rows(np.concatenate([tables[i] for i in members]), precision)
+        quantized = freqs / float(1 << precision)
+        for array in (freqs, cdf, quantized):  # shared by everyone who codes with them
             array.flags.writeable = False
+        pmfs = [QuantizedPmf(precision, f, c) for f, c in zip(freqs, cdf)]
+        start = 0
+        for i in members:
+            stop = start + len(tables[i])
+            rows[i], probs[i] = pmfs[start:stop], quantized[start:stop]
+            start = stop
 
-    def quantize_table(table):
-        freqs, cdf = quantize_rows(table, precision)
-        probs = freqs / scale
-        read_only(freqs, cdf, probs)
-        rows = [QuantizedPmf(precision=precision, freqs=f, cdf=c) for f, c in zip(freqs, cdf)]
-        return rows, probs
-
-    q_obs_rows, q_obs = quantize_table(model.q_obs)
-    q_links = [quantize_table(t) for t in model.q_link]
-    p_obs_rows, p_obs = quantize_table(model.p_obs)
-    p_links = [quantize_table(t) for t in model.p_link]
-    p_top_pmf = pmf_quantize(model.p_top, precision)
-    p_top = p_top_pmf.probs()
-    read_only(p_top_pmf.freqs, p_top_pmf.cdf, p_top)
-
-    dyadic = replace(
-        model,
-        p_obs=p_obs,
-        p_link=[probs for _, probs in p_links],
-        p_top=p_top,
-        q_obs=q_obs,
-        q_link=[probs for _, probs in q_links],
-    )
+    # model.tables() order: p_obs, p_link[0..L-2], p_top, q_obs, q_link[0..L-2]
+    links = model.levels - 1
+    p_link, q_link = slice(1, 1 + links), slice(3 + links, None)
+    p_top, q_obs = 1 + links, 2 + links
+    dyadic = replace(model, p_obs=probs[0], p_link=probs[p_link], p_top=probs[p_top][0],
+                     q_obs=probs[q_obs], q_link=probs[q_link])
     return CodingTables(
         precision=precision,
         model_version=model.version,
         levels=model.levels,
         block_len=model.block_len,
-        q_obs_rows=q_obs_rows,
-        q_link_rows=[rows for rows, _ in q_links],
-        p_obs_rows=p_obs_rows,
-        p_link_rows=[rows for rows, _ in p_links],
-        p_top_pmf=p_top_pmf,
+        q_obs_rows=rows[q_obs],
+        q_link_rows=rows[q_link],
+        p_obs_rows=rows[0],
+        p_link_rows=rows[p_link],
+        p_top_pmf=rows[p_top][0],
         dyadic=dyadic,
     )
 
@@ -782,10 +793,23 @@ class FitConfig:
     iterations: int = 40
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
+def _softmax_rows(scores: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """Softmax of each row of `scores`; a row scoring -inf everywhere (a
+    latent no block can reach) keeps its row of `previous`.
+
+    The result has the memory layout of `scores`, and callers sum along its
+    rows: a new layout would change the order of those sums, and so the
+    fitted bits.  Dead rows are therefore patched in place.
+    """
     peak = scores.max(axis=1, keepdims=True)
+    dead = peak[:, 0] == -np.inf
+    peak[dead] = 0.0
     e = np.exp(scores - peak)
-    return e / e.sum(axis=1, keepdims=True)
+    total = e.sum(axis=1, keepdims=True)
+    total[dead] = 1.0
+    q = e / total
+    q[dead] = previous[dead]
+    return q
 
 
 def fit(model: LatentChainModel, blocks, config: FitConfig = FitConfig()) -> LatentChainModel:
@@ -834,7 +858,7 @@ def fit(model: LatentChainModel, blocks, config: FitConfig = FitConfig()) -> Lat
         for i in reversed(range(levels - 1)):
             with np.errstate(divide="ignore"):
                 scores = np.log(m.p_link[i].T) + psi[None, :]
-            q = _softmax_rows(scores)
+            q = _softmax_rows(scores, m.q_link[i])
             m.q_link[i] = q
             with np.errstate(divide="ignore"):
                 lq = np.log(q)
@@ -846,7 +870,7 @@ def fit(model: LatentChainModel, blocks, config: FitConfig = FitConfig()) -> Lat
                            minlength=m.obs_alphabet * a0).reshape(m.obs_alphabet, a0)
         seen = x0_counts > 0
         mean_ll = sums[seen] / x0_counts[seen, None]
-        m.q_obs[seen] = _softmax_rows(mean_ll + psi[None, :])
+        m.q_obs[seen] = _softmax_rows(mean_ll + psi[None, :], m.q_obs[seen])
     return m
 
 

@@ -26,6 +26,7 @@ a height per lane, and every lane coding against its own row of a
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -43,6 +44,22 @@ MAX_PRECISION = 16
 
 STREAM_MAGIC = b"DRRB"
 STREAM_FORMAT_VERSION = 1
+
+
+@functools.cache
+def code_lengths(precision: int) -> np.ndarray:
+    """Ideal code length precision - log2(f) in bits of every frequency f in
+    [1, 2**precision], at index f; index 0 holds +inf.
+
+    The one source of code lengths: built once per precision with
+    `math.log2` (`np.log2` may round differently) and read by
+    `QuantizedPmf.cost_bits`, `AnsCoder` and `PmfTable`.  Read-only.
+    """
+    if not (MIN_PRECISION <= precision <= MAX_PRECISION):
+        raise InvalidInputError(f"precision {precision} outside [{MIN_PRECISION}, {MAX_PRECISION}]")
+    table = np.array([math.inf] + [precision - math.log2(f) for f in range(1, (1 << precision) + 1)])
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -67,7 +84,7 @@ class QuantizedPmf:
 
     def cost_bits(self, symbol: int) -> float:
         """Ideal code length of `symbol` in bits: precision - log2(freq)."""
-        return self.precision - math.log2(int(self.freqs[symbol]))
+        return float(code_lengths(self.precision)[self.freqs[symbol]])
 
 
 def quantize_rows(probs, precision: int = DEFAULT_PRECISION) -> tuple[np.ndarray, np.ndarray]:
@@ -177,8 +194,7 @@ class PmfTable:
     Entry r * alphabet + s holds symbol s of row r.  `keys` is every row's
     cumulative table offset by row << precision, so one `searchsorted` finds
     the symbols of many lanes in many rows at once.  `costs` are the ideal
-    code lengths precision - log2(freq), from `math.log2` as in
-    `QuantizedPmf.cost_bits`: `np.log2` may round differently.
+    code lengths precision - log2(freq), read from `code_lengths`.
     """
 
     precision: int
@@ -196,10 +212,8 @@ class PmfTable:
         n_rows, alphabet = freqs.shape
         starts = np.cumsum(freqs, axis=1) - freqs
         row_keys = np.arange(n_rows, dtype=np.uint64) << np.uint64(precision)
-        unique, inverse = np.unique(freqs.ravel(), return_inverse=True)
-        costs = np.array([precision - math.log2(int(f)) for f in unique])[inverse]
         tables = (freqs.ravel(), starts.ravel(), (starts + row_keys[:, None]).ravel(),
-                  row_keys, costs)
+                  row_keys, code_lengths(precision)[freqs.ravel()])
         for array in tables:  # tables are shared by everyone who codes with them
             array.flags.writeable = False
         return cls(precision, alphabet, *tables)
@@ -281,7 +295,7 @@ class AnsCoder:
             self.stack.append(x & 0xFF)
             x >>= RENORM_SHIFT
         self.state = ((x // f) << precision) + (x % f) + c
-        self.ideal_bits += precision - math.log2(f)
+        self.ideal_bits += float(code_lengths(precision)[f])
 
     def pop(self, pmf: QuantizedPmf) -> int:
         """Decode one symbol off the stack (exact inverse of push)."""
@@ -297,7 +311,7 @@ class AnsCoder:
                 raise ExhaustedStreamError("byte stack underflow during pop")
             x = (x << RENORM_SHIFT) | self.stack.pop()
         self.state = x
-        self.ideal_bits -= precision - math.log2(f)
+        self.ideal_bits -= float(code_lengths(precision)[f])
         return symbol
 
     def serialize(self) -> bytes:

@@ -9,6 +9,8 @@ dominance of the interleaved schedule.
 
 import hashlib
 import math
+import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +52,7 @@ from drr.errors import (
     InvalidInputError,
 )
 from drr.rans import AnsCoder, QuantizedPmf
+from drr.replay_store import LatentModelPair
 
 LN2 = math.log(2.0)
 
@@ -823,3 +826,261 @@ class TestFitStatistics:
             want = reference_obs_loglik(hist, p_obs)
         assert np.isneginf(got).any() and np.isfinite(got).any()
         assert np.array_equal(got, want)
+
+
+# -- table building ----------------------------------------------------------------
+
+def lane_tables(tables):
+    return ([tables.q_obs_table] + tables.q_link_tables + [tables.p_obs_table]
+            + tables.p_link_tables + [tables.p_top_table])
+
+
+def tables_digest(tables):
+    """sha256 of every array `build_coding_tables` returns, each with its
+    dtype and shape: every row's freqs and cdf, every lane table field
+    (costs included), and the dyadic model's tables."""
+    h = hashlib.sha256()
+
+    def add(array):
+        array = np.asarray(array)
+        h.update(f"{array.dtype.str}{array.shape}".encode())
+        h.update(np.ascontiguousarray(array).tobytes())
+
+    for row in TestCodingTables.all_rows(tables):
+        h.update(str(row.precision).encode())
+        add(row.freqs)
+        add(row.cdf)
+    for table in lane_tables(tables):
+        h.update(f"{table.precision},{table.alphabet}".encode())
+        for name in ("freqs", "starts", "keys", "row_keys", "costs"):
+            add(getattr(table, name))
+    dyadic = tables.dyadic
+    for _, table in dyadic.tables():
+        add(table)
+    h.update(repr((tables.precision, tables.model_version, tables.levels, tables.block_len,
+                   dyadic.obs_alphabet, dyadic.alphabets, dyadic.block_len,
+                   dyadic.version)).encode())
+    return h.hexdigest()
+
+
+def fitted_pair(k, alphabets, block_len, seed, n_blocks=120, iterations=8):
+    """A seeded pair, each model fitted on blocks sampled from a peaked
+    generator, as a buffer's refit leaves it."""
+    pair = LatentModelPair.seeded(k, alphabets, block_len, seed)
+    models = []
+    for i, model in enumerate((pair.top, pair.bottom)):
+        truth = random_model(k, alphabets, block_len=block_len, seed=100 + 2 * seed + i,
+                             concentration=0.1)
+        blocks = sample_blocks(truth, n_blocks, np.random.default_rng(200 + 2 * seed + i))
+        models.append(fit(model, blocks, FitConfig(iterations=iterations)))
+    return models
+
+
+def paper_models():
+    """K=512, eight levels of alphabet 8, block 16: the paper-shaped pair."""
+    return fitted_pair(512, (8,) * 8, 16, seed=0)
+
+
+def toy_models():
+    """K=32, alphabets 6 and 4, block 8: the acceptance-13 pair."""
+    return fitted_pair(32, (6, 4), 8, seed=3)
+
+
+def clamp_model():
+    """Peaked rows over a wide alphabet: the min-1 clamp overshoots."""
+    truth = random_model(200, (16, 6), block_len=8, seed=8, concentration=0.05)
+    blocks = sample_blocks(truth, 60, np.random.default_rng(9))
+    return fit(random_model(200, (16, 6), block_len=8, seed=10), blocks,
+               FitConfig(iterations=5))
+
+
+class TestTableBytes:
+    # Taken when every table was quantized on its own, its rows re-stacked
+    # for the lane coder and its costs found through `np.unique`.
+    @pytest.mark.parametrize("case, precision, pinned", [
+        ("paper", 12, ["47ff91c1d8603733cc4dfe54ab0d51c6ccdd7a1e2ccd401734673d81963a2ed7",
+                       "5c23ecb6123cdfb267e10b6c652c5ea3558e15b4f8a15cd122a057debb5bbe4f"]),
+        ("paper", 16, ["1d7c4adfa40cf20e2acc911051ddf0044e65749aac0ef429ae0a934b5b12ea99",
+                       "537ec2af45b67bf9b66f3e17a44414bd029d1cd329a15221313c72e8c1eb9b6c"]),
+        ("clamp", 12, ["85d9be5762753983471aa2b87740dfbefeffc5df6cec17ff070dba84826f46d3"]),
+        ("toy", 12, ["127461d2ec0b58e23ffbad4f777578c57628c67e9c0a9c47418e4687850082c8",
+                     "b92dd3b976a3530599e08da18dc5df4c34b8bee1f951354e6fcffbb3fe77c028"]),
+        ("tiny", 2, ["e4c92a5993079f05a312329a6e2d5beac23e2addc599f48b99e6314e99b97c9f"]),
+    ])
+    def test_tables_are_pinned(self, case, precision, pinned):
+        models = {
+            "paper": paper_models,
+            "clamp": lambda: [clamp_model()],
+            "toy": toy_models,
+            "tiny": lambda: [random_model(4, (3, 2, 4), block_len=3, seed=3)],
+        }[case]()
+        if case == "clamp":
+            clamped = np.maximum(np.floor(models[0].p_obs * (1 << precision)), 1).sum(axis=1)
+            assert np.any(clamped > 1 << precision)
+        assert [tables_digest(build_coding_tables(m, precision)) for m in models] == pinned
+
+
+class TestGroupedQuantization:
+    def test_one_quantize_call_per_alphabet(self, monkeypatch):
+        import drr.bits_back as bits_back
+        widths = []
+        real = bits_back.quantize_rows
+
+        def counting(probs, precision):
+            widths.append(np.shape(probs)[1])
+            return real(probs, precision)
+
+        monkeypatch.setattr(bits_back, "quantize_rows", counting)
+        for models, want in [(paper_models(), [512, 8]), (toy_models(), [32, 6, 4])]:
+            for model in models:
+                widths.clear()
+                build_coding_tables(model)
+                assert widths == want
+
+
+MODEL_NAMES = ["p_obs", "p_link[0]", "p_link[1]", "p_top", "q_obs", "q_link[0]", "q_link[1]"]
+
+
+def three_level_model():
+    model = random_model(6, (4, 3, 2), block_len=3, seed=5)
+    assert [name for name, _ in model.tables()] == MODEL_NAMES
+    return model
+
+
+def first_row(model, name):
+    """A writable view of row 0 of table `name` (model tables are contiguous)."""
+    table = dict(model.tables())[name]
+    return table.reshape(-1, table.shape[-1])[0]
+
+
+def corrupted(model, name, kind):
+    """A copy of `model` whose table `name` fails in one way: a negative
+    entry in a row that still sums to 1, a NaN, an infinity, or a row that
+    sums to 1.1."""
+    model = model.copy()
+    row = first_row(model, name)
+    if kind == "negative":
+        row[1] += row[0] + 0.5
+        row[0] = -0.5
+    elif kind == "sum":
+        row[0] += 0.1
+    else:
+        row[0] = {"nan": np.nan, "inf": np.inf}[kind]
+    return model
+
+
+class TestValidate:
+    # The messages are the ones each table's failure always raised.
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("kind, message", [
+        ("negative", "{} has negative or non-finite entries"),
+        ("nan", "{} has negative or non-finite entries"),
+        ("inf", "{} has negative or non-finite entries"),
+        ("sum", "{} rows must sum to 1"),
+    ])
+    def test_each_failure_names_its_table(self, name, kind, message):
+        model = corrupted(three_level_model(), name, kind)
+        with pytest.raises(InvalidInputError) as info:
+            model.validate()
+        assert str(info.value) == message.format(name)
+
+    def test_first_failing_table_is_named(self):
+        model = corrupted(corrupted(three_level_model(), "q_link[0]", "nan"), "p_top", "sum")
+        with pytest.raises(InvalidInputError, match=r"^p_top rows must sum to 1$"):
+            model.validate()
+
+    def test_entries_are_checked_before_row_sums(self):
+        model = three_level_model()
+        model.q_obs[0, 0] += 0.1
+        model.q_obs[1, 1] = -np.inf
+        with pytest.raises(InvalidInputError, match=r"^q_obs has negative or non-finite"):
+            model.validate()
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_tolerance_edge(self, name):
+        # allclose: |sum - 1| <= atol + 1e-5, so 1 + 9e-6 passes, 1 + 2e-5 not.
+        model = three_level_model()
+        first_row(model, name)[0] += 9e-6
+        model.validate()
+        first_row(model, name)[0] += 1.1e-5
+        with pytest.raises(InvalidInputError, match=r"rows must sum to 1$"):
+            model.validate()
+
+    def test_negative_entry_within_atol_is_accepted(self):
+        model = three_level_model()
+        row = first_row(model, "q_link[1]")
+        row[1] += row[0] + 1e-10
+        row[0] = -1e-10
+        model.validate()
+        with pytest.raises(InvalidInputError, match="negative or non-finite"):
+            model.validate(atol=1e-11)
+
+    @pytest.mark.parametrize("value, cause", [
+        (float("nan"), "q_link[1] has negative or non-finite entries"),
+        (2.0, "q_link[1] rows must sum to 1"),
+    ])
+    def test_corrupt_snapshot_fails_as_before(self, value, cause):
+        data = serialize_models([three_level_model()])
+        # The file ends with the last entry of its last table.
+        bad = data[:-8] + struct.pack("<d", value)
+        with pytest.raises(DataCorruptionError,
+                           match=r"^model snapshot truncated or inconsistent$") as info:
+            deserialize_models(bad)
+        assert isinstance(info.value.__cause__, InvalidInputError)
+        assert str(info.value.__cause__) == cause
+
+
+def unreachable_latent_case():
+    """Two levels, and no block's first symbol gives latent 3 of the first
+    level any mass: the link refit leaves p_link[0] an all-zero column 3,
+    so row 3 of q_link[0] scores -inf everywhere."""
+    model = random_model(12, (4, 3), block_len=6, seed=23)
+    model.q_obs[:, 3] = 0.0
+    model.q_obs /= model.q_obs.sum(axis=1, keepdims=True)
+    blocks = list(np.random.default_rng(24).integers(0, 12, size=(25, 6)))
+    return model, blocks
+
+
+class TestUnreachableLatent:
+    # Taken before `fit` kept the rows of unreachable latents.  The link
+    # tables `fit` makes are column-major, so a softmax that changed their
+    # layout would change the order of later row sums and move these bits.
+    @pytest.mark.parametrize("models, pinned", [
+        (paper_models, ["a3b9dc05614b5dcdb8ff30956f92b59a2b2da4e4095a4d385560c4d327805059",
+                        "b45394fef4fc3228fbea7d9d27b5e3ea718c0ca6f9a098c66bbac8eb9854de4e"]),
+        (toy_models, ["d0e8e4f94527cf38e7361702a3a97695cacfa9716f631bd31ea3fbc09efb5450",
+                      "ca0264bdd143219a6fcf6e65637c220b80c95dbe8932c11366f0d1d037c7681c"]),
+    ])
+    def test_reachable_fits_are_pinned(self, models, pinned):
+        assert [model_digest(m) for m in models()] == pinned
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_softmax_keeps_the_layout_of_its_scores(self, order):
+        from drr.bits_back import _softmax_rows
+        scores = np.asarray(np.random.default_rng(3).normal(size=(5, 4)), order=order)
+        scores[2] = -np.inf
+        previous = np.full((5, 4), 0.25)
+        q = _softmax_rows(scores, previous)
+        assert q.flags.c_contiguous == (order == "C") and q.flags.f_contiguous == (order == "F")
+        assert np.array_equal(q[2], previous[2])
+        assert np.allclose(q.sum(axis=1), 1.0)
+
+    def test_fit_keeps_the_rows_it_cannot_score(self):
+        model, blocks = unreachable_latent_case()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fitted = fit(model, blocks, FitConfig(iterations=2))
+        assert all(np.all(np.isfinite(t)) for _, t in fitted.tables())
+        assert not fitted.p_link[0][:, 3].any()
+        assert np.array_equal(fitted.q_link[0][3], model.q_link[0][3])
+        fitted.validate()
+
+    def test_fitted_model_codes(self):
+        model, blocks = unreachable_latent_case()
+        fitted = fit(model, blocks, FitConfig(iterations=2))
+        tables = build_coding_tables(fitted)
+        assert all(np.all(np.isfinite(t)) for _, t in tables.dyadic.tables())
+        stream = encode_stream([(blocks, tables)], initial_bits=512, seed=1)
+        out = decode_stream(stream, [([len(b) for b in blocks], tables)])
+        assert all(np.array_equal(a, b) for a, b in zip(out[0], blocks))
+        assert np.isfinite(stream.net_bits)

@@ -12,8 +12,11 @@ import pytest
 
 from drr.errors import DataCorruptionError, ExhaustedStreamError, InvalidInputError
 from drr.rans import (
+    MAX_PRECISION,
+    MIN_PRECISION,
     RANS_L,
     AnsCoder,
+    code_lengths,
     entropy_from_freqs,
     entropy_from_sample,
     pmf_quantize,
@@ -322,3 +325,31 @@ class TestCostAccounting:
             coder.push(s, pmf)
             total += pmf.cost_bits(s)
         assert coder.ideal_bits == pytest.approx(total, abs=1e-12)
+
+
+class TestCodeLengths:
+    def test_every_frequency_at_every_precision(self):
+        for precision in range(MIN_PRECISION, MAX_PRECISION + 1):
+            top = 1 << precision
+            table = code_lengths(precision)
+            assert table.dtype == np.float64 and table.shape == (top + 1,)
+            assert table[0] == np.inf
+            assert table[1:].tolist() == [precision - math.log2(f) for f in range(1, top + 1)]
+
+    def test_built_once_and_read_only(self):
+        assert code_lengths(12) is code_lengths(12)
+        with pytest.raises(ValueError):
+            code_lengths(12)[1] = 0.0
+
+    @pytest.mark.parametrize("precision", [MIN_PRECISION - 1, MAX_PRECISION + 1])
+    def test_rejects_precision_outside_range(self, precision):
+        with pytest.raises(InvalidInputError):
+            code_lengths(precision)
+
+    def test_scalar_coder_reads_the_table(self):
+        pmf = pmf_quantize([0.6, 0.3, 0.1], precision=12)
+        coder = AnsCoder()
+        coder.push(2, pmf)
+        assert coder.ideal_bits == code_lengths(12)[pmf.freqs[2]] == pmf.cost_bits(2)
+        assert coder.pop(pmf) == 2
+        assert coder.ideal_bits == 0.0

@@ -1,6 +1,7 @@
 """Replay buffer, raw baseline, and memory accounting tests."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -441,6 +442,19 @@ class TestPersistence:
         index.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataCorruptionError):
             ReplayBuffer.load(str(tmp_path))
+
+    @pytest.mark.parametrize("value", [float("nan"), -1.0, 2.0])
+    def test_corrupt_model_table_rejected(self, frozen_codec, tmp_path, value):
+        buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
+        buffer.save(str(tmp_path))
+        models = tmp_path / "models.drrm"
+        # The file ends with the last entry of the bottom model's last table.
+        models.write_bytes(models.read_bytes()[:-8] + struct.pack("<d", value))
+        with pytest.raises(DataCorruptionError,
+                           match=r"^model snapshot truncated or inconsistent$") as info:
+            ReplayBuffer.load(str(tmp_path))
+        assert isinstance(info.value.__cause__, InvalidInputError)
+        assert str(info.value.__cause__).startswith("q_link[0] ")
 
     def test_tampered_model_version_rejected(self, frozen_codec, tmp_path):
         buffer, _ = filled_buffer(frozen_codec, n_classes=1)
