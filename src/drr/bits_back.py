@@ -19,12 +19,14 @@ evidence lower bound of the model, so tighter models pay fewer bits.
 All tables are quantized to coder frequencies before any coding, and the
 accounting runs on those quantized tables, so measured net bits line up
 exactly with the bound computed from the same quantized model.
+`build_coding_tables` holds each quantized table once, as one `PmfTable`.
 
 Streams are coded on the lane coder: `encode_streams` and `decode_streams`
 code N messages of one geometry side by side, one lane each, with the
 block chain of every lane still sequential; `encode_stream` and
 `decode_stream` are the one-lane case.  `encode_block` and `decode_block`
-code one block on a scalar `AnsCoder` under either schedule, and
+code one block on a scalar `AnsCoder` under either schedule, reading each
+row from the same tables through `PmfTable.row`, and
 `encode_blocks`/`decode_blocks` chain them; they are the reference: every
 lane produces the same bytes and the same accounting floats as they do.
 """
@@ -52,7 +54,6 @@ from .rans import (  # noqa: F401
     AnsCoder,
     LaneCoder,
     PmfTable,
-    QuantizedPmf,
     pmf_quantize,
     quantize_rows,
 )
@@ -61,8 +62,6 @@ MODEL_MAGIC = b"DRRM"
 MODEL_FORMAT_VERSION = 1
 STREAM_MAGIC = b"DRRS"
 
-DEFAULT_LEVELS = 8
-DEFAULT_LATENT_ALPHABET = 64
 DEFAULT_BLOCK_LEN = 16
 DEFAULT_INITIAL_BITS = 256
 
@@ -302,41 +301,31 @@ def mean_elbo(blocks, model: LatentChainModel) -> float:
 
 @dataclass
 class CodingTables:
-    """Per-row frequency tables for one model at one coder precision.
+    """Coder tables for one model at one coder precision: one `PmfTable`
+    per model table, named as in `LatentChainModel`.
 
-    The rows of all tables of one alphabet are views of one 2-D frequency
-    array and one 2-D cumulative array.  The `*_table` fields hold the same
-    rows laid out for the lane coder, derived from the row lists on
-    construction, with each symbol's cost read from `code_lengths`.
-    `dyadic` is the same model with every row replaced by its quantized
-    probabilities; bounds computed from it match coding costs exactly.
+    The lane coder reads the tables whole; the scalar reference coder reads
+    one row at a time through `PmfTable.row`, so both code from the same
+    arrays.  `dyadic` is the same model with every row replaced by its
+    quantized probabilities; bounds computed from it match coding costs
+    exactly.
     """
 
     precision: int
-    model_version: int
-    levels: int
-    block_len: int
-    q_obs_rows: list[QuantizedPmf]
-    q_link_rows: list[list[QuantizedPmf]]
-    p_obs_rows: list[QuantizedPmf]
-    p_link_rows: list[list[QuantizedPmf]]
-    p_top_pmf: QuantizedPmf
+    q_obs: PmfTable
+    q_link: list[PmfTable]
+    p_obs: PmfTable
+    p_link: list[PmfTable]
+    p_top: PmfTable
     dyadic: LatentChainModel
-    q_obs_table: PmfTable = field(init=False, repr=False)
-    q_link_tables: list[PmfTable] = field(init=False, repr=False)
-    p_obs_table: PmfTable = field(init=False, repr=False)
-    p_link_tables: list[PmfTable] = field(init=False, repr=False)
-    p_top_table: PmfTable = field(init=False, repr=False)
 
-    def __post_init__(self):
-        def table(rows):
-            return PmfTable.from_freqs(np.array([row.freqs for row in rows]), self.precision)
+    @property
+    def model_version(self) -> int:
+        return self.dyadic.version
 
-        self.q_obs_table = table(self.q_obs_rows)
-        self.q_link_tables = [table(rows) for rows in self.q_link_rows]
-        self.p_obs_table = table(self.p_obs_rows)
-        self.p_link_tables = [table(rows) for rows in self.p_link_rows]
-        self.p_top_table = table([self.p_top_pmf])
+    @property
+    def levels(self) -> int:
+        return self.dyadic.levels
 
 
 def build_coding_tables(model: LatentChainModel, precision: int = DEFAULT_PRECISION) -> CodingTables:
@@ -352,22 +341,18 @@ def build_coding_tables(model: LatentChainModel, precision: int = DEFAULT_PRECIS
     """
     model.validate()
     tables = [np.atleast_2d(table) for _, table in model.tables()]
-    rows = [None] * len(tables)
+    coded = [None] * len(tables)
     probs = [None] * len(tables)
     by_alphabet: dict[int, list[int]] = {}
     for i, table in enumerate(tables):
         by_alphabet.setdefault(table.shape[1], []).append(i)
     for members in by_alphabet.values():
-        freqs, cdf = quantize_rows(np.concatenate([tables[i] for i in members]), precision)
+        freqs, _ = quantize_rows(np.concatenate([tables[i] for i in members]), precision)
         quantized = freqs / float(1 << precision)
-        for array in (freqs, cdf, quantized):  # shared by everyone who codes with them
-            array.flags.writeable = False
-        pmfs = [QuantizedPmf(precision, f, c) for f, c in zip(freqs, cdf)]
-        start = 0
-        for i in members:
-            stop = start + len(tables[i])
-            rows[i], probs[i] = pmfs[start:stop], quantized[start:stop]
-            start = stop
+        quantized.flags.writeable = False  # shared by everyone who codes with it
+        bounds = np.cumsum([len(tables[i]) for i in members])[:-1]
+        for i, f, q in zip(members, np.split(freqs, bounds), np.split(quantized, bounds)):
+            coded[i], probs[i] = PmfTable.from_freqs(f, precision), q
 
     # model.tables() order: p_obs, p_link[0..L-2], p_top, q_obs, q_link[0..L-2]
     links = model.levels - 1
@@ -375,18 +360,8 @@ def build_coding_tables(model: LatentChainModel, precision: int = DEFAULT_PRECIS
     p_top, q_obs = 1 + links, 2 + links
     dyadic = replace(model, p_obs=probs[0], p_link=probs[p_link], p_top=probs[p_top][0],
                      q_obs=probs[q_obs], q_link=probs[q_link])
-    return CodingTables(
-        precision=precision,
-        model_version=model.version,
-        levels=model.levels,
-        block_len=model.block_len,
-        q_obs_rows=rows[q_obs],
-        q_link_rows=rows[q_link],
-        p_obs_rows=rows[0],
-        p_link_rows=rows[p_link],
-        p_top_pmf=rows[p_top][0],
-        dyadic=dyadic,
-    )
+    return CodingTables(precision=precision, q_obs=coded[q_obs], q_link=coded[q_link],
+                        p_obs=coded[0], p_link=coded[p_link], p_top=coded[p_top], dyadic=dyadic)
 
 
 # -- block coding --------------------------------------------------------------
@@ -461,21 +436,21 @@ def encode_block(coder: AnsCoder, x, tables: CodingTables, method: str) -> Block
         pushed += pmf.cost_bits(symbol)
 
     with _latent_pops():
-        z = [pop(tables.q_obs_rows[x[0]])]
+        z = [pop(tables.q_obs.row(x[0]))]
         if not interleaved:
             for i in range(tables.levels - 1):
-                z.append(pop(tables.q_link_rows[i][z[i]]))
-        row = tables.p_obs_rows[z[0]]
+                z.append(pop(tables.q_link[i].row(z[i])))
+        row = tables.p_obs.row(z[0])
         for s in x[::-1]:
             push(int(s), row)
         note()
         for i in range(tables.levels - 1):
             if interleaved:
-                z.append(pop(tables.q_link_rows[i][z[i]]))
-            push(z[i], tables.p_link_rows[i][z[i + 1]])
+                z.append(pop(tables.q_link[i].row(z[i])))
+            push(z[i], tables.p_link[i].row(z[i + 1]))
             if interleaved:
                 note()
-        push(z[-1], tables.p_top_pmf)
+        push(z[-1], tables.p_top.row(0))
         note()
     return BlockTrace(pushed=pushed, popped=popped, peak_demand=start - low)
 
@@ -484,17 +459,17 @@ def decode_block(coder: AnsCoder, block_len: int, tables: CodingTables, method: 
     """Exact inverse of `encode_block`; restores the popped bits."""
     interleaved = check_method(method)
     z = [0] * tables.levels
-    z[-1] = coder.pop(tables.p_top_pmf)
+    z[-1] = coder.pop(tables.p_top.row(0))
     for i in reversed(range(tables.levels - 1)):
-        z[i] = coder.pop(tables.p_link_rows[i][z[i + 1]])
+        z[i] = coder.pop(tables.p_link[i].row(z[i + 1]))
         if interleaved:
-            coder.push(z[i + 1], tables.q_link_rows[i][z[i]])
-    row = tables.p_obs_rows[z[0]]
+            coder.push(z[i + 1], tables.q_link[i].row(z[i]))
+    row = tables.p_obs.row(z[0])
     x = np.array([coder.pop(row) for _ in range(block_len)], dtype=np.int64)
     if not interleaved:
         for i in reversed(range(tables.levels - 1)):
-            coder.push(z[i + 1], tables.q_link_rows[i][z[i]])
-    coder.push(z[0], tables.q_obs_rows[x[0]])
+            coder.push(z[i + 1], tables.q_link[i].row(z[i]))
+    coder.push(z[0], tables.q_obs.row(x[0]))
     return x
 
 
@@ -582,20 +557,20 @@ def _encode_block_lanes(coder: LaneCoder, x: np.ndarray, tables: CodingTables,
         coder.push(symbols, rows, table)
         np.add(pushed, table.cost(rows, symbols), out=pushed)
 
-    z = [pop(x[:, 0], tables.q_obs_table)]
+    z = [pop(x[:, 0], tables.q_obs)]
     if not interleaved:
         for i in range(tables.levels - 1):
-            z.append(pop(z[i], tables.q_link_tables[i]))
+            z.append(pop(z[i], tables.q_link[i]))
     for s in x.T[::-1]:
-        push(s, z[0], tables.p_obs_table)
+        push(s, z[0], tables.p_obs)
     note()
     for i in range(tables.levels - 1):
         if interleaved:
-            z.append(pop(z[i], tables.q_link_tables[i]))
-        push(z[i], z[i + 1], tables.p_link_tables[i])
+            z.append(pop(z[i], tables.q_link[i]))
+        push(z[i], z[i + 1], tables.p_link[i])
         if interleaved:
             note()
-    push(z[-1], np.zeros(coder.lanes, dtype=np.int64), tables.p_top_table)
+    push(z[-1], np.zeros(coder.lanes, dtype=np.int64), tables.p_top)
     note()
     return pushed, popped, start, low
 
@@ -604,16 +579,16 @@ def _decode_block_lanes(coder: LaneCoder, block_len: int, tables: CodingTables,
                         interleaved: bool) -> np.ndarray:
     """Exact inverse of `_encode_block_lanes`; returns the (lanes, block_len) block."""
     z = [None] * tables.levels
-    z[-1] = coder.pop(np.zeros(coder.lanes, dtype=np.int64), tables.p_top_table)
+    z[-1] = coder.pop(np.zeros(coder.lanes, dtype=np.int64), tables.p_top)
     for i in reversed(range(tables.levels - 1)):
-        z[i] = coder.pop(z[i + 1], tables.p_link_tables[i])
+        z[i] = coder.pop(z[i + 1], tables.p_link[i])
         if interleaved:
-            coder.push(z[i + 1], z[i], tables.q_link_tables[i])
-    x = np.stack([coder.pop(z[0], tables.p_obs_table) for _ in range(block_len)], axis=1)
+            coder.push(z[i + 1], z[i], tables.q_link[i])
+    x = np.stack([coder.pop(z[0], tables.p_obs) for _ in range(block_len)], axis=1)
     if not interleaved:
         for i in reversed(range(tables.levels - 1)):
-            coder.push(z[i + 1], z[i], tables.q_link_tables[i])
-    coder.push(z[0], x[:, 0], tables.q_obs_table)
+            coder.push(z[i + 1], z[i], tables.q_link[i])
+    coder.push(z[0], x[:, 0], tables.q_obs)
     return x
 
 
@@ -659,7 +634,7 @@ def encode_streams(sections, seeds, initial_bits: int = DEFAULT_INITIAL_BITS,
     version = versions.pop()
     return [CompressedStream(payload=payload, symbol_count=count, model_version=version,
                              initial_bits=initial_bits, gross_bits=g, returned_bits=r,
-                             net_bits=g - r, peak_demand_bits=peak)
+                             peak_demand_bits=peak)
             for payload, g, r, peak in zip(coder.serialize(), gross.tolist(),
                                            returned.tolist(), (start - low).tolist())]
 
@@ -745,12 +720,18 @@ class CompressedStream:
     initial_bits: int | None = None
     gross_bits: float | None = None
     returned_bits: float | None = None
-    net_bits: float | None = None
     peak_demand_bits: float | None = None
 
     @property
     def payload_bytes(self) -> int:
         return len(self.payload)
+
+    @property
+    def net_bits(self) -> float | None:
+        """Bits pushed minus bits recovered; None without accounting."""
+        if self.gross_bits is None:
+            return None
+        return self.gross_bits - self.returned_bits
 
 
 def serialize_stream(stream: CompressedStream) -> bytes:
@@ -773,7 +754,7 @@ def net_length_report(stream: CompressedStream) -> dict:
     """Bits pushed, bits recovered, and the resulting net cost per code."""
     if stream.gross_bits is None:
         raise InvalidInputError("stream has no accounting (was it deserialized?)")
-    net = stream.gross_bits - stream.returned_bits
+    net = stream.net_bits
     return {
         "symbol_count": stream.symbol_count,
         "gross_bits": stream.gross_bits,

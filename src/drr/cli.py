@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from .bits_back import (
+    DEFAULT_INITIAL_BITS,
     FitConfig,
     deserialize_models,
     deserialize_stream,
@@ -232,7 +233,7 @@ CONFIG_DEFAULTS = {
     "patch": 4, "pool": 2, "codebook_size": 32, "embed_dim": 8,
     "codec_epochs": 300, "codec_lr": 0.005, "beta": 0.25,
     "alphabets": "6,4", "block_len": 8, "precision": DEFAULT_PRECISION,
-    "initial_bits": 256, "fit_iterations": 3,
+    "initial_bits": DEFAULT_INITIAL_BITS, "fit_iterations": 3,
     "exemplars_per_class": 10,
 }
 
@@ -460,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory of .img files")
     p.add_argument("--out", required=True, help="output stream directory")
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    p.add_argument("--initial-bits", type=int, default=256)
+    p.add_argument("--initial-bits", type=int, default=DEFAULT_INITIAL_BITS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alphabets", default="16,8", help="chain alphabets, e.g. 16,8")
     p.add_argument("--block-len", type=int, default=16)

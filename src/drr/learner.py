@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits_back import FitConfig
+from .bits_back import DEFAULT_INITIAL_BITS, FitConfig
 from .errors import DegenerateInputError, InvalidInputError, check_seed
 from .rans import DEFAULT_PRECISION
 from .replay_store import (
@@ -393,7 +393,7 @@ class LatentSpec:
     alphabets: tuple[int, ...] = (8, 6)
     block_len: int = 16
     precision: int = DEFAULT_PRECISION
-    initial_bits: int = 256
+    initial_bits: int = DEFAULT_INITIAL_BITS
     fit_iterations: int = 8
 
 

@@ -194,11 +194,13 @@ class PmfTable:
     Entry r * alphabet + s holds symbol s of row r.  `keys` is every row's
     cumulative table offset by row << precision, so one `searchsorted` finds
     the symbols of many lanes in many rows at once.  `costs` are the ideal
-    code lengths precision - log2(freq), read from `code_lengths`.
+    code lengths precision - log2(freq), read from `code_lengths`.  `row`
+    views one row as a `QuantizedPmf` for the scalar `AnsCoder`.
     """
 
     precision: int
     alphabet: int
+    cdf: np.ndarray       # int64, shape (R, A + 1): each row's cumulative table
     freqs: np.ndarray     # uint64, shape (R * A,)
     starts: np.ndarray    # uint64, shape (R * A,): cdf without its last entry
     keys: np.ndarray      # uint64, shape (R * A,): starts + (row << precision)
@@ -208,15 +210,27 @@ class PmfTable:
     @classmethod
     def from_freqs(cls, freqs, precision: int) -> "PmfTable":
         """Table of the rows of `freqs`, each summing to 2**precision."""
-        freqs = np.asarray(freqs, dtype=np.uint64)
+        freqs = np.asarray(freqs, dtype=np.int64)
         n_rows, alphabet = freqs.shape
-        starts = np.cumsum(freqs, axis=1) - freqs
+        cdf = np.zeros((n_rows, alphabet + 1), dtype=np.int64)
+        np.cumsum(freqs, axis=1, out=cdf[:, 1:])
+        starts = cdf[:, :-1].astype(np.uint64)
         row_keys = np.arange(n_rows, dtype=np.uint64) << np.uint64(precision)
-        tables = (freqs.ravel(), starts.ravel(), (starts + row_keys[:, None]).ravel(),
-                  row_keys, code_lengths(precision)[freqs.ravel()])
+        tables = (cdf, freqs.astype(np.uint64).ravel(), starts.ravel(),
+                  (starts + row_keys[:, None]).ravel(), row_keys,
+                  code_lengths(precision)[freqs.ravel()])
         for array in tables:  # tables are shared by everyone who codes with them
             array.flags.writeable = False
         return cls(precision, alphabet, *tables)
+
+    def row(self, r: int) -> QuantizedPmf:
+        """Row r as a read-only `QuantizedPmf` view; InvalidInputError
+        unless 0 <= r < R."""
+        if not 0 <= r < len(self.row_keys):
+            raise InvalidInputError(f"row {r} outside [0, {len(self.row_keys)})")
+        start = r * self.alphabet
+        return QuantizedPmf(self.precision, self.freqs[start:start + self.alphabet].view(np.int64),
+                            self.cdf[r])
 
     def cost(self, rows: np.ndarray, symbols: np.ndarray) -> np.ndarray:
         """Ideal code length of symbols[i] under row rows[i], in bits."""

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits_back import (
+    DEFAULT_INITIAL_BITS,
     CodingTables,
     CompressedStream,
     FitConfig,
@@ -272,7 +273,8 @@ def _block_lens(n_symbols: int, block_len: int) -> list[int]:
 
 def compress_grid(grid: CodeGrid, pair: LatentModelPair,
                   precision: int = DEFAULT_PRECISION,
-                  initial_bits: int = 256, seed=0, method: str = "bitswap") -> CompressedStream:
+                  initial_bits: int = DEFAULT_INITIAL_BITS, seed=0,
+                  method: str = "bitswap") -> CompressedStream:
     top_tables, bottom_tables = pair.tables(precision)
     top_blocks, bottom_blocks = pair.blocks([grid])
     return encode_stream([(top_blocks, top_tables), (bottom_blocks, bottom_tables)],
@@ -309,7 +311,7 @@ def _by_geometry(shapes) -> list[list[int]]:
 
 
 def compress_grids(grids, pair: LatentModelPair, seeds,
-                   precision: int = DEFAULT_PRECISION, initial_bits: int = 256,
+                   precision: int = DEFAULT_PRECISION, initial_bits: int = DEFAULT_INITIAL_BITS,
                    method: str = "bitswap") -> list[CompressedStream]:
     """`compress_grid` of every grid: stream i equals
     compress_grid(grids[i], seed=seeds[i]) bit for bit.  Grids of one
@@ -387,7 +389,7 @@ class ReplayBuffer:
 
     def __init__(self, codec: CodecParams, pair: LatentModelPair,
                  exemplars_per_class: int = DEFAULT_EXEMPLARS_PER_CLASS,
-                 precision: int = DEFAULT_PRECISION, initial_bits: int = 256,
+                 precision: int = DEFAULT_PRECISION, initial_bits: int = DEFAULT_INITIAL_BITS,
                  seed: int = 0, method: str = "bitswap"):
         if exemplars_per_class < 1:
             raise InvalidInputError("need at least one exemplar per class")

@@ -11,7 +11,7 @@ import hashlib
 import math
 import struct
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -51,7 +51,7 @@ from drr.errors import (
     InsufficientInitialBitsError,
     InvalidInputError,
 )
-from drr.rans import AnsCoder, QuantizedPmf
+from drr.rans import AnsCoder, PmfTable, QuantizedPmf, quantize_rows
 from drr.replay_store import LatentModelPair
 
 LN2 = math.log(2.0)
@@ -244,35 +244,62 @@ class TestCodingTables:
     def test_row_pmf_shapes(self):
         model = random_model(9, (5, 3), block_len=4, seed=6)
         tables = build_coding_tables(model)
-        assert len(tables.q_obs_rows) == 9
-        assert len(tables.p_obs_rows) == 5
-        assert len(tables.p_link_rows[0]) == 3
-        assert len(tables.q_link_rows[0]) == 5
+        assert len(tables.q_obs.row_keys) == 9
+        assert len(tables.p_obs.row_keys) == 5
+        assert len(tables.p_link[0].row_keys) == 3
+        assert len(tables.q_link[0].row_keys) == 5
         assert tables.model_version == model.version
 
     @staticmethod
     def reference_tables(model, precision, quantize):
         """Tables assembled row by row from the scalar reference quantiser."""
         def rows(table):
-            out = []
-            for row in table:
-                freqs = quantize(row, precision)
-                cdf = np.concatenate([[0], np.cumsum(freqs)])
-                out.append(QuantizedPmf(precision=precision, freqs=freqs, cdf=cdf))
-            return out
+            return PmfTable.from_freqs([quantize(row, precision) for row in table], precision)
 
         return replace(build_coding_tables(model, precision),
-                       q_obs_rows=rows(model.q_obs),
-                       q_link_rows=[rows(t) for t in model.q_link],
-                       p_obs_rows=rows(model.p_obs),
-                       p_link_rows=[rows(t) for t in model.p_link],
-                       p_top_pmf=rows(model.p_top[None, :])[0])
+                       q_obs=rows(model.q_obs),
+                       q_link=[rows(t) for t in model.q_link],
+                       p_obs=rows(model.p_obs),
+                       p_link=[rows(t) for t in model.p_link],
+                       p_top=rows(model.p_top[None, :]))
 
     @staticmethod
     def all_rows(tables):
-        return (tables.q_obs_rows + [r for rows in tables.q_link_rows for r in rows]
-                + tables.p_obs_rows + [r for rows in tables.p_link_rows for r in rows]
-                + [tables.p_top_pmf])
+        return [table.row(r) for table in lane_tables(tables)
+                for r in range(len(table.row_keys))]
+
+    def test_builds_no_row_objects(self, monkeypatch):
+        built = []
+        real = QuantizedPmf.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(QuantizedPmf, "__init__", counting)
+        build_coding_tables(random_model(9, (5, 3), block_len=4, seed=6))
+        assert built == []
+
+    @pytest.mark.parametrize("precision", [2, 12, 16])
+    def test_rows_are_read_only_views_of_the_quantized_tables(self, precision):
+        model = random_model(4, (3, 2, 4), block_len=3, seed=3) if precision == 2 \
+            else clamp_model()
+        tables = build_coding_tables(model, precision)
+        coded = {"p_obs": tables.p_obs, "p_top": tables.p_top, "q_obs": tables.q_obs}
+        coded.update((f"p_link[{i}]", t) for i, t in enumerate(tables.p_link))
+        coded.update((f"q_link[{i}]", t) for i, t in enumerate(tables.q_link))
+        for name, probs in model.tables():
+            freqs, cdf = quantize_rows(np.atleast_2d(probs), precision)
+            table = coded[name]
+            assert len(table.row_keys) == len(freqs)
+            for r in range(len(freqs)):
+                row = table.row(r)
+                assert row.precision == precision
+                assert row.freqs.dtype == row.cdf.dtype == np.int64
+                assert np.array_equal(row.freqs, freqs[r]) and np.array_equal(row.cdf, cdf[r])
+                assert not row.freqs.flags.writeable and not row.cdf.flags.writeable
+            with pytest.raises(InvalidInputError):
+                table.row(len(freqs))
 
     @pytest.mark.parametrize("method", ["bitswap", "bb"])
     def test_streams_match_reference_tables_bytewise(self, method, reference_quantize):
@@ -289,7 +316,7 @@ class TestCodingTables:
             assert np.any(clamped > 1 << precision)
             for row, ref in zip(self.all_rows(tables), self.all_rows(reference)):
                 assert np.array_equal(row.freqs, ref.freqs)
-                assert np.array_equal(row.cdf, ref.cdf)
+                assert np.array_equal(row.cdf, np.concatenate([[0], np.cumsum(ref.freqs)]))
             a = encode_stream([(blocks, tables)], initial_bits=1024, seed=3, method=method)
             b = encode_stream([(blocks, reference)], initial_bits=1024, seed=3, method=method)
             assert a.payload == b.payload
@@ -475,8 +502,18 @@ class TestStreams:
         model, blocks = self.make_fitted(seed=3)
         tables = build_coding_tables(model)
         back = deserialize_stream(serialize_stream(encode_stream([(blocks[:4], tables)])))
+        assert back.net_bits is None
         with pytest.raises(InvalidInputError):
             net_length_report(back)
+
+    def test_net_bits_follows_gross_and_returned(self):
+        model, blocks = self.make_fitted(seed=3)
+        stream = encode_stream([(blocks[:4], build_coding_tables(model))])
+        assert "net_bits" not in {f.name for f in fields(stream)}
+        assert stream.net_bits == stream.gross_bits - stream.returned_bits
+        moved = replace(stream, gross_bits=stream.gross_bits + 8.0)
+        assert moved.net_bits == moved.gross_bits - stream.returned_bits
+        assert net_length_report(moved)["net_bits"] == moved.net_bits
 
     def test_corrupt_stream_rejected(self):
         model, blocks = self.make_fitted(seed=3)
@@ -831,8 +868,7 @@ class TestFitStatistics:
 # -- table building ----------------------------------------------------------------
 
 def lane_tables(tables):
-    return ([tables.q_obs_table] + tables.q_link_tables + [tables.p_obs_table]
-            + tables.p_link_tables + [tables.p_top_table])
+    return [tables.q_obs] + tables.q_link + [tables.p_obs] + tables.p_link + [tables.p_top]
 
 
 def tables_digest(tables):
@@ -857,7 +893,7 @@ def tables_digest(tables):
     dyadic = tables.dyadic
     for _, table in dyadic.tables():
         add(table)
-    h.update(repr((tables.precision, tables.model_version, tables.levels, tables.block_len,
+    h.update(repr((tables.precision, tables.model_version, tables.levels, dyadic.block_len,
                    dyadic.obs_alphabet, dyadic.alphabets, dyadic.block_len,
                    dyadic.version)).encode())
     return h.hexdigest()

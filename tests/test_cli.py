@@ -1,3 +1,4 @@
+import inspect
 import os
 import struct
 import subprocess
@@ -6,16 +7,21 @@ import sys
 import numpy as np
 import pytest
 
+from drr.bits_back import DEFAULT_INITIAL_BITS, encode_stream, encode_streams
 from drr.cli import (
+    CONFIG_DEFAULTS,
     EXIT_CORRUPT,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
     read_image,
     write_image,
 )
 from drr.errors import DataCorruptionError
+from drr.learner import LatentSpec
+from drr.replay_store import ReplayBuffer, compress_grid, compress_grids
 from drr.vq_codec import decode_codes, deserialize_codec, encode_image
 
 
@@ -69,6 +75,16 @@ class TestImageFiles:
             f.write(struct.pack("<III", 4, 4, 3) + b"\x00" * 5)
         with pytest.raises(DataCorruptionError):
             read_image(path)
+
+
+def test_initial_bits_defaults_read_one_constant():
+    calls = (encode_stream, encode_streams, compress_grid, compress_grids, ReplayBuffer)
+    assert [inspect.signature(f).parameters["initial_bits"].default for f in calls] \
+        == [DEFAULT_INITIAL_BITS] * len(calls)
+    assert LatentSpec().initial_bits == CONFIG_DEFAULTS["initial_bits"] == DEFAULT_INITIAL_BITS
+    args = build_parser().parse_args(["compress", "--codec", "c", "--model", "m",
+                                      "--in", "i", "--out", "o"])
+    assert args.initial_bits == DEFAULT_INITIAL_BITS
 
 
 class TestExitCodes:

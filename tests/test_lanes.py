@@ -59,8 +59,7 @@ def scalar_encode_stream(sections, initial_bits, seed, method):
     return CompressedStream(payload=coder.serialize(), symbol_count=count,
                             model_version=sections[0][1].model_version,
                             initial_bits=initial_bits, gross_bits=gross,
-                            returned_bits=returned, net_bits=gross - returned,
-                            peak_demand_bits=start - low)
+                            returned_bits=returned, peak_demand_bits=start - low)
 
 
 def scalar_decode_stream(stream, sections, method):

@@ -16,6 +16,7 @@ from drr.rans import (
     MIN_PRECISION,
     RANS_L,
     AnsCoder,
+    PmfTable,
     code_lengths,
     entropy_from_freqs,
     entropy_from_sample,
@@ -353,3 +354,12 @@ class TestCodeLengths:
         assert coder.ideal_bits == code_lengths(12)[pmf.freqs[2]] == pmf.cost_bits(2)
         assert coder.pop(pmf) == 2
         assert coder.ideal_bits == 0.0
+
+
+class TestPmfTableRows:
+    @pytest.mark.parametrize("r", [-1, 2, 3, np.int64(2)])
+    def test_row_outside_the_table_is_rejected(self, r):
+        table = PmfTable.from_freqs(quantize_rows([[0.5, 0.5], [0.9, 0.1]], 12)[0], 12)
+        assert table.row(1).freqs.tolist() == [3686, 410]
+        with pytest.raises(InvalidInputError):
+            table.row(r)

@@ -155,7 +155,7 @@ class TestPair:
         assert pair.tables(10)[0].precision == 10
         assert pair.copy().tables() is not tables
         with pytest.raises(ValueError):  # shared, so nobody may write to them
-            tables[0].p_obs_rows[0].freqs[0] += 1
+            tables[0].p_obs.row(0).freqs[0] += 1
         with pytest.raises(ValueError):
             tables[1].dyadic.q_obs[0, 0] = 0.5
 

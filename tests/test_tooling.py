@@ -1,18 +1,23 @@
 """Checks on the benchmark harness's view of the package.
 
-`perfbench/tracing.py` wraps drr's functions by name; a name that no longer
-resolves would make every traced benchmark run crash.  The harness file is
-read, never imported as a module, so the check leaves it untouched.
+`perfbench/tracing.py` wraps drr's functions by name, and
+`perfbench/workloads.py` calls drr's public names to run and check every
+workload; a name that no longer resolves, or a call it no longer accepts,
+would make every benchmark run crash.  The harness files are read, never
+imported as modules, so the checks leave them untouched.
 """
 
+import ast
 import importlib
+import inspect
 import os
 import types
 
 import pytest
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "perfbench", "tracing.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+TRACING = os.path.join(PERFBENCH, "tracing.py")
+WORKLOADS = os.path.join(PERFBENCH, "workloads.py")
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +54,60 @@ def test_tracer_installs_and_restores(tracing):
     with tracer.installed():
         assert any(vars(owner)[attr] is not original for owner, attr, original in originals)
     assert all(vars(owner)[attr] is original for owner, attr, original in originals)
+
+
+def drr_path(node):
+    """The dotted path under drr of an attribute chain rooted at `drr` or
+    `self.drr`, such as "cli.main", or None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id == "drr" and parts:
+        return ".".join(reversed(parts))
+    if parts and parts[-1] == "drr" and isinstance(node, ast.Name) and node.id == "self":
+        return ".".join(reversed(parts[:-1])) or None
+    return None
+
+
+@pytest.fixture(scope="module")
+def workload_calls():
+    """Every drr path the workloads read, and every call of one as
+    (path, positional count, keyword names)."""
+    with open(WORKLOADS) as f:
+        tree = ast.parse(f.read(), WORKLOADS)
+    paths = {path for node in ast.walk(tree) if (path := drr_path(node))}
+    calls = [(path, len(node.args), [k.arg for k in node.keywords])
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and (path := drr_path(node.func))]
+    return paths, calls
+
+
+def resolve(path):
+    import drr
+    import drr.cli  # noqa: F401  (the harness imports it too)
+    owner = drr
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_every_workload_name_resolves(workload_calls):
+    paths, _ = workload_calls
+    assert "decompress_grid" in paths and "bits_back.chunk_symbols" in paths
+    for path in sorted(paths):
+        try:
+            resolve(path)
+        except AttributeError:
+            pytest.fail(f"perfbench/workloads.py reads drr.{path}, which does not resolve")
+
+
+def test_every_workload_call_binds(workload_calls):
+    _, calls = workload_calls
+    assert ("decompress_grid", 4, ["tables"]) in calls
+    for path, n_args, keywords in calls:
+        signature = inspect.signature(resolve(path))
+        try:
+            signature.bind(*[None] * n_args, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            pytest.fail(f"perfbench/workloads.py calls drr.{path} in a way it rejects: {exc}")
