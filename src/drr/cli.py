@@ -20,6 +20,8 @@ import numpy as np
 
 from .bits_back import (
     DEFAULT_INITIAL_BITS,
+    MODEL_MAGIC,
+    STREAM_MAGIC,
     FitConfig,
     deserialize_models,
     deserialize_stream,
@@ -52,6 +54,7 @@ from .replay_store import (
     parse_shape,
 )
 from .vq_codec import (
+    CODEC_MAGIC,
     CodecConfig,
     decode_codes,
     deserialize_codec,
@@ -225,9 +228,9 @@ def cmd_decompress(args) -> int:
 # -- run-phases / report --------------------------------------------------------------
 
 CONFIG_DEFAULTS = {
-    "mode": "drr", "ib_weight": 0.005, "epochs": 80, "lr": 0.05, "batch_size": 32,
-    "hidden_dim": 24, "seed": 0,
-    "total_classes": 8, "initial_classes": 4, "n_phases": 2, "classes_per_phase": 2,
+    **{key: getattr(TrainConfig, key)
+       for key in ("mode", "ib_weight", "epochs", "lr", "batch_size", "hidden_dim")},
+    "seed": 0, "total_classes": 8, "initial_classes": 4, "n_phases": 2, "classes_per_phase": 2,
     "train_per_class": 14, "test_per_class": 8, "side": 16, "channels": 3,
     "data_seed": 123,
     "patch": 4, "pool": 2, "codebook_size": 32, "embed_dim": 8,
@@ -400,18 +403,18 @@ def cmd_inspect(args) -> int:
     with open(args.file, "rb") as f:
         data = f.read()
     magic = data[:4]
-    if magic == b"DRRC":
+    if magic == CODEC_MAGIC:
         codec = deserialize_codec(data)
         k, d = codec.codebook_bottom.shape
         print(f"codec: patch {codec.patch}, pool {codec.pool}, channels {codec.channels}, "
               f"codebook {k} x {d}, frozen {codec.frozen}")
-    elif magic == b"DRRM":
+    elif magic == MODEL_MAGIC:
         models = deserialize_models(data)
         print(f"model snapshot: {len(models)} records")
         for i, m in enumerate(models):
             print(f"  [{i}] version {m.version}, levels {m.levels}, "
                   f"alphabet {m.obs_alphabet}, chain {m.alphabets}, block {m.block_len}")
-    elif magic == b"DRRS":
+    elif magic == STREAM_MAGIC:
         stream = deserialize_stream(data)
         print(f"stream: {stream.symbol_count} symbols, model version "
               f"{stream.model_version}, payload {len(stream.payload)} bytes")
@@ -443,14 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain-codec", help="train and freeze a patch codec")
     p.add_argument("--data", required=True, help="directory of .img files")
     p.add_argument("--out", required=True, help="output codec file")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=3e-4)
-    p.add_argument("--beta", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--patch", type=int, default=4)
-    p.add_argument("--pool", type=int, default=2)
-    p.add_argument("--codebook-size", type=int, default=512)
-    p.add_argument("--embed-dim", type=int, default=64)
+    p.add_argument("--epochs", type=int, default=CodecConfig.epochs)
+    p.add_argument("--lr", type=float, default=CodecConfig.lr)
+    p.add_argument("--beta", type=float, default=CodecConfig.beta)
+    p.add_argument("--seed", type=int, default=CodecConfig.seed)
+    p.add_argument("--patch", type=int, default=CodecConfig.patch)
+    p.add_argument("--pool", type=int, default=CodecConfig.pool)
+    p.add_argument("--codebook-size", type=int, default=CodecConfig.codebook_size)
+    p.add_argument("--embed-dim", type=int, default=CodecConfig.embed_dim)
     p.set_defaults(func=cmd_pretrain_codec)
 
     p = sub.add_parser("compress", help="entropy-code images into stream files")

@@ -27,7 +27,7 @@ from .replay_store import (
     MemoryReport,
     RawExemplarStore,
     ReplayBuffer,
-    select_exemplars,
+    class_exemplars,
 )
 from .vq_codec import CodecConfig, freeze, train_codec
 
@@ -456,8 +456,7 @@ def _dataset_by_class(images: np.ndarray, labels: np.ndarray) -> dict[int, np.nd
 
 
 def _assemble_phase_data(buffer: ReplayBuffer, raw_store: RawExemplarStore | None,
-                         new_labels: list[int], train_by_class, mode: str,
-                         seed: int) -> PhaseData:
+                         new_labels: list[int], train_by_class, mode: str) -> PhaseData:
     recons = buffer.reconstruct_all()
     per_class = {label: len(v) for label, v in recons.items()}
     images = np.concatenate([recons[label] for label in sorted(recons)])
@@ -478,8 +477,7 @@ def _assemble_phase_data(buffer: ReplayBuffer, raw_store: RawExemplarStore | Non
     else:  # ib-drr-star: only this phase's raws are available, none are kept
         raw_labels = sorted(new_labels)
         raw_images = np.concatenate([
-            select_exemplars(train_by_class[label], buffer.exemplars_per_class,
-                             np.random.default_rng([seed, label]))
+            class_exemplars(train_by_class[label], buffer.exemplars_per_class, buffer.seed, label)
             for label in raw_labels])
     pair_rows = np.concatenate([
         row_start[label] + np.arange(per_class[label]) for label in raw_labels])
@@ -534,7 +532,7 @@ def run_experiment(train_images: np.ndarray, train_labels: np.ndarray,
                 raw_store.add_class(label, train_by_class[label])
         seen = buffer.class_labels
         data = _assemble_phase_data(buffer, raw_store, new_labels, train_by_class,
-                                    config.train.mode, schedule.seed)
+                                    config.train.mode)
         params = train_phase(data, n_classes=len(seen), config=config.train)
         test_x = np.concatenate([test_by_class[label] for label in seen])
         test_y = np.concatenate([np.full(len(test_by_class[label]), label, dtype=np.int64)

@@ -27,11 +27,9 @@ from .bits_back import (
     build_coding_tables,
     check_method,
     chunk_symbols,
-    decode_stream,
     decode_streams,
     deserialize_models,
     deserialize_stream,
-    encode_stream,
     encode_streams,
     finetune,
     random_model,
@@ -40,8 +38,9 @@ from .bits_back import (
 )
 from .errors import DataCorruptionError, InvalidInputError, StateError, check_seed
 from .rans import DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION
-# encode_image and decode_codes are not called here any more, but stay
-# importable from this module: the benchmark's tracer wraps them by name.
+# encode_stream, decode_stream, encode_image and decode_codes are not called here,
+# but stay importable from this module: the benchmark's tracer wraps them by name.
+from .bits_back import decode_stream, encode_stream  # noqa: F401
 from .vq_codec import (  # noqa: F401
     CodecParams,
     CodeGrid,
@@ -73,6 +72,12 @@ def select_exemplars(images: np.ndarray, count: int, rng) -> np.ndarray:
             f"cannot select {count} exemplars from {len(images)} images")
     idx = rng.choice(len(images), size=count, replace=False)
     return images[idx]
+
+
+def class_exemplars(images: np.ndarray, count: int, seed: int, label: int) -> np.ndarray:
+    """Class `label`'s exemplars under `seed`: the one choice that the buffer,
+    the raw store and the raw views make, so their exemplars pair up."""
+    return select_exemplars(images, count, np.random.default_rng([seed, label]))
 
 
 def raw_store_bytes(n_images: int, image_shape) -> int:
@@ -182,8 +187,7 @@ class RawExemplarStore:
         label = int(label)
         if label in self._classes:
             raise InvalidInputError(f"class {label} is already stored")
-        rng = np.random.default_rng([self.seed, label])
-        chosen = select_exemplars(images, self.exemplars_per_class, rng)
+        chosen = class_exemplars(images, self.exemplars_per_class, self.seed, label)
         self._classes[label] = np.round(np.clip(chosen, 0.0, 1.0) * 255).astype(np.uint8)
 
     def get(self, label: int) -> np.ndarray:
@@ -261,24 +265,17 @@ class LatentModelPair:
         return LatentModelPair(models[0], models[1])
 
 
-def grid_blocks(grid: CodeGrid, pair: LatentModelPair) -> tuple[list, list]:
-    """Row-major symbols of each level, chunked to that level's block length."""
-    return pair.blocks([grid])
-
-
 def _block_lens(n_symbols: int, block_len: int) -> list[int]:
-    full, rest = divmod(n_symbols, block_len)
-    return [block_len] * full + ([rest] if rest else [])
+    return [min(block_len, n_symbols - i) for i in range(0, n_symbols, block_len)]
 
 
 def compress_grid(grid: CodeGrid, pair: LatentModelPair,
                   precision: int = DEFAULT_PRECISION,
                   initial_bits: int = DEFAULT_INITIAL_BITS, seed=0,
                   method: str = "bitswap") -> CompressedStream:
-    top_tables, bottom_tables = pair.tables(precision)
-    top_blocks, bottom_blocks = pair.blocks([grid])
-    return encode_stream([(top_blocks, top_tables), (bottom_blocks, bottom_tables)],
-                         initial_bits=initial_bits, seed=seed, method=method)
+    """One grid's stream; the one-grid case of `compress_grids`."""
+    return compress_grids([grid], pair, [seed], precision=precision,
+                          initial_bits=initial_bits, method=method)[0]
 
 
 def decompress_grid(stream: CompressedStream, pair: LatentModelPair,
@@ -286,15 +283,9 @@ def decompress_grid(stream: CompressedStream, pair: LatentModelPair,
                     tables: tuple[CodingTables, CodingTables] | None = None,
                     precision: int = DEFAULT_PRECISION,
                     method: str = "bitswap") -> CodeGrid:
-    top_tables, bottom_tables = tables if tables is not None else pair.tables(precision)
-    top_lens = _block_lens(int(np.prod(top_shape)), pair.top.block_len)
-    bottom_lens = _block_lens(int(np.prod(bottom_shape)), pair.bottom.block_len)
-    out = decode_stream(stream, [(top_lens, top_tables), (bottom_lens, bottom_tables)],
-                        method=method)
-    top = np.concatenate(out[0]) if out[0] else np.array([], dtype=np.int64)
-    bottom = np.concatenate(out[1]) if out[1] else np.array([], dtype=np.int64)
-    return CodeGrid(top=top.reshape(top_shape).astype(np.int32),
-                    bottom=bottom.reshape(bottom_shape).astype(np.int32))
+    """One stream's grid; the one-stream case of `decompress_grids`."""
+    return _decode_geometry([stream], pair, top_shape, bottom_shape,
+                            pair.tables(precision) if tables is None else tables, method)[0]
 
 
 def _lane_blocks(symbols: np.ndarray, block_len: int) -> list[np.ndarray]:
@@ -313,9 +304,10 @@ def _by_geometry(shapes) -> list[list[int]]:
 def compress_grids(grids, pair: LatentModelPair, seeds,
                    precision: int = DEFAULT_PRECISION, initial_bits: int = DEFAULT_INITIAL_BITS,
                    method: str = "bitswap") -> list[CompressedStream]:
-    """`compress_grid` of every grid: stream i equals
-    compress_grid(grids[i], seed=seeds[i]) bit for bit.  Grids of one
-    geometry are coded side by side, one coder lane each."""
+    """A stream per grid: both levels' row-major symbols, chunked to each
+    level's block length and coded from the initial bits seeded with
+    seeds[i].  Grids of one geometry are coded side by side, one coder lane
+    each; a stream does not depend on the other grids in the call."""
     grids, seeds = list(grids), list(seeds)
     out = [None] * len(grids)
     for members in _by_geometry((g.top.shape, g.bottom.shape) for g in grids):
@@ -331,26 +323,34 @@ def compress_grids(grids, pair: LatentModelPair, seeds,
     return out
 
 
+def _decode_geometry(streams, pair: LatentModelPair, top_shape, bottom_shape,
+                     tables: tuple[CodingTables, CodingTables], method: str) -> list[CodeGrid]:
+    """The grids of streams that share one (top, bottom) geometry, decoded
+    side by side, one coder lane each."""
+    top_tables, bottom_tables = tables
+    top_lens = _block_lens(int(np.prod(top_shape)), pair.top.block_len)
+    bottom_lens = _block_lens(int(np.prod(bottom_shape)), pair.bottom.block_len)
+    top, bottom = (np.concatenate(blocks, axis=1).astype(np.int32)
+                   for blocks in decode_streams(streams, [(top_lens, top_tables),
+                                                          (bottom_lens, bottom_tables)],
+                                                method=method))
+    return [CodeGrid(top=t.reshape(top_shape), bottom=b.reshape(bottom_shape))
+            for t, b in zip(top, bottom)]
+
+
 def decompress_grids(streams, pair: LatentModelPair, shapes,
                      precision: int = DEFAULT_PRECISION,
                      method: str = "bitswap") -> list[CodeGrid]:
-    """`decompress_grid` of every stream, where shapes[i] is the (top shape,
-    bottom shape) of stream i.  Streams of one geometry are decoded side by
-    side, one coder lane each."""
+    """The grid of every stream, where shapes[i] is the (top shape, bottom
+    shape) of stream i.  Streams of one geometry are decoded side by side,
+    one coder lane each."""
     streams, shapes = list(streams), [(tuple(t), tuple(b)) for t, b in shapes]
     out = [None] * len(streams)
     for members in _by_geometry(shapes):
-        top_tables, bottom_tables = pair.tables(precision)
-        top_shape, bottom_shape = shapes[members[0]]
-        top_lens = _block_lens(int(np.prod(top_shape)), pair.top.block_len)
-        bottom_lens = _block_lens(int(np.prod(bottom_shape)), pair.bottom.block_len)
-        top, bottom = (np.concatenate(blocks, axis=1).astype(np.int32)
-                       for blocks in decode_streams([streams[i] for i in members],
-                                                    [(top_lens, top_tables),
-                                                     (bottom_lens, bottom_tables)],
-                                                    method=method))
-        for i, t, b in zip(members, top, bottom):
-            out[i] = CodeGrid(top=t.reshape(top_shape), bottom=b.reshape(bottom_shape))
+        grids = _decode_geometry([streams[i] for i in members], pair, *shapes[members[0]],
+                                 pair.tables(precision), method)
+        for i, grid in zip(members, grids):
+            out[i] = grid
     return out
 
 
@@ -471,8 +471,7 @@ class ReplayBuffer:
         new_per_class: dict[int, list[CodeGrid]] = {}
         chosen_shapes: dict[int, tuple] = {}
         for label, images in items:
-            rng = np.random.default_rng([self.seed, label])
-            chosen = select_exemplars(images, self.exemplars_per_class, rng)
+            chosen = class_exemplars(images, self.exemplars_per_class, self.seed, label)
             new_per_class[label] = encode_images(chosen, self.codec)
             chosen_shapes[label] = tuple(chosen.shape[1:])
 

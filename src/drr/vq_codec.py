@@ -525,10 +525,7 @@ def serialize_codec(params: CodecParams) -> bytes:
         1 if params.frozen else 0,
         params.beta,
     )
-    body = b"".join(_pack_array(getattr(params, name)) for name in params.weight_fields()
-                    if not name.startswith("codebook"))
-    body += _pack_array(params.codebook_top) + _pack_array(params.codebook_bottom)
-    return head + body
+    return head + b"".join(_pack_array(getattr(params, name)) for name in params.weight_fields())
 
 
 def deserialize_codec(data: bytes) -> CodecParams:

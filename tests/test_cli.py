@@ -20,9 +20,9 @@ from drr.cli import (
     write_image,
 )
 from drr.errors import DataCorruptionError
-from drr.learner import LatentSpec
+from drr.learner import DEFAULT_IB_WEIGHT, LatentSpec, TrainConfig
 from drr.replay_store import ReplayBuffer, compress_grid, compress_grids
-from drr.vq_codec import decode_codes, deserialize_codec, encode_image
+from drr.vq_codec import CodecConfig, decode_codes, deserialize_codec, encode_image
 
 
 def toy_images(n, side=16, seed=0):
@@ -85,6 +85,12 @@ def test_initial_bits_defaults_read_one_constant():
     args = build_parser().parse_args(["compress", "--codec", "c", "--model", "m",
                                       "--in", "i", "--out", "o"])
     assert args.initial_bits == DEFAULT_INITIAL_BITS
+    flags = ("epochs", "lr", "beta", "seed", "patch", "pool", "codebook_size", "embed_dim")
+    args = build_parser().parse_args(["pretrain-codec", "--data", "d", "--out", "o"])
+    assert [getattr(args, f) for f in flags] == [getattr(CodecConfig(), f) for f in flags]
+    keys = ("mode", "ib_weight", "epochs", "lr", "batch_size", "hidden_dim")
+    assert [CONFIG_DEFAULTS[k] for k in keys] == [getattr(TrainConfig(), k) for k in keys]
+    assert CONFIG_DEFAULTS["ib_weight"] == TrainConfig().ib_weight == DEFAULT_IB_WEIGHT
 
 
 class TestExitCodes:

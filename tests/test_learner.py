@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import drr.learner as learner
+import drr.replay_store as replay_store
 from drr.bits_back import random_model
 from drr.errors import DegenerateInputError, InvalidInputError
 from drr.learner import (
@@ -31,7 +33,7 @@ from drr.learner import (
 )
 from drr.rans import AnsCoder
 from drr.replay_store import LatentModelPair, RawExemplarStore
-from drr.vq_codec import CodecConfig, init_codec_params
+from drr.vq_codec import CodecConfig, decode_images, encode_images, init_codec_params
 
 
 class TestIbLoss:
@@ -394,6 +396,65 @@ class TestRunExperiment:
         config = small_experiment_config(n_phases=2, classes_per_phase=2)
         with pytest.raises(InvalidInputError):
             run_experiment(train_x, train_y, test_x, test_y, config)
+
+
+def spied_experiment(monkeypatch, mode):
+    """Run a three-phase experiment, recording the exemplar batch the buffer
+    encodes per class (with its codec), every raw store built, and the data
+    of every phase's training."""
+    encoded, stores, phases = [], [], []
+    real_encode, real_train = replay_store.encode_images, learner.train_phase
+
+    def encode(images, codec):
+        encoded.append((np.array(images), codec))
+        return real_encode(images, codec)
+
+    def train(data, **kwargs):
+        phases.append(data)
+        return real_train(data, **kwargs)
+
+    class Store(RawExemplarStore):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            stores.append(self)
+
+    monkeypatch.setattr(replay_store, "encode_images", encode)
+    monkeypatch.setattr(learner, "train_phase", train)
+    monkeypatch.setattr(learner, "RawExemplarStore", Store)
+    (train_x, train_y), (test_x, test_y) = toy_splits()
+    run_experiment(train_x, train_y, test_x, test_y,
+                   small_experiment_config(n_phases=2, classes_per_phase=2, mode=mode, seed=3))
+    return encoded, stores, phases
+
+
+class TestIbPairs:
+    """Each raw view must be the exemplar whose reconstruction it is paired with."""
+
+    def test_star_views_encode_to_their_paired_reconstructions(self, monkeypatch):
+        encoded, _, phases = spied_experiment(monkeypatch, "ib-drr-star")
+        codec = encoded[0][1]
+        assert len(phases) == 3
+        for data, new_labels in zip(phases, ([0, 1], [2, 3], [4, 5])):
+            paired = data.labels[data.raw_pair_rows]
+            assert sorted(set(paired.tolist())) == new_labels
+            for label in new_labels:
+                mine = paired == label
+                assert mine.sum() == 4
+                recon = decode_images(encode_images(data.raw_images[mine], codec), codec)
+                assert np.array_equal(recon, data.images[data.raw_pair_rows[mine]])
+
+    def test_raw_store_keeps_the_buffers_exemplars(self, monkeypatch):
+        encoded, stores, phases = spied_experiment(monkeypatch, "ib-drr")
+        # The buffer encodes one batch per class, classes in label order.
+        chosen = {label: images for label, (images, _) in enumerate(encoded)}
+        (store,) = stores
+        assert store.class_labels == sorted(chosen) == list(range(6))
+        for label in store.class_labels:
+            rounded = np.round(np.clip(chosen[label], 0.0, 1.0) * 255).astype(np.uint8)
+            assert np.array_equal(store.get(label), rounded / 255.0)
+        last = phases[-1]
+        assert np.array_equal(last.raw_images,
+                              np.concatenate([store.get(label) for label in store.class_labels]))
 
 
 def reference_total_loss(params, batch, ib_weight):

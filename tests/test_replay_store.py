@@ -19,7 +19,6 @@ from drr.replay_store import (
     compress_grid,
     decompress_grid,
     format_megabytes,
-    grid_blocks,
     raw_store_bytes,
     select_exemplars,
 )
@@ -191,7 +190,7 @@ class TestPairHelpers:
         top, bottom = pair.blocks(iter(grids))
         want_top, want_bottom = [], []
         for grid in grids:
-            t, b = grid_blocks(grid, pair)
+            t, b = pair.blocks([grid])
             want_top += t
             want_bottom += b
         assert len(top) == len(want_top) and len(bottom) == len(want_bottom)
@@ -211,7 +210,7 @@ class TestGridCoding:
     def test_grid_blocks_cover_all_codes(self, frozen_codec):
         pair = make_pair()
         grid = encode_image(toy_images(1, seed=9)[0], frozen_codec)
-        top, bottom = grid_blocks(grid, pair)
+        top, bottom = pair.blocks([grid])
         assert sum(len(b) for b in top) == grid.top.size
         assert sum(len(b) for b in bottom) == grid.bottom.size
         assert np.array_equal(np.concatenate(top), grid.top.ravel())

@@ -15,7 +15,9 @@ import types
 
 import pytest
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+PACKAGE = os.path.join(ROOT, "src", "drr")
 TRACING = os.path.join(PERFBENCH, "tracing.py")
 WORKLOADS = os.path.join(PERFBENCH, "workloads.py")
 
@@ -111,3 +113,26 @@ def test_every_workload_call_binds(workload_calls):
             signature.bind(*[None] * n_args, **dict.fromkeys(keywords))
         except TypeError as exc:
             pytest.fail(f"perfbench/workloads.py calls drr.{path} in a way it rejects: {exc}")
+
+
+def test_every_import_is_used_or_traced(tracing):
+    """A name a drr module imports is used there, listed in its __all__, or
+    wrapped there by the tracer, which finds it in that module by name."""
+    wrapped = {(module, path) for _, module, path in tracing.TARGETS}
+    for filename in sorted(os.listdir(PACKAGE)):
+        if not filename.endswith(".py"):
+            continue
+        module = "drr" if filename == "__init__.py" else f"drr.{filename[:-3]}"
+        with open(os.path.join(PACKAGE, filename)) as f:
+            tree = ast.parse(f.read(), filename)
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                    for elt in node.value.elts}
+        unused = sorted(name for name in imported - used - exported
+                        if (module, name) not in wrapped)
+        assert not unused, f"{module} imports {', '.join(unused)} and never uses them"
