@@ -62,22 +62,64 @@ MODEL_MAGIC = b"DRRM"
 MODEL_FORMAT_VERSION = 1
 STREAM_MAGIC = b"DRRS"
 
+_MODEL_HEAD = struct.Struct("<4sHB")  # magic, format version, record count
+_MODEL_RECORD = struct.Struct("<IHIH")  # model version, levels, obs alphabet, block length
+_STREAM_HEAD = struct.Struct("<4sIQ")  # magic, model version, symbol count
+
 DEFAULT_BLOCK_LEN = 16
 DEFAULT_INITIAL_BITS = 256
 
 LN2 = float(np.log(2.0))
 
 
+def table_shapes(obs_alphabet: int, alphabets) -> dict:
+    """The table layout of a chain model over observed alphabet K and level
+    alphabets A_0..A_{L-1}: every table field's shape, or for the two link
+    fields the list of their L-1 shapes, in serialization order.
+
+    Orientations (rows are what a table conditions on):
+      p_obs[a, k]      p(x = k | z_0 = a)
+      p_link[i][b, a]  p(z_i = a | z_{i+1} = b)
+      p_top[a]         p(z_{L-1} = a)
+      q_obs[k, a]      q(z_0 = a | block starts with k)
+      q_link[i][a, b]  q(z_{i+1} = b | z_i = a)
+    """
+    k, a = obs_alphabet, alphabets
+    links = range(len(a) - 1)
+    return {"p_obs": (a[0], k), "p_link": [(a[i + 1], a[i]) for i in links],
+            "p_top": (a[-1],), "q_obs": (k, a[0]), "q_link": [(a[i], a[i + 1]) for i in links]}
+
+
+_TABLE_FIELDS = tuple(table_shapes(1, (1,)))  # the table fields, in serialization order
+
+
+def _flatten(fields: dict) -> list:
+    """(name, entry) per table of a dict laid out as `table_shapes`, in
+    order; a link table's name carries its index, as in p_link[0]."""
+    out = []
+    for name, entry in fields.items():
+        if isinstance(entry, list):
+            out += [(f"{name}[{i}]", item) for i, item in enumerate(entry)]
+        else:
+            out.append((name, entry))
+    return out
+
+
+def _grouped(layout: dict, tables) -> dict:
+    """The inverse of `_flatten`: a flat list of tables as the fields of
+    `layout`; InvalidInputError unless the count matches."""
+    tables, want = list(tables), len(_flatten(layout))
+    if len(tables) != want:
+        raise InvalidInputError(f"expected {want} tables, got {len(tables)}")
+    rest = iter(tables)
+    return {name: [next(rest) for _ in entry] if isinstance(entry, list) else next(rest)
+            for name, entry in layout.items()}
+
+
 @dataclass
 class LatentChainModel:
-    """Categorical chain model over blocks of code symbols.
-
-    Table orientations (L levels, observed alphabet K):
-      p_obs[a, k]      p(x = k | z_0 = a),            shape (A_0, K)
-      p_link[i][b, a]  p(z_i = a | z_{i+1} = b),       shape (A_{i+1}, A_i)
-      p_top[a]         p(z_{L-1} = a),                 shape (A_{L-1},)
-      q_obs[k, a]      q(z_0 = a | block starts with k), shape (K, A_0)
-      q_link[i][a, b]  q(z_{i+1} = b | z_i = a),       shape (A_i, A_{i+1})
+    """Categorical chain model over blocks of code symbols, with the tables
+    laid out as `table_shapes` gives them.
 
     Every row is a PMF.  The posterior of the first latent conditions on a
     block's first symbol only, which keeps every coding distribution a
@@ -94,28 +136,29 @@ class LatentChainModel:
     q_link: list[np.ndarray]
     version: int = 0
 
+    @classmethod
+    def from_tables(cls, obs_alphabet: int, alphabets, block_len: int, tables,
+                    version: int = 0) -> "LatentChainModel":
+        """The model whose `tables()` are `tables`, a flat list in
+        serialization order."""
+        alphabets = tuple(alphabets)
+        return cls(obs_alphabet, alphabets, block_len, version=version,
+                   **_grouped(table_shapes(obs_alphabet, alphabets), tables))
+
     @property
     def levels(self) -> int:
         return len(self.alphabets)
 
+    def _table_fields(self) -> dict:
+        return {name: getattr(self, name) for name in _TABLE_FIELDS}
+
     def copy(self) -> "LatentChainModel":
-        return replace(
-            self,
-            p_obs=self.p_obs.copy(),
-            p_link=[t.copy() for t in self.p_link],
-            p_top=self.p_top.copy(),
-            q_obs=self.q_obs.copy(),
-            q_link=[t.copy() for t in self.q_link],
-        )
+        fields = self._table_fields()
+        return replace(self, **_grouped(fields, [t.copy() for _, t in _flatten(fields)]))
 
     def tables(self):
         """All tables with their names, in serialization order."""
-        out = [("p_obs", self.p_obs)]
-        out += [(f"p_link[{i}]", t) for i, t in enumerate(self.p_link)]
-        out.append(("p_top", self.p_top))
-        out.append(("q_obs", self.q_obs))
-        out += [(f"q_link[{i}]", t) for i, t in enumerate(self.q_link)]
-        return out
+        return _flatten(self._table_fields())
 
     def validate(self, atol: float = 1e-9) -> None:
         """InvalidInputError unless every shape fits the alphabets and every
@@ -128,22 +171,13 @@ class LatentChainModel:
         k, alphas, levels = self.obs_alphabet, self.alphabets, self.levels
         if levels < 1 or k < 1 or self.block_len < 1 or min(alphas) < 1:
             raise InvalidInputError("levels, alphabets, and block length must be positive")
-        shapes = {
-            "p_obs": (alphas[0], k),
-            "p_top": (alphas[-1],),
-            "q_obs": (k, alphas[0]),
-        }
-        for name, want in shapes.items():
-            if getattr(self, name).shape != want:
-                raise InvalidInputError(f"{name} must have shape {want}")
         if len(self.p_link) != levels - 1 or len(self.q_link) != levels - 1:
             raise InvalidInputError(f"expected {levels - 1} link tables per direction")
-        for i in range(levels - 1):
-            if self.p_link[i].shape != (alphas[i + 1], alphas[i]):
-                raise InvalidInputError(f"p_link[{i}] must have shape {(alphas[i + 1], alphas[i])}")
-            if self.q_link[i].shape != (alphas[i], alphas[i + 1]):
-                raise InvalidInputError(f"q_link[{i}] must have shape {(alphas[i], alphas[i + 1])}")
-        named = [(name, np.atleast_2d(table)) for name, table in self.tables()]
+        named = self.tables()
+        for (name, table), (_, want) in zip(named, _flatten(table_shapes(k, alphas))):
+            if table.shape != want:
+                raise InvalidInputError(f"{name} must have shape {want}")
+        named = [(name, np.atleast_2d(table)) for name, table in named]
         entries = np.concatenate([rows.ravel() for _, rows in named])
         if not np.any((entries < -atol) | ~np.isfinite(entries)) and np.allclose(
                 np.concatenate([rows.sum(axis=1) for _, rows in named]), 1.0, atol=atol):
@@ -162,22 +196,10 @@ def random_model(obs_alphabet: int, alphabets, block_len: int = DEFAULT_BLOCK_LE
     alphabets = tuple(int(a) for a in alphabets)
     check_seed(seed)
     rng = np.random.default_rng(seed)
-
-    def rows(n, a):
-        return rng.dirichlet(np.full(a, concentration), size=n)
-
-    levels = len(alphabets)
-    model = LatentChainModel(
-        obs_alphabet=obs_alphabet,
-        alphabets=alphabets,
-        block_len=block_len,
-        p_obs=rows(alphabets[0], obs_alphabet),
-        p_link=[rows(alphabets[i + 1], alphabets[i]) for i in range(levels - 1)],
-        p_top=rng.dirichlet(np.full(alphabets[-1], concentration)),
-        q_obs=rows(obs_alphabet, alphabets[0]),
-        q_link=[rows(alphabets[i], alphabets[i + 1]) for i in range(levels - 1)],
-        version=version,
-    )
+    # The draw order fixes the model: one Dirichlet draw per row, table by table.
+    tables = [rng.dirichlet(np.full(shape[-1], concentration), size=shape[:-1] or None)
+              for _, shape in _flatten(table_shapes(obs_alphabet, alphabets))]
+    model = LatentChainModel.from_tables(obs_alphabet, alphabets, block_len, tables, version)
     model.validate()
     return model
 
@@ -354,14 +376,11 @@ def build_coding_tables(model: LatentChainModel, precision: int = DEFAULT_PRECIS
         for i, f, q in zip(members, np.split(freqs, bounds), np.split(quantized, bounds)):
             coded[i], probs[i] = PmfTable.from_freqs(f, precision), q
 
-    # model.tables() order: p_obs, p_link[0..L-2], p_top, q_obs, q_link[0..L-2]
-    links = model.levels - 1
-    p_link, q_link = slice(1, 1 + links), slice(3 + links, None)
-    p_top, q_obs = 1 + links, 2 + links
-    dyadic = replace(model, p_obs=probs[0], p_link=probs[p_link], p_top=probs[p_top][0],
-                     q_obs=probs[q_obs], q_link=probs[q_link])
-    return CodingTables(precision=precision, q_obs=coded[q_obs], q_link=coded[q_link],
-                        p_obs=coded[0], p_link=coded[p_link], p_top=coded[p_top], dyadic=dyadic)
+    layout = table_shapes(model.obs_alphabet, model.alphabets)
+    dyadic = LatentChainModel.from_tables(
+        model.obs_alphabet, model.alphabets, model.block_len,
+        [q.reshape(shape) for q, (_, shape) in zip(probs, _flatten(layout))], model.version)
+    return CodingTables(precision=precision, dyadic=dyadic, **_grouped(layout, coded))
 
 
 # -- block coding --------------------------------------------------------------
@@ -735,16 +754,14 @@ class CompressedStream:
 
 
 def serialize_stream(stream: CompressedStream) -> bytes:
-    head = STREAM_MAGIC + struct.pack("<IQ", stream.model_version, stream.symbol_count)
-    return head + stream.payload
+    return _STREAM_HEAD.pack(STREAM_MAGIC, stream.model_version, stream.symbol_count) + stream.payload
 
 
 def deserialize_stream(data: bytes) -> CompressedStream:
-    head_len = 4 + struct.calcsize("<IQ")
-    if len(data) < head_len or data[:4] != STREAM_MAGIC:
+    if len(data) < _STREAM_HEAD.size or data[:4] != STREAM_MAGIC:
         raise DataCorruptionError("bad stream magic")
-    model_version, symbol_count = struct.unpack("<IQ", data[4:head_len])
-    payload = data[head_len:]
+    _, model_version, symbol_count = _STREAM_HEAD.unpack_from(data)
+    payload = data[_STREAM_HEAD.size:]
     AnsCoder.deserialize(payload)  # validates the nested bitstream
     return CompressedStream(payload=payload, symbol_count=symbol_count,
                             model_version=model_version)
@@ -872,57 +889,44 @@ def finetune(model: LatentChainModel, new_blocks, config: FitConfig = FitConfig(
 def serialize_models(models) -> bytes:
     """Snapshot file holding one or more models (little-endian float64).
 
-    Layout: magic, format version u16, record count u8, then per model a
-    header (model version u32, levels u16, obs alphabet u32, block length
-    u16, level alphabets u32 each) followed by its tables in a fixed order.
+    Layout: the snapshot header, then per model its record header, its
+    level alphabets (u32 each) and its tables in `table_shapes` order.
     """
     models = list(models)
     if not 1 <= len(models) <= 255:
         raise InvalidInputError("snapshot must hold between 1 and 255 models")
-    out = [MODEL_MAGIC, struct.pack("<HB", MODEL_FORMAT_VERSION, len(models))]
+    out = [_MODEL_HEAD.pack(MODEL_MAGIC, MODEL_FORMAT_VERSION, len(models))]
     for model in models:
         model.validate()
-        out.append(struct.pack("<IHIH", model.version, model.levels,
-                               model.obs_alphabet, model.block_len))
-        out.append(struct.pack(f"<{model.levels}I", *model.alphabets))
+        out.append(_MODEL_RECORD.pack(model.version, model.levels,
+                                      model.obs_alphabet, model.block_len))
+        out.append(np.asarray(model.alphabets, dtype="<u4").tobytes())
         for _, table in model.tables():
             out.append(np.ascontiguousarray(table, dtype="<f8").tobytes())
     return b"".join(out)
 
 
 def deserialize_models(data: bytes) -> list[LatentChainModel]:
-    if len(data) < 7 or data[:4] != MODEL_MAGIC:
+    if len(data) < _MODEL_HEAD.size or data[:4] != MODEL_MAGIC:
         raise DataCorruptionError("bad model snapshot magic")
-    fmt_version, count = struct.unpack("<HB", data[4:7])
+    _, fmt_version, count = _MODEL_HEAD.unpack_from(data)
     if fmt_version != MODEL_FORMAT_VERSION:
         raise DataCorruptionError(f"unsupported model format version {fmt_version}")
-    offset = 7
+    offset = _MODEL_HEAD.size
     models = []
     try:
         for _ in range(count):
-            version, levels, k, block_len = struct.unpack_from("<IHIH", data, offset)
-            offset += struct.calcsize("<IHIH")
-            alphabets = struct.unpack_from(f"<{levels}I", data, offset)
+            version, levels, k, block_len = _MODEL_RECORD.unpack_from(data, offset)
+            offset += _MODEL_RECORD.size
+            alphabets = np.frombuffer(data, dtype="<u4", count=levels, offset=offset).tolist()
             offset += 4 * levels
-
-            def take(shape):
-                nonlocal offset
+            tables = []
+            for _, shape in _flatten(table_shapes(k, alphabets)):
                 n = int(np.prod(shape))
                 arr = np.frombuffer(data, dtype="<f8", count=n, offset=offset)
+                tables.append(arr.reshape(shape).astype(np.float64))
                 offset += 8 * n
-                return arr.reshape(shape).astype(np.float64)
-
-            model = LatentChainModel(
-                obs_alphabet=k,
-                alphabets=tuple(alphabets),
-                block_len=block_len,
-                p_obs=take((alphabets[0], k)),
-                p_link=[take((alphabets[i + 1], alphabets[i])) for i in range(levels - 1)],
-                p_top=take((alphabets[-1],)),
-                q_obs=take((k, alphabets[0])),
-                q_link=[take((alphabets[i], alphabets[i + 1])) for i in range(levels - 1)],
-                version=version,
-            )
+            model = LatentChainModel.from_tables(k, alphabets, block_len, tables, version)
             model.validate()
             models.append(model)
     except (struct.error, ValueError, IndexError) as exc:

@@ -66,6 +66,7 @@ from .vq_codec import (
 )
 
 IMAGE_SUFFIX = ".img"
+IMAGE_HEAD = struct.Struct("<III")  # height, width, channels
 STREAM_SET_HEADER = "drr-stream-set 1"
 RESULTS_HEADER = "drr-results 1"
 
@@ -84,19 +85,19 @@ def write_image(path: str, image: np.ndarray) -> None:
     h, w, c = image.shape
     data = np.round(np.clip(image, 0.0, 1.0) * 255).astype(np.uint8)
     with open(path, "wb") as f:
-        f.write(struct.pack("<III", h, w, c))
+        f.write(IMAGE_HEAD.pack(h, w, c))
         f.write(data.tobytes())
 
 
 def read_image(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         data = f.read()
-    if len(data) < 12:
+    if len(data) < IMAGE_HEAD.size:
         raise DataCorruptionError(f"{path}: truncated image header")
-    h, w, c = struct.unpack("<III", data[:12])
-    if len(data) != 12 + h * w * c:
+    h, w, c = IMAGE_HEAD.unpack_from(data)
+    if len(data) != IMAGE_HEAD.size + h * w * c:
         raise DataCorruptionError(f"{path}: size does not match header")
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=12)
+    pixels = np.frombuffer(data, dtype=np.uint8, offset=IMAGE_HEAD.size)
     return pixels.reshape(h, w, c).astype(np.float64) / 255.0
 
 
@@ -418,9 +419,9 @@ def cmd_inspect(args) -> int:
         stream = deserialize_stream(data)
         print(f"stream: {stream.symbol_count} symbols, model version "
               f"{stream.model_version}, payload {len(stream.payload)} bytes")
-    elif len(data) >= 12:
-        h, w, c = struct.unpack("<III", data[:12])
-        if len(data) == 12 + h * w * c:
+    elif len(data) >= IMAGE_HEAD.size:
+        h, w, c = IMAGE_HEAD.unpack_from(data)
+        if len(data) == IMAGE_HEAD.size + h * w * c:
             print(f"raw image: {h} x {w} x {c}")
         else:
             raise InvalidInputError(f"{args.file}: unrecognized format")

@@ -44,6 +44,8 @@ MAX_PRECISION = 16
 
 STREAM_MAGIC = b"DRRB"
 STREAM_FORMAT_VERSION = 1
+_HEAD = struct.Struct("<4sHQ")  # magic, format version, payload length
+_STATE = struct.Struct("<Q")  # the payload's first word: the coder state
 
 
 @functools.cache
@@ -334,23 +336,20 @@ class AnsCoder:
         The stack is stored bottom first, so the most recently emitted byte
         is last.  All integers are little-endian.
         """
-        payload_len = 8 + len(self.stack)
-        head = STREAM_MAGIC + struct.pack("<HQ", STREAM_FORMAT_VERSION, payload_len)
-        return head + struct.pack("<Q", self.state) + bytes(self.stack)
+        head = _HEAD.pack(STREAM_MAGIC, STREAM_FORMAT_VERSION, _STATE.size + len(self.stack))
+        return head + _STATE.pack(self.state) + bytes(self.stack)
 
     @classmethod
     def deserialize(cls, data: bytes) -> "AnsCoder":
-        head_len = len(STREAM_MAGIC) + 2 + 8
-        if len(data) < head_len or data[:4] != STREAM_MAGIC:
+        if len(data) < _HEAD.size or data[:4] != STREAM_MAGIC:
             raise DataCorruptionError("bad bitstream magic")
-        version, payload_len = struct.unpack("<HQ", data[4:head_len])
+        _, version, payload_len = _HEAD.unpack_from(data)
         if version != STREAM_FORMAT_VERSION:
             raise DataCorruptionError(f"unsupported bitstream format version {version}")
-        if len(data) != head_len + payload_len or payload_len < 8:
+        if len(data) != _HEAD.size + payload_len or payload_len < _STATE.size:
             raise DataCorruptionError("bitstream length mismatch")
-        state = struct.unpack("<Q", data[head_len:head_len + 8])[0]
-        stack = data[head_len + 8:]
-        return cls(state=state, stack=stack)
+        (state,) = _STATE.unpack_from(data, _HEAD.size)
+        return cls(state=state, stack=data[_HEAD.size + _STATE.size:])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AnsCoder):

@@ -151,10 +151,6 @@ class MemoryReport:
     def total_bytes(self) -> int:
         return self.stream_bytes + self.model_bytes + self.codec_bytes
 
-    @property
-    def payload_bytes(self) -> int:
-        return self.total_bytes if self.total_bytes else self.raw_bytes
-
     def summary(self) -> list[str]:
         lines = [f"{self.label}: {self.exemplar_count} exemplars"]
         if self.total_bytes:

@@ -31,6 +31,10 @@ from .errors import (
 
 CODEC_MAGIC = b"DRRC"
 CODEC_FORMAT_VERSION = 1
+# Codec header: magic, format version, patch, pool, channels, codebook size,
+# embed dim, frozen flag, beta; the weights follow.
+_CODEC_HEAD = struct.Struct("<4sHIIIIIBd")
+_GRID_HEAD = struct.Struct("<IIII")  # top grid shape, bottom grid shape
 
 DEFAULT_CODEBOOK_SIZE = 512
 DEFAULT_EMBED_DIM = 64
@@ -53,15 +57,25 @@ class CodecConfig:
     seed: int = 0
 
 
+def weight_shapes(patch_dim: int, embed_dim: int, codebook_size: int) -> dict:
+    """Shape of every weight field of a codec, in serialization order;
+    patch_dim is patch * patch * channels."""
+    d, p, k = embed_dim, patch_dim, codebook_size
+    return {"enc_bottom_w": (d, p), "enc_bottom_b": (d,), "enc_top_w": (d, d), "enc_top_b": (d,),
+            "dec_top_w": (d, d), "dec_top_b": (d,), "dec_bottom_w": (p, d), "dec_bottom_b": (p,),
+            "codebook_top": (k, d), "codebook_bottom": (k, d)}
+
+
+def _check_geometry(patch, pool, channels, codebook_size, embed_dim, error=InvalidInputError):
+    """`error` unless every geometry field is positive."""
+    if min(patch, pool, channels, codebook_size, embed_dim) < 1:
+        raise error("patch, pool, channels, codebook size and embed dim must be positive")
+
+
 @dataclass
 class CodecParams:
-    """All learnable state of the codec plus its fixed geometry.
-
-    Weight shapes (d = embed_dim, D = patch * patch * channels):
-      enc_bottom_w (d, D)   enc_top_w (d, d)
-      dec_top_w    (d, d)   dec_bottom_w (D, d)
-    Codebooks are (K, d), one per level.
-    """
+    """All learnable state of the codec plus its fixed geometry; the
+    weights are shaped as `weight_shapes` gives them."""
 
     patch: int
     pool: int
@@ -92,11 +106,7 @@ class CodecParams:
         return self.patch * self.patch * self.channels
 
     def weight_fields(self) -> tuple[str, ...]:
-        return (
-            "enc_bottom_w", "enc_bottom_b", "enc_top_w", "enc_top_b",
-            "dec_top_w", "dec_top_b", "dec_bottom_w", "dec_bottom_b",
-            "codebook_top", "codebook_bottom",
-        )
+        return tuple(weight_shapes(self.patch_dim, self.embed_dim, self.codebook_size))
 
     def copy(self) -> "CodecParams":
         kwargs = {name: getattr(self, name).copy() for name in self.weight_fields()}
@@ -125,6 +135,8 @@ def validate_image(image: np.ndarray, params: CodecParams | None = None) -> np.n
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 3:
         raise InvalidInputError(f"image must be H x W x C, got shape {img.shape}")
+    if img.size == 0:
+        raise InvalidInputError(f"image has an empty axis: shape {img.shape}")
     if not np.all(np.isfinite(img)) or img.min() < 0.0 or img.max() > 1.0:
         raise InvalidInputError("image values must lie in [0, 1]")
     if params is not None:
@@ -425,8 +437,8 @@ def vq_loss_and_grads(image: np.ndarray, params: CodecParams):
 
 def init_codec_params(config: CodecConfig) -> CodecParams:
     """Seeded initialization; codebook rows i.i.d. uniform in [-1/K, 1/K]."""
-    if min(config.patch, config.pool, config.channels, config.codebook_size, config.embed_dim) < 1:
-        raise InvalidInputError("patch, pool, channels, codebook size and embed dim must be positive")
+    _check_geometry(config.patch, config.pool, config.channels, config.codebook_size,
+                    config.embed_dim)
     check_seed(config.seed)
     rng = np.random.default_rng(config.seed)
     d = config.embed_dim
@@ -514,42 +526,25 @@ def _pack_array(arr: np.ndarray) -> bytes:
 def serialize_codec(params: CodecParams) -> bytes:
     """Codec file: magic, format version, geometry header, weights,
     codebooks last.  Matrices are little-endian float64."""
-    head = CODEC_MAGIC + struct.pack(
-        "<HIIIIIBd",
-        CODEC_FORMAT_VERSION,
-        params.patch,
-        params.pool,
-        params.channels,
-        params.codebook_size,
-        params.embed_dim,
-        1 if params.frozen else 0,
-        params.beta,
-    )
+    head = _CODEC_HEAD.pack(CODEC_MAGIC, CODEC_FORMAT_VERSION, params.patch, params.pool,
+                            params.channels, params.codebook_size, params.embed_dim,
+                            1 if params.frozen else 0, params.beta)
     return head + b"".join(_pack_array(getattr(params, name)) for name in params.weight_fields())
 
 
 def deserialize_codec(data: bytes) -> CodecParams:
-    head_len = 4 + struct.calcsize("<HIIIIIBd")
-    if len(data) < head_len or data[:4] != CODEC_MAGIC:
+    if len(data) < _CODEC_HEAD.size or data[:4] != CODEC_MAGIC:
         raise DataCorruptionError("bad codec magic")
-    version, patch, pool, channels, k, d, frozen, beta = struct.unpack(
-        "<HIIIIIBd", data[4:head_len])
+    _, version, patch, pool, channels, k, d, frozen, beta = _CODEC_HEAD.unpack_from(data)
     if version != CODEC_FORMAT_VERSION:
         raise DataCorruptionError(f"unsupported codec format version {version}")
-    patch_dim = patch * patch * channels
-    shapes = [
-        ("enc_bottom_w", (d, patch_dim)), ("enc_bottom_b", (d,)),
-        ("enc_top_w", (d, d)), ("enc_top_b", (d,)),
-        ("dec_top_w", (d, d)), ("dec_top_b", (d,)),
-        ("dec_bottom_w", (patch_dim, d)), ("dec_bottom_b", (patch_dim,)),
-        ("codebook_top", (k, d)), ("codebook_bottom", (k, d)),
-    ]
-    expected = head_len + sum(int(np.prod(s)) for _, s in shapes) * 8
-    if len(data) != expected:
+    _check_geometry(patch, pool, channels, k, d, DataCorruptionError)
+    shapes = weight_shapes(patch * patch * channels, d, k)
+    offset = _CODEC_HEAD.size
+    if len(data) != offset + 8 * sum(int(np.prod(s)) for s in shapes.values()):
         raise DataCorruptionError("codec file length mismatch")
-    offset = head_len
     fields = {}
-    for name, shape in shapes:
+    for name, shape in shapes.items():
         count = int(np.prod(shape))
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
         fields[name] = arr.reshape(shape).astype(np.float64)
@@ -564,16 +559,16 @@ def serialize_code_grid(grid: CodeGrid) -> bytes:
     little-endian, top grid first.  Exactly 16 bits per code."""
     if grid.top.max(initial=0) >= 1 << 16 or grid.bottom.max(initial=0) >= 1 << 16:
         raise InvalidInputError("code indices do not fit in 16 bits")
-    head = struct.pack("<IIII", *grid.top.shape, *grid.bottom.shape)
+    head = _GRID_HEAD.pack(*grid.top.shape, *grid.bottom.shape)
     body = grid.top.astype("<u2").tobytes() + grid.bottom.astype("<u2").tobytes()
     return head + body
 
 
 def deserialize_code_grid(data: bytes) -> CodeGrid:
-    head_len = struct.calcsize("<IIII")
+    head_len = _GRID_HEAD.size
     if len(data) < head_len:
         raise DataCorruptionError("code grid header truncated")
-    ht, wt, hb, wb = struct.unpack("<IIII", data[:head_len])
+    ht, wt, hb, wb = _GRID_HEAD.unpack_from(data)
     expected = head_len + 2 * (ht * wt + hb * wb)
     if len(data) != expected:
         raise DataCorruptionError("code grid length mismatch")

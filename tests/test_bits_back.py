@@ -18,6 +18,7 @@ import pytest
 
 from drr.bits_back import (
     FitConfig,
+    LatentChainModel,
     bb_decode_block,
     bb_encode_block,
     bitswap_decode_block,
@@ -1120,3 +1121,71 @@ class TestUnreachableLatent:
         out = decode_stream(stream, [([len(b) for b in blocks], tables)])
         assert all(np.array_equal(a, b) for a, b in zip(out[0], blocks))
         assert np.isfinite(stream.net_bits)
+
+
+def with_table(model, name, table):
+    """Set the table `name` of `model`, such as p_link[1], to `table`."""
+    field, _, index = name.partition("[")
+    if index:
+        getattr(model, field)[int(index[:-1])] = table
+    else:
+        setattr(model, field, table)
+
+
+class TestShapeChecks:
+    @pytest.mark.parametrize("alphabets, name", [((3,), name) for name in ("p_obs", "p_top", "q_obs")]
+                             + [((4, 3, 2), name) for name in MODEL_NAMES])
+    def test_each_wrong_shape_names_its_table(self, alphabets, name):
+        model = random_model(6, alphabets, block_len=3, seed=5)
+        want = dict(model.tables())[name].shape
+        with_table(model, name, np.full(tuple(n + 1 for n in want), 0.5))
+        with pytest.raises(InvalidInputError) as info:
+            model.validate()
+        assert str(info.value) == f"{name} must have shape {want}"
+
+
+class TestTableLayout:
+    def test_table_shapes_in_serialization_order(self):
+        from drr.bits_back import table_shapes
+        layout = table_shapes(6, (4, 3, 2))
+        assert layout == {"p_obs": (4, 6), "p_link": [(3, 4), (2, 3)], "p_top": (2,),
+                          "q_obs": (6, 4), "q_link": [(4, 3), (3, 2)]}
+        model = random_model(6, (4, 3, 2), block_len=3, seed=5)
+        assert [(name, t.shape) for name, t in model.tables()] == list(zip(
+            MODEL_NAMES, [(4, 6), (3, 4), (2, 3), (2,), (6, 4), (4, 3), (3, 2)]))
+
+    def test_from_tables_inverts_tables(self):
+        model = random_model(6, (4, 3, 2), block_len=3, seed=5, version=4)
+        back = LatentChainModel.from_tables(6, [4, 3, 2], 3, [t for _, t in model.tables()], 4)
+        assert back.alphabets == (4, 3, 2)
+        assert serialize_models([back]) == serialize_models([model])
+
+    def test_from_tables_rejects_a_wrong_count(self):
+        tables = [t for _, t in random_model(6, (4, 3), seed=5).tables()]
+        with pytest.raises(InvalidInputError, match="^expected 5 tables, got 4$"):
+            LatentChainModel.from_tables(6, (4, 3), 3, tables[:-1])
+
+    def test_copy_keeps_the_link_lists_it_was_given(self):
+        model = random_model(6, (4, 3), seed=5)
+        model.p_link.append(model.p_link[0])
+        model.q_link.clear()
+        out = model.copy()
+        assert len(out.p_link) == 2 and not out.q_link
+        assert out.p_link[1] is not model.p_link[1]
+        with pytest.raises(InvalidInputError, match="expected 1 link tables per direction"):
+            out.validate()
+
+
+class TestSnapshotPins:
+    # Taken before the table layout was declared once, in `table_shapes`: a
+    # reordered draw or table moves these bytes.
+    @pytest.mark.parametrize("obs, alphabets, block_len, seed, pinned", [
+        (16, (5,), 4, 3, "670e3ed8ee2ae81371f4a51734655354e946f5e28dd53b75c41cb461f1b4a055"),
+        (32, (6, 4), 8, 7, "acd727df0b5f7117fc033fbe5d7e55d49bcfe7883940cb69ad05ce0b07fbd1ee"),
+        (512, (8,) * 8, 16, 1, "c4581a30f9cfa361d0527ef50a3b0d6ffa8a61f604d857533e17bb204b8f854a"),
+    ])
+    def test_random_model_snapshot_is_pinned(self, obs, alphabets, block_len, seed, pinned):
+        model = random_model(obs, alphabets, block_len=block_len, seed=seed, version=2)
+        data = serialize_models([model])
+        assert hashlib.sha256(data).hexdigest() == pinned
+        assert serialize_models(deserialize_models(data)) == data

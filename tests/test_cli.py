@@ -389,6 +389,9 @@ def bad_input_cases(workspace, root):
     write_image(str(mixed / "b.img"), toy_images(1, side=16, seed=2)[0])
     config = root / "alphabets.conf"
     config.write_text("alphabets = a,b\n")
+    empty = root / "empty"
+    empty.mkdir()
+    write_image(str(empty / "a.img"), np.zeros((0, 16, 3)))
     pretrain = ["pretrain-codec", "--data", workspace["data"], "--out", str(root / "c.drrc"),
                 "--epochs", "1"]
     compress = ["compress", "--codec", workspace["codec"], "--model", str(root / "m.drrm"),
@@ -403,7 +406,38 @@ def bad_input_cases(workspace, root):
         ("alphabets empty", compress + ["--alphabets", ""]),
         ("config alphabets a,b", ["run-phases", "--config", str(config),
                                   "--out", str(root / "r.txt")]),
+        ("zero-height image, pretrain", ["pretrain-codec", "--data", str(empty),
+                                         "--out", str(root / "c.drrc"), "--epochs", "1"]),
+        ("zero-height image, compress", ["compress", "--codec", workspace["codec"],
+                                         "--model", str(root / "m.drrm"), "--in", str(empty),
+                                         "--out", str(root / "s")]),
     ]
+
+
+def zero_geometry_codec(path, field):
+    """Write a codec file whose geometry field `field` is 0 and whose
+    weights fill exactly what its header implies, so its length is right."""
+    g = {"patch": 4, "pool": 2, "channels": 3, "codebook_size": 16, "embed_dim": 6, field: 0}
+    p, d, k = g["patch"] ** 2 * g["channels"], g["embed_dim"], g["codebook_size"]
+    weights = 2 * d * p + p + 2 * d * d + 3 * d + 2 * k * d
+    with open(path, "wb") as f:
+        f.write(b"DRRC" + struct.pack("<HIIIIIBd", 1, *g.values(), 1, 0.25) + bytes(8 * weights))
+
+
+def corrupt_input_cases(workspace, root):
+    """(name, argv) pairs of corrupt artifacts that must exit 3, each with its
+    inputs written under `root`."""
+    cases = []
+    for field in ("patch", "pool", "channels", "codebook_size", "embed_dim"):
+        codec = str(root / f"zero_{field}.drrc")
+        zero_geometry_codec(codec, field)
+        cases += [
+            (f"{field} 0, compress", ["compress", "--codec", codec, "--model",
+                                      str(root / "m.drrm"), "--in", workspace["data"],
+                                      "--out", str(root / "s")]),
+            (f"{field} 0, inspect", ["inspect", "--file", codec]),
+        ]
+    return cases
 
 
 def traversal_copy(compressed, directory, source):
@@ -457,6 +491,21 @@ class TestBadInput:
             assert "Traceback" not in proc.stderr, name
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "evil.img").exists()
+
+
+class TestCorruptInput:
+    def test_each_case_is_corrupt(self, workspace, tmp_path, capsys):
+        for name, argv in corrupt_input_cases(workspace, tmp_path):
+            assert main(argv) == EXIT_CORRUPT, name
+            assert "corrupt data" in capsys.readouterr().err, name
+        assert not (tmp_path / "m.drrm").exists()
+
+    def test_subprocess_sweep_exits_cleanly(self, workspace, tmp_path):
+        for name, argv in corrupt_input_cases(workspace, tmp_path):
+            proc = subprocess.run([sys.executable, "-m", "drr.cli", *argv],
+                                  capture_output=True, text=True)
+            assert proc.returncode == EXIT_CORRUPT, name
+            assert "Traceback" not in proc.stderr, name
 
 
 SMALL_RUN_CONFIG = """

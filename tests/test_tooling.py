@@ -136,3 +136,31 @@ def test_every_import_is_used_or_traced(tracing):
         unused = sorted(name for name in imported - used - exported
                         if (module, name) not in wrapped)
         assert not unused, f"{module} imports {', '.join(unused)} and never uses them"
+
+
+STRUCT_CALLS = {"pack", "unpack", "unpack_from", "calcsize"}
+
+
+def test_header_formats_are_declared_once():
+    """Every binary header's format is one `struct.Struct` constant: no
+    struct function in drr takes a format string, and no two Structs share
+    a format."""
+    formats = []
+    for filename in sorted(os.listdir(PACKAGE)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, filename)) as f:
+            tree = ast.parse(f.read(), filename)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "struct"
+                    and node.args):
+                continue
+            first = node.args[0]
+            literal = isinstance(first, ast.JoinedStr) or (
+                isinstance(first, ast.Constant) and isinstance(first.value, str))
+            assert not (literal and node.func.attr in STRUCT_CALLS), (
+                f"{filename}:{node.lineno}: struct.{node.func.attr} takes a format string")
+            if node.func.attr == "Struct" and isinstance(first, ast.Constant):
+                formats.append(first.value)
+    assert formats and len(formats) == len(set(formats)), formats

@@ -106,6 +106,9 @@ class TestEncode:
             encode_image(np.zeros((7, 8, 1)), params)
         with pytest.raises(InvalidInputError):
             encode_image(np.zeros((8, 8, 2)), params)
+        for shape in [(0, 8, 1), (8, 0, 1), (8, 8, 0)]:
+            with pytest.raises(InvalidInputError, match="empty axis"):
+                encode_image(np.zeros(shape), params)
 
 
 class TestDecode:
@@ -363,6 +366,18 @@ class TestSerialization:
         bad = b"XXXX" + blob[4:]
         with pytest.raises(DataCorruptionError):
             deserialize_codec(bad)
+        import struct
+        from drr.vq_codec import weight_shapes
+        for field in ["patch", "pool", "channels", "codebook_size", "embed_dim"]:
+            g = {"patch": 2, "pool": 2, "channels": 1, "codebook_size": 5, "embed_dim": 3,
+                 field: 0}
+            shapes = weight_shapes(g["patch"] ** 2 * g["channels"], g["embed_dim"],
+                                   g["codebook_size"])
+            # The weights fill what the header implies: only the geometry is wrong.
+            zero = (b"DRRC" + struct.pack("<HIIIIIBd", 1, *g.values(), 1, 0.25)
+                    + bytes(8 * sum(int(np.prod(s)) for s in shapes.values())))
+            with pytest.raises(DataCorruptionError, match="must be positive"):
+                deserialize_codec(zero)
 
 
 def codec_digest(dataset, config):
@@ -524,3 +539,20 @@ class TestBatchCoding:
                      lambda: decode_images([grid, small], params)):
             with pytest.raises(InvalidInputError):
                 call()
+
+
+class TestCodecLayout:
+    # Taken before the weight layout was declared once, in `weight_shapes`.
+    def test_init_codec_is_pinned(self):
+        import hashlib
+        config = CodecConfig(patch=2, pool=2, channels=3, codebook_size=16, embed_dim=6, seed=11)
+        assert hashlib.sha256(serialize_codec(init_codec_params(config))).hexdigest() == (
+            "6b3e2c708a3e190f409bc1f1646289d646f0b21cd1d2e55c361ab598e8192866")
+
+    def test_weights_follow_weight_shapes(self):
+        from drr.vq_codec import weight_shapes
+        params = init_codec_params(tiny_config(channels=3))
+        shapes = weight_shapes(12, 3, 5)
+        assert params.weight_fields() == tuple(shapes)
+        assert {name: getattr(params, name).shape for name in shapes} == shapes
+        assert shapes["enc_bottom_w"] == (3, 12) and shapes["codebook_top"] == (5, 3)
