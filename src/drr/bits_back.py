@@ -9,12 +9,12 @@ latent given a block's leading symbol, then per-level transition tables.
 Encoding uses the bits-back construction on a stack coder: latents are
 *popped* from the message under the inference tables (recovering their cost
 later), then the observed block and the latents are pushed under the
-generative tables.  There are two schedules (METHODS): plain bits-back
-("bb") pops the whole chain first; the interleaved one ("bitswap") pushes
-each level before popping the next, which needs less auxiliary slack up
-front.  Both are the same code with one flag, read from one schedule map
-by `check_method`.  Net cost per block is, on average, the negative
-evidence lower bound of the model, so tighter models pay fewer bits.
+generative tables.  Streams use the interleaved Bit-Swap schedule
+("bitswap"), which pushes each level before popping the next, so it never
+needs more auxiliary slack up front than plain bits-back ("bb"), which pops
+the whole chain first, at the same expected net rate.  Net cost per block
+is, on average, the negative evidence lower bound of the model, so tighter
+models pay fewer bits.
 
 All tables are quantized to coder frequencies before any coding, and the
 accounting runs on those quantized tables, so measured net bits line up
@@ -25,10 +25,12 @@ Streams are coded on the lane coder: `encode_streams` and `decode_streams`
 code N messages of one geometry side by side, one lane each, with the
 block chain of every lane still sequential; `encode_stream` and
 `decode_stream` are the one-lane case.  `encode_block` and `decode_block`
-code one block on a scalar `AnsCoder` under either schedule, reading each
-row from the same tables through `PmfTable.row`, and
-`encode_blocks`/`decode_blocks` chain them; they are the reference: every
-lane produces the same bytes and the same accounting floats as they do.
+are the scalar reference: they code one block on an `AnsCoder` under
+either schedule (METHODS, checked by `check_method`), reading each row from
+the same tables through `PmfTable.row`, and `encode_blocks`/`decode_blocks`
+chain them.  Every lane produces the same bytes and the same accounting
+floats as the scalar bitswap path; the plain schedule lives only here, to
+measure Bit-Swap against.
 """
 
 from __future__ import annotations
@@ -547,13 +549,12 @@ def decode_blocks(coder: AnsCoder, block_lens, tables: CodingTables,
 
 # -- lane coding -----------------------------------------------------------------
 
-def _encode_block_lanes(coder: LaneCoder, x: np.ndarray, tables: CodingTables,
-                        interleaved: bool):
-    """Block x[i] on lane i, under either schedule.
+def _encode_block_lanes(coder: LaneCoder, x: np.ndarray, tables: CodingTables):
+    """Block x[i] on lane i, in the Bit-Swap order.
 
-    Every lane runs exactly the operations of `encode_block` under the same
-    schedule, and adds up its costs and notes its information level at the
-    same points in the same order, so each lane's accounting is
+    Every lane runs exactly the operations of the scalar bitswap
+    `encode_block`, and adds up its costs and notes its information level at
+    the same points in the same order, so each lane's accounting is
     bit-identical to the scalar block's.  Returns per lane the
     bits pushed, the bits popped, and the information level at the start
     and at its lowest.
@@ -577,45 +578,36 @@ def _encode_block_lanes(coder: LaneCoder, x: np.ndarray, tables: CodingTables,
         np.add(pushed, table.cost(rows, symbols), out=pushed)
 
     z = [pop(x[:, 0], tables.q_obs)]
-    if not interleaved:
-        for i in range(tables.levels - 1):
-            z.append(pop(z[i], tables.q_link[i]))
     for s in x.T[::-1]:
         push(s, z[0], tables.p_obs)
     note()
     for i in range(tables.levels - 1):
-        if interleaved:
-            z.append(pop(z[i], tables.q_link[i]))
+        z.append(pop(z[i], tables.q_link[i]))
         push(z[i], z[i + 1], tables.p_link[i])
-        if interleaved:
-            note()
+        note()
     push(z[-1], np.zeros(coder.lanes, dtype=np.int64), tables.p_top)
     note()
     return pushed, popped, start, low
 
 
-def _decode_block_lanes(coder: LaneCoder, block_len: int, tables: CodingTables,
-                        interleaved: bool) -> np.ndarray:
+def _decode_block_lanes(coder: LaneCoder, block_len: int, tables: CodingTables) -> np.ndarray:
     """Exact inverse of `_encode_block_lanes`; returns the (lanes, block_len) block."""
     z = [None] * tables.levels
     z[-1] = coder.pop(np.zeros(coder.lanes, dtype=np.int64), tables.p_top)
     for i in reversed(range(tables.levels - 1)):
         z[i] = coder.pop(z[i + 1], tables.p_link[i])
-        if interleaved:
-            coder.push(z[i + 1], z[i], tables.q_link[i])
+        coder.push(z[i + 1], z[i], tables.q_link[i])
     x = np.stack([coder.pop(z[0], tables.p_obs) for _ in range(block_len)], axis=1)
-    if not interleaved:
-        for i in reversed(range(tables.levels - 1)):
-            coder.push(z[i + 1], z[i], tables.q_link[i])
     coder.push(z[0], x[:, 0], tables.q_obs)
     return x
 
 
 # -- compressed streams --------------------------------------------------------
 
-def encode_streams(sections, seeds, initial_bits: int = DEFAULT_INITIAL_BITS,
-                   method: str = "bitswap") -> list["CompressedStream"]:
-    """Code N messages of one geometry side by side, one coder lane each.
+def encode_streams(sections, seeds,
+                   initial_bits: int = DEFAULT_INITIAL_BITS) -> list["CompressedStream"]:
+    """Code N messages of one geometry side by side, one coder lane each,
+    every block in the Bit-Swap order.
 
     `sections` lists (blocks, tables) as for `encode_stream`, except that
     each block is an (N, len) array whose row i belongs to message i, and
@@ -629,7 +621,6 @@ def encode_streams(sections, seeds, initial_bits: int = DEFAULT_INITIAL_BITS,
     versions = {tables.model_version for _, tables in sections}
     if len(versions) != 1:
         raise InvalidInputError("all sections in a stream must share a model version")
-    interleaved = check_method(method)
     coder = LaneCoder.with_random_bits(initial_bits, seeds)
     start = coder.potential()
     low = start.copy()
@@ -643,8 +634,7 @@ def encode_streams(sections, seeds, initial_bits: int = DEFAULT_INITIAL_BITS,
                 raise InvalidInputError(f"each block must hold one row per message ({coder.lanes})")
             _check_block(x, tables.dyadic.obs_alphabet)
             with _latent_pops():
-                pushed, popped, before, block_low = _encode_block_lanes(coder, x, tables,
-                                                                        interleaved)
+                pushed, popped, before, block_low = _encode_block_lanes(coder, x, tables)
             gross += pushed
             returned += popped
             # before - (before - low), not low: the float encode_stream always kept.
@@ -658,7 +648,7 @@ def encode_streams(sections, seeds, initial_bits: int = DEFAULT_INITIAL_BITS,
                                            returned.tolist(), (start - low).tolist())]
 
 
-def decode_streams(streams, sections, method: str = "bitswap") -> list[list[np.ndarray]]:
+def decode_streams(streams, sections) -> list[list[np.ndarray]]:
     """Invert `encode_streams`: decode N streams of one geometry side by side.
 
     `sections` lists (block_lens, tables) as for `decode_stream`, shared by
@@ -667,7 +657,6 @@ def decode_streams(streams, sections, method: str = "bitswap") -> list[list[np.n
     gets each check `decode_stream` makes, and one bad stream fails the call.
     """
     streams = list(streams)
-    interleaved = check_method(method)
     sections = [(list(lens), tables) for lens, tables in sections]
     coder = LaneCoder.deserialize(stream.payload for stream in streams)
     decoded = sum(sum(lens) for lens, _ in sections)
@@ -681,7 +670,7 @@ def decode_streams(streams, sections, method: str = "bitswap") -> list[list[np.n
             raise DataCorruptionError(
                 f"decoding {decoded} symbols, stream header says {stream.symbol_count}")
     try:
-        out = [[_decode_block_lanes(coder, n, tables, interleaved) for n in reversed(lens)][::-1]
+        out = [[_decode_block_lanes(coder, n, tables) for n in reversed(lens)][::-1]
                for lens, tables in reversed(sections)]
     except ExhaustedStreamError as exc:
         raise DataCorruptionError("stream ended mid-decode") from exc
@@ -696,8 +685,8 @@ def decode_streams(streams, sections, method: str = "bitswap") -> list[list[np.n
     return out
 
 
-def encode_stream(sections, initial_bits: int = DEFAULT_INITIAL_BITS, seed: int = 0,
-                  method: str = "bitswap") -> "CompressedStream":
+def encode_stream(sections, initial_bits: int = DEFAULT_INITIAL_BITS,
+                  seed: int = 0) -> "CompressedStream":
     """Code sections of blocks (each with its own tables) into one message.
 
     The payload physically contains the seeded initial bits; the accounting
@@ -706,10 +695,10 @@ def encode_stream(sections, initial_bits: int = DEFAULT_INITIAL_BITS, seed: int 
     """
     sections = [([np.reshape(block, (1, -1)) for block in blocks], tables)
                 for blocks, tables in sections]
-    return encode_streams(sections, [seed], initial_bits=initial_bits, method=method)[0]
+    return encode_streams(sections, [seed], initial_bits=initial_bits)[0]
 
 
-def decode_stream(stream: CompressedStream, sections, method: str = "bitswap") -> list[list[np.ndarray]]:
+def decode_stream(stream: CompressedStream, sections) -> list[list[np.ndarray]]:
     """Invert `encode_stream`; the one-lane case of `decode_streams`.
 
     `sections` lists (block_lens, tables) in the order they were encoded;
@@ -721,7 +710,7 @@ def decode_stream(stream: CompressedStream, sections, method: str = "bitswap") -
     CRC32 of the payload, which the stream format does not carry yet.
     """
     return [[block[0] for block in blocks]
-            for blocks in decode_streams([stream], sections, method=method)]
+            for blocks in decode_streams([stream], sections)]
 
 
 @dataclass
@@ -874,12 +863,9 @@ def fit(model: LatentChainModel, blocks, config: FitConfig = FitConfig()) -> Lat
 
 def finetune(model: LatentChainModel, new_blocks, config: FitConfig = FitConfig(),
              buffered_blocks=()) -> LatentChainModel:
-    """Warm-started fit on new plus already-stored blocks; bumps the version."""
-    union = list(new_blocks) + list(buffered_blocks)
-    if config.iterations == 0:
-        out = model.copy()
-    else:
-        out = fit(model, union, config)
+    """Warm-started fit on new plus already-stored blocks; bumps the version.
+    The blocks are checked as `fit` checks them, at any iteration count."""
+    out = fit(model, list(new_blocks) + list(buffered_blocks), config)
     out.version = model.version + 1
     return out
 

@@ -161,11 +161,9 @@ def cmd_compress(args) -> int:
     else:
         pair = LatentModelPair.seeded(codec.codebook_size, parse_alphabets(args.alphabets),
                                       args.block_len, args.seed)
-        if args.fit_iterations > 0:
-            top, bottom = pair.blocks(grids)
-            pair = LatentModelPair(
-                fit(pair.top, top, FitConfig(args.fit_iterations)),
-                fit(pair.bottom, bottom, FitConfig(args.fit_iterations)))
+        top, bottom = pair.blocks(grids)
+        pair = LatentModelPair(fit(pair.top, top, FitConfig(args.fit_iterations)),
+                               fit(pair.bottom, bottom, FitConfig(args.fit_iterations)))
         with open(args.model, "wb") as f:
             f.write(pair.serialize())
         print(f"wrote model pair to {args.model}")

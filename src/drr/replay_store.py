@@ -25,7 +25,6 @@ from .bits_back import (
     FitConfig,
     LatentChainModel,
     build_coding_tables,
-    check_method,
     chunk_symbols,
     decode_streams,
     deserialize_models,
@@ -57,6 +56,7 @@ CODEC_NAME = "codec.drrc"
 MODELS_NAME = "models.drrm"
 STREAM_DIR = "streams"
 INDEX_HEADER = "drr-replay-buffer 1"
+CODING_METHOD = "bitswap"  # the schedule of every stream, named in the index
 
 BYTES_PER_MEGABYTE = 1 << 20
 DEFAULT_EXEMPLARS_PER_CLASS = 20
@@ -267,21 +267,19 @@ def _block_lens(n_symbols: int, block_len: int) -> list[int]:
 
 def compress_grid(grid: CodeGrid, pair: LatentModelPair,
                   precision: int = DEFAULT_PRECISION,
-                  initial_bits: int = DEFAULT_INITIAL_BITS, seed=0,
-                  method: str = "bitswap") -> CompressedStream:
+                  initial_bits: int = DEFAULT_INITIAL_BITS, seed=0) -> CompressedStream:
     """One grid's stream; the one-grid case of `compress_grids`."""
     return compress_grids([grid], pair, [seed], precision=precision,
-                          initial_bits=initial_bits, method=method)[0]
+                          initial_bits=initial_bits)[0]
 
 
 def decompress_grid(stream: CompressedStream, pair: LatentModelPair,
                     top_shape, bottom_shape,
                     tables: tuple[CodingTables, CodingTables] | None = None,
-                    precision: int = DEFAULT_PRECISION,
-                    method: str = "bitswap") -> CodeGrid:
+                    precision: int = DEFAULT_PRECISION) -> CodeGrid:
     """One stream's grid; the one-stream case of `decompress_grids`."""
     return _decode_geometry([stream], pair, top_shape, bottom_shape,
-                            pair.tables(precision) if tables is None else tables, method)[0]
+                            pair.tables(precision) if tables is None else tables)[0]
 
 
 def _lane_blocks(symbols: np.ndarray, block_len: int) -> list[np.ndarray]:
@@ -298,8 +296,8 @@ def _by_geometry(shapes) -> list[list[int]]:
 
 
 def compress_grids(grids, pair: LatentModelPair, seeds,
-                   precision: int = DEFAULT_PRECISION, initial_bits: int = DEFAULT_INITIAL_BITS,
-                   method: str = "bitswap") -> list[CompressedStream]:
+                   precision: int = DEFAULT_PRECISION,
+                   initial_bits: int = DEFAULT_INITIAL_BITS) -> list[CompressedStream]:
     """A stream per grid: both levels' row-major symbols, chunked to each
     level's block length and coded from the initial bits seeded with
     seeds[i].  Grids of one geometry are coded side by side, one coder lane
@@ -313,14 +311,14 @@ def compress_grids(grids, pair: LatentModelPair, seeds,
         streams = encode_streams(
             [(_lane_blocks(top, pair.top.block_len), top_tables),
              (_lane_blocks(bottom, pair.bottom.block_len), bottom_tables)],
-            [seeds[i] for i in members], initial_bits=initial_bits, method=method)
+            [seeds[i] for i in members], initial_bits=initial_bits)
         for i, stream in zip(members, streams):
             out[i] = stream
     return out
 
 
 def _decode_geometry(streams, pair: LatentModelPair, top_shape, bottom_shape,
-                     tables: tuple[CodingTables, CodingTables], method: str) -> list[CodeGrid]:
+                     tables: tuple[CodingTables, CodingTables]) -> list[CodeGrid]:
     """The grids of streams that share one (top, bottom) geometry, decoded
     side by side, one coder lane each."""
     top_tables, bottom_tables = tables
@@ -328,15 +326,13 @@ def _decode_geometry(streams, pair: LatentModelPair, top_shape, bottom_shape,
     bottom_lens = _block_lens(int(np.prod(bottom_shape)), pair.bottom.block_len)
     top, bottom = (np.concatenate(blocks, axis=1).astype(np.int32)
                    for blocks in decode_streams(streams, [(top_lens, top_tables),
-                                                          (bottom_lens, bottom_tables)],
-                                                method=method))
+                                                          (bottom_lens, bottom_tables)]))
     return [CodeGrid(top=t.reshape(top_shape), bottom=b.reshape(bottom_shape))
             for t, b in zip(top, bottom)]
 
 
 def decompress_grids(streams, pair: LatentModelPair, shapes,
-                     precision: int = DEFAULT_PRECISION,
-                     method: str = "bitswap") -> list[CodeGrid]:
+                     precision: int = DEFAULT_PRECISION) -> list[CodeGrid]:
     """The grid of every stream, where shapes[i] is the (top shape, bottom
     shape) of stream i.  Streams of one geometry are decoded side by side,
     one coder lane each."""
@@ -344,7 +340,7 @@ def decompress_grids(streams, pair: LatentModelPair, shapes,
     out = [None] * len(streams)
     for members in _by_geometry(shapes):
         grids = _decode_geometry([streams[i] for i in members], pair, *shapes[members[0]],
-                                 pair.tables(precision), method)
+                                 pair.tables(precision))
         for i, grid in zip(members, grids):
             out[i] = grid
     return out
@@ -386,7 +382,7 @@ class ReplayBuffer:
     def __init__(self, codec: CodecParams, pair: LatentModelPair,
                  exemplars_per_class: int = DEFAULT_EXEMPLARS_PER_CLASS,
                  precision: int = DEFAULT_PRECISION, initial_bits: int = DEFAULT_INITIAL_BITS,
-                 seed: int = 0, method: str = "bitswap"):
+                 seed: int = 0):
         if exemplars_per_class < 1:
             raise InvalidInputError("need at least one exemplar per class")
         if not MIN_PRECISION <= precision <= MAX_PRECISION:
@@ -394,7 +390,6 @@ class ReplayBuffer:
                 f"precision {precision} outside [{MIN_PRECISION}, {MAX_PRECISION}]")
         if initial_bits < 0 or initial_bits % 8:
             raise InvalidInputError("initial_bits must be a nonnegative multiple of 8")
-        check_method(method)
         check_seed(seed)
         self.codec = codec
         self.pair = pair
@@ -402,7 +397,6 @@ class ReplayBuffer:
         self.precision = precision
         self.initial_bits = initial_bits
         self.seed = seed
-        self.method = method
         self._shelves: dict[int, ClassShelf] = {}
 
     @property
@@ -436,7 +430,7 @@ class ReplayBuffer:
         grids = iter(decompress_grids(
             [stream for shelf in shelves for stream in shelf.streams], self.pair,
             [(shelf.top_shape, shelf.bottom_shape) for shelf in shelves for _ in shelf.streams],
-            precision=self.precision, method=self.method))
+            precision=self.precision))
         return {shelf.label: [next(grids) for _ in shelf.streams] for shelf in shelves}
 
     def _encode_grids(self, grids_by_label: dict[int, list[CodeGrid]]
@@ -447,7 +441,7 @@ class ReplayBuffer:
             [g for grids in grids_by_label.values() for g in grids], self.pair,
             [self._stream_seed(label, i) for label, grids in grids_by_label.items()
              for i in range(len(grids))],
-            precision=self.precision, initial_bits=self.initial_bits, method=self.method))
+            precision=self.precision, initial_bits=self.initial_bits))
         return {label: [next(streams) for _ in grids] for label, grids in grids_by_label.items()}
 
     def ingest_phase(self, class_data, fit_config: FitConfig = FitConfig()) -> dict[int, IngestReport]:
@@ -538,7 +532,7 @@ class ReplayBuffer:
         lines = [INDEX_HEADER,
                  f"seed={self.seed} precision={self.precision} "
                  f"initial_bits={self.initial_bits} "
-                 f"exemplars_per_class={self.exemplars_per_class} method={self.method}"]
+                 f"exemplars_per_class={self.exemplars_per_class} method={CODING_METHOD}"]
         for label in self.class_labels:
             shelf = self._shelves[label]
             h, w, c = shelf.image_shape
@@ -573,12 +567,15 @@ class ReplayBuffer:
             raise DataCorruptionError("index has no options line")
         opts = parse_record(lines[1], None, ("seed", "precision", "initial_bits",
                                              "exemplars_per_class", "method"))
+        if opts["method"] != CODING_METHOD:
+            raise DataCorruptionError(
+                f"buffer streams are coded with {opts['method']!r}, expected {CODING_METHOD!r}")
         try:
             buffer = ReplayBuffer(codec, pair,
                                   exemplars_per_class=int(opts["exemplars_per_class"]),
                                   precision=int(opts["precision"]),
                                   initial_bits=int(opts["initial_bits"]),
-                                  seed=int(opts["seed"]), method=opts["method"])
+                                  seed=int(opts["seed"]))
         except ValueError as exc:
             raise DataCorruptionError(f"corrupt buffer options: {exc}") from exc
         try:

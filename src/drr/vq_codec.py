@@ -538,6 +538,8 @@ def deserialize_codec(data: bytes) -> CodecParams:
     _, version, patch, pool, channels, k, d, frozen, beta = _CODEC_HEAD.unpack_from(data)
     if version != CODEC_FORMAT_VERSION:
         raise DataCorruptionError(f"unsupported codec format version {version}")
+    if frozen not in (0, 1):
+        raise DataCorruptionError(f"codec frozen flag is {frozen}, expected 0 or 1")
     _check_geometry(patch, pool, channels, k, d, DataCorruptionError)
     shapes = weight_shapes(patch * patch * channels, d, k)
     offset = _CODEC_HEAD.size

@@ -28,7 +28,6 @@ from drr.bits_back import (
     decode_block,
     decode_blocks,
     decode_stream,
-    decode_streams,
     deserialize_models,
     deserialize_stream,
     elbo,
@@ -36,7 +35,6 @@ from drr.bits_back import (
     encode_block,
     encode_blocks,
     encode_stream,
-    encode_streams,
     finetune,
     fit,
     mean_elbo,
@@ -302,8 +300,7 @@ class TestCodingTables:
             with pytest.raises(InvalidInputError):
                 table.row(len(freqs))
 
-    @pytest.mark.parametrize("method", ["bitswap", "bb"])
-    def test_streams_match_reference_tables_bytewise(self, method, reference_quantize):
+    def test_streams_match_reference_tables_bytewise(self, reference_quantize):
         # Peaked rows over a wide alphabet make the min-1 clamp overshoot,
         # the branch the row routine computes in closed form.
         truth = random_model(200, (16, 6), block_len=8, seed=8, concentration=0.05)
@@ -318,8 +315,8 @@ class TestCodingTables:
             for row, ref in zip(self.all_rows(tables), self.all_rows(reference)):
                 assert np.array_equal(row.freqs, ref.freqs)
                 assert np.array_equal(row.cdf, np.concatenate([[0], np.cumsum(ref.freqs)]))
-            a = encode_stream([(blocks, tables)], initial_bits=1024, seed=3, method=method)
-            b = encode_stream([(blocks, reference)], initial_bits=1024, seed=3, method=method)
+            a = encode_stream([(blocks, tables)], initial_bits=1024, seed=3)
+            b = encode_stream([(blocks, reference)], initial_bits=1024, seed=3)
             assert a.payload == b.payload
             assert a.net_bits == b.net_bits
 
@@ -633,9 +630,12 @@ class TestFit:
         blocks = sample_blocks(model, 50, np.random.default_rng(1))
         tuned = finetune(model, blocks[:30], FitConfig(iterations=3), buffered_blocks=blocks[30:])
         assert tuned.version == model.version + 1
-        frozen = finetune(model, [], FitConfig(iterations=0))
+        frozen = finetune(model, blocks[:30], FitConfig(iterations=0),
+                          buffered_blocks=blocks[30:])
         assert frozen.version == model.version + 1
         assert np.array_equal(frozen.p_obs, model.p_obs)
+        with pytest.raises(InvalidInputError):
+            finetune(model, [np.array([0, 6])], FitConfig(iterations=0))
 
     def test_finetune_empty_union_with_iterations_rejected(self):
         model = random_model(6, (3,), block_len=2, seed=1)
@@ -725,13 +725,6 @@ class TestScalarReference:
             lambda: decode_block(coder, 4, tables, "zip"),
             lambda: encode_blocks(coder, [block], tables, method="zip"),
             lambda: decode_blocks(coder, [4], tables, method="zip"),
-            lambda: encode_stream([([block], tables)], method="zip"),
-            lambda: encode_streams([([block[None]], tables)], [0], method="zip"),
-        ]
-        stream = encode_stream([([block], tables)])
-        calls += [
-            lambda: decode_stream(stream, [([4], tables)], method="zip"),
-            lambda: decode_streams([stream], [([4], tables)], method="zip"),
         ]
         for call in calls:
             with pytest.raises(InvalidInputError, match="unknown coding method"):

@@ -437,6 +437,12 @@ def corrupt_input_cases(workspace, root):
                                       "--out", str(root / "s")]),
             (f"{field} 0, inspect", ["inspect", "--file", codec]),
         ]
+    with open(workspace["codec"], "rb") as f:
+        data = bytearray(f.read())
+    data[struct.calcsize("<4sHIIIII")] = 7  # the frozen flag, which must be 0 or 1
+    codec = root / "frozen_7.drrc"
+    codec.write_bytes(bytes(data))
+    cases.append(("frozen flag 7, inspect", ["inspect", "--file", str(codec)]))
     return cases
 
 

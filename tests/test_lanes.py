@@ -15,7 +15,6 @@ from drr import replay_store
 from drr.bits_back import (
     CompressedStream,
     FitConfig,
-    bb_encode_block,
     bitswap_encode_block,
     build_coding_tables,
     decode_blocks,
@@ -40,9 +39,8 @@ from drr.replay_store import LatentModelPair, ReplayBuffer, compress_grid
 from drr.vq_codec import CodecConfig, CodeGrid, freeze, train_codec
 
 
-def scalar_encode_stream(sections, initial_bits, seed, method):
+def scalar_encode_stream(sections, initial_bits, seed):
     """The scalar `encode_stream`, kept as the reference the lanes must match."""
-    encode = {"bitswap": bitswap_encode_block, "bb": bb_encode_block}[method]
     coder = AnsCoder.with_random_bits(initial_bits, seed=seed)
     start = coder.potential()
     low = start
@@ -51,7 +49,7 @@ def scalar_encode_stream(sections, initial_bits, seed, method):
     for blocks, tables in sections:
         for block in blocks:
             before = coder.potential()
-            trace = encode(coder, block, tables)
+            trace = bitswap_encode_block(coder, block, tables)
             gross += trace.pushed
             returned += trace.popped
             low = min(low, before - trace.peak_demand)
@@ -62,11 +60,11 @@ def scalar_encode_stream(sections, initial_bits, seed, method):
                             returned_bits=returned, peak_demand_bits=start - low)
 
 
-def scalar_decode_stream(stream, sections, method):
+def scalar_decode_stream(stream, sections):
     """The scalar `decode_stream`, with its unwind checks, as the reference."""
     coder = AnsCoder.deserialize(stream.payload)
     try:
-        out = [decode_blocks(coder, lens, tables, method=method)
+        out = [decode_blocks(coder, lens, tables, method="bitswap")
                for lens, tables in reversed(sections)]
     except ExhaustedStreamError as exc:
         raise DataCorruptionError("stream ended mid-decode") from exc
@@ -179,9 +177,8 @@ def stream_cases():
     return cases
 
 
-@pytest.mark.parametrize("method", ["bitswap", "bb"])
 @pytest.mark.parametrize("name,k,alphabets,block_len,precision", stream_cases())
-def test_streams_match_scalar_reference(method, name, k, alphabets, block_len, precision):
+def test_streams_match_scalar_reference(name, k, alphabets, block_len, precision):
     model = random_model(k, alphabets, block_len=block_len, seed=len(name),
                          concentration=0.5)
     other = random_model(k, alphabets[::-1], block_len=block_len + 1, seed=7)
@@ -195,26 +192,23 @@ def test_streams_match_scalar_reference(method, name, k, alphabets, block_len, p
         per_lane = [[(blocks_of(rng.integers(0, k, n_first), block_len), tables),
                      (blocks_of(rng.integers(0, k, n_second), block_len + 1), other_tables)]
                     for _ in range(n_lanes)]
-        lanes = encode_streams(lane_sections(per_lane), seeds, initial_bits=512,
-                               method=method)
+        lanes = encode_streams(lane_sections(per_lane), seeds, initial_bits=512)
         for stream, sections, seed in zip(lanes, per_lane, seeds):
-            reference = scalar_encode_stream(sections, 512, seed, method)
+            reference = scalar_encode_stream(sections, 512, seed)
             assert same_stream(stream, reference)
-            assert same_stream(encode_stream(sections, initial_bits=512, seed=seed,
-                                             method=method), reference)
+            assert same_stream(encode_stream(sections, initial_bits=512, seed=seed), reference)
         # one section: the accounting of encode_blocks on the scalar coder
         for lane, sections in enumerate(per_lane):
             coder = AnsCoder.with_random_bits(512, seed=seeds[lane])
-            stats = encode_blocks(coder, sections[0][0], tables, method=method)
-            alone = encode_stream(sections[:1], initial_bits=512, seed=seeds[lane],
-                                  method=method)
+            stats = encode_blocks(coder, sections[0][0], tables, method="bitswap")
+            alone = encode_stream(sections[:1], initial_bits=512, seed=seeds[lane])
             assert alone.payload == coder.serialize()
             assert (alone.gross_bits, alone.returned_bits, alone.net_bits) == \
                 (stats.gross_bits, stats.returned_bits, stats.net_bits)
 
         lens = [([len(b) for b in per_lane[0][0][0]], tables),
                 ([len(b) for b in per_lane[0][1][0]], other_tables)]
-        decoded = decode_streams(lanes, lens, method=method)
+        decoded = decode_streams(lanes, lens)
         for lane, sections in enumerate(per_lane):
             for s, (blocks, _) in enumerate(sections):
                 assert [block[lane].tolist() for block in decoded[s]] == \
@@ -223,13 +217,12 @@ def test_streams_match_scalar_reference(method, name, k, alphabets, block_len, p
 
 class TestAdversarialPayloads:
     @staticmethod
-    def setup_streams(method, n=4):
+    def setup_streams(n=4):
         model = random_model(12, (5, 3), block_len=5, seed=4, concentration=0.5)
         tables = build_coding_tables(model)
         rng = np.random.default_rng(1)
         per_lane = [[(blocks_of(rng.integers(0, 12, 23), 5), tables)] for _ in range(n)]
-        streams = encode_streams(lane_sections(per_lane), list(range(n)), initial_bits=64,
-                                 method=method)
+        streams = encode_streams(lane_sections(per_lane), list(range(n)), initial_bits=64)
         return streams, [([5, 5, 5, 5, 3], tables)]
 
     @staticmethod
@@ -254,22 +247,21 @@ class TestAdversarialPayloads:
                                             initial_bits=initial_bits))
         return out
 
-    @pytest.mark.parametrize("method", ["bitswap", "bb"])
-    def test_lanes_decode_or_raise_as_the_scalar_coder(self, method):
-        streams, sections = self.setup_streams(method)
+    def test_lanes_decode_or_raise_as_the_scalar_coder(self):
+        streams, sections = self.setup_streams()
         seen = set()
         for bad in self.variants(streams[1]):
-            expected = outcome(lambda: scalar_decode_stream(bad, sections, method))
+            expected = outcome(lambda: scalar_decode_stream(bad, sections))
             seen.add(expected == "corrupt")
-            assert outcome(lambda: decode_stream(bad, sections, method=method)) == expected
+            assert outcome(lambda: decode_stream(bad, sections)) == expected
             batch = [streams[0], bad, streams[2], streams[3]]
             got = outcome(lambda: [[block[1] for block in blocks] for blocks in
-                                   decode_streams(batch, sections, method=method)])
+                                   decode_streams(batch, sections)])
             assert got == expected
         assert seen == {True, False}  # some variants decode, some are caught
 
     def test_one_bad_stream_fails_the_batch(self):
-        streams, sections = self.setup_streams("bitswap")
+        streams, sections = self.setup_streams()
         bad = CompressedStream(payload=AnsCoder(0, b"").serialize(),
                                symbol_count=streams[0].symbol_count,
                                model_version=streams[0].model_version)
@@ -301,10 +293,10 @@ class TestBatchContracts:
         blocks = sample_blocks(model, 50, np.random.default_rng(0))
         with pytest.raises(InsufficientInitialBitsError):
             encode_streams([([np.stack([b, b]) for b in blocks], tables)], [0, 1],
-                           initial_bits=0, method="bb")
+                           initial_bits=0)
 
 
-def pinned_streams(method, precision):
+def pinned_streams(precision):
     """sha256 over the serialized `compress_grid` streams of fixed grids
     under a seeded, unfitted model pair."""
     pair = LatentModelPair(random_model(64, (6, 1, 4), block_len=8, seed=3),
@@ -315,20 +307,18 @@ def pinned_streams(method, precision):
         grid = CodeGrid(top=rng.integers(0, 64, (3, 5)).astype(np.int32),
                         bottom=rng.integers(0, 64, (6, 10)).astype(np.int32))
         h.update(serialize_stream(compress_grid(grid, pair, precision=precision,
-                                                seed=[5, i], method=method)))
+                                                seed=[5, i])))
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("method,precision,digest", [
-    ("bitswap", 12, "0c41327ea46a79f79b425162b7db0f62a8d3b46480210497ddeb6b850da633e9"),
-    ("bitswap", 16, "a51c31d31e53fbe8660d88de0dd78583ae88604900895526026b2d64b0a9352f"),
-    ("bb", 12, "c58cddf45501a0b570cf5b71f6ee1ebd6a186556547767252b055e52a32e6e6b"),
-    ("bb", 16, "169fc26b2b62f056a5a9ddb1c5b5534cce686f2e04c18cf3a4d23ee75290c43c"),
+@pytest.mark.parametrize("precision,digest", [
+    (12, "0c41327ea46a79f79b425162b7db0f62a8d3b46480210497ddeb6b850da633e9"),
+    (16, "a51c31d31e53fbe8660d88de0dd78583ae88604900895526026b2d64b0a9352f"),
 ])
-def test_stream_bytes_are_pinned(method, precision, digest):
+def test_stream_bytes_are_pinned(precision, digest):
     # Digests of the streams the scalar coder wrote; a coder change that
     # moves a single byte of a stream fails here.
-    assert pinned_streams(method, precision) == digest
+    assert pinned_streams(precision) == digest
 
 
 class TestBufferBatches:
@@ -343,10 +333,10 @@ class TestBufferBatches:
             codebook_size=16, embed_dim=6, epochs=20, lr=0.005, seed=1)))
 
     @staticmethod
-    def new_buffer(codec, images, method):
+    def new_buffer(codec, images):
         pair = LatentModelPair(random_model(16, (5, 3), block_len=6, seed=1),
                                random_model(16, (5, 3), block_len=6, seed=2))
-        buffer = ReplayBuffer(codec, pair, exemplars_per_class=4, seed=3, method=method)
+        buffer = ReplayBuffer(codec, pair, exemplars_per_class=4, seed=3)
         buffer.ingest_phase({0: images[0], 1: images[1]}, FitConfig(iterations=1))
         return buffer
 
@@ -370,7 +360,7 @@ class TestBufferBatches:
         return calls
 
     def test_one_batch_per_ingest_and_read_pass(self, codec, images, monkeypatch):
-        buffer = self.new_buffer(codec, images, "bitswap")
+        buffer = self.new_buffer(codec, images)
         calls = self.count_calls(monkeypatch)
         buffer.ingest_phase({4: images[4], 5: images[5]}, FitConfig(iterations=1))
         assert calls == {"encode_streams": 1, "decode_streams": 1}
@@ -380,22 +370,20 @@ class TestBufferBatches:
         assert all(np.array_equal(recon[label], buffer.reconstruct_class(label))
                    for label in recon)
 
-    @pytest.mark.parametrize("method", ["bitswap", "bb"])
-    def test_batched_buffer_matches_per_stream_coding(self, codec, images, method):
-        buffer = self.new_buffer(codec, images, method)
+    def test_batched_buffer_matches_per_stream_coding(self, codec, images):
+        buffer = self.new_buffer(codec, images)
         buffer.ingest_phase({2: images[2]}, FitConfig(iterations=1))
         for label in buffer.class_labels:
             shelf = buffer._shelves[label]
             for i, stream in enumerate(shelf.streams):
                 grid = replay_store.decompress_grid(stream, buffer.pair, shelf.top_shape,
-                                                    shelf.bottom_shape, method=method)
+                                                    shelf.bottom_shape)
                 again = compress_grid(grid, buffer.pair, initial_bits=buffer.initial_bits,
-                                      seed=buffer._stream_seed(label, i), method=method)
+                                      seed=buffer._stream_seed(label, i))
                 assert same_stream(again, stream)
 
 
-@pytest.mark.parametrize("method", ["bitswap", "bb"])
-def test_grids_of_mixed_geometry(method):
+def test_grids_of_mixed_geometry():
     pair = LatentModelPair(random_model(20, (4, 3), block_len=5, seed=1),
                            random_model(20, (4, 3), block_len=6, seed=2))
     rng = np.random.default_rng(3)
@@ -403,9 +391,9 @@ def test_grids_of_mixed_geometry(method):
     grids = [CodeGrid(top=rng.integers(0, 20, t).astype(np.int32),
                       bottom=rng.integers(0, 20, b).astype(np.int32)) for t, b in shapes]
     seeds = [[9, i] for i in range(len(grids))]
-    streams = replay_store.compress_grids(grids, pair, seeds, method=method)
+    streams = replay_store.compress_grids(grids, pair, seeds)
     for grid, seed, stream in zip(grids, seeds, streams):
-        assert same_stream(stream, compress_grid(grid, pair, seed=seed, method=method))
-    assert replay_store.decompress_grids(streams, pair, shapes, method=method) == grids
+        assert same_stream(stream, compress_grid(grid, pair, seed=seed))
+    assert replay_store.decompress_grids(streams, pair, shapes) == grids
     assert replay_store.compress_grids([], pair, []) == []
 

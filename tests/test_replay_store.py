@@ -402,6 +402,7 @@ class TestPersistence:
         "seed=eleven precision=12 initial_bits=256 exemplars_per_class=5 method=bitswap",
         "seed=11 precision=40 initial_bits=256 exemplars_per_class=5 method=bitswap",
         None,
+        "seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=bb",
     ])
     def test_malformed_options_line_rejected(self, frozen_codec, tmp_path, options):
         buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)

@@ -1,16 +1,20 @@
-"""Checks on the benchmark harness's view of the package.
+"""Checks on the benchmark harness's and the README's view of the package.
 
 `perfbench/tracing.py` wraps drr's functions by name, and
 `perfbench/workloads.py` calls drr's public names to run and check every
 workload; a name that no longer resolves, or a call it no longer accepts,
 would make every benchmark run crash.  The harness files are read, never
-imported as modules, so the checks leave them untouched.
+imported as modules, so the checks leave them untouched.  The README's
+Python example is run as written.
 """
 
 import ast
 import importlib
 import inspect
 import os
+import re
+import subprocess
+import sys
 import types
 
 import pytest
@@ -164,3 +168,14 @@ def test_header_formats_are_declared_once():
             if node.func.attr == "Struct" and isinstance(first, ast.Constant):
                 formats.append(first.value)
     assert formats and len(formats) == len(set(formats)), formats
+
+
+def test_readme_example_runs(tmp_path):
+    with open(os.path.join(ROOT, "README.md")) as f:
+        examples = re.findall(r"```python\n(.*?)```", f.read(), re.DOTALL)
+    assert len(examples) == 1
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    proc = subprocess.run([sys.executable, "-c", examples[0]], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "compressed" in proc.stdout

@@ -378,6 +378,10 @@ class TestSerialization:
                     + bytes(8 * sum(int(np.prod(s)) for s in shapes.values())))
             with pytest.raises(DataCorruptionError, match="must be positive"):
                 deserialize_codec(zero)
+        flagged = bytearray(blob)
+        flagged[struct.calcsize("<4sHIIIII")] = 7  # the frozen flag, which must be 0 or 1
+        with pytest.raises(DataCorruptionError, match="frozen flag"):
+            deserialize_codec(bytes(flagged))
 
 
 def codec_digest(dataset, config):
