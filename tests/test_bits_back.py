@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from drr.bits_back import (
+    METHODS,
     FitConfig,
     LatentChainModel,
     bb_decode_block,
@@ -300,13 +301,19 @@ class TestCodingTables:
             with pytest.raises(InvalidInputError):
                 table.row(len(freqs))
 
-    def test_streams_match_reference_tables_bytewise(self, reference_quantize):
-        # Peaked rows over a wide alphabet make the min-1 clamp overshoot,
-        # the branch the row routine computes in closed form.
+    @staticmethod
+    def peaked_model():
+        """A fitted model and its blocks.  Peaked rows over a wide alphabet
+        make the min-1 clamp overshoot, the branch the row routine computes
+        in closed form."""
         truth = random_model(200, (16, 6), block_len=8, seed=8, concentration=0.05)
         blocks = sample_blocks(truth, 60, np.random.default_rng(9))
         model = fit(random_model(200, (16, 6), block_len=8, seed=10), blocks,
                     FitConfig(iterations=5))
+        return model, blocks
+
+    def test_streams_match_reference_tables_bytewise(self, reference_quantize):
+        model, blocks = self.peaked_model()
         for precision in (10, 12, 16):
             tables = build_coding_tables(model, precision)
             reference = self.reference_tables(model, precision, reference_quantize)
@@ -319,6 +326,19 @@ class TestCodingTables:
             b = encode_stream([(blocks, reference)], initial_bits=1024, seed=3)
             assert a.payload == b.payload
             assert a.net_bits == b.net_bits
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_block_chains_match_reference_tables_bytewise(self, method, reference_quantize):
+        # The scalar reference under each schedule; streams code Bit-Swap only.
+        model, blocks = self.peaked_model()
+        for precision in (10, 12, 16):
+            tables = build_coding_tables(model, precision)
+            reference = self.reference_tables(model, precision, reference_quantize)
+            a, b = (AnsCoder.with_random_bits(1024, seed=3) for _ in range(2))
+            stats_a = encode_blocks(a, blocks, tables, method=method)
+            stats_b = encode_blocks(b, blocks, reference, method=method)
+            assert a.serialize() == b.serialize()
+            assert stats_a.net_bits == stats_b.net_bits
 
 
 def fresh_pair(n_bits=2048, seed=77):

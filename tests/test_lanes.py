@@ -13,13 +13,14 @@ import pytest
 
 from drr import replay_store
 from drr.bits_back import (
+    DEFAULT_INITIAL_BITS,
     CompressedStream,
     FitConfig,
-    bitswap_encode_block,
     build_coding_tables,
     decode_blocks,
     decode_stream,
     decode_streams,
+    encode_block,
     encode_blocks,
     encode_stream,
     encode_streams,
@@ -39,8 +40,9 @@ from drr.replay_store import LatentModelPair, ReplayBuffer, compress_grid
 from drr.vq_codec import CodecConfig, CodeGrid, freeze, train_codec
 
 
-def scalar_encode_stream(sections, initial_bits, seed):
-    """The scalar `encode_stream`, kept as the reference the lanes must match."""
+def scalar_encode_stream(sections, initial_bits, seed, method="bitswap"):
+    """The scalar `encode_stream`, kept as the reference the lanes must match;
+    under "bb" it is the plain bits-back reference, which no lane runs."""
     coder = AnsCoder.with_random_bits(initial_bits, seed=seed)
     start = coder.potential()
     low = start
@@ -49,7 +51,7 @@ def scalar_encode_stream(sections, initial_bits, seed):
     for blocks, tables in sections:
         for block in blocks:
             before = coder.potential()
-            trace = bitswap_encode_block(coder, block, tables)
+            trace = encode_block(coder, block, tables, method)
             gross += trace.pushed
             returned += trace.popped
             low = min(low, before - trace.peak_demand)
@@ -60,11 +62,11 @@ def scalar_encode_stream(sections, initial_bits, seed):
                             returned_bits=returned, peak_demand_bits=start - low)
 
 
-def scalar_decode_stream(stream, sections):
+def scalar_decode_stream(stream, sections, method="bitswap"):
     """The scalar `decode_stream`, with its unwind checks, as the reference."""
     coder = AnsCoder.deserialize(stream.payload)
     try:
-        out = [decode_blocks(coder, lens, tables, method="bitswap")
+        out = [decode_blocks(coder, lens, tables, method=method)
                for lens, tables in reversed(sections)]
     except ExhaustedStreamError as exc:
         raise DataCorruptionError("stream ended mid-decode") from exc
@@ -177,13 +179,17 @@ def stream_cases():
     return cases
 
 
-@pytest.mark.parametrize("name,k,alphabets,block_len,precision", stream_cases())
-def test_streams_match_scalar_reference(name, k, alphabets, block_len, precision):
+def case_tables(name, k, alphabets, block_len, precision):
+    """The coding tables of a stream case's two sections."""
     model = random_model(k, alphabets, block_len=block_len, seed=len(name),
                          concentration=0.5)
     other = random_model(k, alphabets[::-1], block_len=block_len + 1, seed=7)
-    tables = build_coding_tables(model, precision)
-    other_tables = build_coding_tables(other, precision)
+    return build_coding_tables(model, precision), build_coding_tables(other, precision)
+
+
+@pytest.mark.parametrize("name,k,alphabets,block_len,precision", stream_cases())
+def test_streams_match_scalar_reference(name, k, alphabets, block_len, precision):
+    tables, other_tables = case_tables(name, k, alphabets, block_len, precision)
     rng = np.random.default_rng(precision)
     n_first = 4 * block_len - 1  # a short last block in each section
     n_second = 2 * (block_len + 1) + 1
@@ -213,6 +219,40 @@ def test_streams_match_scalar_reference(name, k, alphabets, block_len, precision
             for s, (blocks, _) in enumerate(sections):
                 assert [block[lane].tolist() for block in decoded[s]] == \
                     [b.tolist() for b in blocks]
+
+
+@pytest.mark.parametrize("name,k,alphabets,block_len,precision", stream_cases())
+def test_plain_bits_back_reference(name, k, alphabets, block_len, precision):
+    # No lane runs plain bits-back; its scalar reference is checked on the
+    # lanes' cases.  It unwinds to exactly the initial bits, its stream
+    # accounting is that of encode_blocks, it never needs fewer initial bits
+    # for a block than the Bit-Swap order, and on single-level chains it is
+    # the Bit-Swap order.
+    tables, other_tables = case_tables(name, k, alphabets, block_len, precision)
+    rng = np.random.default_rng(precision)
+    for lane in range(3):
+        seed = [precision, lane]
+        sections = [(blocks_of(rng.integers(0, k, 4 * block_len - 1), block_len), tables),
+                    (blocks_of(rng.integers(0, k, 2 * (block_len + 1) + 1), block_len + 1),
+                     other_tables)]
+        stream = scalar_encode_stream(sections, 512, seed, "bb")
+        lens = [([len(b) for b in blocks], t) for blocks, t in sections]
+        assert outcome(lambda: scalar_decode_stream(stream, lens, "bb")) == \
+            [[b.tolist() for b in blocks] for blocks, _ in sections]
+        if len(alphabets) == 1:
+            assert same_stream(stream, scalar_encode_stream(sections, 512, seed))
+
+        coder = AnsCoder.with_random_bits(512, seed=seed)
+        stats = encode_blocks(coder, sections[0][0], tables, method="bb")
+        alone = scalar_encode_stream(sections[:1], 512, seed, "bb")
+        assert alone.payload == coder.serialize()
+        assert (alone.gross_bits, alone.returned_bits, alone.net_bits) == \
+            (stats.gross_bits, stats.returned_bits, stats.net_bits)
+
+        first = AnsCoder.with_random_bits(512, seed=seed)
+        plain = encode_block(first.copy(), sections[0][0][0], tables, "bb")
+        swap = encode_block(first, sections[0][0][0], tables, "bitswap")
+        assert swap.peak_demand <= plain.peak_demand + 1e-9
 
 
 class TestAdversarialPayloads:
@@ -260,6 +300,20 @@ class TestAdversarialPayloads:
             assert got == expected
         assert seen == {True, False}  # some variants decode, some are caught
 
+    def test_plain_bits_back_reference_decodes_or_raises(self):
+        # No lane runs plain bits-back; its scalar decoder must decode a bad
+        # payload or raise DataCorruptionError, never fail otherwise.
+        tables = build_coding_tables(random_model(12, (5, 3), block_len=5, seed=4,
+                                                  concentration=0.5))
+        blocks = blocks_of(np.random.default_rng(1).integers(0, 12, 23), 5)
+        stream = scalar_encode_stream([(blocks, tables)], 64, 1, "bb")
+        sections = [([5, 5, 5, 5, 3], tables)]
+        assert outcome(lambda: scalar_decode_stream(stream, sections, "bb")) == \
+            [[b.tolist() for b in blocks]]
+        seen = {outcome(lambda: scalar_decode_stream(bad, sections, "bb")) == "corrupt"
+                for bad in self.variants(stream)}
+        assert seen == {True, False}
+
     def test_one_bad_stream_fails_the_batch(self):
         streams, sections = self.setup_streams()
         bad = CompressedStream(payload=AnsCoder(0, b"").serialize(),
@@ -296,9 +350,10 @@ class TestBatchContracts:
                            initial_bits=0)
 
 
-def pinned_streams(precision):
-    """sha256 over the serialized `compress_grid` streams of fixed grids
-    under a seeded, unfitted model pair."""
+def pinned_streams(precision, method="bitswap"):
+    """sha256 over the serialized streams of fixed grids under a seeded,
+    unfitted model pair, coded by `compress_grid`, or under "bb" by the
+    scalar plain bits-back reference from the same blocks."""
     pair = LatentModelPair(random_model(64, (6, 1, 4), block_len=8, seed=3),
                            random_model(64, (5, 3), block_len=7, seed=4))
     rng = np.random.default_rng(12)
@@ -306,8 +361,12 @@ def pinned_streams(precision):
     for i in range(6):
         grid = CodeGrid(top=rng.integers(0, 64, (3, 5)).astype(np.int32),
                         bottom=rng.integers(0, 64, (6, 10)).astype(np.int32))
-        h.update(serialize_stream(compress_grid(grid, pair, precision=precision,
-                                                seed=[5, i])))
+        if method == "bitswap":
+            stream = compress_grid(grid, pair, precision=precision, seed=[5, i])
+        else:
+            stream = scalar_encode_stream(list(zip(pair.blocks([grid]), pair.tables(precision))),
+                                          DEFAULT_INITIAL_BITS, [5, i], method)
+        h.update(serialize_stream(stream))
     return h.hexdigest()
 
 
@@ -319,6 +378,16 @@ def test_stream_bytes_are_pinned(precision, digest):
     # Digests of the streams the scalar coder wrote; a coder change that
     # moves a single byte of a stream fails here.
     assert pinned_streams(precision) == digest
+
+
+@pytest.mark.parametrize("precision,digest", [
+    (12, "c58cddf45501a0b570cf5b71f6ee1ebd6a186556547767252b055e52a32e6e6b"),
+    (16, "169fc26b2b62f056a5a9ddb1c5b5534cce686f2e04c18cf3a4d23ee75290c43c"),
+])
+def test_plain_bits_back_bytes_are_pinned(precision, digest):
+    # The plain bits-back digests the grid path wrote when it ran both
+    # schedules; the scalar reference must still write the same bytes.
+    assert pinned_streams(precision, "bb") == digest
 
 
 class TestBufferBatches:
