@@ -806,13 +806,13 @@ def fit(model: LatentChainModel, blocks, config: FitConfig = FitConfig()) -> Lat
     under the current inference tables, then inference tables row by row
     from softmax scores, deepest level first.  Every step maximizes the
     bound over its own block of coordinates, so the bound never decreases.
-    Zero iterations returns the model unchanged.
+    Zero iterations returns the model unchanged; fewer raise InvalidInputError.
     """
+    if config.iterations < 0:
+        raise InvalidInputError(f"fit iterations must be nonnegative, got {config.iterations}")
     x0, hist = _block_stats(blocks, model.obs_alphabet)
     model.validate()
     m = model.copy()
-    if config.iterations == 0:
-        return m
     levels = m.levels
     a0 = m.alphabets[0]
     x0_counts = np.bincount(x0, minlength=m.obs_alphabet).astype(np.float64)
@@ -861,11 +861,10 @@ def fit(model: LatentChainModel, blocks, config: FitConfig = FitConfig()) -> Lat
     return m
 
 
-def finetune(model: LatentChainModel, new_blocks, config: FitConfig = FitConfig(),
-             buffered_blocks=()) -> LatentChainModel:
-    """Warm-started fit on new plus already-stored blocks; bumps the version.
-    The blocks are checked as `fit` checks them, at any iteration count."""
-    out = fit(model, list(new_blocks) + list(buffered_blocks), config)
+def finetune(model: LatentChainModel, blocks, config: FitConfig = FitConfig()) -> LatentChainModel:
+    """Warm-started `fit` that bumps the version.  The blocks are checked as
+    `fit` checks them, at any iteration count."""
+    out = fit(model, blocks, config)
     out.version = model.version + 1
     return out
 

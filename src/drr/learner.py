@@ -458,18 +458,11 @@ def _dataset_by_class(images: np.ndarray, labels: np.ndarray) -> dict[int, np.nd
 def _assemble_phase_data(buffer: ReplayBuffer, raw_store: RawExemplarStore | None,
                          new_labels: list[int], train_by_class, mode: str) -> PhaseData:
     recons = buffer.reconstruct_all()
-    per_class = {label: len(v) for label, v in recons.items()}
     images = np.concatenate([recons[label] for label in sorted(recons)])
-    labels = np.concatenate([np.full(per_class[label], label, dtype=np.int64)
+    labels = np.concatenate([np.full(len(recons[label]), label, dtype=np.int64)
                              for label in sorted(recons)])
     if mode == "drr":
         return PhaseData(images=images, labels=labels)
-
-    row_start = {}
-    offset = 0
-    for label in sorted(recons):
-        row_start[label] = offset
-        offset += per_class[label]
 
     if mode == "ib-drr":
         raw_labels = sorted(recons)  # stored raws exist for every seen class
@@ -479,10 +472,9 @@ def _assemble_phase_data(buffer: ReplayBuffer, raw_store: RawExemplarStore | Non
         raw_images = np.concatenate([
             class_exemplars(train_by_class[label], buffer.exemplars_per_class, buffer.seed, label)
             for label in raw_labels])
-    pair_rows = np.concatenate([
-        row_start[label] + np.arange(per_class[label]) for label in raw_labels])
-    return PhaseData(images=images, labels=labels,
-                     raw_images=raw_images, raw_pair_rows=pair_rows)
+    # rows are concatenated in label order, as the raw views are
+    return PhaseData(images=images, labels=labels, raw_images=raw_images,
+                     raw_pair_rows=np.flatnonzero(np.isin(labels, raw_labels)))
 
 
 def run_experiment(train_images: np.ndarray, train_labels: np.ndarray,

@@ -348,6 +348,13 @@ def decompress_grids(streams, pair: LatentModelPair, shapes,
 
 # -- compressed replay buffer ------------------------------------------------------
 
+def _stream_entry(label: int, index: int, version: int) -> tuple[str, str]:
+    """The index line of a class's stream `index` and the file it names:
+    the one form `save` writes and `load` accepts."""
+    name = f"{STREAM_DIR}/{label}_{index}.drrs"
+    return f"stream label={label} index={index} file={name} version={version}", name
+
+
 @dataclass
 class ClassShelf:
     label: int
@@ -458,43 +465,38 @@ class ReplayBuffer:
         if len({label for label, _ in items}) != len(items):
             raise InvalidInputError("duplicate class labels within the phase")
 
-        new_per_class: dict[int, list[CodeGrid]] = {}
-        chosen_shapes: dict[int, tuple] = {}
+        # One grid set for the refit and the re-encode: new classes in label
+        # order, then the buffer in shelf order.  `fit` sums in block order,
+        # so this order is part of the fitted bits.
+        grids: dict[int, list[CodeGrid]] = {}
+        new_shelves = {}
         for label, images in items:
             chosen = class_exemplars(images, self.exemplars_per_class, self.seed, label)
-            new_per_class[label] = encode_images(chosen, self.codec)
-            chosen_shapes[label] = tuple(chosen.shape[1:])
+            grids[label] = encode_images(chosen, self.codec)
+            new_shelves[label] = ClassShelf(label=label, image_shape=tuple(chosen.shape[1:]),
+                                            top_shape=tuple(grids[label][0].top.shape),
+                                            bottom_shape=tuple(grids[label][0].bottom.shape))
+        grids.update(self._decode_grids(self._shelves.values()))
 
-        buffered = self._decode_grids(self._shelves.values())
-        new_top, new_bottom = self.pair.blocks(g for grids in new_per_class.values() for g in grids)
-        old_top, old_bottom = self.pair.blocks(g for grids in buffered.values() for g in grids)
-        self.pair = LatentModelPair(
-            finetune(self.pair.top, new_top, fit_config, buffered_blocks=old_top),
-            finetune(self.pair.bottom, new_bottom, fit_config, buffered_blocks=old_bottom))
+        top, bottom = self.pair.blocks(g for class_grids in grids.values() for g in class_grids)
+        self.pair = LatentModelPair(finetune(self.pair.top, top, fit_config),
+                                    finetune(self.pair.bottom, bottom, fit_config))
+        streams = self._encode_grids(grids)
+        self._shelves.update(new_shelves)
+        for label, shelf_streams in streams.items():
+            self._shelves[label].streams = shelf_streams
 
-        streams = self._encode_grids({**buffered, **new_per_class})
-        for label in buffered:
-            self._shelves[label].streams = streams[label]
-
-        reports = {}
-        for label, grids in new_per_class.items():
-            shelf = ClassShelf(label=label, image_shape=chosen_shapes[label],
-                               top_shape=tuple(grids[0].top.shape),
-                               bottom_shape=tuple(grids[0].bottom.shape),
-                               streams=streams[label])
-            self._shelves[label] = shelf
-            reports[label] = IngestReport(
-                label=label,
-                exemplar_count=len(shelf.streams),
-                symbol_count=sum(s.symbol_count for s in shelf.streams),
-                net_bits=sum(s.net_bits for s in shelf.streams),
-                gross_bits=sum(s.gross_bits for s in shelf.streams),
-                returned_bits=sum(s.returned_bits for s in shelf.streams),
-                peak_demand_bits=max(s.peak_demand_bits for s in shelf.streams),
-                stream_bytes=sum(len(serialize_stream(s)) for s in shelf.streams),
-                model_version=self.pair.version,
-            )
-        return reports
+        return {label: IngestReport(
+                    label=label,
+                    exemplar_count=len(shelf.streams),
+                    symbol_count=sum(s.symbol_count for s in shelf.streams),
+                    net_bits=sum(s.net_bits for s in shelf.streams),
+                    gross_bits=sum(s.gross_bits for s in shelf.streams),
+                    returned_bits=sum(s.returned_bits for s in shelf.streams),
+                    peak_demand_bits=max(s.peak_demand_bits for s in shelf.streams),
+                    stream_bytes=sum(len(serialize_stream(s)) for s in shelf.streams),
+                    model_version=self.pair.version)
+                for label, shelf in new_shelves.items()}
 
     def reconstruct_class(self, label: int) -> np.ndarray:
         if label not in self._shelves:
@@ -541,9 +543,8 @@ class ReplayBuffer:
                          f"bottom={shelf.bottom_shape[0]},{shelf.bottom_shape[1]} "
                          f"count={len(shelf.streams)}")
             for i, stream in enumerate(shelf.streams):
-                name = f"{STREAM_DIR}/{label}_{i}.drrs"
-                lines.append(f"stream label={label} index={i} file={name} "
-                             f"version={stream.model_version}")
+                line, name = _stream_entry(label, i, stream.model_version)
+                lines.append(line)
                 with open(os.path.join(directory, name), "wb") as f:
                     f.write(serialize_stream(stream))
         with open(os.path.join(directory, INDEX_NAME), "w") as f:
@@ -586,28 +587,22 @@ class ReplayBuffer:
                 i += 1
                 label = int(info["label"])
                 count = int(info["count"])
+                if label in buffer._shelves:
+                    raise DataCorruptionError(f"class {label} is listed twice")
                 if count < 1:
                     raise DataCorruptionError(f"class {label} holds {count} streams")
                 shelf = ClassShelf(label=label,
                                    image_shape=parse_shape(info["image"]),
                                    top_shape=parse_shape(info["top"]),
                                    bottom_shape=parse_shape(info["bottom"]))
-                for _ in range(count):
-                    entry = parse_record(lines[i], "stream", ("label", "file", "version"))
+                for index in range(count):
+                    line, name = _stream_entry(label, index, pair.version)
+                    if lines[i] != line:
+                        raise DataCorruptionError(
+                            f"stream file entry {lines[i]!r} should read {line!r}")
                     i += 1
-                    if int(entry["label"]) != label:
-                        raise DataCorruptionError("stream entry under the wrong class")
-                    folder, _, name = entry["file"].partition("/")
-                    if folder != STREAM_DIR:
-                        raise DataCorruptionError(
-                            f"stream file {entry['file']!r} is not in {STREAM_DIR}/")
-                    check_plain_name(name, "stream file")
-                    with open(os.path.join(directory, entry["file"]), "rb") as f:
+                    with open(os.path.join(directory, name), "rb") as f:
                         stream = deserialize_stream(f.read())
-                    if stream.model_version != int(entry["version"]):
-                        raise DataCorruptionError(
-                            f"stream file version {stream.model_version} does not "
-                            f"match index version {entry['version']}")
                     stream.initial_bits = buffer.initial_bits
                     shelf.streams.append(stream)
                 buffer._shelves[label] = shelf

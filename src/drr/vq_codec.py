@@ -436,35 +436,24 @@ def vq_loss_and_grads(image: np.ndarray, params: CodecParams):
 
 
 def init_codec_params(config: CodecConfig) -> CodecParams:
-    """Seeded initialization; codebook rows i.i.d. uniform in [-1/K, 1/K]."""
+    """Seeded initialization, drawn field by field in `weight_shapes` order:
+    weight matrices uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], biases
+    zero, codebook rows uniform in [-1/K, 1/K]."""
     _check_geometry(config.patch, config.pool, config.channels, config.codebook_size,
                     config.embed_dim)
     check_seed(config.seed)
     rng = np.random.default_rng(config.seed)
-    d = config.embed_dim
-    patch_dim = config.patch * config.patch * config.channels
     k = config.codebook_size
-
-    def linear(out_dim, in_dim):
-        bound = 1.0 / np.sqrt(in_dim)
-        return rng.uniform(-bound, bound, size=(out_dim, in_dim))
-
-    return CodecParams(
-        patch=config.patch,
-        pool=config.pool,
-        channels=config.channels,
-        enc_bottom_w=linear(d, patch_dim),
-        enc_bottom_b=np.zeros(d),
-        enc_top_w=linear(d, d),
-        enc_top_b=np.zeros(d),
-        dec_top_w=linear(d, d),
-        dec_top_b=np.zeros(d),
-        dec_bottom_w=linear(patch_dim, d),
-        dec_bottom_b=np.zeros(patch_dim),
-        codebook_top=rng.uniform(-1.0 / k, 1.0 / k, size=(k, d)),
-        codebook_bottom=rng.uniform(-1.0 / k, 1.0 / k, size=(k, d)),
-        beta=config.beta,
-    )
+    weights = {}
+    for name, shape in weight_shapes(config.patch * config.patch * config.channels,
+                                     config.embed_dim, k).items():
+        if len(shape) == 1:
+            weights[name] = np.zeros(shape)
+        else:
+            bound = 1.0 / k if name.startswith("codebook") else 1.0 / np.sqrt(shape[1])
+            weights[name] = rng.uniform(-bound, bound, size=shape)
+    return CodecParams(patch=config.patch, pool=config.pool, channels=config.channels,
+                       beta=config.beta, **weights)
 
 
 def train_codec(dataset, config: CodecConfig, params: CodecParams | None = None) -> CodecParams:

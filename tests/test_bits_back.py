@@ -645,13 +645,19 @@ class TestFit:
         with pytest.raises(InvalidInputError):
             fit(model, [np.array([0, 6])], FitConfig(iterations=1))
 
+    def test_negative_iterations_rejected(self):
+        model = random_model(6, (3,), block_len=2, seed=1)
+        blocks = sample_blocks(model, 10, np.random.default_rng(0))
+        for call in (fit, finetune):
+            with pytest.raises(InvalidInputError, match="iterations"):
+                call(model, blocks, FitConfig(iterations=-5))
+
     def test_finetune_bumps_version(self):
         model = random_model(6, (3,), block_len=2, seed=1)
         blocks = sample_blocks(model, 50, np.random.default_rng(1))
-        tuned = finetune(model, blocks[:30], FitConfig(iterations=3), buffered_blocks=blocks[30:])
+        tuned = finetune(model, blocks, FitConfig(iterations=3))
         assert tuned.version == model.version + 1
-        frozen = finetune(model, blocks[:30], FitConfig(iterations=0),
-                          buffered_blocks=blocks[30:])
+        frozen = finetune(model, blocks, FitConfig(iterations=0))
         assert frozen.version == model.version + 1
         assert np.array_equal(frozen.p_obs, model.p_obs)
         with pytest.raises(InvalidInputError):
@@ -830,8 +836,7 @@ class TestFitStatistics:
         model, blocks = case()
         with np.errstate(invalid="ignore"):  # the log of the negative entry
             fitted = fit(model, blocks, FitConfig(iterations=4))
-            tuned = finetune(model, blocks[:7], FitConfig(iterations=3),
-                             buffered_blocks=blocks[7:])
+            tuned = finetune(model, blocks, FitConfig(iterations=3))
         for out in (fitted, tuned):
             assert all(np.all(np.isfinite(t)) for _, t in out.tables())
         assert model_digest(fitted) == pinned_fit

@@ -389,6 +389,8 @@ def bad_input_cases(workspace, root):
     write_image(str(mixed / "b.img"), toy_images(1, side=16, seed=2)[0])
     config = root / "alphabets.conf"
     config.write_text("alphabets = a,b\n")
+    negative_fit = root / "fit_iterations.conf"
+    negative_fit.write_text(SMALL_RUN_CONFIG + "fit_iterations = -5\n")
     empty = root / "empty"
     empty.mkdir()
     write_image(str(empty / "a.img"), np.zeros((0, 16, 3)))
@@ -406,6 +408,9 @@ def bad_input_cases(workspace, root):
         ("alphabets empty", compress + ["--alphabets", ""]),
         ("config alphabets a,b", ["run-phases", "--config", str(config),
                                   "--out", str(root / "r.txt")]),
+        ("fit iterations -5", compress + ["--fit-iterations", "-5"]),
+        ("config fit_iterations -5", ["run-phases", "--config", str(negative_fit),
+                                      "--out", str(root / "r.txt")]),
         ("zero-height image, pretrain", ["pretrain-codec", "--data", str(empty),
                                          "--out", str(root / "c.drrc"), "--epochs", "1"]),
         ("zero-height image, compress", ["compress", "--codec", workspace["codec"],

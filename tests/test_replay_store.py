@@ -1,6 +1,7 @@
 """Replay buffer, raw baseline, and memory accounting tests."""
 
 import dataclasses
+import hashlib
 import struct
 
 import numpy as np
@@ -465,6 +466,33 @@ class TestPersistence:
             ReplayBuffer.load(str(tmp_path))
 
 
+def directory_digest(directory):
+    """sha256 over every file under `directory`: relative path, then bytes."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+        h.update(path.relative_to(directory).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+class TestSavedBufferPin:
+    def test_two_phase_buffer_is_pinned(self, frozen_codec, tmp_path):
+        # Phase 2 refits on its new classes and the decoded phase-1 buffer,
+        # so a change in the refit's block order moves the models and every
+        # stream.  Taken when the refit joined two block lists, new classes
+        # first; the codec's float64 weights depend on BLAS rounding, so
+        # another BLAS build may need a new digest.
+        buffer = ReplayBuffer(frozen_codec, make_pair(seed=21), exemplars_per_class=4, seed=11)
+        for phase in ((0, 1), (2, 3)):
+            buffer.ingest_phase({label: toy_images(10, seed=30 + label) for label in phase},
+                                FitConfig(iterations=3))
+        buffer.save(str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "codec.drrc", "index.txt", "models.drrm", "streams"]
+        assert directory_digest(tmp_path) == (
+            "c051b5caf2e53802bb9821f0f78e832b4abbd6b411840b8c71acc2c300abdf7b")
+
+
 class TestIndexPaths:
     @pytest.mark.parametrize("name", ["../outside.drrs", "streams/../../outside.drrs",
                                       "{root}/outside.drrs", "streams/", "streams/..",
@@ -484,6 +512,33 @@ class TestIndexPaths:
             "file=streams/0_0.drrs", "file=" + name.format(root=tmp_path)))
         with pytest.raises(DataCorruptionError, match="stream file"):
             ReplayBuffer.load(str(directory))
+
+    @pytest.mark.parametrize("edit", [
+        lambda first: first,
+        lambda first: first.replace("index=0", "index=1"),
+        lambda first: first.replace("index=0 file=streams/0_0", "index=1 file=streams/renamed"),
+    ])
+    def test_only_saved_stream_lines_load(self, frozen_codec, tmp_path, edit):
+        # Each stream file exists: only the line check stops the load.
+        buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
+        buffer.save(str(tmp_path))
+        (tmp_path / "streams" / "renamed.drrs").write_bytes(
+            (tmp_path / "streams" / "0_1.drrs").read_bytes())
+        index = tmp_path / "index.txt"
+        lines = index.read_text().splitlines()
+        lines[4] = edit(lines[3])
+        index.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataCorruptionError, match="stream file"):
+            ReplayBuffer.load(str(tmp_path))
+
+    def test_repeated_class_block_rejected(self, frozen_codec, tmp_path):
+        buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
+        buffer.save(str(tmp_path))
+        index = tmp_path / "index.txt"
+        lines = index.read_text().splitlines()
+        index.write_text("\n".join(lines + lines[2:]) + "\n")
+        with pytest.raises(DataCorruptionError, match="class 0 is listed twice"):
+            ReplayBuffer.load(str(tmp_path))
 
     def test_negative_seed_in_options_rejected(self, frozen_codec, tmp_path):
         buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
