@@ -56,6 +56,7 @@ from .rans import (  # noqa: F401
     AnsCoder,
     LaneCoder,
     PmfTable,
+    payload_state,
     pmf_quantize,
     quantize_rows,
 )
@@ -751,7 +752,7 @@ def deserialize_stream(data: bytes) -> CompressedStream:
         raise DataCorruptionError("bad stream magic")
     _, model_version, symbol_count = _STREAM_HEAD.unpack_from(data)
     payload = data[_STREAM_HEAD.size:]
-    AnsCoder.deserialize(payload)  # validates the nested bitstream
+    payload_state(payload)  # validates the nested bitstream
     return CompressedStream(payload=payload, symbol_count=symbol_count,
                             model_version=model_version)
 

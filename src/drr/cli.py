@@ -47,8 +47,9 @@ from .rans import DEFAULT_PRECISION
 from .replay_store import (
     LatentModelPair,
     check_plain_name,
+    code_shapes,
     compress_grids,
-    decompress_grids,
+    decompress_images,
     format_megabytes,
     parse_record,
     parse_shape,
@@ -56,7 +57,6 @@ from .replay_store import (
 from .vq_codec import (
     CODEC_MAGIC,
     CodecConfig,
-    decode_codes,
     deserialize_codec,
     encode_image,
     freeze,
@@ -211,16 +211,23 @@ def cmd_decompress(args) -> int:
     for entry in entries:
         for key in ("file", "source"):
             check_plain_name(entry[key], f"{index_path}: {key}")
+    shapes = [(parse_shape(entry["top"]), parse_shape(entry["bottom"])) for entry in entries]
+    for entry, (top, bottom) in zip(entries, shapes):
+        # The image the bottom grid decodes to must have exactly these grids.
+        image = tuple(side * codec.patch for side in bottom) + (codec.channels,)
+        if code_shapes(image, codec) != (top, bottom):
+            raise DataCorruptionError(
+                f"{index_path}: {entry['file']}: top={entry['top']} bottom={entry['bottom']} "
+                f"do not fit the codec (pool {codec.pool})")
     streams = []
     for entry in entries:
         with open(os.path.join(args.in_dir, entry["file"]), "rb") as f:
             streams.append(deserialize_stream(f.read()))
-    shapes = [(parse_shape(entry["top"]), parse_shape(entry["bottom"])) for entry in entries]
-    grids = decompress_grids(streams, pair, shapes, precision=args.precision)
+    images = decompress_images(streams, pair, shapes, codec, precision=args.precision)
     os.makedirs(args.out, exist_ok=True)
-    for entry, grid in zip(entries, grids):
-        write_image(os.path.join(args.out, entry["source"]), decode_codes(grid, codec))
-    print(f"reconstructed {len(grids)} images into {args.out}")
+    for entry, image in zip(entries, images):
+        write_image(os.path.join(args.out, entry["source"]), image)
+    print(f"reconstructed {len(images)} images into {args.out}")
     return EXIT_OK
 
 

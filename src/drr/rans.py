@@ -258,6 +258,26 @@ def entropy_from_sample(symbols, alphabet_size: int | None = None) -> float:
     return entropy_from_freqs(counts)
 
 
+STACK_OFFSET = _HEAD.size + _STATE.size  # where a payload's byte stack starts
+
+
+def payload_state(data: bytes) -> int:
+    """The coder state of an `AnsCoder.serialize` payload, whose byte stack
+    is data[STACK_OFFSET:].
+
+    The one check of a payload's magic, format version and length, shared
+    by every reader; DataCorruptionError if any is wrong.
+    """
+    if len(data) < _HEAD.size or data[:4] != STREAM_MAGIC:
+        raise DataCorruptionError("bad bitstream magic")
+    _, version, payload_len = _HEAD.unpack_from(data)
+    if version != STREAM_FORMAT_VERSION:
+        raise DataCorruptionError(f"unsupported bitstream format version {version}")
+    if len(data) != _HEAD.size + payload_len or payload_len < _STATE.size:
+        raise DataCorruptionError("bitstream length mismatch")
+    return _STATE.unpack_from(data, _HEAD.size)[0]
+
+
 class AnsCoder:
     """Mutable rANS coder: integer state plus a byte stack.
 
@@ -341,15 +361,7 @@ class AnsCoder:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "AnsCoder":
-        if len(data) < _HEAD.size or data[:4] != STREAM_MAGIC:
-            raise DataCorruptionError("bad bitstream magic")
-        _, version, payload_len = _HEAD.unpack_from(data)
-        if version != STREAM_FORMAT_VERSION:
-            raise DataCorruptionError(f"unsupported bitstream format version {version}")
-        if len(data) != _HEAD.size + payload_len or payload_len < _STATE.size:
-            raise DataCorruptionError("bitstream length mismatch")
-        (state,) = _STATE.unpack_from(data, _HEAD.size)
-        return cls(state=state, stack=data[_HEAD.size + _STATE.size:])
+        return cls(state=payload_state(data), stack=data[STACK_OFFSET:])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AnsCoder):
@@ -375,13 +387,18 @@ class LaneCoder:
 
     def __init__(self, coders):
         coders = list(coders)
-        if not coders:
+        self._fill([c.state for c in coders], [c.stack for c in coders])
+
+    def _fill(self, states, stacks) -> None:
+        """Lane i gets states[i] and the bytes of stacks[i], bottom first;
+        all stacks land in the 2-D stack with one copy."""
+        if not stacks:
             raise InvalidInputError("a lane coder needs at least one lane")
-        self.state = np.array([c.state for c in coders], dtype=np.uint64)
-        self.height = np.array([len(c.stack) for c in coders], dtype=np.int64)
-        self.stack = np.zeros((len(coders), int(self.height.max()) + 64), dtype=np.uint8)
-        for lane, coder in enumerate(coders):
-            self.stack[lane, :len(coder.stack)] = np.frombuffer(coder.stack, dtype=np.uint8)
+        self.state = np.array(states, dtype=np.uint64)
+        self.height = np.array([len(s) for s in stacks], dtype=np.int64)
+        self.stack = np.zeros((len(stacks), int(self.height.max()) + 64), dtype=np.uint8)
+        held = np.arange(self.stack.shape[1]) < self.height[:, None]
+        self.stack[held] = np.frombuffer(b"".join(stacks), dtype=np.uint8)
 
     @classmethod
     def with_random_bits(cls, n_bits: int, seeds) -> "LaneCoder":
@@ -390,8 +407,13 @@ class LaneCoder:
 
     @classmethod
     def deserialize(cls, payloads) -> "LaneCoder":
-        """One lane per `AnsCoder.serialize` payload."""
-        return cls(AnsCoder.deserialize(data) for data in payloads)
+        """One lane per `AnsCoder.serialize` payload, each checked as
+        `AnsCoder.deserialize` checks it."""
+        payloads = list(payloads)
+        coder = cls.__new__(cls)
+        coder._fill([payload_state(data) for data in payloads],
+                    [memoryview(data)[STACK_OFFSET:] for data in payloads])
+        return coder
 
     def coders(self) -> list[AnsCoder]:
         """Each lane as a scalar coder (without `ideal_bits`)."""

@@ -44,7 +44,7 @@ from .vq_codec import (  # noqa: F401
     CodecParams,
     CodeGrid,
     decode_codes,
-    decode_images,
+    decode_indices,
     deserialize_codec,
     encode_image,
     encode_images,
@@ -278,8 +278,8 @@ def decompress_grid(stream: CompressedStream, pair: LatentModelPair,
                     tables: tuple[CodingTables, CodingTables] | None = None,
                     precision: int = DEFAULT_PRECISION) -> CodeGrid:
     """One stream's grid; the one-stream case of `decompress_grids`."""
-    return _decode_geometry([stream], pair, top_shape, bottom_shape,
-                            pair.tables(precision) if tables is None else tables)[0]
+    return _grids(*_decode_indices([stream], pair, top_shape, bottom_shape,
+                                   pair.tables(precision) if tables is None else tables))[0]
 
 
 def _lane_blocks(symbols: np.ndarray, block_len: int) -> list[np.ndarray]:
@@ -317,18 +317,37 @@ def compress_grids(grids, pair: LatentModelPair, seeds,
     return out
 
 
-def _decode_geometry(streams, pair: LatentModelPair, top_shape, bottom_shape,
-                     tables: tuple[CodingTables, CodingTables]) -> list[CodeGrid]:
-    """The grids of streams that share one (top, bottom) geometry, decoded
-    side by side, one coder lane each."""
+def _decode_indices(streams, pair: LatentModelPair, top_shape, bottom_shape,
+                    tables: tuple[CodingTables, CodingTables]) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked int32 (top, bottom) index arrays, of shapes
+    (N, *top_shape) and (N, *bottom_shape), of N streams that share one
+    geometry, decoded side by side, one coder lane each."""
     top_tables, bottom_tables = tables
     top_lens = _block_lens(int(np.prod(top_shape)), pair.top.block_len)
     bottom_lens = _block_lens(int(np.prod(bottom_shape)), pair.bottom.block_len)
-    top, bottom = (np.concatenate(blocks, axis=1).astype(np.int32)
+    top, bottom = (np.concatenate(blocks, axis=1, dtype=np.int32)
                    for blocks in decode_streams(streams, [(top_lens, top_tables),
                                                           (bottom_lens, bottom_tables)]))
-    return [CodeGrid(top=t.reshape(top_shape), bottom=b.reshape(bottom_shape))
-            for t, b in zip(top, bottom)]
+    return top.reshape(-1, *top_shape), bottom.reshape(-1, *bottom_shape)
+
+
+def _grids(top: np.ndarray, bottom: np.ndarray) -> list[CodeGrid]:
+    """The rows of stacked (top, bottom) index arrays as grids."""
+    return [CodeGrid(top=t, bottom=b) for t, b in zip(top, bottom)]
+
+
+def _per_geometry(streams, pair: LatentModelPair, shapes, precision: int, rows) -> list:
+    """rows(top, bottom) of the decoded index arrays of each geometry's
+    streams, back in stream order; shapes[i] is the (top shape, bottom
+    shape) of stream i."""
+    streams, shapes = list(streams), [(tuple(t), tuple(b)) for t, b in shapes]
+    out = [None] * len(streams)
+    for members in _by_geometry(shapes):
+        arrays = _decode_indices([streams[i] for i in members], pair, *shapes[members[0]],
+                                 pair.tables(precision))
+        for i, row in zip(members, rows(*arrays)):
+            out[i] = row
+    return out
 
 
 def decompress_grids(streams, pair: LatentModelPair, shapes,
@@ -336,14 +355,29 @@ def decompress_grids(streams, pair: LatentModelPair, shapes,
     """The grid of every stream, where shapes[i] is the (top shape, bottom
     shape) of stream i.  Streams of one geometry are decoded side by side,
     one coder lane each."""
-    streams, shapes = list(streams), [(tuple(t), tuple(b)) for t, b in shapes]
-    out = [None] * len(streams)
-    for members in _by_geometry(shapes):
-        grids = _decode_geometry([streams[i] for i in members], pair, *shapes[members[0]],
-                                 pair.tables(precision))
-        for i, grid in zip(members, grids):
-            out[i] = grid
-    return out
+    return _per_geometry(streams, pair, shapes, precision, _grids)
+
+
+def decompress_images(streams, pair: LatentModelPair, shapes, codec: CodecParams,
+                      precision: int = DEFAULT_PRECISION) -> list[np.ndarray]:
+    """The reconstructed image of every stream, where shapes[i] is the (top
+    shape, bottom shape) of stream i.  The streams of one geometry are
+    decoded side by side and their images in one decoder pass."""
+    return _per_geometry(streams, pair, shapes, precision,
+                         lambda top, bottom: decode_indices(top, bottom, codec))
+
+
+def code_shapes(image_shape, codec: CodecParams):
+    """The (top, bottom) grid shapes `codec` gives an image of
+    `image_shape`, or None if the codec cannot code such an image: it must
+    be H x W x channels, with H and W multiples of patch * pool."""
+    cell = codec.patch * codec.pool
+    if len(image_shape) != 3 or image_shape[2] != codec.channels:
+        return None
+    h, w, _ = image_shape
+    if h % cell or w % cell:
+        return None
+    return (h // cell, w // cell), (h // codec.patch, w // codec.patch)
 
 
 # -- compressed replay buffer ------------------------------------------------------
@@ -429,16 +463,22 @@ class ReplayBuffer:
                         f"stream for class {shelf.label} has model version "
                         f"{stream.model_version}, the models are at {self.pair.version}")
 
-    def _decode_grids(self, shelves) -> dict[int, list[CodeGrid]]:
-        """The code grids of every stream on the given shelves, per label,
-        decoded in one batch."""
+    def _class_indices(self, shelves) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """The stacked (top, bottom) index arrays of every class on the
+        given shelves, per label in shelf order; the streams of each
+        geometry are decoded in one batch."""
         shelves = list(shelves)
         self._check_versions(shelves)
-        grids = iter(decompress_grids(
-            [stream for shelf in shelves for stream in shelf.streams], self.pair,
-            [(shelf.top_shape, shelf.bottom_shape) for shelf in shelves for _ in shelf.streams],
-            precision=self.precision))
-        return {shelf.label: [next(grids) for _ in shelf.streams] for shelf in shelves}
+        out = dict.fromkeys(shelf.label for shelf in shelves)
+        for members in _by_geometry((s.top_shape, s.bottom_shape) for s in shelves):
+            group = [shelves[i] for i in members]
+            top, bottom = _decode_indices([st for shelf in group for st in shelf.streams],
+                                          self.pair, group[0].top_shape, group[0].bottom_shape,
+                                          self.pair.tables(self.precision))
+            ends = np.cumsum([len(shelf.streams) for shelf in group])[:-1]
+            for shelf, t, b in zip(group, np.split(top, ends), np.split(bottom, ends)):
+                out[shelf.label] = t, b
+        return out
 
     def _encode_grids(self, grids_by_label: dict[int, list[CodeGrid]]
                       ) -> dict[int, list[CompressedStream]]:
@@ -476,7 +516,8 @@ class ReplayBuffer:
             new_shelves[label] = ClassShelf(label=label, image_shape=tuple(chosen.shape[1:]),
                                             top_shape=tuple(grids[label][0].top.shape),
                                             bottom_shape=tuple(grids[label][0].bottom.shape))
-        grids.update(self._decode_grids(self._shelves.values()))
+        grids.update((label, _grids(*arrays))
+                     for label, arrays in self._class_indices(self._shelves.values()).items())
 
         top, bottom = self.pair.blocks(g for class_grids in grids.values() for g in class_grids)
         self.pair = LatentModelPair(finetune(self.pair.top, top, fit_config),
@@ -501,14 +542,14 @@ class ReplayBuffer:
     def reconstruct_class(self, label: int) -> np.ndarray:
         if label not in self._shelves:
             raise InvalidInputError(f"class {label} is not stored")
-        grids = self._decode_grids([self._shelves[label]])[label]
-        return decode_images(grids, self.codec)
+        return decode_indices(*self._class_indices([self._shelves[label]])[label], self.codec)
 
     def reconstruct_all(self) -> dict[int, np.ndarray]:
-        """Every stored class, with all streams decoded in one batch and the
-        images of each class in one decoder pass."""
-        grids = self._decode_grids(self._shelves.values())
-        return {label: decode_images(grids[label], self.codec) for label in self.class_labels}
+        """Every stored class, with the streams of each geometry decoded in
+        one batch and the images of each class in one decoder pass over its
+        slice of the decoded index arrays."""
+        indices = self._class_indices(self._shelves.values())
+        return {label: decode_indices(*indices[label], self.codec) for label in self.class_labels}
 
     def account(self) -> MemoryReport:
         count = self.exemplar_count
@@ -595,6 +636,11 @@ class ReplayBuffer:
                                    image_shape=parse_shape(info["image"]),
                                    top_shape=parse_shape(info["top"]),
                                    bottom_shape=parse_shape(info["bottom"]))
+                if code_shapes(shelf.image_shape, codec) != (shelf.top_shape, shelf.bottom_shape):
+                    raise DataCorruptionError(
+                        f"class {label}: image={info['image']} top={info['top']} "
+                        f"bottom={info['bottom']} do not fit the codec "
+                        f"(patch {codec.patch}, pool {codec.pool}, {codec.channels} channels)")
                 for index in range(count):
                     line, name = _stream_entry(label, index, pair.version)
                     if lines[i] != line:

@@ -289,40 +289,54 @@ def encode_image(image: np.ndarray, params: CodecParams) -> CodeGrid:
 def _decode_embeddings(emb_top: np.ndarray, emb_bottom: np.ndarray, params: CodecParams):
     """Shared decoder path: top map, upsample, sum, bottom map.
 
-    Returns (patch reconstructions, summed hidden grid).
+    The sum is made in place in `emb_bottom`, which must be a fresh array
+    the caller hands over (a codebook gather), never a codebook itself.
+    Returns (patch reconstructions, summed hidden grid); the hidden grid is
+    `emb_bottom`.
     """
-    u = emb_top @ params.dec_top_w.T + params.dec_top_b
-    hidden = (_cells(emb_bottom, params.pool)
-              + u[:, :, None, :, None, :]).reshape(emb_bottom.shape)
-    patches = hidden @ params.dec_bottom_w.T + params.dec_bottom_b
-    return patches, hidden
+    u = emb_top @ params.dec_top_w.T
+    u += params.dec_top_b
+    upsampled = _cells(emb_bottom, params.pool)
+    upsampled += u[:, :, None, :, None, :]
+    patches = emb_bottom @ params.dec_bottom_w.T
+    patches += params.dec_bottom_b
+    return patches, emb_bottom
+
+
+def decode_indices(top: np.ndarray, bottom: np.ndarray, params: CodecParams) -> np.ndarray:
+    """Reconstruct the (n, H, W, C) images of stacked index grids, top of
+    shape (n, H_t, W_t) and bottom (n, H_b, W_b), clamped to [0, 1], in one
+    decoder pass.
+
+    The one decoder of code indices: each image depends only on its own
+    grids, because the stacked matmuls keep every grid row's sub-matrices
+    and never form one 2-D product over the batch.
+    """
+    k = params.codebook_size
+    for name, idx in (("top", top), ("bottom", bottom)):
+        if idx.ndim != 3 or idx.size == 0 or idx.min() < 0 or idx.max() >= k:
+            raise InvalidInputError(f"{name} indices must be a 2-d grid in [0, {k})")
+    n, ht, wt = top.shape
+    if bottom.shape != (n, ht * params.pool, wt * params.pool):
+        raise InvalidInputError("grid shapes do not match the pooling factor")
+    patches, _ = _decode_embeddings(params.codebook_top[top], params.codebook_bottom[bottom],
+                                    params)
+    images = _assemble_patches(patches, params.patch, params.channels)
+    return np.clip(images, 0.0, 1.0, out=images)
 
 
 def decode_images(grids, params: CodecParams) -> np.ndarray:
     """Reconstruct the (n, H, W, C) images of code grids of one geometry,
-    clamped to [0, 1], in one decoder pass.
-
-    Each image is bit-identical to its grid's own `decode_codes`, the
-    one-grid case: the stacked matmuls keep every grid's sub-matrices.
+    clamped to [0, 1], in one decoder pass: `decode_indices` of the stacked
+    grids.  Each image is bit-identical to its grid's own `decode_codes`.
     """
     grids = list(grids)
     if not grids:
         raise InvalidInputError("need at least one code grid")
     if len({(g.top.shape, g.bottom.shape) for g in grids}) != 1:
         raise InvalidInputError("code grids must all have one geometry")
-    top = np.stack([g.top for g in grids])
-    bottom = np.stack([g.bottom for g in grids])
-    k = params.codebook_size
-    for name, idx in (("top", top), ("bottom", bottom)):
-        if idx.ndim != 3 or idx.min() < 0 or idx.max() >= k:
-            raise InvalidInputError(f"{name} indices must be a 2-d grid in [0, {k})")
-    _, ht, wt = top.shape
-    _, hb, wb = bottom.shape
-    if (hb, wb) != (ht * params.pool, wt * params.pool):
-        raise InvalidInputError("grid shapes do not match the pooling factor")
-    patches, _ = _decode_embeddings(params.codebook_top[top], params.codebook_bottom[bottom],
-                                    params)
-    return np.clip(_assemble_patches(patches, params.patch, params.channels), 0.0, 1.0)
+    return decode_indices(np.stack([g.top for g in grids]), np.stack([g.bottom for g in grids]),
+                          params)
 
 
 def decode_codes(grid: CodeGrid, params: CodecParams) -> np.ndarray:
@@ -362,7 +376,8 @@ def _patch_grads(patches: np.ndarray, params: CodecParams):
 
     # Straight-through: decode from codebook rows, but route reconstruction
     # gradients into z_bottom / z_top as if they had been decoded directly.
-    recon, hidden = _decode_embeddings(q_top, q_bottom, params)
+    # The decoder sums into its own gather, so q_bottom stays intact.
+    recon, hidden = _decode_embeddings(q_top, params.codebook_bottom[idx_b], params)
 
     err = recon - patches
     diff_b = z_bottom - q_bottom

@@ -429,10 +429,21 @@ def zero_geometry_codec(path, field):
         f.write(b"DRRC" + struct.pack("<HIIIIIBd", 1, *g.values(), 1, 0.25) + bytes(8 * weights))
 
 
-def corrupt_input_cases(workspace, root):
+# Stream-set entry shapes that do not fit the 16x16 images under the
+# workspace codec (patch 4, pool 2: top 2,2 and bottom 4,4).
+BAD_ENTRY_SHAPES = [("top", "4,1"), ("top", "1,1"), ("top", "2,2,1"),
+                    ("bottom", "8,2"), ("bottom", "2,2")]
+
+
+def corrupt_input_cases(workspace, compressed, root):
     """(name, argv) pairs of corrupt artifacts that must exit 3, each with its
     inputs written under `root`."""
     cases = []
+    for key, value in BAD_ENTRY_SHAPES:
+        streams = edited_copy(compressed, root / f"{key}_{value}", key, value)
+        cases.append((f"entry {key}={value}, decompress",
+                      ["decompress", "--codec", workspace["codec"], "--model",
+                       compressed["model"], "--in", streams, "--out", str(root / "recon")]))
     for field in ("patch", "pool", "channels", "codebook_size", "embed_dim"):
         codec = str(root / f"zero_{field}.drrc")
         zero_geometry_codec(codec, field)
@@ -451,15 +462,15 @@ def corrupt_input_cases(workspace, root):
     return cases
 
 
-def traversal_copy(compressed, directory, source):
-    """A copy of the stream set whose first index line names `source`."""
+def edited_copy(compressed, directory, key, value):
+    """A copy of the stream set whose first index line has `key`=`value`."""
     directory.mkdir()
     for name in os.listdir(compressed["out"]):
         with open(os.path.join(compressed["out"], name), "rb") as f:
             blob = f.read()
         if name == "index.txt":
             lines = blob.decode().splitlines()
-            words = [f"source={source}" if w.startswith("source=") else w
+            words = [f"{key}={value}" if w.startswith(f"{key}=") else w
                      for w in lines[1].split()]
             lines[1] = " ".join(words)
             blob = ("\n".join(lines) + "\n").encode()
@@ -479,7 +490,7 @@ class TestBadInput:
     def test_decompress_writes_only_inside_out(self, workspace, compressed, tmp_path,
                                                capsys, source):
         source = source.format(tmp=tmp_path)
-        streams = traversal_copy(compressed, tmp_path / "streams", source)
+        streams = edited_copy(compressed, tmp_path / "streams", "source", source)
         out = tmp_path / "deep" / "recon"
         code = main(["decompress", "--codec", workspace["codec"],
                      "--model", compressed["model"], "--in", streams, "--out", str(out)])
@@ -490,7 +501,7 @@ class TestBadInput:
 
     def test_subprocess_sweep_exits_cleanly(self, workspace, compressed, tmp_path):
         cases = bad_input_cases(workspace, tmp_path)
-        streams = traversal_copy(compressed, tmp_path / "streams", "../evil.img")
+        streams = edited_copy(compressed, tmp_path / "streams", "source", "../evil.img")
         cases.append(("source ../evil.img",
                       ["decompress", "--codec", workspace["codec"],
                        "--model", compressed["model"], "--in", streams,
@@ -505,14 +516,15 @@ class TestBadInput:
 
 
 class TestCorruptInput:
-    def test_each_case_is_corrupt(self, workspace, tmp_path, capsys):
-        for name, argv in corrupt_input_cases(workspace, tmp_path):
+    def test_each_case_is_corrupt(self, workspace, compressed, tmp_path, capsys):
+        for name, argv in corrupt_input_cases(workspace, compressed, tmp_path):
             assert main(argv) == EXIT_CORRUPT, name
             assert "corrupt data" in capsys.readouterr().err, name
         assert not (tmp_path / "m.drrm").exists()
+        assert not (tmp_path / "recon").exists()
 
-    def test_subprocess_sweep_exits_cleanly(self, workspace, tmp_path):
-        for name, argv in corrupt_input_cases(workspace, tmp_path):
+    def test_subprocess_sweep_exits_cleanly(self, workspace, compressed, tmp_path):
+        for name, argv in corrupt_input_cases(workspace, compressed, tmp_path):
             proc = subprocess.run([sys.executable, "-m", "drr.cli", *argv],
                                   capture_output=True, text=True)
             assert proc.returncode == EXIT_CORRUPT, name

@@ -152,6 +152,59 @@ class TestLaneCoder:
         with pytest.raises(InvalidInputError):
             LaneCoder.with_random_bits(64, [])
 
+
+def ragged_payloads():
+    """Payloads of different stack heights, one of them empty, with states
+    moved off RANS_L by a few pushes."""
+    table = PmfTable.from_freqs(quantize_rows([[0.7, 0.2, 0.1]], 12)[0], 12)
+    coders = [AnsCoder.with_random_bits(bits, seed) for seed, bits in
+              enumerate([64, 0, 1024, 8, 256])]
+    rng = np.random.default_rng(4)
+    for coder, pushes in zip(coders, [3, 0, 50, 1, 7]):
+        for symbol in rng.integers(0, 3, pushes):
+            coder.push(int(symbol), table.row(0))
+    return [coder.serialize() for coder in coders]
+
+
+def corrupted(payload, part):
+    """`payload` with one header field broken."""
+    if part == "magic":
+        return b"DRRX" + payload[4:]
+    if part == "version":
+        return payload[:4] + bytes([payload[4] + 1]) + payload[5:]
+    if part == "short":
+        return payload[:-1]
+    if part == "long":
+        return payload + b"\0"
+    return payload[:10]  # "header": too short to hold its own header
+
+
+class TestLaneDeserialize:
+    def test_each_lane_is_the_scalar_parse(self):
+        payloads = ragged_payloads()
+        lanes = LaneCoder.deserialize(iter(payloads))
+        scalar = [AnsCoder.deserialize(p) for p in payloads]
+        assert lanes.height.tolist() == [len(c.stack) for c in scalar]
+        assert 0 in lanes.height.tolist()
+        assert lanes.coders() == scalar
+        assert [int(s) for s in lanes.state] == [c.state for c in scalar]
+        assert lanes.serialize() == payloads
+
+    @pytest.mark.parametrize("part", ["magic", "version", "short", "long", "header"])
+    @pytest.mark.parametrize("lane", [0, 1, 4])
+    def test_bad_lane_fails_as_the_scalar_parse(self, part, lane):
+        payloads = ragged_payloads()
+        payloads[lane] = corrupted(payloads[lane], part)
+        with pytest.raises(DataCorruptionError) as scalar:
+            AnsCoder.deserialize(payloads[lane])
+        with pytest.raises(DataCorruptionError) as lanes:
+            LaneCoder.deserialize(payloads)
+        assert str(lanes.value) == str(scalar.value)
+
+    def test_needs_a_payload(self):
+        with pytest.raises(InvalidInputError):
+            LaneCoder.deserialize([])
+
     @pytest.mark.parametrize("precision", [2, 12, 16])
     def test_costs_match_cost_bits_for_every_frequency(self, precision):
         top = 1 << precision

@@ -19,11 +19,21 @@ from drr.replay_store import (
     bytes_to_megabytes,
     compress_grid,
     decompress_grid,
+    decompress_grids,
+    decompress_images,
     format_megabytes,
     raw_store_bytes,
     select_exemplars,
 )
-from drr.vq_codec import CodecConfig, encode_image, freeze, train_codec
+from drr.vq_codec import (
+    CodecConfig,
+    decode_images,
+    encode_image,
+    encode_images,
+    freeze,
+    serialize_codec,
+    train_codec,
+)
 
 
 def toy_images(n, side=16, channels=3, seed=0):
@@ -457,6 +467,34 @@ class TestPersistence:
         assert isinstance(info.value.__cause__, InvalidInputError)
         assert str(info.value.__cause__).startswith("q_link[0] ")
 
+    @staticmethod
+    def load_with_class_field(frozen_codec, tmp_path, key, value):
+        """Load a saved one-class 16x16x3 buffer whose class line has
+        `key`=`value`."""
+        buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
+        buffer.save(str(tmp_path))
+        index = tmp_path / "index.txt"
+        lines = index.read_text().splitlines()
+        lines[2] = " ".join(f"{key}={value}" if word.startswith(f"{key}=") else word
+                            for word in lines[2].split())
+        index.write_text("\n".join(lines) + "\n")
+        return ReplayBuffer.load(str(tmp_path))
+
+    @pytest.mark.parametrize("image", ["16,16,3,1", "9,9,3", "16,16,1", "16,12,3", "32,16,3"])
+    def test_class_image_shape_must_fit_the_codec(self, frozen_codec, tmp_path, image):
+        with pytest.raises(DataCorruptionError, match="do not fit the codec"):
+            self.load_with_class_field(frozen_codec, tmp_path, "image", image)
+
+    @pytest.mark.parametrize("top", ["4,1", "1,4,4", "2,2,1", "4,4"])
+    def test_class_top_shape_must_fit_the_image(self, frozen_codec, tmp_path, top):
+        with pytest.raises(DataCorruptionError, match="do not fit the codec"):
+            self.load_with_class_field(frozen_codec, tmp_path, "top", top)
+
+    @pytest.mark.parametrize("bottom", ["2,8", "4,4,1", "2,2", "8,8"])
+    def test_class_bottom_shape_must_fit_the_image(self, frozen_codec, tmp_path, bottom):
+        with pytest.raises(DataCorruptionError, match="do not fit the codec"):
+            self.load_with_class_field(frozen_codec, tmp_path, "bottom", bottom)
+
     def test_tampered_model_version_rejected(self, frozen_codec, tmp_path):
         buffer, _ = filled_buffer(frozen_codec, n_classes=1)
         buffer.save(str(tmp_path))
@@ -464,6 +502,89 @@ class TestPersistence:
         (tmp_path / "models.drrm").write_bytes(stale.serialize())
         with pytest.raises(DataCorruptionError):
             ReplayBuffer.load(str(tmp_path))
+
+
+def wide_images(n, seed):
+    """16x32 images: two square toy images side by side."""
+    return np.concatenate([toy_images(n, seed=seed), toy_images(n, seed=seed + 100)], axis=2)
+
+
+class TestArrayReadPath:
+    @pytest.fixture(scope="class")
+    def mixed_buffer(self, frozen_codec):
+        """Classes of two image geometries, 16x16 and 16x32, interleaved by
+        label, so the last refit decodes classes 0 and 2 in one batch and 1
+        and 3 in another."""
+        buffer = ReplayBuffer(frozen_codec, make_pair(seed=21), exemplars_per_class=4, seed=3)
+        for phase in ({0: toy_images(12, seed=60), 1: wide_images(12, seed=61)},
+                      {2: toy_images(12, seed=62), 3: wide_images(12, seed=63)},
+                      {4: toy_images(12, seed=64)}):
+            buffer.ingest_phase(phase, FitConfig(iterations=2))
+        return buffer
+
+    @staticmethod
+    def per_class(buffer, label):
+        """The class decoded through the grid path: its streams' grids, then
+        `decode_images`."""
+        shelf = buffer._shelves[label]
+        grids = decompress_grids(shelf.streams, buffer.pair,
+                                 [(shelf.top_shape, shelf.bottom_shape)] * len(shelf.streams),
+                                 precision=buffer.precision)
+        return decode_images(grids, buffer.codec)
+
+    def test_reconstruct_all_is_the_grid_path(self, mixed_buffer):
+        recon = mixed_buffer.reconstruct_all()
+        assert list(recon) == [0, 1, 2, 3, 4]
+        assert [recon[label].shape[1:] for label in recon] == [(16, 16, 3), (16, 32, 3)] * 2 + [
+            (16, 16, 3)]
+        for label, images in recon.items():
+            assert np.array_equal(images, self.per_class(mixed_buffer, label))
+
+    def test_reconstruct_class_is_the_grid_path(self, mixed_buffer):
+        for label in mixed_buffer.class_labels:
+            assert np.array_equal(mixed_buffer.reconstruct_class(label),
+                                  self.per_class(mixed_buffer, label))
+
+    def test_loaded_buffer_reads_the_same(self, mixed_buffer, tmp_path):
+        mixed_buffer.save(str(tmp_path))
+        loaded = ReplayBuffer.load(str(tmp_path)).reconstruct_all()
+        recon = mixed_buffer.reconstruct_all()
+        assert list(loaded) == list(recon)
+        assert all(np.array_equal(loaded[label], recon[label]) for label in recon)
+
+    def test_mixed_buffer_is_pinned(self, mixed_buffer, tmp_path):
+        # The refit reads the decoded buffer in shelf order, not grouped by
+        # geometry: that order is part of the fitted bits.
+        mixed_buffer.save(str(tmp_path))
+        assert directory_digest(tmp_path) == (
+            "c0fc0f965ae032e82d899ef639ff168637f0ad682f0ff542cbcde58b3d96ebe6")
+        recon = ReplayBuffer.load(str(tmp_path)).reconstruct_all()
+        assert hashlib.sha256(b"".join(recon[label].tobytes() for label in recon)).hexdigest() == (
+            "f60d81cb9d414aebab3a7c5818a17b29862d1f29e4c4b07ed15603878dfd126d")
+
+    def test_decompress_images_is_the_grid_path(self, mixed_buffer):
+        streams, shapes = [], []
+        for label in (3, 0, 1):
+            shelf = mixed_buffer._shelves[label]
+            streams += shelf.streams
+            shapes += [(shelf.top_shape, shelf.bottom_shape)] * len(shelf.streams)
+        images = decompress_images(streams, mixed_buffer.pair, shapes, mixed_buffer.codec)
+        want = [image for label in (3, 0, 1) for image in self.per_class(mixed_buffer, label)]
+        assert len(images) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(images, want))
+
+    def test_decoding_never_writes_the_codec(self, mixed_buffer):
+        codec = mixed_buffer.codec
+        before = serialize_codec(codec)
+        mixed_buffer.reconstruct_all()
+        mixed_buffer.reconstruct_class(1)
+        decode_images(encode_images(toy_images(3, seed=70), codec), codec)
+        assert serialize_codec(codec) == before
+        thawed = dataclasses.replace(codec.copy(), frozen=False)
+        thawed_bytes = serialize_codec(thawed)
+        train_codec(toy_images(4, seed=71), CodecConfig(codebook_size=32, embed_dim=8, epochs=2),
+                    params=thawed)
+        assert serialize_codec(thawed) == thawed_bytes
 
 
 def directory_digest(directory):
