@@ -495,22 +495,6 @@ def decode_block(coder: AnsCoder, block_len: int, tables: CodingTables, method: 
     return x
 
 
-def bb_encode_block(coder: AnsCoder, x, tables: CodingTables) -> BlockTrace:
-    return encode_block(coder, x, tables, "bb")
-
-
-def bb_decode_block(coder: AnsCoder, block_len: int, tables: CodingTables) -> np.ndarray:
-    return decode_block(coder, block_len, tables, "bb")
-
-
-def bitswap_encode_block(coder: AnsCoder, x, tables: CodingTables) -> BlockTrace:
-    return encode_block(coder, x, tables, "bitswap")
-
-
-def bitswap_decode_block(coder: AnsCoder, block_len: int, tables: CodingTables) -> np.ndarray:
-    return decode_block(coder, block_len, tables, "bitswap")
-
-
 @dataclass
 class StreamStats:
     gross_bits: float = 0.0

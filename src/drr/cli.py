@@ -47,7 +47,6 @@ from .rans import DEFAULT_PRECISION
 from .replay_store import (
     LatentModelPair,
     check_plain_name,
-    code_shapes,
     compress_grids,
     decompress_images,
     format_megabytes,
@@ -57,6 +56,7 @@ from .replay_store import (
 from .vq_codec import (
     CODEC_MAGIC,
     CodecConfig,
+    code_shapes,
     deserialize_codec,
     encode_image,
     freeze,
@@ -158,6 +158,7 @@ def cmd_compress(args) -> int:
 
     if os.path.exists(args.model):
         pair = _load_pair(args.model)
+        pair.check_codec(codec)
     else:
         pair = LatentModelPair.seeded(codec.codebook_size, parse_alphabets(args.alphabets),
                                       args.block_len, args.seed)
@@ -201,6 +202,7 @@ def cmd_compress(args) -> int:
 def cmd_decompress(args) -> int:
     codec = _load_codec(args.codec)
     pair = _load_pair(args.model)
+    pair.check_codec(codec, DataCorruptionError)
     index_path = os.path.join(args.in_dir, "index.txt")
     with open(index_path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]

@@ -385,11 +385,7 @@ class LaneCoder:
 
     __slots__ = ("state", "stack", "height")
 
-    def __init__(self, coders):
-        coders = list(coders)
-        self._fill([c.state for c in coders], [c.stack for c in coders])
-
-    def _fill(self, states, stacks) -> None:
+    def __init__(self, states, stacks):
         """Lane i gets states[i] and the bytes of stacks[i], bottom first;
         all stacks land in the 2-D stack with one copy."""
         if not stacks:
@@ -403,17 +399,16 @@ class LaneCoder:
     @classmethod
     def with_random_bits(cls, n_bits: int, seeds) -> "LaneCoder":
         """Lane i holds `AnsCoder.with_random_bits(n_bits, seeds[i])`."""
-        return cls(AnsCoder.with_random_bits(n_bits, seed) for seed in seeds)
+        coders = [AnsCoder.with_random_bits(n_bits, seed) for seed in seeds]
+        return cls([c.state for c in coders], [c.stack for c in coders])
 
     @classmethod
     def deserialize(cls, payloads) -> "LaneCoder":
         """One lane per `AnsCoder.serialize` payload, each checked as
         `AnsCoder.deserialize` checks it."""
         payloads = list(payloads)
-        coder = cls.__new__(cls)
-        coder._fill([payload_state(data) for data in payloads],
-                    [memoryview(data)[STACK_OFFSET:] for data in payloads])
-        return coder
+        return cls([payload_state(data) for data in payloads],
+                   [memoryview(data)[STACK_OFFSET:] for data in payloads])
 
     def coders(self) -> list[AnsCoder]:
         """Each lane as a scalar coder (without `ideal_bits`)."""

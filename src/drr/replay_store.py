@@ -43,6 +43,7 @@ from .bits_back import decode_stream, encode_stream  # noqa: F401
 from .vq_codec import (  # noqa: F401
     CodecParams,
     CodeGrid,
+    code_shapes,
     decode_codes,
     decode_indices,
     deserialize_codec,
@@ -234,6 +235,13 @@ class LatentModelPair:
     def copy(self) -> "LatentModelPair":
         return LatentModelPair(self.top.copy(), self.bottom.copy())
 
+    def check_codec(self, codec: CodecParams, error=InvalidInputError) -> None:
+        """`error` unless both levels observe exactly the codec's codes."""
+        if not self.top.obs_alphabet == self.bottom.obs_alphabet == codec.codebook_size:
+            raise error(f"the models (observation alphabets {self.top.obs_alphabet} and "
+                        f"{self.bottom.obs_alphabet}) do not fit the codec "
+                        f"({codec.codebook_size} codes)")
+
     def blocks(self, grids) -> tuple[list, list]:
         """(top, bottom) blocks of every grid, grid by grid: each level's
         row-major symbols, chunked to that level's block length."""
@@ -367,19 +375,6 @@ def decompress_images(streams, pair: LatentModelPair, shapes, codec: CodecParams
                          lambda top, bottom: decode_indices(top, bottom, codec))
 
 
-def code_shapes(image_shape, codec: CodecParams):
-    """The (top, bottom) grid shapes `codec` gives an image of
-    `image_shape`, or None if the codec cannot code such an image: it must
-    be H x W x channels, with H and W multiples of patch * pool."""
-    cell = codec.patch * codec.pool
-    if len(image_shape) != 3 or image_shape[2] != codec.channels:
-        return None
-    h, w, _ = image_shape
-    if h % cell or w % cell:
-        return None
-    return (h // cell, w // cell), (h // codec.patch, w // codec.patch)
-
-
 # -- compressed replay buffer ------------------------------------------------------
 
 def _stream_entry(label: int, index: int, version: int) -> tuple[str, str]:
@@ -432,6 +427,7 @@ class ReplayBuffer:
         if initial_bits < 0 or initial_bits % 8:
             raise InvalidInputError("initial_bits must be a nonnegative multiple of 8")
         check_seed(seed)
+        pair.check_codec(codec)
         self.codec = codec
         self.pair = pair
         self.exemplars_per_class = exemplars_per_class
@@ -612,6 +608,7 @@ class ReplayBuffer:
         if opts["method"] != CODING_METHOD:
             raise DataCorruptionError(
                 f"buffer streams are coded with {opts['method']!r}, expected {CODING_METHOD!r}")
+        pair.check_codec(codec, DataCorruptionError)
         try:
             buffer = ReplayBuffer(codec, pair,
                                   exemplars_per_class=int(opts["exemplars_per_class"]),

@@ -130,8 +130,22 @@ class CodeGrid:
         return np.array_equal(self.top, other.top) and np.array_equal(self.bottom, other.bottom)
 
 
+def code_shapes(image_shape, codec: CodecParams):
+    """The (top, bottom) grid shapes `codec` gives an image of
+    `image_shape`, or None if the codec cannot code such an image: it must
+    be H x W x channels, with H and W multiples of patch * pool."""
+    if len(image_shape) != 3:
+        return None
+    h, w, c = image_shape
+    cell = codec.patch * codec.pool
+    if c != codec.channels or h % cell or w % cell:
+        return None
+    return (h // cell, w // cell), (h // codec.patch, w // codec.patch)
+
+
 def validate_image(image: np.ndarray, params: CodecParams | None = None) -> np.ndarray:
-    """Check value range and geometry; returns the image as float64."""
+    """Check value range and, given a codec, that `code_shapes` fits the
+    image; returns the image as float64."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 3:
         raise InvalidInputError(f"image must be H x W x C, got shape {img.shape}")
@@ -139,14 +153,11 @@ def validate_image(image: np.ndarray, params: CodecParams | None = None) -> np.n
         raise InvalidInputError(f"image has an empty axis: shape {img.shape}")
     if not np.all(np.isfinite(img)) or img.min() < 0.0 or img.max() > 1.0:
         raise InvalidInputError("image values must lie in [0, 1]")
-    if params is not None:
-        h, w, c = img.shape
-        cell = params.patch * params.pool
-        if c != params.channels:
-            raise InvalidInputError(f"expected {params.channels} channels, got {c}")
-        if h % cell != 0 or w % cell != 0:
-            raise InvalidInputError(
-                f"image size {h}x{w} not divisible by patch*pool = {cell}")
+    if params is not None and code_shapes(img.shape, params) is None:
+        raise InvalidInputError(
+            f"image of shape {img.shape} does not fit the codec: it needs {params.channels} "
+            f"channels, and height and width divisible by patch*pool = "
+            f"{params.patch * params.pool}")
     return img
 
 
@@ -241,13 +252,6 @@ def _cells(grid: np.ndarray, t: int) -> np.ndarray:
     return grid.reshape(n, h // t, t, w // t, t, d)
 
 
-def _encode_features(images: np.ndarray, params: CodecParams):
-    """Forward pass up to the quantizers for a batch of images:
-    (patches, z_bottom, pooled, z_top)."""
-    patches = _extract_patches(images, params.patch)
-    return (patches, *_embed_patches(patches, params))
-
-
 def _embed_patches(patches: np.ndarray, params: CodecParams):
     """Encoder outputs of a patch batch: (z_bottom, pooled, z_top)."""
     z_bottom = patches @ params.enc_bottom_w.T + params.enc_bottom_b
@@ -276,7 +280,7 @@ def encode_images(images, params: CodecParams) -> list[CodeGrid]:
     never tiny (see `_row_chunks`).
     """
     batch = _validated_batch(images, params)
-    _, z_bottom, _, z_top = _encode_features(batch, params)
+    z_bottom, _, z_top = _embed_patches(_extract_patches(batch, params.patch), params)
     idx_b, idx_t = _quantize_grids(z_bottom, z_top, params)
     return [CodeGrid(top=top, bottom=bottom) for top, bottom in zip(idx_t, idx_b)]
 
@@ -439,15 +443,10 @@ def _patch_loss_and_grads(patches: np.ndarray, params: CodecParams):
     return (loss_rec + (1.0 + params.beta) * loss_codebook) / patches.shape[0], grads
 
 
-def _batch_loss_and_grads(images: np.ndarray, params: CodecParams):
-    """`_patch_loss_and_grads` of a batch of images."""
-    return _patch_loss_and_grads(_extract_patches(images, params.patch), params)
-
-
 def vq_loss_and_grads(image: np.ndarray, params: CodecParams):
     """Training loss and analytic gradients for a single image."""
     img = validate_image(image, params)
-    return _batch_loss_and_grads(img[None], params)
+    return _patch_loss_and_grads(_extract_patches(img[None], params.patch), params)
 
 
 def init_codec_params(config: CodecConfig) -> CodecParams:
@@ -523,17 +522,14 @@ def mean_reconstruction_error(dataset, params: CodecParams) -> float:
 
 # -- serialization ----------------------------------------------------------
 
-def _pack_array(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
 def serialize_codec(params: CodecParams) -> bytes:
     """Codec file: magic, format version, geometry header, weights,
     codebooks last.  Matrices are little-endian float64."""
     head = _CODEC_HEAD.pack(CODEC_MAGIC, CODEC_FORMAT_VERSION, params.patch, params.pool,
                             params.channels, params.codebook_size, params.embed_dim,
                             1 if params.frozen else 0, params.beta)
-    return head + b"".join(_pack_array(getattr(params, name)) for name in params.weight_fields())
+    return head + b"".join(np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes()
+                           for name in params.weight_fields())
 
 
 def deserialize_codec(data: bytes) -> CodecParams:

@@ -20,10 +20,6 @@ from drr.bits_back import (
     METHODS,
     FitConfig,
     LatentChainModel,
-    bb_decode_block,
-    bb_encode_block,
-    bitswap_decode_block,
-    bitswap_encode_block,
     build_coding_tables,
     chunk_symbols,
     decode_block,
@@ -347,19 +343,16 @@ def fresh_pair(n_bits=2048, seed=77):
 
 
 class TestBlockCoding:
-    @pytest.mark.parametrize("method,enc,dec", [
-        ("bb", bb_encode_block, bb_decode_block),
-        ("bitswap", bitswap_encode_block, bitswap_decode_block),
-    ])
-    def test_block_round_trip_restores_coder(self, method, enc, dec):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_block_round_trip_restores_coder(self, method):
         model = random_model(8, (4, 3), block_len=5, seed=1)
         tables = build_coding_tables(model)
         coder = AnsCoder.with_random_bits(1024, seed=3)
         before = coder.serialize()
         block = np.array([3, 1, 7, 0, 2])
-        trace = enc(coder, block, tables)
+        trace = encode_block(coder, block, tables, method)
         assert trace.net == pytest.approx(trace.pushed - trace.popped)
-        assert dec(coder, len(block), tables).tolist() == block.tolist()
+        assert decode_block(coder, len(block), tables, method).tolist() == block.tolist()
         assert coder.serialize() == before
 
     def test_round_trip_fuzz(self):
@@ -384,8 +377,8 @@ class TestBlockCoding:
         tables = build_coding_tables(model)
         block = np.array([1, 5, 0, 3])
         a, b = fresh_pair()
-        ta = bb_encode_block(a, block, tables)
-        tb = bitswap_encode_block(b, block, tables)
+        ta = encode_block(a, block, tables, "bb")
+        tb = encode_block(b, block, tables, "bitswap")
         assert a.serialize() == b.serialize()
         assert ta == tb
 
@@ -408,8 +401,8 @@ class TestBlockCoding:
             tables = build_coding_tables(model)
             for block in sample_blocks(model, 60, rng):
                 a, b = fresh_pair(seed=seed)
-                plain = bb_encode_block(a, block, tables)
-                swapped = bitswap_encode_block(b, block, tables)
+                plain = encode_block(a, block, tables, "bb")
+                swapped = encode_block(b, block, tables, "bitswap")
                 assert swapped.peak_demand <= plain.peak_demand + 1e-9
 
     def test_demand_strictly_smaller_somewhere(self):
@@ -419,8 +412,8 @@ class TestBlockCoding:
         gaps = []
         for block in sample_blocks(model, 40, rng):
             a, b = fresh_pair()
-            gaps.append(bb_encode_block(a, block, tables).peak_demand
-                        - bitswap_encode_block(b, block, tables).peak_demand)
+            gaps.append(encode_block(a, block, tables, "bb").peak_demand
+                        - encode_block(b, block, tables, "bitswap").peak_demand)
         assert max(gaps) > 1.0
 
     def test_empty_auxiliary_raises(self):
@@ -429,16 +422,16 @@ class TestBlockCoding:
         coder = AnsCoder.with_random_bits(0, seed=0)
         with pytest.raises(InsufficientInitialBitsError):
             for block in sample_blocks(model, 50, np.random.default_rng(0)):
-                bb_encode_block(coder, block, tables)
+                encode_block(coder, block, tables, "bb")
 
     def test_rejects_bad_block(self):
         model = random_model(4, (3,), block_len=2, seed=0)
         tables = build_coding_tables(model)
         coder = AnsCoder.with_random_bits(512, seed=0)
         with pytest.raises(InvalidInputError):
-            bitswap_encode_block(coder, np.array([0, 9]), tables)
+            encode_block(coder, np.array([0, 9]), tables, "bitswap")
         with pytest.raises(InvalidInputError):
-            bitswap_encode_block(coder, np.array([], dtype=int), tables)
+            encode_block(coder, np.array([], dtype=int), tables, "bitswap")
 
 
 class TestStreams:

@@ -21,8 +21,15 @@ from drr.cli import (
 )
 from drr.errors import DataCorruptionError
 from drr.learner import DEFAULT_IB_WEIGHT, LatentSpec, TrainConfig
-from drr.replay_store import ReplayBuffer, compress_grid, compress_grids
-from drr.vq_codec import CodecConfig, decode_codes, deserialize_codec, encode_image
+from drr.replay_store import LatentModelPair, ReplayBuffer, compress_grid, compress_grids
+from drr.vq_codec import (
+    CodecConfig,
+    decode_codes,
+    deserialize_codec,
+    encode_image,
+    init_codec_params,
+    serialize_codec,
+)
 
 
 def toy_images(n, side=16, seed=0):
@@ -241,6 +248,43 @@ class TestCompressDecompress:
         assert proc.returncode == EXIT_CORRUPT
         assert "Traceback" not in proc.stderr
 
+    def test_model_of_another_codebook_size_is_usage(self, workspace, tmp_path, capsys):
+        model = wrong_size_model(tmp_path)
+        with open(model, "rb") as f:
+            before = f.read()
+        code = main(["compress", "--codec", workspace["codec"], "--model", model,
+                     "--in", workspace["data"], "--out", str(tmp_path / "s")])
+        assert code == EXIT_USAGE
+        assert "do not fit the codec" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+        with open(model, "rb") as f:
+            assert f.read() == before
+
+    def test_codec_of_another_codebook_size_is_corrupt(self, workspace, compressed,
+                                                       tmp_path, capsys):
+        code = main(["decompress", "--codec", wrong_size_codec(tmp_path),
+                     "--model", compressed["model"], "--in", compressed["out"],
+                     "--out", str(tmp_path / "r")])
+        assert code == EXIT_CORRUPT
+        assert "do not fit the codec" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+
+def wrong_size_model(root):
+    """A model pair file over 64 codes, where the workspace codec has 16."""
+    path = str(root / "k64.drrm")
+    with open(path, "wb") as f:
+        f.write(LatentModelPair.seeded(64, (5, 4), 4, 0).serialize())
+    return path
+
+
+def wrong_size_codec(root):
+    """A codec file of the workspace codec's geometry with 4 codes, not 16."""
+    path = str(root / "k4.drrc")
+    with open(path, "wb") as f:
+        f.write(serialize_codec(init_codec_params(CodecConfig(codebook_size=4, embed_dim=6))))
+    return path
+
 
 RUN_PHASES_CONFIG = """
 # tiny phased run for tests
@@ -416,6 +460,9 @@ def bad_input_cases(workspace, root):
         ("zero-height image, compress", ["compress", "--codec", workspace["codec"],
                                          "--model", str(root / "m.drrm"), "--in", str(empty),
                                          "--out", str(root / "s")]),
+        ("model of 64 codes, compress", ["compress", "--codec", workspace["codec"],
+                                         "--model", wrong_size_model(root),
+                                         "--in", workspace["data"], "--out", str(root / "s")]),
     ]
 
 
@@ -459,6 +506,9 @@ def corrupt_input_cases(workspace, compressed, root):
     codec = root / "frozen_7.drrc"
     codec.write_bytes(bytes(data))
     cases.append(("frozen flag 7, inspect", ["inspect", "--file", str(codec)]))
+    cases.append(("codec of 4 codes, decompress",
+                  ["decompress", "--codec", wrong_size_codec(root), "--model", compressed["model"],
+                   "--in", compressed["out"], "--out", str(root / "recon")]))
     return cases
 
 

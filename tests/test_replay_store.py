@@ -31,6 +31,7 @@ from drr.vq_codec import (
     encode_image,
     encode_images,
     freeze,
+    init_codec_params,
     serialize_codec,
     train_codec,
 )
@@ -253,6 +254,13 @@ class TestReplayBuffer:
         buffer = ReplayBuffer(thawed, make_pair())
         with pytest.raises(StateError):
             buffer.ingest_phase({0: toy_images(12)})
+
+    @pytest.mark.parametrize("top,bottom", [(16, 16), (64, 64), (32, 16), (16, 32)])
+    def test_models_must_fit_the_codec(self, frozen_codec, top, bottom):
+        pair = LatentModelPair(random_model(top, (6, 4), block_len=4, seed=0),
+                               random_model(bottom, (6, 4), block_len=4, seed=1))
+        with pytest.raises(InvalidInputError, match="do not fit the codec"):
+            ReplayBuffer(frozen_codec, pair)
 
     def test_ingest_reconstruct_exact_codes(self, frozen_codec):
         buffer, reports = filled_buffer(frozen_codec)
@@ -494,6 +502,15 @@ class TestPersistence:
     def test_class_bottom_shape_must_fit_the_image(self, frozen_codec, tmp_path, bottom):
         with pytest.raises(DataCorruptionError, match="do not fit the codec"):
             self.load_with_class_field(frozen_codec, tmp_path, "bottom", bottom)
+
+    def test_codec_of_another_codebook_size_rejected(self, frozen_codec, tmp_path):
+        buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
+        buffer.save(str(tmp_path))
+        smaller = init_codec_params(CodecConfig(patch=4, pool=2, channels=3, codebook_size=16,
+                                                embed_dim=8))
+        (tmp_path / "codec.drrc").write_bytes(serialize_codec(freeze(smaller)))
+        with pytest.raises(DataCorruptionError, match="do not fit the codec"):
+            ReplayBuffer.load(str(tmp_path))
 
     def test_tampered_model_version_rejected(self, frozen_codec, tmp_path):
         buffer, _ = filled_buffer(frozen_codec, n_classes=1)

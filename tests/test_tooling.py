@@ -142,6 +142,33 @@ def test_every_import_is_used_or_traced(tracing):
         assert not unused, f"{module} imports {', '.join(unused)} and never uses them"
 
 
+def test_every_private_function_has_a_package_caller():
+    """Every `_`-prefixed function, method or class in drr is named in drr
+    outside its own definition: a private helper that only tests call is
+    deleted, not kept."""
+    defined, used = {}, set()
+
+    def visit(node, filename, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.endswith("__"):
+                defined.setdefault(node.name, f"{filename}:{node.lineno}")
+            inside = inside | {node.name}
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name is not None and name not in inside:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, filename, inside)
+
+    for filename in sorted(os.listdir(PACKAGE)):
+        if filename.endswith(".py"):
+            with open(os.path.join(PACKAGE, filename)) as f:
+                visit(ast.parse(f.read(), filename), filename, frozenset())
+    assert defined
+    unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
+    assert not unused, f"private names with no caller in drr: {', '.join(unused)}"
+
+
 STRUCT_CALLS = {"pack", "unpack", "unpack_from", "calcsize"}
 
 

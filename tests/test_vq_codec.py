@@ -14,6 +14,7 @@ from drr.errors import InvalidInputError, StateError
 from drr.vq_codec import (
     CodecConfig,
     CodeGrid,
+    code_shapes,
     decode_codes,
     deserialize_code_grid,
     deserialize_codec,
@@ -25,6 +26,7 @@ from drr.vq_codec import (
     serialize_code_grid,
     serialize_codec,
     train_codec,
+    validate_image,
     vq_loss_and_grads,
 )
 
@@ -111,6 +113,30 @@ class TestEncode:
                 encode_image(np.zeros(shape), params)
 
 
+class TestGeometryRule:
+    @pytest.mark.parametrize("patch,pool,channels", [(2, 2, 1), (4, 2, 3), (3, 1, 2), (1, 3, 1)])
+    def test_validate_image_rejects_exactly_the_shapes_code_shapes_cannot_code(
+            self, patch, pool, channels):
+        codec = init_codec_params(tiny_config(patch=patch, pool=pool, channels=channels))
+        for h in range(1, 14):
+            for w in (1, 6, 12):
+                for c in range(1, 5):
+                    shapes = code_shapes((h, w, c), codec)
+                    if shapes is None:
+                        with pytest.raises(InvalidInputError, match="does not fit the codec"):
+                            validate_image(np.zeros((h, w, c)), codec)
+                        continue
+                    validate_image(np.zeros((h, w, c)), codec)
+                    grid = encode_image(np.zeros((h, w, c)), codec)
+                    assert (grid.top.shape, grid.bottom.shape) == shapes
+
+    def test_message_names_both_requirements(self):
+        codec = init_codec_params(tiny_config(patch=4, pool=2, channels=3))
+        with pytest.raises(InvalidInputError) as info:
+            validate_image(np.zeros((8, 12, 1)), codec)
+        assert "3 channels" in str(info.value) and "patch*pool = 8" in str(info.value)
+
+
 class TestDecode:
     def test_output_shape_and_range(self):
         params = init_codec_params(tiny_config(seed=4))
@@ -195,8 +221,8 @@ def surrogate_forward(img, p, patch, pool, beta, frozen):
 
 def frozen_state(img, params):
     """Capture quantizer assignments and stopped values at the base point."""
-    from drr.vq_codec import _encode_features, _quantize_grids
-    _, zb, _, zt = _encode_features(img[None], params)
+    from drr.vq_codec import _embed_patches, _extract_patches, _quantize_grids
+    zb, _, zt = _embed_patches(_extract_patches(img[None], params.patch), params)
     idx_b, idx_t = _quantize_grids(zb, zt, params)
     zb, zt, idx_b, idx_t = zb[0], zt[0], idx_b[0], idx_t[0]
     rows_b = params.codebook_bottom[idx_b]
@@ -316,10 +342,11 @@ class TestTraining:
         config = tiny_config(epochs=0, seed=19)
         params = init_codec_params(config)
         images = np.stack(dataset)
-        from drr.vq_codec import _batch_loss_and_grads
-        before, _ = _batch_loss_and_grads(images, params)
+        from drr.vq_codec import _extract_patches, _patch_loss_and_grads
+        patches = _extract_patches(images, params.patch)
+        before, _ = _patch_loss_and_grads(patches, params)
         config.epochs = 200
-        after, _ = _batch_loss_and_grads(images, train_codec(dataset, config))
+        after, _ = _patch_loss_and_grads(patches, train_codec(dataset, config))
         assert after < before
 
 
