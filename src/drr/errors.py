@@ -1,10 +1,11 @@
-"""Shared exception types, and the one seed check.
+"""Shared exception types, and the one seed check and number check.
 
 Every module raises from this small hierarchy so callers (and the CLI exit
 code mapping) can distinguish bad arguments, illegal state transitions, and
 corrupted data without string matching.
 """
 
+import math
 import numbers
 
 
@@ -42,3 +43,11 @@ def check_seed(seed, name: str = "seed") -> None:
     values = seed if isinstance(seed, (list, tuple)) else [seed]
     if any(not isinstance(v, numbers.Integral) or v < 0 for v in values):
         raise InvalidInputError(f"{name} must be a nonnegative integer, got {seed!r}")
+
+
+def check_finite(value, name: str, positive: bool) -> None:
+    """Raise InvalidInputError unless `value` is finite and positive, or
+    with positive=False finite and nonnegative."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        kind = "positive" if positive else "nonnegative"
+        raise InvalidInputError(f"{name} must be finite and {kind}, got {value!r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits_back import DEFAULT_INITIAL_BITS, FitConfig
-from .errors import DegenerateInputError, InvalidInputError, check_seed
+from .errors import DegenerateInputError, InvalidInputError, check_finite, check_seed
 from .rans import DEFAULT_PRECISION
 from .replay_store import (
     IngestReport,
@@ -248,10 +248,10 @@ class TrainConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise InvalidInputError(f"mode must be one of {MODES}")
-        if self.ib_weight < 0:
-            raise InvalidInputError("alignment weight must be nonnegative")
-        if min(self.epochs, self.batch_size, self.hidden_dim) < 1 or self.lr <= 0:
-            raise InvalidInputError("bad training configuration")
+        check_finite(self.ib_weight, "ib_weight", positive=False)
+        check_finite(self.lr, "lr", positive=True)
+        if min(self.epochs, self.batch_size, self.hidden_dim) < 1:
+            raise InvalidInputError("epochs, batch_size and hidden_dim must be at least 1")
         check_seed(self.seed)
 
 

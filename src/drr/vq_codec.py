@@ -26,6 +26,7 @@ from .errors import (
     DegenerateInputError,
     InvalidInputError,
     StateError,
+    check_finite,
     check_seed,
 )
 
@@ -55,6 +56,14 @@ class CodecConfig:
     lr: float = DEFAULT_LR
     epochs: int = 100
     seed: int = 0
+
+    def validate(self) -> None:
+        """InvalidInputError unless the training knobs are in their domain;
+        0 epochs is legal and trains nothing."""
+        if self.epochs < 0:
+            raise InvalidInputError(f"codec epochs must be nonnegative, got {self.epochs!r}")
+        check_finite(self.lr, "codec lr", positive=True)
+        check_finite(self.beta, "beta", positive=False)
 
 
 def weight_shapes(patch_dim: int, embed_dim: int, codebook_size: int) -> dict:
@@ -254,9 +263,11 @@ def _cells(grid: np.ndarray, t: int) -> np.ndarray:
 
 def _embed_patches(patches: np.ndarray, params: CodecParams):
     """Encoder outputs of a patch batch: (z_bottom, pooled, z_top)."""
-    z_bottom = patches @ params.enc_bottom_w.T + params.enc_bottom_b
+    z_bottom = patches @ params.enc_bottom_w.T
+    z_bottom += params.enc_bottom_b
     pooled = _cells(z_bottom, params.pool).mean(axis=(2, 4))
-    z_top = pooled @ params.enc_top_w.T + params.enc_top_b
+    z_top = pooled @ params.enc_top_w.T
+    z_top += params.enc_top_b
     return z_bottom, pooled, z_top
 
 
@@ -368,6 +379,10 @@ def _patch_grads(patches: np.ndarray, params: CodecParams):
     beta-weighted commitment pull (gradient to encoder outputs only).
     Returns (grads, (err, diff_b, diff_t)): the residuals the loss value is
     read from, which training never reads.
+
+    Every patch-sized intermediate is overwritten in place or dropped (with
+    the views of it) at its last use, so a step holds about five of them at
+    once.
     """
     n = patches.shape[0]
     t = params.pool
@@ -375,46 +390,54 @@ def _patch_grads(patches: np.ndarray, params: CodecParams):
     k = params.codebook_size
     z_bottom, pooled, z_top = _embed_patches(patches, params)
     idx_b, idx_t = _quantize_grids(z_bottom, z_top, params)
-    q_bottom = params.codebook_bottom[idx_b]
     q_top = params.codebook_top[idx_t]
+    diff_t = z_top - q_top
+    # z_bottom turns into diff_b in place, against a throwaway gather.
+    diff_b = np.subtract(z_bottom, params.codebook_bottom[idx_b], out=z_bottom)
+    del z_bottom, z_top
 
     # Straight-through: decode from codebook rows, but route reconstruction
     # gradients into z_bottom / z_top as if they had been decoded directly.
-    # The decoder sums into its own gather, so q_bottom stays intact.
-    recon, hidden = _decode_embeddings(q_top, params.codebook_bottom[idx_b], params)
+    # The decoder sums into its own gather; the reconstruction turns into
+    # err in place.
+    err, hidden = _decode_embeddings(q_top, params.codebook_bottom[idx_b], params)
+    err -= patches
 
-    err = recon - patches
-    diff_b = z_bottom - q_bottom
-    diff_t = z_top - q_top
-
-    d_recon = 2.0 * err / n
+    d_recon = 2.0 * err
+    d_recon /= n
     flat_dr = d_recon.reshape(-1, params.patch_dim)
-    flat_hidden = hidden.reshape(-1, d)
-    g_dec_bottom_w = flat_dr.T @ flat_hidden
+    g_dec_bottom_w = flat_dr.T @ hidden.reshape(-1, d)
     g_dec_bottom_b = flat_dr.sum(axis=0)
+    del hidden
 
     d_hidden = d_recon @ params.dec_bottom_w
+    del d_recon, flat_dr
     d_u = _cells(d_hidden, t).sum(axis=(2, 4))
     flat_du = d_u.reshape(-1, d)
     g_dec_top_w = flat_du.T @ q_top.reshape(-1, d)
     g_dec_top_b = flat_du.sum(axis=0)
 
-    # Encoder-output gradients: straight-through plus commitment.
+    # Encoder-output gradients: straight-through plus commitment.  The top
+    # one and its weight gradients come first, so their operands are gone
+    # before the bottom one is built in d_hidden.
     d_z_top = d_u @ params.dec_top_w + (2.0 * params.beta / n) * diff_t
-    d_z_bottom = d_hidden + (2.0 * params.beta / n) * diff_b
-
+    del q_top, d_u, flat_du
     flat_dzt = d_z_top.reshape(-1, d)
     g_enc_top_w = flat_dzt.T @ pooled.reshape(-1, d)
     g_enc_top_b = flat_dzt.sum(axis=0)
-
-    # Average pooling spreads each pooled gradient evenly over its cell.
     d_pooled = d_z_top @ params.enc_top_w
+    del pooled, d_z_top, flat_dzt
+
+    d_z_bottom = d_hidden
+    d_z_bottom += (2.0 * params.beta / n) * diff_b
+    # Average pooling spreads each pooled gradient evenly over its cell.
     spread = _cells(d_z_bottom, t)
     spread += (d_pooled / (t * t))[:, :, None, :, None, :]
 
     flat_dzb = d_z_bottom.reshape(-1, d)
     g_enc_bottom_w = flat_dzb.T @ patches.reshape(-1, params.patch_dim)
     g_enc_bottom_b = flat_dzb.sum(axis=0)
+    del d_hidden, d_z_bottom, spread, flat_dzb
 
     # Codebook term: pulls selected rows toward the (stopped) encoder outputs.
     g_cb_bottom = _codebook_grad(idx_b, (-2.0 / n) * diff_b.reshape(-1, d), k)
@@ -476,6 +499,7 @@ def train_codec(dataset, config: CodecConfig, params: CodecParams | None = None)
     With `epochs=0` the returned params equal the seeded initialization.
     Deterministic: the same dataset, config and seed give identical weights.
     """
+    config.validate()
     if params is not None and params.frozen:
         raise StateError("codec is frozen; training is not allowed")
     if len(dataset) == 0:
@@ -490,7 +514,7 @@ def train_codec(dataset, config: CodecConfig, params: CodecParams | None = None)
     # reported once, below, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.epochs):
-            grads, _ = _patch_grads(patches, params)
+            grads = _patch_grads(patches, params)[0]
             for name in params.weight_fields():
                 arr = getattr(params, name)
                 arr -= config.lr * grads[name]

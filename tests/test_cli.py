@@ -435,6 +435,13 @@ def bad_input_cases(workspace, root):
     config.write_text("alphabets = a,b\n")
     negative_fit = root / "fit_iterations.conf"
     negative_fit.write_text(SMALL_RUN_CONFIG + "fit_iterations = -5\n")
+    # Training settings outside their domain: rejected before training, not
+    # run to chance accuracy or an untrained codec.
+    settings = {}
+    for i, line in enumerate(("lr = nan", "lr = inf", "ib_weight = nan", "codec_epochs = -5",
+                              "codec_lr = 0.0", "codec_lr = -0.005", "beta = -1.0")):
+        settings[line] = root / f"setting_{i}.conf"
+        settings[line].write_text(SMALL_RUN_CONFIG + line + "\n")
     empty = root / "empty"
     empty.mkdir()
     write_image(str(empty / "a.img"), np.zeros((0, 16, 3)))
@@ -463,7 +470,10 @@ def bad_input_cases(workspace, root):
         ("model of 64 codes, compress", ["compress", "--codec", workspace["codec"],
                                          "--model", wrong_size_model(root),
                                          "--in", workspace["data"], "--out", str(root / "s")]),
-    ]
+        ("pretrain-codec --lr nan", pretrain + ["--lr", "nan"]),
+        ("pretrain-codec --epochs -1", pretrain + ["--epochs", "-1"]),
+    ] + [(f"config {line}", ["run-phases", "--config", str(path), "--out", str(root / "r.txt")])
+         for line, path in settings.items()]
 
 
 def zero_geometry_codec(path, field):

@@ -228,6 +228,13 @@ class TestTrainPhase:
         with pytest.raises(InvalidInputError):
             TrainConfig(mode="replay").validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0), ("lr", -0.05),
+        ("ib_weight", float("nan")), ("ib_weight", float("inf")), ("ib_weight", -0.5)])
+    def test_out_of_domain_settings_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            TrainConfig(**{field: value}).validate()
+
     def test_ib_pairs_change_training(self):
         data = separable_data(seed=1)
         paired = PhaseData(images=data.images, labels=data.labels,

@@ -349,6 +349,36 @@ class TestTraining:
         after, _ = _patch_loss_and_grads(patches, train_codec(dataset, config))
         assert after < before
 
+    @pytest.mark.parametrize("field, value, name", [
+        ("epochs", -5, "codec epochs"), ("lr", 0.0, "codec lr"), ("lr", -0.005, "codec lr"),
+        ("lr", float("nan"), "codec lr"), ("lr", float("inf"), "codec lr"),
+        ("beta", -1.0, "beta"), ("beta", float("nan"), "beta"), ("beta", float("inf"), "beta")])
+    def test_out_of_domain_settings_rejected(self, field, value, name):
+        rng = np.random.default_rng(20)
+        with pytest.raises(InvalidInputError, match=name):
+            train_codec([random_image(rng)], tiny_config(**{"epochs": 1, field: value}))
+
+
+class TestWorkingSet:
+    """A training step drops each patch-sized intermediate at its last use."""
+
+    def test_one_epoch_peak_at_the_benchmark_set_up_shape(self):
+        import tracemalloc
+        from drr.learner import make_toy_dataset
+        images, labels = make_toy_dataset(20, 24, side=32, seed=0, salt=0)
+        first = images[labels < 5]
+        config = CodecConfig(epochs=1)
+        patches = len(first) * (32 // config.patch) ** 2
+        patch_array = patches * config.embed_dim * 8  # one (n, d) float64 array
+        tracemalloc.start()
+        try:
+            train_codec(first, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # About 5.3 arrays; holding every intermediate to the end was 13.
+        assert peak < 8 * patch_array
+
 
 class TestFreeze:
     def test_freeze_blocks_training_and_is_idempotent(self):
@@ -434,6 +464,12 @@ class TestTrainingPins:
         images, _ = make_toy_dataset(5, 24, side=32, seed=0)
         assert codec_digest(images, CodecConfig(epochs=2)) == (
             "7ed22e56925170cc8364dae9af65829892853e1054189d05ab0c707dd2be9eed")
+
+    def test_buffer_churn_set_up_codec(self):
+        from drr.learner import make_toy_dataset
+        images, labels = make_toy_dataset(20, 24, side=32, seed=0, salt=0)
+        assert codec_digest(images[labels < 5], CodecConfig(epochs=20)) == (
+            "30c51cf9504c58fe38a070108fd909fea0c6d47a7d04f04ac79dbc4bbae69156")
 
     def test_divergence_is_rejected(self):
         from drr.errors import DegenerateInputError
