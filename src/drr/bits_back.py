@@ -716,10 +716,6 @@ class CompressedStream:
     peak_demand_bits: float | None = None
 
     @property
-    def payload_bytes(self) -> int:
-        return len(self.payload)
-
-    @property
     def net_bits(self) -> float | None:
         """Bits pushed minus bits recovered; None without accounting."""
         if self.gross_bits is None:
@@ -739,23 +735,6 @@ def deserialize_stream(data: bytes) -> CompressedStream:
     payload_state(payload)  # validates the nested bitstream
     return CompressedStream(payload=payload, symbol_count=symbol_count,
                             model_version=model_version)
-
-
-def net_length_report(stream: CompressedStream) -> dict:
-    """Bits pushed, bits recovered, and the resulting net cost per code."""
-    if stream.gross_bits is None:
-        raise InvalidInputError("stream has no accounting (was it deserialized?)")
-    net = stream.net_bits
-    return {
-        "symbol_count": stream.symbol_count,
-        "gross_bits": stream.gross_bits,
-        "returned_bits": stream.returned_bits,
-        "net_bits": net,
-        "bits_per_code": net / stream.symbol_count if stream.symbol_count else 0.0,
-        "payload_bytes": stream.payload_bytes,
-        "initial_bits": stream.initial_bits,
-        "peak_demand_bits": stream.peak_demand_bits,
-    }
 
 
 # -- fitting -------------------------------------------------------------------

@@ -89,17 +89,11 @@ def ib_loss(r1: np.ndarray, r2: np.ndarray) -> tuple[float, np.ndarray]:
 
     r1 is the raw-image representation and is treated as a constant: no
     gradient is returned for it, so nothing can flow up its branch.  The
-    one-pair case of `_ib_pairs`.
+    one-pair case of `_ib_grad`.
     """
     r2 = np.asarray(r2, dtype=np.float64)
-    loss, grad = _ib_pairs(np.asarray(r1, dtype=np.float64).reshape(1, -1), r2.reshape(1, -1))
-    return loss, grad.reshape(r2.shape)
-
-
-def _ib_pairs(r1: np.ndarray, r2: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean pairwise alignment loss and its gradient for the r2 rows."""
-    c, grad = _ib_grad(r1, r2)
-    return float(np.mean(-c)), grad
+    c, grad = _ib_grad(np.asarray(r1, dtype=np.float64).reshape(1, -1), r2.reshape(1, -1))
+    return float(np.mean(-c)), grad.reshape(r2.shape)
 
 
 def _ib_grad(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,12 +112,6 @@ def _ib_grad(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c = np.add.reduce(u1 * u2, axis=1)
     grad = (c[:, None] * u2 - u1) / n2[:, None] / len(r1)
     return c, grad
-
-
-def cross_entropy(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean natural-log cross-entropy and gradient wrt the scores."""
-    shifted, z, grad = _softmax_grad(scores, labels)
-    return _mean_cross_entropy(shifted, z, labels), grad
 
 
 def _softmax_grad(scores: np.ndarray, labels: np.ndarray):
@@ -220,8 +208,7 @@ def total_loss(params: ClassifierParams, batch: Batch, ib_weight: float,
     not supplied and always treated as a constant; passing it explicitly
     pins the branch for gradient checking.
     """
-    if ib_weight < 0:
-        raise InvalidInputError("alignment weight must be nonnegative")
+    check_finite(ib_weight, "ib_weight", positive=False)
     batch.validate(params.n_classes)
     paired = batch.raw is not None and len(batch.raw)
     if paired and raw_features is None:

@@ -76,10 +76,6 @@ class QuantizedPmf:
     freqs: np.ndarray  # int64, shape (A,)
     cdf: np.ndarray    # int64, shape (A + 1,), cdf[0] == 0
 
-    @property
-    def alphabet_size(self) -> int:
-        return len(self.freqs)
-
     def probs(self) -> np.ndarray:
         """The dyadic probabilities freqs / 2**precision (sums to 1.0 exactly)."""
         return self.freqs / float(1 << self.precision)
@@ -237,25 +233,6 @@ class PmfTable:
     def cost(self, rows: np.ndarray, symbols: np.ndarray) -> np.ndarray:
         """Ideal code length of symbols[i] under row rows[i], in bits."""
         return self.costs[rows * self.alphabet + symbols]
-
-
-def entropy_from_freqs(freqs) -> float:
-    """Shannon entropy in bits of a frequency (or probability) vector."""
-    f = np.asarray(freqs, dtype=np.float64)
-    if f.ndim != 1 or f.size == 0 or np.any(f < 0) or f.sum() <= 0:
-        raise InvalidInputError("frequencies must be a nonempty nonnegative 1-d array")
-    p = f / f.sum()
-    nz = p > 0
-    return float(-(p[nz] * np.log2(p[nz])).sum())
-
-
-def entropy_from_sample(symbols, alphabet_size: int | None = None) -> float:
-    """Empirical entropy in bits of an integer sample."""
-    s = np.asarray(symbols)
-    if s.size == 0:
-        raise InvalidInputError("sample must be nonempty")
-    counts = np.bincount(s, minlength=alphabet_size or 0)
-    return entropy_from_freqs(counts)
 
 
 STACK_OFFSET = _HEAD.size + _STATE.size  # where a payload's byte stack starts

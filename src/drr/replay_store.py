@@ -13,6 +13,7 @@ both report through the same arithmetic so the comparison is honest.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -77,7 +78,10 @@ def select_exemplars(images: np.ndarray, count: int, rng) -> np.ndarray:
 
 def class_exemplars(images: np.ndarray, count: int, seed: int, label: int) -> np.ndarray:
     """Class `label`'s exemplars under `seed`: the one choice that the buffer,
-    the raw store and the raw views make, so their exemplars pair up."""
+    the raw store and the raw views make, so their exemplars pair up.
+    InvalidInputError unless `label` is a nonnegative integer."""
+    if not isinstance(label, numbers.Integral) or label < 0:
+        raise InvalidInputError(f"class label must be a nonnegative integer, got {label!r}")
     return select_exemplars(images, count, np.random.default_rng([seed, label]))
 
 
@@ -129,12 +133,8 @@ def check_plain_name(name: str, what: str) -> None:
         raise DataCorruptionError(f"{what} {name!r} is not a plain file name")
 
 
-def bytes_to_megabytes(n_bytes: int) -> float:
-    return n_bytes / BYTES_PER_MEGABYTE
-
-
 def format_megabytes(n_bytes: int) -> str:
-    return f"{bytes_to_megabytes(n_bytes):.2f}"
+    return f"{n_bytes / BYTES_PER_MEGABYTE:.2f}"
 
 
 @dataclass
@@ -273,19 +273,12 @@ def _block_lens(n_symbols: int, block_len: int) -> list[int]:
     return [min(block_len, n_symbols - i) for i in range(0, n_symbols, block_len)]
 
 
-def compress_grid(grid: CodeGrid, pair: LatentModelPair,
-                  precision: int = DEFAULT_PRECISION,
-                  initial_bits: int = DEFAULT_INITIAL_BITS, seed=0) -> CompressedStream:
-    """One grid's stream; the one-grid case of `compress_grids`."""
-    return compress_grids([grid], pair, [seed], precision=precision,
-                          initial_bits=initial_bits)[0]
-
-
 def decompress_grid(stream: CompressedStream, pair: LatentModelPair,
                     top_shape, bottom_shape,
                     tables: tuple[CodingTables, CodingTables] | None = None,
                     precision: int = DEFAULT_PRECISION) -> CodeGrid:
-    """One stream's grid; the one-stream case of `decompress_grids`."""
+    """One stream's grid, decoded as `decompress_images` decodes a geometry's
+    streams; `tables` defaults to the pair's tables at `precision`."""
     return _grids(*_decode_indices([stream], pair, top_shape, bottom_shape,
                                    pair.tables(precision) if tables is None else tables))[0]
 
@@ -344,35 +337,20 @@ def _grids(top: np.ndarray, bottom: np.ndarray) -> list[CodeGrid]:
     return [CodeGrid(top=t, bottom=b) for t, b in zip(top, bottom)]
 
 
-def _per_geometry(streams, pair: LatentModelPair, shapes, precision: int, rows) -> list:
-    """rows(top, bottom) of the decoded index arrays of each geometry's
-    streams, back in stream order; shapes[i] is the (top shape, bottom
-    shape) of stream i."""
-    streams, shapes = list(streams), [(tuple(t), tuple(b)) for t, b in shapes]
-    out = [None] * len(streams)
-    for members in _by_geometry(shapes):
-        arrays = _decode_indices([streams[i] for i in members], pair, *shapes[members[0]],
-                                 pair.tables(precision))
-        for i, row in zip(members, rows(*arrays)):
-            out[i] = row
-    return out
-
-
-def decompress_grids(streams, pair: LatentModelPair, shapes,
-                     precision: int = DEFAULT_PRECISION) -> list[CodeGrid]:
-    """The grid of every stream, where shapes[i] is the (top shape, bottom
-    shape) of stream i.  Streams of one geometry are decoded side by side,
-    one coder lane each."""
-    return _per_geometry(streams, pair, shapes, precision, _grids)
-
-
 def decompress_images(streams, pair: LatentModelPair, shapes, codec: CodecParams,
                       precision: int = DEFAULT_PRECISION) -> list[np.ndarray]:
     """The reconstructed image of every stream, where shapes[i] is the (top
     shape, bottom shape) of stream i.  The streams of one geometry are
-    decoded side by side and their images in one decoder pass."""
-    return _per_geometry(streams, pair, shapes, precision,
-                         lambda top, bottom: decode_indices(top, bottom, codec))
+    decoded side by side, one coder lane each, and their images in one
+    decoder pass."""
+    streams, shapes = list(streams), [(tuple(t), tuple(b)) for t, b in shapes]
+    out = [None] * len(streams)
+    for members in _by_geometry(shapes):
+        top, bottom = _decode_indices([streams[i] for i in members], pair, *shapes[members[0]],
+                                      pair.tables(precision))
+        for i, image in zip(members, decode_indices(top, bottom, codec)):
+            out[i] = image
+    return out
 
 
 # -- compressed replay buffer ------------------------------------------------------
@@ -625,6 +603,8 @@ class ReplayBuffer:
                 i += 1
                 label = int(info["label"])
                 count = int(info["count"])
+                if label < 0:
+                    raise DataCorruptionError(f"class label {label} is negative")
                 if label in buffer._shelves:
                     raise DataCorruptionError(f"class {label} is listed twice")
                 if count < 1:

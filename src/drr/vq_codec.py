@@ -25,7 +25,6 @@ from .errors import (
     DataCorruptionError,
     DegenerateInputError,
     InvalidInputError,
-    StateError,
     check_finite,
     check_seed,
 )
@@ -180,19 +179,6 @@ def _validated_batch(images, params: CodecParams) -> np.ndarray:
     if len({img.shape for img in images}) != 1:
         raise InvalidInputError("images must all have one shape")
     return np.stack(images)
-
-
-def quantize(z: np.ndarray, codebook: np.ndarray) -> tuple[int, np.ndarray]:
-    """Nearest codebook row to `z` under Euclidean distance.
-
-    Returns (index, row).  Ties break toward the lowest index.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or codebook.ndim != 2 or z.shape[0] != codebook.shape[1]:
-        raise InvalidInputError("z must be a vector matching the codebook width")
-    d2 = ((codebook - z) ** 2).sum(axis=1)
-    k = int(np.argmin(d2))
-    return k, codebook[k].copy()
 
 
 # Rows per distance buffer in `_nearest_indices`: at K=512 the buffer is
@@ -493,21 +479,17 @@ def init_codec_params(config: CodecConfig) -> CodecParams:
                        beta=config.beta, **weights)
 
 
-def train_codec(dataset, config: CodecConfig, params: CodecParams | None = None) -> CodecParams:
-    """Plain full-batch gradient descent on the three-term loss.
+def train_codec(dataset, config: CodecConfig) -> CodecParams:
+    """Plain full-batch gradient descent on the three-term loss, from
+    `init_codec_params(config)`.
 
     With `epochs=0` the returned params equal the seeded initialization.
     Deterministic: the same dataset, config and seed give identical weights.
     """
     config.validate()
-    if params is not None and params.frozen:
-        raise StateError("codec is frozen; training is not allowed")
     if len(dataset) == 0:
         raise InvalidInputError("training dataset is empty")
-    if params is None:
-        params = init_codec_params(config)
-    else:
-        params = params.copy()
+    params = init_codec_params(config)
     # The images never change, so their patches are cut once.
     patches = _extract_patches(_validated_batch(dataset, params), params.patch)
     # A diverging run overflows on the way to non-finite weights; that is
@@ -588,19 +570,3 @@ def serialize_code_grid(grid: CodeGrid) -> bytes:
     head = _GRID_HEAD.pack(*grid.top.shape, *grid.bottom.shape)
     body = grid.top.astype("<u2").tobytes() + grid.bottom.astype("<u2").tobytes()
     return head + body
-
-
-def deserialize_code_grid(data: bytes) -> CodeGrid:
-    head_len = _GRID_HEAD.size
-    if len(data) < head_len:
-        raise DataCorruptionError("code grid header truncated")
-    ht, wt, hb, wb = _GRID_HEAD.unpack_from(data)
-    expected = head_len + 2 * (ht * wt + hb * wb)
-    if len(data) != expected:
-        raise DataCorruptionError("code grid length mismatch")
-    top = np.frombuffer(data, dtype="<u2", count=ht * wt, offset=head_len)
-    bottom = np.frombuffer(data, dtype="<u2", count=hb * wb, offset=head_len + 2 * ht * wt)
-    return CodeGrid(
-        top=top.reshape(ht, wt).astype(np.int32),
-        bottom=bottom.reshape(hb, wb).astype(np.int32),
-    )

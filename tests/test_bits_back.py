@@ -35,7 +35,6 @@ from drr.bits_back import (
     finetune,
     fit,
     mean_elbo,
-    net_length_report,
     random_model,
     sample_blocks,
     serialize_models,
@@ -442,14 +441,13 @@ class TestStreams:
                     blocks, FitConfig(iterations=20))
         return model, blocks
 
-    def test_stream_round_trip_and_report(self):
+    def test_stream_round_trip_and_accounting(self):
         model, blocks = self.make_fitted()
         tables = build_coding_tables(model)
         stream = encode_stream([(blocks, tables)], initial_bits=256, seed=4)
-        report = net_length_report(stream)
-        assert report["symbol_count"] == 1500 * 5
-        assert report["net_bits"] == pytest.approx(stream.gross_bits - stream.returned_bits)
-        assert 0 < report["bits_per_code"] < math.log2(12)
+        assert stream.symbol_count == 1500 * 5
+        assert stream.net_bits == pytest.approx(stream.gross_bits - stream.returned_bits)
+        assert 0 < stream.net_bits / stream.symbol_count < math.log2(12)
         out = decode_stream(stream, [([len(b) for b in blocks], tables)])
         assert all(np.array_equal(a, b) for a, b in zip(out[0], blocks))
 
@@ -514,8 +512,6 @@ class TestStreams:
         tables = build_coding_tables(model)
         back = deserialize_stream(serialize_stream(encode_stream([(blocks[:4], tables)])))
         assert back.net_bits is None
-        with pytest.raises(InvalidInputError):
-            net_length_report(back)
 
     def test_net_bits_follows_gross_and_returned(self):
         model, blocks = self.make_fitted(seed=3)
@@ -524,7 +520,6 @@ class TestStreams:
         assert stream.net_bits == stream.gross_bits - stream.returned_bits
         moved = replace(stream, gross_bits=stream.gross_bits + 8.0)
         assert moved.net_bits == moved.gross_bits - stream.returned_bits
-        assert net_length_report(moved)["net_bits"] == moved.net_bits
 
     def test_corrupt_stream_rejected(self):
         model, blocks = self.make_fitted(seed=3)

@@ -21,7 +21,7 @@ from drr.cli import (
 )
 from drr.errors import DataCorruptionError
 from drr.learner import DEFAULT_IB_WEIGHT, LatentSpec, TrainConfig
-from drr.replay_store import LatentModelPair, ReplayBuffer, compress_grid, compress_grids
+from drr.replay_store import LatentModelPair, ReplayBuffer, compress_grids
 from drr.vq_codec import (
     CodecConfig,
     decode_codes,
@@ -85,7 +85,7 @@ class TestImageFiles:
 
 
 def test_initial_bits_defaults_read_one_constant():
-    calls = (encode_stream, encode_streams, compress_grid, compress_grids, ReplayBuffer)
+    calls = (encode_stream, encode_streams, compress_grids, ReplayBuffer)
     assert [inspect.signature(f).parameters["initial_bits"].default for f in calls] \
         == [DEFAULT_INITIAL_BITS] * len(calls)
     assert LatentSpec().initial_bits == CONFIG_DEFAULTS["initial_bits"] == DEFAULT_INITIAL_BITS

@@ -36,7 +36,7 @@ from drr.errors import (
 )
 from drr.learner import make_toy_dataset
 from drr.rans import RANS_L, AnsCoder, LaneCoder, PmfTable, QuantizedPmf, quantize_rows
-from drr.replay_store import LatentModelPair, ReplayBuffer, compress_grid
+from drr.replay_store import LatentModelPair, ReplayBuffer, compress_grids, decompress_grid
 from drr.vq_codec import CodecConfig, CodeGrid, freeze, train_codec
 
 
@@ -405,8 +405,8 @@ class TestBatchContracts:
 
 def pinned_streams(precision, method="bitswap"):
     """sha256 over the serialized streams of fixed grids under a seeded,
-    unfitted model pair, coded by `compress_grid`, or under "bb" by the
-    scalar plain bits-back reference from the same blocks."""
+    unfitted model pair, coded one grid per `compress_grids` call, or under
+    "bb" by the scalar plain bits-back reference from the same blocks."""
     pair = LatentModelPair(random_model(64, (6, 1, 4), block_len=8, seed=3),
                            random_model(64, (5, 3), block_len=7, seed=4))
     rng = np.random.default_rng(12)
@@ -415,7 +415,7 @@ def pinned_streams(precision, method="bitswap"):
         grid = CodeGrid(top=rng.integers(0, 64, (3, 5)).astype(np.int32),
                         bottom=rng.integers(0, 64, (6, 10)).astype(np.int32))
         if method == "bitswap":
-            stream = compress_grid(grid, pair, precision=precision, seed=[5, i])
+            stream = compress_grids([grid], pair, [[5, i]], precision=precision)[0]
         else:
             stream = scalar_encode_stream(list(zip(pair.blocks([grid]), pair.tables(precision))),
                                           DEFAULT_INITIAL_BITS, [5, i], method)
@@ -498,10 +498,9 @@ class TestBufferBatches:
         for label in buffer.class_labels:
             shelf = buffer._shelves[label]
             for i, stream in enumerate(shelf.streams):
-                grid = replay_store.decompress_grid(stream, buffer.pair, shelf.top_shape,
-                                                    shelf.bottom_shape)
-                again = compress_grid(grid, buffer.pair, initial_bits=buffer.initial_bits,
-                                      seed=buffer._stream_seed(label, i))
+                grid = decompress_grid(stream, buffer.pair, shelf.top_shape, shelf.bottom_shape)
+                again = compress_grids([grid], buffer.pair, [buffer._stream_seed(label, i)],
+                                       initial_bits=buffer.initial_bits)[0]
                 assert same_stream(again, stream)
 
 
@@ -513,9 +512,9 @@ def test_grids_of_mixed_geometry():
     grids = [CodeGrid(top=rng.integers(0, 20, t).astype(np.int32),
                       bottom=rng.integers(0, 20, b).astype(np.int32)) for t, b in shapes]
     seeds = [[9, i] for i in range(len(grids))]
-    streams = replay_store.compress_grids(grids, pair, seeds)
-    for grid, seed, stream in zip(grids, seeds, streams):
-        assert same_stream(stream, compress_grid(grid, pair, seed=seed))
-    assert replay_store.decompress_grids(streams, pair, shapes) == grids
-    assert replay_store.compress_grids([], pair, []) == []
+    streams = compress_grids(grids, pair, seeds)
+    for grid, seed, stream, shape in zip(grids, seeds, streams, shapes):
+        assert same_stream(stream, compress_grids([grid], pair, [seed])[0])
+        assert decompress_grid(stream, pair, *shape) == grid
+    assert compress_grids([], pair, []) == []
 

@@ -19,7 +19,9 @@ from drr.learner import (
     PhaseResults,
     PhaseSchedule,
     TrainConfig,
-    cross_entropy,
+    _ib_grad,
+    _mean_cross_entropy,
+    _softmax_grad,
     evaluate,
     features,
     ib_loss,
@@ -84,17 +86,22 @@ class TestIbLoss:
             ib_loss(np.ones(3), np.zeros(3))
 
 
+def cross_entropy(scores, labels):
+    """Mean natural-log cross-entropy of `scores`, read off the softmax
+    gradient's intermediates as `total_loss` reads it."""
+    shifted, z, _ = _softmax_grad(scores, labels)
+    return _mean_cross_entropy(shifted, z, labels)
+
+
 class TestCrossEntropy:
     def test_uniform_scores_give_log_c(self):
         scores = np.zeros((4, 7))
         labels = np.array([0, 3, 6, 2])
-        loss, _ = cross_entropy(scores, labels)
-        assert loss == pytest.approx(math.log(7), abs=1e-12)
+        assert cross_entropy(scores, labels) == pytest.approx(math.log(7), abs=1e-12)
 
     def test_confident_correct_is_small(self):
         scores = np.array([[20.0, 0.0], [0.0, 20.0]])
-        loss, _ = cross_entropy(scores, np.array([0, 1]))
-        assert loss < 1e-6
+        assert cross_entropy(scores, np.array([0, 1])) < 1e-6
 
 
 def random_batch(rng, n=6, dim=5, classes=3, pairs=3):
@@ -117,7 +124,7 @@ class TestTotalLoss:
         batch = random_batch(rng)
         params = init_classifier(5, 4, 3, seed=0)
         loss, grads, parts = total_loss(params, batch, ib_weight=0.0)
-        ce, _ = cross_entropy(logits(params, batch.recon), batch.labels)
+        ce = cross_entropy(logits(params, batch.recon), batch.labels)
         assert loss == pytest.approx(ce, abs=1e-12)
         assert parts["ce"] == pytest.approx(ce, abs=1e-12)
         bare = Batch(recon=batch.recon, labels=batch.labels)
@@ -189,11 +196,11 @@ class TestTotalLoss:
         with pytest.raises(InvalidInputError):
             total_loss(params, batch, 0.0)
 
-    def test_negative_weight_rejected(self):
+    @pytest.mark.parametrize("weight", [-0.1, float("nan"), float("inf")])
+    def test_out_of_domain_weight_rejected(self, weight):
         params = init_classifier(5, 4, 3, seed=0)
-        batch = Batch(recon=np.zeros((1, 5)), labels=np.array([0]))
-        with pytest.raises(InvalidInputError):
-            total_loss(params, batch, -0.1)
+        with pytest.raises(InvalidInputError, match="ib_weight"):
+            total_loss(params, random_batch(np.random.default_rng(0)), weight)
 
 
 def separable_data(n_per=40, seed=0):
@@ -468,7 +475,6 @@ def reference_total_loss(params, batch, ib_weight):
     """`total_loss` as first written: exp taken three times, zero-filled w1/b1
     gradients, and `np.add.at` for the paired rows.  Kept as the reference the
     trimmed step must match bit for bit."""
-    from drr.learner import _ib_pairs
     x = batch.recon
     h = features(params, x)
     scores = h @ params.w2.T + params.b2
@@ -480,7 +486,8 @@ def reference_total_loss(params, batch, ib_weight):
     probs[np.arange(n), batch.labels] -= 1.0
     d_scores = probs / n
     dh = d_scores @ params.w2
-    align, d_pairs = _ib_pairs(features(params, batch.raw), h[batch.pair_rows])
+    c, d_pairs = _ib_grad(features(params, batch.raw), h[batch.pair_rows])
+    align = float(np.mean(-c))
     np.add.at(dh, batch.pair_rows, ib_weight * d_pairs)
     da = dh * (1.0 - h * h)
     return ce + ib_weight * align, (da.T @ x, da.sum(axis=0), d_scores.T @ h,

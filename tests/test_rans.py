@@ -18,8 +18,6 @@ from drr.rans import (
     AnsCoder,
     PmfTable,
     code_lengths,
-    entropy_from_freqs,
-    entropy_from_sample,
     pmf_quantize,
     quantize_rows,
 )
@@ -167,18 +165,6 @@ class TestQuantizeRows:
             pmf_quantize(good)
 
 
-class TestEntropy:
-    def test_uniform_512_is_nine_bits(self):
-        assert entropy_from_freqs(np.ones(512)) == pytest.approx(9.0, abs=1e-12)
-
-    def test_sample_entropy_close_to_source(self):
-        rng = np.random.default_rng(7)
-        pmf = pmf_quantize(rng.random(32))
-        sample = rng.choice(32, size=100_000, p=pmf.probs())
-        h = entropy_from_sample(sample, alphabet_size=32)
-        assert abs(h - entropy_from_freqs(pmf.freqs)) < 0.05
-
-
 class TestCoderTransitions:
     def test_single_push_matches_hand_computed_state(self):
         # f=2048, c=0, precision 12, from state 2**32:
@@ -283,7 +269,8 @@ class TestRate:
         for s in symbols:
             coder.push(int(s), pmf)
         bits_per_symbol = coder.bit_length / n
-        h = entropy_from_freqs(pmf.freqs)
+        probs = pmf.probs()
+        h = float(-(probs * np.log2(probs)).sum())
         assert bits_per_symbol <= h + 0.1 + 64 / n
 
 

@@ -142,31 +142,82 @@ def test_every_import_is_used_or_traced(tracing):
         assert not unused, f"{module} imports {', '.join(unused)} and never uses them"
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def named(tree):
+    """Every name and attribute read in `tree`, except a function's or a
+    class's reads of its own name inside its own definition."""
+    out = set()
+
+    def visit(node, inside):
+        if isinstance(node, DEFINITIONS):
+            inside = inside | {node.name}
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name is not None and name not in inside:
+            out.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return out
+
+
+def package_trees():
+    """(file name, parsed module) of every module in drr."""
+    for filename in sorted(os.listdir(PACKAGE)):
+        if filename.endswith(".py"):
+            with open(os.path.join(PACKAGE, filename)) as f:
+                yield filename, ast.parse(f.read(), filename)
+
+
 def test_every_private_function_has_a_package_caller():
     """Every `_`-prefixed function, method or class in drr is named in drr
     outside its own definition: a private helper that only tests call is
     deleted, not kept."""
     defined, used = {}, set()
-
-    def visit(node, filename, inside):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if node.name.startswith("_") and not node.name.endswith("__"):
+    for filename, tree in package_trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, DEFINITIONS) and node.name.startswith("_")
+                    and not node.name.endswith("__")):
                 defined.setdefault(node.name, f"{filename}:{node.lineno}")
-            inside = inside | {node.name}
-        name = (node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute) else None)
-        if name is not None and name not in inside:
-            used.add(name)
-        for child in ast.iter_child_nodes(node):
-            visit(child, filename, inside)
-
-    for filename in sorted(os.listdir(PACKAGE)):
-        if filename.endswith(".py"):
-            with open(os.path.join(PACKAGE, filename)) as f:
-                visit(ast.parse(f.read(), filename), filename, frozenset())
+        used |= named(tree)
     assert defined
     unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
     assert not unused, f"private names with no caller in drr: {', '.join(unused)}"
+
+
+def test_every_public_name_has_a_caller(tracing):
+    """Every public module-level function and class in drr, and every public
+    method and property of its classes, is named outside its own
+    definition: in drr (re-exports in __init__.py do not count), in the
+    benchmark harness (the tracer's TARGETS paths count), in the acceptance
+    tests or in the README's Python example.  Public code that only unit
+    tests reach is deleted, not kept."""
+    defined, used = {}, set()
+    for filename, tree in package_trees():
+        if filename == "__init__.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+                defined.setdefault(node.name, f"{filename}:{node.lineno}")
+                for member in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(member, DEFINITIONS) and not member.name.startswith("_"):
+                        defined.setdefault(member.name, f"{filename}:{member.lineno}")
+        used |= named(tree)
+    for filename in sorted(os.listdir(PERFBENCH)):
+        if filename.endswith(".py"):
+            with open(os.path.join(PERFBENCH, filename)) as f:
+                used |= named(ast.parse(f.read(), filename))
+    used |= {part for _, _, path in tracing.TARGETS for part in path.split(".")}
+    with open(os.path.join(ROOT, "tests", "test_acceptance.py")) as f:
+        used |= named(ast.parse(f.read()))
+    with open(os.path.join(ROOT, "README.md")) as f:
+        used |= named(ast.parse(re.findall(r"```python\n(.*?)```", f.read(), re.DOTALL)[0]))
+    assert defined
+    unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
+    assert not unused, f"public names with no caller: {', '.join(unused)}"
 
 
 STRUCT_CALLS = {"pack", "unpack", "unpack_from", "calcsize"}

@@ -7,22 +7,23 @@ gradient is exactly what the straight-through / stop-gradient rules are
 supposed to produce, so central differences on it are a valid oracle.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
-from drr.errors import InvalidInputError, StateError
+from drr.errors import InvalidInputError
 from drr.vq_codec import (
     CodecConfig,
     CodeGrid,
+    _nearest_indices,
     code_shapes,
     decode_codes,
-    deserialize_code_grid,
     deserialize_codec,
     encode_image,
     freeze,
     init_codec_params,
     mean_reconstruction_error,
-    quantize,
     serialize_code_grid,
     serialize_codec,
     train_codec,
@@ -42,17 +43,20 @@ def random_image(rng, h=8, w=8, c=1):
     return rng.random((h, w, c))
 
 
+def nearest(z, codebook):
+    """Index of the codebook row nearest to vector `z`, by exhaustive scan;
+    ties go to the lowest index."""
+    return int(np.argmin(((codebook - z) ** 2).sum(axis=1)))
+
+
 class TestQuantize:
     def test_exact_row_maps_to_itself(self):
         codebook = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]])
-        k, row = quantize(np.array([1.0, 2.0]), codebook)
-        assert k == 1
-        assert np.array_equal(row, [1.0, 2.0])
+        assert _nearest_indices(np.array([[1.0, 2.0]]), codebook).tolist() == [1]
 
     def test_tie_breaks_to_lowest_index(self):
         codebook = np.array([[1.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
-        k, _ = quantize(np.array([0.0, 0.0]), codebook)
-        assert k == 0
+        assert _nearest_indices(np.array([[0.0, 0.0]]), codebook).tolist() == [0]
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(42)
@@ -61,14 +65,7 @@ class TestQuantize:
             d = int(rng.integers(1, 8))
             codebook = rng.normal(size=(kk, d))
             z = rng.normal(size=d)
-            k, row = quantize(z, codebook)
-            dists = [float(((codebook[i] - z) ** 2).sum()) for i in range(kk)]
-            assert k == int(np.argmin(dists))
-            assert np.array_equal(row, codebook[k])
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            quantize(np.zeros(3), np.zeros((4, 2)))
+            assert _nearest_indices(z[None], codebook).tolist() == [nearest(z, codebook)]
 
 
 class TestEncode:
@@ -97,8 +94,7 @@ class TestEncode:
         # Recompute the bottom embedding of cell (0, 0) by hand.
         patch = img[:2, :2, :].reshape(-1)
         z = params.enc_bottom_w @ patch + params.enc_bottom_b
-        k, _ = quantize(z, params.codebook_bottom)
-        assert grid.bottom[0, 0] == k
+        assert grid.bottom[0, 0] == nearest(z, params.codebook_bottom)
 
     def test_bad_images_rejected(self):
         params = init_codec_params(tiny_config())
@@ -381,12 +377,10 @@ class TestWorkingSet:
 
 
 class TestFreeze:
-    def test_freeze_blocks_training_and_is_idempotent(self):
+    def test_freeze_is_idempotent(self):
         params = freeze(init_codec_params(tiny_config()))
         assert params.frozen
         assert freeze(params) is params
-        with pytest.raises(StateError):
-            train_codec([np.zeros((8, 8, 1))], tiny_config(), params=params)
 
     def test_freeze_does_not_change_encoding(self):
         rng = np.random.default_rng(20)
@@ -407,13 +401,15 @@ class TestSerialization:
             assert np.array_equal(getattr(back, name), getattr(params, name))
         assert serialize_codec(back) == blob
 
-    def test_grid_round_trip_and_size(self):
+    def test_grid_layout_and_size(self):
         rng = np.random.default_rng(23)
         grid = CodeGrid(top=rng.integers(0, 500, (2, 3)).astype(np.int32),
                         bottom=rng.integers(0, 500, (4, 6)).astype(np.int32))
         blob = serialize_code_grid(grid)
         assert len(blob) == 16 + 2 * grid.code_count  # 16 bits per code
-        assert deserialize_code_grid(blob) == grid
+        assert struct.unpack("<IIII", blob[:16]) == (2, 3, 4, 6)
+        codes = np.frombuffer(blob, dtype="<u2", offset=16)
+        assert np.array_equal(codes, np.concatenate([grid.top.ravel(), grid.bottom.ravel()]))
 
     def test_corrupt_codec_rejected(self):
         from drr.errors import DataCorruptionError
@@ -480,15 +476,14 @@ class TestTrainingPins:
 
 
 class TestNearestIndices:
-    """The batched code search agrees with `quantize` row by row, in every
-    chunk of its distance buffer."""
+    """The batched code search agrees with an exhaustive scan row by row, in
+    every chunk of its distance buffer."""
 
     @staticmethod
     def rowwise(z, codebook):
-        return np.array([quantize(row, codebook)[0] for row in z])
+        return np.array([nearest(row, codebook) for row in z])
 
     def test_random_rows(self):
-        from drr.vq_codec import _nearest_indices
         rng = np.random.default_rng(30)
         for k, d, n in [(1, 3, 5), (7, 2, 40), (32, 8, 300), (512, 64, 64)]:
             codebook = rng.normal(size=(k, d))
@@ -496,7 +491,6 @@ class TestNearestIndices:
             assert np.array_equal(_nearest_indices(z, codebook), self.rowwise(z, codebook))
 
     def test_exact_ties_go_to_the_lowest_index(self):
-        from drr.vq_codec import _nearest_indices
         # Small integers: both distance formulas are exact, so ties are real.
         codebook = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         z = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [1.0, 1.0], [0.0, -2.0], [-1.0, -1.0]])
@@ -506,7 +500,7 @@ class TestNearestIndices:
 
     @pytest.mark.parametrize("offset", [None, -1, 0, 1])
     def test_sizes_around_the_chunk(self, offset):
-        from drr.vq_codec import _SEARCH_ROWS, _nearest_indices
+        from drr.vq_codec import _SEARCH_ROWS
         n = 1 if offset is None else _SEARCH_ROWS + offset
         rng = np.random.default_rng(31 + n)
         codebook = rng.normal(size=(24, 6))
