@@ -21,23 +21,22 @@ accounting runs on those quantized tables, so measured net bits line up
 exactly with the bound computed from the same quantized model.
 `build_coding_tables` holds each quantized table once, as one `PmfTable`.
 
-Streams are coded on the lane coder: `encode_streams` and `decode_streams`
-code N messages of one geometry side by side, one lane each, with the
-block chain of every lane still sequential; `encode_stream` and
-`decode_stream` are the one-lane case.  `encode_block` and `decode_block`
-are the scalar reference: they code one block on an `AnsCoder` under
-either schedule (METHODS, checked by `check_method`), reading each row from
-the same tables through `PmfTable.row`, and `encode_blocks`/`decode_blocks`
-chain them.  Every lane produces the same bytes and the same accounting
-floats as the scalar bitswap path; the plain schedule lives only here, to
-measure Bit-Swap against.
+Every block is coded by one routine on the lane coder, which takes the
+schedule as a flag.  `encode_streams` and `decode_streams` code N messages
+of one geometry side by side, one lane each and always in the Bit-Swap
+order, with the block chain of every lane still sequential;
+`encode_stream` and `decode_stream` are the one-lane case.
+`encode_blocks` and `decode_blocks` chain blocks on an `AnsCoder` under
+either schedule (METHODS, checked by `check_method`) by running the same
+routine on one lane started from the coder's state and stack; the plain
+schedule lives only there, to measure Bit-Swap against.
 """
 
 from __future__ import annotations
 
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -329,11 +328,9 @@ class CodingTables:
     """Coder tables for one model at one coder precision: one `PmfTable`
     per model table, named as in `LatentChainModel`.
 
-    The lane coder reads the tables whole; the scalar reference coder reads
-    one row at a time through `PmfTable.row`, so both code from the same
-    arrays.  `dyadic` is the same model with every row replaced by its
-    quantized probabilities; bounds computed from it match coding costs
-    exactly.
+    The lane coder reads the tables whole.  `dyadic` is the same model with
+    every row replaced by its quantized probabilities; bounds computed from
+    it match coding costs exactly.
     """
 
     precision: int
@@ -388,19 +385,6 @@ def build_coding_tables(model: LatentChainModel, precision: int = DEFAULT_PRECIS
 
 # -- block coding --------------------------------------------------------------
 
-@dataclass
-class BlockTrace:
-    """Accounting for one coded block, in ideal bits."""
-
-    pushed: float
-    popped: float
-    peak_demand: float
-
-    @property
-    def net(self) -> float:
-        return self.pushed - self.popped
-
-
 # schedule -> push each level before popping the next (the Bit-Swap order)
 _INTERLEAVED = {"bitswap": True, "bb": False}
 METHODS = tuple(_INTERLEAVED)  # the coding schedules, by name
@@ -425,124 +409,19 @@ def _latent_pops():
             "seed the coder with more initial bits") from exc
 
 
-def encode_block(coder: AnsCoder, x, tables: CodingTables, method: str) -> BlockTrace:
-    """Code one block under either schedule.
+def _encode_block_lanes(coder: LaneCoder, x: np.ndarray, tables: CodingTables,
+                        interleaved: bool):
+    """Block x[i] on lane i, under either schedule.
 
-    Plain bits-back ("bb") pops the whole latent chain, then pushes the
-    block and every latent.  The interleaved schedule ("bitswap") pushes
-    each level before popping the next, so the pushes replenish the stack
-    between pops and the auxiliary peak never exceeds the plain one's; for
-    a single-level chain the two are identical.  The information level is
-    noted after every pop, after the block's pushes, after each interleaved
-    link push and at the end; the peak demand is its largest drop.
-    """
-    interleaved = check_method(method)
-    x = _check_block(x, tables.dyadic.obs_alphabet)
-    start = low = coder.potential()
-    pushed = popped = 0.0
-
-    def note():
-        nonlocal low
-        low = min(low, coder.potential())
-
-    def pop(pmf):
-        nonlocal popped
-        symbol = coder.pop(pmf)
-        popped += pmf.cost_bits(symbol)
-        note()
-        return symbol
-
-    def push(symbol, pmf):
-        nonlocal pushed
-        coder.push(symbol, pmf)
-        pushed += pmf.cost_bits(symbol)
-
-    with _latent_pops():
-        z = [pop(tables.q_obs.row(x[0]))]
-        if not interleaved:
-            for i in range(tables.levels - 1):
-                z.append(pop(tables.q_link[i].row(z[i])))
-        row = tables.p_obs.row(z[0])
-        for s in x[::-1]:
-            push(int(s), row)
-        note()
-        for i in range(tables.levels - 1):
-            if interleaved:
-                z.append(pop(tables.q_link[i].row(z[i])))
-            push(z[i], tables.p_link[i].row(z[i + 1]))
-            if interleaved:
-                note()
-        push(z[-1], tables.p_top.row(0))
-        note()
-    return BlockTrace(pushed=pushed, popped=popped, peak_demand=start - low)
-
-
-def decode_block(coder: AnsCoder, block_len: int, tables: CodingTables, method: str) -> np.ndarray:
-    """Exact inverse of `encode_block`; restores the popped bits."""
-    interleaved = check_method(method)
-    z = [0] * tables.levels
-    z[-1] = coder.pop(tables.p_top.row(0))
-    for i in reversed(range(tables.levels - 1)):
-        z[i] = coder.pop(tables.p_link[i].row(z[i + 1]))
-        if interleaved:
-            coder.push(z[i + 1], tables.q_link[i].row(z[i]))
-    row = tables.p_obs.row(z[0])
-    x = np.array([coder.pop(row) for _ in range(block_len)], dtype=np.int64)
-    if not interleaved:
-        for i in reversed(range(tables.levels - 1)):
-            coder.push(z[i + 1], tables.q_link[i].row(z[i]))
-    coder.push(z[0], tables.q_obs.row(x[0]))
-    return x
-
-
-@dataclass
-class StreamStats:
-    gross_bits: float = 0.0
-    returned_bits: float = 0.0
-    peak_demand_bits: float = 0.0
-    block_nets: list[float] = field(default_factory=list)
-
-    @property
-    def net_bits(self) -> float:
-        return self.gross_bits - self.returned_bits
-
-    def add(self, trace: BlockTrace):
-        self.gross_bits += trace.pushed
-        self.returned_bits += trace.popped
-        self.peak_demand_bits = max(self.peak_demand_bits, trace.peak_demand)
-        self.block_nets.append(trace.net)
-
-
-def encode_blocks(coder: AnsCoder, blocks, tables: CodingTables,
-                  method: str = "bitswap") -> StreamStats:
-    """Encode blocks in order; decode unwinds them back to front."""
-    check_method(method)
-    stats = StreamStats()
-    for block in blocks:
-        stats.add(encode_block(coder, block, tables, method))
-    return stats
-
-
-def decode_blocks(coder: AnsCoder, block_lens, tables: CodingTables,
-                  method: str = "bitswap") -> list[np.ndarray]:
-    """Decode `len(block_lens)` blocks and return them in encode order."""
-    check_method(method)
-    out = [decode_block(coder, n, tables, method) for n in reversed(list(block_lens))]
-    out.reverse()
-    return out
-
-
-# -- lane coding -----------------------------------------------------------------
-
-def _encode_block_lanes(coder: LaneCoder, x: np.ndarray, tables: CodingTables):
-    """Block x[i] on lane i, in the Bit-Swap order.
-
-    Every lane runs exactly the operations of the scalar bitswap
-    `encode_block`, and adds up its costs and notes its information level at
-    the same points in the same order, so each lane's accounting is
-    bit-identical to the scalar block's.  Returns per lane the
-    bits pushed, the bits popped, and the information level at the start
-    and at its lowest.
+    Plain bits-back (not `interleaved`) pops the whole latent chain, then
+    pushes the block and every latent.  The interleaved schedule, Bit-Swap,
+    pushes each level before popping the next, so the pushes replenish the
+    stack between pops and the auxiliary peak never exceeds the plain one's;
+    for a single-level chain the two are identical.  The information level
+    is noted after every pop, after the block's pushes, after each
+    interleaved link push and at the end.  Returns per lane the bits pushed,
+    the bits popped, and the information level at the start and at its
+    lowest.
     """
     pushed = np.zeros(coder.lanes)
     popped = np.zeros(coder.lanes)
@@ -563,28 +442,80 @@ def _encode_block_lanes(coder: LaneCoder, x: np.ndarray, tables: CodingTables):
         np.add(pushed, table.cost(rows, symbols), out=pushed)
 
     z = [pop(x[:, 0], tables.q_obs)]
+    if not interleaved:
+        for i in range(tables.levels - 1):
+            z.append(pop(z[i], tables.q_link[i]))
     for s in x.T[::-1]:
         push(s, z[0], tables.p_obs)
     note()
     for i in range(tables.levels - 1):
-        z.append(pop(z[i], tables.q_link[i]))
+        if interleaved:
+            z.append(pop(z[i], tables.q_link[i]))
         push(z[i], z[i + 1], tables.p_link[i])
-        note()
+        if interleaved:
+            note()
     push(z[-1], np.zeros(coder.lanes, dtype=np.int64), tables.p_top)
     note()
     return pushed, popped, start, low
 
 
-def _decode_block_lanes(coder: LaneCoder, block_len: int, tables: CodingTables) -> np.ndarray:
+def _decode_block_lanes(coder: LaneCoder, block_len: int, tables: CodingTables,
+                        interleaved: bool) -> np.ndarray:
     """Exact inverse of `_encode_block_lanes`; returns the (lanes, block_len) block."""
     z = [None] * tables.levels
     z[-1] = coder.pop(np.zeros(coder.lanes, dtype=np.int64), tables.p_top)
     for i in reversed(range(tables.levels - 1)):
         z[i] = coder.pop(z[i + 1], tables.p_link[i])
-        coder.push(z[i + 1], z[i], tables.q_link[i])
+        if interleaved:
+            coder.push(z[i + 1], z[i], tables.q_link[i])
     x = np.stack([coder.pop(z[0], tables.p_obs) for _ in range(block_len)], axis=1)
+    if not interleaved:
+        for i in reversed(range(tables.levels - 1)):
+            coder.push(z[i + 1], z[i], tables.q_link[i])
     coder.push(z[0], x[:, 0], tables.q_obs)
     return x
+
+
+@dataclass
+class StreamStats:
+    gross_bits: float = 0.0
+    returned_bits: float = 0.0
+    peak_demand_bits: float = 0.0  # the largest demand of any one block
+
+    @property
+    def net_bits(self) -> float:
+        return self.gross_bits - self.returned_bits
+
+
+def encode_blocks(coder: AnsCoder, blocks, tables: CodingTables,
+                  method: str = "bitswap") -> StreamStats:
+    """Encode blocks in order under schedule `method`; decode unwinds them
+    back to front.  They are coded on one `LaneCoder` lane started from
+    `coder`'s state and stack, and `coder` ends with the lane's."""
+    interleaved = check_method(method)
+    lane = LaneCoder([coder.state], [bytes(coder.stack)])
+    stats = StreamStats()
+    for block in blocks:
+        x = _check_block(block, tables.dyadic.obs_alphabet)[None, :]
+        with _latent_pops():
+            pushed, popped, start, low = _encode_block_lanes(lane, x, tables, interleaved)
+        stats.gross_bits += float(pushed[0])
+        stats.returned_bits += float(popped[0])
+        stats.peak_demand_bits = max(stats.peak_demand_bits, float(start[0] - low[0]))
+    coder.state, coder.stack = int(lane.state[0]), bytearray(lane.stack[0, :lane.height[0]])
+    return stats
+
+
+def decode_blocks(coder: AnsCoder, block_lens, tables: CodingTables,
+                  method: str = "bitswap") -> list[np.ndarray]:
+    """Decode `len(block_lens)` blocks and return them in encode order."""
+    interleaved = check_method(method)
+    lane = LaneCoder([coder.state], [bytes(coder.stack)])
+    out = [_decode_block_lanes(lane, n, tables, interleaved)[0]
+           for n in reversed(list(block_lens))]
+    out.reverse()
+    coder.state, coder.stack = int(lane.state[0]), bytearray(lane.stack[0, :lane.height[0]])
+    return out
 
 
 # -- compressed streams --------------------------------------------------------
@@ -619,7 +550,7 @@ def encode_streams(sections, seeds,
                 raise InvalidInputError(f"each block must hold one row per message ({coder.lanes})")
             _check_block(x, tables.dyadic.obs_alphabet)
             with _latent_pops():
-                pushed, popped, before, block_low = _encode_block_lanes(coder, x, tables)
+                pushed, popped, before, block_low = _encode_block_lanes(coder, x, tables, True)
             gross += pushed
             returned += popped
             # before - (before - low), not low: the float encode_stream always kept.
@@ -655,7 +586,7 @@ def decode_streams(streams, sections) -> list[list[np.ndarray]]:
             raise DataCorruptionError(
                 f"decoding {decoded} symbols, stream header says {stream.symbol_count}")
     try:
-        out = [[_decode_block_lanes(coder, n, tables) for n in reversed(lens)][::-1]
+        out = [[_decode_block_lanes(coder, n, tables, True) for n in reversed(lens)][::-1]
                for lens, tables in reversed(sections)]
     except ExhaustedStreamError as exc:
         raise DataCorruptionError("stream ended mid-decode") from exc

@@ -370,8 +370,12 @@ def _parse_results(path: str):
         kind = line.split(" ", 1)[0]
         if kind == "phase":
             entry = parse_record(line, "phase", PHASE_FIELDS)
-            phases.append({key: _number(kind, entry, key, path)
-                           for key, kind in PHASE_FIELDS.items()})
+            phase = {key: _number(kind, entry, key, path) for key, kind in PHASE_FIELDS.items()}
+            if not 0.0 <= phase["accuracy"] <= 1.0:  # also false for NaN
+                raise DataCorruptionError(f"{path}: accuracy {entry['accuracy']} outside [0, 1]")
+            if min(phase["total_bytes"], phase["raw_equiv_bytes"]) < 0:
+                raise DataCorruptionError(f"{path}: negative byte count")
+            phases.append(phase)
         elif kind == "summary":
             entry = parse_record(line, "summary", SUMMARY_FIELDS)
             summary = {"last": _number(float, entry, "last", path),
@@ -393,13 +397,13 @@ def cmd_report(args) -> int:
     if len(accuracies) > 1:
         average = float(np.mean(accuracies[1:]))
         stated = summary["average"]
-        if stated is None or abs(stated - average) > 1e-12:
+        if stated is None or not abs(stated - average) <= 1e-12:  # NaN disagrees
             raise DataCorruptionError("summary average disagrees with phase records")
         print(f"average (phases 1..N): {average:.4f}")
     elif summary["average"] is not None:
         raise DataCorruptionError("summary average should be absent with no phases")
     last = accuracies[-1]
-    if abs(summary["last"] - last) > 1e-12:
+    if not abs(summary["last"] - last) <= 1e-12:
         raise DataCorruptionError("summary last disagrees with phase records")
     print(f"last phase: {last:.4f}")
     return EXIT_OK

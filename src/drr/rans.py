@@ -54,8 +54,8 @@ def code_lengths(precision: int) -> np.ndarray:
     [1, 2**precision], at index f; index 0 holds +inf.
 
     The one source of code lengths: built once per precision with
-    `math.log2` (`np.log2` may round differently) and read by
-    `QuantizedPmf.cost_bits`, `AnsCoder` and `PmfTable`.  Read-only.
+    `math.log2` (`np.log2` may round differently) and read by `PmfTable`.
+    Read-only.
     """
     if not (MIN_PRECISION <= precision <= MAX_PRECISION):
         raise InvalidInputError(f"precision {precision} outside [{MIN_PRECISION}, {MAX_PRECISION}]")
@@ -75,14 +75,6 @@ class QuantizedPmf:
     precision: int
     freqs: np.ndarray  # int64, shape (A,)
     cdf: np.ndarray    # int64, shape (A + 1,), cdf[0] == 0
-
-    def probs(self) -> np.ndarray:
-        """The dyadic probabilities freqs / 2**precision (sums to 1.0 exactly)."""
-        return self.freqs / float(1 << self.precision)
-
-    def cost_bits(self, symbol: int) -> float:
-        """Ideal code length of `symbol` in bits: precision - log2(freq)."""
-        return float(code_lengths(self.precision)[self.freqs[symbol]])
 
 
 def quantize_rows(probs, precision: int = DEFAULT_PRECISION) -> tuple[np.ndarray, np.ndarray]:
@@ -192,8 +184,7 @@ class PmfTable:
     Entry r * alphabet + s holds symbol s of row r.  `keys` is every row's
     cumulative table offset by row << precision, so one `searchsorted` finds
     the symbols of many lanes in many rows at once.  `costs` are the ideal
-    code lengths precision - log2(freq), read from `code_lengths`.  `row`
-    views one row as a `QuantizedPmf` for the scalar `AnsCoder`.
+    code lengths precision - log2(freq), read from `code_lengths`.
     """
 
     precision: int
@@ -221,15 +212,6 @@ class PmfTable:
             array.flags.writeable = False
         return cls(precision, alphabet, *tables)
 
-    def row(self, r: int) -> QuantizedPmf:
-        """Row r as a read-only `QuantizedPmf` view; InvalidInputError
-        unless 0 <= r < R."""
-        if not 0 <= r < len(self.row_keys):
-            raise InvalidInputError(f"row {r} outside [0, {len(self.row_keys)})")
-        start = r * self.alphabet
-        return QuantizedPmf(self.precision, self.freqs[start:start + self.alphabet].view(np.int64),
-                            self.cdf[r])
-
     def cost(self, rows: np.ndarray, symbols: np.ndarray) -> np.ndarray:
         """Ideal code length of symbols[i] under row rows[i], in bits."""
         return self.costs[rows * self.alphabet + symbols]
@@ -256,19 +238,13 @@ def payload_state(data: bytes) -> int:
 
 
 class AnsCoder:
-    """Mutable rANS coder: integer state plus a byte stack.
+    """Mutable rANS coder: integer state plus a byte stack."""
 
-    `ideal_bits` accumulates the information content of what is currently
-    held: each push adds precision - log2(freq), each pop takes the same
-    amount back.  It is bookkeeping only and is not serialized.
-    """
+    __slots__ = ("state", "stack")
 
-    __slots__ = ("state", "stack", "ideal_bits")
-
-    def __init__(self, state: int = RANS_L, stack: bytes = b"", ideal_bits: float = 0.0):
+    def __init__(self, state: int = RANS_L, stack: bytes = b""):
         self.state = state
         self.stack = bytearray(stack)
-        self.ideal_bits = ideal_bits
 
     @classmethod
     def with_random_bits(cls, n_bits: int, seed: int) -> "AnsCoder":
@@ -285,16 +261,12 @@ class AnsCoder:
         return cls(stack=raw)
 
     def copy(self) -> "AnsCoder":
-        return AnsCoder(self.state, bytes(self.stack), self.ideal_bits)
+        return AnsCoder(self.state, bytes(self.stack))
 
     @property
     def bit_length(self) -> int:
         """Message size in bits if flushed now (full 64-bit state + stack)."""
         return 64 + 8 * len(self.stack)
-
-    def potential(self) -> float:
-        """Information currently held, in bits: stack plus log2(state)."""
-        return 8.0 * len(self.stack) + math.log2(self.state)
 
     def push(self, symbol: int, pmf: QuantizedPmf) -> None:
         """Encode one symbol onto the stack."""
@@ -308,7 +280,6 @@ class AnsCoder:
             self.stack.append(x & 0xFF)
             x >>= RENORM_SHIFT
         self.state = ((x // f) << precision) + (x % f) + c
-        self.ideal_bits += float(code_lengths(precision)[f])
 
     def pop(self, pmf: QuantizedPmf) -> int:
         """Decode one symbol off the stack (exact inverse of push)."""
@@ -324,7 +295,6 @@ class AnsCoder:
                 raise ExhaustedStreamError("byte stack underflow during pop")
             x = (x << RENORM_SHIFT) | self.stack.pop()
         self.state = x
-        self.ideal_bits -= float(code_lengths(precision)[f])
         return symbol
 
     def serialize(self) -> bytes:
@@ -388,7 +358,7 @@ class LaneCoder:
                    [memoryview(data)[STACK_OFFSET:] for data in payloads])
 
     def coders(self) -> list[AnsCoder]:
-        """Each lane as a scalar coder (without `ideal_bits`)."""
+        """Each lane as a scalar coder."""
         return [AnsCoder(int(state), self.stack[lane, :height].tobytes())
                 for lane, (state, height) in enumerate(zip(self.state.tolist(),
                                                            self.height.tolist()))]
@@ -401,7 +371,8 @@ class LaneCoder:
         return len(self.state)
 
     def potential(self) -> np.ndarray:
-        """`AnsCoder.potential` of every lane, computed the same way."""
+        """Information each lane holds, in bits: 8 per stack byte plus
+        log2(state), the log taken with `math.log2`."""
         logs = np.fromiter(map(math.log2, self.state.tolist()), np.float64, self.lanes)
         return 8.0 * self.height + logs
 

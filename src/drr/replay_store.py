@@ -76,13 +76,20 @@ def select_exemplars(images: np.ndarray, count: int, rng) -> np.ndarray:
     return images[idx]
 
 
+def _class_label(label) -> int:
+    """`label` as an int; InvalidInputError unless it is a nonnegative integer
+    (a Python or numpy one), checked before any conversion."""
+    if not isinstance(label, numbers.Integral) or label < 0:
+        raise InvalidInputError(f"class label must be a nonnegative integer, got {label!r}")
+    return int(label)
+
+
 def class_exemplars(images: np.ndarray, count: int, seed: int, label: int) -> np.ndarray:
     """Class `label`'s exemplars under `seed`: the one choice that the buffer,
     the raw store and the raw views make, so their exemplars pair up.
     InvalidInputError unless `label` is a nonnegative integer."""
-    if not isinstance(label, numbers.Integral) or label < 0:
-        raise InvalidInputError(f"class label must be a nonnegative integer, got {label!r}")
-    return select_exemplars(images, count, np.random.default_rng([seed, label]))
+    rng = np.random.default_rng([seed, _class_label(label)])
+    return select_exemplars(images, count, rng)
 
 
 def raw_store_bytes(n_images: int, image_shape) -> int:
@@ -181,7 +188,7 @@ class RawExemplarStore:
         return sorted(self._classes)
 
     def add_class(self, label: int, images: np.ndarray) -> None:
-        label = int(label)
+        label = _class_label(label)
         if label in self._classes:
             raise InvalidInputError(f"class {label} is already stored")
         chosen = class_exemplars(images, self.exemplars_per_class, self.seed, label)
@@ -470,7 +477,7 @@ class ReplayBuffer:
         models once on everything stored plus the newcomers, then re-encode
         the whole buffer under the bumped version."""
         self._require_frozen()
-        items = sorted((int(label), images) for label, images in class_data.items())
+        items = sorted((_class_label(label), images) for label, images in class_data.items())
         if not items:
             raise InvalidInputError("a phase must add at least one class")
         for label, _ in items:

@@ -1,5 +1,6 @@
 import inspect
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -363,6 +364,32 @@ class TestRunPhases:
         with open(tampered, "w") as f:
             f.write(head + "\n" + key + "=0.999\n")
         assert main(["report", "--results", tampered]) == EXIT_CORRUPT
+
+    @pytest.mark.parametrize("kind,values", [
+        ("summary", {"average": "nan", "last": "nan"}),
+        ("summary", {"average": "nan"}),
+        ("summary", {"last": "nan"}),
+        ("phase", {"accuracy": "nan"}),
+        ("phase", {"accuracy": "1.7"}),
+        ("phase", {"accuracy": "-0.25"}),
+        ("phase", {"total_bytes": "-3"}),
+        ("phase", {"raw_equiv_bytes": "-3"}),
+    ], ids=["summary-nan", "average-nan", "last-nan", "accuracy-nan", "accuracy-above-1",
+            "accuracy-negative", "total-bytes-negative", "raw-equiv-bytes-negative"])
+    def test_report_rejects_values_out_of_domain(self, results, tmp_path, capsys, kind, values):
+        # Only the first record of the kind changes: phase 0's accuracy is in
+        # neither summary figure, so the summary still agrees with the phases.
+        with open(results["out"]) as f:
+            lines = f.read().splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith(kind + " "))
+        for key, value in values.items():
+            lines[first] = re.sub(rf"(?<= ){key}=\S+", f"{key}={value}", lines[first])
+            assert f" {key}={value}" in lines[first]
+        bad = str(tmp_path / "bad.txt")
+        with open(bad, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        assert main(["report", "--results", bad]) == EXIT_CORRUPT
+        assert "corrupt data" in capsys.readouterr().err
 
     def test_report_empty_file_is_usage(self, tmp_path, capsys):
         path = str(tmp_path / "empty.txt")

@@ -1,12 +1,16 @@
 """Lane coder tests: every lane must be bit for bit the scalar coder.
 
-`AnsCoder` and the scalar block functions are the reference.  Lanes are
-compared with them operation by operation, stream by stream (payload bytes
-and accounting floats), and on adversarial payloads, where a lane must
-raise DataCorruptionError or decode exactly what the scalar coder decodes.
+`AnsCoder` and the scalar block coder below are the reference.  drr codes
+every block with one lane routine, under either schedule; it is compared
+with the scalar coder operation by operation, block chain by block chain
+and stream by stream (payload bytes and accounting floats), and on
+adversarial payloads, where a lane must raise DataCorruptionError or decode
+exactly what the scalar coder decodes.
 """
 
 import hashlib
+import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -14,13 +18,13 @@ import pytest
 from drr import replay_store
 from drr.bits_back import (
     DEFAULT_INITIAL_BITS,
+    METHODS,
     CompressedStream,
     FitConfig,
     build_coding_tables,
     decode_blocks,
     decode_stream,
     decode_streams,
-    encode_block,
     encode_blocks,
     encode_stream,
     encode_streams,
@@ -35,23 +39,139 @@ from drr.errors import (
     InvalidInputError,
 )
 from drr.learner import make_toy_dataset
-from drr.rans import RANS_L, AnsCoder, LaneCoder, PmfTable, QuantizedPmf, quantize_rows
+from drr.rans import (
+    RANS_L,
+    AnsCoder,
+    LaneCoder,
+    PmfTable,
+    QuantizedPmf,
+    code_lengths,
+    quantize_rows,
+)
 from drr.replay_store import LatentModelPair, ReplayBuffer, compress_grids, decompress_grid
 from drr.vq_codec import CodecConfig, CodeGrid, freeze, train_codec
 
 
+def row(table, r):
+    """Row r of a `PmfTable` as a read-only `QuantizedPmf` view, for the
+    scalar coder."""
+    start = r * table.alphabet
+    return QuantizedPmf(table.precision, table.freqs[start:start + table.alphabet].view(np.int64),
+                        table.cdf[r])
+
+
+def potential(coder):
+    """Information a scalar coder holds, in bits: stack plus log2(state)."""
+    return 8.0 * len(coder.stack) + math.log2(coder.state)
+
+
+def cost_bits(pmf, symbol):
+    """Ideal code length of `symbol` in bits: precision - log2(freq)."""
+    return float(code_lengths(pmf.precision)[pmf.freqs[symbol]])
+
+
+BlockTrace = namedtuple("BlockTrace", "pushed popped peak_demand")
+
+
+def scalar_encode_block(coder, x, tables, method):
+    """The scalar block coder: one block on an `AnsCoder` under either
+    schedule, one symbol at a time.  It is the reference the lane routine
+    must match under both schedules, bytes and accounting floats.
+
+    Plain bits-back ("bb") pops the whole latent chain, then pushes the
+    block and every latent.  The interleaved schedule ("bitswap") pushes
+    each level before popping the next.  The information level is noted
+    after every pop, after the block's pushes, after each interleaved link
+    push and at the end; the peak demand is its largest drop.
+    """
+    interleaved = method == "bitswap"
+    x = np.asarray(x, dtype=np.int64).reshape(-1)
+    start = low = potential(coder)
+    pushed = popped = 0.0
+
+    def note():
+        nonlocal low
+        low = min(low, potential(coder))
+
+    def pop(pmf):
+        nonlocal popped
+        symbol = coder.pop(pmf)
+        popped += cost_bits(pmf, symbol)
+        note()
+        return symbol
+
+    def push(symbol, pmf):
+        nonlocal pushed
+        coder.push(symbol, pmf)
+        pushed += cost_bits(pmf, symbol)
+
+    z = [pop(row(tables.q_obs, x[0]))]
+    if not interleaved:
+        for i in range(tables.levels - 1):
+            z.append(pop(row(tables.q_link[i], z[i])))
+    p_obs = row(tables.p_obs, z[0])
+    for s in x[::-1]:
+        push(int(s), p_obs)
+    note()
+    for i in range(tables.levels - 1):
+        if interleaved:
+            z.append(pop(row(tables.q_link[i], z[i])))
+        push(z[i], row(tables.p_link[i], z[i + 1]))
+        if interleaved:
+            note()
+    push(z[-1], row(tables.p_top, 0))
+    note()
+    return BlockTrace(pushed=pushed, popped=popped, peak_demand=start - low)
+
+
+def scalar_decode_block(coder, block_len, tables, method):
+    """Exact inverse of `scalar_encode_block`; restores the popped bits."""
+    interleaved = method == "bitswap"
+    z = [0] * tables.levels
+    z[-1] = coder.pop(row(tables.p_top, 0))
+    for i in reversed(range(tables.levels - 1)):
+        z[i] = coder.pop(row(tables.p_link[i], z[i + 1]))
+        if interleaved:
+            coder.push(z[i + 1], row(tables.q_link[i], z[i]))
+    p_obs = row(tables.p_obs, z[0])
+    x = np.array([coder.pop(p_obs) for _ in range(block_len)], dtype=np.int64)
+    if not interleaved:
+        for i in reversed(range(tables.levels - 1)):
+            coder.push(z[i + 1], row(tables.q_link[i], z[i]))
+    coder.push(z[0], row(tables.q_obs, x[0]))
+    return x
+
+
+def scalar_encode_blocks(coder, blocks, tables, method):
+    """The scalar `encode_blocks`: (gross, returned, peak demand, net) bits,
+    the peak being the largest of any one block."""
+    gross = returned = peak = 0.0
+    for block in blocks:
+        trace = scalar_encode_block(coder, block, tables, method)
+        gross += trace.pushed
+        returned += trace.popped
+        peak = max(peak, trace.peak_demand)
+    return gross, returned, peak, gross - returned
+
+
+def scalar_decode_blocks(coder, block_lens, tables, method):
+    out = [scalar_decode_block(coder, n, tables, method) for n in reversed(list(block_lens))]
+    out.reverse()
+    return out
+
+
 def scalar_encode_stream(sections, initial_bits, seed, method="bitswap"):
     """The scalar `encode_stream`, kept as the reference the lanes must match;
-    under "bb" it is the plain bits-back reference, which no lane runs."""
+    under "bb" it is the plain bits-back reference, which no stream runs."""
     coder = AnsCoder.with_random_bits(initial_bits, seed=seed)
-    start = coder.potential()
+    start = potential(coder)
     low = start
     gross = returned = 0.0
     count = 0
     for blocks, tables in sections:
         for block in blocks:
-            before = coder.potential()
-            trace = encode_block(coder, block, tables, method)
+            before = potential(coder)
+            trace = scalar_encode_block(coder, block, tables, method)
             gross += trace.pushed
             returned += trace.popped
             low = min(low, before - trace.peak_demand)
@@ -66,7 +186,7 @@ def scalar_decode_stream(stream, sections, method="bitswap"):
     """The scalar `decode_stream`, with its unwind checks, as the reference."""
     coder = AnsCoder.deserialize(stream.payload)
     try:
-        out = [decode_blocks(coder, lens, tables, method=method)
+        out = [scalar_decode_blocks(coder, lens, tables, method)
                for lens, tables in reversed(sections)]
     except ExhaustedStreamError as exc:
         raise DataCorruptionError("stream ended mid-decode") from exc
@@ -127,7 +247,7 @@ class TestLaneCoder:
                 got = lanes.pop(which, table)
                 assert got.tolist() == [coder.pop(rows[r]) for coder, r in zip(coders, which)]
             assert lanes.serialize() == [coder.serialize() for coder in coders]
-            assert lanes.potential().tolist() == [coder.potential() for coder in coders]
+            assert lanes.potential().tolist() == [potential(coder) for coder in coders]
 
     def test_stack_grows_past_its_first_capacity(self):
         table = PmfTable.from_freqs(quantize_rows([[0.999, 0.001]], 16)[0], 16)
@@ -162,7 +282,7 @@ def ragged_payloads():
     rng = np.random.default_rng(4)
     for coder, pushes in zip(coders, [3, 0, 50, 1, 7]):
         for symbol in rng.integers(0, 3, pushes):
-            coder.push(int(symbol), table.row(0))
+            coder.push(int(symbol), row(table, 0))
     return [coder.serialize() for coder in coders]
 
 
@@ -206,12 +326,11 @@ class TestLaneDeserialize:
             LaneCoder.deserialize([])
 
     @pytest.mark.parametrize("precision", [2, 12, 16])
-    def test_costs_match_cost_bits_for_every_frequency(self, precision):
+    def test_costs_are_code_lengths_for_every_frequency(self, precision):
         top = 1 << precision
         f = np.arange(1, top)
         table = PmfTable.from_freqs(np.stack([f, top - f], axis=1), precision)
-        expected = [QuantizedPmf(precision, np.array([a, top - a]), None).cost_bits(s)
-                    for a in f.tolist() for s in (0, 1)]
+        expected = [precision - math.log2(freq) for a in f.tolist() for freq in (a, top - a)]
         assert table.costs.tolist() == expected
 
 
@@ -256,7 +375,8 @@ def test_streams_match_scalar_reference(name, k, alphabets, block_len, precision
             reference = scalar_encode_stream(sections, 512, seed)
             assert same_stream(stream, reference)
             assert same_stream(encode_stream(sections, initial_bits=512, seed=seed), reference)
-        # one section: the accounting of encode_blocks on the scalar coder
+        # one section: encode_blocks on an AnsCoder writes the stream's bytes
+        # and adds up its accounting
         for lane, sections in enumerate(per_lane):
             coder = AnsCoder.with_random_bits(512, seed=seeds[lane])
             stats = encode_blocks(coder, sections[0][0], tables, method="bitswap")
@@ -276,11 +396,10 @@ def test_streams_match_scalar_reference(name, k, alphabets, block_len, precision
 
 @pytest.mark.parametrize("name,k,alphabets,block_len,precision", stream_cases())
 def test_plain_bits_back_reference(name, k, alphabets, block_len, precision):
-    # No lane runs plain bits-back; its scalar reference is checked on the
-    # lanes' cases.  It unwinds to exactly the initial bits, its stream
-    # accounting is that of encode_blocks, it never needs fewer initial bits
-    # for a block than the Bit-Swap order, and on single-level chains it is
-    # the Bit-Swap order.
+    # No stream runs plain bits-back; its scalar stream reference is checked
+    # on the lanes' cases.  It unwinds to exactly the initial bits, it never
+    # needs fewer initial bits for a block than the Bit-Swap order, and on
+    # single-level chains it is the Bit-Swap order.
     tables, other_tables = case_tables(name, k, alphabets, block_len, precision)
     rng = np.random.default_rng(precision)
     for lane in range(3):
@@ -295,17 +414,33 @@ def test_plain_bits_back_reference(name, k, alphabets, block_len, precision):
         if len(alphabets) == 1:
             assert same_stream(stream, scalar_encode_stream(sections, 512, seed))
 
-        coder = AnsCoder.with_random_bits(512, seed=seed)
-        stats = encode_blocks(coder, sections[0][0], tables, method="bb")
-        alone = scalar_encode_stream(sections[:1], 512, seed, "bb")
-        assert alone.payload == coder.serialize()
-        assert (alone.gross_bits, alone.returned_bits, alone.net_bits) == \
-            (stats.gross_bits, stats.returned_bits, stats.net_bits)
-
         first = AnsCoder.with_random_bits(512, seed=seed)
-        plain = encode_block(first.copy(), sections[0][0][0], tables, "bb")
-        swap = encode_block(first, sections[0][0][0], tables, "bitswap")
+        plain = scalar_encode_block(first.copy(), sections[0][0][0], tables, "bb")
+        swap = scalar_encode_block(first, sections[0][0][0], tables, "bitswap")
         assert swap.peak_demand <= plain.peak_demand + 1e-9
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("name,k,alphabets,block_len,precision", stream_cases())
+def test_block_chains_match_scalar_oracle(method, name, k, alphabets, block_len, precision):
+    # `encode_blocks`/`decode_blocks` run the lane routine on one lane under
+    # the named schedule; the scalar block coder must write the same bytes
+    # and add up the same floats, and both must unwind to the seeded coder.
+    tables, _ = case_tables(name, k, alphabets, block_len, precision)
+    rng = np.random.default_rng([precision, len(method)])
+    for lane in range(3):
+        blocks = blocks_of(rng.integers(0, k, 4 * block_len - 1), block_len)
+        lens = [len(b) for b in blocks]
+        fresh = AnsCoder.with_random_bits(512, seed=[precision, lane])
+        coder, scalar = fresh.copy(), fresh.copy()
+        stats = encode_blocks(coder, blocks, tables, method=method)
+        assert (stats.gross_bits, stats.returned_bits, stats.peak_demand_bits, stats.net_bits) \
+            == scalar_encode_blocks(scalar, blocks, tables, method)
+        assert coder == scalar and coder.serialize() == scalar.serialize()
+        out = decode_blocks(coder, lens, tables, method=method)
+        assert [b.tolist() for b in out] == [b.tolist() for b in blocks] == \
+            [b.tolist() for b in scalar_decode_blocks(scalar, lens, tables, method)]
+        assert coder == scalar == fresh
 
 
 class TestAdversarialPayloads:
@@ -354,7 +489,7 @@ class TestAdversarialPayloads:
         assert seen == {True, False}  # some variants decode, some are caught
 
     def test_plain_bits_back_reference_decodes_or_raises(self):
-        # No lane runs plain bits-back; its scalar decoder must decode a bad
+        # No stream runs plain bits-back; its scalar decoder must decode a bad
         # payload or raise DataCorruptionError, never fail otherwise.
         tables = build_coding_tables(random_model(12, (5, 3), block_len=5, seed=4,
                                                   concentration=0.5))

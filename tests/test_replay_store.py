@@ -126,6 +126,16 @@ class TestRawStore:
             store.add_class(-1, toy_images(10))
         assert store.class_labels == []
 
+    @pytest.mark.parametrize("label", [-0.5, 2.7, "5"])
+    def test_label_is_checked_before_coercion(self, label):
+        # int(-0.5) is 0, so a coercion before the check would store class 0
+        store = RawExemplarStore(exemplars_per_class=4)
+        with pytest.raises(InvalidInputError, match="class label must be a nonnegative integer"):
+            store.add_class(label, toy_images(10))
+        assert store.class_labels == []
+        store.add_class(np.int64(3), toy_images(10))
+        assert store.class_labels == [3] and type(store.class_labels[0]) is int
+
     def test_reconstruct_all_keys(self):
         store = RawExemplarStore(exemplars_per_class=4, seed=0)
         store.add_class(2, toy_images(10, seed=1))
@@ -170,7 +180,7 @@ class TestPair:
         assert pair.tables(10)[0].precision == 10
         assert pair.copy().tables() is not tables
         with pytest.raises(ValueError):  # shared, so nobody may write to them
-            tables[0].p_obs.row(0).freqs[0] += 1
+            tables[0].p_obs.freqs[0] += 1
         with pytest.raises(ValueError):
             tables[1].dyadic.q_obs[0, 0] = 0.5
 
@@ -263,6 +273,14 @@ class TestReplayBuffer:
         buffer = ReplayBuffer(frozen_codec, make_pair(), exemplars_per_class=4)
         with pytest.raises(InvalidInputError, match="class label must be a nonnegative integer"):
             buffer.ingest_phase({-1: toy_images(12)})
+        assert buffer.class_labels == [] and buffer.pair.version == 0
+
+    def test_labels_are_checked_before_coercion(self, frozen_codec):
+        # int(2.7) and int("5") are 2 and 5, so a coercion before the check
+        # would store both classes
+        buffer = ReplayBuffer(frozen_codec, make_pair(), exemplars_per_class=4)
+        with pytest.raises(InvalidInputError, match="class label must be a nonnegative integer"):
+            buffer.ingest_phase({2.7: toy_images(12), "5": toy_images(12, seed=1)})
         assert buffer.class_labels == [] and buffer.pair.version == 0
 
     @pytest.mark.parametrize("top,bottom", [(16, 16), (64, 64), (32, 16), (16, 32)])

@@ -145,16 +145,17 @@ def test_every_import_is_used_or_traced(tracing):
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def named(tree):
-    """Every name and attribute read in `tree`, except a function's or a
-    class's reads of its own name inside its own definition."""
+def named(tree, attributes_only=False):
+    """Every name and attribute read in `tree`, or with `attributes_only`
+    every attribute (`.name`), except a function's or a class's reads of its
+    own name inside its own definition."""
     out = set()
 
     def visit(node, inside):
         if isinstance(node, DEFINITIONS):
             inside = inside | {node.name}
-        name = (node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute) else None)
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) and not attributes_only else None)
         if name is not None and name not in inside:
             out.add(name)
         for child in ast.iter_child_nodes(node):
@@ -193,9 +194,11 @@ def test_every_public_name_has_a_caller(tracing):
     method and property of its classes, is named outside its own
     definition: in drr (re-exports in __init__.py do not count), in the
     benchmark harness (the tracer's TARGETS paths count), in the acceptance
-    tests or in the README's Python example.  Public code that only unit
+    tests or in the README's Python example.  A method or property counts
+    as named only where it is read as an attribute (`.name`), so a local
+    variable of the same name does not keep it.  Public code that only unit
     tests reach is deleted, not kept."""
-    defined, used = {}, set()
+    defined, members, trees = {}, {}, []
     for filename, tree in package_trees():
         if filename == "__init__.py":
             continue
@@ -204,19 +207,22 @@ def test_every_public_name_has_a_caller(tracing):
                 defined.setdefault(node.name, f"{filename}:{node.lineno}")
                 for member in node.body if isinstance(node, ast.ClassDef) else ():
                     if isinstance(member, DEFINITIONS) and not member.name.startswith("_"):
-                        defined.setdefault(member.name, f"{filename}:{member.lineno}")
-        used |= named(tree)
+                        members.setdefault(member.name, f"{filename}:{member.lineno}")
+        trees.append(tree)
     for filename in sorted(os.listdir(PERFBENCH)):
         if filename.endswith(".py"):
             with open(os.path.join(PERFBENCH, filename)) as f:
-                used |= named(ast.parse(f.read(), filename))
-    used |= {part for _, _, path in tracing.TARGETS for part in path.split(".")}
+                trees.append(ast.parse(f.read(), filename))
     with open(os.path.join(ROOT, "tests", "test_acceptance.py")) as f:
-        used |= named(ast.parse(f.read()))
+        trees.append(ast.parse(f.read()))
     with open(os.path.join(ROOT, "README.md")) as f:
-        used |= named(ast.parse(re.findall(r"```python\n(.*?)```", f.read(), re.DOTALL)[0]))
-    assert defined
-    unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
+        trees.append(ast.parse(re.findall(r"```python\n(.*?)```", f.read(), re.DOTALL)[0]))
+    traced = {part for _, _, path in tracing.TARGETS for part in path.split(".")}
+    used = traced.union(*(named(tree) for tree in trees))
+    read = traced.union(*(named(tree, attributes_only=True) for tree in trees))
+    assert defined and members
+    unused = sorted([f"{where} {name}" for name, where in defined.items() if name not in used]
+                    + [f"{where} {name}" for name, where in members.items() if name not in read])
     assert not unused, f"public names with no caller: {', '.join(unused)}"
 
 
