@@ -47,18 +47,21 @@ from .rans import DEFAULT_PRECISION
 from .replay_store import (
     LatentModelPair,
     check_plain_name,
-    compress_grids,
-    decompress_images,
+    compress_shelves,
+    decompress_shelves,
     format_megabytes,
+    from_pixel_bytes,
+    parse_positive_ints,
     parse_record,
-    parse_shape,
+    to_pixel_bytes,
 )
 from .vq_codec import (
     CODEC_MAGIC,
     CodecConfig,
     code_shapes,
+    decode_indices,
     deserialize_codec,
-    encode_image,
+    encode_indices,
     freeze,
     mean_reconstruction_error,
     serialize_codec,
@@ -69,6 +72,7 @@ IMAGE_SUFFIX = ".img"
 IMAGE_HEAD = struct.Struct("<III")  # height, width, channels
 STREAM_SET_HEADER = "drr-stream-set 1"
 RESULTS_HEADER = "drr-results 1"
+BAD_ALPHABETS = "bad alphabets {!r}; expected positive integers such as 16,8"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,7 +87,7 @@ def write_image(path: str, image: np.ndarray) -> None:
     if image.ndim != 3:
         raise InvalidInputError("images are written as (height, width, channels)")
     h, w, c = image.shape
-    data = np.round(np.clip(image, 0.0, 1.0) * 255).astype(np.uint8)
+    data = to_pixel_bytes(image)
     with open(path, "wb") as f:
         f.write(IMAGE_HEAD.pack(h, w, c))
         f.write(data.tobytes())
@@ -98,7 +102,7 @@ def read_image(path: str) -> np.ndarray:
     if len(data) != IMAGE_HEAD.size + h * w * c:
         raise DataCorruptionError(f"{path}: size does not match header")
     pixels = np.frombuffer(data, dtype=np.uint8, offset=IMAGE_HEAD.size)
-    return pixels.reshape(h, w, c).astype(np.float64) / 255.0
+    return from_pixel_bytes(pixels.reshape(h, w, c))
 
 
 def _list_images(directory: str) -> list[str]:
@@ -139,30 +143,20 @@ def _load_pair(path: str) -> LatentModelPair:
         return LatentModelPair.deserialize(f.read())
 
 
-def parse_alphabets(text: str) -> tuple[int, ...]:
-    """Chain alphabets such as `16,8`: positive integers, one per level."""
-    try:
-        alphabets = tuple(int(a) for a in text.split(","))
-    except ValueError:
-        alphabets = ()
-    if not alphabets or min(alphabets) < 1:
-        raise InvalidInputError(f"bad alphabets {text!r}; expected positive integers such as 16,8")
-    return alphabets
-
-
 def cmd_compress(args) -> int:
     codec = _load_codec(args.codec)
     paths = _list_images(args.in_dir)
     images = [read_image(p) for p in paths]
-    grids = [encode_image(img, codec) for img in images]
+    # Each image is a shelf of one grid: stacked (top, bottom) index arrays.
+    indices = [encode_indices([image], codec) for image in images]
 
     if os.path.exists(args.model):
         pair = _load_pair(args.model)
         pair.check_codec(codec)
     else:
-        pair = LatentModelPair.seeded(codec.codebook_size, parse_alphabets(args.alphabets),
-                                      args.block_len, args.seed)
-        top, bottom = pair.blocks(grids)
+        alphabets = parse_positive_ints(args.alphabets, InvalidInputError, BAD_ALPHABETS)
+        pair = LatentModelPair.seeded(codec.codebook_size, alphabets, args.block_len, args.seed)
+        top, bottom = pair.blocks(indices)
         pair = LatentModelPair(fit(pair.top, top, FitConfig(args.fit_iterations)),
                                fit(pair.bottom, bottom, FitConfig(args.fit_iterations)))
         with open(args.model, "wb") as f:
@@ -174,17 +168,17 @@ def cmd_compress(args) -> int:
     net = 0.0
     symbols = 0
     payload = 0
-    streams = compress_grids(grids, pair, [[args.seed, i] for i in range(len(grids))],
-                             precision=args.precision, initial_bits=args.initial_bits)
-    for i, (path, grid, stream) in enumerate(zip(paths, grids, streams)):
+    streams = compress_shelves(indices, pair, [[[args.seed, i]] for i in range(len(indices))],
+                               precision=args.precision, initial_bits=args.initial_bits)
+    for i, (path, (top, bottom), [stream]) in enumerate(zip(paths, indices, streams)):
         name = f"stream_{i:04d}.drrs"
         blob = serialize_stream(stream)
         with open(os.path.join(args.out, name), "wb") as f:
             f.write(blob)
         source = os.path.basename(path)
         lines.append(f"stream file={name} source={source} "
-                     f"top={grid.top.shape[0]},{grid.top.shape[1]} "
-                     f"bottom={grid.bottom.shape[0]},{grid.bottom.shape[1]} "
+                     f"top={top.shape[1]},{top.shape[2]} "
+                     f"bottom={bottom.shape[1]},{bottom.shape[2]} "
                      f"symbols={stream.symbol_count} version={stream.model_version}")
         net += stream.net_bits
         symbols += stream.symbol_count
@@ -213,7 +207,8 @@ def cmd_decompress(args) -> int:
     for entry in entries:
         for key in ("file", "source"):
             check_plain_name(entry[key], f"{index_path}: {key}")
-    shapes = [(parse_shape(entry["top"]), parse_shape(entry["bottom"])) for entry in entries]
+    shapes = [(parse_positive_ints(entry["top"]), parse_positive_ints(entry["bottom"]))
+              for entry in entries]
     for entry, (top, bottom) in zip(entries, shapes):
         # The image the bottom grid decodes to must have exactly these grids.
         image = tuple(side * codec.patch for side in bottom) + (codec.channels,)
@@ -225,11 +220,12 @@ def cmd_decompress(args) -> int:
     for entry in entries:
         with open(os.path.join(args.in_dir, entry["file"]), "rb") as f:
             streams.append(deserialize_stream(f.read()))
-    images = decompress_images(streams, pair, shapes, codec, precision=args.precision)
+    indices = decompress_shelves([[stream] for stream in streams], shapes, pair,
+                                 precision=args.precision)
     os.makedirs(args.out, exist_ok=True)
-    for entry, image in zip(entries, images):
-        write_image(os.path.join(args.out, entry["source"]), image)
-    print(f"reconstructed {len(images)} images into {args.out}")
+    for entry, (top, bottom) in zip(entries, indices):
+        write_image(os.path.join(args.out, entry["source"]), decode_indices(top, bottom, codec)[0])
+    print(f"reconstructed {len(indices)} images into {args.out}")
     return EXIT_OK
 
 
@@ -291,7 +287,8 @@ def experiment_config_from_values(values: dict) -> ExperimentConfig:
                           epochs=values["epochs"], lr=values["lr"],
                           batch_size=values["batch_size"],
                           hidden_dim=values["hidden_dim"], seed=values["seed"]),
-        latent=LatentSpec(alphabets=parse_alphabets(values["alphabets"]),
+        latent=LatentSpec(alphabets=parse_positive_ints(values["alphabets"], InvalidInputError,
+                                                        BAD_ALPHABETS),
                           block_len=values["block_len"],
                           precision=values["precision"],
                           initial_bits=values["initial_bits"],

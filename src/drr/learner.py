@@ -419,6 +419,9 @@ def make_toy_dataset(n_classes: int, per_class: int, side: int = 16,
     """
     if n_classes < 1 or per_class < 1:
         raise InvalidInputError("need at least one class and one sample")
+    for name, value in (("side", side), ("channels", channels)):
+        if value < 1:
+            raise InvalidInputError(f"{name} must be positive, got {value!r}")
     check_seed(seed)
     check_seed(salt, "salt")
     yy, xx = np.mgrid[0:side, 0:side] / side

@@ -49,7 +49,7 @@ from .vq_codec import (  # noqa: F401
     decode_indices,
     deserialize_codec,
     encode_image,
-    encode_images,
+    encode_indices,
     serialize_codec,
 )
 
@@ -98,6 +98,17 @@ def raw_store_bytes(n_images: int, image_shape) -> int:
     return int(n_images) * int(h) * int(w) * int(c)
 
 
+def to_pixel_bytes(images) -> np.ndarray:
+    """Values in [0, 1] as one uint8 per channel value: clipped, scaled by
+    255 and rounded.  The raw store and `.img` files hold pixels so."""
+    return np.round(np.clip(images, 0.0, 1.0) * 255).astype(np.uint8)
+
+
+def from_pixel_bytes(data: np.ndarray) -> np.ndarray:
+    """The float64 values in [0, 1] that `to_pixel_bytes` bytes stand for."""
+    return data.astype(np.float64) / 255.0
+
+
 def parse_record(line: str, kind: str | None, keys=()) -> dict[str, str]:
     """The key=value fields of one index line.
 
@@ -122,15 +133,18 @@ def parse_record(line: str, kind: str | None, keys=()) -> dict[str, str]:
     return fields
 
 
-def parse_shape(text: str) -> tuple[int, ...]:
-    """A comma-separated shape of positive integers, such as `16,16,3`."""
+def parse_positive_ints(text: str, error=DataCorruptionError,
+                        message: str = "bad shape {!r}") -> tuple[int, ...]:
+    """The comma-separated positive integers of `text`, such as the shape
+    `16,16,3`; `error` with `message` (formatted with `text`) unless every
+    field is one."""
     try:
-        shape = tuple(int(v) for v in text.split(","))
+        values = tuple(int(v) for v in text.split(","))
     except ValueError as exc:
-        raise DataCorruptionError(f"bad shape {text!r}") from exc
-    if min(shape) < 1:
-        raise DataCorruptionError(f"bad shape {text!r}")
-    return shape
+        raise error(message.format(text)) from exc
+    if min(values) < 1:
+        raise error(message.format(text))
+    return values
 
 
 def check_plain_name(name: str, what: str) -> None:
@@ -192,12 +206,12 @@ class RawExemplarStore:
         if label in self._classes:
             raise InvalidInputError(f"class {label} is already stored")
         chosen = class_exemplars(images, self.exemplars_per_class, self.seed, label)
-        self._classes[label] = np.round(np.clip(chosen, 0.0, 1.0) * 255).astype(np.uint8)
+        self._classes[label] = to_pixel_bytes(chosen)
 
     def get(self, label: int) -> np.ndarray:
         if label not in self._classes:
             raise InvalidInputError(f"class {label} is not stored")
-        return self._classes[label].astype(np.float64) / 255.0
+        return from_pixel_bytes(self._classes[label])
 
     def reconstruct_all(self) -> dict[int, np.ndarray]:
         return {label: self.get(label) for label in self.class_labels}
@@ -249,13 +263,15 @@ class LatentModelPair:
                         f"{self.bottom.obs_alphabet}) do not fit the codec "
                         f"({codec.codebook_size} codes)")
 
-    def blocks(self, grids) -> tuple[list, list]:
-        """(top, bottom) blocks of every grid, grid by grid: each level's
-        row-major symbols, chunked to that level's block length."""
+    def blocks(self, indices) -> tuple[list, list]:
+        """(top, bottom) blocks of every grid of some stacked (top, bottom)
+        index arrays, grid by grid: each level's row-major symbols, chunked
+        to that level's block length."""
         top, bottom = [], []
-        for grid in grids:
-            top += chunk_symbols(grid.top.ravel(), self.top.block_len)
-            bottom += chunk_symbols(grid.bottom.ravel(), self.bottom.block_len)
+        for top_grids, bottom_grids in indices:
+            for t, b in zip(top_grids, bottom_grids):
+                top += chunk_symbols(t, self.top.block_len)
+                bottom += chunk_symbols(b, self.bottom.block_len)
         return top, bottom
 
     def tables(self, precision: int = DEFAULT_PRECISION) -> tuple[CodingTables, CodingTables]:
@@ -280,16 +296,6 @@ def _block_lens(n_symbols: int, block_len: int) -> list[int]:
     return [min(block_len, n_symbols - i) for i in range(0, n_symbols, block_len)]
 
 
-def decompress_grid(stream: CompressedStream, pair: LatentModelPair,
-                    top_shape, bottom_shape,
-                    tables: tuple[CodingTables, CodingTables] | None = None,
-                    precision: int = DEFAULT_PRECISION) -> CodeGrid:
-    """One stream's grid, decoded as `decompress_images` decodes a geometry's
-    streams; `tables` defaults to the pair's tables at `precision`."""
-    return _grids(*_decode_indices([stream], pair, top_shape, bottom_shape,
-                                   pair.tables(precision) if tables is None else tables))[0]
-
-
 def _lane_blocks(symbols: np.ndarray, block_len: int) -> list[np.ndarray]:
     """Columns of an (N, n) symbol array in blocks; the last may be shorter."""
     return [symbols[:, i:i + block_len] for i in range(0, symbols.shape[1], block_len)]
@@ -303,61 +309,66 @@ def _by_geometry(shapes) -> list[list[int]]:
     return list(groups.values())
 
 
-def compress_grids(grids, pair: LatentModelPair, seeds,
-                   precision: int = DEFAULT_PRECISION,
-                   initial_bits: int = DEFAULT_INITIAL_BITS) -> list[CompressedStream]:
-    """A stream per grid: both levels' row-major symbols, chunked to each
-    level's block length and coded from the initial bits seeded with
-    seeds[i].  Grids of one geometry are coded side by side, one coder lane
-    each; a stream does not depend on the other grids in the call."""
-    grids, seeds = list(grids), list(seeds)
-    out = [None] * len(grids)
-    for members in _by_geometry((g.top.shape, g.bottom.shape) for g in grids):
+def compress_shelves(indices, pair: LatentModelPair, seeds,
+                     precision: int = DEFAULT_PRECISION,
+                     initial_bits: int = DEFAULT_INITIAL_BITS) -> list[list[CompressedStream]]:
+    """A stream per grid of every shelf, where shelf i is the stacked
+    (top, bottom) index arrays indices[i] and seeds[i] lists one seed per
+    grid: both levels' row-major symbols, chunked to each level's block
+    length and coded from the initial bits seeded with that grid's seed.
+    The grids of every shelf of one geometry are coded side by side, one
+    coder lane each; a stream does not depend on the other grids in the
+    call."""
+    indices, seeds = list(indices), list(seeds)
+    out = [None] * len(indices)
+    for members in _by_geometry((top.shape[1:], bottom.shape[1:]) for top, bottom in indices):
         top_tables, bottom_tables = pair.tables(precision)
-        top = np.stack([grids[i].top.ravel() for i in members])
-        bottom = np.stack([grids[i].bottom.ravel() for i in members])
-        streams = encode_streams(
-            [(_lane_blocks(top, pair.top.block_len), top_tables),
-             (_lane_blocks(bottom, pair.bottom.block_len), bottom_tables)],
-            [seeds[i] for i in members], initial_bits=initial_bits)
-        for i, stream in zip(members, streams):
-            out[i] = stream
+        top = np.concatenate([indices[i][0] for i in members])
+        bottom = np.concatenate([indices[i][1] for i in members])
+        streams = iter(encode_streams(
+            [(_lane_blocks(top.reshape(len(top), -1), pair.top.block_len), top_tables),
+             (_lane_blocks(bottom.reshape(len(bottom), -1), pair.bottom.block_len),
+              bottom_tables)],
+            [seed for i in members for seed in seeds[i]], initial_bits=initial_bits))
+        for i in members:
+            out[i] = [next(streams) for _ in seeds[i]]
     return out
 
 
-def _decode_indices(streams, pair: LatentModelPair, top_shape, bottom_shape,
-                    tables: tuple[CodingTables, CodingTables]) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked int32 (top, bottom) index arrays, of shapes
-    (N, *top_shape) and (N, *bottom_shape), of N streams that share one
-    geometry, decoded side by side, one coder lane each."""
-    top_tables, bottom_tables = tables
-    top_lens = _block_lens(int(np.prod(top_shape)), pair.top.block_len)
-    bottom_lens = _block_lens(int(np.prod(bottom_shape)), pair.bottom.block_len)
-    top, bottom = (np.concatenate(blocks, axis=1, dtype=np.int32)
-                   for blocks in decode_streams(streams, [(top_lens, top_tables),
-                                                          (bottom_lens, bottom_tables)]))
-    return top.reshape(-1, *top_shape), bottom.reshape(-1, *bottom_shape)
-
-
-def _grids(top: np.ndarray, bottom: np.ndarray) -> list[CodeGrid]:
-    """The rows of stacked (top, bottom) index arrays as grids."""
-    return [CodeGrid(top=t, bottom=b) for t, b in zip(top, bottom)]
-
-
-def decompress_images(streams, pair: LatentModelPair, shapes, codec: CodecParams,
-                      precision: int = DEFAULT_PRECISION) -> list[np.ndarray]:
-    """The reconstructed image of every stream, where shapes[i] is the (top
-    shape, bottom shape) of stream i.  The streams of one geometry are
-    decoded side by side, one coder lane each, and their images in one
-    decoder pass."""
+def decompress_shelves(streams, shapes, pair: LatentModelPair,
+                       tables: tuple[CodingTables, CodingTables] | None = None,
+                       precision: int = DEFAULT_PRECISION) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The stacked int32 (top, bottom) index arrays of every shelf, where
+    shelf i holds the streams streams[i] of grids of shapes[i] = (top
+    shape, bottom shape); `tables` defaults to the pair's tables at
+    `precision`.  The streams of every shelf of one geometry are decoded
+    side by side, one coder lane each."""
     streams, shapes = list(streams), [(tuple(t), tuple(b)) for t, b in shapes]
     out = [None] * len(streams)
     for members in _by_geometry(shapes):
-        top, bottom = _decode_indices([streams[i] for i in members], pair, *shapes[members[0]],
-                                      pair.tables(precision))
-        for i, image in zip(members, decode_indices(top, bottom, codec)):
-            out[i] = image
+        top_tables, bottom_tables = pair.tables(precision) if tables is None else tables
+        top_shape, bottom_shape = shapes[members[0]]
+        top_lens = _block_lens(int(np.prod(top_shape)), pair.top.block_len)
+        bottom_lens = _block_lens(int(np.prod(bottom_shape)), pair.bottom.block_len)
+        top, bottom = (np.concatenate(blocks, axis=1, dtype=np.int32)
+                       for blocks in decode_streams(
+                           [stream for i in members for stream in streams[i]],
+                           [(top_lens, top_tables), (bottom_lens, bottom_tables)]))
+        ends = np.cumsum([len(streams[i]) for i in members])[:-1]
+        for i, t, b in zip(members, np.split(top.reshape(-1, *top_shape), ends),
+                           np.split(bottom.reshape(-1, *bottom_shape), ends)):
+            out[i] = t, b
     return out
+
+
+def decompress_grid(stream: CompressedStream, pair: LatentModelPair,
+                    top_shape, bottom_shape,
+                    tables: tuple[CodingTables, CodingTables] | None = None,
+                    precision: int = DEFAULT_PRECISION) -> CodeGrid:
+    """One stream's grid: the one-stream shelf of `decompress_shelves`."""
+    [(top, bottom)] = decompress_shelves([[stream]], [(top_shape, bottom_shape)], pair,
+                                         tables=tables, precision=precision)
+    return CodeGrid(top=top[0], bottom=bottom[0])
 
 
 # -- compressed replay buffer ------------------------------------------------------
@@ -446,31 +457,13 @@ class ReplayBuffer:
 
     def _class_indices(self, shelves) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """The stacked (top, bottom) index arrays of every class on the
-        given shelves, per label in shelf order; the streams of each
-        geometry are decoded in one batch."""
+        given shelves, per label in shelf order, decoded in one batch."""
         shelves = list(shelves)
         self._check_versions(shelves)
-        out = dict.fromkeys(shelf.label for shelf in shelves)
-        for members in _by_geometry((s.top_shape, s.bottom_shape) for s in shelves):
-            group = [shelves[i] for i in members]
-            top, bottom = _decode_indices([st for shelf in group for st in shelf.streams],
-                                          self.pair, group[0].top_shape, group[0].bottom_shape,
-                                          self.pair.tables(self.precision))
-            ends = np.cumsum([len(shelf.streams) for shelf in group])[:-1]
-            for shelf, t, b in zip(group, np.split(top, ends), np.split(bottom, ends)):
-                out[shelf.label] = t, b
-        return out
-
-    def _encode_grids(self, grids_by_label: dict[int, list[CodeGrid]]
-                      ) -> dict[int, list[CompressedStream]]:
-        """A stream per grid under the current pair, seeded per label and
-        index, encoded in one batch."""
-        streams = iter(compress_grids(
-            [g for grids in grids_by_label.values() for g in grids], self.pair,
-            [self._stream_seed(label, i) for label, grids in grids_by_label.items()
-             for i in range(len(grids))],
-            precision=self.precision, initial_bits=self.initial_bits))
-        return {label: [next(streams) for _ in grids] for label, grids in grids_by_label.items()}
+        decoded = decompress_shelves([shelf.streams for shelf in shelves],
+                                     [(shelf.top_shape, shelf.bottom_shape) for shelf in shelves],
+                                     self.pair, precision=self.precision)
+        return {shelf.label: arrays for shelf, arrays in zip(shelves, decoded)}
 
     def ingest_phase(self, class_data, fit_config: FitConfig = FitConfig()) -> dict[int, IngestReport]:
         """Add one phase's classes: pick exemplars per class, refit the
@@ -486,26 +479,29 @@ class ReplayBuffer:
         if len({label for label, _ in items}) != len(items):
             raise InvalidInputError("duplicate class labels within the phase")
 
-        # One grid set for the refit and the re-encode: new classes in label
-        # order, then the buffer in shelf order.  `fit` sums in block order,
-        # so this order is part of the fitted bits.
-        grids: dict[int, list[CodeGrid]] = {}
+        # One set of index arrays for the refit and the re-encode: new
+        # classes in label order, then the buffer in shelf order.  `fit` sums
+        # in block order, so this order is part of the fitted bits.
+        indices: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         new_shelves = {}
         for label, images in items:
             chosen = class_exemplars(images, self.exemplars_per_class, self.seed, label)
-            grids[label] = encode_images(chosen, self.codec)
+            top, bottom = encode_indices(chosen, self.codec)
+            indices[label] = top, bottom
             new_shelves[label] = ClassShelf(label=label, image_shape=tuple(chosen.shape[1:]),
-                                            top_shape=tuple(grids[label][0].top.shape),
-                                            bottom_shape=tuple(grids[label][0].bottom.shape))
-        grids.update((label, _grids(*arrays))
-                     for label, arrays in self._class_indices(self._shelves.values()).items())
+                                            top_shape=top.shape[1:], bottom_shape=bottom.shape[1:])
+        indices.update(self._class_indices(self._shelves.values()))
 
-        top, bottom = self.pair.blocks(g for class_grids in grids.values() for g in class_grids)
+        top, bottom = self.pair.blocks(indices.values())
         self.pair = LatentModelPair(finetune(self.pair.top, top, fit_config),
                                     finetune(self.pair.bottom, bottom, fit_config))
-        streams = self._encode_grids(grids)
+        streams = compress_shelves(
+            indices.values(), self.pair,
+            [[self._stream_seed(label, i) for i in range(len(grids))]
+             for label, (grids, _) in indices.items()],
+            precision=self.precision, initial_bits=self.initial_bits)
         self._shelves.update(new_shelves)
-        for label, shelf_streams in streams.items():
+        for label, shelf_streams in zip(indices, streams):
             self._shelves[label].streams = shelf_streams
 
         return {label: IngestReport(
@@ -617,9 +613,9 @@ class ReplayBuffer:
                 if count < 1:
                     raise DataCorruptionError(f"class {label} holds {count} streams")
                 shelf = ClassShelf(label=label,
-                                   image_shape=parse_shape(info["image"]),
-                                   top_shape=parse_shape(info["top"]),
-                                   bottom_shape=parse_shape(info["bottom"]))
+                                   image_shape=parse_positive_ints(info["image"]),
+                                   top_shape=parse_positive_ints(info["top"]),
+                                   bottom_shape=parse_positive_ints(info["bottom"]))
                 if code_shapes(shelf.image_shape, codec) != (shelf.top_shape, shelf.bottom_shape):
                     raise DataCorruptionError(
                         f"class {label}: image={info['image']} top={info['top']} "

@@ -267,11 +267,12 @@ def _quantize_grids(z_bottom: np.ndarray, z_top: np.ndarray, params: CodecParams
     )
 
 
-def encode_images(images, params: CodecParams) -> list[CodeGrid]:
-    """The code grids of a batch of images of one shape, from one encoder
-    pass and one code search per level.
+def encode_indices(images, params: CodecParams) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked int32 (top, bottom) index arrays, of shapes (n, H_t, W_t)
+    and (n, H_b, W_b), of a batch of images of one shape, from one encoder
+    pass and one code search per level: the mirror of `decode_indices`.
 
-    Each grid is bit-identical to the image's own `encode_image`, the
+    Each image's rows are bit-identical to its own `encode_image`, the
     one-image case: the stacked matmuls keep every image's sub-matrices,
     never one 2-D product over the batch, and the code search's chunks are
     never tiny (see `_row_chunks`).
@@ -279,12 +280,13 @@ def encode_images(images, params: CodecParams) -> list[CodeGrid]:
     batch = _validated_batch(images, params)
     z_bottom, _, z_top = _embed_patches(_extract_patches(batch, params.patch), params)
     idx_b, idx_t = _quantize_grids(z_bottom, z_top, params)
-    return [CodeGrid(top=top, bottom=bottom) for top, bottom in zip(idx_t, idx_b)]
+    return idx_t, idx_b
 
 
 def encode_image(image: np.ndarray, params: CodecParams) -> CodeGrid:
     """Deterministically map an image to its two code grids."""
-    return encode_images([image], params)[0]
+    top, bottom = encode_indices([image], params)
+    return CodeGrid(top=top[0], bottom=bottom[0])
 
 
 def _decode_embeddings(emb_top: np.ndarray, emb_bottom: np.ndarray, params: CodecParams):
@@ -326,23 +328,9 @@ def decode_indices(top: np.ndarray, bottom: np.ndarray, params: CodecParams) -> 
     return np.clip(images, 0.0, 1.0, out=images)
 
 
-def decode_images(grids, params: CodecParams) -> np.ndarray:
-    """Reconstruct the (n, H, W, C) images of code grids of one geometry,
-    clamped to [0, 1], in one decoder pass: `decode_indices` of the stacked
-    grids.  Each image is bit-identical to its grid's own `decode_codes`.
-    """
-    grids = list(grids)
-    if not grids:
-        raise InvalidInputError("need at least one code grid")
-    if len({(g.top.shape, g.bottom.shape) for g in grids}) != 1:
-        raise InvalidInputError("code grids must all have one geometry")
-    return decode_indices(np.stack([g.top for g in grids]), np.stack([g.bottom for g in grids]),
-                          params)
-
-
 def decode_codes(grid: CodeGrid, params: CodecParams) -> np.ndarray:
     """Reconstruct an image from its code grids, clamped to [0, 1]."""
-    return decode_images([grid], params)[0]
+    return decode_indices(grid.top[None], grid.bottom[None], params)[0]
 
 
 def _codebook_grad(idx: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:

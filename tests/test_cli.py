@@ -10,6 +10,7 @@ import pytest
 
 from drr.bits_back import DEFAULT_INITIAL_BITS, encode_stream, encode_streams
 from drr.cli import (
+    BAD_ALPHABETS,
     CONFIG_DEFAULTS,
     EXIT_CORRUPT,
     EXIT_IO,
@@ -20,9 +21,14 @@ from drr.cli import (
     read_image,
     write_image,
 )
-from drr.errors import DataCorruptionError
+from drr.errors import DataCorruptionError, InvalidInputError
 from drr.learner import DEFAULT_IB_WEIGHT, LatentSpec, TrainConfig
-from drr.replay_store import LatentModelPair, ReplayBuffer, compress_grids
+from drr.replay_store import (
+    LatentModelPair,
+    ReplayBuffer,
+    compress_shelves,
+    parse_positive_ints,
+)
 from drr.vq_codec import (
     CodecConfig,
     decode_codes,
@@ -86,7 +92,7 @@ class TestImageFiles:
 
 
 def test_initial_bits_defaults_read_one_constant():
-    calls = (encode_stream, encode_streams, compress_grids, ReplayBuffer)
+    calls = (encode_stream, encode_streams, compress_shelves, ReplayBuffer)
     assert [inspect.signature(f).parameters["initial_bits"].default for f in calls] \
         == [DEFAULT_INITIAL_BITS] * len(calls)
     assert LatentSpec().initial_bits == CONFIG_DEFAULTS["initial_bits"] == DEFAULT_INITIAL_BITS
@@ -99,6 +105,18 @@ def test_initial_bits_defaults_read_one_constant():
     keys = ("mode", "ib_weight", "epochs", "lr", "batch_size", "hidden_dim")
     assert [CONFIG_DEFAULTS[k] for k in keys] == [getattr(TrainConfig(), k) for k in keys]
     assert CONFIG_DEFAULTS["ib_weight"] == TrainConfig().ib_weight == DEFAULT_IB_WEIGHT
+
+
+@pytest.mark.parametrize("text", ["a,b", "16,x", "0,4", "4,-1", ""])
+def test_one_parser_keeps_the_shape_and_alphabet_messages(text):
+    assert parse_positive_ints("16,8") == parse_positive_ints("16,8", InvalidInputError,
+                                                              BAD_ALPHABETS) == (16, 8)
+    with pytest.raises(DataCorruptionError) as info:
+        parse_positive_ints(text)
+    assert str(info.value) == f"bad shape {text!r}"
+    with pytest.raises(InvalidInputError) as info:
+        parse_positive_ints(text, InvalidInputError, BAD_ALPHABETS)
+    assert str(info.value) == f"bad alphabets {text!r}; expected positive integers such as 16,8"
 
 
 class TestExitCodes:
@@ -638,10 +656,11 @@ exemplars_per_class = 4
 
 
 def rejected_cases(workspace, compressed, root):
-    """(name, argv) pairs that must exit 1: negative seeds and a codec whose
-    training diverges, with their inputs written under `root`."""
+    """(name, argv) pairs that must exit 1: negative seeds, a codec whose
+    training diverges and nonpositive image sides or channel counts, with
+    their inputs written under `root`."""
     configs = {"seed": "seed = -1", "data_seed": "data_seed = -2",
-               "codec_lr": "codec_lr = 10000"}
+               "codec_lr": "codec_lr = 10000", "side": "side = -4", "channels": "channels = -1"}
     for key, line in configs.items():
         (root / f"{key}.conf").write_text(SMALL_RUN_CONFIG + line + "\n")
     compress = ["compress", "--codec", workspace["codec"], "--in", workspace["data"],

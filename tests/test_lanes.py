@@ -48,7 +48,13 @@ from drr.rans import (
     code_lengths,
     quantize_rows,
 )
-from drr.replay_store import LatentModelPair, ReplayBuffer, compress_grids, decompress_grid
+from drr.replay_store import (
+    LatentModelPair,
+    ReplayBuffer,
+    compress_shelves,
+    decompress_grid,
+    decompress_shelves,
+)
 from drr.vq_codec import CodecConfig, CodeGrid, freeze, train_codec
 
 
@@ -540,19 +546,20 @@ class TestBatchContracts:
 
 def pinned_streams(precision, method="bitswap"):
     """sha256 over the serialized streams of fixed grids under a seeded,
-    unfitted model pair, coded one grid per `compress_grids` call, or under
-    "bb" by the scalar plain bits-back reference from the same blocks."""
+    unfitted model pair, coded one one-grid shelf per `compress_shelves`
+    call, or under "bb" by the scalar plain bits-back reference from the
+    same blocks."""
     pair = LatentModelPair(random_model(64, (6, 1, 4), block_len=8, seed=3),
                            random_model(64, (5, 3), block_len=7, seed=4))
     rng = np.random.default_rng(12)
     h = hashlib.sha256()
     for i in range(6):
-        grid = CodeGrid(top=rng.integers(0, 64, (3, 5)).astype(np.int32),
-                        bottom=rng.integers(0, 64, (6, 10)).astype(np.int32))
+        shelf = (rng.integers(0, 64, (1, 3, 5)).astype(np.int32),
+                 rng.integers(0, 64, (1, 6, 10)).astype(np.int32))
         if method == "bitswap":
-            stream = compress_grids([grid], pair, [[5, i]], precision=precision)[0]
+            [[stream]] = compress_shelves([shelf], pair, [[[5, i]]], precision=precision)
         else:
-            stream = scalar_encode_stream(list(zip(pair.blocks([grid]), pair.tables(precision))),
+            stream = scalar_encode_stream(list(zip(pair.blocks([shelf]), pair.tables(precision))),
                                           DEFAULT_INITIAL_BITS, [5, i], method)
         h.update(serialize_stream(stream))
     return h.hexdigest()
@@ -634,8 +641,9 @@ class TestBufferBatches:
             shelf = buffer._shelves[label]
             for i, stream in enumerate(shelf.streams):
                 grid = decompress_grid(stream, buffer.pair, shelf.top_shape, shelf.bottom_shape)
-                again = compress_grids([grid], buffer.pair, [buffer._stream_seed(label, i)],
-                                       initial_bits=buffer.initial_bits)[0]
+                [[again]] = compress_shelves([(grid.top[None], grid.bottom[None])], buffer.pair,
+                                             [[buffer._stream_seed(label, i)]],
+                                             initial_bits=buffer.initial_bits)
                 assert same_stream(again, stream)
 
 
@@ -644,12 +652,38 @@ def test_grids_of_mixed_geometry():
                            random_model(20, (4, 3), block_len=6, seed=2))
     rng = np.random.default_rng(3)
     shapes = [((2, 3), (4, 6)), ((3, 3), (6, 6)), ((2, 3), (4, 6)), ((1, 1), (2, 2))]
-    grids = [CodeGrid(top=rng.integers(0, 20, t).astype(np.int32),
-                      bottom=rng.integers(0, 20, b).astype(np.int32)) for t, b in shapes]
-    seeds = [[9, i] for i in range(len(grids))]
-    streams = compress_grids(grids, pair, seeds)
-    for grid, seed, stream, shape in zip(grids, seeds, streams, shapes):
-        assert same_stream(stream, compress_grids([grid], pair, [seed])[0])
-        assert decompress_grid(stream, pair, *shape) == grid
-    assert compress_grids([], pair, []) == []
+    shelves = [(rng.integers(0, 20, (1, *t)).astype(np.int32),
+                rng.integers(0, 20, (1, *b)).astype(np.int32)) for t, b in shapes]
+    seeds = [[[9, i]] for i in range(len(shelves))]
+    streams = compress_shelves(shelves, pair, seeds)
+    for (top, bottom), seed, [stream], shape in zip(shelves, seeds, streams, shapes):
+        assert same_stream(stream, compress_shelves([(top, bottom)], pair, [seed])[0][0])
+        assert decompress_grid(stream, pair, *shape) == CodeGrid(top=top[0], bottom=bottom[0])
+    assert compress_shelves([], pair, []) == []
+    assert decompress_shelves([], [], pair) == []
 
+
+def test_shelves_split_back_by_count():
+    """Shelves of 3, 1 and 2 grids over two interleaved geometries: every
+    grid's stream is its one-grid call's, and each shelf decodes to exactly
+    its own arrays."""
+    pair = LatentModelPair(random_model(20, (4, 3), block_len=5, seed=1),
+                           random_model(20, (4, 3), block_len=6, seed=2))
+    rng = np.random.default_rng(4)
+    shapes = [((2, 3), (4, 6)), ((3, 3), (6, 6)), ((2, 3), (4, 6))]
+    shelves = [(rng.integers(0, 20, (n, *t)).astype(np.int32),
+                rng.integers(0, 20, (n, *b)).astype(np.int32))
+               for n, (t, b) in zip((3, 1, 2), shapes)]
+    seeds = [[[7, s, j] for j in range(len(top))] for s, (top, _) in enumerate(shelves)]
+    streams = compress_shelves(shelves, pair, seeds)
+    assert [len(shelf) for shelf in streams] == [3, 1, 2]
+    for (top, bottom), shelf_seeds, shelf_streams in zip(shelves, seeds, streams):
+        for j, (seed, stream) in enumerate(zip(shelf_seeds, shelf_streams)):
+            [[alone]] = compress_shelves([(top[j:j + 1], bottom[j:j + 1])], pair, [[seed]])
+            assert same_stream(stream, alone)
+    decoded = decompress_shelves(streams, shapes, pair)
+    assert len(decoded) == len(shelves)
+    for (top, bottom), (got_top, got_bottom) in zip(shelves, decoded):
+        assert got_top.dtype == got_bottom.dtype == np.int32
+        assert np.array_equal(got_top, top) and got_top.shape == top.shape
+        assert np.array_equal(got_bottom, bottom) and got_bottom.shape == bottom.shape

@@ -35,7 +35,7 @@ from drr.learner import (
 )
 from drr.rans import AnsCoder
 from drr.replay_store import LatentModelPair, RawExemplarStore
-from drr.vq_codec import CodecConfig, decode_images, encode_images, init_codec_params
+from drr.vq_codec import CodecConfig, decode_indices, encode_indices, init_codec_params
 
 
 class TestIbLoss:
@@ -417,7 +417,7 @@ def spied_experiment(monkeypatch, mode):
     encodes per class (with its codec), every raw store built, and the data
     of every phase's training."""
     encoded, stores, phases = [], [], []
-    real_encode, real_train = replay_store.encode_images, learner.train_phase
+    real_encode, real_train = replay_store.encode_indices, learner.train_phase
 
     def encode(images, codec):
         encoded.append((np.array(images), codec))
@@ -432,7 +432,7 @@ def spied_experiment(monkeypatch, mode):
             super().__init__(*args, **kwargs)
             stores.append(self)
 
-    monkeypatch.setattr(replay_store, "encode_images", encode)
+    monkeypatch.setattr(replay_store, "encode_indices", encode)
     monkeypatch.setattr(learner, "train_phase", train)
     monkeypatch.setattr(learner, "RawExemplarStore", Store)
     (train_x, train_y), (test_x, test_y) = toy_splits()
@@ -454,7 +454,7 @@ class TestIbPairs:
             for label in new_labels:
                 mine = paired == label
                 assert mine.sum() == 4
-                recon = decode_images(encode_images(data.raw_images[mine], codec), codec)
+                recon = decode_indices(*encode_indices(data.raw_images[mine], codec), codec)
                 assert np.array_equal(recon, data.images[data.raw_pair_rows[mine]])
 
     def test_raw_store_keeps_the_buffers_exemplars(self, monkeypatch):

@@ -16,18 +16,18 @@ from drr.replay_store import (
     MemoryReport,
     RawExemplarStore,
     ReplayBuffer,
-    compress_grids,
+    compress_shelves,
     decompress_grid,
-    decompress_images,
+    decompress_shelves,
     format_megabytes,
     raw_store_bytes,
     select_exemplars,
 )
 from drr.vq_codec import (
     CodecConfig,
-    decode_images,
+    decode_indices,
     encode_image,
-    encode_images,
+    encode_indices,
     freeze,
     init_codec_params,
     serialize_codec,
@@ -212,11 +212,13 @@ class TestPairHelpers:
 
     def test_blocks_concatenate_grid_blocks(self, frozen_codec):
         pair = LatentModelPair.seeded(32, (6, 4), 3, 1)  # 3 leaves short last blocks
-        grids = [encode_image(img, frozen_codec) for img in toy_images(4, seed=6)]
-        top, bottom = pair.blocks(iter(grids))
+        images = toy_images(4, seed=6)
+        shelves = [encode_indices(images[:3], frozen_codec),
+                   encode_indices(images[3:], frozen_codec)]
+        top, bottom = pair.blocks(iter(shelves))
         want_top, want_bottom = [], []
-        for grid in grids:
-            t, b = pair.blocks([grid])
+        for image in images:
+            t, b = pair.blocks([encode_indices([image], frozen_codec)])
             want_top += t
             want_bottom += b
         assert len(top) == len(want_top) and len(bottom) == len(want_bottom)
@@ -225,18 +227,23 @@ class TestPairHelpers:
         assert pair.blocks([]) == ([], [])
 
 
+def one_grid_shelf(grid):
+    """A grid as a shelf of one: its stacked (top, bottom) index arrays."""
+    return grid.top[None], grid.bottom[None]
+
+
 class TestGridCoding:
     def test_grid_round_trip(self, frozen_codec):
         pair = make_pair()
         grid = encode_image(toy_images(1, seed=9)[0], frozen_codec)
-        stream = compress_grids([grid], pair, [3])[0]
+        [[stream]] = compress_shelves([one_grid_shelf(grid)], pair, [[3]])
         back = decompress_grid(stream, pair, grid.top.shape, grid.bottom.shape)
         assert back == grid
 
     def test_grid_blocks_cover_all_codes(self, frozen_codec):
         pair = make_pair()
         grid = encode_image(toy_images(1, seed=9)[0], frozen_codec)
-        top, bottom = pair.blocks([grid])
+        top, bottom = pair.blocks([one_grid_shelf(grid)])
         assert sum(len(b) for b in top) == grid.top.size
         assert sum(len(b) for b in bottom) == grid.bottom.size
         assert np.array_equal(np.concatenate(top), grid.top.ravel())
@@ -244,8 +251,8 @@ class TestGridCoding:
     def test_stream_seed_changes_payload_not_content(self, frozen_codec):
         pair = make_pair()
         grid = encode_image(toy_images(1, seed=9)[0], frozen_codec)
-        a = compress_grids([grid], pair, [1])[0]
-        b = compress_grids([grid], pair, [2])[0]
+        [[a]] = compress_shelves([one_grid_shelf(grid)], pair, [[1]])
+        [[b]] = compress_shelves([one_grid_shelf(grid)], pair, [[2]])
         assert a.payload != b.payload
         assert decompress_grid(a, pair, grid.top.shape, grid.bottom.shape) == \
                decompress_grid(b, pair, grid.top.shape, grid.bottom.shape)
@@ -569,12 +576,13 @@ class TestArrayReadPath:
 
     @staticmethod
     def per_class(buffer, label):
-        """The class decoded through the grid path: its streams' grids, then
-        `decode_images`."""
+        """The class decoded through the grid path: its streams' grids, one
+        at a time, then `decode_indices` of the stacked grids."""
         shelf = buffer._shelves[label]
         grids = [decompress_grid(stream, buffer.pair, shelf.top_shape, shelf.bottom_shape,
                                  precision=buffer.precision) for stream in shelf.streams]
-        return decode_images(grids, buffer.codec)
+        return decode_indices(np.stack([g.top for g in grids]),
+                              np.stack([g.bottom for g in grids]), buffer.codec)
 
     def test_reconstruct_all_is_the_grid_path(self, mixed_buffer):
         recon = mixed_buffer.reconstruct_all()
@@ -606,23 +614,22 @@ class TestArrayReadPath:
         assert hashlib.sha256(b"".join(recon[label].tobytes() for label in recon)).hexdigest() == (
             "f60d81cb9d414aebab3a7c5818a17b29862d1f29e4c4b07ed15603878dfd126d")
 
-    def test_decompress_images_is_the_grid_path(self, mixed_buffer):
-        streams, shapes = [], []
-        for label in (3, 0, 1):
-            shelf = mixed_buffer._shelves[label]
-            streams += shelf.streams
-            shapes += [(shelf.top_shape, shelf.bottom_shape)] * len(shelf.streams)
-        images = decompress_images(streams, mixed_buffer.pair, shapes, mixed_buffer.codec)
-        want = [image for label in (3, 0, 1) for image in self.per_class(mixed_buffer, label)]
-        assert len(images) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(images, want))
+    def test_decompress_shelves_is_the_grid_path(self, mixed_buffer):
+        shelves = [mixed_buffer._shelves[label] for label in (3, 0, 1)]
+        indices = decompress_shelves([shelf.streams for shelf in shelves],
+                                     [(shelf.top_shape, shelf.bottom_shape) for shelf in shelves],
+                                     mixed_buffer.pair)
+        assert len(indices) == len(shelves)
+        for shelf, (top, bottom) in zip(shelves, indices):
+            assert np.array_equal(decode_indices(top, bottom, mixed_buffer.codec),
+                                  self.per_class(mixed_buffer, shelf.label))
 
     def test_decoding_never_writes_the_codec(self, mixed_buffer):
         codec = mixed_buffer.codec
         before = serialize_codec(codec)
         mixed_buffer.reconstruct_all()
         mixed_buffer.reconstruct_class(1)
-        decode_images(encode_images(toy_images(3, seed=70), codec), codec)
+        decode_indices(*encode_indices(toy_images(3, seed=70), codec), codec)
         assert serialize_codec(codec) == before
 
 

@@ -539,13 +539,13 @@ class TestCodebookGrad:
 
 
 def batch_digests(images, codec):
-    """sha256 of the code grids `encode_images` gives and of the images
-    `decode_images` rebuilds from them."""
+    """sha256 of the code grids `encode_indices` gives, grid by grid, and of
+    the images `decode_indices` rebuilds from them."""
     import hashlib
-    from drr.vq_codec import decode_images, encode_images
-    grids = encode_images(images, codec)
-    recon = decode_images(grids, codec)
-    codes = b"".join(g.top.tobytes() + g.bottom.tobytes() for g in grids)
+    from drr.vq_codec import decode_indices, encode_indices
+    top, bottom = encode_indices(images, codec)
+    recon = decode_indices(top, bottom, codec)
+    codes = b"".join(t.tobytes() + b.tobytes() for t, b in zip(top, bottom))
     return hashlib.sha256(codes).hexdigest(), hashlib.sha256(recon.tobytes()).hexdigest()
 
 
@@ -577,27 +577,30 @@ class TestBatchCoding:
         assert batch_digests(images, codec) == pinned
 
     def test_batch_equals_one_at_a_time(self):
-        from drr.vq_codec import decode_images, encode_images
+        from drr.vq_codec import decode_indices, encode_indices
         rng = np.random.default_rng(12)
         params = train_codec([random_image(rng) for _ in range(4)],
                              tiny_config(epochs=5, codebook_size=6))
         images = [random_image(rng) for _ in range(9)]
-        grids = encode_images(images, params)
+        top, bottom = encode_indices(images, params)
+        assert top.dtype == bottom.dtype == np.int32
+        grids = [CodeGrid(top=t, bottom=b) for t, b in zip(top, bottom)]
         assert grids == [encode_image(x, params) for x in images]
-        recon = decode_images(grids, params)
+        recon = decode_indices(top, bottom, params)
         assert recon.shape == (9, 8, 8, 1)
         assert all(np.array_equal(r, decode_codes(g, params)) for r, g in zip(recon, grids))
 
     def test_bad_batches_rejected(self):
-        from drr.vq_codec import decode_images, encode_images
+        from drr.vq_codec import decode_indices, encode_indices
         rng = np.random.default_rng(13)
         params = init_codec_params(tiny_config())
         grid = encode_image(random_image(rng), params)
         small = encode_image(random_image(rng, h=4, w=4), params)
-        for call in (lambda: encode_images([], params),
-                     lambda: encode_images([random_image(rng), random_image(rng, h=4)], params),
-                     lambda: decode_images([], params),
-                     lambda: decode_images([grid, small], params)):
+        for call in (lambda: encode_indices([], params),
+                     lambda: encode_indices([random_image(rng), random_image(rng, h=4)], params),
+                     lambda: decode_indices(np.zeros((0, 2, 2), np.int32),
+                                            np.zeros((0, 4, 4), np.int32), params),
+                     lambda: decode_indices(grid.top[None], small.bottom[None], params)):
             with pytest.raises(InvalidInputError):
                 call()
 
