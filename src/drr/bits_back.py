@@ -55,9 +55,9 @@ from .rans import (  # noqa: F401
     AnsCoder,
     LaneCoder,
     PmfTable,
-    payload_state,
     pmf_quantize,
     quantize_rows,
+    read_payload,
 )
 
 MODEL_MAGIC = b"DRRM"
@@ -529,7 +529,9 @@ def encode_streams(sections, seeds,
     each block is an (N, len) array whose row i belongs to message i, and
     message i starts from the initial bits seeded with seeds[i].  Stream i
     is exactly what `encode_stream` gives for its own blocks and seed: the
-    same payload and the same accounting, bit for bit.
+    same payload and the same accounting, bit for bit.  A payload stores
+    only the stack above its lane's lowest height, and the count of seeded
+    bytes its decoder restores.
     """
     sections = list(sections)
     if not sections:
@@ -576,7 +578,7 @@ def decode_streams(streams, sections) -> list[list[np.ndarray]]:
     sections = [(list(lens), tables) for lens, tables in sections]
     coder = LaneCoder.deserialize(stream.payload for stream in streams)
     decoded = sum(sum(lens) for lens, _ in sections)
-    for stream in streams:
+    for stream, restored in zip(streams, coder.start.tolist()):
         for _, tables in sections:
             if tables.model_version != stream.model_version:
                 raise DataCorruptionError(
@@ -585,6 +587,10 @@ def decode_streams(streams, sections) -> list[list[np.ndarray]]:
         if decoded != stream.symbol_count:
             raise DataCorruptionError(
                 f"decoding {decoded} symbols, stream header says {stream.symbol_count}")
+        if stream.initial_bits is not None and restored > stream.initial_bits // 8:
+            raise DataCorruptionError(
+                f"stream restores {restored} seeded bytes, more than the "
+                f"{stream.initial_bits // 8} it was seeded with")
     try:
         out = [[_decode_block_lanes(coder, n, tables, True) for n in reversed(lens)][::-1]
                for lens, tables in reversed(sections)]
@@ -593,11 +599,11 @@ def decode_streams(streams, sections) -> list[list[np.ndarray]]:
     out.reverse()
     if np.any(coder.state != RANS_L):
         raise DataCorruptionError("coder did not unwind to its initial state")
-    for stream, height in zip(streams, coder.height.tolist()):
-        if stream.initial_bits is not None and height != stream.initial_bits // 8:
+    for height, restored in zip(coder.height.tolist(), coder.start.tolist()):
+        if height != restored:
             raise DataCorruptionError(
-                f"coder unwound to {height} bytes, "
-                f"expected the {stream.initial_bits // 8} seeded bytes")
+                f"coder unwound to {height} bytes, expected the {restored} seeded bytes "
+                f"the stream restores")
     return out
 
 
@@ -605,9 +611,11 @@ def encode_stream(sections, initial_bits: int = DEFAULT_INITIAL_BITS,
                   seed: int = 0) -> "CompressedStream":
     """Code sections of blocks (each with its own tables) into one message.
 
-    The payload physically contains the seeded initial bits; the accounting
-    fields exclude them, counting only what the blocks pushed minus what
-    they recovered.  The one-lane case of `encode_streams`.
+    The coder starts on `initial_bits` seeded bits.  The payload stores
+    none of the seeded bytes the encoder left unread, and only the count of
+    those it read, which the decoder restores; the accounting fields count
+    only what the blocks pushed minus what they recovered.  The one-lane
+    case of `encode_streams`.
     """
     sections = [([np.reshape(block, (1, -1)) for block in blocks], tables)
                 for blocks, tables in sections]
@@ -620,8 +628,9 @@ def decode_stream(stream: CompressedStream, sections) -> list[list[np.ndarray]]:
     `sections` lists (block_lens, tables) in the order they were encoded;
     the result keeps that order.  The coder must unwind exactly to its
     seeded prefix, anything else means the stream or the tables are wrong:
-    the final state must be the fresh state RANS_L and, when the stream
-    carries its `initial_bits`, the stack must hold exactly that many bits.
+    the final state must be the fresh state RANS_L and the stack must hold
+    exactly the k seeded bytes the payload says it restores.  When the
+    stream carries its `initial_bits`, k must not exceed initial_bits // 8.
     This catches most corruption but not all of it: full integrity needs a
     CRC32 of the payload, which the stream format does not carry yet.
     """
@@ -663,7 +672,7 @@ def deserialize_stream(data: bytes) -> CompressedStream:
         raise DataCorruptionError("bad stream magic")
     _, model_version, symbol_count = _STREAM_HEAD.unpack_from(data)
     payload = data[_STREAM_HEAD.size:]
-    payload_state(payload)  # validates the nested bitstream
+    read_payload(payload)  # validates the nested bitstream
     return CompressedStream(payload=payload, symbol_count=symbol_count,
                             model_version=model_version)
 

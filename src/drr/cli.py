@@ -53,6 +53,7 @@ from .replay_store import (
     from_pixel_bytes,
     parse_positive_ints,
     parse_record,
+    read_lines,
     to_pixel_bytes,
 )
 from .vq_codec import (
@@ -198,8 +199,7 @@ def cmd_decompress(args) -> int:
     pair = _load_pair(args.model)
     pair.check_codec(codec, DataCorruptionError)
     index_path = os.path.join(args.in_dir, "index.txt")
-    with open(index_path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+    lines = [ln.strip() for ln in read_lines(index_path) if ln.strip()]
     if not lines or lines[0] != STREAM_SET_HEADER:
         raise DataCorruptionError(f"{index_path}: bad stream-set header")
     entries = [parse_record(line, "stream", ("file", "source", "top", "bottom"))
@@ -247,26 +247,25 @@ CONFIG_DEFAULTS = {
 
 def parse_config_file(path: str) -> dict:
     values = dict(CONFIG_DEFAULTS)
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidInputError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in values:
-                raise InvalidInputError(f"{path}:{lineno}: unknown key {key!r}")
-            default = CONFIG_DEFAULTS[key]
-            try:
-                if isinstance(default, int):
-                    values[key] = int(value)
-                elif isinstance(default, float):
-                    values[key] = float(value)
-                else:
-                    values[key] = value
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: bad value for {key}") from exc
+    for lineno, line in enumerate(read_lines(path, InvalidInputError), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidInputError(f"{path}:{lineno}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in values:
+            raise InvalidInputError(f"{path}:{lineno}: unknown key {key!r}")
+        default = CONFIG_DEFAULTS[key]
+        try:
+            if isinstance(default, int):
+                values[key] = int(value)
+            elif isinstance(default, float):
+                values[key] = float(value)
+            else:
+                values[key] = value
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}:{lineno}: bad value for {key}") from exc
     return values
 
 
@@ -355,8 +354,7 @@ def _number(kind, record: dict, key: str, path: str):
 def _parse_results(path: str):
     """Typed phase records and summary of a results file; other records
     (the config line) are skipped."""
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+    lines = [ln.strip() for ln in read_lines(path) if ln.strip()]
     if not lines:
         raise InvalidInputError(f"{path} is empty")
     if lines[0] != RESULTS_HEADER:

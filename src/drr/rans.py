@@ -5,7 +5,7 @@ first out, against quantized probability tables whose frequencies sum to a
 power of two.  This is the 64-bit variant with byte-granular
 renormalization: between operations the state sits in [2^32, 2^40), low
 bytes spill onto a byte stack as the state grows, and a final flush stores
-the whole 64-bit word.
+the state's five low bytes (the three above them are always zero).
 
     pmf = pmf_quantize([0.5, 0.25, 0.25])
     coder = AnsCoder()
@@ -15,8 +15,11 @@ the whole 64-bit word.
 `LaneCoder` runs many independent messages at once, one lane each, in the
 manner of interleaved rANS: a uint64 state vector, one 2-D byte stack with
 a height per lane, and every lane coding against its own row of a
-`PmfTable`.  Lane i produces exactly the bytes an `AnsCoder` would, so
-`AnsCoder` remains the scalar reference.
+`PmfTable`.  Lane i holds exactly the state and stack an `AnsCoder` would,
+so `AnsCoder` remains the scalar reference.  A lane's payload stores only
+what its decoder reads: the stack above the lowest height the lane was
+popped to, and the count k of seeded bytes the encoder read, which the
+decoder puts back at its end.
 
     table = PmfTable.from_freqs(quantize_rows([[0.5, 0.5], [0.9, 0.1]])[0], 12)
     lanes = LaneCoder.with_random_bits(64, seeds=[1, 2])
@@ -43,9 +46,13 @@ MIN_PRECISION = 2
 MAX_PRECISION = 16
 
 STREAM_MAGIC = b"DRRB"
-STREAM_FORMAT_VERSION = 1
+STREAM_FORMAT_VERSION = 2
 _HEAD = struct.Struct("<4sHQ")  # magic, format version, payload length
-_STATE = struct.Struct("<Q")  # the payload's first word: the coder state
+# After the header: k, the count of seeded bytes the decoder restores at its
+# end, then the state's five low bytes.  The byte stack follows.
+_BODY = struct.Struct("<H5s")
+_STATE_BYTES = 5
+_MAX_RESTORED = (1 << 16) - 1  # the largest k a payload holds
 
 
 @functools.cache
@@ -217,24 +224,57 @@ class PmfTable:
         return self.costs[rows * self.alphabet + symbols]
 
 
-STACK_OFFSET = _HEAD.size + _STATE.size  # where a payload's byte stack starts
+STACK_OFFSET = _HEAD.size + _BODY.size  # where a payload's byte stack starts
 
 
-def payload_state(data: bytes) -> int:
-    """The coder state of an `AnsCoder.serialize` payload, whose byte stack
-    is data[STACK_OFFSET:].
+def read_payload(data: bytes) -> tuple[int, int, memoryview]:
+    """(state, k, stack) of a coder payload: the coder state, the count k of
+    seeded bytes its decoder restores at its end, and the stored byte stack,
+    data[STACK_OFFSET:], bottom first.
 
-    The one check of a payload's magic, format version and length, shared
-    by every reader; DataCorruptionError if any is wrong.
+    The one check of a payload's magic, format version, length and state,
+    shared by every reader; DataCorruptionError if any is wrong.  A state
+    below RANS_L is one no coder leaves, so it is rejected here.
     """
     if len(data) < _HEAD.size or data[:4] != STREAM_MAGIC:
         raise DataCorruptionError("bad bitstream magic")
     _, version, payload_len = _HEAD.unpack_from(data)
     if version != STREAM_FORMAT_VERSION:
         raise DataCorruptionError(f"unsupported bitstream format version {version}")
-    if len(data) != _HEAD.size + payload_len or payload_len < _STATE.size:
+    if len(data) != _HEAD.size + payload_len or payload_len < _BODY.size:
         raise DataCorruptionError("bitstream length mismatch")
-    return _STATE.unpack_from(data, _HEAD.size)[0]
+    restored, state = _BODY.unpack_from(data, _HEAD.size)
+    state = int.from_bytes(state, "little")
+    if state < RANS_L:
+        raise DataCorruptionError(f"bitstream state {state:#x} below {RANS_L:#x}")
+    return state, restored, memoryview(data)[STACK_OFFSET:]
+
+
+def _payload(state: int, restored: int, stack) -> bytes:
+    """The payload `read_payload` reads back as (state, restored, stack)."""
+    if not RANS_L <= state < RANS_L << RENORM_SHIFT:
+        raise InvalidInputError(f"coder state {state:#x} outside [2**32, 2**40)")
+    if restored > _MAX_RESTORED:
+        raise InvalidInputError(
+            f"{restored} seeded bytes to restore; a payload holds at most {_MAX_RESTORED}")
+    body = _BODY.pack(restored, state.to_bytes(_STATE_BYTES, "little"))
+    return (_HEAD.pack(STREAM_MAGIC, STREAM_FORMAT_VERSION, len(body) + len(stack))
+            + body + bytes(stack))
+
+
+def _seeded_bytes(n_bits: int, seeds) -> np.ndarray:
+    """Row i holds the n_bits // 8 bytes seeded with seeds[i]: PCG64's raw
+    64-bit outputs written little-endian and cut to length, the bytes that
+    `default_rng(seed).integers(0, 256, n, np.uint8)` draws."""
+    if n_bits < 0 or n_bits % 8 != 0:
+        raise InvalidInputError("n_bits must be a nonnegative multiple of 8")
+    seeds = list(seeds)
+    n = n_bits // 8
+    words = np.empty((len(seeds), (n + 7) // 8), dtype="<u8")
+    for row, seed in zip(words, seeds):
+        check_seed(seed)
+        row[:] = np.random.PCG64(seed).random_raw(len(row))
+    return words.view(np.uint8)[:, :n]
 
 
 class AnsCoder:
@@ -253,20 +293,15 @@ class AnsCoder:
         Bits-back decoding pops latents out of this slack before any real
         payload exists.
         """
-        if n_bits < 0 or n_bits % 8 != 0:
-            raise InvalidInputError("n_bits must be a nonnegative multiple of 8")
-        check_seed(seed)
-        rng = np.random.default_rng(seed)
-        raw = rng.integers(0, 256, size=n_bits // 8, dtype=np.uint8).tobytes()
-        return cls(stack=raw)
+        return cls(stack=_seeded_bytes(n_bits, [seed])[0])
 
     def copy(self) -> "AnsCoder":
         return AnsCoder(self.state, bytes(self.stack))
 
     @property
     def bit_length(self) -> int:
-        """Message size in bits if flushed now (full 64-bit state + stack)."""
-        return 64 + 8 * len(self.stack)
+        """Message size in bits if flushed now (the state's 5 bytes + stack)."""
+        return 8 * (_STATE_BYTES + len(self.stack))
 
     def push(self, symbol: int, pmf: QuantizedPmf) -> None:
         """Encode one symbol onto the stack."""
@@ -298,17 +333,19 @@ class AnsCoder:
         return symbol
 
     def serialize(self) -> bytes:
-        """Flush to bytes: magic, format version, payload length, state, stack.
+        """Flush to bytes: magic, format version, payload length, k = 0,
+        the state's five low bytes, then the whole stack.
 
         The stack is stored bottom first, so the most recently emitted byte
         is last.  All integers are little-endian.
         """
-        head = _HEAD.pack(STREAM_MAGIC, STREAM_FORMAT_VERSION, _STATE.size + len(self.stack))
-        return head + _STATE.pack(self.state) + bytes(self.stack)
+        return _payload(self.state, 0, self.stack)
 
     @classmethod
     def deserialize(cls, data: bytes) -> "AnsCoder":
-        return cls(state=payload_state(data), stack=data[STACK_OFFSET:])
+        """The coder of a payload's state and stored stack; its k is not kept."""
+        state, _, stack = read_payload(data)
+        return cls(state=state, stack=stack)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AnsCoder):
@@ -328,43 +365,53 @@ class LaneCoder:
     own row of a `PmfTable`, and renormalization loops only while some lane
     still needs a byte.  Lane i is bit for bit the `AnsCoder` that performed
     the same pushes and pops.
+
+    `start[i]` is the height lane i's message started from, on top of its
+    seeded bytes, and so the height its decoder unwinds to; `floor[i]` is
+    the lowest height the lane has been popped to.  No pop ever read the
+    bytes below the floor, so a payload leaves them out: it stores the
+    stack from the floor up and k = start - floor.
     """
 
-    __slots__ = ("state", "stack", "height")
+    __slots__ = ("state", "stack", "height", "start", "floor")
 
     def __init__(self, states, stacks):
-        """Lane i gets states[i] and the bytes of stacks[i], bottom first;
-        all stacks land in the 2-D stack with one copy."""
-        if not stacks:
+        """Lane i gets states[i] and the bytes of stacks[i], bottom first,
+        and starts its message on them; all stacks land in the 2-D stack
+        with one copy."""
+        if len(stacks) == 0:
             raise InvalidInputError("a lane coder needs at least one lane")
         self.state = np.array(states, dtype=np.uint64)
         self.height = np.array([len(s) for s in stacks], dtype=np.int64)
         self.stack = np.zeros((len(stacks), int(self.height.max()) + 64), dtype=np.uint8)
         held = np.arange(self.stack.shape[1]) < self.height[:, None]
         self.stack[held] = np.frombuffer(b"".join(stacks), dtype=np.uint8)
+        self.start = self.height.copy()
+        self.floor = self.height.copy()
 
     @classmethod
     def with_random_bits(cls, n_bits: int, seeds) -> "LaneCoder":
         """Lane i holds `AnsCoder.with_random_bits(n_bits, seeds[i])`."""
-        coders = [AnsCoder.with_random_bits(n_bits, seed) for seed in seeds]
-        return cls([c.state for c in coders], [c.stack for c in coders])
+        raw = _seeded_bytes(n_bits, seeds)
+        return cls(np.full(len(raw), RANS_L, dtype=np.uint64), raw)
 
     @classmethod
     def deserialize(cls, payloads) -> "LaneCoder":
-        """One lane per `AnsCoder.serialize` payload, each checked as
-        `AnsCoder.deserialize` checks it."""
-        payloads = list(payloads)
-        return cls([payload_state(data) for data in payloads],
-                   [memoryview(data)[STACK_OFFSET:] for data in payloads])
-
-    def coders(self) -> list[AnsCoder]:
-        """Each lane as a scalar coder."""
-        return [AnsCoder(int(state), self.stack[lane, :height].tobytes())
-                for lane, (state, height) in enumerate(zip(self.state.tolist(),
-                                                           self.height.tolist()))]
+        """One lane per payload, each checked as `AnsCoder.deserialize`
+        checks it: the stored stack sits at height 0 and the lane's message
+        unwinds to height k."""
+        parsed = [read_payload(data) for data in payloads]
+        coder = cls([state for state, _, _ in parsed], [stack for _, _, stack in parsed])
+        coder.start = np.array([k for _, k, _ in parsed], dtype=np.int64)
+        coder.floor[:] = 0
+        return coder
 
     def serialize(self) -> list[bytes]:
-        return [coder.serialize() for coder in self.coders()]
+        """One payload per lane: its state, k, and its stack from the floor up."""
+        return [_payload(state, start - floor, self.stack[lane, floor:height])
+                for lane, (state, start, floor, height) in enumerate(zip(
+                    self.state.tolist(), self.start.tolist(), self.floor.tolist(),
+                    self.height.tolist()))]
 
     @property
     def lanes(self) -> int:
@@ -407,5 +454,6 @@ class LaneCoder:
             self.height[need] = height
             x[need] = (x[need] << np.uint64(RENORM_SHIFT)) | self.stack[need, height]
             need = need[x[need] < RANS_L]
+        np.minimum(self.floor, self.height, out=self.floor)
         self.state = x
         return index - rows * table.alphabet

@@ -147,6 +147,17 @@ def parse_positive_ints(text: str, error=DataCorruptionError,
     return values
 
 
+def read_lines(path: str, error=DataCorruptionError) -> list[str]:
+    """The lines of a text file.  The file is read as bytes and decoded
+    here, so one that is not UTF-8 raises `error`; OSError passes through."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def check_plain_name(name: str, what: str) -> None:
     """DataCorruptionError unless `name` names an entry directly inside a
     directory, so a name read from an index cannot reach outside it."""
@@ -256,6 +267,15 @@ class LatentModelPair:
     def copy(self) -> "LatentModelPair":
         return LatentModelPair(self.top.copy(), self.bottom.copy())
 
+    def check_precision(self, precision: int) -> None:
+        """InvalidInputError unless 2**precision covers every alphabet of
+        both levels, as the coder's quantized tables need."""
+        widest = max(max(model.obs_alphabet, *model.alphabets)
+                     for model in (self.top, self.bottom))
+        if widest > 1 << precision:
+            raise InvalidInputError(f"precision {precision} cannot code the models' alphabet "
+                                    f"of {widest} symbols (at most 2**{precision})")
+
     def check_codec(self, codec: CodecParams, error=InvalidInputError) -> None:
         """`error` unless both levels observe exactly the codec's codes."""
         if not self.top.obs_alphabet == self.bottom.obs_alphabet == codec.codebook_size:
@@ -289,6 +309,9 @@ class LatentModelPair:
         models = deserialize_models(data)
         if len(models) != 2:
             raise DataCorruptionError(f"expected 2 model records, found {len(models)}")
+        if models[0].version != models[1].version:
+            raise DataCorruptionError(f"pair levels have versions {models[0].version} "
+                                      f"and {models[1].version}; they must share one")
         return LatentModelPair(models[0], models[1])
 
 
@@ -424,6 +447,7 @@ class ReplayBuffer:
             raise InvalidInputError("initial_bits must be a nonnegative multiple of 8")
         check_seed(seed)
         pair.check_codec(codec)
+        pair.check_precision(precision)
         self.codec = codec
         self.pair = pair
         self.exemplars_per_class = exemplars_per_class
@@ -570,10 +594,9 @@ class ReplayBuffer:
 
     @staticmethod
     def load(directory: str) -> "ReplayBuffer":
-        index_path = os.path.join(directory, INDEX_NAME)
         try:
-            with open(index_path) as f:
-                lines = [ln.strip() for ln in f if ln.strip()]
+            lines = [ln.strip() for ln in read_lines(os.path.join(directory, INDEX_NAME))
+                     if ln.strip()]
             with open(os.path.join(directory, CODEC_NAME), "rb") as f:
                 codec = deserialize_codec(f.read())
             with open(os.path.join(directory, MODELS_NAME), "rb") as f:

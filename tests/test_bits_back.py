@@ -46,7 +46,7 @@ from drr.errors import (
     InsufficientInitialBitsError,
     InvalidInputError,
 )
-from drr.rans import AnsCoder, PmfTable, QuantizedPmf, quantize_rows
+from drr.rans import AnsCoder, PmfTable, QuantizedPmf, quantize_rows, read_payload
 from drr.replay_store import LatentModelPair
 
 LN2 = math.log(2.0)
@@ -575,17 +575,28 @@ class TestStreams:
         assert silent > 100
 
     def test_unwind_checks_seeded_prefix_length(self):
+        # The payload stores k, the seeded bytes its decoder restores: the
+        # coder must unwind to exactly k bytes, and k cannot exceed the
+        # stream's initial bits when those are known.
         model, blocks = self.make_fitted(seed=3)
         tables = build_coding_tables(model)
         lens = [len(b) for b in blocks[:6]]
         stream = encode_stream([(blocks[:6], tables)], initial_bits=256, seed=5)
-        with pytest.raises(DataCorruptionError):
-            decode_stream(replace(stream, initial_bits=512), [(lens, tables)])
-        # a stream read back from bytes does not know its prefix length
+        _, restored, _ = read_payload(stream.payload)
+        assert 1 <= restored <= 32
+        with pytest.raises(DataCorruptionError, match="restores"):
+            decode_stream(replace(stream, initial_bits=8 * (restored - 1)), [(lens, tables)])
+        # a stream read back from bytes does not know its initial bits, but
+        # its k is checked all the same
         back = deserialize_stream(serialize_stream(stream))
         assert back.initial_bits is None
         out = decode_stream(back, [(lens, tables)])
         assert all(np.array_equal(x, y) for x, y in zip(out[0], blocks[:6]))
+        for wrong in (restored - 1, restored + 1):
+            payload = bytearray(back.payload)
+            payload[14:16] = wrong.to_bytes(2, "little")  # k follows the 14-byte header
+            with pytest.raises(DataCorruptionError, match="unwound"):
+                decode_stream(replace(back, payload=bytes(payload)), [(lens, tables)])
 
 
 class TestFit:
@@ -718,22 +729,24 @@ def pinned_block_coding(method, precision):
 
 class TestScalarReference:
     @pytest.mark.parametrize("method,precision,pinned", [
-        ("bitswap", 12, ("768327b1c9325ac6604dd95846081403f087c866d4dd96be6bba30e51c4ffefb",
+        ("bitswap", 12, ("08da6faf00481bf18a063be8f7c92d5d26d040c7e9d3eeede17ebc6543fd5e0d",
                          "494.96263977927487", "98.29180036046607", "3.870716979131771",
                          "396.6708394188088")),
-        ("bitswap", 16, ("69b45524b1fa57fa26cf55874da791ab087801fac79dd1be49dff56d419785dc",
+        ("bitswap", 16, ("db8b40092caa697b01d371bdcb9a78003dfcf81ff580effe459b1be12fdad058",
                          "502.648867505594", "80.37065883418774", "3.081882398602488",
                          "422.2782086714063")),
-        ("bb", 12, ("b899eefe6cc09bb319369ef1344e14f496204086af17b94e3fb358e59a97ad4a",
+        ("bb", 12, ("4bf1fee7f7d3b0abaac2f6ec2e07d72d0ccffd12383e31582d7cc527c483a49a",
                     "491.3050780178623", "93.64732578168423", "7.657901380468957",
                     "397.65775223617806")),
-        ("bb", 16, ("48768cea2ec19027da005f9f5eb20ceba07fddd35f4f6748dc390c519e0f48fc",
+        ("bb", 16, ("9a87a72fe999b3a77097c504587133b4092e73713a076a7c4e8d80fb1b5a223d",
                     "492.75715461508895", "96.76993628124339", "7.008106260575005",
                     "395.9872183338456")),
     ])
     def test_block_coding_is_pinned(self, method, precision, pinned):
         # The coder's bytes and accounting floats at fixed seeds, written
         # when a scalar block coder ran `encode_blocks`; they must not move.
+        # The digests are of payload format 2: written in the format-1 layout, the
+        # same coders give the digests the scalar block coder wrote.
         assert pinned_block_coding(method, precision) == pinned
 
     def test_unknown_method_rejected_everywhere(self):

@@ -1,6 +1,7 @@
 import inspect
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -409,6 +410,13 @@ class TestRunPhases:
         assert main(["report", "--results", bad]) == EXIT_CORRUPT
         assert "corrupt data" in capsys.readouterr().err
 
+    def test_report_non_utf8_results_is_corrupt(self, results, tmp_path, capsys):
+        path = tmp_path / "results.txt"
+        shutil.copyfile(results["out"], path)
+        flip_byte(path, 3, 0x80)
+        assert main(["report", "--results", str(path)]) == EXIT_CORRUPT
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_report_empty_file_is_usage(self, tmp_path, capsys):
         path = str(tmp_path / "empty.txt")
         open(path, "w").close()
@@ -564,7 +572,34 @@ def corrupt_input_cases(workspace, compressed, root):
     cases.append(("codec of 4 codes, decompress",
                   ["decompress", "--codec", wrong_size_codec(root), "--model", compressed["model"],
                    "--in", compressed["out"], "--out", str(root / "recon")]))
+    streams = root / "non_utf8"
+    shutil.copytree(compressed["out"], streams)
+    flip_byte(streams / "index.txt", 3, 0x80)
+    cases.append(("index byte 3 not UTF-8, decompress",
+                  ["decompress", "--codec", workspace["codec"], "--model", compressed["model"],
+                   "--in", str(streams), "--out", str(root / "recon")]))
+    streams = root / "format_1"
+    shutil.copytree(compressed["out"], streams)
+    stream = streams / "stream_0000.drrs"
+    # the stream header kept, the payload in format 1: an 8-byte state, no k
+    stream.write_bytes(stream.read_bytes()[:16] + b"DRRB" + struct.pack("<HQQ", 1, 8, 1 << 32))
+    cases += [("stream payload in format 1, decompress",
+               ["decompress", "--codec", workspace["codec"], "--model", compressed["model"],
+                "--in", str(streams), "--out", str(root / "recon")]),
+              ("stream payload in format 1, inspect", ["inspect", "--file", str(stream)])]
+    model = root / "versions_1_0.drrm"
+    shutil.copyfile(compressed["model"], model)
+    flip_byte(model, 7, 0x01)  # bit 0 of the top level's version
+    cases.append(("model levels at versions 1 and 0, decompress",
+                  ["decompress", "--codec", workspace["codec"], "--model", str(model),
+                   "--in", compressed["out"], "--out", str(root / "recon")]))
     return cases
+
+
+def flip_byte(path, offset, mask):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= mask
+    path.write_bytes(bytes(data))
 
 
 def edited_copy(compressed, directory, key, value):
@@ -657,12 +692,13 @@ exemplars_per_class = 4
 
 def rejected_cases(workspace, compressed, root):
     """(name, argv) pairs that must exit 1: negative seeds, a codec whose
-    training diverges and nonpositive image sides or channel counts, with
-    their inputs written under `root`."""
+    training diverges, nonpositive image sides or channel counts and a
+    config that is not UTF-8, with their inputs written under `root`."""
     configs = {"seed": "seed = -1", "data_seed": "data_seed = -2",
                "codec_lr": "codec_lr = 10000", "side": "side = -4", "channels": "channels = -1"}
     for key, line in configs.items():
         (root / f"{key}.conf").write_text(SMALL_RUN_CONFIG + line + "\n")
+    (root / "non_utf8.conf").write_bytes(SMALL_RUN_CONFIG.encode() + b"mode = drr\x80\n")
     compress = ["compress", "--codec", workspace["codec"], "--in", workspace["data"],
                 "--out", str(root / "s"), "--seed", "-1"]
     return [
@@ -678,7 +714,7 @@ def rejected_cases(workspace, compressed, root):
                                      "--embed-dim", "6"]),
     ] + [(f"run-phases {line}", ["run-phases", "--config", str(root / f"{key}.conf"),
                                  "--out", str(root / "r.txt")])
-         for key, line in configs.items()]
+         for key, line in [*configs.items(), ("non_utf8", "config not UTF-8")]]
 
 
 class TestRejectedRuns:

@@ -5,7 +5,9 @@ every block with one lane routine, under either schedule; it is compared
 with the scalar coder operation by operation, block chain by block chain
 and stream by stream (payload bytes and accounting floats), and on
 adversarial payloads, where a lane must raise DataCorruptionError or decode
-exactly what the scalar coder decodes.
+exactly what the scalar coder decodes.  The scalar stream coder tracks its
+own low-water mark and writes its payload bytes itself, so the payload
+layout is checked against a second writer.
 """
 
 import hashlib
@@ -25,6 +27,7 @@ from drr.bits_back import (
     decode_blocks,
     decode_stream,
     decode_streams,
+    deserialize_stream,
     encode_blocks,
     encode_stream,
     encode_streams,
@@ -41,12 +44,14 @@ from drr.errors import (
 from drr.learner import make_toy_dataset
 from drr.rans import (
     RANS_L,
+    STACK_OFFSET,
     AnsCoder,
     LaneCoder,
     PmfTable,
     QuantizedPmf,
     code_lengths,
     quantize_rows,
+    read_payload,
 )
 from drr.replay_store import (
     LatentModelPair,
@@ -69,6 +74,40 @@ def row(table, r):
 def potential(coder):
     """Information a scalar coder holds, in bits: stack plus log2(state)."""
     return 8.0 * len(coder.stack) + math.log2(coder.state)
+
+
+def payload_bytes(state, restored, stack):
+    """A coder payload of format 2 as its layout reads, for any 5-byte state:
+    magic, format version 2 (u16), length of the rest (u64), k (u16), the
+    state's five low bytes, then the stack; all little-endian."""
+    body = restored.to_bytes(2, "little") + state.to_bytes(5, "little") + bytes(stack)
+    return b"DRRB" + (2).to_bytes(2, "little") + len(body).to_bytes(8, "little") + body
+
+
+class ScalarCoder(AnsCoder):
+    """The scalar stream coder: an `AnsCoder` that notes the lowest height
+    its stack is popped to, its floor.  Its payload holds the stack from
+    the floor up and k = start - floor, the seeded bytes that pops read."""
+
+    __slots__ = ("start", "floor")
+
+    def __init__(self, state=RANS_L, stack=b""):
+        super().__init__(state, stack)
+        self.start = self.floor = len(self.stack)
+
+    def pop(self, pmf):
+        symbol = super().pop(pmf)
+        self.floor = min(self.floor, len(self.stack))
+        return symbol
+
+    def payload(self):
+        return payload_bytes(self.state, self.start - self.floor, self.stack[self.floor:])
+
+
+def lane_coder(lanes, lane):
+    """Lane `lane` of a `LaneCoder` as a scalar coder: its state and its
+    whole stack."""
+    return AnsCoder(int(lanes.state[lane]), lanes.stack[lane, :lanes.height[lane]].tobytes())
 
 
 def cost_bits(pmf, symbol):
@@ -169,7 +208,7 @@ def scalar_decode_blocks(coder, block_lens, tables, method):
 def scalar_encode_stream(sections, initial_bits, seed, method="bitswap"):
     """The scalar `encode_stream`, kept as the reference the lanes must match;
     under "bb" it is the plain bits-back reference, which no stream runs."""
-    coder = AnsCoder.with_random_bits(initial_bits, seed=seed)
+    coder = ScalarCoder.with_random_bits(initial_bits, seed=seed)
     start = potential(coder)
     low = start
     gross = returned = 0.0
@@ -182,7 +221,7 @@ def scalar_encode_stream(sections, initial_bits, seed, method="bitswap"):
             returned += trace.popped
             low = min(low, before - trace.peak_demand)
             count += len(np.atleast_1d(block))
-    return CompressedStream(payload=coder.serialize(), symbol_count=count,
+    return CompressedStream(payload=coder.payload(), symbol_count=count,
                             model_version=sections[0][1].model_version,
                             initial_bits=initial_bits, gross_bits=gross,
                             returned_bits=returned, peak_demand_bits=start - low)
@@ -190,7 +229,10 @@ def scalar_encode_stream(sections, initial_bits, seed, method="bitswap"):
 
 def scalar_decode_stream(stream, sections, method="bitswap"):
     """The scalar `decode_stream`, with its unwind checks, as the reference."""
-    coder = AnsCoder.deserialize(stream.payload)
+    state, restored, stack = read_payload(stream.payload)
+    if stream.initial_bits is not None and restored > stream.initial_bits // 8:
+        raise DataCorruptionError("restored")
+    coder = AnsCoder(state, stack)
     try:
         out = [scalar_decode_blocks(coder, lens, tables, method)
                for lens, tables in reversed(sections)]
@@ -201,7 +243,7 @@ def scalar_decode_stream(stream, sections, method="bitswap"):
         raise DataCorruptionError("symbol count")
     if coder.state != RANS_L:
         raise DataCorruptionError("state")
-    if stream.initial_bits is not None and len(coder.stack) != stream.initial_bits // 8:
+    if len(coder.stack) != restored:
         raise DataCorruptionError("stack")
     return out
 
@@ -241,7 +283,7 @@ class TestLaneCoder:
         rows = [QuantizedPmf(precision, f, c) for f, c in zip(freqs, cdf)]
         seeds = range(5)
         lanes = LaneCoder.with_random_bits(128, seeds)
-        coders = [AnsCoder.with_random_bits(128, seed) for seed in seeds]
+        coders = [ScalarCoder.with_random_bits(128, seed) for seed in seeds]
         for _ in range(200):
             which = rng.integers(0, len(rows), lanes.lanes)
             if rng.random() < 0.6:
@@ -252,7 +294,8 @@ class TestLaneCoder:
             else:
                 got = lanes.pop(which, table)
                 assert got.tolist() == [coder.pop(rows[r]) for coder, r in zip(coders, which)]
-            assert lanes.serialize() == [coder.serialize() for coder in coders]
+            assert [lane_coder(lanes, i) for i in range(lanes.lanes)] == coders
+            assert lanes.serialize() == [coder.payload() for coder in coders]
             assert lanes.potential().tolist() == [potential(coder) for coder in coders]
 
     def test_stack_grows_past_its_first_capacity(self):
@@ -262,7 +305,7 @@ class TestLaneCoder:
         for _ in range(400):
             lanes.push(np.array([1, 0]), np.zeros(2, dtype=np.int64), table)
             coders[0].push(1, QuantizedPmf(16, table.freqs, np.append(table.starts, 1 << 16)))
-        assert lanes.coders()[0].stack == coders[0].stack
+        assert lane_coder(lanes, 0).stack == coders[0].stack
         assert len(coders[0].stack) > 64
         for _ in range(400):
             assert lanes.pop(np.zeros(2, dtype=np.int64), table).tolist() == [1, 0]
@@ -270,7 +313,7 @@ class TestLaneCoder:
 
     def test_underflow_raises(self):
         table = PmfTable.from_freqs([[1, 3]], 2)
-        lanes = LaneCoder.deserialize([AnsCoder().serialize(), AnsCoder(state=0).serialize()])
+        lanes = LaneCoder.deserialize([AnsCoder().serialize(), AnsCoder(RANS_L + 1).serialize()])
         with pytest.raises(ExhaustedStreamError):
             lanes.pop(np.zeros(2, dtype=np.int64), table)
 
@@ -279,9 +322,12 @@ class TestLaneCoder:
             LaneCoder.with_random_bits(64, [])
 
 
+RAGGED_RESTORED = [0, 0, 5, 1, 2]  # k of each ragged payload
+
+
 def ragged_payloads():
     """Payloads of different stack heights, one of them empty, with states
-    moved off RANS_L by a few pushes."""
+    moved off RANS_L by a few pushes and three that restore seeded bytes."""
     table = PmfTable.from_freqs(quantize_rows([[0.7, 0.2, 0.1]], 12)[0], 12)
     coders = [AnsCoder.with_random_bits(bits, seed) for seed, bits in
               enumerate([64, 0, 1024, 8, 256])]
@@ -289,7 +335,8 @@ def ragged_payloads():
     for coder, pushes in zip(coders, [3, 0, 50, 1, 7]):
         for symbol in rng.integers(0, 3, pushes):
             coder.push(int(symbol), row(table, 0))
-    return [coder.serialize() for coder in coders]
+    return [payload_bytes(coder.state, k, coder.stack)
+            for coder, k in zip(coders, RAGGED_RESTORED)]
 
 
 def corrupted(payload, part):
@@ -302,6 +349,8 @@ def corrupted(payload, part):
         return payload[:-1]
     if part == "long":
         return payload + b"\0"
+    if part == "state":  # below RANS_L
+        return payload[:16] + bytes(5) + payload[21:]
     return payload[:10]  # "header": too short to hold its own header
 
 
@@ -312,11 +361,13 @@ class TestLaneDeserialize:
         scalar = [AnsCoder.deserialize(p) for p in payloads]
         assert lanes.height.tolist() == [len(c.stack) for c in scalar]
         assert 0 in lanes.height.tolist()
-        assert lanes.coders() == scalar
+        assert [lane_coder(lanes, i) for i in range(lanes.lanes)] == scalar
         assert [int(s) for s in lanes.state] == [c.state for c in scalar]
+        assert lanes.start.tolist() == RAGGED_RESTORED == [read_payload(p)[1] for p in payloads]
+        assert lanes.floor.tolist() == [0] * 5
         assert lanes.serialize() == payloads
 
-    @pytest.mark.parametrize("part", ["magic", "version", "short", "long", "header"])
+    @pytest.mark.parametrize("part", ["magic", "version", "short", "long", "state", "header"])
     @pytest.mark.parametrize("lane", [0, 1, 4])
     def test_bad_lane_fails_as_the_scalar_parse(self, part, lane):
         payloads = ragged_payloads()
@@ -381,13 +432,16 @@ def test_streams_match_scalar_reference(name, k, alphabets, block_len, precision
             reference = scalar_encode_stream(sections, 512, seed)
             assert same_stream(stream, reference)
             assert same_stream(encode_stream(sections, initial_bits=512, seed=seed), reference)
-        # one section: encode_blocks on an AnsCoder writes the stream's bytes
-        # and adds up its accounting
+        # one section: encode_blocks on an AnsCoder leaves the stream's state
+        # and stack on top of the seeded bytes no pop read, and adds up its
+        # accounting
         for lane, sections in enumerate(per_lane):
-            coder = AnsCoder.with_random_bits(512, seed=seeds[lane])
+            seeded = AnsCoder.with_random_bits(512, seed=seeds[lane])
+            coder = seeded.copy()
             stats = encode_blocks(coder, sections[0][0], tables, method="bitswap")
             alone = encode_stream(sections[:1], initial_bits=512, seed=seeds[lane])
-            assert alone.payload == coder.serialize()
+            state, restored, stack = read_payload(alone.payload)
+            assert coder == AnsCoder(state, seeded.stack[:64 - restored] + stack)
             assert (alone.gross_bits, alone.returned_bits, alone.net_bits) == \
                 (stats.gross_bits, stats.returned_bits, stats.net_bits)
 
@@ -461,20 +515,24 @@ class TestAdversarialPayloads:
 
     @staticmethod
     def variants(stream):
-        coder = AnsCoder.deserialize(stream.payload)
-        state, stack = coder.state, bytes(coder.stack)
-        raw = [(0, stack), ((1 << 64) - 1, stack), (1 << 32, stack), (state + 1, stack),
-               (state, stack[:-1]), (state, stack[1:]), (state, stack[:8]), (state, b""),
-               (state, stack + b"\x00"), (state, b"\x00" + stack), (state, stack + stack),
-               (state >> 8, stack + bytes([state & 0xFF]))]
+        state, k, stack = read_payload(stream.payload)
+        stack = bytes(stack)
+        raw = [(0, k, stack), ((1 << 40) - 1, k, stack), (1 << 32, k, stack),
+               (state + 1, k, stack), (state, k, stack[:-1]), (state, k, stack[1:]),
+               (state, k, stack[:8]), (state, k, b""), (state, k, stack + b"\x00"),
+               (state, k, b"\x00" + stack), (state, k, stack + stack),
+               (state >> 8, k, stack + bytes([state & 0xFF])),
+               (state, k + 1, stack), (state, max(k - 1, 0), stack), (state, 0, stack),
+               (state, 0xFFFF, stack)]
         rng = np.random.default_rng(0)
         for _ in range(40):
             flipped = bytearray(stack)
             flipped[rng.integers(len(flipped))] ^= 1 << int(rng.integers(8))
-            raw.append((state ^ int(rng.integers(2)) << int(rng.integers(40)), bytes(flipped)))
+            raw.append((state ^ int(rng.integers(2)) << int(rng.integers(40)), k,
+                        bytes(flipped)))
         out = []
-        for s, st in raw:
-            payload = AnsCoder(s, st).serialize()
+        for s, restored, st in raw:
+            payload = payload_bytes(s, restored, st)
             for initial_bits in (stream.initial_bits, None):
                 out.append(CompressedStream(payload=payload, symbol_count=stream.symbol_count,
                                             model_version=stream.model_version,
@@ -510,7 +568,7 @@ class TestAdversarialPayloads:
 
     def test_one_bad_stream_fails_the_batch(self):
         streams, sections = self.setup_streams()
-        bad = CompressedStream(payload=AnsCoder(0, b"").serialize(),
+        bad = CompressedStream(payload=payload_bytes(0, 0, b""),
                                symbol_count=streams[0].symbol_count,
                                model_version=streams[0].model_version)
         with pytest.raises(DataCorruptionError):
@@ -566,23 +624,56 @@ def pinned_streams(precision, method="bitswap"):
 
 
 @pytest.mark.parametrize("precision,digest", [
-    (12, "0c41327ea46a79f79b425162b7db0f62a8d3b46480210497ddeb6b850da633e9"),
-    (16, "a51c31d31e53fbe8660d88de0dd78583ae88604900895526026b2d64b0a9352f"),
+    (12, "c78db42dd7075b8085c39f890930141feb9d5c7d3147229139f486dcb08a77fd"),
+    (16, "17fe0b3b2075db0e5a2431b8825a8e5660312f10c03f81b1da7cf6a6fe1c30cd"),
 ])
 def test_stream_bytes_are_pinned(precision, digest):
     # Digests of the streams the scalar coder wrote; a coder change that
-    # moves a single byte of a stream fails here.
+    # moves a single byte of a stream fails here.  Re-taken for payload
+    # format 2: each stream rewritten in the format-1 layout, with the seeded
+    # bytes below its low-water mark put back, gives the earlier digest.
     assert pinned_streams(precision) == digest
 
 
 @pytest.mark.parametrize("precision,digest", [
-    (12, "c58cddf45501a0b570cf5b71f6ee1ebd6a186556547767252b055e52a32e6e6b"),
-    (16, "169fc26b2b62f056a5a9ddb1c5b5534cce686f2e04c18cf3a4d23ee75290c43c"),
+    (12, "e6cfe53ecb87a84b35922bc16b95c810422f0112b0384faa9c8a463e56ac4ce3"),
+    (16, "c1a1e3777aab775535c9b114e03d83b7dfd3e8cbebf1fe96510da46d10aa6839"),
 ])
 def test_plain_bits_back_bytes_are_pinned(precision, digest):
     # The plain bits-back digests the grid path wrote when it ran both
     # schedules; the scalar reference must still write the same bytes.
+    # Re-taken for payload format 2, as the Bit-Swap digests were.
     assert pinned_streams(precision, "bb") == digest
+
+
+def test_stream_flips_decode_identically_or_raise():
+    # Bit 0 or bit 7 flipped in any byte of a serialized toy stream either
+    # decodes the same grid or raises DataCorruptionError.  A payload holds
+    # only bytes its decoder reads, so the flips that decode the same grid
+    # lie in the bottom k stack bytes, which the decoder reads last and
+    # puts back as the seeded bytes, whose values it cannot check.
+    pair = LatentModelPair.seeded(32, (6, 4), 8, 0)
+    tables = pair.tables()
+    rng = np.random.default_rng(21)
+    shelves = [(rng.integers(0, 32, (1, 2, 2)).astype(np.int32),
+                rng.integers(0, 32, (1, 4, 4)).astype(np.int32)) for _ in range(4)]
+    streams = compress_shelves(shelves, pair, [[[5, i]] for i in range(len(shelves))])
+    for (top, bottom), [stream] in zip(shelves, streams):
+        data = serialize_stream(stream)
+        same = set()
+        for offset in range(len(data)):
+            for bit in (0, 7):
+                flipped = bytearray(data)
+                flipped[offset] ^= 1 << bit
+                try:
+                    grid = decompress_grid(deserialize_stream(bytes(flipped)), pair, (2, 2),
+                                           (4, 4), tables=tables)
+                except DataCorruptionError:
+                    continue
+                assert grid == CodeGrid(top=top[0], bottom=bottom[0]), (offset, bit)
+                same.add(offset)
+        bottom_byte = len(data) - len(stream.payload) + STACK_OFFSET
+        assert same <= set(range(bottom_byte, bottom_byte + read_payload(stream.payload)[1]))
 
 
 class TestBufferBatches:

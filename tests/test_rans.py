@@ -274,6 +274,28 @@ class TestRate:
         assert bits_per_symbol <= h + 0.1 + 64 / n
 
 
+class TestSeeding:
+    @pytest.mark.parametrize("n_bits", [0, 8, 24, 64, 256, 1024])
+    def test_seeded_bytes_are_the_generator_draw(self, n_bits):
+        # PCG64's raw words, little-endian and cut to length, are the bytes
+        # the generator's uint8 draw gives
+        seeds = [0, 7, 2**40 + 3, [3], [5, 0], [1, 2, 3]]
+        lanes = LaneCoder.with_random_bits(n_bits, seeds)
+        assert lanes.state.tolist() == [RANS_L] * len(seeds)
+        assert lanes.height.tolist() == [n_bits // 8] * len(seeds)
+        for lane, seed in enumerate(seeds):
+            expected = np.random.default_rng(seed).integers(0, 256, n_bits // 8, np.uint8)
+            assert lanes.stack[lane, :n_bits // 8].tobytes() == expected.tobytes()
+            assert AnsCoder.with_random_bits(n_bits, seed) == AnsCoder(stack=expected.tobytes())
+
+    @pytest.mark.parametrize("n_bits,seed", [(-8, 0), (12, 0), (64, -1), (64, [3, -1])])
+    def test_bad_arguments_rejected(self, n_bits, seed):
+        with pytest.raises(InvalidInputError):
+            AnsCoder.with_random_bits(n_bits, seed)
+        with pytest.raises(InvalidInputError):
+            LaneCoder.with_random_bits(n_bits, [0, seed])
+
+
 class TestSerialization:
     def test_round_trip_identity(self):
         rng = np.random.default_rng(13)
@@ -296,6 +318,32 @@ class TestSerialization:
         blob = AnsCoder.with_random_bits(64, seed=0).serialize()
         with pytest.raises(DataCorruptionError):
             AnsCoder.deserialize(blob[:-1])
+
+    def test_state_is_stored_in_five_bytes(self):
+        # magic, version 2, length 7 + stack, k = 0, then the state's low
+        # five bytes; its top three are zero in [2**32, 2**40)
+        coder = AnsCoder((1 << 40) - 2, b"\x01\x02")
+        blob = coder.serialize()
+        assert blob == (b"DRRB\x02\x00" + (9).to_bytes(8, "little") + b"\x00\x00"
+                        + ((1 << 40) - 2).to_bytes(5, "little") + b"\x01\x02")
+        assert coder.bit_length == 8 * (5 + 2)
+        assert AnsCoder.deserialize(blob) == coder
+
+    @pytest.mark.parametrize("state", [0, RANS_L - 1, RANS_L << 8])
+    def test_state_outside_the_interval_rejected(self, state):
+        with pytest.raises(InvalidInputError):
+            AnsCoder(state).serialize()
+        if state < RANS_L:  # a 5-byte field can hold it, but no coder leaves it
+            blob = bytearray(AnsCoder().serialize())
+            blob[16:21] = state.to_bytes(5, "little")
+            with pytest.raises(DataCorruptionError, match="below"):
+                AnsCoder.deserialize(bytes(blob))
+
+    def test_version_1_payload_rejected(self):
+        # the 8-byte-state layout before k and the trimmed stack
+        old = b"DRRB\x01\x00" + (8).to_bytes(8, "little") + RANS_L.to_bytes(8, "little")
+        with pytest.raises(DataCorruptionError, match="version 1"):
+            AnsCoder.deserialize(old)
 
 
 class TestCostAccounting:

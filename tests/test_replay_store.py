@@ -161,6 +161,14 @@ class TestPair:
         assert np.array_equal(back.top.p_obs, pair.top.p_obs)
         assert np.array_equal(back.bottom.q_obs, pair.bottom.q_obs)
 
+    def test_stored_levels_of_different_versions_rejected(self):
+        # The constructor's InvalidInputError is for in-memory misuse; a
+        # stored pair that disagrees is corrupt data.
+        data = bytearray(make_pair(seed=3, version=0).serialize())
+        data[7] ^= 1  # bit 0 of the top level's version
+        with pytest.raises(DataCorruptionError, match="versions 1 and 0"):
+            LatentModelPair.deserialize(bytes(data))
+
     def test_wrong_record_count_rejected(self):
         from drr.bits_back import serialize_models
         single = serialize_models([random_model(4, (3,), seed=0)])
@@ -296,6 +304,13 @@ class TestReplayBuffer:
                                random_model(bottom, (6, 4), block_len=4, seed=1))
         with pytest.raises(InvalidInputError, match="do not fit the codec"):
             ReplayBuffer(frozen_codec, pair)
+
+    @pytest.mark.parametrize("precision", [2, 4])
+    def test_precision_must_cover_every_alphabet(self, frozen_codec, precision):
+        # 32 codes need at least 2**5
+        with pytest.raises(InvalidInputError, match="cannot code the models' alphabet of 32"):
+            ReplayBuffer(frozen_codec, make_pair(), precision=precision)
+        assert ReplayBuffer(frozen_codec, make_pair(), precision=5).precision == 5
 
     def test_ingest_reconstruct_exact_codes(self, frozen_codec):
         buffer, reports = filled_buffer(frozen_codec)
@@ -436,6 +451,19 @@ class TestPersistence:
         with pytest.raises(DataCorruptionError):
             ReplayBuffer.load(str(tmp_path))
 
+    @pytest.mark.parametrize("name,offset,mask", [("index.txt", 3, 0x80),
+                                                  ("models.drrm", 7, 0x01)])
+    def test_flipped_byte_rejected(self, frozen_codec, tmp_path, name, offset, mask):
+        # byte 3 of the index stops being UTF-8; bit 0 of the model file's
+        # byte 7 sets the top level's version to 1 and leaves the bottom's 0
+        buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
+        buffer.save(str(tmp_path))
+        data = bytearray((tmp_path / name).read_bytes())
+        data[offset] ^= mask
+        (tmp_path / name).write_bytes(bytes(data))
+        with pytest.raises(DataCorruptionError):
+            ReplayBuffer.load(str(tmp_path))
+
     def test_missing_stream_file_rejected(self, frozen_codec, tmp_path):
         buffer, _ = filled_buffer(frozen_codec, n_classes=1)
         buffer.save(str(tmp_path))
@@ -455,6 +483,7 @@ class TestPersistence:
         "seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=bitswap loose",
         "seed=eleven precision=12 initial_bits=256 exemplars_per_class=5 method=bitswap",
         "seed=11 precision=40 initial_bits=256 exemplars_per_class=5 method=bitswap",
+        "seed=11 precision=2 initial_bits=256 exemplars_per_class=5 method=bitswap",
         None,
         "seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=bb",
     ])
@@ -606,10 +635,12 @@ class TestArrayReadPath:
 
     def test_mixed_buffer_is_pinned(self, mixed_buffer, tmp_path):
         # The refit reads the decoded buffer in shelf order, not grouped by
-        # geometry: that order is part of the fitted bits.
+        # geometry: that order is part of the fitted bits.  Re-taken for
+        # payload format 2: with every stream rewritten in the format-1 layout the
+        # directory gives the earlier digest.
         mixed_buffer.save(str(tmp_path))
         assert directory_digest(tmp_path) == (
-            "c0fc0f965ae032e82d899ef639ff168637f0ad682f0ff542cbcde58b3d96ebe6")
+            "0a802a9b852def60ef459ef5532f1875203bd584e5e654055c253438d6d52ec1")
         recon = ReplayBuffer.load(str(tmp_path)).reconstruct_all()
         assert hashlib.sha256(b"".join(recon[label].tobytes() for label in recon)).hexdigest() == (
             "f60d81cb9d414aebab3a7c5818a17b29862d1f29e4c4b07ed15603878dfd126d")
@@ -648,7 +679,8 @@ class TestSavedBufferPin:
         # so a change in the refit's block order moves the models and every
         # stream.  Taken when the refit joined two block lists, new classes
         # first; the codec's float64 weights depend on BLAS rounding, so
-        # another BLAS build may need a new digest.
+        # another BLAS build may need a new digest.  Re-taken for payload
+        # format 2, as the mixed buffer's was.
         buffer = ReplayBuffer(frozen_codec, make_pair(seed=21), exemplars_per_class=4, seed=11)
         for phase in ((0, 1), (2, 3)):
             buffer.ingest_phase({label: toy_images(10, seed=30 + label) for label in phase},
@@ -657,7 +689,7 @@ class TestSavedBufferPin:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "codec.drrc", "index.txt", "models.drrm", "streams"]
         assert directory_digest(tmp_path) == (
-            "c051b5caf2e53802bb9821f0f78e832b4abbd6b411840b8c71acc2c300abdf7b")
+            "877596298723857661bf604eedf058e8740c9425cfde5a7644eaef3d63215fbe")
 
 
 class TestIndexPaths:
