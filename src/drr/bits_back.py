@@ -40,6 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .container import seal, unseal
 from .errors import (
     DataCorruptionError,
     ExhaustedStreamError,
@@ -61,12 +62,12 @@ from .rans import (  # noqa: F401
 )
 
 MODEL_MAGIC = b"DRRM"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 STREAM_MAGIC = b"DRRS"
+STREAM_FORMAT_VERSION = 3
 
-_MODEL_HEAD = struct.Struct("<4sHB")  # magic, format version, record count
 _MODEL_RECORD = struct.Struct("<IHIH")  # model version, levels, obs alphabet, block length
-_STREAM_HEAD = struct.Struct("<4sIQ")  # magic, model version, symbol count
+_STREAM_RECORD = struct.Struct("<IQ")  # model version, symbol count; the payload follows
 
 DEFAULT_BLOCK_LEN = 16
 DEFAULT_INITIAL_BITS = 256
@@ -586,7 +587,7 @@ def decode_streams(streams, sections) -> list[list[np.ndarray]]:
                     f"got tables for version {tables.model_version}")
         if decoded != stream.symbol_count:
             raise DataCorruptionError(
-                f"decoding {decoded} symbols, stream header says {stream.symbol_count}")
+                f"decoding {decoded} symbols, stream record says {stream.symbol_count}")
         if stream.initial_bits is not None and restored > stream.initial_bits // 8:
             raise DataCorruptionError(
                 f"stream restores {restored} seeded bytes, more than the "
@@ -631,8 +632,8 @@ def decode_stream(stream: CompressedStream, sections) -> list[list[np.ndarray]]:
     the final state must be the fresh state RANS_L and the stack must hold
     exactly the k seeded bytes the payload says it restores.  When the
     stream carries its `initial_bits`, k must not exceed initial_bits // 8.
-    This catches most corruption but not all of it: full integrity needs a
-    CRC32 of the payload, which the stream format does not carry yet.
+    These checks catch wrong tables and a wrong symbol count; damage to a
+    stream file is caught by its checksum when it is read back.
     """
     return [[block[0] for block in blocks]
             for blocks in decode_streams([stream], sections)]
@@ -664,15 +665,19 @@ class CompressedStream:
 
 
 def serialize_stream(stream: CompressedStream) -> bytes:
-    return _STREAM_HEAD.pack(STREAM_MAGIC, stream.model_version, stream.symbol_count) + stream.payload
+    """Stream file: the container, then the model version (u32), the symbol
+    count (u64) and the coder payload."""
+    return seal(STREAM_MAGIC, STREAM_FORMAT_VERSION,
+                _STREAM_RECORD.pack(stream.model_version, stream.symbol_count) + stream.payload)
 
 
 def deserialize_stream(data: bytes) -> CompressedStream:
-    if len(data) < _STREAM_HEAD.size or data[:4] != STREAM_MAGIC:
-        raise DataCorruptionError("bad stream magic")
-    _, model_version, symbol_count = _STREAM_HEAD.unpack_from(data)
-    payload = data[_STREAM_HEAD.size:]
-    read_payload(payload)  # validates the nested bitstream
+    body = unseal(data, STREAM_MAGIC, STREAM_FORMAT_VERSION, "stream")
+    if len(body) < _STREAM_RECORD.size:
+        raise DataCorruptionError("stream file too short for its record")
+    model_version, symbol_count = _STREAM_RECORD.unpack_from(body)
+    payload = bytes(body[_STREAM_RECORD.size:])
+    read_payload(payload)  # validates the coder payload
     return CompressedStream(payload=payload, symbol_count=symbol_count,
                             model_version=model_version)
 
@@ -778,13 +783,14 @@ def finetune(model: LatentChainModel, blocks, config: FitConfig = FitConfig()) -
 def serialize_models(models) -> bytes:
     """Snapshot file holding one or more models (little-endian float64).
 
-    Layout: the snapshot header, then per model its record header, its
-    level alphabets (u32 each) and its tables in `table_shapes` order.
+    Layout: the container, the record count (u8), then per model its
+    record header, its level alphabets (u32 each) and its tables in
+    `table_shapes` order.
     """
     models = list(models)
     if not 1 <= len(models) <= 255:
         raise InvalidInputError("snapshot must hold between 1 and 255 models")
-    out = [_MODEL_HEAD.pack(MODEL_MAGIC, MODEL_FORMAT_VERSION, len(models))]
+    out = [bytes([len(models)])]
     for model in models:
         model.validate()
         out.append(_MODEL_RECORD.pack(model.version, model.levels,
@@ -792,19 +798,15 @@ def serialize_models(models) -> bytes:
         out.append(np.asarray(model.alphabets, dtype="<u4").tobytes())
         for _, table in model.tables():
             out.append(np.ascontiguousarray(table, dtype="<f8").tobytes())
-    return b"".join(out)
+    return seal(MODEL_MAGIC, MODEL_FORMAT_VERSION, b"".join(out))
 
 
 def deserialize_models(data: bytes) -> list[LatentChainModel]:
-    if len(data) < _MODEL_HEAD.size or data[:4] != MODEL_MAGIC:
-        raise DataCorruptionError("bad model snapshot magic")
-    _, fmt_version, count = _MODEL_HEAD.unpack_from(data)
-    if fmt_version != MODEL_FORMAT_VERSION:
-        raise DataCorruptionError(f"unsupported model format version {fmt_version}")
-    offset = _MODEL_HEAD.size
+    data = unseal(data, MODEL_MAGIC, MODEL_FORMAT_VERSION, "model snapshot")
+    offset = 1
     models = []
     try:
-        for _ in range(count):
+        for _ in range(data[0]):
             version, levels, k, block_len = _MODEL_RECORD.unpack_from(data, offset)
             offset += _MODEL_RECORD.size
             alphabets = np.frombuffer(data, dtype="<u4", count=levels, offset=offset).tolist()

@@ -28,6 +28,7 @@ from .bits_back import (
     fit,
     serialize_stream,
 )
+from .container import kind
 from .errors import (
     DataCorruptionError,
     DegenerateInputError,
@@ -71,7 +72,7 @@ from .vq_codec import (
 
 IMAGE_SUFFIX = ".img"
 IMAGE_HEAD = struct.Struct("<III")  # height, width, channels
-STREAM_SET_HEADER = "drr-stream-set 1"
+STREAM_SET_HEADER = "drr-stream-set 2"
 RESULTS_HEADER = "drr-results 1"
 BAD_ALPHABETS = "bad alphabets {!r}; expected positive integers such as 16,8"
 
@@ -165,7 +166,7 @@ def cmd_compress(args) -> int:
         print(f"wrote model pair to {args.model}")
 
     os.makedirs(args.out, exist_ok=True)
-    lines = [STREAM_SET_HEADER]
+    lines = [STREAM_SET_HEADER, f"precision={args.precision} initial_bits={args.initial_bits}"]
     net = 0.0
     symbols = 0
     payload = 0
@@ -179,8 +180,7 @@ def cmd_compress(args) -> int:
         source = os.path.basename(path)
         lines.append(f"stream file={name} source={source} "
                      f"top={top.shape[1]},{top.shape[2]} "
-                     f"bottom={bottom.shape[1]},{bottom.shape[2]} "
-                     f"symbols={stream.symbol_count} version={stream.model_version}")
+                     f"bottom={bottom.shape[1]},{bottom.shape[2]}")
         net += stream.net_bits
         symbols += stream.symbol_count
         payload += len(blob)
@@ -202,8 +202,18 @@ def cmd_decompress(args) -> int:
     lines = [ln.strip() for ln in read_lines(index_path) if ln.strip()]
     if not lines or lines[0] != STREAM_SET_HEADER:
         raise DataCorruptionError(f"{index_path}: bad stream-set header")
+    if len(lines) < 2:
+        raise DataCorruptionError(f"{index_path}: no options line")
+    opts = parse_record(lines[1], None, ("precision", "initial_bits"))
+    try:
+        precision, initial_bits = int(opts["precision"]), int(opts["initial_bits"])
+        pair.check_precision(precision)
+        if initial_bits < 0 or initial_bits % 8:
+            raise ValueError(f"initial_bits {initial_bits} is not a nonnegative multiple of 8")
+    except ValueError as exc:
+        raise DataCorruptionError(f"{index_path}: bad stream-set options: {exc}") from exc
     entries = [parse_record(line, "stream", ("file", "source", "top", "bottom"))
-               for line in lines[1:]]
+               for line in lines[2:]]
     for entry in entries:
         for key in ("file", "source"):
             check_plain_name(entry[key], f"{index_path}: {key}")
@@ -219,9 +229,11 @@ def cmd_decompress(args) -> int:
     streams = []
     for entry in entries:
         with open(os.path.join(args.in_dir, entry["file"]), "rb") as f:
-            streams.append(deserialize_stream(f.read()))
+            stream = deserialize_stream(f.read())
+        stream.initial_bits = initial_bits
+        streams.append(stream)
     indices = decompress_shelves([[stream] for stream in streams], shapes, pair,
-                                 precision=args.precision)
+                                 precision=precision)
     os.makedirs(args.out, exist_ok=True)
     for entry, (top, bottom) in zip(entries, indices):
         write_image(os.path.join(args.out, entry["source"]), decode_indices(top, bottom, codec)[0])
@@ -409,7 +421,7 @@ def cmd_report(args) -> int:
 def cmd_inspect(args) -> int:
     with open(args.file, "rb") as f:
         data = f.read()
-    magic = data[:4]
+    magic = kind(data)
     if magic == CODEC_MAGIC:
         codec = deserialize_codec(data)
         k, d = codec.codebook_bottom.shape
@@ -484,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_dir", required=True,
                    help="stream directory with index.txt")
     p.add_argument("--out", required=True, help="output image directory")
-    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p.set_defaults(func=cmd_decompress)
 
     p = sub.add_parser("run-phases", help="run a phased experiment on toy data")

@@ -16,7 +16,12 @@ the state's five low bytes (the three above them are always zero).
 manner of interleaved rANS: a uint64 state vector, one 2-D byte stack with
 a height per lane, and every lane coding against its own row of a
 `PmfTable`.  Lane i holds exactly the state and stack an `AnsCoder` would,
-so `AnsCoder` remains the scalar reference.  A lane's payload stores only
+so `AnsCoder` remains the scalar reference.
+
+A coder payload is k (u16), the state's five low bytes, then the byte
+stack, bottom first; `read_payload` is its one reader.  It has no header
+of its own: the file that stores it (a stream file, `bits_back`) gives
+its kind, version, length and checksum.  A lane's payload stores only
 what its decoder reads: the stack above the lowest height the lane was
 popped to, and the count k of seeded bytes the encoder read, which the
 decoder puts back at its end.
@@ -45,11 +50,8 @@ DEFAULT_PRECISION = 12
 MIN_PRECISION = 2
 MAX_PRECISION = 16
 
-STREAM_MAGIC = b"DRRB"
-STREAM_FORMAT_VERSION = 2
-_HEAD = struct.Struct("<4sHQ")  # magic, format version, payload length
-# After the header: k, the count of seeded bytes the decoder restores at its
-# end, then the state's five low bytes.  The byte stack follows.
+# k, the count of seeded bytes the decoder restores at its end, then the
+# state's five low bytes.  The byte stack follows.
 _BODY = struct.Struct("<H5s")
 _STATE_BYTES = 5
 _MAX_RESTORED = (1 << 16) - 1  # the largest k a payload holds
@@ -224,30 +226,23 @@ class PmfTable:
         return self.costs[rows * self.alphabet + symbols]
 
 
-STACK_OFFSET = _HEAD.size + _BODY.size  # where a payload's byte stack starts
-
-
 def read_payload(data: bytes) -> tuple[int, int, memoryview]:
     """(state, k, stack) of a coder payload: the coder state, the count k of
     seeded bytes its decoder restores at its end, and the stored byte stack,
-    data[STACK_OFFSET:], bottom first.
+    bottom first, which follows them.
 
-    The one check of a payload's magic, format version, length and state,
-    shared by every reader; DataCorruptionError if any is wrong.  A state
-    below RANS_L is one no coder leaves, so it is rejected here.
+    The one check of a payload's length and state, shared by every reader;
+    DataCorruptionError if either is wrong.  A state below RANS_L is one no
+    coder leaves, so it is rejected here.
     """
-    if len(data) < _HEAD.size or data[:4] != STREAM_MAGIC:
-        raise DataCorruptionError("bad bitstream magic")
-    _, version, payload_len = _HEAD.unpack_from(data)
-    if version != STREAM_FORMAT_VERSION:
-        raise DataCorruptionError(f"unsupported bitstream format version {version}")
-    if len(data) != _HEAD.size + payload_len or payload_len < _BODY.size:
-        raise DataCorruptionError("bitstream length mismatch")
-    restored, state = _BODY.unpack_from(data, _HEAD.size)
+    if len(data) < _BODY.size:
+        raise DataCorruptionError(
+            f"coder payload is {len(data)} bytes, shorter than its {_BODY.size}-byte k and state")
+    restored, state = _BODY.unpack_from(data)
     state = int.from_bytes(state, "little")
     if state < RANS_L:
-        raise DataCorruptionError(f"bitstream state {state:#x} below {RANS_L:#x}")
-    return state, restored, memoryview(data)[STACK_OFFSET:]
+        raise DataCorruptionError(f"coder state {state:#x} below {RANS_L:#x}")
+    return state, restored, memoryview(data)[_BODY.size:]
 
 
 def _payload(state: int, restored: int, stack) -> bytes:
@@ -257,9 +252,7 @@ def _payload(state: int, restored: int, stack) -> bytes:
     if restored > _MAX_RESTORED:
         raise InvalidInputError(
             f"{restored} seeded bytes to restore; a payload holds at most {_MAX_RESTORED}")
-    body = _BODY.pack(restored, state.to_bytes(_STATE_BYTES, "little"))
-    return (_HEAD.pack(STREAM_MAGIC, STREAM_FORMAT_VERSION, len(body) + len(stack))
-            + body + bytes(stack))
+    return _BODY.pack(restored, state.to_bytes(_STATE_BYTES, "little")) + bytes(stack)
 
 
 def _seeded_bytes(n_bits: int, seeds) -> np.ndarray:
@@ -333,8 +326,8 @@ class AnsCoder:
         return symbol
 
     def serialize(self) -> bytes:
-        """Flush to bytes: magic, format version, payload length, k = 0,
-        the state's five low bytes, then the whole stack.
+        """Flush to bytes: k = 0, the state's five low bytes, then the
+        whole stack.
 
         The stack is stored bottom first, so the most recently emitted byte
         is last.  All integers are little-endian.

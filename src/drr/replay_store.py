@@ -268,8 +268,12 @@ class LatentModelPair:
         return LatentModelPair(self.top.copy(), self.bottom.copy())
 
     def check_precision(self, precision: int) -> None:
-        """InvalidInputError unless 2**precision covers every alphabet of
-        both levels, as the coder's quantized tables need."""
+        """InvalidInputError unless precision is one the coder takes and
+        2**precision covers every alphabet of both levels, as the coder's
+        quantized tables need."""
+        if not MIN_PRECISION <= precision <= MAX_PRECISION:
+            raise InvalidInputError(
+                f"precision {precision} outside [{MIN_PRECISION}, {MAX_PRECISION}]")
         widest = max(max(model.obs_alphabet, *model.alphabets)
                      for model in (self.top, self.bottom))
         if widest > 1 << precision:
@@ -440,9 +444,6 @@ class ReplayBuffer:
                  seed: int = 0):
         if exemplars_per_class < 1:
             raise InvalidInputError("need at least one exemplar per class")
-        if not MIN_PRECISION <= precision <= MAX_PRECISION:
-            raise InvalidInputError(
-                f"precision {precision} outside [{MIN_PRECISION}, {MAX_PRECISION}]")
         if initial_bits < 0 or initial_bits % 8:
             raise InvalidInputError("initial_bits must be a nonnegative multiple of 8")
         check_seed(seed)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .container import seal, unseal
 from .errors import (
     DataCorruptionError,
     DegenerateInputError,
@@ -30,10 +31,10 @@ from .errors import (
 )
 
 CODEC_MAGIC = b"DRRC"
-CODEC_FORMAT_VERSION = 1
-# Codec header: magic, format version, patch, pool, channels, codebook size,
-# embed dim, frozen flag, beta; the weights follow.
-_CODEC_HEAD = struct.Struct("<4sHIIIIIBd")
+CODEC_FORMAT_VERSION = 2
+# Codec geometry: patch, pool, channels, codebook size, embed dim, frozen
+# flag, beta; the weights follow.
+_CODEC_GEOMETRY = struct.Struct("<IIIIIBd")
 _GRID_HEAD = struct.Struct("<IIII")  # top grid shape, bottom grid shape
 
 DEFAULT_CODEBOOK_SIZE = 512
@@ -517,26 +518,26 @@ def mean_reconstruction_error(dataset, params: CodecParams) -> float:
 # -- serialization ----------------------------------------------------------
 
 def serialize_codec(params: CodecParams) -> bytes:
-    """Codec file: magic, format version, geometry header, weights,
+    """Codec file: the container, then the geometry, the weights and the
     codebooks last.  Matrices are little-endian float64."""
-    head = _CODEC_HEAD.pack(CODEC_MAGIC, CODEC_FORMAT_VERSION, params.patch, params.pool,
-                            params.channels, params.codebook_size, params.embed_dim,
-                            1 if params.frozen else 0, params.beta)
-    return head + b"".join(np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes()
-                           for name in params.weight_fields())
+    head = _CODEC_GEOMETRY.pack(params.patch, params.pool, params.channels,
+                                params.codebook_size, params.embed_dim,
+                                1 if params.frozen else 0, params.beta)
+    return seal(CODEC_MAGIC, CODEC_FORMAT_VERSION, head + b"".join(
+        np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes()
+        for name in params.weight_fields()))
 
 
 def deserialize_codec(data: bytes) -> CodecParams:
-    if len(data) < _CODEC_HEAD.size or data[:4] != CODEC_MAGIC:
-        raise DataCorruptionError("bad codec magic")
-    _, version, patch, pool, channels, k, d, frozen, beta = _CODEC_HEAD.unpack_from(data)
-    if version != CODEC_FORMAT_VERSION:
-        raise DataCorruptionError(f"unsupported codec format version {version}")
+    data = unseal(data, CODEC_MAGIC, CODEC_FORMAT_VERSION, "codec")
+    if len(data) < _CODEC_GEOMETRY.size:
+        raise DataCorruptionError("codec file too short for its geometry")
+    patch, pool, channels, k, d, frozen, beta = _CODEC_GEOMETRY.unpack_from(data)
     if frozen not in (0, 1):
         raise DataCorruptionError(f"codec frozen flag is {frozen}, expected 0 or 1")
     _check_geometry(patch, pool, channels, k, d, DataCorruptionError)
     shapes = weight_shapes(patch * patch * channels, d, k)
-    offset = _CODEC_HEAD.size
+    offset = _CODEC_GEOMETRY.size
     if len(data) != offset + 8 * sum(int(np.prod(s)) for s in shapes.values()):
         raise DataCorruptionError("codec file length mismatch")
     fields = {}

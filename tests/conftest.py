@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+from drr.container import seal, unseal
+
 # Tests that run `python -m drr.cli` in a subprocess import the same source
 # tree as the tests themselves, installed or not.
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -42,3 +44,13 @@ def scalar_pmf_quantize(probs, precision):
 @pytest.fixture
 def reference_quantize():
     return scalar_pmf_quantize
+
+
+def resealed(data, edit):
+    """Sealed file `data` with `edit` applied to a mutable copy of its body
+    and the checksum made valid again, so that the file's reader gets past
+    the container and reaches the check under test."""
+    magic, version = bytes(data[:4]), int.from_bytes(data[4:6], "little")
+    body = bytearray(unseal(data, magic, version, "sealed"))
+    edit(body)
+    return seal(magic, version, bytes(body))

@@ -16,6 +16,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from conftest import resealed
 from test_lanes import row, scalar_decode_blocks
 
 from drr.bits_back import (
@@ -46,7 +47,7 @@ from drr.errors import (
     InsufficientInitialBitsError,
     InvalidInputError,
 )
-from drr.rans import AnsCoder, PmfTable, QuantizedPmf, quantize_rows, read_payload
+from drr.rans import RANS_L, AnsCoder, PmfTable, QuantizedPmf, quantize_rows, read_payload
 from drr.replay_store import LatentModelPair
 
 LN2 = math.log(2.0)
@@ -529,12 +530,28 @@ class TestStreams:
     def test_corrupt_stream_rejected(self):
         model, blocks = self.make_fitted(seed=3)
         tables = build_coding_tables(model)
-        data = bytearray(serialize_stream(encode_stream([(blocks[:4], tables)])))
+        good = serialize_stream(encode_stream([(blocks[:4], tables)]))
+        data = bytearray(good)
         data[:4] = b"XXXX"
-        with pytest.raises(DataCorruptionError):
+        with pytest.raises(DataCorruptionError, match="magic"):
             deserialize_stream(bytes(data))
-        with pytest.raises(DataCorruptionError):
+        with pytest.raises(DataCorruptionError, match="shorter than its header"):
             deserialize_stream(b"DRRS\x00")
+        # Past a valid checksum, the stream's own checks: a body too short
+        # for the record or for the payload's k and state, and a state no
+        # coder leaves.  The record is 12 bytes; k and the state follow.
+        for length, match in ((11, "too short for its record"), (18, "shorter than its 7-byte")):
+            def cut(body, length=length):
+                del body[length:]
+
+            with pytest.raises(DataCorruptionError, match=match):
+                deserialize_stream(resealed(good, cut))
+
+        def low_state(body):
+            body[14:19] = (RANS_L - 1).to_bytes(5, "little")
+
+        with pytest.raises(DataCorruptionError, match="below"):
+            deserialize_stream(resealed(good, low_state))
 
     def test_tampered_symbol_count_detected(self):
         model, blocks = self.make_fitted(seed=3)
@@ -558,7 +575,7 @@ class TestStreams:
         lens = [len(b) for b in blocks]
         stream = encode_stream([(blocks, tables)], initial_bits=256, seed=5)
         silent = 0
-        for byte in range(14, len(stream.payload)):  # past the coder header
+        for byte in range(len(stream.payload)):
             for bit in range(8):
                 data = bytearray(stream.payload)
                 data[byte] ^= 1 << bit
@@ -594,7 +611,7 @@ class TestStreams:
         assert all(np.array_equal(x, y) for x, y in zip(out[0], blocks[:6]))
         for wrong in (restored - 1, restored + 1):
             payload = bytearray(back.payload)
-            payload[14:16] = wrong.to_bytes(2, "little")  # k follows the 14-byte header
+            payload[0:2] = wrong.to_bytes(2, "little")  # k leads the payload
             with pytest.raises(DataCorruptionError, match="unwound"):
                 decode_stream(replace(back, payload=bytes(payload)), [(lens, tables)])
 
@@ -703,13 +720,24 @@ class TestModelSnapshots:
     def test_truncation_rejected(self):
         model = random_model(4, (3,), block_len=2, seed=0)
         data = serialize_models([model])
-        with pytest.raises(DataCorruptionError):
+        with pytest.raises(DataCorruptionError, match="checksum"):
             deserialize_models(data[:len(data) // 2])
+
+        def halve(body):
+            del body[len(body) // 2:]
+
+        with pytest.raises(DataCorruptionError, match="truncated or inconsistent"):
+            deserialize_models(resealed(data, halve))
+        with pytest.raises(DataCorruptionError, match="truncated or inconsistent"):
+            deserialize_models(resealed(data, bytearray.clear))
 
     def test_trailing_bytes_rejected(self):
         model = random_model(4, (3,), block_len=2, seed=0)
-        with pytest.raises(DataCorruptionError):
-            deserialize_models(serialize_models([model]) + b"\x00")
+        data = serialize_models([model])
+        with pytest.raises(DataCorruptionError, match="checksum"):
+            deserialize_models(data + b"\x00")
+        with pytest.raises(DataCorruptionError, match="trailing bytes"):
+            deserialize_models(resealed(data, lambda body: body.append(0)))
 
     def test_empty_snapshot_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -729,24 +757,25 @@ def pinned_block_coding(method, precision):
 
 class TestScalarReference:
     @pytest.mark.parametrize("method,precision,pinned", [
-        ("bitswap", 12, ("08da6faf00481bf18a063be8f7c92d5d26d040c7e9d3eeede17ebc6543fd5e0d",
+        ("bitswap", 12, ("ec91543c0d3d96195e0fce5dddb910a31e3dede0f2a7ba0600f7dfe43614fb4f",
                          "494.96263977927487", "98.29180036046607", "3.870716979131771",
                          "396.6708394188088")),
-        ("bitswap", 16, ("db8b40092caa697b01d371bdcb9a78003dfcf81ff580effe459b1be12fdad058",
+        ("bitswap", 16, ("f135f0b515529ea205e40d602c65bfe7f3efc23a7288c5688d4f2ff148926a67",
                          "502.648867505594", "80.37065883418774", "3.081882398602488",
                          "422.2782086714063")),
-        ("bb", 12, ("4bf1fee7f7d3b0abaac2f6ec2e07d72d0ccffd12383e31582d7cc527c483a49a",
+        ("bb", 12, ("552642f2738dcfb8fed3bbd2b1c9ecdd5a45f77eb05c10a8c82b1a2a56d0675a",
                     "491.3050780178623", "93.64732578168423", "7.657901380468957",
                     "397.65775223617806")),
-        ("bb", 16, ("9a87a72fe999b3a77097c504587133b4092e73713a076a7c4e8d80fb1b5a223d",
+        ("bb", 16, ("a420c31bc35288ba4783111a279e6d674aefbb823b275c4f9a3bd9a04488142b",
                     "492.75715461508895", "96.76993628124339", "7.008106260575005",
                     "395.9872183338456")),
     ])
     def test_block_coding_is_pinned(self, method, precision, pinned):
         # The coder's bytes and accounting floats at fixed seeds, written
         # when a scalar block coder ran `encode_blocks`; they must not move.
-        # The digests are of payload format 2: written in the format-1 layout, the
-        # same coders give the digests the scalar block coder wrote.
+        # The digests are of the headerless payload (k, state, stack): with
+        # the format-1 header put back the same coders give the digests the
+        # scalar block coder wrote.
         assert pinned_block_coding(method, precision) == pinned
 
     def test_unknown_method_rejected_everywhere(self):
@@ -1081,8 +1110,11 @@ class TestValidate:
     ])
     def test_corrupt_snapshot_fails_as_before(self, value, cause):
         data = serialize_models([three_level_model()])
-        # The file ends with the last entry of its last table.
-        bad = data[:-8] + struct.pack("<d", value)
+
+        def last_entry(body):  # the file ends with the last entry of its last table
+            body[-8:] = struct.pack("<d", value)
+
+        bad = resealed(data, last_entry)
         with pytest.raises(DataCorruptionError,
                            match=r"^model snapshot truncated or inconsistent$") as info:
             deserialize_models(bad)
@@ -1201,11 +1233,13 @@ class TestTableLayout:
 
 class TestSnapshotPins:
     # Taken before the table layout was declared once, in `table_shapes`: a
-    # reordered draw or table moves these bytes.
+    # reordered draw or table moves these bytes.  Re-taken for model format
+    # 2, the checked container: with the format-1 header put back, the
+    # same snapshots give the earlier digests.
     @pytest.mark.parametrize("obs, alphabets, block_len, seed, pinned", [
-        (16, (5,), 4, 3, "670e3ed8ee2ae81371f4a51734655354e946f5e28dd53b75c41cb461f1b4a055"),
-        (32, (6, 4), 8, 7, "acd727df0b5f7117fc033fbe5d7e55d49bcfe7883940cb69ad05ce0b07fbd1ee"),
-        (512, (8,) * 8, 16, 1, "c4581a30f9cfa361d0527ef50a3b0d6ffa8a61f604d857533e17bb204b8f854a"),
+        (16, (5,), 4, 3, "5fae465566aaa5780758603d93c10dc2411e8a6e5a513bc9240799a96930b460"),
+        (32, (6, 4), 8, 7, "e02694e6aa06dfc7af7e5e89eca9937b99486cd7e700f2d485eee49899b6c2b0"),
+        (512, (8,) * 8, 16, 1, "ccdc5ed7e7c3e39452a08d4cbc8165ef23c0486795ed1b540a6e1104b1ffb5f4"),
     ])
     def test_random_model_snapshot_is_pinned(self, obs, alphabets, block_len, seed, pinned):
         model = random_model(obs, alphabets, block_len=block_len, seed=seed, version=2)

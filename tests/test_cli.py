@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import resealed
 from drr.bits_back import DEFAULT_INITIAL_BITS, encode_stream, encode_streams
 from drr.cli import (
     BAD_ALPHABETS,
@@ -22,6 +23,7 @@ from drr.cli import (
     read_image,
     write_image,
 )
+from drr.container import seal
 from drr.errors import DataCorruptionError, InvalidInputError
 from drr.learner import DEFAULT_IB_WEIGHT, LatentSpec, TrainConfig
 from drr.replay_store import (
@@ -31,6 +33,8 @@ from drr.replay_store import (
     parse_positive_ints,
 )
 from drr.vq_codec import (
+    CODEC_FORMAT_VERSION,
+    CODEC_MAGIC,
     CodecConfig,
     decode_codes,
     deserialize_codec,
@@ -194,8 +198,9 @@ class TestCompressDecompress:
         assert sum(n.endswith(".drrs") for n in names) == 10
         with open(os.path.join(compressed["out"], "index.txt")) as f:
             lines = f.read().splitlines()
-        assert lines[0] == "drr-stream-set 1"
-        assert len(lines) == 11
+        assert lines[:2] == ["drr-stream-set 2", "precision=12 initial_bits=256"]
+        assert len(lines) == 12
+        assert lines[2] == "stream file=stream_0000.drrs source=img_000.img top=2,2 bottom=4,4"
 
     def test_reports_bits_per_code_below_sixteen(self, workspace, compressed,
                                                  tmp_path, capsys):
@@ -223,6 +228,48 @@ class TestCompressDecompress:
             restored = read_image(os.path.join(recon_dir, name))
             assert np.max(np.abs(restored - expected)) <= 0.5 / 255
 
+    def test_precision_is_read_from_the_index(self, workspace, compressed, tmp_path, capsys):
+        # A set compressed at precision 16 decompresses with no precision
+        # flag to what the codec gives: the index says how it was coded.
+        streams, recon = str(tmp_path / "s16"), str(tmp_path / "recon")
+        assert main(["compress", "--codec", workspace["codec"], "--model", compressed["model"],
+                     "--in", workspace["data"], "--out", streams, "--precision", "16",
+                     "--seed", "9"]) == EXIT_OK
+        with open(os.path.join(streams, "index.txt")) as f:
+            assert f.read().splitlines()[1] == "precision=16 initial_bits=256"
+        decompress = ["decompress", "--codec", workspace["codec"], "--model", compressed["model"],
+                      "--in", streams, "--out", recon]
+        assert main(decompress) == EXIT_OK
+        with open(workspace["codec"], "rb") as f:
+            codec = deserialize_codec(f.read())
+        for name in sorted(os.listdir(workspace["data"])):
+            original = read_image(os.path.join(workspace["data"], name))
+            expected = decode_codes(encode_image(original, codec), codec)
+            assert np.max(np.abs(read_image(os.path.join(recon, name)) - expected)) <= 0.5 / 255
+        assert main(decompress + ["--precision", "12"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("options, message", [
+        (None, "malformed field 'stream'"),  # the first stream line read as options
+        ("precision=12", "missing initial_bits"),
+        ("precision=x initial_bits=256", "bad stream-set options"),
+        ("precision=17 initial_bits=256", "precision 17 outside"),
+        ("precision=12 initial_bits=12", "not a nonnegative multiple of 8"),
+        # k, the seeded bytes a stream restores, may not exceed initial_bits // 8
+        ("precision=12 initial_bits=0", "more than the 0 it was seeded with"),
+    ])
+    def test_bad_options_line_is_corrupt(self, workspace, compressed, tmp_path, capsys,
+                                         options, message):
+        streams = tmp_path / "streams"
+        shutil.copytree(compressed["out"], streams)
+        index = streams / "index.txt"
+        lines = index.read_text().splitlines()
+        lines[1:2] = [] if options is None else [options]
+        index.write_text("\n".join(lines) + "\n")
+        assert main(["decompress", "--codec", workspace["codec"], "--model", compressed["model"],
+                     "--in", str(streams), "--out", str(tmp_path / "r")]) == EXIT_CORRUPT
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_tampered_stream_is_corrupt(self, workspace, compressed,
                                         tmp_path, capsys):
         bad_dir = tmp_path / "bad"
@@ -231,13 +278,14 @@ class TestCompressDecompress:
             with open(os.path.join(compressed["out"], name), "rb") as f:
                 blob = f.read()
             if name == "stream_0000.drrs":
-                blob = blob[:4] + struct.pack("<I", 999) + blob[8:]
+                blob = resealed(blob, version_999)
             with open(bad_dir / name, "wb") as f:
                 f.write(blob)
         code = main(["decompress", "--codec", workspace["codec"],
                      "--model", compressed["model"],
                      "--in", str(bad_dir), "--out", str(tmp_path / "r")])
         assert code == EXIT_CORRUPT
+        assert "model version 999" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("edit", [
@@ -529,14 +577,42 @@ def bad_input_cases(workspace, root):
          for line, path in settings.items()]
 
 
+def version_999(body):
+    """Set a stream body's model version to 999."""
+    body[:4] = struct.pack("<I", 999)
+
+
 def zero_geometry_codec(path, field):
-    """Write a codec file whose geometry field `field` is 0 and whose
-    weights fill exactly what its header implies, so its length is right."""
+    """Write a sealed codec file whose geometry field `field` is 0 and whose
+    weights fill exactly what its geometry implies, so its length is right."""
     g = {"patch": 4, "pool": 2, "channels": 3, "codebook_size": 16, "embed_dim": 6, field: 0}
     p, d, k = g["patch"] ** 2 * g["channels"], g["embed_dim"], g["codebook_size"]
     weights = 2 * d * p + p + 2 * d * d + 3 * d + 2 * k * d
     with open(path, "wb") as f:
-        f.write(b"DRRC" + struct.pack("<HIIIIIBd", 1, *g.values(), 1, 0.25) + bytes(8 * weights))
+        f.write(seal(CODEC_MAGIC, CODEC_FORMAT_VERSION,
+                     struct.pack("<IIIIIBd", *g.values(), 1, 0.25) + bytes(8 * weights)))
+
+
+def frozen_flag_7(body):
+    body[struct.calcsize("<IIIII")] = 7  # the frozen flag, which must be 0 or 1
+
+
+def top_version_flipped(body):
+    body[1] ^= 0x01  # bit 0 of the top level's version, after the record count
+
+
+def old_layout_stream(data):
+    """A stream file in the layout before the checked container: the DRRS
+    header, then the coder payload under its own DRRB header."""
+    body = data[10:]
+    return (b"DRRS" + body[:12] + b"DRRB" + struct.pack("<HQ", 2, len(body) - 12)
+            + body[12:])
+
+
+def old_layout(data):
+    """A codec or model file in the layout before the checked container:
+    magic, format version 1, then the body."""
+    return data[:4] + struct.pack("<H", 1) + data[10:]
 
 
 # Stream-set entry shapes that do not fit the 16x16 images under the
@@ -564,10 +640,9 @@ def corrupt_input_cases(workspace, compressed, root):
             (f"{field} 0, inspect", ["inspect", "--file", codec]),
         ]
     with open(workspace["codec"], "rb") as f:
-        data = bytearray(f.read())
-    data[struct.calcsize("<4sHIIIII")] = 7  # the frozen flag, which must be 0 or 1
+        data = f.read()
     codec = root / "frozen_7.drrc"
-    codec.write_bytes(bytes(data))
+    codec.write_bytes(resealed(data, frozen_flag_7))
     cases.append(("frozen flag 7, inspect", ["inspect", "--file", str(codec)]))
     cases.append(("codec of 4 codes, decompress",
                   ["decompress", "--codec", wrong_size_codec(root), "--model", compressed["model"],
@@ -578,18 +653,26 @@ def corrupt_input_cases(workspace, compressed, root):
     cases.append(("index byte 3 not UTF-8, decompress",
                   ["decompress", "--codec", workspace["codec"], "--model", compressed["model"],
                    "--in", str(streams), "--out", str(root / "recon")]))
-    streams = root / "format_1"
+    streams = root / "old_layout"
     shutil.copytree(compressed["out"], streams)
     stream = streams / "stream_0000.drrs"
-    # the stream header kept, the payload in format 1: an 8-byte state, no k
-    stream.write_bytes(stream.read_bytes()[:16] + b"DRRB" + struct.pack("<HQQ", 1, 8, 1 << 32))
-    cases += [("stream payload in format 1, decompress",
+    stream.write_bytes(old_layout_stream(stream.read_bytes()))
+    cases += [("stream in the old layout, decompress",
                ["decompress", "--codec", workspace["codec"], "--model", compressed["model"],
                 "--in", str(streams), "--out", str(root / "recon")]),
-              ("stream payload in format 1, inspect", ["inspect", "--file", str(stream)])]
+              ("stream in the old layout, inspect", ["inspect", "--file", str(stream)])]
+    codec, model = root / "old_layout.drrc", root / "old_layout.drrm"
+    with open(workspace["codec"], "rb") as f:
+        codec.write_bytes(old_layout(f.read()))
+    with open(compressed["model"], "rb") as f:
+        model.write_bytes(old_layout(f.read()))
+    cases += [("codec in the old layout, inspect", ["inspect", "--file", str(codec)]),
+              ("model in the old layout, decompress",
+               ["decompress", "--codec", workspace["codec"], "--model", str(model),
+                "--in", compressed["out"], "--out", str(root / "recon")])]
     model = root / "versions_1_0.drrm"
-    shutil.copyfile(compressed["model"], model)
-    flip_byte(model, 7, 0x01)  # bit 0 of the top level's version
+    with open(compressed["model"], "rb") as f:
+        model.write_bytes(resealed(f.read(), top_version_flipped))
     cases.append(("model levels at versions 1 and 0, decompress",
                   ["decompress", "--codec", workspace["codec"], "--model", str(model),
                    "--in", compressed["out"], "--out", str(root / "recon")]))
@@ -603,7 +686,7 @@ def flip_byte(path, offset, mask):
 
 
 def edited_copy(compressed, directory, key, value):
-    """A copy of the stream set whose first index line has `key`=`value`."""
+    """A copy of the stream set whose first stream line has `key`=`value`."""
     directory.mkdir()
     for name in os.listdir(compressed["out"]):
         with open(os.path.join(compressed["out"], name), "rb") as f:
@@ -611,8 +694,8 @@ def edited_copy(compressed, directory, key, value):
         if name == "index.txt":
             lines = blob.decode().splitlines()
             words = [f"{key}={value}" if w.startswith(f"{key}=") else w
-                     for w in lines[1].split()]
-            lines[1] = " ".join(words)
+                     for w in lines[2].split()]
+            lines[2] = " ".join(words)
             blob = ("\n".join(lines) + "\n").encode()
         with open(directory / name, "wb") as f:
             f.write(blob)

@@ -44,7 +44,6 @@ from drr.errors import (
 from drr.learner import make_toy_dataset
 from drr.rans import (
     RANS_L,
-    STACK_OFFSET,
     AnsCoder,
     LaneCoder,
     PmfTable,
@@ -77,11 +76,9 @@ def potential(coder):
 
 
 def payload_bytes(state, restored, stack):
-    """A coder payload of format 2 as its layout reads, for any 5-byte state:
-    magic, format version 2 (u16), length of the rest (u64), k (u16), the
-    state's five low bytes, then the stack; all little-endian."""
-    body = restored.to_bytes(2, "little") + state.to_bytes(5, "little") + bytes(stack)
-    return b"DRRB" + (2).to_bytes(2, "little") + len(body).to_bytes(8, "little") + body
+    """A coder payload as its layout reads, for any 5-byte state: k (u16),
+    the state's five low bytes, then the stack; all little-endian."""
+    return restored.to_bytes(2, "little") + state.to_bytes(5, "little") + bytes(stack)
 
 
 class ScalarCoder(AnsCoder):
@@ -340,18 +337,10 @@ def ragged_payloads():
 
 
 def corrupted(payload, part):
-    """`payload` with one header field broken."""
-    if part == "magic":
-        return b"DRRX" + payload[4:]
-    if part == "version":
-        return payload[:4] + bytes([payload[4] + 1]) + payload[5:]
-    if part == "short":
-        return payload[:-1]
-    if part == "long":
-        return payload + b"\0"
+    """`payload` with its k and state broken."""
     if part == "state":  # below RANS_L
-        return payload[:16] + bytes(5) + payload[21:]
-    return payload[:10]  # "header": too short to hold its own header
+        return payload[:2] + bytes(5) + payload[7:]
+    return payload[:6]  # "header": too short to hold its k and state
 
 
 class TestLaneDeserialize:
@@ -367,7 +356,7 @@ class TestLaneDeserialize:
         assert lanes.floor.tolist() == [0] * 5
         assert lanes.serialize() == payloads
 
-    @pytest.mark.parametrize("part", ["magic", "version", "short", "long", "state", "header"])
+    @pytest.mark.parametrize("part", ["state", "header"])
     @pytest.mark.parametrize("lane", [0, 1, 4])
     def test_bad_lane_fails_as_the_scalar_parse(self, part, lane):
         payloads = ragged_payloads()
@@ -574,7 +563,7 @@ class TestAdversarialPayloads:
         with pytest.raises(DataCorruptionError):
             decode_streams([streams[0], bad], sections)
         with pytest.raises(DataCorruptionError):
-            decode_streams([streams[0], CompressedStream(payload=b"DRRB", symbol_count=23,
+            decode_streams([streams[0], CompressedStream(payload=b"\0" * 6, symbol_count=23,
                                                          model_version=0)], sections)
 
 
@@ -624,56 +613,51 @@ def pinned_streams(precision, method="bitswap"):
 
 
 @pytest.mark.parametrize("precision,digest", [
-    (12, "c78db42dd7075b8085c39f890930141feb9d5c7d3147229139f486dcb08a77fd"),
-    (16, "17fe0b3b2075db0e5a2431b8825a8e5660312f10c03f81b1da7cf6a6fe1c30cd"),
+    (12, "1e985e55b6150957e40c5d90446ba5cd6481476b34b0d1eb945b9d4b1a0c76de"),
+    (16, "61a15ebb456f9b6fa447d1d16fcc047987db58dbff6185d5eb863c74c934b08d"),
 ])
 def test_stream_bytes_are_pinned(precision, digest):
     # Digests of the streams the scalar coder wrote; a coder change that
     # moves a single byte of a stream fails here.  Re-taken for payload
-    # format 2: each stream rewritten in the format-1 layout, with the seeded
-    # bytes below its low-water mark put back, gives the earlier digest.
+    # format 2 and again for stream format 3 (the checked container, no
+    # coder header): each stream rewritten in the layout before the change
+    # gives the earlier digest (for format 2, with the seeded bytes below
+    # its low-water mark put back).
     assert pinned_streams(precision) == digest
 
 
 @pytest.mark.parametrize("precision,digest", [
-    (12, "e6cfe53ecb87a84b35922bc16b95c810422f0112b0384faa9c8a463e56ac4ce3"),
-    (16, "c1a1e3777aab775535c9b114e03d83b7dfd3e8cbebf1fe96510da46d10aa6839"),
+    (12, "f6a0a71d88844e365b114afcb90ac8cabf8b92ddc1f1ce44e5fb4bbe156067e4"),
+    (16, "c447776aaff4b2d9dbec548bfb5d85da7dbad1ab3c4380fd3ba3c39313116b31"),
 ])
 def test_plain_bits_back_bytes_are_pinned(precision, digest):
     # The plain bits-back digests the grid path wrote when it ran both
     # schedules; the scalar reference must still write the same bytes.
-    # Re-taken for payload format 2, as the Bit-Swap digests were.
+    # Re-taken for stream formats 2 and 3, as the Bit-Swap digests were.
     assert pinned_streams(precision, "bb") == digest
 
 
 def test_stream_flips_decode_identically_or_raise():
-    # Bit 0 or bit 7 flipped in any byte of a serialized toy stream either
-    # decodes the same grid or raises DataCorruptionError.  A payload holds
-    # only bytes its decoder reads, so the flips that decode the same grid
-    # lie in the bottom k stack bytes, which the decoder reads last and
-    # puts back as the seeded bytes, whose values it cannot check.
+    # Bit 0 or bit 7 flipped in any byte of a serialized toy stream raises
+    # DataCorruptionError when the file is read: the container's CRC32
+    # catches every single-bit error, even in the bottom k stack bytes,
+    # which the decoder reads last and puts back as the seeded bytes, so
+    # decoding alone could not check their values.
     pair = LatentModelPair.seeded(32, (6, 4), 8, 0)
-    tables = pair.tables()
     rng = np.random.default_rng(21)
     shelves = [(rng.integers(0, 32, (1, 2, 2)).astype(np.int32),
                 rng.integers(0, 32, (1, 4, 4)).astype(np.int32)) for _ in range(4)]
     streams = compress_shelves(shelves, pair, [[[5, i]] for i in range(len(shelves))])
     for (top, bottom), [stream] in zip(shelves, streams):
         data = serialize_stream(stream)
-        same = set()
+        grid = decompress_grid(deserialize_stream(data), pair, (2, 2), (4, 4))
+        assert grid == CodeGrid(top=top[0], bottom=bottom[0])
         for offset in range(len(data)):
             for bit in (0, 7):
                 flipped = bytearray(data)
                 flipped[offset] ^= 1 << bit
-                try:
-                    grid = decompress_grid(deserialize_stream(bytes(flipped)), pair, (2, 2),
-                                           (4, 4), tables=tables)
-                except DataCorruptionError:
-                    continue
-                assert grid == CodeGrid(top=top[0], bottom=bottom[0]), (offset, bit)
-                same.add(offset)
-        bottom_byte = len(data) - len(stream.payload) + STACK_OFFSET
-        assert same <= set(range(bottom_byte, bottom_byte + read_payload(stream.payload)[1]))
+                with pytest.raises(DataCorruptionError):
+                    deserialize_stream(bytes(flipped))
 
 
 class TestBufferBatches:

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import resealed
 from drr import replay_store
 from drr.bits_back import FitConfig, build_coding_tables, random_model
 from drr.errors import DataCorruptionError, InvalidInputError, StateError
@@ -53,6 +54,12 @@ def frozen_codec():
     config = CodecConfig(patch=4, pool=2, channels=3, codebook_size=32,
                          embed_dim=8, epochs=30, lr=0.002, seed=5)
     return freeze(train_codec(toy_images(24, seed=1), config))
+
+
+def flipped(data, offset, mask):
+    """`data`, a bytearray, with the bits of `mask` flipped at `offset`."""
+    data[offset] ^= mask
+    return data
 
 
 def make_pair(codebook_size=32, seed=0, version=0):
@@ -164,10 +171,12 @@ class TestPair:
     def test_stored_levels_of_different_versions_rejected(self):
         # The constructor's InvalidInputError is for in-memory misuse; a
         # stored pair that disagrees is corrupt data.
-        data = bytearray(make_pair(seed=3, version=0).serialize())
-        data[7] ^= 1  # bit 0 of the top level's version
+        def flip(body):
+            body[1] ^= 1  # bit 0 of the top level's version, after the record count
+
+        data = resealed(make_pair(seed=3, version=0).serialize(), flip)
         with pytest.raises(DataCorruptionError, match="versions 1 and 0"):
-            LatentModelPair.deserialize(bytes(data))
+            LatentModelPair.deserialize(data)
 
     def test_wrong_record_count_rejected(self):
         from drr.bits_back import serialize_models
@@ -451,17 +460,24 @@ class TestPersistence:
         with pytest.raises(DataCorruptionError):
             ReplayBuffer.load(str(tmp_path))
 
-    @pytest.mark.parametrize("name,offset,mask", [("index.txt", 3, 0x80),
-                                                  ("models.drrm", 7, 0x01)])
-    def test_flipped_byte_rejected(self, frozen_codec, tmp_path, name, offset, mask):
-        # byte 3 of the index stops being UTF-8; bit 0 of the model file's
-        # byte 7 sets the top level's version to 1 and leaves the bottom's 0
+    @pytest.mark.parametrize("name,edit,match", [
+        # byte 3 of the index stops being UTF-8
+        pytest.param("index.txt", lambda data: flipped(data, 3, 0x80), "not UTF-8",
+                     id="index.txt-3-128"),
+        # the first byte of the model file's body breaks its checksum
+        pytest.param("models.drrm", lambda data: flipped(data, 10, 0x01), "checksum",
+                     id="models.drrm-10-1"),
+        # under a valid checksum, the top level's version drops from 1 to 0
+        # and the bottom's stays 1
+        pytest.param("models.drrm",
+                     lambda data: resealed(data, lambda body: flipped(body, 1, 0x01)),
+                     "versions 0 and 1", id="models.drrm-body-1-1"),
+    ])
+    def test_flipped_byte_rejected(self, frozen_codec, tmp_path, name, edit, match):
         buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
         buffer.save(str(tmp_path))
-        data = bytearray((tmp_path / name).read_bytes())
-        data[offset] ^= mask
-        (tmp_path / name).write_bytes(bytes(data))
-        with pytest.raises(DataCorruptionError):
+        (tmp_path / name).write_bytes(bytes(edit(bytearray((tmp_path / name).read_bytes()))))
+        with pytest.raises(DataCorruptionError, match=match):
             ReplayBuffer.load(str(tmp_path))
 
     def test_missing_stream_file_rejected(self, frozen_codec, tmp_path):
@@ -531,8 +547,11 @@ class TestPersistence:
         buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
         buffer.save(str(tmp_path))
         models = tmp_path / "models.drrm"
-        # The file ends with the last entry of the bottom model's last table.
-        models.write_bytes(models.read_bytes()[:-8] + struct.pack("<d", value))
+
+        def last_entry(body):  # the last entry of the bottom model's last table
+            body[-8:] = struct.pack("<d", value)
+
+        models.write_bytes(resealed(models.read_bytes(), last_entry))
         with pytest.raises(DataCorruptionError,
                            match=r"^model snapshot truncated or inconsistent$") as info:
             ReplayBuffer.load(str(tmp_path))
@@ -636,11 +655,12 @@ class TestArrayReadPath:
     def test_mixed_buffer_is_pinned(self, mixed_buffer, tmp_path):
         # The refit reads the decoded buffer in shelf order, not grouped by
         # geometry: that order is part of the fitted bits.  Re-taken for
-        # payload format 2: with every stream rewritten in the format-1 layout the
-        # directory gives the earlier digest.
+        # payload format 2, then for the checked container (codec 2, models 2,
+        # streams 3): with every file rewritten in the layout before each
+        # change the directory gives the earlier digest.
         mixed_buffer.save(str(tmp_path))
         assert directory_digest(tmp_path) == (
-            "0a802a9b852def60ef459ef5532f1875203bd584e5e654055c253438d6d52ec1")
+            "c5c0284519665f3fed79c4100fc0984960f6c2ac6b746be46996c6341bd47059")
         recon = ReplayBuffer.load(str(tmp_path)).reconstruct_all()
         assert hashlib.sha256(b"".join(recon[label].tobytes() for label in recon)).hexdigest() == (
             "f60d81cb9d414aebab3a7c5818a17b29862d1f29e4c4b07ed15603878dfd126d")
@@ -680,7 +700,7 @@ class TestSavedBufferPin:
         # stream.  Taken when the refit joined two block lists, new classes
         # first; the codec's float64 weights depend on BLAS rounding, so
         # another BLAS build may need a new digest.  Re-taken for payload
-        # format 2, as the mixed buffer's was.
+        # format 2 and for the checked container, as the mixed buffer's was.
         buffer = ReplayBuffer(frozen_codec, make_pair(seed=21), exemplars_per_class=4, seed=11)
         for phase in ((0, 1), (2, 3)):
             buffer.ingest_phase({label: toy_images(10, seed=30 + label) for label in phase},
@@ -689,7 +709,7 @@ class TestSavedBufferPin:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "codec.drrc", "index.txt", "models.drrm", "streams"]
         assert directory_digest(tmp_path) == (
-            "877596298723857661bf604eedf058e8740c9425cfde5a7644eaef3d63215fbe")
+            "c074740b5b56697cb031b7f596328343eed2a6ec016c416a217211f6c3fd0223")
 
 
 class TestIndexPaths:

@@ -259,8 +259,10 @@ STRUCT_CALLS = {"pack", "unpack", "unpack_from", "calcsize"}
 def test_header_formats_are_declared_once():
     """Every binary header's format is one `struct.Struct` constant: no
     struct function in drr takes a format string, and no two Structs share
-    a format."""
+    a format.  One header carries a magic, the container's: exactly one
+    format starts with a 4-byte string, in container.py."""
     formats = []
+    magic_headers = []
     for filename in sorted(os.listdir(PACKAGE)):
         if not filename.endswith(".py"):
             continue
@@ -278,7 +280,10 @@ def test_header_formats_are_declared_once():
                 f"{filename}:{node.lineno}: struct.{node.func.attr} takes a format string")
             if node.func.attr == "Struct" and isinstance(first, ast.Constant):
                 formats.append(first.value)
+                if first.value.startswith("<4s"):
+                    magic_headers.append(filename)
     assert formats and len(formats) == len(set(formats)), formats
+    assert magic_headers == ["container.py"], magic_headers
 
 
 def test_readme_example_runs(tmp_path):

@@ -12,6 +12,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import resealed
 from drr.errors import InvalidInputError
 from drr.vq_codec import (
     CodecConfig,
@@ -412,12 +413,14 @@ class TestSerialization:
         assert np.array_equal(codes, np.concatenate([grid.top.ravel(), grid.bottom.ravel()]))
 
     def test_corrupt_codec_rejected(self):
+        from drr.container import seal
         from drr.errors import DataCorruptionError
+        from drr.vq_codec import CODEC_FORMAT_VERSION, CODEC_MAGIC
         blob = serialize_codec(init_codec_params(tiny_config()))
-        with pytest.raises(DataCorruptionError):
+        with pytest.raises(DataCorruptionError, match="checksum"):
             deserialize_codec(blob[:40])
         bad = b"XXXX" + blob[4:]
-        with pytest.raises(DataCorruptionError):
+        with pytest.raises(DataCorruptionError, match="magic"):
             deserialize_codec(bad)
         import struct
         from drr.vq_codec import weight_shapes
@@ -426,15 +429,28 @@ class TestSerialization:
                  field: 0}
             shapes = weight_shapes(g["patch"] ** 2 * g["channels"], g["embed_dim"],
                                    g["codebook_size"])
-            # The weights fill what the header implies: only the geometry is wrong.
-            zero = (b"DRRC" + struct.pack("<HIIIIIBd", 1, *g.values(), 1, 0.25)
-                    + bytes(8 * sum(int(np.prod(s)) for s in shapes.values())))
+            # The weights fill what the geometry implies: only the geometry is wrong.
+            zero = seal(CODEC_MAGIC, CODEC_FORMAT_VERSION,
+                        struct.pack("<IIIIIBd", *g.values(), 1, 0.25)
+                        + bytes(8 * sum(int(np.prod(s)) for s in shapes.values())))
             with pytest.raises(DataCorruptionError, match="must be positive"):
                 deserialize_codec(zero)
-        flagged = bytearray(blob)
-        flagged[struct.calcsize("<4sHIIIII")] = 7  # the frozen flag, which must be 0 or 1
+
+        def flag(body):
+            body[struct.calcsize("<IIIII")] = 7  # the frozen flag, which must be 0 or 1
+
         with pytest.raises(DataCorruptionError, match="frozen flag"):
-            deserialize_codec(bytes(flagged))
+            deserialize_codec(resealed(blob, flag))
+        def short(body):
+            del body[-8:]  # one weight short
+
+        def cut_in_geometry(body):
+            del body[struct.calcsize("<IIIII"):]
+
+        with pytest.raises(DataCorruptionError, match="length mismatch"):
+            deserialize_codec(resealed(blob, short))
+        with pytest.raises(DataCorruptionError, match="too short for its geometry"):
+            deserialize_codec(resealed(blob, cut_in_geometry))
 
 
 def codec_digest(dataset, config):
@@ -445,7 +461,9 @@ def codec_digest(dataset, config):
 class TestTrainingPins:
     """Fixed-seed codec files, pinned to the bytes the image-batch training
     loop wrote before training moved to patch batches.  Float64 weights
-    depend on BLAS rounding, so another BLAS build may need new digests."""
+    depend on BLAS rounding, so another BLAS build may need new digests.
+    Re-taken for codec format 2, the checked container: with the format-1
+    header put back, the same files give the earlier digests."""
 
     def test_acceptance_toy_config(self):
         from drr.learner import make_toy_dataset
@@ -453,19 +471,19 @@ class TestTrainingPins:
         config = CodecConfig(patch=4, pool=2, channels=3, codebook_size=32,
                              embed_dim=8, epochs=300, lr=0.005, seed=0)
         assert codec_digest(images[labels < 4], config) == (
-            "e8861a234100c960da1e54052358a3004538f1bd5cc60053292baa3e988bb7cb")
+            "48fb923960b958bc26a42cd756677642572a5bdce73edea96cc9f00924caffa7")
 
     def test_paper_shaped_two_epochs(self):
         from drr.learner import make_toy_dataset
         images, _ = make_toy_dataset(5, 24, side=32, seed=0)
         assert codec_digest(images, CodecConfig(epochs=2)) == (
-            "7ed22e56925170cc8364dae9af65829892853e1054189d05ab0c707dd2be9eed")
+            "f6a4247c33dee027804c875d11088760393ccfa8b29ea05d7def8ea224b5dfc2")
 
     def test_buffer_churn_set_up_codec(self):
         from drr.learner import make_toy_dataset
         images, labels = make_toy_dataset(20, 24, side=32, seed=0, salt=0)
         assert codec_digest(images[labels < 5], CodecConfig(epochs=20)) == (
-            "30c51cf9504c58fe38a070108fd909fea0c6d47a7d04f04ac79dbc4bbae69156")
+            "065e4fec1a4db648b2c7e27b97a7c481a65a33d692fe361d25d7aadc15798b27")
 
     def test_divergence_is_rejected(self):
         from drr.errors import DegenerateInputError
@@ -607,11 +625,13 @@ class TestBatchCoding:
 
 class TestCodecLayout:
     # Taken before the weight layout was declared once, in `weight_shapes`.
+    # Re-taken for codec format 2, the checked container, as the training
+    # pins were.
     def test_init_codec_is_pinned(self):
         import hashlib
         config = CodecConfig(patch=2, pool=2, channels=3, codebook_size=16, embed_dim=6, seed=11)
         assert hashlib.sha256(serialize_codec(init_codec_params(config))).hexdigest() == (
-            "6b3e2c708a3e190f409bc1f1646289d646f0b21cd1d2e55c361ab598e8192866")
+            "7689c210a312375accd0727e9be65a06a4824501c1b8194c5662adc809acc2b8")
 
     def test_weights_follow_weight_shapes(self):
         from drr.vq_codec import weight_shapes
