@@ -58,7 +58,6 @@ from .rans import (  # noqa: F401
     PmfTable,
     pmf_quantize,
     quantize_rows,
-    read_payload,
 )
 
 MODEL_MAGIC = b"DRRM"
@@ -483,10 +482,6 @@ class StreamStats:
     returned_bits: float = 0.0
     peak_demand_bits: float = 0.0  # the largest demand of any one block
 
-    @property
-    def net_bits(self) -> float:
-        return self.gross_bits - self.returned_bits
-
 
 def encode_blocks(coder: AnsCoder, blocks, tables: CodingTables,
                   method: str = "bitswap") -> StreamStats:
@@ -672,14 +667,14 @@ def serialize_stream(stream: CompressedStream) -> bytes:
 
 
 def deserialize_stream(data: bytes) -> CompressedStream:
+    """The stream of a stream file.  Its coder payload is not parsed here:
+    `rans.read_payload` checks it where it is read, by the decoder."""
     body = unseal(data, STREAM_MAGIC, STREAM_FORMAT_VERSION, "stream")
     if len(body) < _STREAM_RECORD.size:
         raise DataCorruptionError("stream file too short for its record")
     model_version, symbol_count = _STREAM_RECORD.unpack_from(body)
-    payload = bytes(body[_STREAM_RECORD.size:])
-    read_payload(payload)  # validates the coder payload
-    return CompressedStream(payload=payload, symbol_count=symbol_count,
-                            model_version=model_version)
+    return CompressedStream(payload=bytes(body[_STREAM_RECORD.size:]),
+                            symbol_count=symbol_count, model_version=model_version)
 
 
 # -- fitting -------------------------------------------------------------------

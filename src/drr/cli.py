@@ -44,7 +44,7 @@ from .learner import (
     make_toy_dataset,
     run_experiment,
 )
-from .rans import DEFAULT_PRECISION
+from .rans import DEFAULT_PRECISION, read_payload
 from .replay_store import (
     LatentModelPair,
     check_plain_name,
@@ -72,7 +72,8 @@ from .vq_codec import (
 
 IMAGE_SUFFIX = ".img"
 IMAGE_HEAD = struct.Struct("<III")  # height, width, channels
-STREAM_SET_HEADER = "drr-stream-set 2"
+STREAM_SET_HEADER = "drr-stream-set 3"
+STREAM_FILE = "stream_{:04d}.drrs"  # the file of the set's stream i
 RESULTS_HEADER = "drr-results 1"
 BAD_ALPHABETS = "bad alphabets {!r}; expected positive integers such as 16,8"
 
@@ -166,19 +167,18 @@ def cmd_compress(args) -> int:
         print(f"wrote model pair to {args.model}")
 
     os.makedirs(args.out, exist_ok=True)
-    lines = [STREAM_SET_HEADER, f"precision={args.precision} initial_bits={args.initial_bits}"]
+    lines = [STREAM_SET_HEADER, f"precision={args.precision} initial_bits={args.initial_bits} "
+                                f"count={len(paths)}"]
     net = 0.0
     symbols = 0
     payload = 0
     streams = compress_shelves(indices, pair, [[[args.seed, i]] for i in range(len(indices))],
                                precision=args.precision, initial_bits=args.initial_bits)
     for i, (path, (top, bottom), [stream]) in enumerate(zip(paths, indices, streams)):
-        name = f"stream_{i:04d}.drrs"
         blob = serialize_stream(stream)
-        with open(os.path.join(args.out, name), "wb") as f:
+        with open(os.path.join(args.out, STREAM_FILE.format(i)), "wb") as f:
             f.write(blob)
-        source = os.path.basename(path)
-        lines.append(f"stream file={name} source={source} "
+        lines.append(f"stream source={os.path.basename(path)} "
                      f"top={top.shape[1]},{top.shape[2]} "
                      f"bottom={bottom.shape[1]},{bottom.shape[2]}")
         net += stream.net_bits
@@ -204,19 +204,23 @@ def cmd_decompress(args) -> int:
         raise DataCorruptionError(f"{index_path}: bad stream-set header")
     if len(lines) < 2:
         raise DataCorruptionError(f"{index_path}: no options line")
-    opts = parse_record(lines[1], None, ("precision", "initial_bits"))
+    opts = parse_record(lines[1], None, ("precision", "initial_bits", "count"))
     try:
         precision, initial_bits = int(opts["precision"]), int(opts["initial_bits"])
+        count = int(opts["count"])
         pair.check_precision(precision)
         if initial_bits < 0 or initial_bits % 8:
             raise ValueError(f"initial_bits {initial_bits} is not a nonnegative multiple of 8")
     except ValueError as exc:
         raise DataCorruptionError(f"{index_path}: bad stream-set options: {exc}") from exc
-    entries = [parse_record(line, "stream", ("file", "source", "top", "bottom"))
-               for line in lines[2:]]
+    entries = [parse_record(line, "stream", ("source", "top", "bottom")) for line in lines[2:]]
+    if len(entries) != count:
+        raise DataCorruptionError(
+            f"{index_path}: {len(entries)} stream lines, the options line says {count}")
     for entry in entries:
-        for key in ("file", "source"):
-            check_plain_name(entry[key], f"{index_path}: {key}")
+        check_plain_name(entry["source"], f"{index_path}: source")
+    if len({entry["source"] for entry in entries}) != count:
+        raise DataCorruptionError(f"{index_path}: a source name is listed twice")
     shapes = [(parse_positive_ints(entry["top"]), parse_positive_ints(entry["bottom"]))
               for entry in entries]
     for entry, (top, bottom) in zip(entries, shapes):
@@ -224,11 +228,11 @@ def cmd_decompress(args) -> int:
         image = tuple(side * codec.patch for side in bottom) + (codec.channels,)
         if code_shapes(image, codec) != (top, bottom):
             raise DataCorruptionError(
-                f"{index_path}: {entry['file']}: top={entry['top']} bottom={entry['bottom']} "
+                f"{index_path}: {entry['source']}: top={entry['top']} bottom={entry['bottom']} "
                 f"do not fit the codec (pool {codec.pool})")
     streams = []
-    for entry in entries:
-        with open(os.path.join(args.in_dir, entry["file"]), "rb") as f:
+    for i in range(count):
+        with open(os.path.join(args.in_dir, STREAM_FILE.format(i)), "rb") as f:
             stream = deserialize_stream(f.read())
         stream.initial_bits = initial_bits
         streams.append(stream)
@@ -435,8 +439,10 @@ def cmd_inspect(args) -> int:
                   f"alphabet {m.obs_alphabet}, chain {m.alphabets}, block {m.block_len}")
     elif magic == STREAM_MAGIC:
         stream = deserialize_stream(data)
+        _, restored, stack = read_payload(stream.payload)
         print(f"stream: {stream.symbol_count} symbols, model version "
-              f"{stream.model_version}, payload {len(stream.payload)} bytes")
+              f"{stream.model_version}, payload {len(stream.payload)} bytes "
+              f"({len(stack)} stack bytes, {restored} seeded bytes restored)")
     elif len(data) >= IMAGE_HEAD.size:
         h, w, c = IMAGE_HEAD.unpack_from(data)
         if len(data) == IMAGE_HEAD.size + h * w * c:

@@ -48,10 +48,6 @@ class ClassifierParams:
     def n_classes(self) -> int:
         return self.w2.shape[0]
 
-    def copy(self) -> "ClassifierParams":
-        return ClassifierParams(self.w1.copy(), self.b1.copy(),
-                                self.w2.copy(), self.b2.copy())
-
 
 def init_classifier(input_dim: int, hidden_dim: int, n_classes: int,
                     seed: int) -> ClassifierParams:
@@ -131,32 +127,13 @@ def _mean_cross_entropy(shifted: np.ndarray, z: np.ndarray, labels: np.ndarray) 
     return float(np.mean(np.log(z[:, 0]) - shifted[np.arange(len(labels)), labels]))
 
 
-def _check_pairs(raw, pair_rows, n_rows: int) -> None:
-    """InvalidInputError unless raw views and their rows come together, one
-    row per view, each an integer in range(n_rows) and no row twice."""
-    if (raw is None) != (pair_rows is None):
-        raise InvalidInputError("raw images and pair rows come together")
-    if raw is None:
-        return
-    pair_rows = np.asarray(pair_rows)
-    if pair_rows.ndim != 1 or len(raw) != len(pair_rows):
-        raise InvalidInputError("each raw image needs its paired row")
-    if not len(pair_rows):
-        return
-    if not np.issubdtype(pair_rows.dtype, np.integer):
-        raise InvalidInputError("pair rows must be integers")
-    if pair_rows.min() < 0 or pair_rows.max() >= n_rows:
-        raise InvalidInputError("pair row outside the batch")
-    if len(set(pair_rows.tolist())) != len(pair_rows):
-        raise InvalidInputError("pair rows must be distinct")
-
-
 @dataclass
 class Batch:
-    """Reconstructed rows with labels, plus optional raw/reconstruction pairs.
+    """A training set: reconstructed rows with labels, plus optional raw views.
 
-    `pair_rows[j]` is the row of `recon` that `raw[j]` is a view of; each
-    row has at most one raw view, so pair rows are distinct.
+    A row may be an image of any shape; the classifier reads it flattened.
+    `pair_rows[j]` is the row of `recon` that `raw[j]` is a view of, of the
+    same shape; each row has at most one raw view, so pair rows are distinct.
     """
 
     recon: np.ndarray
@@ -165,13 +142,46 @@ class Batch:
     pair_rows: np.ndarray | None = None
 
     def validate(self, n_classes: int) -> None:
-        if self.recon.ndim != 2 or len(self.recon) != len(self.labels):
+        """InvalidInputError unless there are rows, one per label, each
+        label an integer in range(n_classes), and the raw views and their
+        pair rows come together: one row per view, each an integer in
+        range(len(rows)), no row twice, and every view of a row's shape."""
+        recon, labels = np.asarray(self.recon), np.asarray(self.labels)
+        if recon.ndim == 0 or labels.ndim != 1 or len(recon) != len(labels):
             raise InvalidInputError("batch rows and labels must align")
-        if len(self.labels) == 0:
+        if not len(labels):
             raise InvalidInputError("empty batch")
-        if self.labels.min() < 0 or self.labels.max() >= n_classes:
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise InvalidInputError("labels must be integers")
+        if labels.min() < 0 or labels.max() >= n_classes:
             raise InvalidInputError("label outside the classifier's classes")
-        _check_pairs(self.raw, self.pair_rows, len(self.recon))
+        if (self.raw is None) != (self.pair_rows is None):
+            raise InvalidInputError("raw images and pair rows come together")
+        if self.raw is None:
+            return
+        raw, pair_rows = np.asarray(self.raw), np.asarray(self.pair_rows)
+        if pair_rows.ndim != 1 or raw.shape[:1] != pair_rows.shape:
+            raise InvalidInputError("each raw image needs its paired row")
+        if raw.shape[1:] != recon.shape[1:]:
+            raise InvalidInputError("raw images must have the reconstructions' shape")
+        if not len(pair_rows):
+            return
+        if not np.issubdtype(pair_rows.dtype, np.integer):
+            raise InvalidInputError("pair rows must be integers")
+        if pair_rows.min() < 0 or pair_rows.max() >= len(labels):
+            raise InvalidInputError("pair row outside the batch")
+        if len(set(pair_rows.tolist())) != len(pair_rows):
+            raise InvalidInputError("pair rows must be distinct")
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(rows, labels, raw views) as the classifier reads them: rows and
+        raw views (None without them) as float64 matrices, one flattened
+        row each.  Call on a validated batch."""
+        x = np.asarray(self.recon, dtype=np.float64)
+        x = x.reshape(len(x), -1)
+        raw = (None if self.raw is None
+               else np.asarray(self.raw, dtype=np.float64).reshape(len(self.raw), x.shape[1]))
+        return x, np.asarray(self.labels), raw
 
 
 def _gradients(params: ClassifierParams, x: np.ndarray, labels: np.ndarray,
@@ -210,12 +220,13 @@ def total_loss(params: ClassifierParams, batch: Batch, ib_weight: float,
     """
     check_finite(ib_weight, "ib_weight", positive=False)
     batch.validate(params.n_classes)
-    paired = batch.raw is not None and len(batch.raw)
+    x, labels, raw = batch.arrays()
+    paired = raw is not None and len(raw)
     if paired and raw_features is None:
-        raw_features = features(params, batch.raw)
-    grads, shifted, z, c = _gradients(params, batch.recon, batch.labels, ib_weight,
+        raw_features = features(params, raw)
+    grads, shifted, z, c = _gradients(params, x, labels, ib_weight,
                                       raw_features if paired else None, batch.pair_rows)
-    ce = _mean_cross_entropy(shifted, z, batch.labels)
+    ce = _mean_cross_entropy(shifted, z, labels)
     align = float(np.mean(-c)) if paired else 0.0
     return ce + ib_weight * align, grads, {"ce": ce, "align": align}
 
@@ -242,54 +253,24 @@ class TrainConfig:
         check_seed(self.seed)
 
 
-@dataclass
-class PhaseData:
-    """One phase's training material: reconstructions, and raw views where
-    the mode provides them.  `raw_pair_rows[j]` is the row of `images`
-    that `raw_images[j]` is a view of, under the same rules as a `Batch`."""
-
-    images: np.ndarray
-    labels: np.ndarray
-    raw_images: np.ndarray | None = None
-    raw_pair_rows: np.ndarray | None = None
-
-    def validate(self, n_classes: int) -> None:
-        """InvalidInputError unless the rows align with their labels, every
-        class in range(n_classes) is present and the raw views pair up,
-        each of one reconstruction's shape."""
-        labels = np.asarray(self.labels)
-        if len(labels) == 0:
-            raise InvalidInputError("no training rows")
-        if len(self.images) != len(labels):
-            raise InvalidInputError("images and labels must align")
-        present = set(np.unique(labels).tolist())
-        if present != set(range(n_classes)):
-            missing = sorted(set(range(n_classes)) - present)
-            raise InvalidInputError(f"replay set is missing classes {missing}")
-        _check_pairs(self.raw_images, self.raw_pair_rows, len(labels))
-        if (self.raw_images is not None
-                and np.shape(self.raw_images)[1:] != np.shape(self.images)[1:]):
-            raise InvalidInputError("raw images must have the reconstructions' shape")
-
-
-def train_phase(data: PhaseData, n_classes: int, config: TrainConfig) -> ClassifierParams:
+def train_phase(batch: Batch, n_classes: int, config: TrainConfig) -> ClassifierParams:
     """Fresh seeded initialization, then minibatch descent on the total loss.
 
-    A function of (data, config) alone; phase history enters only through
-    the data, which is what makes equal final replay sets give equal
-    classifiers.  The data is checked once per phase; each step then
-    computes only the gradients the update reads, and no loss values.
+    A function of (batch, config) alone; phase history enters only through
+    the batch, which is what makes equal final replay sets give equal
+    classifiers.  The batch is checked once per phase, and every class in
+    range(n_classes) must have a row; each step then computes only the
+    gradients the update reads, and no loss values.
     """
     config.validate()
-    data.validate(n_classes)
-    labels = np.asarray(data.labels)
-    x = np.asarray(data.images, dtype=np.float64).reshape(len(labels), -1)
-
-    raw = None
-    if data.raw_images is not None:
-        raw = np.asarray(data.raw_images, dtype=np.float64).reshape(len(data.raw_images), -1)
+    batch.validate(n_classes)
+    x, labels, raw = batch.arrays()
+    missing = sorted(set(range(n_classes)) - set(np.unique(labels).tolist()))
+    if missing:
+        raise InvalidInputError(f"replay set is missing classes {missing}")
+    if raw is not None:
         pair_of_row = np.full(len(labels), -1, dtype=np.int64)
-        pair_of_row[np.asarray(data.raw_pair_rows, dtype=np.int64)] = np.arange(len(raw))
+        pair_of_row[np.asarray(batch.pair_rows, dtype=np.int64)] = np.arange(len(raw))
         # the pair rows are distinct and in range, so this pairs every row
         every_row_paired = len(raw) == len(labels)
 
@@ -446,13 +427,13 @@ def _dataset_by_class(images: np.ndarray, labels: np.ndarray) -> dict[int, np.nd
 
 
 def _assemble_phase_data(buffer: ReplayBuffer, raw_store: RawExemplarStore | None,
-                         new_labels: list[int], train_by_class, mode: str) -> PhaseData:
+                         new_labels: list[int], train_by_class, mode: str) -> Batch:
     recons = buffer.reconstruct_all()
     images = np.concatenate([recons[label] for label in sorted(recons)])
     labels = np.concatenate([np.full(len(recons[label]), label, dtype=np.int64)
                              for label in sorted(recons)])
     if mode == "drr":
-        return PhaseData(images=images, labels=labels)
+        return Batch(recon=images, labels=labels)
 
     if mode == "ib-drr":
         raw_labels = sorted(recons)  # stored raws exist for every seen class
@@ -463,8 +444,8 @@ def _assemble_phase_data(buffer: ReplayBuffer, raw_store: RawExemplarStore | Non
             class_exemplars(train_by_class[label], buffer.exemplars_per_class, buffer.seed, label)
             for label in raw_labels])
     # rows are concatenated in label order, as the raw views are
-    return PhaseData(images=images, labels=labels, raw_images=raw_images,
-                     raw_pair_rows=np.flatnonzero(np.isin(labels, raw_labels)))
+    return Batch(recon=images, labels=labels, raw=raw_images,
+                 pair_rows=np.flatnonzero(np.isin(labels, raw_labels)))
 
 
 def run_experiment(train_images: np.ndarray, train_labels: np.ndarray,
@@ -513,9 +494,9 @@ def run_experiment(train_images: np.ndarray, train_labels: np.ndarray,
             for label in new_labels:
                 raw_store.add_class(label, train_by_class[label])
         seen = buffer.class_labels
-        data = _assemble_phase_data(buffer, raw_store, new_labels, train_by_class,
-                                    config.train.mode)
-        params = train_phase(data, n_classes=len(seen), config=config.train)
+        batch = _assemble_phase_data(buffer, raw_store, new_labels, train_by_class,
+                                     config.train.mode)
+        params = train_phase(batch, n_classes=len(seen), config=config.train)
         test_x = np.concatenate([test_by_class[label] for label in seen])
         test_y = np.concatenate([np.full(len(test_by_class[label]), label, dtype=np.int64)
                                  for label in seen])

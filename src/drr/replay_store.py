@@ -57,7 +57,7 @@ INDEX_NAME = "index.txt"
 CODEC_NAME = "codec.drrc"
 MODELS_NAME = "models.drrm"
 STREAM_DIR = "streams"
-INDEX_HEADER = "drr-replay-buffer 1"
+INDEX_HEADER = "drr-replay-buffer 2"
 CODING_METHOD = "bitswap"  # the schedule of every stream, named in the index
 
 BYTES_PER_MEGABYTE = 1 << 20
@@ -208,10 +208,6 @@ class RawExemplarStore:
         self.seed = seed
         self._classes: dict[int, np.ndarray] = {}
 
-    @property
-    def class_labels(self) -> list[int]:
-        return sorted(self._classes)
-
     def add_class(self, label: int, images: np.ndarray) -> None:
         label = _class_label(label)
         if label in self._classes:
@@ -223,9 +219,6 @@ class RawExemplarStore:
         if label not in self._classes:
             raise InvalidInputError(f"class {label} is not stored")
         return from_pixel_bytes(self._classes[label])
-
-    def reconstruct_all(self) -> dict[int, np.ndarray]:
-        return {label: self.get(label) for label in self.class_labels}
 
     def account(self) -> MemoryReport:
         count = sum(len(v) for v in self._classes.values())
@@ -400,11 +393,11 @@ def decompress_grid(stream: CompressedStream, pair: LatentModelPair,
 
 # -- compressed replay buffer ------------------------------------------------------
 
-def _stream_entry(label: int, index: int, version: int) -> tuple[str, str]:
+def _stream_entry(label: int, index: int) -> tuple[str, str]:
     """The index line of a class's stream `index` and the file it names:
     the one form `save` writes and `load` accepts."""
     name = f"{STREAM_DIR}/{label}_{index}.drrs"
-    return f"stream label={label} index={index} file={name} version={version}", name
+    return f"stream label={label} index={index} file={name}", name
 
 
 @dataclass
@@ -577,7 +570,8 @@ class ReplayBuffer:
         lines = [INDEX_HEADER,
                  f"seed={self.seed} precision={self.precision} "
                  f"initial_bits={self.initial_bits} "
-                 f"exemplars_per_class={self.exemplars_per_class} method={CODING_METHOD}"]
+                 f"exemplars_per_class={self.exemplars_per_class} method={CODING_METHOD} "
+                 f"classes={len(self._shelves)}"]
         for label in self.class_labels:
             shelf = self._shelves[label]
             h, w, c = shelf.image_shape
@@ -586,7 +580,7 @@ class ReplayBuffer:
                          f"bottom={shelf.bottom_shape[0]},{shelf.bottom_shape[1]} "
                          f"count={len(shelf.streams)}")
             for i, stream in enumerate(shelf.streams):
-                line, name = _stream_entry(label, i, stream.model_version)
+                line, name = _stream_entry(label, i)
                 lines.append(line)
                 with open(os.path.join(directory, name), "wb") as f:
                     f.write(serialize_stream(stream))
@@ -609,7 +603,7 @@ class ReplayBuffer:
         if len(lines) < 2:
             raise DataCorruptionError("index has no options line")
         opts = parse_record(lines[1], None, ("seed", "precision", "initial_bits",
-                                             "exemplars_per_class", "method"))
+                                             "exemplars_per_class", "method", "classes"))
         if opts["method"] != CODING_METHOD:
             raise DataCorruptionError(
                 f"buffer streams are coded with {opts['method']!r}, expected {CODING_METHOD!r}")
@@ -620,6 +614,7 @@ class ReplayBuffer:
                                   precision=int(opts["precision"]),
                                   initial_bits=int(opts["initial_bits"]),
                                   seed=int(opts["seed"]))
+            classes = int(opts["classes"])
         except ValueError as exc:
             raise DataCorruptionError(f"corrupt buffer options: {exc}") from exc
         try:
@@ -646,7 +641,7 @@ class ReplayBuffer:
                         f"bottom={info['bottom']} do not fit the codec "
                         f"(patch {codec.patch}, pool {codec.pool}, {codec.channels} channels)")
                 for index in range(count):
-                    line, name = _stream_entry(label, index, pair.version)
+                    line, name = _stream_entry(label, index)
                     if lines[i] != line:
                         raise DataCorruptionError(
                             f"stream file entry {lines[i]!r} should read {line!r}")
@@ -658,5 +653,8 @@ class ReplayBuffer:
                 buffer._shelves[label] = shelf
         except (OSError, ValueError, IndexError) as exc:
             raise DataCorruptionError(f"corrupt buffer index: {exc}") from exc
+        if len(buffer._shelves) != classes:
+            raise DataCorruptionError(
+                f"index lists {len(buffer._shelves)} classes, its options line says {classes}")
         buffer._check_versions(buffer._shelves.values())
         return buffer

@@ -41,6 +41,7 @@ from drr.bits_back import (
     serialize_models,
     serialize_stream,
 )
+from drr.cli import EXIT_CORRUPT, main
 from drr.errors import (
     DataCorruptionError,
     DrrError,
@@ -330,7 +331,8 @@ class TestCodingTables:
             stats_a = encode_blocks(a, blocks, tables, method=method)
             stats_b = encode_blocks(b, blocks, reference, method=method)
             assert a.serialize() == b.serialize()
-            assert stats_a.net_bits == stats_b.net_bits
+            assert ((stats_a.gross_bits, stats_a.returned_bits)
+                    == (stats_b.gross_bits, stats_b.returned_bits))
 
 
 def fresh_pair(n_bits=2048, seed=77):
@@ -346,8 +348,7 @@ class TestBlockCoding:
         coder = AnsCoder.with_random_bits(1024, seed=3)
         before = coder.serialize()
         block = np.array([3, 1, 7, 0, 2])
-        stats = encode_blocks(coder, [block], tables, method=method)
-        assert stats.net_bits == stats.gross_bits - stats.returned_bits
+        encode_blocks(coder, [block], tables, method=method)
         [back] = decode_blocks(coder, [len(block)], tables, method=method)
         assert back.tolist() == block.tolist()
         assert coder.serialize() == before
@@ -394,8 +395,9 @@ class TestBlockCoding:
 
         before = held()
         stats = encode_blocks(coder, blocks, tables, method=method)
-        assert held() - before == pytest.approx(stats.net_bits, abs=1e-4)
-        assert stats.net_bits > 25 * 6
+        net = stats.gross_bits - stats.returned_bits
+        assert held() - before == pytest.approx(net, abs=1e-4)
+        assert net > 25 * 6
 
     def test_interleaved_demand_never_larger(self):
         # the two schedules draw different latents, so nets differ block by
@@ -527,7 +529,7 @@ class TestStreams:
         moved = replace(stream, gross_bits=stream.gross_bits + 8.0)
         assert moved.net_bits == moved.gross_bits - stream.returned_bits
 
-    def test_corrupt_stream_rejected(self):
+    def test_corrupt_stream_rejected(self, tmp_path, capsys):
         model, blocks = self.make_fitted(seed=3)
         tables = build_coding_tables(model)
         good = serialize_stream(encode_stream([(blocks[:4], tables)]))
@@ -538,20 +540,28 @@ class TestStreams:
         with pytest.raises(DataCorruptionError, match="shorter than its header"):
             deserialize_stream(b"DRRS\x00")
         # Past a valid checksum, the stream's own checks: a body too short
-        # for the record or for the payload's k and state, and a state no
-        # coder leaves.  The record is 12 bytes; k and the state follow.
-        for length, match in ((11, "too short for its record"), (18, "shorter than its 7-byte")):
-            def cut(body, length=length):
-                del body[length:]
+        # for the 12-byte record, for the payload's k and state that follow
+        # it, and a state no coder leaves.  The payload is parsed where it
+        # is read: by the decoder and by `drr inspect`, not on load.
+        def cut(body, length):
+            del body[length:]
 
-            with pytest.raises(DataCorruptionError, match=match):
-                deserialize_stream(resealed(good, cut))
+        with pytest.raises(DataCorruptionError, match="too short for its record"):
+            deserialize_stream(resealed(good, lambda body: cut(body, 11)))
 
         def low_state(body):
             body[14:19] = (RANS_L - 1).to_bytes(5, "little")
 
-        with pytest.raises(DataCorruptionError, match="below"):
-            deserialize_stream(resealed(good, low_state))
+        lens = [len(block) for block in blocks[:4]]
+        path = tmp_path / "bad.drrs"
+        for bad, match in ((resealed(good, lambda body: cut(body, 18)), "shorter than its 7-byte"),
+                           (resealed(good, low_state), "below")):
+            stream = deserialize_stream(bad)
+            with pytest.raises(DataCorruptionError, match=match):
+                decode_stream(stream, [(lens, tables)])
+            path.write_bytes(bad)
+            assert main(["inspect", "--file", str(path)]) == EXIT_CORRUPT
+            assert match in capsys.readouterr().err
 
     def test_tampered_symbol_count_detected(self):
         model, blocks = self.make_fitted(seed=3)
@@ -752,7 +762,8 @@ def pinned_block_coding(method, precision):
     coder = AnsCoder.with_random_bits(512, seed=9)
     stats = encode_blocks(coder, blocks, tables, method=method)
     return (hashlib.sha256(coder.serialize()).hexdigest(), repr(stats.gross_bits),
-            repr(stats.returned_bits), repr(stats.peak_demand_bits), repr(stats.net_bits))
+            repr(stats.returned_bits), repr(stats.peak_demand_bits),
+            repr(stats.gross_bits - stats.returned_bits))
 
 
 class TestScalarReference:

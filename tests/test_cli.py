@@ -198,9 +198,9 @@ class TestCompressDecompress:
         assert sum(n.endswith(".drrs") for n in names) == 10
         with open(os.path.join(compressed["out"], "index.txt")) as f:
             lines = f.read().splitlines()
-        assert lines[:2] == ["drr-stream-set 2", "precision=12 initial_bits=256"]
+        assert lines[:2] == ["drr-stream-set 3", "precision=12 initial_bits=256 count=10"]
         assert len(lines) == 12
-        assert lines[2] == "stream file=stream_0000.drrs source=img_000.img top=2,2 bottom=4,4"
+        assert lines[2] == "stream source=img_000.img top=2,2 bottom=4,4"
 
     def test_reports_bits_per_code_below_sixteen(self, workspace, compressed,
                                                  tmp_path, capsys):
@@ -236,7 +236,7 @@ class TestCompressDecompress:
                      "--in", workspace["data"], "--out", streams, "--precision", "16",
                      "--seed", "9"]) == EXIT_OK
         with open(os.path.join(streams, "index.txt")) as f:
-            assert f.read().splitlines()[1] == "precision=16 initial_bits=256"
+            assert f.read().splitlines()[1] == "precision=16 initial_bits=256 count=10"
         decompress = ["decompress", "--codec", workspace["codec"], "--model", compressed["model"],
                       "--in", streams, "--out", recon]
         assert main(decompress) == EXIT_OK
@@ -250,12 +250,17 @@ class TestCompressDecompress:
 
     @pytest.mark.parametrize("options, message", [
         (None, "malformed field 'stream'"),  # the first stream line read as options
-        ("precision=12", "missing initial_bits"),
-        ("precision=x initial_bits=256", "bad stream-set options"),
-        ("precision=17 initial_bits=256", "precision 17 outside"),
-        ("precision=12 initial_bits=12", "not a nonnegative multiple of 8"),
+        ("precision=12 count=10", "missing initial_bits"),
+        ("precision=12 initial_bits=256", "missing count"),
+        ("precision=x initial_bits=256 count=10", "bad stream-set options"),
+        ("precision=12 initial_bits=256 count=ten", "bad stream-set options"),
+        ("precision=17 initial_bits=256 count=10", "precision 17 outside"),
+        ("precision=12 initial_bits=12 count=10", "not a nonnegative multiple of 8"),
+        # the count of stream lines is recorded, so a lost or extra line shows
+        ("precision=12 initial_bits=256 count=9", "10 stream lines, the options line says 9"),
+        ("precision=12 initial_bits=256 count=11", "10 stream lines, the options line says 11"),
         # k, the seeded bytes a stream restores, may not exceed initial_bits // 8
-        ("precision=12 initial_bits=0", "more than the 0 it was seeded with"),
+        ("precision=12 initial_bits=0 count=10", "more than the 0 it was seeded with"),
     ])
     def test_bad_options_line_is_corrupt(self, workspace, compressed, tmp_path, capsys,
                                          options, message):
@@ -291,7 +296,8 @@ class TestCompressDecompress:
     @pytest.mark.parametrize("edit", [
         lambda line: line.replace("source=", "source"),
         lambda line: line.replace("stream ", "strm "),
-        lambda line: line.replace("file=", "name="),
+        lambda line: line.replace("bottom=", "bottom"),
+        lambda line: line.replace("img_001", "img_000"),  # a source name twice
         lambda line: line.replace("top=", "top=x"),
     ])
     def test_malformed_index_line_is_corrupt(self, workspace, compressed, tmp_path,
@@ -315,6 +321,30 @@ class TestCompressDecompress:
                               capture_output=True, text=True)
         assert proc.returncode == EXIT_CORRUPT
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("name", ["../outside.drrs", "{tmp}/outside.drrs",
+                                      "sub/stream_0000.drrs", "stream_0001.drrs"])
+    def test_decompress_reads_only_the_sets_own_streams(self, workspace, compressed, tmp_path,
+                                                       name):
+        # Stream i is always the set's stream_{i:04d}.drrs: the index names no
+        # stream file, so a `file=` field added to a line is never read.  The
+        # named files all hold another image's stream.
+        streams = tmp_path / "streams"
+        shutil.copytree(compressed["out"], streams)
+        other = (streams / "stream_0001.drrs").read_bytes()
+        (streams / "sub").mkdir()
+        (streams / "sub" / "stream_0000.drrs").write_bytes(other)
+        (tmp_path / "outside.drrs").write_bytes(other)
+        index = streams / "index.txt"
+        index.write_text(index.read_text().replace(
+            "stream source=img_000.img", "stream file=" + name.format(tmp=tmp_path)
+            + " source=img_000.img", 1))
+        decompress = ["decompress", "--codec", workspace["codec"], "--model", compressed["model"]]
+        for directory, out in ((str(streams), "recon"), (compressed["out"], "good")):
+            assert main(decompress + ["--in", directory, "--out", str(tmp_path / out)]) == EXIT_OK
+        for image in ("img_000.img", "img_001.img"):
+            assert ((tmp_path / "recon" / image).read_bytes()
+                    == (tmp_path / "good" / image).read_bytes())
 
     def test_model_of_another_codebook_size_is_usage(self, workspace, tmp_path, capsys):
         model = wrong_size_model(tmp_path)
@@ -815,30 +845,6 @@ class TestRejectedRuns:
                                   capture_output=True, text=True)
             assert proc.returncode == EXIT_USAGE, name
             assert "Traceback" not in proc.stderr, name
-
-    @pytest.mark.parametrize("name", ["../outside.drrs", "{tmp}/outside.drrs",
-                                      "sub/stream_0000.drrs", "..", ""])
-    def test_decompress_reads_only_inside_in(self, workspace, compressed, tmp_path,
-                                             capsys, name):
-        # The stream really is at the named place: only the check stops it.
-        streams = tmp_path / "streams"
-        streams.mkdir()
-        for entry in os.listdir(compressed["out"]):
-            with open(os.path.join(compressed["out"], entry), "rb") as f:
-                (streams / entry).write_bytes(f.read())
-        (streams / "sub").mkdir()
-        (streams / "sub" / "stream_0000.drrs").write_bytes(
-            (streams / "stream_0000.drrs").read_bytes())
-        (tmp_path / "outside.drrs").write_bytes((streams / "stream_0000.drrs").read_bytes())
-        index = streams / "index.txt"
-        index.write_text(index.read_text().replace(
-            "file=stream_0000.drrs", "file=" + name.format(tmp=tmp_path), 1))
-        out = tmp_path / "recon"
-        code = main(["decompress", "--codec", workspace["codec"],
-                     "--model", compressed["model"], "--in", str(streams), "--out", str(out)])
-        assert code == EXIT_CORRUPT
-        assert "not a plain file name" in capsys.readouterr().err
-        assert not out.exists()
 
 
 # The acceptance-13 run-phases config; with `seed = 24` its codec training

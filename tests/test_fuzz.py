@@ -1,4 +1,5 @@
-"""Fuzz suite for the three binary kinds: codec, model pair and stream files.
+"""Fuzz suite for the three binary kinds (codec, model pair and stream
+files) and the two text indexes (stream set and buffer directory).
 
 Each file gets bit 0 and bit 7 flipped at its first 64 bytes and at 300
 seeded positions, and is cut at about 40 seeded lengths.  Every case must
@@ -9,6 +10,12 @@ version or the checksum it holds.  Through the CLI, `drr inspect` on each
 kind of corrupt file and `drr decompress` with a corrupt codec, model or
 stream exit 3 with no traceback.  A file whose magic is broken names no
 kind, so `drr inspect` calls it unrecognized (exit 1), as any other bytes.
+
+Each index gets bit 0 and bit 7 flipped at every byte and is cut at every
+fifth length.  A damaged stream-set index makes `drr decompress` exit 3 or
+write the same images, except where a source name becomes a fresh one; a
+damaged buffer index raises DataCorruptionError or reads back the same
+classes.
 """
 
 import shutil
@@ -18,11 +25,11 @@ import sys
 import numpy as np
 import pytest
 
-from drr.bits_back import deserialize_stream, serialize_stream
+from drr.bits_back import FitConfig, deserialize_stream, serialize_stream
 from drr.cli import EXIT_CORRUPT, EXIT_OK, EXIT_USAGE, main, write_image
 from drr.container import seal, unseal
 from drr.errors import DataCorruptionError
-from drr.replay_store import LatentModelPair, compress_shelves
+from drr.replay_store import LatentModelPair, ReplayBuffer, compress_shelves
 from drr.vq_codec import (
     CodecConfig,
     deserialize_codec,
@@ -208,3 +215,127 @@ def test_cli_subprocess_prints_no_traceback(stream_set, tmp_path):
         assert proc.returncode == EXIT_CORRUPT, name
         assert proc.stderr.startswith("corrupt data: "), name
         assert "Traceback" not in proc.stderr, name
+
+
+# -- text indexes ----------------------------------------------------------------
+
+def index_damage(data):
+    """`data` with bit 0 or bit 7 flipped at every byte, and cut at every
+    fifth length."""
+    for position in range(len(data)):
+        for bit in (0, 7):
+            flipped = bytearray(data)
+            flipped[position] ^= 1 << bit
+            yield bytes(flipped)
+    for length in range(0, len(data), 5):
+        yield data[:length]
+
+
+def read_dir(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def six_image_set(stream_set):
+    """Six 8x8 images compressed under the stream set's codec and models,
+    and the images `drr decompress` writes back from them."""
+    root = stream_set["root"] / "six"
+    images = root / "images"
+    images.mkdir(parents=True)
+    rng = np.random.default_rng(8)
+    for i in range(6):
+        write_image(str(images / f"img_{i:03d}.img"), rng.uniform(0, 1, (8, 8, 3)))
+    codec, model = str(stream_set["codec"]), str(stream_set["model"])
+    streams = root / "streams"
+    assert main(["compress", "--codec", codec, "--model", model, "--in", str(images),
+                 "--out", str(streams)]) == EXIT_OK
+    decompress = ["decompress", "--codec", codec, "--model", model, "--in"]
+    assert main(decompress + [str(streams), "--out", str(root / "good")]) == EXIT_OK
+    return {"decompress": decompress, "streams": streams, "good": read_dir(root / "good")}
+
+
+def test_damaged_stream_set_index_never_decodes_silently(six_image_set, tmp_path, capsys):
+    # Every damaged index exits 3 or writes the same images under the same
+    # names, except a `source=` name changed to a fresh one: the same image
+    # under another name.  A text index has no checksum, so such a rename
+    # cannot be told from a real name; the count of them is pinned here.
+    streams, good = tmp_path / "streams", six_image_set["good"]
+    shutil.copytree(six_image_set["streams"], streams)
+    data = (streams / "index.txt").read_bytes()
+    assert len(data) == 325
+    argv = six_image_set["decompress"] + [str(streams), "--out", str(tmp_path / "out")]
+    counts = {"corrupt": 0, "identical": 0, "renamed": 0}
+    for bad in index_damage(data):
+        (streams / "index.txt").write_bytes(bad)
+        code = main(argv)
+        err = capsys.readouterr().err
+        if code == EXIT_CORRUPT:
+            assert err.startswith("corrupt data: "), err
+            counts["corrupt"] += 1
+            continue
+        assert code == EXIT_OK, (bad, err)
+        written = read_dir(tmp_path / "out")
+        shutil.rmtree(tmp_path / "out")
+        if written == good:
+            counts["identical"] += 1
+            continue
+        [old], [new] = set(good) - set(written), set(written) - set(good)
+        assert written.pop(new) == good[old], bad
+        assert written == {name: image for name, image in good.items() if name != old}, bad
+        counts["renamed"] += 1
+    assert counts == {"corrupt": 653, "identical": 8, "renamed": 54}
+
+
+@pytest.fixture(scope="module")
+def toy_buffer(tmp_path_factory):
+    """A saved three-class buffer of four 8x8 exemplars a class, and its
+    reconstructions."""
+    directory = tmp_path_factory.mktemp("buffer")
+    codec = freeze(init_codec_params(CodecConfig(patch=4, pool=2, channels=3, codebook_size=8,
+                                                 embed_dim=4, seed=1)))
+    buffer = ReplayBuffer(codec, LatentModelPair.seeded(8, (3, 2), 2, 0),
+                          exemplars_per_class=4, seed=2)
+    rng = np.random.default_rng(9)
+    buffer.ingest_phase({label: rng.uniform(0, 1, (6, 8, 8, 3)) for label in range(3)},
+                        FitConfig(iterations=1))
+    buffer.save(str(directory))
+    return directory, buffer.reconstruct_all()
+
+
+def test_damaged_buffer_index_never_loads_silently(toy_buffer, tmp_path):
+    # Every damaged index raises DataCorruptionError, on load or on the
+    # read, or reads back every class exactly.  The 19 identical cases are
+    # 17 line ends turned into another line break, and a flip of seed=2 or
+    # exemplars_per_class=4: options the read path does not use.
+    source, good = toy_buffer
+    directory = tmp_path / "buffer"
+    shutil.copytree(source, directory)
+    data = (directory / "index.txt").read_bytes()
+    counts = {"corrupt": 0, "identical": 0}
+    for bad in index_damage(data):
+        (directory / "index.txt").write_bytes(bad)
+        try:
+            recon = ReplayBuffer.load(str(directory)).reconstruct_all()
+        except DataCorruptionError:
+            counts["corrupt"] += 1
+            continue
+        assert list(recon) == list(good), bad
+        assert all(np.array_equal(recon[label], good[label]) for label in good), bad
+        counts["identical"] += 1
+    assert counts == {"corrupt": 1748, "identical": 19}
+
+
+def test_damaged_stream_set_index_subprocess_prints_no_traceback(six_image_set, tmp_path):
+    # A cut after the third stream line, and img_001 renamed to img_000.
+    streams = tmp_path / "streams"
+    shutil.copytree(six_image_set["streams"], streams)
+    data = (streams / "index.txt").read_bytes()
+    for bad in (b"".join(data.splitlines(keepends=True)[:5]),
+                data.replace(b"img_001", b"img_000")):
+        (streams / "index.txt").write_bytes(bad)
+        proc = subprocess.run(
+            [sys.executable, "-m", "drr.cli", *six_image_set["decompress"], str(streams),
+             "--out", str(tmp_path / "out")], capture_output=True, text=True)
+        assert proc.returncode == EXIT_CORRUPT, bad
+        assert proc.stderr.startswith("corrupt data: ") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()

@@ -15,7 +15,6 @@ from drr.learner import (
     ClassifierParams,
     ExperimentConfig,
     LatentSpec,
-    PhaseData,
     PhaseResults,
     PhaseSchedule,
     TrainConfig,
@@ -168,7 +167,7 @@ class TestTotalLoss:
                 g = np.zeros_like(base).ravel()
                 for i in range(base.size):
                     for sign in (+1, -1):
-                        probe = params.copy()
+                        probe = ClassifierParams(*(a.copy() for a in vars(params).values()))
                         arr = getattr(probe, name).ravel()
                         arr[i] += sign * h
                         val = total_loss(probe, batch, 0.7, raw_features=pinned)[0]
@@ -209,7 +208,7 @@ def separable_data(n_per=40, seed=0):
     b = rng.normal(loc=-1.5, scale=0.3, size=(n_per, 2, 1, 1))
     images = np.concatenate([a, b])
     labels = np.array([0] * n_per + [1] * n_per)
-    return PhaseData(images=images, labels=labels)
+    return Batch(recon=images, labels=labels)
 
 
 class TestTrainPhase:
@@ -217,7 +216,7 @@ class TestTrainPhase:
         data = separable_data()
         config = TrainConfig(epochs=200, lr=0.1, batch_size=16, hidden_dim=8, seed=0)
         params = train_phase(data, n_classes=2, config=config)
-        assert evaluate(params, data.images, data.labels) == 1.0
+        assert evaluate(params, data.recon, data.labels) == 1.0
 
     def test_same_seed_bitwise_identical(self):
         data = separable_data(seed=3)
@@ -244,9 +243,8 @@ class TestTrainPhase:
 
     def test_ib_pairs_change_training(self):
         data = separable_data(seed=1)
-        paired = PhaseData(images=data.images, labels=data.labels,
-                           raw_images=data.images[:10] + 0.3,
-                           raw_pair_rows=np.arange(10))
+        paired = Batch(recon=data.recon, labels=data.labels,
+                       raw=data.recon[:10] + 0.3, pair_rows=np.arange(10))
         config = TrainConfig(epochs=15, lr=0.05, batch_size=16, hidden_dim=6,
                              seed=4, ib_weight=0.5)
         with_pairs = train_phase(paired, 2, config)
@@ -332,7 +330,7 @@ class TestToyDataset:
     def test_classes_are_learnable_from_raw(self):
         images, labels = make_toy_dataset(4, 12, side=8, seed=1)
         config = TrainConfig(epochs=150, lr=0.1, batch_size=16, hidden_dim=16, seed=0)
-        params = train_phase(PhaseData(images=images, labels=labels), 4, config)
+        params = train_phase(Batch(recon=images, labels=labels), 4, config)
         test_images, test_labels = make_toy_dataset(4, 8, side=8, seed=1, salt=1)
         assert evaluate(params, test_images, test_labels) > 0.7
 
@@ -449,26 +447,26 @@ class TestIbPairs:
         codec = encoded[0][1]
         assert len(phases) == 3
         for data, new_labels in zip(phases, ([0, 1], [2, 3], [4, 5])):
-            paired = data.labels[data.raw_pair_rows]
+            paired = data.labels[data.pair_rows]
             assert sorted(set(paired.tolist())) == new_labels
             for label in new_labels:
                 mine = paired == label
                 assert mine.sum() == 4
-                recon = decode_indices(*encode_indices(data.raw_images[mine], codec), codec)
-                assert np.array_equal(recon, data.images[data.raw_pair_rows[mine]])
+                recon = decode_indices(*encode_indices(data.raw[mine], codec), codec)
+                assert np.array_equal(recon, data.recon[data.pair_rows[mine]])
 
     def test_raw_store_keeps_the_buffers_exemplars(self, monkeypatch):
         encoded, stores, phases = spied_experiment(monkeypatch, "ib-drr")
         # The buffer encodes one batch per class, classes in label order.
         chosen = {label: images for label, (images, _) in enumerate(encoded)}
         (store,) = stores
-        assert store.class_labels == sorted(chosen) == list(range(6))
-        for label in store.class_labels:
+        assert sorted(chosen) == list(range(6))
+        assert store.account().exemplar_count == sum(len(images) for images in chosen.values())
+        for label in chosen:
             rounded = np.round(np.clip(chosen[label], 0.0, 1.0) * 255).astype(np.uint8)
             assert np.array_equal(store.get(label), rounded / 255.0)
         last = phases[-1]
-        assert np.array_equal(last.raw_images,
-                              np.concatenate([store.get(label) for label in store.class_labels]))
+        assert np.array_equal(last.raw, np.concatenate([store.get(label) for label in chosen]))
 
 
 def reference_total_loss(params, batch, ib_weight):
@@ -538,11 +536,11 @@ def pinned_train_phase(mode):
     images, labels = make_toy_dataset(3, 9, side=8, seed=5)
     rng = np.random.default_rng(17)
     raw = np.clip(images + rng.normal(0.0, 0.05, size=images.shape), 0.0, 1.0)
-    data = PhaseData(images=images, labels=labels)
+    data = Batch(recon=images, labels=labels)
     if mode != "drr":
         rows = (rng.permutation(len(labels)) if mode == "ib-drr"
                 else rng.choice(len(labels), size=11, replace=False))
-        data = PhaseData(images=images, labels=labels, raw_images=raw[rows], raw_pair_rows=rows)
+        data = Batch(recon=images, labels=labels, raw=raw[rows], pair_rows=rows)
     config = TrainConfig(mode=mode, ib_weight=0.5, epochs=7, lr=0.08, batch_size=5,
                          hidden_dim=7, seed=3)
     params = train_phase(data, 3, config)
@@ -569,37 +567,92 @@ class TestLeanStep:
     ])
     def test_bad_pair_rows_rejected(self, pair_rows):
         data = separable_data(n_per=5)
-        bad = PhaseData(images=data.images, labels=data.labels,
-                        raw_images=data.images[:2], raw_pair_rows=np.array(pair_rows))
+        bad = Batch(recon=data.recon, labels=data.labels,
+                    raw=data.recon[:2], pair_rows=np.array(pair_rows))
         with pytest.raises(InvalidInputError):
             train_phase(bad, 2, TrainConfig(epochs=1))
 
     @pytest.mark.parametrize("with_raw", [True, False])
     def test_raw_images_and_pair_rows_come_together(self, with_raw):
         data = separable_data(n_per=5)
-        half = (PhaseData(images=data.images, labels=data.labels, raw_images=data.images[:2])
+        half = (Batch(recon=data.recon, labels=data.labels, raw=data.recon[:2])
                 if with_raw else
-                PhaseData(images=data.images, labels=data.labels, raw_pair_rows=np.arange(2)))
+                Batch(recon=data.recon, labels=data.labels, pair_rows=np.arange(2)))
         with pytest.raises(InvalidInputError):
             train_phase(half, 2, TrainConfig(epochs=1))
 
     def test_images_and_labels_must_align(self):
         data = separable_data(n_per=5)
         with pytest.raises(InvalidInputError):
-            train_phase(PhaseData(images=data.images[:-1], labels=data.labels), 2,
+            train_phase(Batch(recon=data.recon[:-1], labels=data.labels), 2,
                         TrainConfig(epochs=1))
 
     def test_raw_images_must_match_the_reconstructions(self):
         data = separable_data(n_per=5)
-        bad = PhaseData(images=data.images, labels=data.labels,
-                        raw_images=np.zeros((2, 1, 1, 1)), raw_pair_rows=np.arange(2))
+        bad = Batch(recon=data.recon, labels=data.labels,
+                    raw=np.zeros((2, 1, 1, 1)), pair_rows=np.arange(2))
         with pytest.raises(InvalidInputError):
             train_phase(bad, 2, TrainConfig(epochs=1))
 
     def test_zero_raw_representation_rejected(self):
         # b1 starts at zero, so an all-zero raw image has a zero representation
         data = separable_data(n_per=5)
-        paired = PhaseData(images=data.images, labels=data.labels,
-                           raw_images=np.zeros((3, 2, 1, 1)), raw_pair_rows=np.arange(3))
+        paired = Batch(recon=data.recon, labels=data.labels,
+                       raw=np.zeros((3, 2, 1, 1)), pair_rows=np.arange(3))
         with pytest.raises(DegenerateInputError):
             train_phase(paired, 2, TrainConfig(epochs=1))
+
+
+def bad_batches():
+    """Per rule of `Batch.validate`, its message and a batch that breaks only
+    that rule; every row of a good batch is a (2, 1, 1) image of class 0 or 1."""
+    recon = np.random.default_rng(0).normal(size=(6, 2, 1, 1))
+    labels = np.array([0, 1, 0, 1, 0, 1])
+    views = recon[:2] + 0.1
+    return {
+        "must align": Batch(recon=recon[:-1], labels=labels),
+        "empty batch": Batch(recon=recon[:0], labels=labels[:0]),
+        "labels must be integers": Batch(recon=recon, labels=labels.astype(float)),
+        "label outside": Batch(recon=recon, labels=labels * 2),
+        "come together": Batch(recon=recon, labels=labels, raw=views),
+        "needs its paired row": Batch(recon=recon, labels=labels, raw=views,
+                                      pair_rows=np.arange(3)),
+        "must be distinct": Batch(recon=recon, labels=labels, raw=views,
+                                  pair_rows=np.array([1, 1])),
+        "outside the batch": Batch(recon=recon, labels=labels, raw=views,
+                                   pair_rows=np.array([0, 6])),
+        "reconstructions' shape": Batch(recon=recon, labels=labels,
+                                        raw=views.reshape(2, 1, 2, 1), pair_rows=np.arange(2)),
+    }
+
+
+class TestBatch:
+    """`Batch` is the one training set: `total_loss` and `train_phase` both
+    check it through `Batch.validate` and read its rows flattened."""
+
+    @pytest.mark.parametrize("message", sorted(bad_batches()))
+    def test_both_consumers_reject_a_bad_batch(self, message):
+        batch = bad_batches()[message]
+        with pytest.raises(InvalidInputError, match=message):
+            total_loss(init_classifier(2, 3, 2, seed=0), batch, 0.5)
+        with pytest.raises(InvalidInputError, match=message):
+            train_phase(batch, 2, TrainConfig(epochs=1))
+
+    def test_total_loss_reads_image_rows_flattened(self):
+        batch = random_batch(np.random.default_rng(3), n=6, dim=6, pairs=4)
+        images = Batch(recon=batch.recon.reshape(6, 1, 2, 3), labels=batch.labels,
+                       raw=batch.raw.reshape(4, 1, 2, 3), pair_rows=batch.pair_rows)
+        params = init_classifier(6, 4, 3, seed=5)
+        loss, grads, _ = total_loss(params, batch, 0.4)
+        image_loss, image_grads, _ = total_loss(params, images, 0.4)
+        assert image_loss == loss
+        for a, b in zip(vars(grads).values(), vars(image_grads).values()):
+            assert np.array_equal(a, b)
+
+    def test_missing_class_is_a_phase_rule(self):
+        # A batch may lack a class of the classifier; a phase may not.
+        batch = Batch(recon=np.ones((2, 3)), labels=np.array([0, 2]))
+        batch.validate(3)
+        total_loss(init_classifier(3, 2, 3, seed=0), batch, 0.0)
+        with pytest.raises(InvalidInputError, match=r"missing classes \[1\]"):
+            train_phase(batch, 3, TrainConfig(epochs=1))

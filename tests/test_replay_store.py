@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import resealed
-from drr import replay_store
+from drr import bits_back, rans, replay_store
 from drr.bits_back import FitConfig, build_coding_tables, random_model
 from drr.errors import DataCorruptionError, InvalidInputError, StateError
 from drr.replay_store import (
@@ -131,7 +131,7 @@ class TestRawStore:
         store = RawExemplarStore(exemplars_per_class=4)
         with pytest.raises(InvalidInputError, match="class label must be a nonnegative integer"):
             store.add_class(-1, toy_images(10))
-        assert store.class_labels == []
+        assert store.account().exemplar_count == 0
 
     @pytest.mark.parametrize("label", [-0.5, 2.7, "5"])
     def test_label_is_checked_before_coercion(self, label):
@@ -139,15 +139,17 @@ class TestRawStore:
         store = RawExemplarStore(exemplars_per_class=4)
         with pytest.raises(InvalidInputError, match="class label must be a nonnegative integer"):
             store.add_class(label, toy_images(10))
-        assert store.class_labels == []
+        assert store.account().exemplar_count == 0
         store.add_class(np.int64(3), toy_images(10))
-        assert store.class_labels == [3] and type(store.class_labels[0]) is int
+        assert store.get(3).shape == (4, 16, 16, 3)
 
-    def test_reconstruct_all_keys(self):
+    def test_holds_exactly_the_added_classes(self):
         store = RawExemplarStore(exemplars_per_class=4, seed=0)
         store.add_class(2, toy_images(10, seed=1))
         store.add_class(0, toy_images(10, seed=2))
-        assert list(store.reconstruct_all()) == [0, 2]
+        assert [len(store.get(label)) for label in (0, 2)] == [4, 4]
+        with pytest.raises(InvalidInputError):
+            store.get(1)
         assert store.account().exemplar_count == 8
 
     def test_default_exemplar_count(self):
@@ -430,6 +432,28 @@ class TestTableBuilds:
         assert len(built) == 2
 
 
+class TestPayloadParses:
+    def test_read_pass_parses_each_payload_once(self, frozen_codec, monkeypatch, tmp_path):
+        # `load` leaves each stream's coder payload to the decoder, which
+        # parses it once: one `read_payload` call per stream in all.
+        buffer, _ = filled_buffer(frozen_codec, n_classes=2, exemplars=4, fit_iterations=0)
+        buffer.save(str(tmp_path))
+        parsed = []
+        real = rans.read_payload
+
+        def counting(data):
+            parsed.append(len(data))
+            return real(data)
+
+        for module in (rans, bits_back, replay_store):
+            if hasattr(module, "read_payload"):
+                monkeypatch.setattr(module, "read_payload", counting)
+        loaded = ReplayBuffer.load(str(tmp_path))
+        assert loaded.exemplar_count == 8 and parsed == []
+        loaded.reconstruct_all()
+        assert len(parsed) == 8
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, frozen_codec, tmp_path):
         buffer, _ = filled_buffer(frozen_codec, n_classes=2)
@@ -493,25 +517,55 @@ class TestPersistence:
         loaded = ReplayBuffer.load(str(tmp_path))
         assert all(s.initial_bits == buffer.initial_bits for s in loaded._shelves[0].streams)
 
-    @pytest.mark.parametrize("options", [
-        "seed=11 precision=12 initial_bits=256 exemplars_per_class=5",
-        "seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=zip",
-        "seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=bitswap loose",
-        "seed=eleven precision=12 initial_bits=256 exemplars_per_class=5 method=bitswap",
-        "seed=11 precision=40 initial_bits=256 exemplars_per_class=5 method=bitswap",
-        "seed=11 precision=2 initial_bits=256 exemplars_per_class=5 method=bitswap",
-        None,
-        "seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=bb",
+    @pytest.mark.parametrize("options, match", [
+        ("seed=11 precision=12 initial_bits=256 exemplars_per_class=5 classes=1",
+         "missing method"),
+        ("seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=bitswap",
+         "missing classes"),
+        ("seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=zip classes=1",
+         "coded with 'zip'"),
+        ("seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=bitswap classes=1 "
+         "loose", "malformed field 'loose'"),
+        ("seed=eleven precision=12 initial_bits=256 exemplars_per_class=5 method=bitswap "
+         "classes=1", "corrupt buffer options"),
+        ("seed=11 precision=40 initial_bits=256 exemplars_per_class=5 method=bitswap classes=1",
+         "precision 40 outside"),
+        ("seed=11 precision=2 initial_bits=256 exemplars_per_class=5 method=bitswap classes=1",
+         "cannot code"),
+        (None, "no options line"),
+        ("seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=bb classes=1",
+         "coded with 'bb'"),
+        ("seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=bitswap classes=x",
+         "corrupt buffer options"),
+        ("seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=bitswap classes=0",
+         "lists 1 classes, its options line says 0"),
+        ("seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=bitswap classes=2",
+         "lists 1 classes, its options line says 2"),
     ])
-    def test_malformed_options_line_rejected(self, frozen_codec, tmp_path, options):
+    def test_malformed_options_line_rejected(self, frozen_codec, tmp_path, options, match):
         buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
         buffer.save(str(tmp_path))
         index = tmp_path / "index.txt"
         lines = index.read_text().splitlines()
+        assert lines[:2] == ["drr-replay-buffer 2", "seed=11 precision=12 initial_bits=256 "
+                             "exemplars_per_class=5 method=bitswap classes=1"]
         lines = lines[:1] if options is None else [lines[0], options] + lines[2:]
         index.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataCorruptionError):
+        with pytest.raises(DataCorruptionError, match=match):
             ReplayBuffer.load(str(tmp_path))
+
+    def test_index_cut_after_a_class_rejected(self, frozen_codec, tmp_path):
+        # Each class block ends on a line boundary, so only the class count
+        # tells a whole index from one cut after a class's last stream.
+        buffer, _ = filled_buffer(frozen_codec, n_classes=3, exemplars=2, fit_iterations=0)
+        buffer.save(str(tmp_path))
+        index = tmp_path / "index.txt"
+        lines = index.read_text().splitlines()
+        assert len(lines) == 2 + 3 * 3 and lines[-1].startswith("stream label=2 index=1 ")
+        for keep in (5, 8):
+            index.write_text("\n".join(lines[:keep]) + "\n")
+            with pytest.raises(DataCorruptionError, match="options line says 3"):
+                ReplayBuffer.load(str(tmp_path))
 
     @pytest.mark.parametrize("edit", [
         lambda line: line.replace("label=", "label"),
@@ -656,11 +710,12 @@ class TestArrayReadPath:
         # The refit reads the decoded buffer in shelf order, not grouped by
         # geometry: that order is part of the fitted bits.  Re-taken for
         # payload format 2, then for the checked container (codec 2, models 2,
-        # streams 3): with every file rewritten in the layout before each
+        # streams 3), then for buffer index 2 (a class count, no stream
+        # versions): with every file rewritten in the layout before each
         # change the directory gives the earlier digest.
         mixed_buffer.save(str(tmp_path))
         assert directory_digest(tmp_path) == (
-            "c5c0284519665f3fed79c4100fc0984960f6c2ac6b746be46996c6341bd47059")
+            "081998332a7d9ca065decca63500e5ffef5b672ef103044da03f25750823441e")
         recon = ReplayBuffer.load(str(tmp_path)).reconstruct_all()
         assert hashlib.sha256(b"".join(recon[label].tobytes() for label in recon)).hexdigest() == (
             "f60d81cb9d414aebab3a7c5818a17b29862d1f29e4c4b07ed15603878dfd126d")
@@ -700,7 +755,8 @@ class TestSavedBufferPin:
         # stream.  Taken when the refit joined two block lists, new classes
         # first; the codec's float64 weights depend on BLAS rounding, so
         # another BLAS build may need a new digest.  Re-taken for payload
-        # format 2 and for the checked container, as the mixed buffer's was.
+        # format 2, for the checked container and for buffer index 2, as the
+        # mixed buffer's was.
         buffer = ReplayBuffer(frozen_codec, make_pair(seed=21), exemplars_per_class=4, seed=11)
         for phase in ((0, 1), (2, 3)):
             buffer.ingest_phase({label: toy_images(10, seed=30 + label) for label in phase},
@@ -709,7 +765,7 @@ class TestSavedBufferPin:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "codec.drrc", "index.txt", "models.drrm", "streams"]
         assert directory_digest(tmp_path) == (
-            "c074740b5b56697cb031b7f596328343eed2a6ec016c416a217211f6c3fd0223")
+            "abae09c6157391f72551381bf6966f259256a4f99a5bfc57a32b91f9fd8b7f64")
 
 
 class TestIndexPaths:
