@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .container import seal, unseal
+from .container import read_uvarint, seal, unseal, uvarint
 from .errors import (
     DataCorruptionError,
     ExhaustedStreamError,
@@ -63,10 +63,9 @@ from .rans import (  # noqa: F401
 MODEL_MAGIC = b"DRRM"
 MODEL_FORMAT_VERSION = 2
 STREAM_MAGIC = b"DRRS"
-STREAM_FORMAT_VERSION = 3
+STREAM_FORMAT_VERSION = 4
 
 _MODEL_RECORD = struct.Struct("<IHIH")  # model version, levels, obs alphabet, block length
-_STREAM_RECORD = struct.Struct("<IQ")  # model version, symbol count; the payload follows
 
 DEFAULT_BLOCK_LEN = 16
 DEFAULT_INITIAL_BITS = 256
@@ -660,20 +659,23 @@ class CompressedStream:
 
 
 def serialize_stream(stream: CompressedStream) -> bytes:
-    """Stream file: the container, then the model version (u32), the symbol
-    count (u64) and the coder payload."""
+    """Stream file: the container, then the stream record, two varints
+    (`container.uvarint`): the model version (a u32 field) and the symbol
+    count (a u64 field); then the coder payload.  InvalidInputError if
+    either value is out of its field's range."""
     return seal(STREAM_MAGIC, STREAM_FORMAT_VERSION,
-                _STREAM_RECORD.pack(stream.model_version, stream.symbol_count) + stream.payload)
+                uvarint(stream.model_version, 32, "model version")
+                + uvarint(stream.symbol_count, 64, "symbol count") + stream.payload)
 
 
 def deserialize_stream(data: bytes) -> CompressedStream:
-    """The stream of a stream file.  Its coder payload is not parsed here:
-    `rans.read_payload` checks it where it is read, by the decoder."""
+    """The stream of a stream file; DataCorruptionError on a bad container
+    or record.  Its coder payload is not parsed here: `rans.read_payload`
+    checks it where it is read, by the decoder."""
     body = unseal(data, STREAM_MAGIC, STREAM_FORMAT_VERSION, "stream")
-    if len(body) < _STREAM_RECORD.size:
-        raise DataCorruptionError("stream file too short for its record")
-    model_version, symbol_count = _STREAM_RECORD.unpack_from(body)
-    return CompressedStream(payload=bytes(body[_STREAM_RECORD.size:]),
+    model_version, offset = read_uvarint(body, 0, 32, "model version")
+    symbol_count, offset = read_uvarint(body, offset, 64, "symbol count")
+    return CompressedStream(payload=bytes(body[offset:]),
                             symbol_count=symbol_count, model_version=model_version)
 
 

@@ -8,14 +8,21 @@ a file that fails any of them raises DataCorruptionError.  Each kind keeps
 its own magic and version constant; the body's layout is the kind's own.
 The CRC32 (`zlib.crc32`) catches every single-bit error in the body; other
 damage, a truncation say, passes it with odds of about 2**-32.
+
+A body's small integer fields may be unsigned LEB128 varints: seven value
+bits per byte, least significant group first, the top bit set on every
+byte but the last.  `uvarint` writes one and `read_uvarint` reads it back;
+each value has exactly one encoding, the shortest, and each field has a
+bit width (a u32 field, say) that its value must fit.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
 import zlib
 
-from .errors import DataCorruptionError
+from .errors import DataCorruptionError, InvalidInputError
 
 _HEAD = struct.Struct("<4sHI")  # magic, format version, CRC32 of the body
 
@@ -47,3 +54,44 @@ def unseal(data: bytes, magic: bytes, version: int, what: str) -> memoryview:
     if zlib.crc32(body) != crc:
         raise DataCorruptionError(f"{what} checksum mismatch")
     return body
+
+
+def uvarint(value: int, bits: int, what: str) -> bytes:
+    """The varint of `value` in a field `bits` wide; `what` names the field
+    in errors.  InvalidInputError unless 0 <= value < 2**bits."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+    if not 0 <= value < 1 << bits:
+        raise InvalidInputError(f"{what} must be in [0, 2**{bits}), got {value}")
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def read_uvarint(data, offset: int, bits: int, what: str) -> tuple[int, int]:
+    """(value, offset past it) of the varint at `offset` of `data` in a
+    field `bits` wide; `what` names the field in errors.
+    DataCorruptionError on a varint cut short, one longer than its value
+    needs, or a value of 2**bits or more."""
+    if offset < len(data) and data[offset] < 0x80:  # one byte, the common case: no loop
+        value, end = data[offset], offset + 1
+    else:
+        value = shift = 0
+        for end, byte in enumerate(data[offset:offset + (bits + 6) // 7], offset + 1):
+            value |= (byte & 0x7F) << shift
+            shift += 7
+            if byte < 0x80:
+                break
+        else:
+            raise DataCorruptionError(f"{what} varint cut short" if shift < bits else
+                                      f"{what} varint longer than its {bits}-bit field")
+        if byte == 0:  # a last byte of 0 after a first byte with the top bit set
+            raise DataCorruptionError(f"{what} varint is not in its shortest form")
+    if value >> bits:
+        raise DataCorruptionError(f"{what} {value} does not fit its {bits}-bit field")
+    return value, end

@@ -629,8 +629,10 @@ class ReplayBuffer:
                     raise DataCorruptionError(f"class label {label} is negative")
                 if label in buffer._shelves:
                     raise DataCorruptionError(f"class {label} is listed twice")
-                if count < 1:
-                    raise DataCorruptionError(f"class {label} holds {count} streams")
+                if count != buffer.exemplars_per_class:
+                    raise DataCorruptionError(
+                        f"class {label} holds {count} streams, its options line says "
+                        f"exemplars_per_class={buffer.exemplars_per_class}")
                 shelf = ClassShelf(label=label,
                                    image_shape=parse_positive_ints(info["image"]),
                                    top_shape=parse_positive_ints(info["top"]),

@@ -21,6 +21,9 @@ from test_lanes import row, scalar_decode_blocks
 
 from drr.bits_back import (
     METHODS,
+    STREAM_FORMAT_VERSION,
+    STREAM_MAGIC,
+    CompressedStream,
     FitConfig,
     LatentChainModel,
     build_coding_tables,
@@ -42,6 +45,7 @@ from drr.bits_back import (
     serialize_stream,
 )
 from drr.cli import EXIT_CORRUPT, main
+from drr.container import read_uvarint, seal, uvarint
 from drr.errors import (
     DataCorruptionError,
     DrrError,
@@ -539,22 +543,25 @@ class TestStreams:
             deserialize_stream(bytes(data))
         with pytest.raises(DataCorruptionError, match="shorter than its header"):
             deserialize_stream(b"DRRS\x00")
-        # Past a valid checksum, the stream's own checks: a body too short
-        # for the 12-byte record, for the payload's k and state that follow
-        # it, and a state no coder leaves.  The payload is parsed where it
-        # is read: by the decoder and by `drr inspect`, not on load.
+        # Past a valid checksum, the stream's own checks: a body cut inside
+        # the record (here two one-byte varints), a payload too short for
+        # its k and state, and a state no coder leaves.  The payload is
+        # parsed where it is read: by the decoder and by `drr inspect`, not
+        # on load.
         def cut(body, length):
             del body[length:]
 
-        with pytest.raises(DataCorruptionError, match="too short for its record"):
-            deserialize_stream(resealed(good, lambda body: cut(body, 11)))
+        assert good[10:12] == bytes([0, 20])  # model version 0, 20 symbols
+        for length, what in ((0, "model version"), (1, "symbol count")):
+            with pytest.raises(DataCorruptionError, match=f"{what} varint cut short"):
+                deserialize_stream(resealed(good, lambda body: cut(body, length)))
 
         def low_state(body):
-            body[14:19] = (RANS_L - 1).to_bytes(5, "little")
+            body[4:9] = (RANS_L - 1).to_bytes(5, "little")
 
         lens = [len(block) for block in blocks[:4]]
         path = tmp_path / "bad.drrs"
-        for bad, match in ((resealed(good, lambda body: cut(body, 18)), "shorter than its 7-byte"),
+        for bad, match in ((resealed(good, lambda body: cut(body, 8)), "shorter than its 7-byte"),
                            (resealed(good, low_state), "below")):
             stream = deserialize_stream(bad)
             with pytest.raises(DataCorruptionError, match=match):
@@ -624,6 +631,93 @@ class TestStreams:
             payload[0:2] = wrong.to_bytes(2, "little")  # k leads the payload
             with pytest.raises(DataCorruptionError, match="unwound"):
                 decode_stream(replace(back, payload=bytes(payload)), [(lens, tables)])
+
+
+def record_file(record, payload=b"\x00" * 7):
+    """A sealed stream file whose body is `record` then `payload`."""
+    return seal(STREAM_MAGIC, STREAM_FORMAT_VERSION, bytes(record) + payload)
+
+
+class TestStreamRecord:
+    """The stream record: two varints, model version (u32) then symbol
+    count (u64), each in its one shortest form."""
+
+    @pytest.mark.parametrize("value,encoded", [
+        (0, b"\x00"), (1, b"\x01"), (127, b"\x7f"), (128, b"\x80\x01"), (300, b"\xac\x02"),
+        (16383, b"\xff\x7f"), (16384, b"\x80\x80\x01"),
+        (2**32 - 1, b"\xff\xff\xff\xff\x0f")])
+    def test_varint_bytes(self, value, encoded):
+        assert uvarint(value, 32, "v") == encoded
+        assert read_uvarint(b"\xaa" + encoded + b"\xbb", 1, 32, "v") == (value, 1 + len(encoded))
+
+    def test_widest_values_round_trip(self):
+        for value, bits, size in ((2**32 - 1, 32, 5), (2**64 - 1, 64, 10), (2**63, 64, 10)):
+            data = uvarint(value, bits, "v")
+            assert len(data) == size
+            assert read_uvarint(data, 0, bits, "v") == (value, size)
+
+    @pytest.mark.parametrize("value,bits", [
+        (-1, 32), (2**32, 32), (2**64, 64), (-1, 64), (1.0, 32), ("1", 32)])
+    def test_writer_rejects_values_outside_the_field(self, value, bits):
+        with pytest.raises(InvalidInputError, match="symbol count"):
+            uvarint(value, bits, "symbol count")
+
+    @pytest.mark.parametrize("version,count", [(2**32, 20), (-1, 20), (0, 2**64), (0, -1)])
+    def test_serialize_rejects_values_outside_the_record(self, version, count):
+        stream = CompressedStream(payload=b"", symbol_count=count, model_version=version)
+        with pytest.raises(InvalidInputError):
+            serialize_stream(stream)
+
+    def test_numpy_integers_are_written_as_ints(self):
+        stream = CompressedStream(payload=b"\x01", symbol_count=np.int64(300),
+                                  model_version=np.uint32(5))
+        back = deserialize_stream(serialize_stream(stream))
+        assert (back.model_version, back.symbol_count) == (5, 300)
+
+    @pytest.mark.parametrize("version,count,record", [
+        (0, 0, 2), (127, 127, 2), (128, 127, 3), (3, 300, 3), (2**32 - 1, 2**64 - 1, 15)])
+    def test_size_rule(self, version, count, record):
+        # The container's 10 bytes, one byte per varint below 128, then the
+        # payload; and reading the file back gives the same stream.
+        stream = CompressedStream(payload=b"payload", symbol_count=count, model_version=version)
+        data = serialize_stream(stream)
+        assert len(data) == 10 + record + len(stream.payload)
+        back = deserialize_stream(data)
+        assert (back.model_version, back.symbol_count, back.payload) == (version, count, b"payload")
+        assert serialize_stream(back) == data
+
+    @pytest.mark.parametrize("record,match", [
+        (b"", "model version varint cut short"),
+        (b"\x80", "model version varint cut short"),
+        (b"\xff\xff\xff\xff", "model version varint cut short"),
+        (b"\x05", "symbol count varint cut short"),
+        (b"\x05\xac", "symbol count varint cut short"),
+        (b"\x05" + b"\xff" * 9, "symbol count varint cut short"),
+    ])
+    def test_truncated_varint_rejected(self, record, match):
+        with pytest.raises(DataCorruptionError, match=match):
+            deserialize_stream(record_file(record, payload=b""))
+
+    @pytest.mark.parametrize("record,what", [
+        (b"\x80\x00\x14", "model version"), (b"\x85\x00\x14", "model version"),
+        (b"\x05\x80\x00", "symbol count"), (b"\x05\x94\x80\x00", "symbol count"),
+    ])
+    def test_overlong_varint_rejected(self, record, what):
+        # 0x80 0x00 is a second spelling of 0, and 0x85 0x00 of 5: every
+        # value has one byte form, so each is corrupt.
+        with pytest.raises(DataCorruptionError, match=f"{what} varint is not in its shortest"):
+            deserialize_stream(record_file(record))
+
+    @pytest.mark.parametrize("record,match", [
+        (uvarint(2**32, 64, "v") + b"\x14", "model version 4294967296 does not fit its 32-bit"),
+        (b"\xff" * 4 + b"\x7f\x14", "model version .* does not fit its 32-bit"),
+        (b"\x05" + uvarint(2**64, 65, "v"), "symbol count 18446744073709551616 does not fit"),
+        (b"\xff" * 5 + b"\x01\x14", "model version varint longer than its 32-bit field"),
+        (b"\x05" + b"\x80" * 10 + b"\x01", "symbol count varint longer than its 64-bit"),
+    ])
+    def test_value_wider_than_its_field_rejected(self, record, match):
+        with pytest.raises(DataCorruptionError, match=match):
+            deserialize_stream(record_file(record))
 
 
 class TestFit:

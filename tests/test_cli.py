@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from conftest import resealed
-from drr.bits_back import DEFAULT_INITIAL_BITS, encode_stream, encode_streams
+from drr.bits_back import (
+    DEFAULT_INITIAL_BITS,
+    deserialize_stream,
+    encode_stream,
+    encode_streams,
+)
 from drr.cli import (
     BAD_ALPHABETS,
     CONFIG_DEFAULTS,
@@ -23,7 +28,7 @@ from drr.cli import (
     read_image,
     write_image,
 )
-from drr.container import seal
+from drr.container import read_uvarint, seal, uvarint
 from drr.errors import DataCorruptionError, InvalidInputError
 from drr.learner import DEFAULT_IB_WEIGHT, LatentSpec, TrainConfig
 from drr.replay_store import (
@@ -608,8 +613,9 @@ def bad_input_cases(workspace, root):
 
 
 def version_999(body):
-    """Set a stream body's model version to 999."""
-    body[:4] = struct.pack("<I", 999)
+    """Set a stream body's model version, its leading varint, to 999."""
+    _, end = read_uvarint(body, 0, 32, "model version")
+    body[:end] = uvarint(999, 32, "model version")
 
 
 def zero_geometry_codec(path, field):
@@ -633,10 +639,11 @@ def top_version_flipped(body):
 
 def old_layout_stream(data):
     """A stream file in the layout before the checked container: the DRRS
-    header, then the coder payload under its own DRRB header."""
-    body = data[10:]
-    return (b"DRRS" + body[:12] + b"DRRB" + struct.pack("<HQ", 2, len(body) - 12)
-            + body[12:])
+    header (model version u32, symbol count u64), then the coder payload
+    under its own DRRB header."""
+    stream = deserialize_stream(data)
+    return (b"DRRS" + struct.pack("<IQ", stream.model_version, stream.symbol_count)
+            + b"DRRB" + struct.pack("<HQ", 2, len(stream.payload)) + stream.payload)
 
 
 def old_layout(data):

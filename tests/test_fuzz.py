@@ -10,6 +10,9 @@ version or the checksum it holds.  Through the CLI, `drr inspect` on each
 kind of corrupt file and `drr decompress` with a corrupt codec, model or
 stream exit 3 with no traceback.  A file whose magic is broken names no
 kind, so `drr inspect` calls it unrecognized (exit 1), as any other bytes.
+Past the checksum (the body edited and resealed), damage to a stream's
+record and the head of its payload reads back the same grid or raises
+DataCorruptionError, and the CLI exits 3 on it with no traceback.
 
 Each index gets bit 0 and bit 7 flipped at every byte and is cut at every
 fifth length.  A damaged stream-set index makes `drr decompress` exit 3 or
@@ -25,11 +28,12 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import resealed
 from drr.bits_back import FitConfig, deserialize_stream, serialize_stream
 from drr.cli import EXIT_CORRUPT, EXIT_OK, EXIT_USAGE, main, write_image
 from drr.container import seal, unseal
 from drr.errors import DataCorruptionError
-from drr.replay_store import LatentModelPair, ReplayBuffer, compress_shelves
+from drr.replay_store import LatentModelPair, ReplayBuffer, compress_shelves, decompress_grid
 from drr.vq_codec import (
     CodecConfig,
     deserialize_codec,
@@ -103,7 +107,7 @@ def test_every_damaged_file_raises_data_corruption(kind, damage):
 
 @pytest.mark.parametrize("kind, what, magic, version", [
     ("codec", "codec", b"DRRC", 2), ("models", "model snapshot", b"DRRM", 2),
-    ("stream", "stream", b"DRRS", 3)])
+    ("stream", "stream", b"DRRS", 4)])
 def test_each_container_field_is_checked(kind, what, magic, version):
     # Each kind writes its own magic and format version, and its reader
     # rejects each field of the container on its own: another version under
@@ -122,6 +126,47 @@ def test_each_container_field_is_checked(kind, what, magic, version):
         read(data[:6] + bytes(4) + data[10:])
     with pytest.raises(DataCorruptionError, match=f"{what} file is 9 bytes"):
         read(data[:9])
+
+
+def record_edits():
+    """Body edits for `resealed`: bit 0 or bit 7 flipped at each of the
+    first 9 bytes (the two one-byte varints, k and the state), and the body
+    cut at each of those lengths."""
+    def flip(position, bit):
+        def edit(body):
+            body[position] ^= 1 << bit
+        return edit
+
+    def cut(length):
+        def edit(body):
+            del body[length:]
+        return edit
+
+    return [flip(position, bit) for position in range(9) for bit in (0, 7)] + [
+        cut(length) for length in range(9)]
+
+
+def test_record_damage_under_a_valid_checksum_decodes_identically_or_raises():
+    # The checksum hides every flip from the record's own checks; with it
+    # made valid again, bit 0 or bit 7 flipped in each of the record's two
+    # varints and the payload's k and state, and the body cut at each of
+    # those lengths, reads and decodes to the same grid or raises
+    # DataCorruptionError.
+    for data in toy_streams():
+        good = decompress_grid(deserialize_stream(data), TOY_PAIR, (2, 2), (4, 4))
+        assert data[10:12] == bytes([0, 20])  # model version 0, 20 symbols
+
+        counts = {"corrupt": 0, "identical": 0}
+        for edit in record_edits():
+            try:
+                grid = decompress_grid(deserialize_stream(resealed(data, edit)), TOY_PAIR,
+                                       (2, 2), (4, 4))
+            except DataCorruptionError:
+                counts["corrupt"] += 1
+                continue
+            assert grid == good
+            counts["identical"] += 1
+        assert counts == {"corrupt": 27, "identical": 0}
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +262,43 @@ def test_cli_subprocess_prints_no_traceback(stream_set, tmp_path):
         assert "Traceback" not in proc.stderr, name
 
 
+def test_cli_exits_3_on_a_damaged_record(stream_set, tmp_path):
+    # Under a valid checksum: a model version spelled long (0x80 0x00 for
+    # 0), a symbol count of 2**64 and a body cut inside the count.  Both
+    # `drr inspect` and `drr decompress` exit 3 in a fresh process, with no
+    # traceback.
+    source = sources(stream_set)["stream"]
+    data = source.read_bytes()
+    assert data[10] == 0 and data[11] < 0x80
+
+    def overlong(body):
+        body[0:1] = b"\x80\x00"
+
+    def count_2_64(body):
+        body[1:2] = b"\x80" * 9 + b"\x02"
+
+    def cut_in_count(body):
+        body[1:] = b"\x80"
+
+    for edit, match in ((overlong, "model version varint is not in its shortest form"),
+                        (count_2_64, "symbol count 18446744073709551616 does not fit"),
+                        (cut_in_count, "symbol count varint cut short")):
+        streams = tmp_path / edit.__name__
+        shutil.copytree(stream_set["streams"], streams)
+        bad = streams / source.name
+        bad.write_bytes(resealed(data, edit))
+        for argv in (["inspect", "--file", str(bad)],
+                     ["decompress", "--codec", str(stream_set["codec"]), "--model",
+                      str(stream_set["model"]), "--in", str(streams),
+                      "--out", str(tmp_path / "recon")]):
+            proc = subprocess.run([sys.executable, "-m", "drr.cli", *argv],
+                                  capture_output=True, text=True)
+            assert proc.returncode == EXIT_CORRUPT, (edit.__name__, argv[0])
+            assert proc.stderr.startswith("corrupt data: ") and match in proc.stderr, proc.stderr
+            assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "recon").exists()
+
+
 # -- text indexes ----------------------------------------------------------------
 
 def index_damage(data):
@@ -304,9 +386,10 @@ def toy_buffer(tmp_path_factory):
 
 def test_damaged_buffer_index_never_loads_silently(toy_buffer, tmp_path):
     # Every damaged index raises DataCorruptionError, on load or on the
-    # read, or reads back every class exactly.  The 19 identical cases are
-    # 17 line ends turned into another line break, and a flip of seed=2 or
-    # exemplars_per_class=4: options the read path does not use.
+    # read, or reads back every class exactly.  The 18 identical cases are
+    # 17 line ends turned into another line break, and a flip of seed=2,
+    # an option the read path does not use; a flip of exemplars_per_class=4
+    # no longer matches the classes' count=4.
     source, good = toy_buffer
     directory = tmp_path / "buffer"
     shutil.copytree(source, directory)
@@ -322,7 +405,7 @@ def test_damaged_buffer_index_never_loads_silently(toy_buffer, tmp_path):
         assert list(recon) == list(good), bad
         assert all(np.array_equal(recon[label], good[label]) for label in good), bad
         counts["identical"] += 1
-    assert counts == {"corrupt": 1748, "identical": 19}
+    assert counts == {"corrupt": 1749, "identical": 18}
 
 
 def test_damaged_stream_set_index_subprocess_prints_no_traceback(six_image_set, tmp_path):

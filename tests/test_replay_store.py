@@ -596,6 +596,37 @@ class TestPersistence:
         with pytest.raises(DataCorruptionError):
             ReplayBuffer.load(str(tmp_path))
 
+    @pytest.mark.parametrize("per_class", [4, 6])
+    def test_exemplar_count_must_match_the_options_line(self, frozen_codec, tmp_path,
+                                                          per_class):
+        # `ingest_phase` stores exactly exemplars_per_class streams a class,
+        # so a class line's count= must equal the options line's, which
+        # later ingests read.  An options line changed on its own is caught.
+        buffer, _ = filled_buffer(frozen_codec, n_classes=2, fit_iterations=0)
+        buffer.save(str(tmp_path))
+        index = tmp_path / "index.txt"
+        text = index.read_text()
+        assert "exemplars_per_class=5" in text
+        index.write_text(text.replace("exemplars_per_class=5",
+                                      f"exemplars_per_class={per_class}"))
+        with pytest.raises(DataCorruptionError,
+                           match=f"holds 5 streams, its options line says "
+                                 f"exemplars_per_class={per_class}"):
+            ReplayBuffer.load(str(tmp_path))
+
+    def test_class_short_of_its_exemplars_rejected(self, frozen_codec, tmp_path):
+        # A class line and its stream lines cut back together still differ
+        # from the options line.
+        buffer, _ = filled_buffer(frozen_codec, n_classes=2, fit_iterations=0)
+        buffer.save(str(tmp_path))
+        index = tmp_path / "index.txt"
+        lines = [line for line in index.read_text().splitlines()
+                 if not line.startswith("stream label=0 index=4 ")]
+        lines[2] = lines[2].replace(" count=5", " count=4")
+        index.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataCorruptionError, match="class 0 holds 4 streams"):
+            ReplayBuffer.load(str(tmp_path))
+
     @pytest.mark.parametrize("value", [float("nan"), -1.0, 2.0])
     def test_corrupt_model_table_rejected(self, frozen_codec, tmp_path, value):
         buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
@@ -711,11 +742,12 @@ class TestArrayReadPath:
         # geometry: that order is part of the fitted bits.  Re-taken for
         # payload format 2, then for the checked container (codec 2, models 2,
         # streams 3), then for buffer index 2 (a class count, no stream
-        # versions): with every file rewritten in the layout before each
-        # change the directory gives the earlier digest.
+        # versions), then for stream format 4 (a varint record): with every
+        # file rewritten in the layout before each change the directory
+        # gives the earlier digest.
         mixed_buffer.save(str(tmp_path))
         assert directory_digest(tmp_path) == (
-            "081998332a7d9ca065decca63500e5ffef5b672ef103044da03f25750823441e")
+            "fa01102737fe281cc0bf933949493a2351d762a4ab9f3b81eaf712ae2c753659")
         recon = ReplayBuffer.load(str(tmp_path)).reconstruct_all()
         assert hashlib.sha256(b"".join(recon[label].tobytes() for label in recon)).hexdigest() == (
             "f60d81cb9d414aebab3a7c5818a17b29862d1f29e4c4b07ed15603878dfd126d")
@@ -755,8 +787,8 @@ class TestSavedBufferPin:
         # stream.  Taken when the refit joined two block lists, new classes
         # first; the codec's float64 weights depend on BLAS rounding, so
         # another BLAS build may need a new digest.  Re-taken for payload
-        # format 2, for the checked container and for buffer index 2, as the
-        # mixed buffer's was.
+        # format 2, for the checked container, for buffer index 2 and for
+        # stream format 4, as the mixed buffer's was.
         buffer = ReplayBuffer(frozen_codec, make_pair(seed=21), exemplars_per_class=4, seed=11)
         for phase in ((0, 1), (2, 3)):
             buffer.ingest_phase({label: toy_images(10, seed=30 + label) for label in phase},
@@ -765,7 +797,7 @@ class TestSavedBufferPin:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "codec.drrc", "index.txt", "models.drrm", "streams"]
         assert directory_digest(tmp_path) == (
-            "abae09c6157391f72551381bf6966f259256a4f99a5bfc57a32b91f9fd8b7f64")
+            "6a06754bbae8d3ed0d9e6a07bc275b3f53e82e06348eec8a9a0cbd2c019f6c38")
 
 
 class TestIndexPaths:
