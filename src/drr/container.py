@@ -78,20 +78,17 @@ def read_uvarint(data, offset: int, bits: int, what: str) -> tuple[int, int]:
     field `bits` wide; `what` names the field in errors.
     DataCorruptionError on a varint cut short, one longer than its value
     needs, or a value of 2**bits or more."""
-    if offset < len(data) and data[offset] < 0x80:  # one byte, the common case: no loop
-        value, end = data[offset], offset + 1
+    value = shift = 0
+    for end, byte in enumerate(data[offset:offset + (bits + 6) // 7], offset + 1):
+        value |= (byte & 0x7F) << shift
+        shift += 7
+        if byte < 0x80:
+            break
     else:
-        value = shift = 0
-        for end, byte in enumerate(data[offset:offset + (bits + 6) // 7], offset + 1):
-            value |= (byte & 0x7F) << shift
-            shift += 7
-            if byte < 0x80:
-                break
-        else:
-            raise DataCorruptionError(f"{what} varint cut short" if shift < bits else
-                                      f"{what} varint longer than its {bits}-bit field")
-        if byte == 0:  # a last byte of 0 after a first byte with the top bit set
-            raise DataCorruptionError(f"{what} varint is not in its shortest form")
+        raise DataCorruptionError(f"{what} varint cut short" if shift < bits else
+                                  f"{what} varint longer than its {bits}-bit field")
+    if byte == 0 and end > offset + 1:  # a last byte of 0 after a byte with the top bit set
+        raise DataCorruptionError(f"{what} varint is not in its shortest form")
     if value >> bits:
         raise DataCorruptionError(f"{what} {value} does not fit its {bits}-bit field")
     return value, end
