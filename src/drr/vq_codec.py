@@ -3,9 +3,13 @@
 Images are cut into non-overlapping patches.  Each patch is linearly mapped
 to an embedding and snapped to its nearest bottom-codebook row; the
 pre-quantization embeddings are additionally average-pooled, mapped through
-a second linear layer, and snapped to the top codebook.  Decoding mirrors
-the two maps: the top embedding is mapped back, upsampled, summed with the
-bottom embedding, and projected back to pixel space.
+a second linear layer, and snapped to the top codebook.  The decoder is
+linear: the top embedding is mapped back, upsampled, summed with the bottom
+embedding, and projected back to pixel space.  So each output patch is the
+sum of one row per level of two (K, patch_dim) patch tables, and decoding
+stored codes is a table lookup (`decode_indices`); training runs the
+decoder's two maps (`_decode_embeddings`), whose hidden grid it needs for
+gradients.
 
 Quantization is not differentiable, so training uses the usual surgery:
 the reconstruction gradient is copied straight through the quantizer to the
@@ -291,7 +295,9 @@ def encode_image(image: np.ndarray, params: CodecParams) -> CodeGrid:
 
 
 def _decode_embeddings(emb_top: np.ndarray, emb_bottom: np.ndarray, params: CodecParams):
-    """Shared decoder path: top map, upsample, sum, bottom map.
+    """The decoder's forward pass in training: top map, upsample, sum,
+    bottom map.  Training needs the summed hidden grid for its gradients;
+    stored codes are decoded through the patch tables (`decode_indices`).
 
     The sum is made in place in `emb_bottom`, which must be a fresh array
     the caller hands over (a codebook gather), never a codebook itself.
@@ -307,24 +313,66 @@ def _decode_embeddings(emb_top: np.ndarray, emb_bottom: np.ndarray, params: Code
     return patches, emb_bottom
 
 
-def decode_indices(top: np.ndarray, bottom: np.ndarray, params: CodecParams) -> np.ndarray:
-    """Reconstruct the (n, H, W, C) images of stacked index grids, top of
-    shape (n, H_t, W_t) and bottom (n, H_b, W_b), clamped to [0, 1], in one
-    decoder pass.
+def _build_patch_tables(params: CodecParams) -> tuple[np.ndarray, np.ndarray]:
+    """The decoder folded into two (K, patch_dim) patch tables, (top,
+    bottom).  Every step of the decoder is linear, so the patch it gives
+    bottom code b under top code t is bottom[b] + top[t]: the bottom table
+    holds the codebook rows through the bottom map and its bias, the top
+    table the top rows through the top map, its bias and the bottom map."""
+    top = params.codebook_top @ params.dec_top_w.T
+    top += params.dec_top_b
+    bottom = params.codebook_bottom @ params.dec_bottom_w.T
+    bottom += params.dec_bottom_b
+    return top @ params.dec_bottom_w.T, bottom
 
-    The one decoder of code indices: each image depends only on its own
-    grids, because the stacked matmuls keep every grid row's sub-matrices
-    and never form one 2-D product over the batch.
+
+def _patch_tables(params: CodecParams) -> tuple[np.ndarray, np.ndarray]:
+    """`_build_patch_tables` of the codec, built on a frozen codec's first
+    decode and kept, read-only, for its later ones; an unfrozen codec,
+    which training may still change, builds them on every call.
+
+    The tables are an attribute, not a dataclass field, so `copy`,
+    `replace` and serialization leave them out: `freeze` of an unfrozen
+    codec and a deserialized codec build their own.
+    """
+    if not params.frozen:
+        return _build_patch_tables(params)
+    tables = vars(params).get("_tables")
+    if tables is None:
+        tables = _build_patch_tables(params)
+        for table in tables:
+            table.flags.writeable = False
+        params._tables = tables
+    return tables
+
+
+def decode_indices(top, bottom, params: CodecParams) -> np.ndarray:
+    """Reconstruct the (n, H, W, C) images of stacked index grids, top of
+    shape (n, H_t, W_t) and bottom (n, H_b, W_b), clamped to [0, 1], by
+    table lookup.
+
+    The one decoder of code indices.  Each patch is its bottom code's row
+    of the bottom patch table plus its top code's row of the top table
+    (`_patch_tables`): one gather, one upsampled add in place, then the
+    patches are assembled and clipped in place.  Every value is one add of
+    two table entries, so each image depends only on its own grids and a
+    single-image decode is its row of a batch decode, bit for bit.
     """
     k = params.codebook_size
+    top, bottom = np.asarray(top), np.asarray(bottom)
     for name, idx in (("top", top), ("bottom", bottom)):
-        if idx.ndim != 3 or idx.size == 0 or idx.min() < 0 or idx.max() >= k:
-            raise InvalidInputError(f"{name} indices must be a 2-d grid in [0, {k})")
+        # np.integer excludes bool, which a gather would read as a mask.
+        if (not np.issubdtype(idx.dtype, np.integer) or idx.ndim != 3 or idx.size == 0
+                or idx.min() < 0 or idx.max() >= k):
+            raise InvalidInputError(f"{name} indices must be stacked 2-d grids of integers "
+                                    f"in [0, {k})")
     n, ht, wt = top.shape
     if bottom.shape != (n, ht * params.pool, wt * params.pool):
         raise InvalidInputError("grid shapes do not match the pooling factor")
-    patches, _ = _decode_embeddings(params.codebook_top[top], params.codebook_bottom[bottom],
-                                    params)
+    top_table, bottom_table = _patch_tables(params)
+    patches = bottom_table[bottom]
+    upsampled = _cells(patches, params.pool)
+    upsampled += top_table[top][:, :, None, :, None, :]
     images = _assemble_patches(patches, params.patch, params.channels)
     return np.clip(images, 0.0, 1.0, out=images)
 

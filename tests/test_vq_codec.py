@@ -556,6 +556,22 @@ class TestCodebookGrad:
             assert np.array_equal(got, reference)
 
 
+def acceptance_toy_codec():
+    """The codec of the acceptance-13 config, trained on its first phase."""
+    from drr.learner import make_toy_dataset
+    images, labels = make_toy_dataset(8, 14, side=16, seed=123, salt=0)
+    return train_codec(images[labels < 4], CodecConfig(
+        patch=4, pool=2, channels=3, codebook_size=32, embed_dim=8, epochs=300,
+        lr=0.005, seed=0))
+
+
+def paper_shaped_codec(epochs=2, seed=0):
+    """A K=512, d=64 codec trained on 120 toy 32x32 images."""
+    from drr.learner import make_toy_dataset
+    images, _ = make_toy_dataset(5, 24, side=32, seed=0)
+    return train_codec(images, CodecConfig(epochs=epochs, seed=seed))
+
+
 def batch_digests(images, codec):
     """sha256 of the code grids `encode_indices` gives, grid by grid, and of
     the images `decode_indices` rebuilds from them."""
@@ -569,30 +585,29 @@ def batch_digests(images, codec):
 
 class TestBatchCoding:
     """Batched encode and decode against the bits of one image at a time,
-    pinned from the per-image `encode_image` / `decode_codes` loop."""
+    pinned from the per-image `encode_image` / `decode_codes` loop.  The
+    reconstruction digests were re-taken when decoding moved to the patch
+    tables, which move reconstructions by a few ulps (`TestPatchTables`);
+    the code-grid digests did not change."""
 
     def test_acceptance_toy_codec_is_pinned(self):
         from drr.learner import make_toy_dataset
-        images, labels = make_toy_dataset(8, 14, side=16, seed=123, salt=0)
-        codec = train_codec(images[labels < 4], CodecConfig(
-            patch=4, pool=2, channels=3, codebook_size=32, embed_dim=8, epochs=300,
-            lr=0.005, seed=0))
-        assert batch_digests(images, codec) == (
+        images, _ = make_toy_dataset(8, 14, side=16, seed=123, salt=0)
+        assert batch_digests(images, acceptance_toy_codec()) == (
             "318934d56a7dd6483611ba4783b25045bd6bdb4abc2ce6aea0fe069581f0c3d5",
-            "a45ac700cea348123bac88b87b2eab6201d22997ebfb0764524c0bb8d6cccc86")
+            "e7cfc804119f8be654d64426800904dc44e3a5bce7e72f99f1a5168068198527")
 
     @pytest.mark.parametrize("epochs, seed, pinned", [
         (2, 0, ("78911db4928463112bfada38e504f7feac224c39d6a9d752eb4c12d7008fe378",
-                "bdda733c08dbf0b418d743db46e01d49dc8473a47b73a899f1b6346735532f6e")),
+                "354623a6773afbc9330a4c2ca6fffe5720d2943b2a863d63c0133522c91085a4")),
         (0, 4, ("0c0a1be13622488bcf6a61885cafb1819f8cfdee90f68cb26446185a919c4757",
-                "3b41e66141e0e43eea55ffadbf3256f2815fbc434cc9f9127f9d5d06633f145c")),
+                "c7384a6f637e166e6e564a20ec45e6be4ceecf44e00c0b09eff8b5cb7ab1f8f4")),
     ])
     def test_paper_shaped_codec_is_pinned(self, epochs, seed, pinned):
         # 120 images: 7,680 bottom rows, searched in 15 chunks
         from drr.learner import make_toy_dataset
         images, _ = make_toy_dataset(5, 24, side=32, seed=0)
-        codec = train_codec(images, CodecConfig(epochs=epochs, seed=seed))
-        assert batch_digests(images, codec) == pinned
+        assert batch_digests(images, paper_shaped_codec(epochs, seed)) == pinned
 
     def test_batch_equals_one_at_a_time(self):
         from drr.vq_codec import decode_indices, encode_indices
@@ -614,13 +629,129 @@ class TestBatchCoding:
         params = init_codec_params(tiny_config())
         grid = encode_image(random_image(rng), params)
         small = encode_image(random_image(rng, h=4, w=4), params)
+        top, bottom = grid.top[None], grid.bottom[None]
         for call in (lambda: encode_indices([], params),
                      lambda: encode_indices([random_image(rng), random_image(rng, h=4)], params),
                      lambda: decode_indices(np.zeros((0, 2, 2), np.int32),
                                             np.zeros((0, 4, 4), np.int32), params),
-                     lambda: decode_indices(grid.top[None], small.bottom[None], params)):
+                     lambda: decode_indices(top, small.bottom[None], params),
+                     lambda: decode_indices(top.astype(np.float64), bottom, params),
+                     lambda: decode_indices(top, bottom > 0, params),
+                     lambda: decode_indices(top, (bottom * 1.0).tolist(), params)):
             with pytest.raises(InvalidInputError):
                 call()
+        # A nested list of integers is an index array like any other.
+        assert np.array_equal(decode_indices(top.tolist(), bottom.tolist(), params),
+                              decode_indices(top, bottom, params))
+
+
+def gemm_decode(top, bottom, params):
+    """Stacked index grids decoded through the decoder's two maps, as two
+    stacked GEMMs: top rows through the top map, upsampled and summed with
+    the bottom rows, then the bottom map, patch assembly and the clip.  The
+    reference the patch-table lookup of `decode_indices` must match."""
+    n, hb, wb = bottom.shape
+    t, p, c, d = params.pool, params.patch, params.channels, params.embed_dim
+    u = params.codebook_top[top] @ params.dec_top_w.T + params.dec_top_b
+    hidden = params.codebook_bottom[bottom].reshape(n, hb // t, t, wb // t, t, d)
+    hidden = (hidden + u[:, :, None, :, None, :]).reshape(n, hb, wb, d)
+    patches = hidden @ params.dec_bottom_w.T + params.dec_bottom_b
+    images = patches.reshape(n, hb, wb, p, p, c).transpose(0, 1, 3, 2, 4, 5)
+    return np.clip(images.reshape(n, hb * p, wb * p, c), 0.0, 1.0)
+
+
+def covering_grids(params, n, side, seed):
+    """Stacked (top, bottom) index grids of n side x side images in which
+    every code of both levels appears, in a seeded order."""
+    rng = np.random.default_rng(seed)
+    k = params.codebook_size
+    top_shape, bottom_shape = code_shapes((side, side, params.channels), params)
+    grids = []
+    for shape in (top_shape, bottom_shape):
+        size = n * shape[0] * shape[1]
+        assert size >= k
+        grids.append(rng.permutation(np.resize(np.arange(k, dtype=np.int32), size))
+                     .reshape(n, *shape))
+    return grids
+
+
+class TestPatchTables:
+    """`decode_indices` looks patches up in two tables folded from the
+    decoder's linear maps.  It matches the maps run as GEMMs to within
+    rounding, on every code of both levels, and the tables a frozen codec
+    keeps never go stale."""
+
+    @pytest.mark.parametrize("make_codec, side, n", [
+        (acceptance_toy_codec, 16, 8),     # K=32: 32 top codes, 128 bottom
+        (paper_shaped_codec, 32, 40),      # K=512: 640 top codes, 2,560 bottom
+    ])
+    def test_matches_the_gemm_decoder_on_every_code(self, make_codec, side, n):
+        from drr.vq_codec import decode_indices
+        codec = freeze(make_codec())
+        top, bottom = covering_grids(codec, n, side, seed=40)
+        recon = decode_indices(top, bottom, codec)
+        reference = gemm_decode(top, bottom, codec)
+        assert recon.shape == reference.shape == (n, side, side, 3)
+        assert np.abs(recon - reference).max() <= 1e-12
+        # Every value is one add of two table entries: a single-image
+        # decode is its row of the batch decode, bit for bit.
+        assert all(np.array_equal(decode_indices(t[None], b[None], codec)[0], r)
+                   for t, b, r in zip(top, bottom, recon))
+
+    def test_frozen_codec_keeps_its_first_build(self):
+        from drr.vq_codec import _build_patch_tables, _patch_tables, decode_indices
+        codec = freeze(train_codec([random_image(np.random.default_rng(41))],
+                                   tiny_config(epochs=3)))
+        grids = covering_grids(codec, 2, 8, seed=41)
+        first = decode_indices(*grids, codec)
+        tables = vars(codec)["_tables"]
+        assert _patch_tables(codec) is tables
+        assert all(np.array_equal(a, b) for a, b in zip(tables, _build_patch_tables(codec)))
+        assert not any(table.flags.writeable for table in tables)
+        assert np.array_equal(decode_indices(*grids, codec), first)
+        # The tables are no field: copies and codec files leave them out.
+        from dataclasses import replace
+        blob = serialize_codec(codec)
+        for other in (codec.copy(), replace(codec), deserialize_codec(blob)):
+            assert "_tables" not in vars(other)
+            assert serialize_codec(other) == blob
+
+    def test_unfrozen_codec_decodes_with_its_current_weights(self):
+        from drr.vq_codec import decode_indices
+        rng = np.random.default_rng(42)
+        image = random_image(rng)
+        params = train_codec([image], tiny_config(epochs=3))
+        grids = covering_grids(params, 2, 8, seed=42)
+        before = decode_indices(*grids, params)
+        train_step(params, image)
+        after = decode_indices(*grids, params)
+        assert "_tables" not in vars(params)
+        assert not np.array_equal(after, before)
+        assert np.abs(after - gemm_decode(*grids, params)).max() <= 1e-12
+
+    def test_freeze_of_a_further_trained_codec_builds_its_own(self):
+        from drr.vq_codec import _build_patch_tables, decode_indices
+        rng = np.random.default_rng(43)
+        image = random_image(rng)
+        params = train_codec([image], tiny_config(epochs=3))
+        grids = covering_grids(params, 2, 8, seed=43)
+        early = freeze(params)
+        early_recon = decode_indices(*grids, early)
+        train_step(params, image)
+        late = freeze(params)
+        late_recon = decode_indices(*grids, late)
+        assert np.array_equal(decode_indices(*grids, early), early_recon)
+        assert not np.array_equal(late_recon, early_recon)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(vars(late)["_tables"], _build_patch_tables(params)))
+        assert np.abs(late_recon - gemm_decode(*grids, params)).max() <= 1e-12
+
+
+def train_step(params, image, lr=0.05):
+    """One in-place gradient step on one image, as `train_codec` takes it."""
+    grads = vq_loss_and_grads(image, params)[1]
+    for name in params.weight_fields():
+        getattr(params, name)[...] -= lr * grads[name]
 
 
 class TestCodecLayout:
