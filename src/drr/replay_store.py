@@ -1,11 +1,13 @@
 """Compressed replay storage for class-incremental training.
 
-Exemplars are kept as discrete code grids, losslessly entropy-coded with a
-pair of latent-chain models (one per grid level) and a frozen patch codec.
-When a new class arrives, the buffer decodes everything it holds, refits
-the chain models on the union, and re-encodes every stream with the new
-tables, so all stored streams always share one model version.  Streams of
-one geometry are decoded and encoded together, one lane of the coder each.
+Exemplars are kept as discrete code grids: in memory as each class's
+stacked index arrays, and in storage as streams losslessly entropy-coded
+with a pair of latent-chain models (one per grid level) and a frozen patch
+codec.  When a new class arrives, the buffer refits the chain models on the
+codes it holds plus the newcomers' and re-encodes every stream with the new
+tables, so all stored streams always share one model version.  Only `load`
+decodes streams, once, to get the codes back.  Streams of one geometry are
+coded together, one lane of the coder each.
 
 A raw store keeping byte-per-channel pixels provides the memory baseline;
 both report through the same arithmetic so the comparison is honest.
@@ -338,8 +340,11 @@ def compress_shelves(indices, pair: LatentModelPair, seeds,
     length and coded from the initial bits seeded with that grid's seed.
     The grids of every shelf of one geometry are coded side by side, one
     coder lane each; a stream does not depend on the other grids in the
-    call."""
+    call.  InvalidInputError unless there is one seed list per shelf and
+    one seed per grid."""
     indices, seeds = list(indices), list(seeds)
+    if len(seeds) != len(indices) or any(len(s) != len(t) for (t, _), s in zip(indices, seeds)):
+        raise InvalidInputError("need one seed list per shelf and one seed per grid")
     out = [None] * len(indices)
     for members in _by_geometry((top.shape[1:], bottom.shape[1:]) for top, bottom in indices):
         top_tables, bottom_tables = pair.tables(precision)
@@ -362,8 +367,11 @@ def decompress_shelves(streams, shapes, pair: LatentModelPair,
     shelf i holds the streams streams[i] of grids of shapes[i] = (top
     shape, bottom shape); `tables` defaults to the pair's tables at
     `precision`.  The streams of every shelf of one geometry are decoded
-    side by side, one coder lane each."""
+    side by side, one coder lane each.  InvalidInputError unless there is
+    one shape per shelf."""
     streams, shapes = list(streams), [(tuple(t), tuple(b)) for t, b in shapes]
+    if len(shapes) != len(streams):
+        raise InvalidInputError(f"{len(streams)} shelves of streams, {len(shapes)} shapes")
     out = [None] * len(streams)
     for members in _by_geometry(shapes):
         top_tables, bottom_tables = pair.tables(precision) if tables is None else tables
@@ -402,10 +410,11 @@ def _stream_entry(label: int, index: int) -> tuple[str, str]:
 
 @dataclass
 class ClassShelf:
+    """A class's stacked int32 (top, bottom) index arrays and their streams."""
+
     label: int
     image_shape: tuple[int, int, int]
-    top_shape: tuple[int, int]
-    bottom_shape: tuple[int, int]
+    indices: tuple[np.ndarray, np.ndarray]
     streams: list[CompressedStream] = field(default_factory=list)
 
 
@@ -465,24 +474,6 @@ class ReplayBuffer:
     def _stream_seed(self, label: int, index: int):
         return [self.seed, int(label) + 1, index + 1]
 
-    def _check_versions(self, shelves) -> None:
-        for shelf in shelves:
-            for stream in shelf.streams:
-                if stream.model_version != self.pair.version:
-                    raise DataCorruptionError(
-                        f"stream for class {shelf.label} has model version "
-                        f"{stream.model_version}, the models are at {self.pair.version}")
-
-    def _class_indices(self, shelves) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """The stacked (top, bottom) index arrays of every class on the
-        given shelves, per label in shelf order, decoded in one batch."""
-        shelves = list(shelves)
-        self._check_versions(shelves)
-        decoded = decompress_shelves([shelf.streams for shelf in shelves],
-                                     [(shelf.top_shape, shelf.bottom_shape) for shelf in shelves],
-                                     self.pair, precision=self.precision)
-        return {shelf.label: arrays for shelf, arrays in zip(shelves, decoded)}
-
     def ingest_phase(self, class_data, fit_config: FitConfig = FitConfig()) -> dict[int, IngestReport]:
         """Add one phase's classes: pick exemplars per class, refit the
         models once on everything stored plus the newcomers, then re-encode
@@ -500,15 +491,13 @@ class ReplayBuffer:
         # One set of index arrays for the refit and the re-encode: new
         # classes in label order, then the buffer in shelf order.  `fit` sums
         # in block order, so this order is part of the fitted bits.
-        indices: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         new_shelves = {}
         for label, images in items:
             chosen = class_exemplars(images, self.exemplars_per_class, self.seed, label)
-            top, bottom = encode_indices(chosen, self.codec)
-            indices[label] = top, bottom
             new_shelves[label] = ClassShelf(label=label, image_shape=tuple(chosen.shape[1:]),
-                                            top_shape=top.shape[1:], bottom_shape=bottom.shape[1:])
-        indices.update(self._class_indices(self._shelves.values()))
+                                            indices=encode_indices(chosen, self.codec))
+        indices = {label: shelf.indices
+                   for label, shelf in (*new_shelves.items(), *self._shelves.items())}
 
         top, bottom = self.pair.blocks(indices.values())
         self.pair = LatentModelPair(finetune(self.pair.top, top, fit_config),
@@ -537,14 +526,13 @@ class ReplayBuffer:
     def reconstruct_class(self, label: int) -> np.ndarray:
         if label not in self._shelves:
             raise InvalidInputError(f"class {label} is not stored")
-        return decode_indices(*self._class_indices([self._shelves[label]])[label], self.codec)
+        return decode_indices(*self._shelves[label].indices, self.codec)
 
     def reconstruct_all(self) -> dict[int, np.ndarray]:
-        """Every stored class, with the streams of each geometry decoded in
-        one batch and the images of each class in one decoder pass over its
-        slice of the decoded index arrays."""
-        indices = self._class_indices(self._shelves.values())
-        return {label: decode_indices(*indices[label], self.codec) for label in self.class_labels}
+        """Every stored class, each in one decoder pass over the index
+        arrays its shelf holds."""
+        return {label: decode_indices(*self._shelves[label].indices, self.codec)
+                for label in self.class_labels}
 
     def account(self) -> MemoryReport:
         count = self.exemplar_count
@@ -575,10 +563,9 @@ class ReplayBuffer:
         for label in self.class_labels:
             shelf = self._shelves[label]
             h, w, c = shelf.image_shape
+            (_, ht, wt), (_, hb, wb) = (grids.shape for grids in shelf.indices)
             lines.append(f"class label={label} image={h},{w},{c} "
-                         f"top={shelf.top_shape[0]},{shelf.top_shape[1]} "
-                         f"bottom={shelf.bottom_shape[0]},{shelf.bottom_shape[1]} "
-                         f"count={len(shelf.streams)}")
+                         f"top={ht},{wt} bottom={hb},{wb} count={len(shelf.streams)}")
             for i, stream in enumerate(shelf.streams):
                 line, name = _stream_entry(label, i)
                 lines.append(line)
@@ -617,6 +604,8 @@ class ReplayBuffer:
             classes = int(opts["classes"])
         except ValueError as exc:
             raise DataCorruptionError(f"corrupt buffer options: {exc}") from exc
+        # label -> (image shape, (top shape, bottom shape), streams), in index order
+        entries: dict[int, tuple] = {}
         try:
             i = 2
             while i < len(lines):
@@ -627,21 +616,20 @@ class ReplayBuffer:
                 count = int(info["count"])
                 if label < 0:
                     raise DataCorruptionError(f"class label {label} is negative")
-                if label in buffer._shelves:
+                if label in entries:
                     raise DataCorruptionError(f"class {label} is listed twice")
                 if count != buffer.exemplars_per_class:
                     raise DataCorruptionError(
                         f"class {label} holds {count} streams, its options line says "
                         f"exemplars_per_class={buffer.exemplars_per_class}")
-                shelf = ClassShelf(label=label,
-                                   image_shape=parse_positive_ints(info["image"]),
-                                   top_shape=parse_positive_ints(info["top"]),
-                                   bottom_shape=parse_positive_ints(info["bottom"]))
-                if code_shapes(shelf.image_shape, codec) != (shelf.top_shape, shelf.bottom_shape):
+                image_shape = parse_positive_ints(info["image"])
+                shapes = parse_positive_ints(info["top"]), parse_positive_ints(info["bottom"])
+                if code_shapes(image_shape, codec) != shapes:
                     raise DataCorruptionError(
                         f"class {label}: image={info['image']} top={info['top']} "
                         f"bottom={info['bottom']} do not fit the codec "
                         f"(patch {codec.patch}, pool {codec.pool}, {codec.channels} channels)")
+                streams = []
                 for index in range(count):
                     line, name = _stream_entry(label, index)
                     if lines[i] != line:
@@ -651,12 +639,18 @@ class ReplayBuffer:
                     with open(os.path.join(directory, name), "rb") as f:
                         stream = deserialize_stream(f.read())
                     stream.initial_bits = buffer.initial_bits
-                    shelf.streams.append(stream)
-                buffer._shelves[label] = shelf
+                    streams.append(stream)
+                entries[label] = image_shape, shapes, streams
         except (OSError, ValueError, IndexError) as exc:
             raise DataCorruptionError(f"corrupt buffer index: {exc}") from exc
-        if len(buffer._shelves) != classes:
+        if len(entries) != classes:
             raise DataCorruptionError(
-                f"index lists {len(buffer._shelves)} classes, its options line says {classes}")
-        buffer._check_versions(buffer._shelves.values())
+                f"index lists {len(entries)} classes, its options line says {classes}")
+        # The one decode of every stream; one under other models fails here.
+        decoded = decompress_shelves([streams for _, _, streams in entries.values()],
+                                     [shapes for _, shapes, _ in entries.values()],
+                                     pair, precision=buffer.precision)
+        for (label, (image_shape, _, streams)), indices in zip(entries.items(), decoded):
+            buffer._shelves[label] = ClassShelf(label=label, image_shape=image_shape,
+                                                indices=indices, streams=streams)
         return buffer

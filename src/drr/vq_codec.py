@@ -553,12 +553,13 @@ def freeze(params: CodecParams) -> CodecParams:
 
 
 def mean_reconstruction_error(dataset, params: CodecParams) -> float:
-    """Mean squared pixel error of encode-then-decode over a dataset."""
+    """Mean squared pixel error of encode-then-decode over a dataset of
+    images of one shape: one batch each way, image means summed in order."""
     if len(dataset) == 0:
         raise InvalidInputError("dataset is empty")
+    recons = decode_indices(*encode_indices(dataset, params), params)
     total = 0.0
-    for img in dataset:
-        rec = decode_codes(encode_image(img, params), params)
+    for rec, img in zip(recons, dataset):
         total += float(((rec - img) ** 2).mean())
     return total / len(dataset)
 

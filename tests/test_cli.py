@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import resealed
+from drr import replay_store
 from drr.bits_back import (
     DEFAULT_INITIAL_BITS,
     deserialize_stream,
@@ -440,6 +441,23 @@ class TestRunPhases:
                      "--out", again]) == EXIT_OK
         with open(results["out"], "rb") as f1, open(again, "rb") as f2:
             assert f1.read() == f2.read()
+
+    def test_default_run_decodes_no_stream(self, tmp_path, monkeypatch):
+        # The buffer holds each class's code indices: every phase refits on
+        # them and replays them, and re-encodes the buffer in one batch; no
+        # phase decodes a stream.
+        calls = {"encode_streams": 0, "decode_streams": 0}
+        for name in calls:
+            def counting(*args, _name=name, _real=getattr(replay_store, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(replay_store, name, counting)
+        config = tmp_path / "default.conf"
+        config.write_text("")
+        assert main(["run-phases", "--config", str(config),
+                     "--out", str(tmp_path / "r.txt")]) == EXIT_OK
+        assert calls == {"encode_streams": 3, "decode_streams": 0}
 
     def test_unknown_config_key_is_usage(self, tmp_path, capsys):
         config = str(tmp_path / "bad.conf")

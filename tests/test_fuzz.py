@@ -18,9 +18,13 @@ Each index gets bit 0 and bit 7 flipped at every byte and is cut at every
 fifth length.  A damaged stream-set index makes `drr decompress` exit 3 or
 write the same images, except where a source name becomes a fresh one; a
 damaged buffer index raises DataCorruptionError or reads back the same
-classes.
+classes.  A `run-phases` results file gets the same damage, and `drr
+report` on it exits 3 or prints the same table, except where a figure the
+summary does not check changes: a results file has no checksum either.
 """
 
+import contextlib
+import io
 import shutil
 import subprocess
 import sys
@@ -29,6 +33,7 @@ import numpy as np
 import pytest
 
 from conftest import resealed
+from drr import cli
 from drr.bits_back import FitConfig, deserialize_stream, serialize_stream
 from drr.cli import EXIT_CORRUPT, EXIT_OK, EXIT_USAGE, main, write_image
 from drr.container import seal, unseal
@@ -407,3 +412,90 @@ def test_damaged_stream_set_index_subprocess_prints_no_traceback(six_image_set, 
         assert proc.returncode == EXIT_CORRUPT, bad
         assert proc.stderr.startswith("corrupt data: ") and "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+# -- results files ---------------------------------------------------------------
+
+RESULTS_CONFIG = """\
+total_classes = 4
+initial_classes = 2
+n_phases = 2
+classes_per_phase = 1
+train_per_class = 6
+test_per_class = 4
+side = 8
+data_seed = 11
+codebook_size = 16
+embed_dim = 6
+codec_epochs = 30
+epochs = 25
+alphabets = 4,3
+block_len = 4
+fit_iterations = 2
+exemplars_per_class = 4
+"""
+
+
+@pytest.fixture(scope="module")
+def results_file(tmp_path_factory):
+    """The results file of a three-phase `run-phases` on a small config."""
+    root = tmp_path_factory.mktemp("results")
+    (root / "run.conf").write_text(RESULTS_CONFIG)
+    out = root / "results.txt"
+    assert main(["run-phases", "--config", str(root / "run.conf"), "--out", str(out)]) == EXIT_OK
+    return out.read_bytes()
+
+
+def report(path):
+    """(exit code, stdout, stderr) of `drr report` on `path`, in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["report", "--results", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_damaged_results_file_never_reports_silently_wrong_totals(results_file, tmp_path,
+                                                                  monkeypatch):
+    # Every damaged file exits 3, or exits 0 with the same table, or exits 0
+    # with a changed figure that no summary check covers (the first phase's
+    # accuracy, a byte count, a class count); only the empty cut is a usage
+    # error (exit 1), as test_report_empty_file_is_usage pins.  Any error
+    # that is not a DrrError escapes `main` and fails the test.  The sweep
+    # shares one parser: building it is most of a `report` call.
+    assert len(results_file) == 1109
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    path = tmp_path / "results.txt"
+    path.write_bytes(results_file)
+    code, good, _ = report(path)
+    assert code == EXIT_OK
+    counts = {"corrupt": 0, "identical": 0, "changed": 0, "usage": 0}
+    for bad in index_damage(results_file):
+        path.write_bytes(bad)
+        code, out, err = report(path)
+        if code == EXIT_CORRUPT:
+            assert err.startswith("corrupt data: "), err
+            counts["corrupt"] += 1
+        elif code == EXIT_USAGE:
+            assert bad == b"", bad
+            counts["usage"] += 1
+        else:
+            assert code == EXIT_OK, (bad, err)
+            counts["identical" if out == good else "changed"] += 1
+    assert counts == {"corrupt": 1610, "identical": 819, "changed": 10, "usage": 1}
+
+
+def test_damaged_results_file_subprocess_prints_no_traceback(results_file, tmp_path):
+    # A byte that is not UTF-8, the summary's `last` value changed, and a
+    # cut inside the last phase line.
+    lines = results_file.splitlines(keepends=True)
+    non_utf8 = bytearray(results_file)
+    non_utf8[3] ^= 0x80
+    for bad in (bytes(non_utf8), results_file.replace(b" last=", b" last=1"),
+                b"".join(lines[:-2]) + lines[-2][:40]):
+        path = tmp_path / "results.txt"
+        path.write_bytes(bad)
+        proc = subprocess.run([sys.executable, "-m", "drr.cli", "report", "--results", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_CORRUPT, bad
+        assert proc.stderr.startswith("corrupt data: ") and "Traceback" not in proc.stderr

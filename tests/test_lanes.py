@@ -59,7 +59,7 @@ from drr.replay_store import (
     decompress_grid,
     decompress_shelves,
 )
-from drr.vq_codec import CodecConfig, CodeGrid, freeze, train_codec
+from drr.vq_codec import CodecConfig, CodeGrid, code_shapes, freeze, train_codec
 
 
 def row(table, r):
@@ -701,12 +701,14 @@ class TestBufferBatches:
         return calls
 
     def test_one_batch_per_ingest_and_read_pass(self, codec, images, monkeypatch):
+        # The shelves hold their index arrays, so an ingest re-encodes them
+        # in one batch without decoding, and a read pass decodes no stream.
         buffer = self.new_buffer(codec, images)
         calls = self.count_calls(monkeypatch)
         buffer.ingest_phase({4: images[4], 5: images[5]}, FitConfig(iterations=1))
-        assert calls == {"encode_streams": 1, "decode_streams": 1}
+        assert calls == {"encode_streams": 1, "decode_streams": 0}
         recon = buffer.reconstruct_all()
-        assert calls == {"encode_streams": 1, "decode_streams": 2}
+        assert calls == {"encode_streams": 1, "decode_streams": 0}
         assert sorted(recon) == [0, 1, 4, 5]
         assert all(np.array_equal(recon[label], buffer.reconstruct_class(label))
                    for label in recon)
@@ -716,8 +718,10 @@ class TestBufferBatches:
         buffer.ingest_phase({2: images[2]}, FitConfig(iterations=1))
         for label in buffer.class_labels:
             shelf = buffer._shelves[label]
+            shapes = code_shapes(shelf.image_shape, buffer.codec)
             for i, stream in enumerate(shelf.streams):
-                grid = decompress_grid(stream, buffer.pair, shelf.top_shape, shelf.bottom_shape)
+                grid = decompress_grid(stream, buffer.pair, *shapes)
+                assert grid == CodeGrid(top=shelf.indices[0][i], bottom=shelf.indices[1][i])
                 [[again]] = compress_shelves([(grid.top[None], grid.bottom[None])], buffer.pair,
                                              [[buffer._stream_seed(label, i)]],
                                              initial_bits=buffer.initial_bits)
@@ -764,3 +768,13 @@ def test_shelves_split_back_by_count():
         assert got_top.dtype == got_bottom.dtype == np.int32
         assert np.array_equal(got_top, top) and got_top.shape == top.shape
         assert np.array_equal(got_bottom, bottom) and got_bottom.shape == bottom.shape
+    # Lists that do not line up with the shelves are rejected, not cut
+    # short or padded with None.
+    for bad_seeds in (seeds[:2], seeds + [[[7, 3, 0]]],
+                      [[[7, 0, 0], [7, 0, 1]], [[7, 1, 0], [7, 1, 1]], seeds[2]]):
+        with pytest.raises(InvalidInputError):
+            compress_shelves(shelves, pair, bad_seeds)
+    with pytest.raises(InvalidInputError):
+        decompress_shelves(streams, shapes[:2], pair)
+    with pytest.raises(InvalidInputError):
+        decompress_shelves(streams[:2], shapes, pair)

@@ -26,6 +26,7 @@ from drr.replay_store import (
 )
 from drr.vq_codec import (
     CodecConfig,
+    code_shapes,
     decode_indices,
     encode_image,
     encode_indices,
@@ -364,12 +365,15 @@ class TestReplayBuffer:
         with pytest.raises(InvalidInputError):
             buffer.ingest_phase({})
 
-    def test_version_mismatch_detected(self, frozen_codec):
+    def test_version_mismatch_detected(self, frozen_codec, tmp_path):
+        # Streams saved after phase 1 next to the models of phase 2: every
+        # stream is decoded in `load`, and its model version is checked there.
         buffer, _ = filled_buffer(frozen_codec, n_classes=1)
-        buffer.pair.top.version += 1
-        buffer.pair.bottom.version += 1
-        with pytest.raises(DataCorruptionError):
-            buffer.reconstruct_all()
+        buffer.save(str(tmp_path))
+        buffer.ingest_phase({1: toy_images(12, seed=31)}, FitConfig(iterations=4))
+        (tmp_path / "models.drrm").write_bytes(buffer.pair.serialize())
+        with pytest.raises(DataCorruptionError, match="model version 1, got tables for version 2"):
+            ReplayBuffer.load(str(tmp_path))
 
     def test_ingest_report_accounting(self, frozen_codec):
         buffer, reports = filled_buffer(frozen_codec, n_classes=1)
@@ -434,8 +438,9 @@ class TestTableBuilds:
 
 class TestPayloadParses:
     def test_read_pass_parses_each_payload_once(self, frozen_codec, monkeypatch, tmp_path):
-        # `load` leaves each stream's coder payload to the decoder, which
-        # parses it once: one `read_payload` call per stream in all.
+        # `load` hands each stream's coder payload to the decoder, which
+        # parses it once: one `read_payload` call per stream in all, and
+        # none in the read pass, which decodes the indices the shelves hold.
         buffer, _ = filled_buffer(frozen_codec, n_classes=2, exemplars=4, fit_iterations=0)
         buffer.save(str(tmp_path))
         parsed = []
@@ -449,7 +454,7 @@ class TestPayloadParses:
             if hasattr(module, "read_payload"):
                 monkeypatch.setattr(module, "read_payload", counting)
         loaded = ReplayBuffer.load(str(tmp_path))
-        assert loaded.exemplar_count == 8 and parsed == []
+        assert loaded.exemplar_count == 8 and len(parsed) == 8
         loaded.reconstruct_all()
         assert len(parsed) == 8
 
@@ -466,6 +471,17 @@ class TestPersistence:
         after = loaded.reconstruct_all()
         for label in before:
             assert np.array_equal(before[label], after[label])
+
+    def test_loaded_shelves_hold_the_same_indices(self, frozen_codec, tmp_path):
+        buffer, _ = filled_buffer(frozen_codec, n_classes=3)
+        buffer.save(str(tmp_path))
+        loaded = ReplayBuffer.load(str(tmp_path))
+        for label in buffer.class_labels:
+            for ours, theirs in zip(loaded._shelves[label].indices,
+                                    buffer._shelves[label].indices):
+                assert ours.dtype == theirs.dtype == np.int32
+                assert ours.shape == theirs.shape
+                assert ours.tobytes() == theirs.tobytes()
 
     def test_loaded_buffer_can_ingest(self, frozen_codec, tmp_path):
         buffer, _ = filled_buffer(frozen_codec, n_classes=1)
@@ -496,6 +512,11 @@ class TestPersistence:
         pytest.param("models.drrm",
                      lambda data: resealed(data, lambda body: flipped(body, 1, 0x01)),
                      "versions 0 and 1", id="models.drrm-body-1-1"),
+        # under a valid checksum, stream 0 loses its last stack byte: `load`
+        # decodes every stream, so the read fails there
+        pytest.param("streams/0_0.drrs",
+                     lambda data: resealed(data, lambda body: body.pop()),
+                     "stream ended mid-decode", id="streams-0_0-cut-1"),
     ])
     def test_flipped_byte_rejected(self, frozen_codec, tmp_path, name, edit, match):
         buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
@@ -712,8 +733,9 @@ class TestArrayReadPath:
         """The class decoded through the grid path: its streams' grids, one
         at a time, then `decode_indices` of the stacked grids."""
         shelf = buffer._shelves[label]
-        grids = [decompress_grid(stream, buffer.pair, shelf.top_shape, shelf.bottom_shape,
-                                 precision=buffer.precision) for stream in shelf.streams]
+        shapes = code_shapes(shelf.image_shape, buffer.codec)
+        grids = [decompress_grid(stream, buffer.pair, *shapes, precision=buffer.precision)
+                 for stream in shelf.streams]
         return decode_indices(np.stack([g.top for g in grids]),
                               np.stack([g.bottom for g in grids]), buffer.codec)
 
@@ -762,10 +784,12 @@ class TestArrayReadPath:
     def test_decompress_shelves_is_the_grid_path(self, mixed_buffer):
         shelves = [mixed_buffer._shelves[label] for label in (3, 0, 1)]
         indices = decompress_shelves([shelf.streams for shelf in shelves],
-                                     [(shelf.top_shape, shelf.bottom_shape) for shelf in shelves],
+                                     [code_shapes(shelf.image_shape, mixed_buffer.codec)
+                                      for shelf in shelves],
                                      mixed_buffer.pair)
         assert len(indices) == len(shelves)
         for shelf, (top, bottom) in zip(shelves, indices):
+            assert all(np.array_equal(held, got) for held, got in zip(shelf.indices, (top, bottom)))
             assert np.array_equal(decode_indices(top, bottom, mixed_buffer.codec),
                                   self.per_class(mixed_buffer, shelf.label))
 
