@@ -67,6 +67,7 @@ from .vq_codec import (
     freeze,
     mean_reconstruction_error,
     serialize_codec,
+    stored_weight_dtype,
     train_codec,
 )
 
@@ -130,6 +131,14 @@ def cmd_pretrain_codec(args) -> int:
         f.write(serialize_codec(params))
     mse = mean_reconstruction_error(images, params)
     print(f"trained codec on {len(images)} images; reconstruction mse {mse:.6f}")
+    # Codes used per level, and the mse against predicting the mean pixel:
+    # a ratio near 1 marks a collapsed codec.
+    top, bottom = encode_indices(images, params)
+    k = params.codebook_size
+    variance = float(np.var(np.stack(images)))
+    ratio = f"{mse / variance:.4f}" if variance > 0 else "n/a (constant pixels)"
+    print(f"codec health: codes used top {np.unique(top).size}/{k}, "
+          f"bottom {np.unique(bottom).size}/{k}; mse / pixel variance {ratio}")
     print(f"wrote {args.out} ({os.path.getsize(args.out)} bytes)")
     return EXIT_OK
 
@@ -429,8 +438,11 @@ def cmd_inspect(args) -> int:
     if magic == CODEC_MAGIC:
         codec = deserialize_codec(data)
         k, d = codec.codebook_bottom.shape
+        dtype = stored_weight_dtype(codec.frozen)
+        weights = sum(getattr(codec, name).size for name in codec.weight_fields())
         print(f"codec: patch {codec.patch}, pool {codec.pool}, channels {codec.channels}, "
-              f"codebook {k} x {d}, frozen {codec.frozen}")
+              f"codebook {k} x {d}, frozen {codec.frozen}, "
+              f"weights {dtype.str[1:]} ({weights * dtype.itemsize} bytes)")
     elif magic == MODEL_MAGIC:
         models = deserialize_models(data)
         print(f"model snapshot: {len(models)} records")

@@ -489,15 +489,16 @@ class ReplayBuffer:
             raise InvalidInputError("duplicate class labels within the phase")
 
         # One set of index arrays for the refit and the re-encode: new
-        # classes in label order, then the buffer in shelf order.  `fit` sums
-        # in block order, so this order is part of the fitted bits.
+        # classes in label order, then the stored classes in label order, the
+        # order `load` rebuilds them in.  `fit` sums in block order, so this
+        # order is part of the fitted bits.
         new_shelves = {}
         for label, images in items:
             chosen = class_exemplars(images, self.exemplars_per_class, self.seed, label)
             new_shelves[label] = ClassShelf(label=label, image_shape=tuple(chosen.shape[1:]),
                                             indices=encode_indices(chosen, self.codec))
         indices = {label: shelf.indices
-                   for label, shelf in (*new_shelves.items(), *self._shelves.items())}
+                   for label, shelf in (*new_shelves.items(), *sorted(self._shelves.items()))}
 
         top, bottom = self.pair.blocks(indices.values())
         self.pair = LatentModelPair(finetune(self.pair.top, top, fit_config),

@@ -35,9 +35,9 @@ from .errors import (
 )
 
 CODEC_MAGIC = b"DRRC"
-CODEC_FORMAT_VERSION = 2
+CODEC_FORMAT_VERSION = 3
 # Codec geometry: patch, pool, channels, codebook size, embed dim, frozen
-# flag, beta; the weights follow.
+# flag, beta; the weights follow, float32 if the codec is frozen.
 _CODEC_GEOMETRY = struct.Struct("<IIIIIBd")
 _GRID_HEAD = struct.Struct("<IIII")  # top grid shape, bottom grid shape
 
@@ -544,12 +544,20 @@ def train_codec(dataset, config: CodecConfig) -> CodecParams:
 
 
 def freeze(params: CodecParams) -> CodecParams:
-    """Mark the codec immutable.  Idempotent; encoding is unaffected."""
+    """Mark the codec immutable and round each weight to the nearest float32
+    value (still in float64 arrays), which its file stores exactly in 4
+    bytes.  Idempotent.  The rounding moves reconstructions and may move a
+    near-tie code, so encoding can change: freeze before coding.
+    InvalidInputError if a finite weight overflows float32."""
     if params.frozen:
         return params
-    out = params.copy()
-    out.frozen = True
-    return out
+    with np.errstate(over="ignore"):
+        rounded = {name: getattr(params, name).astype(np.float32).astype(np.float64)
+                   for name in params.weight_fields()}
+    for name, arr in rounded.items():
+        if np.any(np.isinf(arr) & np.isfinite(getattr(params, name))):
+            raise InvalidInputError(f"codec weight {name} overflows float32")
+    return replace(params, frozen=True, **rounded)
 
 
 def mean_reconstruction_error(dataset, params: CodecParams) -> float:
@@ -566,15 +574,29 @@ def mean_reconstruction_error(dataset, params: CodecParams) -> float:
 
 # -- serialization ----------------------------------------------------------
 
+def stored_weight_dtype(frozen: bool) -> np.dtype:
+    """The dtype of a codec file's weights: float32 if frozen, else float64."""
+    return np.dtype("<f4" if frozen else "<f8")
+
+
 def serialize_codec(params: CodecParams) -> bytes:
     """Codec file: the container, then the geometry, the weights and the
-    codebooks last.  Matrices are little-endian float64."""
+    codebooks last, in `stored_weight_dtype`.  InvalidInputError for a
+    frozen codec whose weights are not float32 values."""
+    dtype = stored_weight_dtype(params.frozen)
     head = _CODEC_GEOMETRY.pack(params.patch, params.pool, params.channels,
                                 params.codebook_size, params.embed_dim,
                                 1 if params.frozen else 0, params.beta)
-    return seal(CODEC_MAGIC, CODEC_FORMAT_VERSION, head + b"".join(
-        np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes()
-        for name in params.weight_fields()))
+    body = [head]
+    for name in params.weight_fields():
+        weights = np.asarray(getattr(params, name), dtype=np.float64)
+        with np.errstate(over="ignore"):
+            stored = weights.astype(dtype)
+        if not np.array_equal(stored, weights, equal_nan=True):
+            raise InvalidInputError(f"frozen codec weight {name} holds values that are not "
+                                    f"float32; freeze rounds them")
+        body.append(stored.tobytes())
+    return seal(CODEC_MAGIC, CODEC_FORMAT_VERSION, b"".join(body))
 
 
 def deserialize_codec(data: bytes) -> CodecParams:
@@ -586,15 +608,16 @@ def deserialize_codec(data: bytes) -> CodecParams:
         raise DataCorruptionError(f"codec frozen flag is {frozen}, expected 0 or 1")
     _check_geometry(patch, pool, channels, k, d, DataCorruptionError)
     shapes = weight_shapes(patch * patch * channels, d, k)
+    dtype = stored_weight_dtype(frozen)
     offset = _CODEC_GEOMETRY.size
-    if len(data) != offset + 8 * sum(int(np.prod(s)) for s in shapes.values()):
+    if len(data) != offset + dtype.itemsize * sum(int(np.prod(s)) for s in shapes.values()):
         raise DataCorruptionError("codec file length mismatch")
     fields = {}
     for name, shape in shapes.items():
         count = int(np.prod(shape))
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+        arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
         fields[name] = arr.reshape(shape).astype(np.float64)
-        offset += count * 8
+        offset += count * dtype.itemsize
     return CodecParams(
         patch=patch, pool=pool, channels=channels,
         beta=beta, frozen=bool(frozen), **fields)

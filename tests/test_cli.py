@@ -45,6 +45,7 @@ from drr.vq_codec import (
     decode_codes,
     deserialize_codec,
     encode_image,
+    encode_indices,
     init_codec_params,
     serialize_codec,
 )
@@ -183,6 +184,29 @@ class TestPretrainCodec:
         for name, blob in before.items():
             with open(os.path.join(workspace["data"], name), "rb") as f:
                 assert f.read() == blob
+
+    @pytest.mark.parametrize("epochs", [0, 40])
+    def test_reports_codec_health(self, workspace, tmp_path, capsys, epochs):
+        out = str(tmp_path / "c.drrc")
+        assert main(["pretrain-codec", "--data", workspace["data"], "--out", out,
+                     "--epochs", str(epochs), "--lr", "0.002", "--seed", "5",
+                     "--codebook-size", "16", "--embed-dim", "6"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        mse = float(re.fullmatch(r"trained codec on 10 images; reconstruction mse (\S+)",
+                                 lines[0]).group(1))
+        found = re.fullmatch(r"codec health: codes used top (\d+)/16, bottom (\d+)/16; "
+                             r"mse / pixel variance (\d+\.\d{4})", lines[1])
+        assert found, lines[1]
+        used_top, used_bottom, ratio = int(found[1]), int(found[2]), float(found[3])
+        images = [read_image(os.path.join(workspace["data"], name))
+                  for name in sorted(os.listdir(workspace["data"]))]
+        with open(out, "rb") as f:
+            codec = deserialize_codec(f.read())
+        top, bottom = encode_indices(images, codec)
+        assert 1 <= used_top <= 16 and 1 <= used_bottom <= 16
+        assert (used_top, used_bottom) == (np.unique(top).size, np.unique(bottom).size)
+        assert ratio > 0
+        assert abs(ratio - mse / np.var(np.stack(images))) <= 1e-4 + 1e-6 / np.var(images)
 
 
 @pytest.fixture(scope="module")
@@ -557,6 +581,19 @@ class TestInspect:
         assert main(["inspect", "--file", img_path]) == EXIT_OK
         assert "raw image: 16 x 16 x 3" in capsys.readouterr().out
 
+    def test_codec_prints_its_weight_width_and_bytes(self, workspace, tmp_path, capsys):
+        # 16 x 6 codebooks of 4x4x3 patches: 2*6*48 + 48 + 2*36 + 3*6 + 2*16*6 weights.
+        weights = 906
+        unfrozen = tmp_path / "unfrozen.drrc"
+        unfrozen.write_bytes(serialize_codec(init_codec_params(CodecConfig(
+            codebook_size=16, embed_dim=6))))
+        for path, width in ((workspace["codec"], 4), (unfrozen, 8)):
+            assert main(["inspect", "--file", str(path)]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert out.endswith(f", frozen {width == 4}, weights f{width} "
+                                f"({width * weights} bytes)\n"), out
+            assert os.path.getsize(path) == 39 + width * weights
+
     def test_identifies_model_and_stream(self, workspace, tmp_path, capsys):
         out = str(tmp_path / "s")
         model = str(tmp_path / "m.drrm")
@@ -638,13 +675,14 @@ def version_999(body):
 
 def zero_geometry_codec(path, field):
     """Write a sealed codec file whose geometry field `field` is 0 and whose
-    weights fill exactly what its geometry implies, so its length is right."""
+    float32 weights fill exactly what its geometry and frozen flag imply, so
+    its length is right."""
     g = {"patch": 4, "pool": 2, "channels": 3, "codebook_size": 16, "embed_dim": 6, field: 0}
     p, d, k = g["patch"] ** 2 * g["channels"], g["embed_dim"], g["codebook_size"]
     weights = 2 * d * p + p + 2 * d * d + 3 * d + 2 * k * d
     with open(path, "wb") as f:
         f.write(seal(CODEC_MAGIC, CODEC_FORMAT_VERSION,
-                     struct.pack("<IIIIIBd", *g.values(), 1, 0.25) + bytes(8 * weights)))
+                     struct.pack("<IIIIIBd", *g.values(), 1, 0.25) + bytes(4 * weights)))
 
 
 def frozen_flag_7(body):
@@ -662,6 +700,15 @@ def old_layout_stream(data):
     stream = deserialize_stream(data)
     return (b"DRRS" + struct.pack("<IQ", stream.model_version, stream.symbol_count)
             + b"DRRB" + struct.pack("<HQ", 2, len(stream.payload)) + stream.payload)
+
+
+def format_2_codec(data):
+    """A frozen codec file in codec format 2, which stored every codec's
+    weights as float64."""
+    codec = deserialize_codec(data)
+    geometry = data[10:10 + struct.calcsize("<IIIIIBd")]
+    return seal(CODEC_MAGIC, 2, geometry + b"".join(
+        getattr(codec, name).astype("<f8").tobytes() for name in codec.weight_fields()))
 
 
 def old_layout(data):
@@ -721,7 +768,11 @@ def corrupt_input_cases(workspace, compressed, root):
         codec.write_bytes(old_layout(f.read()))
     with open(compressed["model"], "rb") as f:
         model.write_bytes(old_layout(f.read()))
+    format_2 = root / "format_2.drrc"
+    with open(workspace["codec"], "rb") as f:
+        format_2.write_bytes(format_2_codec(f.read()))
     cases += [("codec in the old layout, inspect", ["inspect", "--file", str(codec)]),
+              ("codec in format 2, inspect", ["inspect", "--file", str(format_2)]),
               ("model in the old layout, decompress",
                ["decompress", "--codec", workspace["codec"], "--model", str(model),
                 "--in", compressed["out"], "--out", str(root / "recon")])]

@@ -75,9 +75,12 @@ def cuts(data, seed):
 TOY_PAIR = LatentModelPair.seeded(32, (6, 4), 8, 0)
 
 
-def toy_codec():
-    return serialize_codec(freeze(init_codec_params(CodecConfig(
-        patch=4, pool=2, channels=3, codebook_size=32, embed_dim=8, seed=0))))
+def toy_codecs():
+    """A frozen codec's file, float32 weights, then the unfrozen codec's,
+    float64 weights."""
+    codec = init_codec_params(CodecConfig(
+        patch=4, pool=2, channels=3, codebook_size=32, embed_dim=8, seed=0))
+    return [serialize_codec(freeze(codec)), serialize_codec(codec)]
 
 
 def toy_streams():
@@ -90,7 +93,7 @@ def toy_streams():
 
 # kind -> (the files, their reader)
 KINDS = {
-    "codec": (lambda: [toy_codec()], deserialize_codec),
+    "codec": (toy_codecs, deserialize_codec),
     "models": (lambda: [TOY_PAIR.serialize()], LatentModelPair.deserialize),
     "stream": (toy_streams, deserialize_stream),
 }
@@ -111,7 +114,7 @@ def test_every_damaged_file_raises_data_corruption(kind, damage):
 
 
 @pytest.mark.parametrize("kind, what, magic, version", [
-    ("codec", "codec", b"DRRC", 2), ("models", "model snapshot", b"DRRM", 2),
+    ("codec", "codec", b"DRRC", 3), ("models", "model snapshot", b"DRRM", 2),
     ("stream", "stream", b"DRRS", 4)])
 def test_each_container_field_is_checked(kind, what, magic, version):
     # Each kind writes its own magic and format version, and its reader
@@ -462,7 +465,7 @@ def test_damaged_results_file_never_reports_silently_wrong_totals(results_file, 
     # error (exit 1), as test_report_empty_file_is_usage pins.  Any error
     # that is not a DrrError escapes `main` and fails the test.  The sweep
     # shares one parser: building it is most of a `report` call.
-    assert len(results_file) == 1109
+    assert len(results_file) == 1107
     parser = cli.build_parser()
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
     path = tmp_path / "results.txt"
@@ -482,7 +485,7 @@ def test_damaged_results_file_never_reports_silently_wrong_totals(results_file, 
         else:
             assert code == EXIT_OK, (bad, err)
             counts["identical" if out == good else "changed"] += 1
-    assert counts == {"corrupt": 1610, "identical": 819, "changed": 10, "usage": 1}
+    assert counts == {"corrupt": 1608, "identical": 819, "changed": 8, "usage": 1}
 
 
 def test_damaged_results_file_subprocess_prints_no_traceback(results_file, tmp_path):

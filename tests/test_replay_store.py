@@ -492,6 +492,27 @@ class TestPersistence:
         recon = loaded.reconstruct_all()
         assert recon[0].shape == (5, 16, 16, 3)
 
+    def test_round_trip_keeps_the_next_refit_of_out_of_order_classes(self, frozen_codec,
+                                                                      tmp_path):
+        # Classes arrive out of label order; `load` rebuilds the shelves in
+        # label order, so the refit must read the stored ones in label order
+        # too, or a save/load before phase 3 changes its models and streams.
+        phases = ({4: toy_images(8, seed=80), 5: toy_images(8, seed=81)},
+                  {0: toy_images(8, seed=82), 1: toy_images(8, seed=83)},
+                  {2: toy_images(8, seed=84), 3: toy_images(8, seed=85)})
+        kept = ReplayBuffer(frozen_codec, make_pair(seed=21), exemplars_per_class=3, seed=7)
+        for phase in phases:
+            kept.ingest_phase(phase, FitConfig(iterations=2))
+        reread = ReplayBuffer(frozen_codec, make_pair(seed=21), exemplars_per_class=3, seed=7)
+        for phase in phases[:2]:
+            reread.ingest_phase(phase, FitConfig(iterations=2))
+        reread.save(str(tmp_path / "before"))
+        reread = ReplayBuffer.load(str(tmp_path / "before"))
+        reread.ingest_phase(phases[2], FitConfig(iterations=2))
+        kept.save(str(tmp_path / "kept"))
+        reread.save(str(tmp_path / "reread"))
+        assert directory_digest(tmp_path / "kept") == directory_digest(tmp_path / "reread")
+
     def test_bad_header_rejected(self, frozen_codec, tmp_path):
         buffer, _ = filled_buffer(frozen_codec, n_classes=1)
         buffer.save(str(tmp_path))
@@ -773,13 +794,15 @@ class TestArrayReadPath:
         # file rewritten in the layout before each change the directory
         # gives the earlier digest.  The reconstruction digest was re-taken
         # when decoding moved to the patch tables, a few ulps per value;
-        # the directory digest did not move.
+        # the directory digest did not move.  Both were re-taken for codec
+        # format 3, whose frozen codec holds float32-rounded weights: only
+        # codec.drrc moved, and the reconstructions with the weights.
         mixed_buffer.save(str(tmp_path))
         assert directory_digest(tmp_path) == (
-            "fa01102737fe281cc0bf933949493a2351d762a4ab9f3b81eaf712ae2c753659")
+            "dbbdc8a580ae431f833353c24df40e9c1a09d563145152985ceb781fd778cc37")
         recon = ReplayBuffer.load(str(tmp_path)).reconstruct_all()
         assert hashlib.sha256(b"".join(recon[label].tobytes() for label in recon)).hexdigest() == (
-            "fb52da56d824941517b9a8a454b55ebcd0dff68c7d483b569719648b5bad4eb4")
+            "490968f5961a11c0f268d62d4c1b3dcfff508941c6e32e4b084fb75443604e02")
 
     def test_decompress_shelves_is_the_grid_path(self, mixed_buffer):
         shelves = [mixed_buffer._shelves[label] for label in (3, 0, 1)]
@@ -818,8 +841,8 @@ class TestSavedBufferPin:
         # stream.  Taken when the refit joined two block lists, new classes
         # first; the codec's float64 weights depend on BLAS rounding, so
         # another BLAS build may need a new digest.  Re-taken for payload
-        # format 2, for the checked container, for buffer index 2 and for
-        # stream format 4, as the mixed buffer's was.
+        # format 2, for the checked container, for buffer index 2, for
+        # stream format 4 and for codec format 3, as the mixed buffer's was.
         buffer = ReplayBuffer(frozen_codec, make_pair(seed=21), exemplars_per_class=4, seed=11)
         for phase in ((0, 1), (2, 3)):
             buffer.ingest_phase({label: toy_images(10, seed=30 + label) for label in phase},
@@ -828,7 +851,7 @@ class TestSavedBufferPin:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "codec.drrc", "index.txt", "models.drrm", "streams"]
         assert directory_digest(tmp_path) == (
-            "6a06754bbae8d3ed0d9e6a07bc275b3f53e82e06348eec8a9a0cbd2c019f6c38")
+            "430ff4f421d31ef19787191c82b2e26832e182bcb570ff2c8bcfda8499173aac")
 
 
 class TestIndexPaths:

@@ -295,3 +295,13 @@ def test_readme_example_runs(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "compressed" in proc.stdout
+
+
+def test_readme_names_the_current_formats():
+    from drr.bits_back import MODEL_FORMAT_VERSION, STREAM_FORMAT_VERSION
+    from drr.vq_codec import CODEC_FORMAT_VERSION
+    with open(os.path.join(ROOT, "README.md")) as f:
+        text = " ".join(f.read().split())
+    found = re.findall(r"The formats are codec (\d+), models (\d+) and stream (\d+)", text)
+    assert found == [(str(CODEC_FORMAT_VERSION), str(MODEL_FORMAT_VERSION),
+                      str(STREAM_FORMAT_VERSION))]

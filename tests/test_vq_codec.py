@@ -16,6 +16,7 @@ from conftest import resealed
 from drr.errors import InvalidInputError
 from drr.vq_codec import (
     CodecConfig,
+    CodecParams,
     CodeGrid,
     _nearest_indices,
     code_shapes,
@@ -383,6 +384,24 @@ class TestFreeze:
         assert params.frozen
         assert freeze(params) is params
 
+    def test_frozen_weights_are_their_float32_rounding(self):
+        params = init_codec_params(tiny_config(seed=25))
+        frozen = freeze(params)
+        assert not params.frozen
+        for name in params.weight_fields():
+            weights = getattr(frozen, name)
+            assert weights.dtype == np.float64
+            assert np.array_equal(weights, getattr(params, name).astype(np.float32))
+
+    def test_freeze_rejects_a_weight_that_overflows_float32(self):
+        params = init_codec_params(tiny_config())
+        params.dec_bottom_b[0] = 1e39
+        with pytest.raises(InvalidInputError, match="dec_bottom_b overflows float32"):
+            freeze(params)
+        # The largest float32 itself, and a value that rounds down to it, fit.
+        params.dec_bottom_b[0] = 3.4028235e38
+        assert freeze(params).dec_bottom_b[0] == np.finfo(np.float32).max
+
     def test_freeze_does_not_change_encoding(self):
         rng = np.random.default_rng(20)
         params = init_codec_params(tiny_config(seed=21))
@@ -401,6 +420,48 @@ class TestSerialization:
         for name in params.weight_fields():
             assert np.array_equal(getattr(back, name), getattr(params, name))
         assert serialize_codec(back) == blob
+
+    # The container (10 B) and the geometry (29 B) come before the weights.
+    HEAD = 10 + struct.calcsize("<IIIIIBd")
+
+    def test_frozen_codec_stores_float32_weights(self):
+        params = train_codec([random_image(np.random.default_rng(26))], tiny_config(epochs=3))
+        frozen = freeze(params)
+        blob = serialize_codec(frozen)
+        weights = sum(getattr(params, name).size for name in params.weight_fields())
+        assert len(blob) == self.HEAD + 4 * weights
+        assert len(serialize_codec(params)) == self.HEAD + 8 * weights
+        back = deserialize_codec(blob)
+        assert back.frozen
+        for name in params.weight_fields():
+            assert getattr(back, name).dtype == np.float64
+            assert getattr(back, name).tobytes() == getattr(frozen, name).tobytes()
+        assert serialize_codec(back) == blob
+
+    def test_unfrozen_codec_keeps_float64_weights(self):
+        params = train_codec([random_image(np.random.default_rng(27))], tiny_config(epochs=3))
+        back = deserialize_codec(serialize_codec(params))
+        assert not back.frozen
+        # Training leaves weights that float32 cannot hold; the file keeps them.
+        assert any(not np.array_equal(getattr(params, name).astype(np.float32),
+                                      getattr(params, name)) for name in params.weight_fields())
+        for name in params.weight_fields():
+            assert getattr(back, name).tobytes() == getattr(params, name).tobytes()
+
+    def test_frozen_codec_with_unrounded_weights_rejected(self):
+        # A frozen codec built by hand can hold weights float32 cannot: its
+        # file would not read back the codec, so none is written.
+        init = init_codec_params(tiny_config())
+        with pytest.raises(InvalidInputError,
+                           match="enc_bottom_w holds values that are not float32"):
+            serialize_codec(CodecParams(**{**vars(init), "frozen": True}))
+        params = freeze(init)
+        for value in (0.1, 1e39):  # not a float32 value; beyond float32
+            params.enc_top_b[1] = value
+            with pytest.raises(InvalidInputError, match="enc_top_b holds values"):
+                serialize_codec(params)
+        params.enc_top_b[1] = np.float32(0.1)
+        assert deserialize_codec(serialize_codec(params)).enc_top_b[1] == np.float32(0.1)
 
     def test_grid_layout_and_size(self):
         rng = np.random.default_rng(23)
@@ -429,10 +490,11 @@ class TestSerialization:
                  field: 0}
             shapes = weight_shapes(g["patch"] ** 2 * g["channels"], g["embed_dim"],
                                    g["codebook_size"])
-            # The weights fill what the geometry implies: only the geometry is wrong.
+            # Float32 weights fill what the geometry and the frozen flag imply:
+            # only the geometry is wrong.
             zero = seal(CODEC_MAGIC, CODEC_FORMAT_VERSION,
                         struct.pack("<IIIIIBd", *g.values(), 1, 0.25)
-                        + bytes(8 * sum(int(np.prod(s)) for s in shapes.values())))
+                        + bytes(4 * sum(int(np.prod(s)) for s in shapes.values())))
             with pytest.raises(DataCorruptionError, match="must be positive"):
                 deserialize_codec(zero)
 
@@ -453,9 +515,19 @@ class TestSerialization:
             deserialize_codec(resealed(blob, cut_in_geometry))
 
 
-def codec_digest(dataset, config):
+def format_2_digest(blob):
+    """sha256 of an unfrozen codec's file with the format-2 version put
+    back in its header.  Format 3 changed only what a frozen codec stores,
+    so an unfrozen codec's file is format 2's but for that field, and its
+    pins kept their format-2 digests."""
     import hashlib
-    return hashlib.sha256(serialize_codec(train_codec(dataset, config))).hexdigest()
+    from drr.vq_codec import CODEC_MAGIC
+    assert blob[:6] == CODEC_MAGIC + (3).to_bytes(2, "little") and not deserialize_codec(blob).frozen
+    return hashlib.sha256(blob[:4] + (2).to_bytes(2, "little") + blob[6:]).hexdigest()
+
+
+def codec_digest(dataset, config):
+    return format_2_digest(serialize_codec(train_codec(dataset, config)))
 
 
 class TestTrainingPins:
@@ -463,7 +535,8 @@ class TestTrainingPins:
     loop wrote before training moved to patch batches.  Float64 weights
     depend on BLAS rounding, so another BLAS build may need new digests.
     Re-taken for codec format 2, the checked container: with the format-1
-    header put back, the same files give the earlier digests."""
+    header put back, the same files give the earlier digests.  Held through
+    format 3 (`format_2_digest`)."""
 
     def test_acceptance_toy_config(self):
         from drr.learner import make_toy_dataset
@@ -742,9 +815,11 @@ class TestPatchTables:
         late_recon = decode_indices(*grids, late)
         assert np.array_equal(decode_indices(*grids, early), early_recon)
         assert not np.array_equal(late_recon, early_recon)
+        # The late codec's tables are its own rounded weights', not those of
+        # the unfrozen params it was frozen from.
         assert all(np.array_equal(a, b)
-                   for a, b in zip(vars(late)["_tables"], _build_patch_tables(params)))
-        assert np.abs(late_recon - gemm_decode(*grids, params)).max() <= 1e-12
+                   for a, b in zip(vars(late)["_tables"], _build_patch_tables(late)))
+        assert np.abs(late_recon - gemm_decode(*grids, late)).max() <= 1e-12
 
 
 def train_step(params, image, lr=0.05):
@@ -756,12 +831,11 @@ def train_step(params, image, lr=0.05):
 
 class TestCodecLayout:
     # Taken before the weight layout was declared once, in `weight_shapes`.
-    # Re-taken for codec format 2, the checked container, as the training
-    # pins were.
+    # Re-taken for codec format 2, the checked container, and held through
+    # format 3, as the training pins were.
     def test_init_codec_is_pinned(self):
-        import hashlib
         config = CodecConfig(patch=2, pool=2, channels=3, codebook_size=16, embed_dim=6, seed=11)
-        assert hashlib.sha256(serialize_codec(init_codec_params(config))).hexdigest() == (
+        assert format_2_digest(serialize_codec(init_codec_params(config))) == (
             "7689c210a312375accd0727e9be65a06a4824501c1b8194c5662adc809acc2b8")
 
     def test_weights_follow_weight_shapes(self):
