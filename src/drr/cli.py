@@ -12,6 +12,7 @@ little-endian u32, then one byte per channel value, row-major.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import struct
 import sys
@@ -28,7 +29,7 @@ from .bits_back import (
     fit,
     serialize_stream,
 )
-from .container import kind
+from .container import kind, read_uvarint, seal, unseal, uvarint
 from .errors import (
     DataCorruptionError,
     DegenerateInputError,
@@ -73,8 +74,12 @@ from .vq_codec import (
 
 IMAGE_SUFFIX = ".img"
 IMAGE_HEAD = struct.Struct("<III")  # height, width, channels
-STREAM_SET_HEADER = "drr-stream-set 3"
-STREAM_FILE = "stream_{:04d}.drrs"  # the file of the set's stream i
+# A stream set is one sealed file of `container.uvarint` fields: precision
+# (8 bits), seeded bytes = initial_bits // 8 (32), then per image its UTF-8
+# source name (length: 16 bits), its bottom grid's height and width (32
+# each) and its stream file, byte for byte (length: 32).
+STREAM_SET_MAGIC = b"DRRZ"
+STREAM_SET_FORMAT_VERSION = 1
 RESULTS_HEADER = "drr-results 1"
 BAD_ALPHABETS = "bad alphabets {!r}; expected positive integers such as 16,8"
 
@@ -90,11 +95,8 @@ def write_image(path: str, image: np.ndarray) -> None:
     image = np.asarray(image)
     if image.ndim != 3:
         raise InvalidInputError("images are written as (height, width, channels)")
-    h, w, c = image.shape
-    data = to_pixel_bytes(image)
     with open(path, "wb") as f:
-        f.write(IMAGE_HEAD.pack(h, w, c))
-        f.write(data.tobytes())
+        f.write(IMAGE_HEAD.pack(*image.shape) + to_pixel_bytes(image).tobytes())
 
 
 def read_image(path: str) -> np.ndarray:
@@ -129,11 +131,11 @@ def cmd_pretrain_codec(args) -> int:
     params = freeze(train_codec(images, config))
     with open(args.out, "wb") as f:
         f.write(serialize_codec(params))
-    mse = mean_reconstruction_error(images, params)
+    top, bottom = encode_indices(images, params)
+    mse = mean_reconstruction_error(images, (top, bottom), params)
     print(f"trained codec on {len(images)} images; reconstruction mse {mse:.6f}")
     # Codes used per level, and the mse against predicting the mean pixel:
     # a ratio near 1 marks a collapsed codec.
-    top, bottom = encode_indices(images, params)
     k = params.codebook_size
     variance = float(np.var(np.stack(images)))
     ratio = f"{mse / variance:.4f}" if variance > 0 else "n/a (constant pixels)"
@@ -158,6 +160,10 @@ def _load_pair(path: str) -> LatentModelPair:
 def cmd_compress(args) -> int:
     codec = _load_codec(args.codec)
     paths = _list_images(args.in_dir)
+    try:  # a set stores each source name in UTF-8
+        names = [os.path.basename(p).encode("utf-8") for p in paths]
+    except UnicodeEncodeError as exc:
+        raise InvalidInputError(f"an image file name is not UTF-8: {exc}") from exc
     images = [read_image(p) for p in paths]
     # Each image is a shelf of one grid: stacked (top, bottom) index arrays.
     indices = [encode_indices([image], codec) for image in images]
@@ -175,81 +181,75 @@ def cmd_compress(args) -> int:
             f.write(pair.serialize())
         print(f"wrote model pair to {args.model}")
 
-    os.makedirs(args.out, exist_ok=True)
-    lines = [STREAM_SET_HEADER, f"precision={args.precision} initial_bits={args.initial_bits} "
-                                f"count={len(paths)}"]
-    net = 0.0
-    symbols = 0
-    payload = 0
     streams = compress_shelves(indices, pair, [[[args.seed, i]] for i in range(len(indices))],
                                precision=args.precision, initial_bits=args.initial_bits)
-    for i, (path, (top, bottom), [stream]) in enumerate(zip(paths, indices, streams)):
+    body = [uvarint(args.precision, 8, "precision"),
+            uvarint(args.initial_bits // 8, 32, "seeded bytes")]
+    for name, (_, bottom), [stream] in zip(names, indices, streams):
         blob = serialize_stream(stream)
-        with open(os.path.join(args.out, STREAM_FILE.format(i)), "wb") as f:
-            f.write(blob)
-        lines.append(f"stream source={os.path.basename(path)} "
-                     f"top={top.shape[1]},{top.shape[2]} "
-                     f"bottom={bottom.shape[1]},{bottom.shape[2]}")
-        net += stream.net_bits
-        symbols += stream.symbol_count
-        payload += len(blob)
-    with open(os.path.join(args.out, "index.txt"), "w") as f:
-        f.write("\n".join(lines) + "\n")
+        body += [uvarint(len(name), 16, "source name length"), name,
+                 *(uvarint(side, 32, "grid side") for side in bottom.shape[1:]),
+                 uvarint(len(blob), 32, "stream length"), blob]
+    data = seal(STREAM_SET_MAGIC, STREAM_SET_FORMAT_VERSION, b"".join(body))
+    with open(args.out, "wb") as f:
+        f.write(data)
+    net = sum(stream.net_bits for [stream] in streams)
+    symbols = sum(stream.symbol_count for [stream] in streams)
     raw = sum(img.size for img in images)
     print(f"compressed {len(paths)} images, {symbols} codes")
     print(f"net bits/code {net / symbols:.4f} (uncoded grids would use 16)")
-    print(f"stream files {payload} bytes = {format_megabytes(payload)} MB; "
+    print(f"stream set {len(data)} bytes = {format_megabytes(len(data))} MB; "
           f"raw pixels {raw} bytes = {format_megabytes(raw)} MB")
     return EXIT_OK
+
+
+def read_stream_set(data: bytes):
+    """(precision, seeded bytes, {source name: (bottom grid shape, stream)})
+    of a stream-set file, in the order `compress` wrote them.
+    DataCorruptionError on a bad container, field or stream, or a source
+    name that is not UTF-8, not a plain file name, or listed twice."""
+    body = unseal(data, STREAM_SET_MAGIC, STREAM_SET_FORMAT_VERSION, "stream set")
+    precision, offset = read_uvarint(body, 0, 8, "precision")
+    seeded, offset = read_uvarint(body, offset, 32, "seeded bytes")
+    entries = {}
+    while offset < len(body):
+        size, offset = read_uvarint(body, offset, 16, "source name length")
+        try:
+            name = str(body[offset:offset + size], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataCorruptionError(f"source name is not UTF-8: {exc}") from exc
+        check_plain_name(name, "source")
+        if name in entries:
+            raise DataCorruptionError(f"source {name!r} is listed twice")
+        height, offset = read_uvarint(body, offset + size, 32, "grid height")
+        width, offset = read_uvarint(body, offset, 32, "grid width")
+        size, offset = read_uvarint(body, offset, 32, "stream length")
+        entries[name] = (height, width), deserialize_stream(body[offset:offset + size])
+        offset += size
+    return precision, seeded, entries
 
 
 def cmd_decompress(args) -> int:
     codec = _load_codec(args.codec)
     pair = _load_pair(args.model)
     pair.check_codec(codec, DataCorruptionError)
-    index_path = os.path.join(args.in_dir, "index.txt")
-    lines = [ln.strip() for ln in read_lines(index_path) if ln.strip()]
-    if not lines or lines[0] != STREAM_SET_HEADER:
-        raise DataCorruptionError(f"{index_path}: bad stream-set header")
-    if len(lines) < 2:
-        raise DataCorruptionError(f"{index_path}: no options line")
-    opts = parse_record(lines[1], None, ("precision", "initial_bits", "count"))
-    try:
-        precision, initial_bits = int(opts["precision"]), int(opts["initial_bits"])
-        count = int(opts["count"])
-        pair.check_precision(precision)
-        if initial_bits < 0 or initial_bits % 8:
-            raise ValueError(f"initial_bits {initial_bits} is not a nonnegative multiple of 8")
-    except ValueError as exc:
-        raise DataCorruptionError(f"{index_path}: bad stream-set options: {exc}") from exc
-    entries = [parse_record(line, "stream", ("source", "top", "bottom")) for line in lines[2:]]
-    if len(entries) != count:
-        raise DataCorruptionError(
-            f"{index_path}: {len(entries)} stream lines, the options line says {count}")
-    for entry in entries:
-        check_plain_name(entry["source"], f"{index_path}: source")
-    if len({entry["source"] for entry in entries}) != count:
-        raise DataCorruptionError(f"{index_path}: a source name is listed twice")
-    shapes = [(parse_positive_ints(entry["top"]), parse_positive_ints(entry["bottom"]))
-              for entry in entries]
-    for entry, (top, bottom) in zip(entries, shapes):
-        # The image the bottom grid decodes to must have exactly these grids.
-        image = tuple(side * codec.patch for side in bottom) + (codec.channels,)
-        if code_shapes(image, codec) != (top, bottom):
-            raise DataCorruptionError(
-                f"{index_path}: {entry['source']}: top={entry['top']} bottom={entry['bottom']} "
-                f"do not fit the codec (pool {codec.pool})")
-    streams = []
-    for i in range(count):
-        with open(os.path.join(args.in_dir, STREAM_FILE.format(i)), "rb") as f:
-            stream = deserialize_stream(f.read())
-        stream.initial_bits = initial_bits
-        streams.append(stream)
-    indices = decompress_shelves([[stream] for stream in streams], shapes, pair,
+    with open(args.in_file, "rb") as f:
+        precision, seeded, entries = read_stream_set(f.read())
+    pair.check_precision(precision, DataCorruptionError)
+    shapes = []
+    for name, (bottom, stream) in entries.items():
+        # The image the bottom grid decodes to gives the top grid's shape.
+        found = code_shapes((*(side * codec.patch for side in bottom), codec.channels), codec)
+        if found is None:
+            raise DataCorruptionError(f"{name}: a bottom grid of {bottom[0]} x {bottom[1]} "
+                                      f"does not fit the codec (pool {codec.pool})")
+        shapes.append(found)
+        stream.initial_bits = 8 * seeded
+    indices = decompress_shelves([[stream] for _, stream in entries.values()], shapes, pair,
                                  precision=precision)
     os.makedirs(args.out, exist_ok=True)
-    for entry, (top, bottom) in zip(entries, indices):
-        write_image(os.path.join(args.out, entry["source"]), decode_indices(top, bottom, codec)[0])
+    for name, (top, bottom) in zip(entries, indices):
+        write_image(os.path.join(args.out, name), decode_indices(top, bottom, codec)[0])
     print(f"reconstructed {len(indices)} images into {args.out}")
     return EXIT_OK
 
@@ -449,18 +449,19 @@ def cmd_inspect(args) -> int:
         for i, m in enumerate(models):
             print(f"  [{i}] version {m.version}, levels {m.levels}, "
                   f"alphabet {m.obs_alphabet}, chain {m.alphabets}, block {m.block_len}")
+    elif magic == STREAM_SET_MAGIC:
+        precision, seeded, entries = read_stream_set(data)
+        print(f"stream set: {len(entries)} images, precision {precision}, "
+              f"initial bits {8 * seeded}, {len(data)} bytes")
     elif magic == STREAM_MAGIC:
         stream = deserialize_stream(data)
         _, restored, stack = read_payload(stream.payload)
         print(f"stream: {stream.symbol_count} symbols, model version "
               f"{stream.model_version}, payload {len(stream.payload)} bytes "
               f"({len(stack)} stack bytes, {restored} seeded bytes restored)")
-    elif len(data) >= IMAGE_HEAD.size:
-        h, w, c = IMAGE_HEAD.unpack_from(data)
-        if len(data) == IMAGE_HEAD.size + h * w * c:
-            print(f"raw image: {h} x {w} x {c}")
-        else:
-            raise InvalidInputError(f"{args.file}: unrecognized format")
+    elif (len(data) >= IMAGE_HEAD.size
+          and len(data) == IMAGE_HEAD.size + math.prod(IMAGE_HEAD.unpack_from(data))):
+        print("raw image: {} x {} x {}".format(*IMAGE_HEAD.unpack_from(data)))
     else:
         raise InvalidInputError(f"{args.file}: unrecognized format")
     return EXIT_OK
@@ -493,13 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embed-dim", type=int, default=CodecConfig.embed_dim)
     p.set_defaults(func=cmd_pretrain_codec)
 
-    p = sub.add_parser("compress", help="entropy-code images into stream files")
+    p = sub.add_parser("compress", help="entropy-code images into one stream-set file")
     p.add_argument("--codec", required=True)
     p.add_argument("--model", required=True,
                    help="model pair file; created and fitted if absent")
     p.add_argument("--in", dest="in_dir", required=True,
                    help="directory of .img files")
-    p.add_argument("--out", required=True, help="output stream directory")
+    p.add_argument("--out", required=True, help="output stream-set file")
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p.add_argument("--initial-bits", type=int, default=DEFAULT_INITIAL_BITS)
     p.add_argument("--seed", type=int, default=0)
@@ -508,11 +509,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit-iterations", type=int, default=20)
     p.set_defaults(func=cmd_compress)
 
-    p = sub.add_parser("decompress", help="rebuild images from stream files")
+    p = sub.add_parser("decompress", help="rebuild images from a stream-set file")
     p.add_argument("--codec", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="in_dir", required=True,
-                   help="stream directory with index.txt")
+    p.add_argument("--in", dest="in_file", required=True, help="stream-set file")
     p.add_argument("--out", required=True, help="output image directory")
     p.set_defaults(func=cmd_decompress)
 

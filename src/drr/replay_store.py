@@ -15,6 +15,7 @@ both report through the same arithmetic so the comparison is honest.
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 from dataclasses import dataclass, field
@@ -162,7 +163,7 @@ def read_lines(path: str, error=DataCorruptionError) -> list[str]:
 
 def check_plain_name(name: str, what: str) -> None:
     """DataCorruptionError unless `name` names an entry directly inside a
-    directory, so a name read from an index cannot reach outside it."""
+    directory, so a name read from a stored file cannot reach outside it."""
     if name in ("", ".", "..") or os.path.basename(name) != name or "\0" in name:
         raise DataCorruptionError(f"{what} {name!r} is not a plain file name")
 
@@ -262,18 +263,17 @@ class LatentModelPair:
     def copy(self) -> "LatentModelPair":
         return LatentModelPair(self.top.copy(), self.bottom.copy())
 
-    def check_precision(self, precision: int) -> None:
-        """InvalidInputError unless precision is one the coder takes and
-        2**precision covers every alphabet of both levels, as the coder's
-        quantized tables need."""
+    def check_precision(self, precision: int, error=InvalidInputError) -> None:
+        """`error` unless precision is one the coder takes and 2**precision
+        covers every alphabet of both levels, as the coder's quantized
+        tables need."""
         if not MIN_PRECISION <= precision <= MAX_PRECISION:
-            raise InvalidInputError(
-                f"precision {precision} outside [{MIN_PRECISION}, {MAX_PRECISION}]")
+            raise error(f"precision {precision} outside [{MIN_PRECISION}, {MAX_PRECISION}]")
         widest = max(max(model.obs_alphabet, *model.alphabets)
                      for model in (self.top, self.bottom))
         if widest > 1 << precision:
-            raise InvalidInputError(f"precision {precision} cannot code the models' alphabet "
-                                    f"of {widest} symbols (at most 2**{precision})")
+            raise error(f"precision {precision} cannot code the models' alphabet "
+                        f"of {widest} symbols (at most 2**{precision})")
 
     def check_codec(self, codec: CodecParams, error=InvalidInputError) -> None:
         """`error` unless both levels observe exactly the codec's codes."""
@@ -376,8 +376,12 @@ def decompress_shelves(streams, shapes, pair: LatentModelPair,
     for members in _by_geometry(shapes):
         top_tables, bottom_tables = pair.tables(precision) if tables is None else tables
         top_shape, bottom_shape = shapes[members[0]]
-        top_lens = _block_lens(int(np.prod(top_shape)), pair.top.block_len)
-        bottom_lens = _block_lens(int(np.prod(bottom_shape)), pair.bottom.block_len)
+        # Checked before any block list is built, as a stored shape may be huge.
+        codes = math.prod(top_shape) + math.prod(bottom_shape)
+        if any(s.symbol_count != codes for i in members for s in streams[i]):
+            raise DataCorruptionError(f"a stream's symbol count is not its grids' {codes} codes")
+        top_lens = _block_lens(math.prod(top_shape), pair.top.block_len)
+        bottom_lens = _block_lens(math.prod(bottom_shape), pair.bottom.block_len)
         top, bottom = (np.concatenate(blocks, axis=1, dtype=np.int32)
                        for blocks in decode_streams(
                            [stream for i in members for stream in streams[i]],

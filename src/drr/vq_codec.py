@@ -121,10 +121,6 @@ class CodecParams:
     def weight_fields(self) -> tuple[str, ...]:
         return tuple(weight_shapes(self.patch_dim, self.embed_dim, self.codebook_size))
 
-    def copy(self) -> "CodecParams":
-        kwargs = {name: getattr(self, name).copy() for name in self.weight_fields()}
-        return replace(self, **kwargs)
-
 
 @dataclass
 class CodeGrid:
@@ -146,12 +142,12 @@ class CodeGrid:
 def code_shapes(image_shape, codec: CodecParams):
     """The (top, bottom) grid shapes `codec` gives an image of
     `image_shape`, or None if the codec cannot code such an image: it must
-    be H x W x channels, with H and W multiples of patch * pool."""
+    be H x W x channels, with H and W positive multiples of patch * pool."""
     if len(image_shape) != 3:
         return None
     h, w, c = image_shape
     cell = codec.patch * codec.pool
-    if c != codec.channels or h % cell or w % cell:
+    if c != codec.channels or h % cell or w % cell or not h * w:
         return None
     return (h // cell, w // cell), (h // codec.patch, w // codec.patch)
 
@@ -331,8 +327,8 @@ def _patch_tables(params: CodecParams) -> tuple[np.ndarray, np.ndarray]:
     decode and kept, read-only, for its later ones; an unfrozen codec,
     which training may still change, builds them on every call.
 
-    The tables are an attribute, not a dataclass field, so `copy`,
-    `replace` and serialization leave them out: `freeze` of an unfrozen
+    The tables are an attribute, not a dataclass field, so `replace`
+    and serialization leave them out: `freeze` of an unfrozen
     codec and a deserialized codec build their own.
     """
     if not params.frozen:
@@ -560,12 +556,12 @@ def freeze(params: CodecParams) -> CodecParams:
     return replace(params, frozen=True, **rounded)
 
 
-def mean_reconstruction_error(dataset, params: CodecParams) -> float:
-    """Mean squared pixel error of encode-then-decode over a dataset of
-    images of one shape: one batch each way, image means summed in order."""
+def mean_reconstruction_error(dataset, indices, params: CodecParams) -> float:
+    """Mean squared pixel error of a dataset's reconstructions from its
+    `encode_indices` arrays `indices`: image means summed in order."""
     if len(dataset) == 0:
         raise InvalidInputError("dataset is empty")
-    recons = decode_indices(*encode_indices(dataset, params), params)
+    recons = decode_indices(*indices, params)
     total = 0.0
     for rec, img in zip(recons, dataset):
         total += float(((rec - img) ** 2).mean())

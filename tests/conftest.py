@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from drr.container import seal, unseal
+from drr.container import read_uvarint, seal, unseal, uvarint
 
 # Tests that run `python -m drr.cli` in a subprocess import the same source
 # tree as the tests themselves, installed or not.
@@ -54,3 +54,49 @@ def resealed(data, edit):
     body = bytearray(unseal(data, magic, version, "sealed"))
     edit(body)
     return seal(magic, version, bytes(body))
+
+
+
+# A stream-set file's fields, read and written here by the layout the
+# README gives, not by the CLI's reader: a dict of `precision`, `seeded`
+# (the seeded bytes) and `entries`, each a dict of `name` (bytes),
+# `height` and `width` (the bottom grid's) and `stream` (a stream file).
+
+def stream_set_fields(data):
+    body = unseal(data, b"DRRZ", 1, "stream set")
+    precision, offset = read_uvarint(body, 0, 8, "precision")
+    seeded, offset = read_uvarint(body, offset, 32, "seeded bytes")
+
+    def chunk(offset, bits):
+        size, offset = read_uvarint(body, offset, bits, "length")
+        return bytes(body[offset:offset + size]), offset + size
+
+    entries = []
+    while offset < len(body):
+        name, offset = chunk(offset, 16)
+        height, offset = read_uvarint(body, offset, 32, "height")
+        width, offset = read_uvarint(body, offset, 32, "width")
+        stream, offset = chunk(offset, 32)
+        entries.append({"name": name, "height": height, "width": width, "stream": stream})
+    return {"precision": precision, "seeded": seeded, "entries": entries}
+
+
+def stream_set_body(fields):
+    out = [uvarint(fields["precision"], 8, "precision"),
+           uvarint(fields["seeded"], 32, "seeded bytes")]
+    for entry in fields["entries"]:
+        out += [uvarint(len(entry["name"]), 16, "name length"), entry["name"],
+                uvarint(entry["height"], 32, "height"), uvarint(entry["width"], 32, "width"),
+                uvarint(len(entry["stream"]), 32, "stream length"), entry["stream"]]
+    return b"".join(out)
+
+
+def edited_stream_set(data, edit):
+    """Stream-set file `data` with `edit` applied to its fields and the
+    checksum made valid again by `resealed`."""
+    fields = stream_set_fields(data)
+    edit(fields)
+
+    def rewrite(body):
+        body[:] = stream_set_body(fields)
+    return resealed(data, rewrite)

@@ -9,8 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import resealed
-from drr import replay_store
+from conftest import edited_stream_set, resealed, stream_set_body, stream_set_fields
+from drr import cli, replay_store
 from drr.bits_back import (
     DEFAULT_INITIAL_BITS,
     deserialize_stream,
@@ -211,7 +211,7 @@ class TestPretrainCodec:
 
 @pytest.fixture(scope="module")
 def compressed(workspace):
-    out = str(workspace["root"] / "streams")
+    out = str(workspace["root"] / "set.drrz")
     model = str(workspace["root"] / "model.drrm")
     code = main(["compress", "--codec", workspace["codec"], "--model", model,
                  "--in", workspace["data"], "--out", out,
@@ -221,16 +221,56 @@ def compressed(workspace):
     return {"out": out, "model": model}
 
 
+def set_field(key, value):
+    """An edit of a stream set's options: `key` set to `value`."""
+    return lambda fields: fields.update({key: value})
+
+
+def entry_field(**values):
+    """An edit of a stream set's first entry: each key set to its value."""
+    return lambda fields: fields["entries"][0].update(values)
+
+
+def bad_set(compressed, path, edit):
+    """`path`, written as the compressed set with `edit` applied and resealed."""
+    with open(compressed["out"], "rb") as f:
+        path.write_bytes(edited_stream_set(f.read(), edit))
+    return str(path)
+
+
+# Stream sets, each resealed after one edit, that `drr decompress` must
+# reject with exit 3, and a part of the message it prints.  The workspace
+# images are 16x16 under patch 4, pool 2: each bottom grid is 4 x 4.
+BAD_SETS = {
+    "precision 17": (set_field("precision", 17), "precision 17 outside"),
+    "precision 3": (set_field("precision", 3), "precision 3 cannot code"),
+    # k, the seeded bytes a stream restores, may not exceed the set's
+    "no seeded bytes": (set_field("seeded", 0), "more than the 0 it was seeded with"),
+    "a name listed twice": (entry_field(name=b"img_001.img"), "'img_001.img' is listed twice"),
+    "a name not UTF-8": (entry_field(name=b"img_\xff.img"), "source name is not UTF-8"),
+    "height 0": (entry_field(height=0), "a bottom grid of 0 x 4 does not fit"),
+    "width 0": (entry_field(width=0), "a bottom grid of 4 x 0 does not fit"),
+    "height 3": (entry_field(height=3), "a bottom grid of 3 x 4 does not fit"),
+    # grids that fit the codec but not the stream, down to one no memory holds
+    "grid 8 x 4": (entry_field(height=8, width=4), "symbol count is not its grids' 40 codes"),
+    "grid 2**31 x 2**31": (entry_field(height=1 << 31, width=1 << 31),
+                           "symbol count is not its grids' 5764607523034234880 codes"),
+}
+
+
 class TestCompressDecompress:
-    def test_writes_streams_and_index(self, compressed):
-        names = sorted(os.listdir(compressed["out"]))
-        assert "index.txt" in names
-        assert sum(n.endswith(".drrs") for n in names) == 10
-        with open(os.path.join(compressed["out"], "index.txt")) as f:
-            lines = f.read().splitlines()
-        assert lines[:2] == ["drr-stream-set 3", "precision=12 initial_bits=256 count=10"]
-        assert len(lines) == 12
-        assert lines[2] == "stream source=img_000.img top=2,2 bottom=4,4"
+    def test_writes_one_stream_set_file(self, workspace, compressed):
+        with open(compressed["out"], "rb") as f:
+            data = f.read()
+        assert data[:6] == b"DRRZ" + (1).to_bytes(2, "little")
+        fields = stream_set_fields(data)
+        assert (fields["precision"], fields["seeded"]) == (12, DEFAULT_INITIAL_BITS // 8)
+        assert ([entry["name"].decode() for entry in fields["entries"]]
+                == sorted(os.listdir(workspace["data"])))
+        for i, entry in enumerate(fields["entries"]):
+            assert (entry["height"], entry["width"]) == (4, 4)
+            assert deserialize_stream(entry["stream"]).symbol_count == 4 + 16, i
+        assert seal(b"DRRZ", 1, stream_set_body(fields)) == data
 
     def test_reports_bits_per_code_below_sixteen(self, workspace, compressed,
                                                  tmp_path, capsys):
@@ -257,16 +297,17 @@ class TestCompressDecompress:
             expected = decode_codes(encode_image(original, codec), codec)
             restored = read_image(os.path.join(recon_dir, name))
             assert np.max(np.abs(restored - expected)) <= 0.5 / 255
+        assert sorted(os.listdir(recon_dir)) == sorted(os.listdir(workspace["data"]))
 
-    def test_precision_is_read_from_the_index(self, workspace, compressed, tmp_path, capsys):
+    def test_precision_is_read_from_the_set(self, workspace, compressed, tmp_path, capsys):
         # A set compressed at precision 16 decompresses with no precision
-        # flag to what the codec gives: the index says how it was coded.
-        streams, recon = str(tmp_path / "s16"), str(tmp_path / "recon")
+        # flag to what the codec gives: the set says how it was coded.
+        streams, recon = str(tmp_path / "s16.drrz"), str(tmp_path / "recon")
         assert main(["compress", "--codec", workspace["codec"], "--model", compressed["model"],
                      "--in", workspace["data"], "--out", streams, "--precision", "16",
                      "--seed", "9"]) == EXIT_OK
-        with open(os.path.join(streams, "index.txt")) as f:
-            assert f.read().splitlines()[1] == "precision=16 initial_bits=256 count=10"
+        with open(streams, "rb") as f:
+            assert stream_set_fields(f.read())["precision"] == 16
         decompress = ["decompress", "--codec", workspace["codec"], "--model", compressed["model"],
                       "--in", streams, "--out", recon]
         assert main(decompress) == EXIT_OK
@@ -278,103 +319,85 @@ class TestCompressDecompress:
             assert np.max(np.abs(read_image(os.path.join(recon, name)) - expected)) <= 0.5 / 255
         assert main(decompress + ["--precision", "12"]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("options, message", [
-        (None, "malformed field 'stream'"),  # the first stream line read as options
-        ("precision=12 count=10", "missing initial_bits"),
-        ("precision=12 initial_bits=256", "missing count"),
-        ("precision=x initial_bits=256 count=10", "bad stream-set options"),
-        ("precision=12 initial_bits=256 count=ten", "bad stream-set options"),
-        ("precision=17 initial_bits=256 count=10", "precision 17 outside"),
-        ("precision=12 initial_bits=12 count=10", "not a nonnegative multiple of 8"),
-        # the count of stream lines is recorded, so a lost or extra line shows
-        ("precision=12 initial_bits=256 count=9", "10 stream lines, the options line says 9"),
-        ("precision=12 initial_bits=256 count=11", "10 stream lines, the options line says 11"),
-        # k, the seeded bytes a stream restores, may not exceed initial_bits // 8
-        ("precision=12 initial_bits=0 count=10", "more than the 0 it was seeded with"),
-    ])
-    def test_bad_options_line_is_corrupt(self, workspace, compressed, tmp_path, capsys,
-                                         options, message):
-        streams = tmp_path / "streams"
-        shutil.copytree(compressed["out"], streams)
-        index = streams / "index.txt"
-        lines = index.read_text().splitlines()
-        lines[1:2] = [] if options is None else [options]
-        index.write_text("\n".join(lines) + "\n")
+    @pytest.mark.parametrize("case", sorted(BAD_SETS))
+    def test_bad_set_field_is_corrupt(self, workspace, compressed, tmp_path, capsys, case):
+        edit, message = BAD_SETS[case]
+        path = bad_set(compressed, tmp_path / "bad.drrz", edit)
         assert main(["decompress", "--codec", workspace["codec"], "--model", compressed["model"],
-                     "--in", str(streams), "--out", str(tmp_path / "r")]) == EXIT_CORRUPT
+                     "--in", path, "--out", str(tmp_path / "r")]) == EXIT_CORRUPT
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
-    def test_tampered_stream_is_corrupt(self, workspace, compressed,
-                                        tmp_path, capsys):
-        bad_dir = tmp_path / "bad"
-        bad_dir.mkdir()
-        for name in os.listdir(compressed["out"]):
-            with open(os.path.join(compressed["out"], name), "rb") as f:
-                blob = f.read()
-            if name == "stream_0000.drrs":
-                blob = resealed(blob, version_999)
-            with open(bad_dir / name, "wb") as f:
-                f.write(blob)
+    def test_tampered_stream_is_corrupt(self, workspace, compressed, tmp_path, capsys):
+        with open(compressed["out"], "rb") as f:
+            stream = stream_set_fields(f.read())["entries"][0]["stream"]
+        path = bad_set(compressed, tmp_path / "bad.drrz",
+                       entry_field(stream=resealed(stream, version_999)))
         code = main(["decompress", "--codec", workspace["codec"],
-                     "--model", compressed["model"],
-                     "--in", str(bad_dir), "--out", str(tmp_path / "r")])
+                     "--model", compressed["model"], "--in", path, "--out", str(tmp_path / "r")])
         assert code == EXIT_CORRUPT
         assert "model version 999" in capsys.readouterr().err
 
+    def test_decompress_reads_one_file_beside_codec_and_model(self, workspace, compressed,
+                                                              tmp_path, monkeypatch):
+        opened = []
 
-    @pytest.mark.parametrize("edit", [
-        lambda line: line.replace("source=", "source"),
-        lambda line: line.replace("stream ", "strm "),
-        lambda line: line.replace("bottom=", "bottom"),
-        lambda line: line.replace("img_001", "img_000"),  # a source name twice
-        lambda line: line.replace("top=", "top=x"),
-    ])
-    def test_malformed_index_line_is_corrupt(self, workspace, compressed, tmp_path,
-                                             capsys, edit):
-        bad_dir = tmp_path / "bad"
-        bad_dir.mkdir()
-        for name in os.listdir(compressed["out"]):
-            with open(os.path.join(compressed["out"], name), "rb") as f:
-                blob = f.read()
-            if name == "index.txt":
-                lines = blob.decode().splitlines()
-                lines[3] = edit(lines[3])
-                blob = ("\n".join(lines) + "\n").encode()
-            with open(bad_dir / name, "wb") as f:
-                f.write(blob)
-        args = ["decompress", "--codec", workspace["codec"], "--model", compressed["model"],
-                "--in", str(bad_dir), "--out", str(tmp_path / "r")]
-        assert main(args) == EXIT_CORRUPT
-        assert "corrupt data" in capsys.readouterr().err
-        proc = subprocess.run([sys.executable, "-m", "drr.cli", *args],
-                              capture_output=True, text=True)
-        assert proc.returncode == EXIT_CORRUPT
-        assert "Traceback" not in proc.stderr
+        def recording_open(path, mode="r", *args, **kwargs):
+            opened.append((str(path), mode))
+            return open(path, mode, *args, **kwargs)
 
-    @pytest.mark.parametrize("name", ["../outside.drrs", "{tmp}/outside.drrs",
-                                      "sub/stream_0000.drrs", "stream_0001.drrs"])
-    def test_decompress_reads_only_the_sets_own_streams(self, workspace, compressed, tmp_path,
-                                                       name):
-        # Stream i is always the set's stream_{i:04d}.drrs: the index names no
-        # stream file, so a `file=` field added to a line is never read.  The
-        # named files all hold another image's stream.
-        streams = tmp_path / "streams"
-        shutil.copytree(compressed["out"], streams)
-        other = (streams / "stream_0001.drrs").read_bytes()
-        (streams / "sub").mkdir()
-        (streams / "sub" / "stream_0000.drrs").write_bytes(other)
-        (tmp_path / "outside.drrs").write_bytes(other)
-        index = streams / "index.txt"
-        index.write_text(index.read_text().replace(
-            "stream source=img_000.img", "stream file=" + name.format(tmp=tmp_path)
-            + " source=img_000.img", 1))
-        decompress = ["decompress", "--codec", workspace["codec"], "--model", compressed["model"]]
-        for directory, out in ((str(streams), "recon"), (compressed["out"], "good")):
-            assert main(decompress + ["--in", directory, "--out", str(tmp_path / out)]) == EXIT_OK
-        for image in ("img_000.img", "img_001.img"):
-            assert ((tmp_path / "recon" / image).read_bytes()
-                    == (tmp_path / "good" / image).read_bytes())
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        assert main(["decompress", "--codec", workspace["codec"], "--model", compressed["model"],
+                     "--in", compressed["out"], "--out", str(tmp_path / "r")]) == EXIT_OK
+        assert [(path, mode) for path, mode in opened if "w" not in mode] == [
+            (workspace["codec"], "rb"), (compressed["model"], "rb"), (compressed["out"], "rb")]
+        assert len(opened) == 3 + len(os.listdir(workspace["data"]))
+
+    def test_file_name_not_utf8_is_usage(self, workspace, tmp_path, capsys):
+        # A set stores names as UTF-8, so compress refuses one it could not
+        # store, before it fits a model, rather than fail with a traceback.
+        images = tmp_path / "images"
+        images.mkdir()
+        write_image(os.path.join(os.fsencode(images), b"img_\xff.img"), toy_images(1)[0])
+        code = main(["compress", "--codec", workspace["codec"], "--model", str(tmp_path / "m"),
+                     "--in", str(images), "--out", str(tmp_path / "s.drrz")])
+        assert code == EXIT_USAGE
+        assert "an image file name is not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "s.drrz").exists() and not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--initial-bits", "12"), ("--precision", "17")])
+    def test_unstorable_coder_setting_is_usage(self, workspace, compressed, tmp_path, capsys,
+                                               flag, value):
+        # The set stores seeded bytes, not bits, and a precision the coder
+        # takes: compress writes no set it could not read back.
+        code = main(["compress", "--codec", workspace["codec"], "--model", compressed["model"],
+                     "--in", workspace["data"], "--out", str(tmp_path / "s.drrz"), flag, value])
+        assert code == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "s.drrz").exists()
+
+    def test_set_directory_of_the_text_index_layout_is_rejected(self, workspace, compressed,
+                                                                 tmp_path):
+        # The earlier layout, a directory of index.txt and one stream file per
+        # image, is no stream set: decompress exits 2 on it, and inspect
+        # calls its index unrecognized.
+        old = tmp_path / "streams"
+        old.mkdir()
+        (old / "index.txt").write_text("drr-stream-set 3\n"
+                                       "precision=12 initial_bits=256 count=1\n"
+                                       "stream source=img_000.img top=2,2 bottom=4,4\n")
+        with open(compressed["out"], "rb") as f:
+            (old / "stream_0000.drrs").write_bytes(
+                stream_set_fields(f.read())["entries"][0]["stream"])
+        for argv, code in (
+                (["decompress", "--codec", workspace["codec"], "--model", compressed["model"],
+                  "--in", str(old), "--out", str(tmp_path / "r")], EXIT_IO),
+                (["inspect", "--file", str(old / "index.txt")], EXIT_USAGE)):
+            proc = subprocess.run([sys.executable, "-m", "drr.cli", *argv],
+                                  capture_output=True, text=True)
+            assert proc.returncode == code, proc.stderr
+            assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "r").exists()
 
     def test_model_of_another_codebook_size_is_usage(self, workspace, tmp_path, capsys):
         model = wrong_size_model(tmp_path)
@@ -594,18 +617,22 @@ class TestInspect:
                                 f"({width * weights} bytes)\n"), out
             assert os.path.getsize(path) == 39 + width * weights
 
-    def test_identifies_model_and_stream(self, workspace, tmp_path, capsys):
-        out = str(tmp_path / "s")
+    def test_identifies_model_stream_set_and_stream(self, workspace, tmp_path, capsys):
+        out = tmp_path / "s.drrz"
         model = str(tmp_path / "m.drrm")
         main(["compress", "--codec", workspace["codec"], "--model", model,
-              "--in", workspace["data"], "--out", out,
-              "--alphabets", "4,3", "--block-len", "4",
+              "--in", workspace["data"], "--out", str(out), "--precision", "14",
+              "--initial-bits", "128", "--alphabets", "4,3", "--block-len", "4",
               "--fit-iterations", "0"])
         capsys.readouterr()
         assert main(["inspect", "--file", model]) == EXIT_OK
         assert "2 records" in capsys.readouterr().out
-        assert main(["inspect", "--file",
-                     os.path.join(out, "stream_0000.drrs")]) == EXIT_OK
+        assert main(["inspect", "--file", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == (f"stream set: 10 images, precision 14, "
+                                           f"initial bits 128, {out.stat().st_size} bytes\n")
+        stream = tmp_path / "one.drrs"
+        stream.write_bytes(stream_set_fields(out.read_bytes())["entries"][0]["stream"])
+        assert main(["inspect", "--file", str(stream)]) == EXIT_OK
         assert "symbols" in capsys.readouterr().out
 
     def test_unknown_bytes_are_usage(self, tmp_path, capsys):
@@ -717,21 +744,14 @@ def old_layout(data):
     return data[:4] + struct.pack("<H", 1) + data[10:]
 
 
-# Stream-set entry shapes that do not fit the 16x16 images under the
-# workspace codec (patch 4, pool 2: top 2,2 and bottom 4,4).
-BAD_ENTRY_SHAPES = [("top", "4,1"), ("top", "1,1"), ("top", "2,2,1"),
-                    ("bottom", "8,2"), ("bottom", "2,2")]
-
-
 def corrupt_input_cases(workspace, compressed, root):
     """(name, argv) pairs of corrupt artifacts that must exit 3, each with its
     inputs written under `root`."""
-    cases = []
-    for key, value in BAD_ENTRY_SHAPES:
-        streams = edited_copy(compressed, root / f"{key}_{value}", key, value)
-        cases.append((f"entry {key}={value}, decompress",
-                      ["decompress", "--codec", workspace["codec"], "--model",
-                       compressed["model"], "--in", streams, "--out", str(root / "recon")]))
+    decompress = ["decompress", "--codec", workspace["codec"], "--model", compressed["model"],
+                  "--out", str(root / "recon"), "--in"]
+    cases = [(f"set with {name}, decompress",
+              decompress + [bad_set(compressed, root / f"set_{i}.drrz", edit)])
+             for i, (name, (edit, _)) in enumerate(sorted(BAD_SETS.items()))]
     for field in ("patch", "pool", "channels", "codebook_size", "embed_dim"):
         codec = str(root / f"zero_{field}.drrc")
         zero_geometry_codec(codec, field)
@@ -749,19 +769,12 @@ def corrupt_input_cases(workspace, compressed, root):
     cases.append(("codec of 4 codes, decompress",
                   ["decompress", "--codec", wrong_size_codec(root), "--model", compressed["model"],
                    "--in", compressed["out"], "--out", str(root / "recon")]))
-    streams = root / "non_utf8"
-    shutil.copytree(compressed["out"], streams)
-    flip_byte(streams / "index.txt", 3, 0x80)
-    cases.append(("index byte 3 not UTF-8, decompress",
-                  ["decompress", "--codec", workspace["codec"], "--model", compressed["model"],
-                   "--in", str(streams), "--out", str(root / "recon")]))
-    streams = root / "old_layout"
-    shutil.copytree(compressed["out"], streams)
-    stream = streams / "stream_0000.drrs"
-    stream.write_bytes(old_layout_stream(stream.read_bytes()))
+    stream = root / "old_layout.drrs"
+    with open(compressed["out"], "rb") as f:
+        stream.write_bytes(old_layout_stream(stream_set_fields(f.read())["entries"][0]["stream"]))
     cases += [("stream in the old layout, decompress",
-               ["decompress", "--codec", workspace["codec"], "--model", compressed["model"],
-                "--in", str(streams), "--out", str(root / "recon")]),
+               decompress + [bad_set(compressed, root / "old_layout.drrz",
+                                     entry_field(stream=stream.read_bytes()))]),
               ("stream in the old layout, inspect", ["inspect", "--file", str(stream)])]
     codec, model = root / "old_layout.drrc", root / "old_layout.drrm"
     with open(workspace["codec"], "rb") as f:
@@ -791,23 +804,6 @@ def flip_byte(path, offset, mask):
     path.write_bytes(bytes(data))
 
 
-def edited_copy(compressed, directory, key, value):
-    """A copy of the stream set whose first stream line has `key`=`value`."""
-    directory.mkdir()
-    for name in os.listdir(compressed["out"]):
-        with open(os.path.join(compressed["out"], name), "rb") as f:
-            blob = f.read()
-        if name == "index.txt":
-            lines = blob.decode().splitlines()
-            words = [f"{key}={value}" if w.startswith(f"{key}=") else w
-                     for w in lines[2].split()]
-            lines[2] = " ".join(words)
-            blob = ("\n".join(lines) + "\n").encode()
-        with open(directory / name, "wb") as f:
-            f.write(blob)
-    return str(directory)
-
-
 class TestBadInput:
     def test_each_case_is_usage(self, workspace, tmp_path, capsys):
         for name, argv in bad_input_cases(workspace, tmp_path):
@@ -818,8 +814,8 @@ class TestBadInput:
                                         "..", ""])
     def test_decompress_writes_only_inside_out(self, workspace, compressed, tmp_path,
                                                capsys, source):
-        source = source.format(tmp=tmp_path)
-        streams = edited_copy(compressed, tmp_path / "streams", "source", source)
+        source = source.format(tmp=tmp_path).encode()
+        streams = bad_set(compressed, tmp_path / "set.drrz", entry_field(name=source))
         out = tmp_path / "deep" / "recon"
         code = main(["decompress", "--codec", workspace["codec"],
                      "--model", compressed["model"], "--in", streams, "--out", str(out)])
@@ -830,7 +826,7 @@ class TestBadInput:
 
     def test_subprocess_sweep_exits_cleanly(self, workspace, compressed, tmp_path):
         cases = bad_input_cases(workspace, tmp_path)
-        streams = edited_copy(compressed, tmp_path / "streams", "source", "../evil.img")
+        streams = bad_set(compressed, tmp_path / "set.drrz", entry_field(name=b"../evil.img"))
         cases.append(("source ../evil.img",
                       ["decompress", "--codec", workspace["codec"],
                        "--model", compressed["model"], "--in", streams,

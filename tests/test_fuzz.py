@@ -1,5 +1,5 @@
-"""Fuzz suite for the three binary kinds (codec, model pair and stream
-files) and the two text indexes (stream set and buffer directory).
+"""Fuzz suite for the four binary kinds (codec, model pair, stream and
+stream-set files), the buffer directory's text index and results files.
 
 Each file gets bit 0 and bit 7 flipped at its first 64 bytes and at 300
 seeded positions, and is cut at about 40 seeded lengths.  Every case must
@@ -7,20 +7,20 @@ raise DataCorruptionError: never load as a different artifact, never fail
 with another error.  The container's CRC32 catches every single-bit error
 in a body, and a flip in the container's own header breaks its magic, its
 version or the checksum it holds.  Through the CLI, `drr inspect` on each
-kind of corrupt file and `drr decompress` with a corrupt codec, model or
-stream exit 3 with no traceback.  A file whose magic is broken names no
-kind, so `drr inspect` calls it unrecognized (exit 1), as any other bytes.
-Past the checksum (the body edited and resealed), damage to a stream's
-record and the head of its payload reads back the same grid or raises
-DataCorruptionError, and the CLI exits 3 on it with no traceback.
+kind of corrupt file and `drr decompress` with a corrupt codec, model,
+stream or stream set exit 3 with no traceback.  A file whose magic is
+broken names no kind, so `drr inspect` calls it unrecognized (exit 1), as
+any other bytes.  Past the checksum (the body edited and resealed), damage
+to a stream's record and the head of its payload reads back the same grid
+or raises DataCorruptionError, and the CLI exits 3 on it with no
+traceback.
 
-Each index gets bit 0 and bit 7 flipped at every byte and is cut at every
-fifth length.  A damaged stream-set index makes `drr decompress` exit 3 or
-write the same images, except where a source name becomes a fresh one; a
-damaged buffer index raises DataCorruptionError or reads back the same
-classes.  A `run-phases` results file gets the same damage, and `drr
-report` on it exits 3 or prints the same table, except where a figure the
-summary does not check changes: a results file has no checksum either.
+A stream-set file gets bit 0 and bit 7 flipped at every byte and is cut at
+every fifth length, and `drr decompress` exits 3 on every case.  The
+buffer's index gets the same damage, and raises DataCorruptionError or
+reads back the same classes.  A `run-phases` results file gets it too, and
+`drr report` on it exits 3 or prints the same table, except where a figure
+the summary does not check changes: neither text file has a checksum.
 """
 
 import contextlib
@@ -32,10 +32,10 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import resealed
+from conftest import edited_stream_set, resealed, stream_set_body, stream_set_fields
 from drr import cli
 from drr.bits_back import FitConfig, deserialize_stream, serialize_stream
-from drr.cli import EXIT_CORRUPT, EXIT_OK, EXIT_USAGE, main, write_image
+from drr.cli import EXIT_CORRUPT, EXIT_OK, EXIT_USAGE, main, read_stream_set, write_image
 from drr.container import seal, unseal
 from drr.errors import DataCorruptionError
 from drr.replay_store import LatentModelPair, ReplayBuffer, compress_shelves, decompress_grid
@@ -91,11 +91,20 @@ def toy_streams():
             compress_shelves(shelves, TOY_PAIR, [[[5, i]] for i in range(len(shelves))])]
 
 
+def toy_sets():
+    """A stream set of the toy streams, as four 16x16 images would give."""
+    entries = [{"name": f"{i}.img".encode(), "height": 4, "width": 4, "stream": stream}
+               for i, stream in enumerate(toy_streams())]
+    return [seal(b"DRRZ", 1, stream_set_body({"precision": 12, "seeded": 32,
+                                              "entries": entries}))]
+
+
 # kind -> (the files, their reader)
 KINDS = {
     "codec": (toy_codecs, deserialize_codec),
     "models": (lambda: [TOY_PAIR.serialize()], LatentModelPair.deserialize),
     "stream": (toy_streams, deserialize_stream),
+    "set": (toy_sets, read_stream_set),
 }
 
 
@@ -115,7 +124,7 @@ def test_every_damaged_file_raises_data_corruption(kind, damage):
 
 @pytest.mark.parametrize("kind, what, magic, version", [
     ("codec", "codec", b"DRRC", 3), ("models", "model snapshot", b"DRRM", 2),
-    ("stream", "stream", b"DRRS", 4)])
+    ("stream", "stream", b"DRRS", 4), ("set", "stream set", b"DRRZ", 1)])
 def test_each_container_field_is_checked(kind, what, magic, version):
     # Each kind writes its own magic and format version, and its reader
     # rejects each field of the container on its own: another version under
@@ -189,16 +198,17 @@ def stream_set(tmp_path_factory):
     codec = root / "codec.drrc"
     codec.write_bytes(serialize_codec(freeze(init_codec_params(CodecConfig(
         patch=4, pool=2, channels=3, codebook_size=8, embed_dim=4, seed=1)))))
-    model, streams = root / "models.drrm", root / "streams"
+    model, streams = root / "models.drrm", root / "set.drrz"
     assert main(["compress", "--codec", str(codec), "--model", str(model), "--in", str(images),
                  "--out", str(streams), "--alphabets", "3,2", "--block-len", "2",
                  "--fit-iterations", "1"]) == EXIT_OK
-    return {"codec": codec, "model": model, "streams": streams, "root": root}
+    stream = root / "stream.drrs"
+    stream.write_bytes(stream_set_fields(streams.read_bytes())["entries"][0]["stream"])
+    return {"codec": codec, "model": model, "set": streams, "stream": stream, "root": root}
 
 
 def sources(stream_set):
-    return {"codec": stream_set["codec"], "model": stream_set["model"],
-            "stream": stream_set["streams"] / "stream_0000.drrs"}
+    return {name: stream_set[name] for name in ("codec", "model", "stream", "set")}
 
 
 def overlong_version(body):
@@ -220,7 +230,7 @@ def damaged_files(stream_set, root):
     model version spelled long, a symbol count of 2**64, a body cut inside
     the count); as (artifact, path)."""
     out = []
-    for offset, (name, source) in zip((5, 8, 20), sources(stream_set).items()):
+    for offset, (name, source) in zip((5, 8, 20, 12), sources(stream_set).items()):
         data = source.read_bytes()
         flipped = bytearray(data)
         flipped[offset] ^= 1
@@ -242,26 +252,27 @@ def cli_cases(stream_set, root):
     `decompress` with it in place of its artifact."""
     cases = []
     for name, path in damaged_files(stream_set, root):
-        args = {"codec": str(stream_set["codec"]), "model": str(stream_set["model"])}
-        streams = stream_set["streams"]
+        args = {key: str(stream_set[key]) for key in ("codec", "model", "set")}
         if name == "stream":
-            streams = root / f"streams_{path.stem}"
-            shutil.copytree(stream_set["streams"], streams)
-            shutil.copyfile(path, streams / "stream_0000.drrs")
+            # The damaged stream in a set of its own, resealed.
+            args["set"] = str(root / f"set_{path.stem}.drrz")
+            with open(args["set"], "wb") as f:
+                f.write(edited_stream_set(stream_set["set"].read_bytes(), lambda fields: (
+                    fields["entries"][0].update(stream=path.read_bytes()))))
         else:
             args[name] = str(path)
         cases += [
             (f"inspect {path.name}", ["inspect", "--file", str(path)]),
             (f"decompress with {path.name}",
              ["decompress", "--codec", args["codec"], "--model", args["model"],
-              "--in", str(streams), "--out", str(root / "recon")]),
+              "--in", args["set"], "--out", str(root / "recon")]),
         ]
     return cases
 
 
 def test_cli_exits_3_on_every_damaged_file(stream_set, tmp_path, capsys):
     assert main(["decompress", "--codec", str(stream_set["codec"]), "--model",
-                 str(stream_set["model"]), "--in", str(stream_set["streams"]),
+                 str(stream_set["model"]), "--in", str(stream_set["set"]),
                  "--out", str(tmp_path / "good")]) == EXIT_OK
     for name, argv in cli_cases(stream_set, tmp_path):
         assert main(argv) == EXIT_CORRUPT, name
@@ -281,9 +292,9 @@ def test_inspect_calls_a_broken_magic_unrecognized(stream_set, tmp_path, capsys)
 
 
 def test_cli_subprocess_prints_no_traceback(stream_set, tmp_path):
-    # One process per kind, decompress with its bit-flipped file, and two
-    # with a stream damaged past its checksum (version spelled long, body
-    # cut inside the count).
+    # One process per kind, decompress with its bit-flipped file (the
+    # stream set's among them), and two with a stream damaged past its
+    # checksum (version spelled long, body cut inside the count).
     for name, argv in cli_cases(stream_set, tmp_path)[1::4]:
         proc = subprocess.run([sys.executable, "-m", "drr.cli", *argv],
                               capture_output=True, text=True)
@@ -292,7 +303,7 @@ def test_cli_subprocess_prints_no_traceback(stream_set, tmp_path):
         assert "Traceback" not in proc.stderr, name
 
 
-# -- text indexes ----------------------------------------------------------------
+# -- stream sets and the buffer index ------------------------------------------
 
 def index_damage(data):
     """`data` with bit 0 or bit 7 flipped at every byte, and cut at every
@@ -321,27 +332,26 @@ def six_image_set(stream_set):
     for i in range(6):
         write_image(str(images / f"img_{i:03d}.img"), rng.uniform(0, 1, (8, 8, 3)))
     codec, model = str(stream_set["codec"]), str(stream_set["model"])
-    streams = root / "streams"
+    streams = root / "set.drrz"
     assert main(["compress", "--codec", codec, "--model", model, "--in", str(images),
                  "--out", str(streams)]) == EXIT_OK
     decompress = ["decompress", "--codec", codec, "--model", model, "--in"]
     assert main(decompress + [str(streams), "--out", str(root / "good")]) == EXIT_OK
-    return {"decompress": decompress, "streams": streams, "good": read_dir(root / "good")}
+    return {"decompress": decompress, "data": streams.read_bytes(),
+            "good": read_dir(root / "good")}
 
 
-def test_damaged_stream_set_index_never_decodes_silently(six_image_set, tmp_path, capsys):
-    # Every damaged index exits 3 or writes the same images under the same
-    # names, except a `source=` name changed to a fresh one: the same image
-    # under another name.  A text index has no checksum, so such a rename
-    # cannot be told from a real name; the count of them is pinned here.
-    streams, good = tmp_path / "streams", six_image_set["good"]
-    shutil.copytree(six_image_set["streams"], streams)
-    data = (streams / "index.txt").read_bytes()
-    assert len(data) == 325
-    argv = six_image_set["decompress"] + [str(streams), "--out", str(tmp_path / "out")]
-    counts = {"corrupt": 0, "identical": 0, "renamed": 0}
-    for bad in index_damage(data):
-        (streams / "index.txt").write_bytes(bad)
+def decompress_outcomes(six_image_set, files, path, out, capsys):
+    """Counts of what `drr decompress` of each of `files`, written in turn
+    to `path`, does: exit 3 (`corrupt`), write the same images under the
+    same names (`identical`), one of them under a fresh name (`renamed`),
+    or only the images of the first entries (`fewer`).  Anything else
+    fails the test."""
+    good = six_image_set["good"]
+    argv = six_image_set["decompress"] + [str(path), "--out", str(out)]
+    counts = {"corrupt": 0, "identical": 0, "renamed": 0, "fewer": 0}
+    for bad in files:
+        path.write_bytes(bad)
         code = main(argv)
         err = capsys.readouterr().err
         if code == EXIT_CORRUPT:
@@ -349,16 +359,49 @@ def test_damaged_stream_set_index_never_decodes_silently(six_image_set, tmp_path
             counts["corrupt"] += 1
             continue
         assert code == EXIT_OK, (bad, err)
-        written = read_dir(tmp_path / "out")
-        shutil.rmtree(tmp_path / "out")
+        written = read_dir(out)
+        shutil.rmtree(out)
         if written == good:
             counts["identical"] += 1
-            continue
-        [old], [new] = set(good) - set(written), set(written) - set(good)
-        assert written.pop(new) == good[old], bad
-        assert written == {name: image for name, image in good.items() if name != old}, bad
-        counts["renamed"] += 1
-    assert counts == {"corrupt": 653, "identical": 8, "renamed": 54}
+        elif set(written) < set(good):
+            assert written == {name: good[name] for name in sorted(good)[:len(written)]}, bad
+            counts["fewer"] += 1
+        else:
+            [old], [new] = set(good) - set(written), set(written) - set(good)
+            assert written.pop(new) == good[old], bad
+            assert written == {name: image for name, image in good.items() if name != old}, bad
+            counts["renamed"] += 1
+    return counts
+
+
+def test_damaged_stream_set_never_decodes_silently(six_image_set, tmp_path, capsys):
+    # Every flip and every cut of the set file exits 3: its checksum covers
+    # the source names, the options and the grids, so no damaged name
+    # writes the right image under a new name.
+    data = six_image_set["data"]
+    assert len(data) == 236
+    counts = decompress_outcomes(six_image_set, index_damage(data), tmp_path / "set.drrz",
+                                 tmp_path / "out", capsys)
+    assert counts == {"corrupt": 2 * 236 + 48, "identical": 0, "renamed": 0, "fewer": 0}
+
+
+def test_stream_set_cut_under_a_valid_checksum_keeps_whole_entries(six_image_set, tmp_path,
+                                                                   capsys):
+    # With the checksum made valid again, a body cut anywhere but between
+    # two entries exits 3, in a field or in a stream's own container; a cut
+    # between entries is a set of fewer images, the first ones, as no
+    # image count is stored.  Cuts at the six such lengths, the set of no
+    # images among them, are all that decode.
+    def cut(length):
+        def edit(body):
+            del body[length:]
+        return edit
+
+    data = six_image_set["data"]
+    counts = decompress_outcomes(
+        six_image_set, (resealed(data, cut(length)) for length in range(len(data) - 10)),
+        tmp_path / "set.drrz", tmp_path / "out", capsys)
+    assert counts == {"corrupt": len(data) - 10 - 6, "identical": 0, "renamed": 0, "fewer": 6}
 
 
 @pytest.fixture(scope="module")
@@ -401,16 +444,18 @@ def test_damaged_buffer_index_never_loads_silently(toy_buffer, tmp_path):
     assert counts == {"corrupt": 1749, "identical": 18}
 
 
-def test_damaged_stream_set_index_subprocess_prints_no_traceback(six_image_set, tmp_path):
-    # A cut after the third stream line, and img_001 renamed to img_000.
-    streams = tmp_path / "streams"
-    shutil.copytree(six_image_set["streams"], streams)
-    data = (streams / "index.txt").read_bytes()
-    for bad in (b"".join(data.splitlines(keepends=True)[:5]),
-                data.replace(b"img_001", b"img_000")):
-        (streams / "index.txt").write_bytes(bad)
+def test_damaged_stream_set_subprocess_prints_no_traceback(six_image_set, tmp_path):
+    # A set cut after its first entry, and one whose img_001 is renamed to
+    # img_000 under a valid checksum.
+    data = six_image_set["data"]
+    fields = stream_set_fields(data)
+    first = 10 + len(stream_set_body({**fields, "entries": fields["entries"][:1]}))
+    path = tmp_path / "set.drrz"
+    for bad in (data[:first], edited_stream_set(
+            data, lambda fields: fields["entries"][1].update(name=b"img_000.img"))):
+        path.write_bytes(bad)
         proc = subprocess.run(
-            [sys.executable, "-m", "drr.cli", *six_image_set["decompress"], str(streams),
+            [sys.executable, "-m", "drr.cli", *six_image_set["decompress"], str(path),
              "--out", str(tmp_path / "out")], capture_output=True, text=True)
         assert proc.returncode == EXIT_CORRUPT, bad
         assert proc.stderr.startswith("corrupt data: ") and "Traceback" not in proc.stderr

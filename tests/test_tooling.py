@@ -299,9 +299,11 @@ def test_readme_example_runs(tmp_path):
 
 def test_readme_names_the_current_formats():
     from drr.bits_back import MODEL_FORMAT_VERSION, STREAM_FORMAT_VERSION
+    from drr.cli import STREAM_SET_FORMAT_VERSION
     from drr.vq_codec import CODEC_FORMAT_VERSION
     with open(os.path.join(ROOT, "README.md")) as f:
         text = " ".join(f.read().split())
-    found = re.findall(r"The formats are codec (\d+), models (\d+) and stream (\d+)", text)
+    found = re.findall(r"The formats are codec (\d+), models (\d+), stream (\d+) and "
+                       r"stream set (\d+)", text)
     assert found == [(str(CODEC_FORMAT_VERSION), str(MODEL_FORMAT_VERSION),
-                      str(STREAM_FORMAT_VERSION))]
+                      str(STREAM_FORMAT_VERSION), str(STREAM_SET_FORMAT_VERSION))]
