@@ -20,6 +20,7 @@ All tables are quantized to coder frequencies before any coding, and the
 accounting runs on those quantized tables, so measured net bits line up
 exactly with the bound computed from the same quantized model.
 `build_coding_tables` holds each quantized table once, as one `PmfTable`.
+A model file stores exactly those frequencies, so a load quantizes nothing.
 
 Every block is coded by one routine on the lane coder, which takes the
 schedule as a flag.  `encode_streams` and `decode_streams` code N messages
@@ -52,6 +53,8 @@ from .errors import (
 # module: the benchmark's tracer wraps it by name.
 from .rans import (  # noqa: F401
     DEFAULT_PRECISION,
+    MAX_PRECISION,
+    MIN_PRECISION,
     RANS_L,
     AnsCoder,
     LaneCoder,
@@ -61,11 +64,12 @@ from .rans import (  # noqa: F401
 )
 
 MODEL_MAGIC = b"DRRM"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 STREAM_MAGIC = b"DRRS"
 STREAM_FORMAT_VERSION = 4
 
 _MODEL_RECORD = struct.Struct("<IHIH")  # model version, levels, obs alphabet, block length
+STORED_FREQ = np.dtype("<u2")  # a model file's frequency, freq - 1: at most 2**16 - 1
 
 DEFAULT_BLOCK_LEN = 16
 DEFAULT_INITIAL_BITS = 256
@@ -349,6 +353,41 @@ class CodingTables:
         return self.dyadic.levels
 
 
+def check_precision(precision: int, widest: int, error=InvalidInputError) -> None:
+    """`error` unless precision is one the coder takes and 2**precision
+    covers an alphabet of `widest` symbols, as the coder's quantized tables
+    need: every symbol of a row gets at least one count."""
+    if not MIN_PRECISION <= precision <= MAX_PRECISION:
+        raise error(f"precision {precision} outside [{MIN_PRECISION}, {MAX_PRECISION}]")
+    if widest > 1 << precision:
+        raise error(f"precision {precision} cannot code the models' alphabet "
+                    f"of {widest} symbols (at most 2**{precision})")
+
+
+def _coding_tables(obs_alphabet: int, alphabets, block_len: int, version: int,
+                   freqs, precision: int) -> CodingTables:
+    """The coding tables of a model whose tables quantize to `freqs`, one
+    int64 (rows, alphabet) array per table in `table_shapes` order, each row
+    summing to 2**precision: a `PmfTable` per table, and the dyadic model
+    freqs / 2**precision, read-only.
+
+    The one construction path of `build_coding_tables` and
+    `deserialize_models`.  `fit`'s bits depend on the memory layout of its
+    inputs, so a held and a loaded model must agree in layout, not only in
+    values.
+    """
+    layout = table_shapes(obs_alphabet, alphabets)
+    scale = float(1 << precision)
+    coded, probs = [], []
+    for f, (_, shape) in zip(freqs, _flatten(layout)):
+        coded.append(PmfTable.from_freqs(f, precision))
+        quantized = (f / scale).reshape(shape)
+        quantized.flags.writeable = False  # shared by everyone who codes with it
+        probs.append(quantized)
+    dyadic = LatentChainModel.from_tables(obs_alphabet, alphabets, block_len, probs, version)
+    return CodingTables(precision=precision, dyadic=dyadic, **_grouped(layout, coded))
+
+
 def build_coding_tables(model: LatentChainModel, precision: int = DEFAULT_PRECISION) -> CodingTables:
     """Quantize every table of `model` for the coder, one `quantize_rows`
     call per alphabet.
@@ -362,24 +401,17 @@ def build_coding_tables(model: LatentChainModel, precision: int = DEFAULT_PRECIS
     """
     model.validate()
     tables = [np.atleast_2d(table) for _, table in model.tables()]
-    coded = [None] * len(tables)
-    probs = [None] * len(tables)
+    freqs = [None] * len(tables)
     by_alphabet: dict[int, list[int]] = {}
     for i, table in enumerate(tables):
         by_alphabet.setdefault(table.shape[1], []).append(i)
     for members in by_alphabet.values():
-        freqs, _ = quantize_rows(np.concatenate([tables[i] for i in members]), precision)
-        quantized = freqs / float(1 << precision)
-        quantized.flags.writeable = False  # shared by everyone who codes with it
+        stacked, _ = quantize_rows(np.concatenate([tables[i] for i in members]), precision)
         bounds = np.cumsum([len(tables[i]) for i in members])[:-1]
-        for i, f, q in zip(members, np.split(freqs, bounds), np.split(quantized, bounds)):
-            coded[i], probs[i] = PmfTable.from_freqs(f, precision), q
-
-    layout = table_shapes(model.obs_alphabet, model.alphabets)
-    dyadic = LatentChainModel.from_tables(
-        model.obs_alphabet, model.alphabets, model.block_len,
-        [q.reshape(shape) for q, (_, shape) in zip(probs, _flatten(layout))], model.version)
-    return CodingTables(precision=precision, dyadic=dyadic, **_grouped(layout, coded))
+        for i, f in zip(members, np.split(stacked, bounds)):
+            freqs[i] = f
+    return _coding_tables(model.obs_alphabet, model.alphabets, model.block_len,
+                          model.version, freqs, precision)
 
 
 # -- block coding --------------------------------------------------------------
@@ -777,48 +809,72 @@ def finetune(model: LatentChainModel, blocks, config: FitConfig = FitConfig()) -
 
 # -- model snapshots -----------------------------------------------------------
 
-def serialize_models(models) -> bytes:
-    """Snapshot file holding one or more models (little-endian float64).
+def serialize_models(tables) -> bytes:
+    """Model file holding the coder's frequencies of one or more models,
+    each given as its `CodingTables`, all at one precision.
 
-    Layout: the container, the record count (u8), then per model its
-    record header, its level alphabets (u32 each) and its tables in
-    `table_shapes` order.
+    Layout: the container, the record count (u8), the precision (u8), then
+    per model its record header, its level alphabets (u32 each) and its
+    tables in `table_shapes` order, row-major, each frequency stored as
+    freq - 1 (`<u2`).
     """
-    models = list(models)
-    if not 1 <= len(models) <= 255:
+    tables = list(tables)
+    if not 1 <= len(tables) <= 255:
         raise InvalidInputError("snapshot must hold between 1 and 255 models")
-    out = [bytes([len(models)])]
-    for model in models:
-        model.validate()
+    precisions = {t.precision for t in tables}
+    if len(precisions) != 1:
+        raise InvalidInputError(f"models of one file share a precision, got {sorted(precisions)}")
+    out = [bytes([len(tables), precisions.pop()])]
+    for t in tables:
+        model = t.dyadic
         out.append(_MODEL_RECORD.pack(model.version, model.levels,
                                       model.obs_alphabet, model.block_len))
         out.append(np.asarray(model.alphabets, dtype="<u4").tobytes())
-        for _, table in model.tables():
-            out.append(np.ascontiguousarray(table, dtype="<f8").tobytes())
+        for _, table in _flatten({name: getattr(t, name) for name in _TABLE_FIELDS}):
+            out.append((table.freqs - np.uint64(1)).astype(STORED_FREQ).tobytes())
     return seal(MODEL_MAGIC, MODEL_FORMAT_VERSION, b"".join(out))
 
 
-def deserialize_models(data: bytes) -> list[LatentChainModel]:
-    data = unseal(data, MODEL_MAGIC, MODEL_FORMAT_VERSION, "model snapshot")
-    offset = 1
+def deserialize_models(data: bytes) -> list[CodingTables]:
+    """The coding tables of every model of a model file, at its precision.
+
+    DataCorruptionError on a bad container or record, a precision
+    `check_precision` rejects for a model's alphabets, or a row of
+    frequencies that does not sum to 2**precision.  The frequencies are
+    the tables: nothing is quantized or validated as floats here.
+    """
+    body = unseal(data, MODEL_MAGIC, MODEL_FORMAT_VERSION, "model snapshot")
+    offset = 2
     models = []
     try:
-        for _ in range(data[0]):
-            version, levels, k, block_len = _MODEL_RECORD.unpack_from(data, offset)
+        count, precision = body[0], body[1]
+        if not count:
+            raise DataCorruptionError("model snapshot holds no models")
+        for _ in range(count):
+            version, levels, k, block_len = _MODEL_RECORD.unpack_from(body, offset)
             offset += _MODEL_RECORD.size
-            alphabets = np.frombuffer(data, dtype="<u4", count=levels, offset=offset).tolist()
+            alphabets = np.frombuffer(body, dtype="<u4", count=levels, offset=offset).tolist()
             offset += 4 * levels
-            tables = []
-            for _, shape in _flatten(table_shapes(k, alphabets)):
-                n = int(np.prod(shape))
-                arr = np.frombuffer(data, dtype="<f8", count=n, offset=offset)
-                tables.append(arr.reshape(shape).astype(np.float64))
-                offset += 8 * n
-            model = LatentChainModel.from_tables(k, alphabets, block_len, tables, version)
-            model.validate()
-            models.append(model)
+            if min(levels, k, block_len, *alphabets) < 1:
+                raise DataCorruptionError(
+                    "model snapshot: levels, alphabets and block length must be positive")
+            check_precision(precision, max(k, *alphabets), DataCorruptionError)
+            freqs = []
+            for name, shape in _flatten(table_shapes(k, alphabets)):
+                rows, alphabet = (1, *shape) if len(shape) == 1 else shape
+                stored = np.frombuffer(body, dtype=STORED_FREQ, count=rows * alphabet,
+                                       offset=offset)
+                offset += stored.nbytes
+                f = stored.reshape(rows, alphabet).astype(np.int64) + 1
+                bad = np.flatnonzero(f.sum(axis=1) != 1 << precision)
+                if bad.size:
+                    raise DataCorruptionError(
+                        f"model snapshot: {name} row {bad[0]} sums to "
+                        f"{f[bad[0]].sum()}, not 2**{precision}")
+                freqs.append(f)
+            models.append(_coding_tables(k, alphabets, block_len, version, freqs, precision))
     except (struct.error, ValueError, IndexError) as exc:
         raise DataCorruptionError("model snapshot truncated or inconsistent") from exc
-    if offset != len(data):
+    if offset != len(body):
         raise DataCorruptionError("model snapshot has trailing bytes")
     return models

@@ -22,6 +22,7 @@ import numpy as np
 from .bits_back import (
     DEFAULT_INITIAL_BITS,
     MODEL_MAGIC,
+    STORED_FREQ,
     STREAM_MAGIC,
     FitConfig,
     deserialize_models,
@@ -168,19 +169,20 @@ def cmd_compress(args) -> int:
     # Each image is a shelf of one grid: stacked (top, bottom) index arrays.
     indices = [encode_indices([image], codec) for image in images]
 
-    if os.path.exists(args.model):
-        pair = _load_pair(args.model)
-        pair.check_codec(codec)
-    else:
+    fresh = not os.path.exists(args.model)
+    if fresh:
         alphabets = parse_positive_ints(args.alphabets, InvalidInputError, BAD_ALPHABETS)
         pair = LatentModelPair.seeded(codec.codebook_size, alphabets, args.block_len, args.seed)
         top, bottom = pair.blocks(indices)
         pair = LatentModelPair(fit(pair.top, top, FitConfig(args.fit_iterations)),
                                fit(pair.bottom, bottom, FitConfig(args.fit_iterations)))
-        with open(args.model, "wb") as f:
-            f.write(pair.serialize())
-        print(f"wrote model pair to {args.model}")
+    else:
+        pair = _load_pair(args.model)
+        pair.check_codec(codec)
+        pair.check_precision(args.precision)
 
+    # Files are written only once every stream is coded, so a failed
+    # compress leaves no fitted model behind for a rerun to pick up.
     streams = compress_shelves(indices, pair, [[[args.seed, i]] for i in range(len(indices))],
                                precision=args.precision, initial_bits=args.initial_bits)
     body = [uvarint(args.precision, 8, "precision"),
@@ -191,6 +193,10 @@ def cmd_compress(args) -> int:
                  *(uvarint(side, 32, "grid side") for side in bottom.shape[1:]),
                  uvarint(len(blob), 32, "stream length"), blob]
     data = seal(STREAM_SET_MAGIC, STREAM_SET_FORMAT_VERSION, b"".join(body))
+    if fresh:
+        with open(args.model, "wb") as f:
+            f.write(pair.serialize(args.precision))
+        print(f"wrote model pair to {args.model}")
     with open(args.out, "wb") as f:
         f.write(data)
     net = sum(stream.net_bits for [stream] in streams)
@@ -445,8 +451,10 @@ def cmd_inspect(args) -> int:
               f"weights {dtype.str[1:]} ({weights * dtype.itemsize} bytes)")
     elif magic == MODEL_MAGIC:
         models = deserialize_models(data)
-        print(f"model snapshot: {len(models)} records")
-        for i, m in enumerate(models):
+        entries = sum(table.size for t in models for _, table in t.dyadic.tables())
+        print(f"model snapshot: {len(models)} records, precision {models[0].precision}, "
+              f"tables {STORED_FREQ.str[1:]} ({entries * STORED_FREQ.itemsize} bytes)")
+        for i, m in enumerate(t.dyadic for t in models):
             print(f"  [{i}] version {m.version}, levels {m.levels}, "
                   f"alphabet {m.obs_alphabet}, chain {m.alphabets}, block {m.block_len}")
     elif magic == STREAM_SET_MAGIC:

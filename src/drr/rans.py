@@ -325,15 +325,6 @@ class AnsCoder:
         self.state = x
         return symbol
 
-    def serialize(self) -> bytes:
-        """Flush to bytes: k = 0, the state's five low bytes, then the
-        whole stack.
-
-        The stack is stored bottom first, so the most recently emitted byte
-        is last.  All integers are little-endian.
-        """
-        return _payload(self.state, 0, self.stack)
-
     @classmethod
     def deserialize(cls, data: bytes) -> "AnsCoder":
         """The coder of a payload's state and stored stack; its k is not kept."""

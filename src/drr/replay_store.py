@@ -29,6 +29,7 @@ from .bits_back import (
     FitConfig,
     LatentChainModel,
     build_coding_tables,
+    check_precision,
     chunk_symbols,
     decode_streams,
     deserialize_models,
@@ -40,7 +41,7 @@ from .bits_back import (
     serialize_stream,
 )
 from .errors import DataCorruptionError, InvalidInputError, StateError, check_seed
-from .rans import DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION
+from .rans import DEFAULT_PRECISION
 # encode_stream, decode_stream, encode_image and decode_codes are not called here,
 # but stay importable from this module: the benchmark's tracer wraps them by name.
 from .bits_back import decode_stream, encode_stream  # noqa: F401
@@ -239,10 +240,15 @@ class LatentModelPair:
     not be mutated once the pair exists: a refit makes a new pair.  Coding
     tables are derived once per pair and precision, on first use, and every
     later `tables` call returns the same ones.
+
+    A pair made by `from_tables`, as `deserialize` and a buffer's refit
+    make one, holds the dyadic models of its tables and knows their
+    `precision`; a pair of float models has precision None.
     """
 
     top: LatentChainModel
     bottom: LatentChainModel
+    precision: int | None = field(default=None, init=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -260,20 +266,29 @@ class LatentModelPair:
         return cls(random_model(obs_alphabet, alphabets, block_len=block_len, seed=2 * seed + 1),
                    random_model(obs_alphabet, alphabets, block_len=block_len, seed=2 * seed + 2))
 
+    @classmethod
+    def from_tables(cls, top: CodingTables, bottom: CodingTables) -> "LatentModelPair":
+        """The pair of the dyadic models of `top` and `bottom`, holding them
+        as its tables at their precision: what the pair stores is what it
+        codes with."""
+        if top.precision != bottom.precision:
+            raise InvalidInputError("pair levels must share a precision")
+        pair = cls(top.dyadic, bottom.dyadic)
+        object.__setattr__(pair, "precision", top.precision)
+        pair._tables[top.precision] = top, bottom
+        return pair
+
     def copy(self) -> "LatentModelPair":
         return LatentModelPair(self.top.copy(), self.bottom.copy())
 
     def check_precision(self, precision: int, error=InvalidInputError) -> None:
-        """`error` unless precision is one the coder takes and 2**precision
+        """`error` unless precision is one the coder takes, 2**precision
         covers every alphabet of both levels, as the coder's quantized
-        tables need."""
-        if not MIN_PRECISION <= precision <= MAX_PRECISION:
-            raise error(f"precision {precision} outside [{MIN_PRECISION}, {MAX_PRECISION}]")
-        widest = max(max(model.obs_alphabet, *model.alphabets)
-                     for model in (self.top, self.bottom))
-        if widest > 1 << precision:
-            raise error(f"precision {precision} cannot code the models' alphabet "
-                        f"of {widest} symbols (at most 2**{precision})")
+        tables need, and a pair that knows its precision has this one."""
+        check_precision(precision, max(max(model.obs_alphabet, *model.alphabets)
+                                       for model in (self.top, self.bottom)), error)
+        if self.precision not in (None, precision):
+            raise error(f"the models are stored at precision {self.precision}, not {precision}")
 
     def check_codec(self, codec: CodecParams, error=InvalidInputError) -> None:
         """`error` unless both levels observe exactly the codec's codes."""
@@ -300,18 +315,22 @@ class LatentModelPair:
                                        build_coding_tables(self.bottom, precision))
         return self._tables[precision]
 
-    def serialize(self) -> bytes:
-        return serialize_models([self.top, self.bottom])
+    def serialize(self, precision: int) -> bytes:
+        """The model file of the pair's coding tables at `precision`."""
+        return serialize_models(self.tables(precision))
 
     @staticmethod
     def deserialize(data: bytes) -> "LatentModelPair":
-        models = deserialize_models(data)
-        if len(models) != 2:
-            raise DataCorruptionError(f"expected 2 model records, found {len(models)}")
-        if models[0].version != models[1].version:
-            raise DataCorruptionError(f"pair levels have versions {models[0].version} "
-                                      f"and {models[1].version}; they must share one")
-        return LatentModelPair(models[0], models[1])
+        """The pair of a model file: its dyadic models, holding the stored
+        tables at the stored precision."""
+        tables = deserialize_models(data)
+        if len(tables) != 2:
+            raise DataCorruptionError(f"expected 2 model records, found {len(tables)}")
+        top, bottom = tables
+        if top.model_version != bottom.model_version:
+            raise DataCorruptionError(f"pair levels have versions {top.model_version} "
+                                      f"and {bottom.model_version}; they must share one")
+        return LatentModelPair.from_tables(top, bottom)
 
 
 def _block_lens(n_symbols: int, block_len: int) -> list[int]:
@@ -505,8 +524,11 @@ class ReplayBuffer:
                    for label, shelf in (*new_shelves.items(), *sorted(self._shelves.items()))}
 
         top, bottom = self.pair.blocks(indices.values())
-        self.pair = LatentModelPair(finetune(self.pair.top, top, fit_config),
-                                    finetune(self.pair.bottom, bottom, fit_config))
+        fitted = LatentModelPair(finetune(self.pair.top, top, fit_config),
+                                 finetune(self.pair.bottom, bottom, fit_config))
+        # The buffer holds what it saves, the dyadic models of the tables it
+        # codes with, so the next refit starts from the same bits after `load`.
+        self.pair = LatentModelPair.from_tables(*fitted.tables(self.precision))
         streams = compress_shelves(
             indices.values(), self.pair,
             [[self._stream_seed(label, i) for i in range(len(grids))]
@@ -548,7 +570,7 @@ class ReplayBuffer:
         return MemoryReport(
             label="compressed", exemplar_count=count, raw_bytes=raw,
             stream_bytes=streams,
-            model_bytes=len(self.pair.serialize()),
+            model_bytes=len(self.pair.serialize(self.precision)),
             codec_bytes=len(serialize_codec(self.codec)),
         )
 
@@ -559,7 +581,7 @@ class ReplayBuffer:
         with open(os.path.join(directory, CODEC_NAME), "wb") as f:
             f.write(serialize_codec(self.codec))
         with open(os.path.join(directory, MODELS_NAME), "wb") as f:
-            f.write(self.pair.serialize())
+            f.write(self.pair.serialize(self.precision))
         lines = [INDEX_HEADER,
                  f"seed={self.seed} precision={self.precision} "
                  f"initial_bits={self.initial_bits} "
@@ -601,6 +623,7 @@ class ReplayBuffer:
                 f"buffer streams are coded with {opts['method']!r}, expected {CODING_METHOD!r}")
         pair.check_codec(codec, DataCorruptionError)
         try:
+            pair.check_precision(int(opts["precision"]), DataCorruptionError)
             buffer = ReplayBuffer(codec, pair,
                                   exemplars_per_class=int(opts["exemplars_per_class"]),
                                   precision=int(opts["precision"]),

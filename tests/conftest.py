@@ -46,6 +46,12 @@ def reference_quantize():
     return scalar_pmf_quantize
 
 
+def coder_payload(coder):
+    """The payload of an `AnsCoder`, written here by the layout the README
+    gives: k = 0 (u16), the state's five low bytes, then the whole stack."""
+    return bytes(2) + coder.state.to_bytes(5, "little") + bytes(coder.stack)
+
+
 def resealed(data, edit):
     """Sealed file `data` with `edit` applied to a mutable copy of its body
     and the checksum made valid again, so that the file's reader gets past

@@ -9,14 +9,13 @@ dominance of the interleaved schedule.
 
 import hashlib
 import math
-import struct
 import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from conftest import resealed
+from conftest import coder_payload, resealed
 from test_lanes import row, scalar_decode_blocks
 
 from drr.bits_back import (
@@ -334,7 +333,7 @@ class TestCodingTables:
             a, b = (AnsCoder.with_random_bits(1024, seed=3) for _ in range(2))
             stats_a = encode_blocks(a, blocks, tables, method=method)
             stats_b = encode_blocks(b, blocks, reference, method=method)
-            assert a.serialize() == b.serialize()
+            assert coder_payload(a) == coder_payload(b)
             assert ((stats_a.gross_bits, stats_a.returned_bits)
                     == (stats_b.gross_bits, stats_b.returned_bits))
 
@@ -350,12 +349,12 @@ class TestBlockCoding:
         model = random_model(8, (4, 3), block_len=5, seed=1)
         tables = build_coding_tables(model)
         coder = AnsCoder.with_random_bits(1024, seed=3)
-        before = coder.serialize()
+        before = coder_payload(coder)
         block = np.array([3, 1, 7, 0, 2])
         encode_blocks(coder, [block], tables, method=method)
         [back] = decode_blocks(coder, [len(block)], tables, method=method)
         assert back.tolist() == block.tolist()
-        assert coder.serialize() == before
+        assert coder_payload(coder) == before
 
     def test_round_trip_fuzz(self):
         rng = np.random.default_rng(0)
@@ -368,11 +367,11 @@ class TestBlockCoding:
             blocks = sample_blocks(model, int(rng.integers(1, 8)), rng)
             method = "bb" if trial % 2 else "bitswap"
             coder = AnsCoder.with_random_bits(4096, seed=trial)
-            before = coder.serialize()
+            before = coder_payload(coder)
             encode_blocks(coder, blocks, tables, method=method)
             out = decode_blocks(coder, [len(b) for b in blocks], tables, method=method)
             assert all(np.array_equal(a, b) for a, b in zip(out, blocks))
-            assert coder.serialize() == before
+            assert coder_payload(coder) == before
 
     def test_single_level_schedules_are_byte_identical(self):
         model = random_model(6, (5,), block_len=4, seed=2)
@@ -381,7 +380,7 @@ class TestBlockCoding:
         a, b = fresh_pair()
         ta = encode_blocks(a, [block], tables, method="bb")
         tb = encode_blocks(b, [block], tables, method="bitswap")
-        assert a.serialize() == b.serialize()
+        assert coder_payload(a) == coder_payload(b)
         assert ta == tb
 
     @pytest.mark.parametrize("method", METHODS)
@@ -795,35 +794,77 @@ class TestFit:
             finetune(model, [], FitConfig(iterations=2))
 
 
+def snapshot(*models, precision=12):
+    """The model file of `models`' coding tables at `precision`."""
+    return serialize_models([build_coding_tables(m, precision) for m in models])
+
+
+def assert_same_tables(a, b):
+    """Coding tables `a` and `b` agree array for array, the dyadic model's
+    memory layout included."""
+    assert a.precision == b.precision
+    for name in ("q_obs", "q_link", "p_obs", "p_link", "p_top"):
+        xs, ys = getattr(a, name), getattr(b, name)
+        assert isinstance(xs, list) == isinstance(ys, list)
+        for x, y in zip(*((t if isinstance(t, list) else [t]) for t in (xs, ys))):
+            for field in fields(PmfTable):
+                assert np.array_equal(getattr(x, field.name), getattr(y, field.name))
+    ma, mb = a.dyadic, b.dyadic
+    assert (ma.obs_alphabet, ma.alphabets, ma.block_len, ma.version) == (
+        mb.obs_alphabet, mb.alphabets, mb.block_len, mb.version)
+    for (_, x), (_, y) in zip(ma.tables(), mb.tables()):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.strides == y.strides
+        assert x.flags.c_contiguous and not x.flags.writeable and not y.flags.writeable
+        assert x.tobytes() == y.tobytes()
+
+
 class TestModelSnapshots:
-    def test_round_trip_bitwise(self):
-        models = [random_model(9, (5, 3), block_len=4, seed=1, version=7),
-                  random_model(9, (5, 3), block_len=4, seed=2, version=7)]
-        back = deserialize_models(serialize_models(models))
+    @pytest.mark.parametrize("precision", [9, 12, 16])
+    def test_round_trip_bitwise(self, precision):
+        tables = [build_coding_tables(random_model(9, (5, 3), block_len=4, seed=s, version=7),
+                                      precision) for s in (1, 2)]
+        back = deserialize_models(serialize_models(tables))
         assert len(back) == 2
-        for a, b in zip(models, back):
-            assert b.version == a.version
-            assert b.alphabets == a.alphabets
-            assert b.block_len == a.block_len
-            for (_, ta), (_, tb) in zip(a.tables(), b.tables()):
-                assert np.array_equal(ta, tb)
+        for a, b in zip(tables, back):
+            assert_same_tables(a, b)
 
     def test_single_record(self):
         model = random_model(4, (3,), block_len=2, seed=0, version=1)
-        back = deserialize_models(serialize_models([model]))
+        back = deserialize_models(snapshot(model))
         assert len(back) == 1
-        assert np.array_equal(back[0].p_top, model.p_top)
+        assert np.array_equal(back[0].dyadic.p_top, build_coding_tables(model).dyadic.p_top)
+
+    def test_file_holds_frequencies_minus_one(self):
+        # One 4-symbol model of one 3-latent level: p_obs (3x4), p_top (3),
+        # q_obs (4x3) after the count, precision, record and alphabet.
+        model = random_model(4, (3,), block_len=2, seed=0, version=1)
+        tables = build_coding_tables(model, 10)
+        body = bytes(snapshot(model, precision=10)[10:])
+        assert body[:2] == bytes([1, 10]) and len(body) == 2 + 12 + 4 + 2 * (12 + 3 + 12)
+        stored = np.frombuffer(body, dtype="<u2", offset=18)
+        assert stored.tolist() == [int(f) - 1 for t in (tables.p_obs, tables.p_top, tables.q_obs)
+                                   for f in t.freqs]
+
+    def test_a_dyadic_model_quantizes_to_its_own_frequencies(self):
+        # The loaded pair is the dyadic one; rebuilding its tables at the
+        # stored precision must give the stored rows back.
+        for precision in (4, 12, 16):
+            tables = build_coding_tables(three_level_model(), precision)
+            assert_same_tables(build_coding_tables(tables.dyadic, precision), tables)
+
+    def test_models_of_one_file_share_a_precision(self):
+        model = random_model(4, (3,), block_len=2, seed=0)
+        with pytest.raises(InvalidInputError, match="share a precision"):
+            serialize_models([build_coding_tables(model, 10), build_coding_tables(model, 12)])
 
     def test_bad_magic_rejected(self):
-        model = random_model(4, (3,), block_len=2, seed=0)
-        data = bytearray(serialize_models([model]))
+        data = bytearray(snapshot(random_model(4, (3,), block_len=2, seed=0)))
         data[0] = 0
         with pytest.raises(DataCorruptionError):
             deserialize_models(bytes(data))
 
     def test_truncation_rejected(self):
-        model = random_model(4, (3,), block_len=2, seed=0)
-        data = serialize_models([model])
+        data = snapshot(random_model(4, (3,), block_len=2, seed=0))
         with pytest.raises(DataCorruptionError, match="checksum"):
             deserialize_models(data[:len(data) // 2])
 
@@ -836,8 +877,7 @@ class TestModelSnapshots:
             deserialize_models(resealed(data, bytearray.clear))
 
     def test_trailing_bytes_rejected(self):
-        model = random_model(4, (3,), block_len=2, seed=0)
-        data = serialize_models([model])
+        data = snapshot(random_model(4, (3,), block_len=2, seed=0))
         with pytest.raises(DataCorruptionError, match="checksum"):
             deserialize_models(data + b"\x00")
         with pytest.raises(DataCorruptionError, match="trailing bytes"):
@@ -847,6 +887,12 @@ class TestModelSnapshots:
         with pytest.raises(InvalidInputError):
             serialize_models([])
 
+        def no_models(body):  # the record count and the precision only
+            body[:] = bytes([0]) + body[1:2]
+
+        with pytest.raises(DataCorruptionError, match="holds no models"):
+            deserialize_models(resealed(snapshot(random_model(4, (3,), seed=0)), no_models))
+
 
 def pinned_block_coding(method, precision):
     """sha256 of the coder after `encode_blocks` of fixed blocks, with the
@@ -855,7 +901,7 @@ def pinned_block_coding(method, precision):
     blocks = chunk_symbols(np.random.default_rng(4).integers(0, 12, 100), 6)
     coder = AnsCoder.with_random_bits(512, seed=9)
     stats = encode_blocks(coder, blocks, tables, method=method)
-    return (hashlib.sha256(coder.serialize()).hexdigest(), repr(stats.gross_bits),
+    return (hashlib.sha256(coder_payload(coder)).hexdigest(), repr(stats.gross_bits),
             repr(stats.returned_bits), repr(stats.peak_demand_bits),
             repr(stats.gross_bits - stats.returned_bits))
 
@@ -894,7 +940,7 @@ class TestScalarReference:
         for call in calls:
             with pytest.raises(InvalidInputError, match="unknown coding method"):
                 call()
-        assert coder.serialize() == AnsCoder.with_random_bits(512, seed=0).serialize()
+        assert coder_payload(coder) == coder_payload(AnsCoder.with_random_bits(512, seed=0))
 
     def test_zero_iteration_fit_still_checks_blocks(self):
         model = random_model(6, (3,), block_len=2, seed=1)
@@ -1209,22 +1255,34 @@ class TestValidate:
         with pytest.raises(InvalidInputError, match="negative or non-finite"):
             model.validate(atol=1e-11)
 
-    @pytest.mark.parametrize("value, cause", [
-        (float("nan"), "q_link[1] has negative or non-finite entries"),
-        (2.0, "q_link[1] rows must sum to 1"),
-    ])
-    def test_corrupt_snapshot_fails_as_before(self, value, cause):
-        data = serialize_models([three_level_model()])
+    # A stored row is integers, so a float table's failures cannot occur in
+    # a model file; a row of another sum, or a precision that is out of
+    # range or too small for an alphabet, is what can.
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_snapshot_row_off_its_sum_rejected(self, delta):
+        data = snapshot(three_level_model())
 
         def last_entry(body):  # the file ends with the last entry of its last table
-            body[-8:] = struct.pack("<d", value)
+            body[-2:] = (int.from_bytes(body[-2:], "little") + delta).to_bytes(2, "little")
 
-        bad = resealed(data, last_entry)
         with pytest.raises(DataCorruptionError,
-                           match=r"^model snapshot truncated or inconsistent$") as info:
+                           match=rf"^model snapshot: q_link\[1\] row 2 sums to "
+                                 rf"{4096 + delta}, not 2\*\*12$"):
+            deserialize_models(resealed(data, last_entry))
+
+    @pytest.mark.parametrize("precision, message", [
+        (1, "precision 1 outside [2, 16]"),
+        (17, "precision 17 outside [2, 16]"),
+        (2, "precision 2 cannot code the models' alphabet of 6 symbols (at most 2**2)"),
+    ])
+    def test_snapshot_precision_is_checked(self, precision, message):
+        def precision_byte(body):
+            body[1] = precision
+
+        bad = resealed(snapshot(three_level_model()), precision_byte)
+        with pytest.raises(DataCorruptionError) as info:
             deserialize_models(bad)
-        assert isinstance(info.value.__cause__, InvalidInputError)
-        assert str(info.value.__cause__) == cause
+        assert str(info.value) == message
 
 
 def unreachable_latent_case():
@@ -1318,7 +1376,7 @@ class TestTableLayout:
         model = random_model(6, (4, 3, 2), block_len=3, seed=5, version=4)
         back = LatentChainModel.from_tables(6, [4, 3, 2], 3, [t for _, t in model.tables()], 4)
         assert back.alphabets == (4, 3, 2)
-        assert serialize_models([back]) == serialize_models([model])
+        assert snapshot(back) == snapshot(model)
 
     def test_from_tables_rejects_a_wrong_count(self):
         tables = [t for _, t in random_model(6, (4, 3), seed=5).tables()]
@@ -1339,15 +1397,15 @@ class TestTableLayout:
 class TestSnapshotPins:
     # Taken before the table layout was declared once, in `table_shapes`: a
     # reordered draw or table moves these bytes.  Re-taken for model format
-    # 2, the checked container: with the format-1 header put back, the
-    # same snapshots give the earlier digests.
+    # 2, the checked container, and for model format 3, the coder's
+    # frequencies at precision 12: with the format-2 header and float64
+    # tables put back, the same models give the earlier digests.
     @pytest.mark.parametrize("obs, alphabets, block_len, seed, pinned", [
-        (16, (5,), 4, 3, "5fae465566aaa5780758603d93c10dc2411e8a6e5a513bc9240799a96930b460"),
-        (32, (6, 4), 8, 7, "e02694e6aa06dfc7af7e5e89eca9937b99486cd7e700f2d485eee49899b6c2b0"),
-        (512, (8,) * 8, 16, 1, "ccdc5ed7e7c3e39452a08d4cbc8165ef23c0486795ed1b540a6e1104b1ffb5f4"),
+        (16, (5,), 4, 3, "731829d6c18c9772ab982551718214796c9ede456992b162e4201e924c68b413"),
+        (32, (6, 4), 8, 7, "1728b396babb259d6f148c069e8ccce06fadd3e42aba98e6c06424038c00b1b0"),
+        (512, (8,) * 8, 16, 1, "c71b1e460c85e00b5252012964f63a94e17a899f685f8297e72515b82fbbd535"),
     ])
     def test_random_model_snapshot_is_pinned(self, obs, alphabets, block_len, seed, pinned):
-        model = random_model(obs, alphabets, block_len=block_len, seed=seed, version=2)
-        data = serialize_models([model])
+        data = snapshot(random_model(obs, alphabets, block_len=block_len, seed=seed, version=2))
         assert hashlib.sha256(data).hexdigest() == pinned
         assert serialize_models(deserialize_models(data)) == data

@@ -38,6 +38,12 @@ from drr.replay_store import (
     compress_shelves,
     parse_positive_ints,
 )
+from test_replay_store import (
+    precision_byte_1,
+    precision_byte_17,
+    row_sum_minus_one,
+    row_sum_plus_one,
+)
 from drr.vq_codec import (
     CODEC_FORMAT_VERSION,
     CODEC_MAGIC,
@@ -258,6 +264,22 @@ BAD_SETS = {
 }
 
 
+def precision_3(body):  # 16 codes need at least 2**4
+    body[1] = 3
+
+
+# Model-file edits under a valid checksum with the error `drr decompress`
+# gives for the workspace models (16 codes, chain 5,4, precision 12): the
+# bottom model's last table is q_link[0], 5 rows.
+CLI_MODEL_EDITS = [
+    (row_sum_minus_one, "model snapshot: q_link[0] row 4 sums to 4095, not 2**12"),
+    (row_sum_plus_one, "model snapshot: q_link[0] row 4 sums to 4097, not 2**12"),
+    (precision_byte_1, "precision 1 outside [2, 16]"),
+    (precision_byte_17, "precision 17 outside [2, 16]"),
+    (precision_3, "precision 3 cannot code the models' alphabet of 16 symbols (at most 2**3)"),
+]
+
+
 class TestCompressDecompress:
     def test_writes_one_stream_set_file(self, workspace, compressed):
         with open(compressed["out"], "rb") as f:
@@ -303,12 +325,14 @@ class TestCompressDecompress:
         # A set compressed at precision 16 decompresses with no precision
         # flag to what the codec gives: the set says how it was coded.
         streams, recon = str(tmp_path / "s16.drrz"), str(tmp_path / "recon")
-        assert main(["compress", "--codec", workspace["codec"], "--model", compressed["model"],
+        model = str(tmp_path / "m16.drrm")
+        assert main(["compress", "--codec", workspace["codec"], "--model", model,
                      "--in", workspace["data"], "--out", streams, "--precision", "16",
+                     "--alphabets", "5,4", "--block-len", "4", "--fit-iterations", "5",
                      "--seed", "9"]) == EXIT_OK
         with open(streams, "rb") as f:
             assert stream_set_fields(f.read())["precision"] == 16
-        decompress = ["decompress", "--codec", workspace["codec"], "--model", compressed["model"],
+        decompress = ["decompress", "--codec", workspace["codec"], "--model", model,
                       "--in", streams, "--out", recon]
         assert main(decompress) == EXIT_OK
         with open(workspace["codec"], "rb") as f:
@@ -399,6 +423,56 @@ class TestCompressDecompress:
             assert "Traceback" not in proc.stderr
         assert not (tmp_path / "r").exists()
 
+    def test_model_of_another_precision_is_usage(self, workspace, compressed, tmp_path,
+                                                 capsys):
+        # The model file stores its tables at precision 12: compressing at
+        # 16 with it is a usage error and writes nothing.
+        with open(compressed["model"], "rb") as f:
+            before = f.read()
+        code = main(["compress", "--codec", workspace["codec"], "--model", compressed["model"],
+                     "--in", workspace["data"], "--out", str(tmp_path / "s"),
+                     "--precision", "16"])
+        assert code == EXIT_USAGE
+        assert "stored at precision 12, not 16" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+        with open(compressed["model"], "rb") as f:
+            assert f.read() == before
+
+    def test_set_of_another_precision_than_its_model_is_corrupt(self, workspace, compressed,
+                                                                tmp_path, capsys):
+        model = str(tmp_path / "m16.drrm")
+        with open(compressed["model"], "rb") as f:
+            pair = LatentModelPair.deserialize(f.read())
+        with open(model, "wb") as f:
+            f.write(pair.serialize(16))
+        assert main(["decompress", "--codec", workspace["codec"], "--model", model,
+                     "--in", compressed["out"], "--out", str(tmp_path / "r")]) == EXIT_CORRUPT
+        assert "stored at precision 16, not 12" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("edit, message", CLI_MODEL_EDITS,
+                             ids=[edit.__name__ for edit, _ in CLI_MODEL_EDITS])
+    def test_corrupt_model_file_is_corrupt(self, workspace, compressed, tmp_path, capsys,
+                                           edit, message):
+        model = tmp_path / "bad.drrm"
+        with open(compressed["model"], "rb") as f:
+            model.write_bytes(resealed(f.read(), edit))
+        assert main(["decompress", "--codec", workspace["codec"], "--model", str(model),
+                     "--in", compressed["out"], "--out", str(tmp_path / "r")]) == EXIT_CORRUPT
+        assert capsys.readouterr().err == f"corrupt data: {message}\n"
+        assert not (tmp_path / "r").exists()
+
+    def test_failed_compress_writes_no_model(self, workspace, tmp_path, capsys):
+        # The streams fail after the fit: neither the fitted model nor the
+        # set may stay behind for a rerun to pick up.
+        model, out = tmp_path / "new.drrm", tmp_path / "s.drrz"
+        assert main(["compress", "--codec", workspace["codec"], "--model", str(model),
+                     "--in", workspace["data"], "--out", str(out), "--alphabets", "5,4",
+                     "--initial-bits", "12"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "multiple of 8" in captured.err and "wrote" not in captured.out
+        assert not model.exists() and not out.exists()
+
     def test_model_of_another_codebook_size_is_usage(self, workspace, tmp_path, capsys):
         model = wrong_size_model(tmp_path)
         with open(model, "rb") as f:
@@ -425,7 +499,7 @@ def wrong_size_model(root):
     """A model pair file over 64 codes, where the workspace codec has 16."""
     path = str(root / "k64.drrm")
     with open(path, "wb") as f:
-        f.write(LatentModelPair.seeded(64, (5, 4), 4, 0).serialize())
+        f.write(LatentModelPair.seeded(64, (5, 4), 4, 0).serialize(12))
     return path
 
 
@@ -626,7 +700,14 @@ class TestInspect:
               "--fit-iterations", "0"])
         capsys.readouterr()
         assert main(["inspect", "--file", model]) == EXIT_OK
-        assert "2 records" in capsys.readouterr().out
+        # Per model over 16 codes and chain 4,3: 4x16 + 3x4 + 3 + 16x4 + 4x3
+        # frequencies of 2 bytes, after a 12-byte record and two alphabets.
+        entries = 2 * (64 + 12 + 3 + 64 + 12)
+        assert capsys.readouterr().out == (
+            f"model snapshot: 2 records, precision 14, tables u2 ({2 * entries} bytes)\n"
+            + "".join(f"  [{i}] version 0, levels 2, alphabet 16, chain (4, 3), block 4\n"
+                      for i in range(2)))
+        assert os.path.getsize(model) == 10 + 2 + 2 * (12 + 8) + 2 * entries
         assert main(["inspect", "--file", str(out)]) == EXIT_OK
         assert capsys.readouterr().out == (f"stream set: 10 images, precision 14, "
                                            f"initial bits 128, {out.stat().st_size} bytes\n")

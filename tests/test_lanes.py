@@ -17,6 +17,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from conftest import coder_payload
 from drr import replay_store
 from drr.bits_back import (
     DEFAULT_INITIAL_BITS,
@@ -306,11 +307,11 @@ class TestLaneCoder:
         assert len(coders[0].stack) > 64
         for _ in range(400):
             assert lanes.pop(np.zeros(2, dtype=np.int64), table).tolist() == [1, 0]
-        assert lanes.serialize() == [AnsCoder().serialize()] * 2
+        assert lanes.serialize() == [coder_payload(AnsCoder())] * 2
 
     def test_underflow_raises(self):
         table = PmfTable.from_freqs([[1, 3]], 2)
-        lanes = LaneCoder.deserialize([AnsCoder().serialize(), AnsCoder(RANS_L + 1).serialize()])
+        lanes = LaneCoder.deserialize([coder_payload(AnsCoder()), coder_payload(AnsCoder(RANS_L + 1))])
         with pytest.raises(ExhaustedStreamError):
             lanes.pop(np.zeros(2, dtype=np.int64), table)
 
@@ -486,7 +487,7 @@ def test_block_chains_match_scalar_oracle(method, name, k, alphabets, block_len,
         assert (stats.gross_bits, stats.returned_bits, stats.peak_demand_bits,
                 stats.gross_bits - stats.returned_bits) \
             == scalar_encode_blocks(scalar, blocks, tables, method)
-        assert coder == scalar and coder.serialize() == scalar.serialize()
+        assert coder == scalar and coder_payload(coder) == coder_payload(scalar)
         out = decode_blocks(coder, lens, tables, method=method)
         assert [b.tolist() for b in out] == [b.tolist() for b in blocks] == \
             [b.tolist() for b in scalar_decode_blocks(scalar, lens, tables, method)]

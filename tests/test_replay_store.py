@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import struct
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from drr.replay_store import (
     raw_store_bytes,
     select_exemplars,
 )
+from test_bits_back import assert_same_tables
 from drr.vq_codec import (
     CodecConfig,
     code_shapes,
@@ -166,24 +166,42 @@ class TestPair:
 
     def test_serialization_round_trip(self):
         pair = make_pair(seed=3, version=4)
-        back = LatentModelPair.deserialize(pair.serialize())
-        assert back.version == 4
-        assert np.array_equal(back.top.p_obs, pair.top.p_obs)
-        assert np.array_equal(back.bottom.q_obs, pair.bottom.q_obs)
+        back = LatentModelPair.deserialize(pair.serialize(12))
+        assert back.version == 4 and back.precision == 12 and pair.precision is None
+        assert np.array_equal(back.top.p_obs, pair.tables(12)[0].dyadic.p_obs)
+        assert np.array_equal(back.bottom.q_obs, pair.tables(12)[1].dyadic.q_obs)
+
+    @pytest.mark.parametrize("precision", [6, 12, 16])
+    def test_loaded_pair_is_the_held_pair_at_its_precision(self, precision):
+        # The loaded pair holds the stored tables: the held pair's, array
+        # for array and in the same memory layout, with no table built.
+        pair = make_pair(seed=3, version=4)
+        back = LatentModelPair.deserialize(pair.serialize(precision))
+        assert list(back._tables) == [precision]
+        for held, loaded in zip(pair.tables(precision), back.tables(precision)):
+            assert_same_tables(held, loaded)
+        assert (back.top, back.bottom) == (back.tables(precision)[0].dyadic,
+                                           back.tables(precision)[1].dyadic)
+        assert back.serialize(precision) == pair.serialize(precision)
+
+    def test_from_tables_levels_share_a_precision(self):
+        pair = make_pair()
+        with pytest.raises(InvalidInputError, match="share a precision"):
+            LatentModelPair.from_tables(pair.tables(10)[0], pair.tables(12)[1])
 
     def test_stored_levels_of_different_versions_rejected(self):
         # The constructor's InvalidInputError is for in-memory misuse; a
         # stored pair that disagrees is corrupt data.
         def flip(body):
-            body[1] ^= 1  # bit 0 of the top level's version, after the record count
+            body[2] ^= 1  # bit 0 of the top level's version, after the count and precision
 
-        data = resealed(make_pair(seed=3, version=0).serialize(), flip)
+        data = resealed(make_pair(seed=3, version=0).serialize(12), flip)
         with pytest.raises(DataCorruptionError, match="versions 1 and 0"):
             LatentModelPair.deserialize(data)
 
     def test_wrong_record_count_rejected(self):
         from drr.bits_back import serialize_models
-        single = serialize_models([random_model(4, (3,), seed=0)])
+        single = serialize_models([build_coding_tables(random_model(4, (3,), seed=0))])
         with pytest.raises(DataCorruptionError):
             LatentModelPair.deserialize(single)
 
@@ -228,7 +246,7 @@ class TestPairHelpers:
             for got, want in zip(pair.tables(), explicit.tables()):
                 for a, b in zip(got.dyadic.tables(), want.dyadic.tables()):
                     assert a[0] == b[0] and np.array_equal(a[1], b[1])
-            assert pair.serialize() == explicit.serialize()
+            assert pair.serialize(12) == explicit.serialize(12)
 
     def test_blocks_concatenate_grid_blocks(self, frozen_codec):
         pair = LatentModelPair.seeded(32, (6, 4), 3, 1)  # 3 leaves short last blocks
@@ -371,7 +389,7 @@ class TestReplayBuffer:
         buffer, _ = filled_buffer(frozen_codec, n_classes=1)
         buffer.save(str(tmp_path))
         buffer.ingest_phase({1: toy_images(12, seed=31)}, FitConfig(iterations=4))
-        (tmp_path / "models.drrm").write_bytes(buffer.pair.serialize())
+        (tmp_path / "models.drrm").write_bytes(buffer.pair.serialize(buffer.precision))
         with pytest.raises(DataCorruptionError, match="model version 1, got tables for version 2"):
             ReplayBuffer.load(str(tmp_path))
 
@@ -425,15 +443,27 @@ class TestTableBuilds:
             buffer.reconstruct_all()
             assert built == [v for v in range(1, phase + 2) for _ in range(2)]
 
-    def test_read_pass_builds_two(self, frozen_codec, monkeypatch, tmp_path):
+    def test_read_pass_builds_none(self, frozen_codec, monkeypatch, tmp_path):
+        # The model file holds the coding tables: a load quantizes nothing.
         buffer, _ = filled_buffer(frozen_codec, n_classes=3)
         buffer.save(str(tmp_path))
         built = self.count_builds(monkeypatch)
+        quantized = []
+        real = bits_back.quantize_rows
+        monkeypatch.setattr(bits_back, "quantize_rows",
+                            lambda *args: quantized.append(1) or real(*args))
         loaded = ReplayBuffer.load(str(tmp_path))
         loaded.reconstruct_all()
-        assert len(built) == 2
-        loaded.reconstruct_all()
-        assert len(built) == 2
+        loaded.account()
+        loaded.save(str(tmp_path / "again"))
+        assert built == [] and quantized == []
+
+    def test_save_and_account_build_no_tables(self, frozen_codec, monkeypatch, tmp_path):
+        buffer, _ = filled_buffer(frozen_codec, n_classes=2)
+        built = self.count_builds(monkeypatch)
+        buffer.account()
+        buffer.save(str(tmp_path))
+        assert built == []
 
 
 class TestPayloadParses:
@@ -457,6 +487,40 @@ class TestPayloadParses:
         assert loaded.exemplar_count == 8 and len(parsed) == 8
         loaded.reconstruct_all()
         assert len(parsed) == 8
+
+
+def row_sum_minus_one(body):
+    """The last stored frequency of the bottom model's last table, q_link[0],
+    one lower."""
+    body[-2:] = (int.from_bytes(body[-2:], "little") - 1).to_bytes(2, "little")
+
+
+def row_sum_plus_one(body):
+    body[-2:] = (int.from_bytes(body[-2:], "little") + 1).to_bytes(2, "little")
+
+
+def precision_byte_1(body):
+    body[1] = 1
+
+
+def precision_byte_17(body):
+    body[1] = 17
+
+
+def precision_too_small(body):  # 32 codes need at least 2**5
+    body[1] = 4
+
+
+# Model-file edits under a valid checksum, each with the error `load` must
+# give for a toy buffer's models (32 codes, chain 6,4, precision 12).
+MODEL_FILE_EDITS = [
+    (row_sum_minus_one, "model snapshot: q_link[0] row 5 sums to 4095, not 2**12"),
+    (row_sum_plus_one, "model snapshot: q_link[0] row 5 sums to 4097, not 2**12"),
+    (precision_byte_1, "precision 1 outside [2, 16]"),
+    (precision_byte_17, "precision 17 outside [2, 16]"),
+    (precision_too_small,
+     "precision 4 cannot code the models' alphabet of 32 symbols (at most 2**4)"),
+]
 
 
 class TestPersistence:
@@ -513,6 +577,27 @@ class TestPersistence:
         reread.save(str(tmp_path / "reread"))
         assert directory_digest(tmp_path / "kept") == directory_digest(tmp_path / "reread")
 
+    @pytest.mark.parametrize("saved_after, precision", [(1, 12), (2, 12), (1, 10)])
+    def test_save_load_at_any_phase_keeps_every_later_file(self, frozen_codec, tmp_path,
+                                                          saved_after, precision):
+        # The held pair is the stored one, so a load changes no later refit.
+        phases = [{label: toy_images(8, seed=90 + label)} for label in range(3)]
+        kept = ReplayBuffer(frozen_codec, make_pair(seed=4), exemplars_per_class=3,
+                            precision=precision, seed=2)
+        for phase in phases:
+            kept.ingest_phase(phase, FitConfig(iterations=2))
+        reread = ReplayBuffer(frozen_codec, make_pair(seed=4), exemplars_per_class=3,
+                              precision=precision, seed=2)
+        for phase in phases[:saved_after]:
+            reread.ingest_phase(phase, FitConfig(iterations=2))
+        reread.save(str(tmp_path / "between"))
+        reread = ReplayBuffer.load(str(tmp_path / "between"))
+        for phase in phases[saved_after:]:
+            reread.ingest_phase(phase, FitConfig(iterations=2))
+        kept.save(str(tmp_path / "kept"))
+        reread.save(str(tmp_path / "reread"))
+        assert directory_digest(tmp_path / "kept") == directory_digest(tmp_path / "reread")
+
     def test_bad_header_rejected(self, frozen_codec, tmp_path):
         buffer, _ = filled_buffer(frozen_codec, n_classes=1)
         buffer.save(str(tmp_path))
@@ -531,8 +616,8 @@ class TestPersistence:
         # under a valid checksum, the top level's version drops from 1 to 0
         # and the bottom's stays 1
         pytest.param("models.drrm",
-                     lambda data: resealed(data, lambda body: flipped(body, 1, 0x01)),
-                     "versions 0 and 1", id="models.drrm-body-1-1"),
+                     lambda data: resealed(data, lambda body: flipped(body, 2, 0x01)),
+                     "versions 0 and 1", id="models.drrm-body-2-1"),
         # under a valid checksum, stream 0 loses its last stack byte: `load`
         # decodes every stream, so the read fails there
         pytest.param("streams/0_0.drrs",
@@ -669,21 +754,26 @@ class TestPersistence:
         with pytest.raises(DataCorruptionError, match="class 0 holds 4 streams"):
             ReplayBuffer.load(str(tmp_path))
 
-    @pytest.mark.parametrize("value", [float("nan"), -1.0, 2.0])
-    def test_corrupt_model_table_rejected(self, frozen_codec, tmp_path, value):
+    @pytest.mark.parametrize("edit, message", MODEL_FILE_EDITS,
+                             ids=[edit.__name__ for edit, _ in MODEL_FILE_EDITS])
+    def test_corrupt_model_file_rejected(self, frozen_codec, tmp_path, edit, message):
         buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
         buffer.save(str(tmp_path))
         models = tmp_path / "models.drrm"
-
-        def last_entry(body):  # the last entry of the bottom model's last table
-            body[-8:] = struct.pack("<d", value)
-
-        models.write_bytes(resealed(models.read_bytes(), last_entry))
-        with pytest.raises(DataCorruptionError,
-                           match=r"^model snapshot truncated or inconsistent$") as info:
+        models.write_bytes(resealed(models.read_bytes(), edit))
+        with pytest.raises(DataCorruptionError) as info:
             ReplayBuffer.load(str(tmp_path))
-        assert isinstance(info.value.__cause__, InvalidInputError)
-        assert str(info.value.__cause__).startswith("q_link[0] ")
+        assert str(info.value) == message
+
+    def test_index_precision_must_be_the_models(self, frozen_codec, tmp_path):
+        # Models stored at precision 10 under an index that says 12: every
+        # file is valid on its own.
+        buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
+        buffer.save(str(tmp_path))
+        (tmp_path / "models.drrm").write_bytes(buffer.pair.serialize(10))
+        with pytest.raises(DataCorruptionError,
+                           match="^the models are stored at precision 10, not 12$"):
+            ReplayBuffer.load(str(tmp_path))
 
     @staticmethod
     def load_with_class_field(frozen_codec, tmp_path, key, value):
@@ -726,7 +816,7 @@ class TestPersistence:
         buffer, _ = filled_buffer(frozen_codec, n_classes=1)
         buffer.save(str(tmp_path))
         stale = make_pair(seed=21, version=99)
-        (tmp_path / "models.drrm").write_bytes(stale.serialize())
+        (tmp_path / "models.drrm").write_bytes(stale.serialize(12))
         with pytest.raises(DataCorruptionError):
             ReplayBuffer.load(str(tmp_path))
 
@@ -796,10 +886,14 @@ class TestArrayReadPath:
         # when decoding moved to the patch tables, a few ulps per value;
         # the directory digest did not move.  Both were re-taken for codec
         # format 3, whose frozen codec holds float32-rounded weights: only
-        # codec.drrc moved, and the reconstructions with the weights.
+        # codec.drrc moved, and the reconstructions with the weights.  The
+        # directory digest was re-taken for model format 3: models.drrm
+        # holds the coder's frequencies, and the refits of phases 2 and 3
+        # start from the dyadic models, so their streams moved; the codec,
+        # the index and the reconstructions did not.
         mixed_buffer.save(str(tmp_path))
         assert directory_digest(tmp_path) == (
-            "dbbdc8a580ae431f833353c24df40e9c1a09d563145152985ceb781fd778cc37")
+            "1b23be73a3f7be68433df4ef240d10b151af94cf9c9b77e20921bddd93837e93")
         recon = ReplayBuffer.load(str(tmp_path)).reconstruct_all()
         assert hashlib.sha256(b"".join(recon[label].tobytes() for label in recon)).hexdigest() == (
             "490968f5961a11c0f268d62d4c1b3dcfff508941c6e32e4b084fb75443604e02")
@@ -842,7 +936,8 @@ class TestSavedBufferPin:
         # first; the codec's float64 weights depend on BLAS rounding, so
         # another BLAS build may need a new digest.  Re-taken for payload
         # format 2, for the checked container, for buffer index 2, for
-        # stream format 4 and for codec format 3, as the mixed buffer's was.
+        # stream format 4, for codec format 3 and for model format 3, as
+        # the mixed buffer's was: after phase 1 only models.drrm moved.
         buffer = ReplayBuffer(frozen_codec, make_pair(seed=21), exemplars_per_class=4, seed=11)
         for phase in ((0, 1), (2, 3)):
             buffer.ingest_phase({label: toy_images(10, seed=30 + label) for label in phase},
@@ -851,7 +946,7 @@ class TestSavedBufferPin:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "codec.drrc", "index.txt", "models.drrm", "streams"]
         assert directory_digest(tmp_path) == (
-            "430ff4f421d31ef19787191c82b2e26832e182bcb570ff2c8bcfda8499173aac")
+            "4a79d00bba6c3d48a70535628907d1954766ba25e282bc46e06a21618b262d2f")
 
 
 class TestIndexPaths:

@@ -216,15 +216,152 @@ def test_every_private_function_has_a_package_caller():
     assert not unused, f"private names with no caller in drr: {', '.join(unused)}"
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def own_nodes(scope):
+    """Every node inside `scope` (a module, class or function) that is not
+    inside a function or class defined in it; those definitions are
+    yielded, their insides are not."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, DEFINITIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+class Receivers:
+    """The class of an expression's value, where the AST shows it, over a
+    set of parsed modules.
+
+    The rules are few and local.  An annotated parameter, `self` and `cls`
+    have their class; so does a name or `self.` attribute assigned from an
+    expression that has one; a call of a class, or of a function, method
+    or property whose return annotation names a class, gives that class;
+    a dataclass field's annotation gives the field's class.  A nested
+    function sees its enclosing function's names.  Anything else, such as
+    a loop variable, an unpacked tuple or a `list[...]`, has none.
+    """
+
+    def __init__(self, trees):
+        self.trees = list(trees)
+        self.classes = {node.name: node for tree in self.trees for node in ast.walk(tree)
+                        if isinstance(node, ast.ClassDef)}
+        self.returns = {}  # function name or (class, member) -> class name
+        for tree in self.trees:
+            for node in tree.body:
+                if isinstance(node, FUNCTIONS):
+                    self.returns[node.name] = self.annotation(node.returns)
+        for name, node in self.classes.items():
+            for member in node.body:
+                if isinstance(member, FUNCTIONS):
+                    self.returns[name, member.name] = self.annotation(member.returns)
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    self.returns[name, member.target.id] = self.annotation(member.annotation)
+        for _ in range(2):  # the first pass learns the `self.x = ...` attributes
+            self.reads = set()  # (class or None, name) of every `.name` read
+            for tree in self.trees:
+                self.visit(tree, {}, None)
+
+    def annotation(self, node):
+        """The class an annotation names, with `X | None` naming X."""
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            node = ast.parse(node.value, mode="eval").body
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            named = [side for side in map(self.annotation, (node.left, node.right)) if side]
+            return named[0] if len(named) == 1 else None
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        return name if name in self.classes else None
+
+    def visit(self, scope, env, cls):
+        """Note the reads in `scope` under the names `env` gives; `cls` is
+        the class whose body `scope` is, if it is one."""
+        nodes = list(own_nodes(scope))
+        assigned = sorted((node for node in nodes if isinstance(node, (ast.Assign, ast.AnnAssign))
+                           and node.value is not None), key=lambda n: (n.lineno, n.col_offset))
+        for node in assigned:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if len(targets) != 1:
+                continue
+            target, found = targets[0], self.of(node.value, env)
+            if isinstance(target, ast.Name):
+                env[target.id] = found
+            elif (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                  and isinstance(env.get(target.value.id), str) and target.value.id == "self"
+                  and isinstance(found, str)):
+                self.returns.setdefault((env["self"], target.attr), found)
+        for node in nodes:
+            if isinstance(node, ast.Attribute):
+                found = self.of(node.value, env)
+                self.reads.add((found[1] if isinstance(found, tuple) else found, node.attr))
+            elif isinstance(node, ast.ClassDef):
+                self.visit(node, {}, node.name)
+            elif isinstance(node, FUNCTIONS):
+                inner = dict(env)
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                for i, arg in enumerate(params):
+                    if cls and i == 0 and arg.arg == "self":
+                        inner["self"] = cls
+                    elif cls and i == 0 and arg.arg == "cls":
+                        inner["cls"] = ("class", cls)
+                    else:
+                        inner[arg.arg] = self.annotation(arg.annotation)
+                self.visit(node, inner, None)
+
+    def of(self, node, env):
+        """The class of the value of `node`: a class name for an instance,
+        ("class", name) for the class itself, or None."""
+        if isinstance(node, ast.Name):
+            if node.id in env:
+                return env[node.id]
+            return ("class", node.id) if node.id in self.classes else None
+        if isinstance(node, ast.Attribute):
+            owner = self.of(node.value, env)
+            if isinstance(owner, str):
+                return self.returns.get((owner, node.attr))
+            if owner is None and node.attr in self.classes:
+                return ("class", node.attr)  # a class read off a module, such as drr.X
+            return None
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                called = self.of(func, env)
+                if isinstance(called, tuple):
+                    return called[1]
+                return self.returns.get(func.id) if func.id not in env else None
+            if isinstance(func, ast.Attribute):
+                owner = self.of(func.value, env)
+                if isinstance(owner, (str, tuple)):
+                    return self.returns.get((owner if isinstance(owner, str) else owner[1],
+                                             func.attr))
+                if func.attr in self.classes:
+                    return func.attr
+                return self.returns.get(func.attr)  # a function read off a module
+        return None
+
+
+def unread_members(members, reads):
+    """The (class, name) keys of `members` that no read reaches: a read
+    reaches its receiver's class, and a read whose receiver has no known
+    class reaches every class with a member of that name."""
+    anywhere = {name for cls, name in reads if cls is None}
+    return sorted(key for key in members if key not in reads and key[1] not in anywhere)
+
+
 def test_every_public_name_has_a_caller(tracing):
     """Every public module-level function and class in drr, and every public
     method and property of its classes, is named outside its own
     definition: in drr (re-exports in __init__.py do not count), in the
     benchmark harness (the tracer's TARGETS paths count), in the acceptance
     tests or in the README's Python example.  A method or property counts
-    as named only where it is read as an attribute (`.name`), so a local
-    variable of the same name does not keep it.  Public code that only unit
-    tests reach is deleted, not kept."""
+    as named only where it is read as an attribute (`.name`) of its own
+    class, keyed by (class, name), so neither a local variable of the same
+    name nor another class's member of the same name keeps it.  Where the
+    AST does not show a receiver's class (`Receivers`), the read keeps
+    every member of that name.  Public code that only unit tests reach is
+    deleted, not kept."""
     defined, members, trees = {}, {}, []
     for filename, tree in package_trees():
         if filename == "__init__.py":
@@ -234,7 +371,7 @@ def test_every_public_name_has_a_caller(tracing):
                 defined.setdefault(node.name, f"{filename}:{node.lineno}")
                 for member in node.body if isinstance(node, ast.ClassDef) else ():
                     if isinstance(member, DEFINITIONS) and not member.name.startswith("_"):
-                        members.setdefault(member.name, f"{filename}:{member.lineno}")
+                        members[node.name, member.name] = f"{filename}:{member.lineno}"
         trees.append(tree)
     for filename in sorted(os.listdir(PERFBENCH)):
         if filename.endswith(".py"):
@@ -244,13 +381,50 @@ def test_every_public_name_has_a_caller(tracing):
         trees.append(ast.parse(f.read()))
     with open(os.path.join(ROOT, "README.md")) as f:
         trees.append(ast.parse(re.findall(r"```python\n(.*?)```", f.read(), re.DOTALL)[0]))
-    traced = {part for _, _, path in tracing.TARGETS for part in path.split(".")}
-    used = traced.union(*(named(tree) for tree in trees))
-    read = traced.union(*(named(tree, attributes_only=True) for tree in trees))
+    paths = [path.split(".") for _, _, path in tracing.TARGETS]
+    used = {part for path in paths for part in path}.union(*(named(tree) for tree in trees))
+    reads = Receivers(trees).reads | {tuple(path) for path in paths if len(path) == 2}
     assert defined and members
     unused = sorted([f"{where} {name}" for name, where in defined.items() if name not in used]
-                    + [f"{where} {name}" for name, where in members.items() if name not in read])
+                    + [f"{members[key]} {key[0]}.{key[1]}"
+                       for key in unread_members(members, reads)])
     assert not unused, f"public names with no caller: {', '.join(unused)}"
+
+
+CALLERS_CASE = """
+class Scalar:
+    def potential(self): ...
+    def size(self): ...
+
+class Lanes:
+    def potential(self): ...
+    def size(self): ...
+
+    @classmethod
+    def fresh(cls) -> "Lanes":
+        return cls()
+
+def annotated(coder: Lanes):
+    return coder.potential()
+
+def assigned():
+    lanes = Lanes.fresh()
+    return lanes.size()
+
+def unknown(coder):
+    return coder.size()
+"""
+
+
+def test_a_member_is_kept_only_by_reads_of_its_own_class():
+    # `Scalar.potential` is named only as `Lanes.potential`, on a receiver
+    # whose class the AST shows, so it has no caller; `Scalar.size` is kept
+    # by the read on a receiver of no known class.
+    tree = ast.parse(CALLERS_CASE)
+    members = {(cls, name) for cls in ("Scalar", "Lanes") for name in ("potential", "size")}
+    reads = Receivers([tree]).reads
+    assert {("Lanes", "potential"), ("Lanes", "size"), (None, "size")} <= reads
+    assert unread_members(members, reads) == [("Scalar", "potential")]
 
 
 STRUCT_CALLS = {"pack", "unpack", "unpack_from", "calcsize"}
