@@ -27,7 +27,6 @@ from .bits_back import (
     FitConfig,
     deserialize_models,
     deserialize_stream,
-    fit,
     serialize_stream,
 )
 from .container import kind, read_uvarint, seal, unseal, uvarint
@@ -76,11 +75,11 @@ from .vq_codec import (
 IMAGE_SUFFIX = ".img"
 IMAGE_HEAD = struct.Struct("<III")  # height, width, channels
 # A stream set is one sealed file of `container.uvarint` fields: precision
-# (8 bits), seeded bytes = initial_bits // 8 (32), then per image its UTF-8
-# source name (length: 16 bits), its bottom grid's height and width (32
-# each) and its stream file, byte for byte (length: 32).
+# (8 bits), seeded bytes = initial_bits // 8 (32), the image count (32), then
+# per image its UTF-8 source name (length: 16 bits), its bottom grid's
+# height and width (32 each) and its stream file, byte for byte (length: 32).
 STREAM_SET_MAGIC = b"DRRZ"
-STREAM_SET_FORMAT_VERSION = 1
+STREAM_SET_FORMAT_VERSION = 2
 RESULTS_HEADER = "drr-results 1"
 BAD_ALPHABETS = "bad alphabets {!r}; expected positive integers such as 16,8"
 
@@ -173,9 +172,7 @@ def cmd_compress(args) -> int:
     if fresh:
         alphabets = parse_positive_ints(args.alphabets, InvalidInputError, BAD_ALPHABETS)
         pair = LatentModelPair.seeded(codec.codebook_size, alphabets, args.block_len, args.seed)
-        top, bottom = pair.blocks(indices)
-        pair = LatentModelPair(fit(pair.top, top, FitConfig(args.fit_iterations)),
-                               fit(pair.bottom, bottom, FitConfig(args.fit_iterations)))
+        pair = pair.refit(indices, FitConfig(args.fit_iterations), args.precision)
     else:
         pair = _load_pair(args.model)
         pair.check_codec(codec)
@@ -186,7 +183,8 @@ def cmd_compress(args) -> int:
     streams = compress_shelves(indices, pair, [[[args.seed, i]] for i in range(len(indices))],
                                precision=args.precision, initial_bits=args.initial_bits)
     body = [uvarint(args.precision, 8, "precision"),
-            uvarint(args.initial_bits // 8, 32, "seeded bytes")]
+            uvarint(args.initial_bits // 8, 32, "seeded bytes"),
+            uvarint(len(names), 32, "image count")]
     for name, (_, bottom), [stream] in zip(names, indices, streams):
         blob = serialize_stream(stream)
         body += [uvarint(len(name), 16, "source name length"), name,
@@ -212,13 +210,15 @@ def cmd_compress(args) -> int:
 def read_stream_set(data: bytes):
     """(precision, seeded bytes, {source name: (bottom grid shape, stream)})
     of a stream-set file, in the order `compress` wrote them.
-    DataCorruptionError on a bad container, field or stream, or a source
-    name that is not UTF-8, not a plain file name, or listed twice."""
+    DataCorruptionError on a bad container, field or stream, a source name
+    that is not UTF-8, not a plain file name, or listed twice, or a body
+    that is not exactly as many entries as the set's image count."""
     body = unseal(data, STREAM_SET_MAGIC, STREAM_SET_FORMAT_VERSION, "stream set")
     precision, offset = read_uvarint(body, 0, 8, "precision")
     seeded, offset = read_uvarint(body, offset, 32, "seeded bytes")
+    count, offset = read_uvarint(body, offset, 32, "image count")
     entries = {}
-    while offset < len(body):
+    for _ in range(count):
         size, offset = read_uvarint(body, offset, 16, "source name length")
         try:
             name = str(body[offset:offset + size], "utf-8")
@@ -232,6 +232,8 @@ def read_stream_set(data: bytes):
         size, offset = read_uvarint(body, offset, 32, "stream length")
         entries[name] = (height, width), deserialize_stream(body[offset:offset + size])
         offset += size
+    if offset != len(body):
+        raise DataCorruptionError(f"stream set holds more than its {count} images")
     return precision, seeded, entries
 
 

@@ -61,8 +61,7 @@ INDEX_NAME = "index.txt"
 CODEC_NAME = "codec.drrc"
 MODELS_NAME = "models.drrm"
 STREAM_DIR = "streams"
-INDEX_HEADER = "drr-replay-buffer 2"
-CODING_METHOD = "bitswap"  # the schedule of every stream, named in the index
+INDEX_HEADER = "drr-replay-buffer 3"
 
 BYTES_PER_MEGABYTE = 1 << 20
 DEFAULT_EXEMPLARS_PER_CLASS = 20
@@ -241,7 +240,7 @@ class LatentModelPair:
     tables are derived once per pair and precision, on first use, and every
     later `tables` call returns the same ones.
 
-    A pair made by `from_tables`, as `deserialize` and a buffer's refit
+    A pair made by `from_tables`, as `deserialize`, `refit` and a buffer
     make one, holds the dyadic models of its tables and knows their
     `precision`; a pair of float models has precision None.
     """
@@ -307,6 +306,16 @@ class LatentModelPair:
                 top += chunk_symbols(t, self.top.block_len)
                 bottom += chunk_symbols(b, self.bottom.block_len)
         return top, bottom
+
+    def refit(self, indices, config: FitConfig, precision: int) -> "LatentModelPair":
+        """The one way to fit a pair: `finetune` of each level, warm-started
+        from this pair, on the `blocks` of some stacked (top, bottom) index
+        arrays, kept as the dyadic models of its coding tables at
+        `precision`."""
+        top, bottom = self.blocks(indices)
+        fitted = LatentModelPair(finetune(self.top, top, config),
+                                 finetune(self.bottom, bottom, config))
+        return LatentModelPair.from_tables(*fitted.tables(precision))
 
     def tables(self, precision: int = DEFAULT_PRECISION) -> tuple[CodingTables, CodingTables]:
         """(top, bottom) coding tables, built on the first call per precision."""
@@ -461,7 +470,9 @@ class IngestReport:
 
 
 class ReplayBuffer:
-    """Compressed exemplar store over a frozen codec and a model pair."""
+    """Compressed exemplar store over a frozen codec and a model pair.  From
+    construction on it holds the dyadic pair of the tables it codes with,
+    the pair `save` stores, so a save and `load` change no later refit."""
 
     def __init__(self, codec: CodecParams, pair: LatentModelPair,
                  exemplars_per_class: int = DEFAULT_EXEMPLARS_PER_CLASS,
@@ -475,12 +486,15 @@ class ReplayBuffer:
         pair.check_codec(codec)
         pair.check_precision(precision)
         self.codec = codec
-        self.pair = pair
+        self.pair = LatentModelPair.from_tables(*pair.tables(precision))
         self.exemplars_per_class = exemplars_per_class
-        self.precision = precision
         self.initial_bits = initial_bits
         self.seed = seed
         self._shelves: dict[int, ClassShelf] = {}
+
+    @property
+    def precision(self) -> int:
+        return self.pair.precision
 
     @property
     def class_labels(self) -> list[int]:
@@ -523,12 +537,7 @@ class ReplayBuffer:
         indices = {label: shelf.indices
                    for label, shelf in (*new_shelves.items(), *sorted(self._shelves.items()))}
 
-        top, bottom = self.pair.blocks(indices.values())
-        fitted = LatentModelPair(finetune(self.pair.top, top, fit_config),
-                                 finetune(self.pair.bottom, bottom, fit_config))
-        # The buffer holds what it saves, the dyadic models of the tables it
-        # codes with, so the next refit starts from the same bits after `load`.
-        self.pair = LatentModelPair.from_tables(*fitted.tables(self.precision))
+        self.pair = self.pair.refit(indices.values(), fit_config, self.precision)
         streams = compress_shelves(
             indices.values(), self.pair,
             [[self._stream_seed(label, i) for i in range(len(grids))]
@@ -583,16 +592,14 @@ class ReplayBuffer:
         with open(os.path.join(directory, MODELS_NAME), "wb") as f:
             f.write(self.pair.serialize(self.precision))
         lines = [INDEX_HEADER,
-                 f"seed={self.seed} precision={self.precision} "
-                 f"initial_bits={self.initial_bits} "
-                 f"exemplars_per_class={self.exemplars_per_class} method={CODING_METHOD} "
-                 f"classes={len(self._shelves)}"]
+                 f"seed={self.seed} initial_bits={self.initial_bits} "
+                 f"exemplars_per_class={self.exemplars_per_class} classes={len(self._shelves)}"]
         for label in self.class_labels:
             shelf = self._shelves[label]
             h, w, c = shelf.image_shape
             (_, ht, wt), (_, hb, wb) = (grids.shape for grids in shelf.indices)
             lines.append(f"class label={label} image={h},{w},{c} "
-                         f"top={ht},{wt} bottom={hb},{wb} count={len(shelf.streams)}")
+                         f"top={ht},{wt} bottom={hb},{wb}")
             for i, stream in enumerate(shelf.streams):
                 line, name = _stream_entry(label, i)
                 lines.append(line)
@@ -616,17 +623,14 @@ class ReplayBuffer:
             raise DataCorruptionError("bad index header")
         if len(lines) < 2:
             raise DataCorruptionError("index has no options line")
-        opts = parse_record(lines[1], None, ("seed", "precision", "initial_bits",
-                                             "exemplars_per_class", "method", "classes"))
-        if opts["method"] != CODING_METHOD:
-            raise DataCorruptionError(
-                f"buffer streams are coded with {opts['method']!r}, expected {CODING_METHOD!r}")
+        opts = parse_record(lines[1], None,
+                            ("seed", "initial_bits", "exemplars_per_class", "classes"))
         pair.check_codec(codec, DataCorruptionError)
         try:
-            pair.check_precision(int(opts["precision"]), DataCorruptionError)
+            # The model file holds the precision, checked when it was read.
             buffer = ReplayBuffer(codec, pair,
                                   exemplars_per_class=int(opts["exemplars_per_class"]),
-                                  precision=int(opts["precision"]),
+                                  precision=pair.precision,
                                   initial_bits=int(opts["initial_bits"]),
                                   seed=int(opts["seed"]))
             classes = int(opts["classes"])
@@ -637,19 +641,13 @@ class ReplayBuffer:
         try:
             i = 2
             while i < len(lines):
-                info = parse_record(lines[i], "class",
-                                    ("label", "image", "top", "bottom", "count"))
+                info = parse_record(lines[i], "class", ("label", "image", "top", "bottom"))
                 i += 1
                 label = int(info["label"])
-                count = int(info["count"])
                 if label < 0:
                     raise DataCorruptionError(f"class label {label} is negative")
                 if label in entries:
                     raise DataCorruptionError(f"class {label} is listed twice")
-                if count != buffer.exemplars_per_class:
-                    raise DataCorruptionError(
-                        f"class {label} holds {count} streams, its options line says "
-                        f"exemplars_per_class={buffer.exemplars_per_class}")
                 image_shape = parse_positive_ints(info["image"])
                 shapes = parse_positive_ints(info["top"]), parse_positive_ints(info["bottom"])
                 if code_shapes(image_shape, codec) != shapes:
@@ -657,8 +655,9 @@ class ReplayBuffer:
                         f"class {label}: image={info['image']} top={info['top']} "
                         f"bottom={info['bottom']} do not fit the codec "
                         f"(patch {codec.patch}, pool {codec.pool}, {codec.channels} channels)")
+                # `ingest_phase` stores exactly exemplars_per_class streams a class.
                 streams = []
-                for index in range(count):
+                for index in range(buffer.exemplars_per_class):
                     line, name = _stream_entry(label, index)
                     if lines[i] != line:
                         raise DataCorruptionError(

@@ -65,13 +65,17 @@ def resealed(data, edit):
 
 # A stream-set file's fields, read and written here by the layout the
 # README gives, not by the CLI's reader: a dict of `precision`, `seeded`
-# (the seeded bytes) and `entries`, each a dict of `name` (bytes),
-# `height` and `width` (the bottom grid's) and `stream` (a stream file).
+# (the seeded bytes), `count` (the stored image count) and `entries`, each
+# a dict of `name` (bytes), `height` and `width` (the bottom grid's) and
+# `stream` (a stream file).  The reader reads entries until the body ends,
+# whatever the count says, and the writer writes the count it is given, or
+# the number of entries if it is given none, so a test can set them apart.
 
 def stream_set_fields(data):
-    body = unseal(data, b"DRRZ", 1, "stream set")
+    body = unseal(data, b"DRRZ", 2, "stream set")
     precision, offset = read_uvarint(body, 0, 8, "precision")
     seeded, offset = read_uvarint(body, offset, 32, "seeded bytes")
+    count, offset = read_uvarint(body, offset, 32, "image count")
 
     def chunk(offset, bits):
         size, offset = read_uvarint(body, offset, bits, "length")
@@ -84,12 +88,13 @@ def stream_set_fields(data):
         width, offset = read_uvarint(body, offset, 32, "width")
         stream, offset = chunk(offset, 32)
         entries.append({"name": name, "height": height, "width": width, "stream": stream})
-    return {"precision": precision, "seeded": seeded, "entries": entries}
+    return {"precision": precision, "seeded": seeded, "count": count, "entries": entries}
 
 
 def stream_set_body(fields):
     out = [uvarint(fields["precision"], 8, "precision"),
-           uvarint(fields["seeded"], 32, "seeded bytes")]
+           uvarint(fields["seeded"], 32, "seeded bytes"),
+           uvarint(fields.get("count", len(fields["entries"])), 32, "image count")]
     for entry in fields["entries"]:
         out += [uvarint(len(entry["name"]), 16, "name length"), entry["name"],
                 uvarint(entry["height"], 32, "height"), uvarint(entry["width"], 32, "width"),

@@ -252,6 +252,9 @@ BAD_SETS = {
     "precision 3": (set_field("precision", 3), "precision 3 cannot code"),
     # k, the seeded bytes a stream restores, may not exceed the set's
     "no seeded bytes": (set_field("seeded", 0), "more than the 0 it was seeded with"),
+    # the image count must be the number of entries the body holds
+    "count 9": (set_field("count", 9), "stream set holds more than its 9 images"),
+    "count 11": (set_field("count", 11), "source name length varint cut short"),
     "a name listed twice": (entry_field(name=b"img_001.img"), "'img_001.img' is listed twice"),
     "a name not UTF-8": (entry_field(name=b"img_\xff.img"), "source name is not UTF-8"),
     "height 0": (entry_field(height=0), "a bottom grid of 0 x 4 does not fit"),
@@ -284,15 +287,16 @@ class TestCompressDecompress:
     def test_writes_one_stream_set_file(self, workspace, compressed):
         with open(compressed["out"], "rb") as f:
             data = f.read()
-        assert data[:6] == b"DRRZ" + (1).to_bytes(2, "little")
+        assert data[:6] == b"DRRZ" + (2).to_bytes(2, "little")
         fields = stream_set_fields(data)
         assert (fields["precision"], fields["seeded"]) == (12, DEFAULT_INITIAL_BITS // 8)
+        assert fields["count"] == len(fields["entries"]) == 10
         assert ([entry["name"].decode() for entry in fields["entries"]]
                 == sorted(os.listdir(workspace["data"])))
         for i, entry in enumerate(fields["entries"]):
             assert (entry["height"], entry["width"]) == (4, 4)
             assert deserialize_stream(entry["stream"]).symbol_count == 4 + 16, i
-        assert seal(b"DRRZ", 1, stream_set_body(fields)) == data
+        assert seal(b"DRRZ", 2, stream_set_body(fields)) == data
 
     def test_reports_bits_per_code_below_sixteen(self, workspace, compressed,
                                                  tmp_path, capsys):
@@ -705,7 +709,7 @@ class TestInspect:
         entries = 2 * (64 + 12 + 3 + 64 + 12)
         assert capsys.readouterr().out == (
             f"model snapshot: 2 records, precision 14, tables u2 ({2 * entries} bytes)\n"
-            + "".join(f"  [{i}] version 0, levels 2, alphabet 16, chain (4, 3), block 4\n"
+            + "".join(f"  [{i}] version 1, levels 2, alphabet 16, chain (4, 3), block 4\n"
                       for i in range(2)))
         assert os.path.getsize(model) == 10 + 2 + 2 * (12 + 8) + 2 * entries
         assert main(["inspect", "--file", str(out)]) == EXIT_OK

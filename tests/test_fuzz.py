@@ -95,7 +95,7 @@ def toy_sets():
     """A stream set of the toy streams, as four 16x16 images would give."""
     entries = [{"name": f"{i}.img".encode(), "height": 4, "width": 4, "stream": stream}
                for i, stream in enumerate(toy_streams())]
-    return [seal(b"DRRZ", 1, stream_set_body({"precision": 12, "seeded": 32,
+    return [seal(b"DRRZ", 2, stream_set_body({"precision": 12, "seeded": 32,
                                               "entries": entries}))]
 
 
@@ -124,7 +124,7 @@ def test_every_damaged_file_raises_data_corruption(kind, damage):
 
 @pytest.mark.parametrize("kind, what, magic, version", [
     ("codec", "codec", b"DRRC", 3), ("models", "model snapshot", b"DRRM", 3),
-    ("stream", "stream", b"DRRS", 4), ("set", "stream set", b"DRRZ", 1)])
+    ("stream", "stream", b"DRRS", 4), ("set", "stream set", b"DRRZ", 2)])
 def test_each_container_field_is_checked(kind, what, magic, version):
     # Each kind writes its own magic and format version, and its reader
     # rejects each field of the container on its own: another version under
@@ -212,7 +212,7 @@ def sources(stream_set):
 
 
 def overlong_version(body):
-    body[0:1] = b"\x80\x00"  # model version 0 spelled in two bytes
+    body[0:1] = b"\x81\x00"  # model version 1 spelled in two bytes
 
 
 def count_2_64(body):
@@ -239,7 +239,7 @@ def damaged_files(stream_set, root):
             path.write_bytes(bad)
             out.append((name, path))
     data = sources(stream_set)["stream"].read_bytes()
-    assert data[10] == 0 and data[11] < 0x80  # two one-byte varints
+    assert data[10] == 1 and data[11] < 0x80  # two one-byte varints; a fitted model is version 1
     for edit in (overlong_version, count_2_64, cut_in_count):
         path = root / f"stream_{edit.__name__}.drrs"
         path.write_bytes(resealed(data, edit))
@@ -379,19 +379,17 @@ def test_damaged_stream_set_never_decodes_silently(six_image_set, tmp_path, caps
     # the source names, the options and the grids, so no damaged name
     # writes the right image under a new name.
     data = six_image_set["data"]
-    assert len(data) == 236
+    assert len(data) == 237
     counts = decompress_outcomes(six_image_set, index_damage(data), tmp_path / "set.drrz",
                                  tmp_path / "out", capsys)
-    assert counts == {"corrupt": 2 * 236 + 48, "identical": 0, "renamed": 0, "fewer": 0}
+    assert counts == {"corrupt": 2 * 237 + 48, "identical": 0, "renamed": 0, "fewer": 0}
 
 
 def test_stream_set_cut_under_a_valid_checksum_keeps_whole_entries(six_image_set, tmp_path,
                                                                    capsys):
-    # With the checksum made valid again, a body cut anywhere but between
-    # two entries exits 3, in a field or in a stream's own container; a cut
-    # between entries is a set of fewer images, the first ones, as no
-    # image count is stored.  Cuts at the six such lengths, the set of no
-    # images among them, are all that decode.
+    # With the checksum made valid again, every body cut exits 3: in a
+    # field, in a stream's own container, or, between two entries, short of
+    # the stored image count.
     def cut(length):
         def edit(body):
             del body[length:]
@@ -401,7 +399,7 @@ def test_stream_set_cut_under_a_valid_checksum_keeps_whole_entries(six_image_set
     counts = decompress_outcomes(
         six_image_set, (resealed(data, cut(length)) for length in range(len(data) - 10)),
         tmp_path / "set.drrz", tmp_path / "out", capsys)
-    assert counts == {"corrupt": len(data) - 10 - 6, "identical": 0, "renamed": 0, "fewer": 6}
+    assert counts == {"corrupt": len(data) - 10, "identical": 0, "renamed": 0, "fewer": 0}
 
 
 @pytest.fixture(scope="module")
@@ -422,10 +420,11 @@ def toy_buffer(tmp_path_factory):
 
 def test_damaged_buffer_index_never_loads_silently(toy_buffer, tmp_path):
     # Every damaged index raises DataCorruptionError, on load or on the
-    # read, or reads back every class exactly.  The 18 identical cases are
-    # 17 line ends turned into another line break, and a flip of seed=2,
-    # an option the read path does not use; a flip of exemplars_per_class=4
-    # no longer matches the classes' count=4.
+    # read, or reads back every class exactly.  The 19 identical cases are
+    # 17 line ends turned into another line break, a flip of seed=2, an
+    # option the read path does not use, and the cut of the last line end;
+    # a flip of exemplars_per_class=4 to 5 reads a class line where a
+    # stream line should be.
     source, good = toy_buffer
     directory = tmp_path / "buffer"
     shutil.copytree(source, directory)
@@ -441,7 +440,8 @@ def test_damaged_buffer_index_never_loads_silently(toy_buffer, tmp_path):
         assert list(recon) == list(good), bad
         assert all(np.array_equal(recon[label], good[label]) for label in good), bad
         counts["identical"] += 1
-    assert counts == {"corrupt": 1749, "identical": 18}
+    assert len(data) == 751
+    assert counts == {"corrupt": 1634, "identical": 19}
 
 
 def test_damaged_stream_set_subprocess_prints_no_traceback(six_image_set, tmp_path):

@@ -335,6 +335,23 @@ class TestReplayBuffer:
         with pytest.raises(InvalidInputError, match="do not fit the codec"):
             ReplayBuffer(frozen_codec, pair)
 
+    def test_pair_of_a_non_pmf_table_rejected_at_construction(self, frozen_codec):
+        # The buffer quantizes its pair when it is built, not at its first
+        # ingest, so a table that is no PMF fails there.
+        pair = make_pair()
+        pair.bottom.p_obs[0] *= 2
+        with pytest.raises(InvalidInputError, match="p_obs"):
+            ReplayBuffer(frozen_codec, pair)
+
+    def test_held_pair_is_the_stored_one_from_construction(self, frozen_codec):
+        pair = make_pair()
+        buffer = ReplayBuffer(frozen_codec, pair, precision=10)
+        assert buffer.precision == buffer.pair.precision == 10
+        assert all(held is built for held, built in zip(buffer.pair.tables(10), pair.tables(10)))
+        loaded = LatentModelPair.deserialize(buffer.pair.serialize(10))
+        for stored, held in zip(loaded.tables(10), buffer.pair.tables(10)):
+            assert_same_tables(stored, held)
+
     @pytest.mark.parametrize("precision", [2, 4])
     def test_precision_must_cover_every_alphabet(self, frozen_codec, precision):
         # 32 codes need at least 2**5
@@ -436,12 +453,14 @@ class TestTableBuilds:
         return built
 
     def test_ingest_builds_two_per_phase(self, frozen_codec, monkeypatch):
+        # Two at construction, for the pair the buffer holds from the start.
         built = self.count_builds(monkeypatch)
         buffer = ReplayBuffer(frozen_codec, make_pair(seed=21), exemplars_per_class=3, seed=1)
+        assert built == [0, 0]
         for phase in range(3):
             buffer.ingest_phase({phase: toy_images(8, seed=50 + phase)}, FitConfig(iterations=1))
             buffer.reconstruct_all()
-            assert built == [v for v in range(1, phase + 2) for _ in range(2)]
+            assert built == [v for v in range(0, phase + 2) for _ in range(2)]
 
     def test_read_pass_builds_none(self, frozen_codec, monkeypatch, tmp_path):
         # The model file holds the coding tables: a load quantizes nothing.
@@ -577,10 +596,11 @@ class TestPersistence:
         reread.save(str(tmp_path / "reread"))
         assert directory_digest(tmp_path / "kept") == directory_digest(tmp_path / "reread")
 
-    @pytest.mark.parametrize("saved_after, precision", [(1, 12), (2, 12), (1, 10)])
+    @pytest.mark.parametrize("saved_after, precision", [(0, 12), (1, 12), (2, 12), (1, 10)])
     def test_save_load_at_any_phase_keeps_every_later_file(self, frozen_codec, tmp_path,
                                                           saved_after, precision):
-        # The held pair is the stored one, so a load changes no later refit.
+        # The held pair is the stored one from construction on, so a load
+        # changes no later refit, the first one included.
         phases = [{label: toy_images(8, seed=90 + label)} for label in range(3)]
         kept = ReplayBuffer(frozen_codec, make_pair(seed=4), exemplars_per_class=3,
                             precision=precision, seed=2)
@@ -645,28 +665,17 @@ class TestPersistence:
         assert all(s.initial_bits == buffer.initial_bits for s in loaded._shelves[0].streams)
 
     @pytest.mark.parametrize("options, match", [
-        ("seed=11 precision=12 initial_bits=256 exemplars_per_class=5 classes=1",
-         "missing method"),
-        ("seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=bitswap",
-         "missing classes"),
-        ("seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=zip classes=1",
-         "coded with 'zip'"),
-        ("seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=bitswap classes=1 "
-         "loose", "malformed field 'loose'"),
-        ("seed=eleven precision=12 initial_bits=256 exemplars_per_class=5 method=bitswap "
-         "classes=1", "corrupt buffer options"),
-        ("seed=11 precision=40 initial_bits=256 exemplars_per_class=5 method=bitswap classes=1",
-         "precision 40 outside"),
-        ("seed=11 precision=2 initial_bits=256 exemplars_per_class=5 method=bitswap classes=1",
-         "cannot code"),
-        (None, "no options line"),
-        ("seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=bb classes=1",
-         "coded with 'bb'"),
-        ("seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=bitswap classes=x",
+        ("seed=11 initial_bits=256 classes=1", "missing exemplars_per_class"),
+        ("seed=11 initial_bits=256 exemplars_per_class=5", "missing classes"),
+        ("seed=11 initial_bits=256 exemplars_per_class=5 classes=1 loose",
+         "malformed field 'loose'"),
+        ("seed=eleven initial_bits=256 exemplars_per_class=5 classes=1",
          "corrupt buffer options"),
-        ("seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=bitswap classes=0",
+        (None, "no options line"),
+        ("seed=11 initial_bits=256 exemplars_per_class=5 classes=x", "corrupt buffer options"),
+        ("seed=11 initial_bits=256 exemplars_per_class=5 classes=0",
          "lists 1 classes, its options line says 0"),
-        ("seed=11 precision=12 initial_bits=256 exemplars_per_class=5 method=bitswap classes=2",
+        ("seed=11 initial_bits=256 exemplars_per_class=5 classes=2",
          "lists 1 classes, its options line says 2"),
     ])
     def test_malformed_options_line_rejected(self, frozen_codec, tmp_path, options, match):
@@ -674,8 +683,9 @@ class TestPersistence:
         buffer.save(str(tmp_path))
         index = tmp_path / "index.txt"
         lines = index.read_text().splitlines()
-        assert lines[:2] == ["drr-replay-buffer 2", "seed=11 precision=12 initial_bits=256 "
-                             "exemplars_per_class=5 method=bitswap classes=1"]
+        assert lines[:3] == ["drr-replay-buffer 3",
+                             "seed=11 initial_bits=256 exemplars_per_class=5 classes=1",
+                             "class label=0 image=16,16,3 top=2,2 bottom=4,4"]
         lines = lines[:1] if options is None else [lines[0], options] + lines[2:]
         index.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataCorruptionError, match=match):
@@ -697,7 +707,6 @@ class TestPersistence:
     @pytest.mark.parametrize("edit", [
         lambda line: line.replace("label=", "label"),
         lambda line: line.replace("class ", "klass "),
-        lambda line: line.replace(" count=5", ""),
         lambda line: line.replace("top=", "top=-"),
     ])
     def test_malformed_class_line_rejected(self, frozen_codec, tmp_path, edit):
@@ -710,25 +719,31 @@ class TestPersistence:
         with pytest.raises(DataCorruptionError):
             ReplayBuffer.load(str(tmp_path))
 
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_class_without_streams_rejected(self, frozen_codec, tmp_path, count):
+    @pytest.mark.parametrize("edit, match", [
+        (lambda text: text.replace("exemplars_per_class=5", "exemplars_per_class=0"),
+         "corrupt buffer options"),
+        (lambda text: "\n".join(line for line in text.splitlines()
+                                if not line.startswith("stream label=0 ")) + "\n",
+         "should read 'stream label=0 index=0 "),
+    ], ids=["none_per_class", "stream_lines_dropped"])
+    def test_class_without_streams_rejected(self, frozen_codec, tmp_path, edit, match):
         # A shelf with no streams would reach the coder as a zero-lane batch.
         buffer, _ = filled_buffer(frozen_codec, n_classes=2, fit_iterations=0)
         buffer.save(str(tmp_path))
         index = tmp_path / "index.txt"
-        lines = [line for line in index.read_text().splitlines()
-                 if not line.startswith("stream label=0 ")]
-        lines[2] = lines[2].replace(" count=5", f" count={count}")
-        index.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataCorruptionError):
+        index.write_text(edit(index.read_text()))
+        with pytest.raises(DataCorruptionError, match=match):
             ReplayBuffer.load(str(tmp_path))
 
-    @pytest.mark.parametrize("per_class", [4, 6])
+    @pytest.mark.parametrize("per_class, match", [
+        (4, "expected a class line, got: stream label=0 index=4 "),
+        (6, "should read 'stream label=0 index=5 "),
+    ])
     def test_exemplar_count_must_match_the_options_line(self, frozen_codec, tmp_path,
-                                                          per_class):
+                                                          per_class, match):
         # `ingest_phase` stores exactly exemplars_per_class streams a class,
-        # so a class line's count= must equal the options line's, which
-        # later ingests read.  An options line changed on its own is caught.
+        # and `load` reads exactly that many stream lines a class, so an
+        # options line changed on its own is caught.
         buffer, _ = filled_buffer(frozen_codec, n_classes=2, fit_iterations=0)
         buffer.save(str(tmp_path))
         index = tmp_path / "index.txt"
@@ -736,22 +751,33 @@ class TestPersistence:
         assert "exemplars_per_class=5" in text
         index.write_text(text.replace("exemplars_per_class=5",
                                       f"exemplars_per_class={per_class}"))
-        with pytest.raises(DataCorruptionError,
-                           match=f"holds 5 streams, its options line says "
-                                 f"exemplars_per_class={per_class}"):
+        with pytest.raises(DataCorruptionError, match=match):
             ReplayBuffer.load(str(tmp_path))
 
     def test_class_short_of_its_exemplars_rejected(self, frozen_codec, tmp_path):
-        # A class line and its stream lines cut back together still differ
-        # from the options line.
+        # A class whose last stream line is cut differs from the options line.
         buffer, _ = filled_buffer(frozen_codec, n_classes=2, fit_iterations=0)
         buffer.save(str(tmp_path))
         index = tmp_path / "index.txt"
         lines = [line for line in index.read_text().splitlines()
                  if not line.startswith("stream label=0 index=4 ")]
-        lines[2] = lines[2].replace(" count=5", " count=4")
         index.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataCorruptionError, match="class 0 holds 4 streams"):
+        with pytest.raises(DataCorruptionError, match="should read 'stream label=0 index=4 "):
+            ReplayBuffer.load(str(tmp_path))
+
+    def test_index_of_format_2_rejected(self, frozen_codec, tmp_path):
+        # The same buffer in the layout of index format 2: precision= and
+        # method= on the options line, count= on each class line.
+        buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
+        buffer.save(str(tmp_path))
+        index = tmp_path / "index.txt"
+        lines = index.read_text().splitlines()
+        lines[:3] = ["drr-replay-buffer 2",
+                     "seed=11 precision=12 initial_bits=256 exemplars_per_class=5 "
+                     "method=bitswap classes=1",
+                     lines[2] + " count=5"]
+        index.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataCorruptionError, match="bad index header"):
             ReplayBuffer.load(str(tmp_path))
 
     @pytest.mark.parametrize("edit, message", MODEL_FILE_EDITS,
@@ -765,15 +791,14 @@ class TestPersistence:
             ReplayBuffer.load(str(tmp_path))
         assert str(info.value) == message
 
-    def test_index_precision_must_be_the_models(self, frozen_codec, tmp_path):
-        # Models stored at precision 10 under an index that says 12: every
-        # file is valid on its own.
-        buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
+    def test_precision_is_read_from_the_model_file(self, frozen_codec, tmp_path):
+        buffer = ReplayBuffer(frozen_codec, make_pair(seed=21), exemplars_per_class=3,
+                              precision=10, seed=1)
+        buffer.ingest_phase({0: toy_images(8, seed=50)}, FitConfig(iterations=1))
         buffer.save(str(tmp_path))
-        (tmp_path / "models.drrm").write_bytes(buffer.pair.serialize(10))
-        with pytest.raises(DataCorruptionError,
-                           match="^the models are stored at precision 10, not 12$"):
-            ReplayBuffer.load(str(tmp_path))
+        assert "precision" not in (tmp_path / "index.txt").read_text()
+        assert (tmp_path / "models.drrm").read_bytes()[11] == 10
+        assert ReplayBuffer.load(str(tmp_path)).precision == 10
 
     @staticmethod
     def load_with_class_field(frozen_codec, tmp_path, key, value):
@@ -890,10 +915,14 @@ class TestArrayReadPath:
         # directory digest was re-taken for model format 3: models.drrm
         # holds the coder's frequencies, and the refits of phases 2 and 3
         # start from the dyadic models, so their streams moved; the codec,
-        # the index and the reconstructions did not.
+        # the index and the reconstructions did not.  The directory digest was
+        # re-taken for buffer index 3 (no precision=, method= or count=), with
+        # the buffer holding the dyadic pair from construction: the first
+        # refit starts from the quantized seeded pair, so every model and
+        # stream moved; the codec and the reconstructions did not.
         mixed_buffer.save(str(tmp_path))
         assert directory_digest(tmp_path) == (
-            "1b23be73a3f7be68433df4ef240d10b151af94cf9c9b77e20921bddd93837e93")
+            "fe01a330ca597e239db5dff56a4f63a48306045b9eb054ce57e06ba282466418")
         recon = ReplayBuffer.load(str(tmp_path)).reconstruct_all()
         assert hashlib.sha256(b"".join(recon[label].tobytes() for label in recon)).hexdigest() == (
             "490968f5961a11c0f268d62d4c1b3dcfff508941c6e32e4b084fb75443604e02")
@@ -938,6 +967,8 @@ class TestSavedBufferPin:
         # format 2, for the checked container, for buffer index 2, for
         # stream format 4, for codec format 3 and for model format 3, as
         # the mixed buffer's was: after phase 1 only models.drrm moved.
+        # Re-taken for buffer index 3 with the pair quantized at
+        # construction, as the mixed buffer's was.
         buffer = ReplayBuffer(frozen_codec, make_pair(seed=21), exemplars_per_class=4, seed=11)
         for phase in ((0, 1), (2, 3)):
             buffer.ingest_phase({label: toy_images(10, seed=30 + label) for label in phase},
@@ -946,7 +977,7 @@ class TestSavedBufferPin:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "codec.drrc", "index.txt", "models.drrm", "streams"]
         assert directory_digest(tmp_path) == (
-            "4a79d00bba6c3d48a70535628907d1954766ba25e282bc46e06a21618b262d2f")
+            "40fbd3415ffa1c597dba455c18289069a0774d133bac9cc2a46be8e08501b764")
 
 
 class TestIndexPaths:
