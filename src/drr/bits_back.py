@@ -69,6 +69,8 @@ STREAM_MAGIC = b"DRRS"
 STREAM_FORMAT_VERSION = 4
 
 _MODEL_RECORD = struct.Struct("<IHIH")  # model version, levels, obs alphabet, block length
+_MODEL_FIELDS = (("model version", 32), ("levels", 16), ("observation alphabet", 32),
+                 ("block length", 16))  # each record field's name and width in bits
 STORED_FREQ = np.dtype("<u2")  # a model file's frequency, freq - 1: at most 2**16 - 1
 
 DEFAULT_BLOCK_LEN = 16
@@ -395,9 +397,9 @@ def build_coding_tables(model: LatentChainModel, precision: int = DEFAULT_PRECIS
     `quantize_rows` rounds each row independently of its table, so the
     tables sharing an alphabet are stacked and quantized together, and each
     gets the rows it would get on its own.  Tables are derived once per
-    model, not once per use: `LatentModelPair.tables` builds them once per
-    pair and precision and hands the same tables to every later caller, so
-    the models of a pair are immutable.
+    model, not once per use: `LatentModelPair.quantized` builds a pair's
+    one table pair, which it holds and hands to every later caller, so the
+    models of a pair are immutable.
     """
     model.validate()
     tables = [np.atleast_2d(table) for _, table in model.tables()]
@@ -816,7 +818,8 @@ def serialize_models(tables) -> bytes:
     Layout: the container, the record count (u8), the precision (u8), then
     per model its record header, its level alphabets (u32 each) and its
     tables in `table_shapes` order, row-major, each frequency stored as
-    freq - 1 (`<u2`).
+    freq - 1 (`<u2`).  InvalidInputError naming the first field whose
+    value does not fit its width.
     """
     tables = list(tables)
     if not 1 <= len(tables) <= 255:
@@ -827,8 +830,12 @@ def serialize_models(tables) -> bytes:
     out = [bytes([len(tables), precisions.pop()])]
     for t in tables:
         model = t.dyadic
-        out.append(_MODEL_RECORD.pack(model.version, model.levels,
-                                      model.obs_alphabet, model.block_len))
+        record = (model.version, model.levels, model.obs_alphabet, model.block_len)
+        for value, (what, bits) in zip(record, _MODEL_FIELDS):
+            if not 0 <= value < 1 << bits:
+                raise InvalidInputError(f"{what} must be in [0, 2**{bits}) to fit "
+                                        f"the model record, got {value}")
+        out.append(_MODEL_RECORD.pack(*record))
         out.append(np.asarray(model.alphabets, dtype="<u4").tobytes())
         for _, table in _flatten({name: getattr(t, name) for name in _TABLE_FIELDS}):
             out.append((table.freqs - np.uint64(1)).astype(STORED_FREQ).tobytes())

@@ -172,16 +172,16 @@ def cmd_compress(args) -> int:
     if fresh:
         alphabets = parse_positive_ints(args.alphabets, InvalidInputError, BAD_ALPHABETS)
         pair = LatentModelPair.seeded(codec.codebook_size, alphabets, args.block_len, args.seed)
-        pair = pair.refit(indices, FitConfig(args.fit_iterations), args.precision)
+        pair = pair.quantized(args.precision).refit(indices, FitConfig(args.fit_iterations))
     else:
         pair = _load_pair(args.model)
         pair.check_codec(codec)
-        pair.check_precision(args.precision)
+        pair = pair.quantized(args.precision)
 
-    # Files are written only once every stream is coded, so a failed
+    # Files are opened only once every output is serialized, so a failed
     # compress leaves no fitted model behind for a rerun to pick up.
     streams = compress_shelves(indices, pair, [[[args.seed, i]] for i in range(len(indices))],
-                               precision=args.precision, initial_bits=args.initial_bits)
+                               initial_bits=args.initial_bits)
     body = [uvarint(args.precision, 8, "precision"),
             uvarint(args.initial_bits // 8, 32, "seeded bytes"),
             uvarint(len(names), 32, "image count")]
@@ -192,8 +192,9 @@ def cmd_compress(args) -> int:
                  uvarint(len(blob), 32, "stream length"), blob]
     data = seal(STREAM_SET_MAGIC, STREAM_SET_FORMAT_VERSION, b"".join(body))
     if fresh:
+        model = pair.serialize()
         with open(args.model, "wb") as f:
-            f.write(pair.serialize(args.precision))
+            f.write(model)
         print(f"wrote model pair to {args.model}")
     with open(args.out, "wb") as f:
         f.write(data)
@@ -253,8 +254,7 @@ def cmd_decompress(args) -> int:
                                       f"does not fit the codec (pool {codec.pool})")
         shapes.append(found)
         stream.initial_bits = 8 * seeded
-    indices = decompress_shelves([[stream] for _, stream in entries.values()], shapes, pair,
-                                 precision=precision)
+    indices = decompress_shelves([[stream] for _, stream in entries.values()], shapes, pair)
     os.makedirs(args.out, exist_ok=True)
     for name, (top, bottom) in zip(entries, indices):
         write_image(os.path.join(args.out, name), decode_indices(top, bottom, codec)[0])

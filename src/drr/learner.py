@@ -28,6 +28,8 @@ from .replay_store import (
     RawExemplarStore,
     ReplayBuffer,
     class_exemplars,
+    from_pixel_bytes,
+    to_pixel_bytes,
 )
 from .vq_codec import CodecConfig, freeze, train_codec
 
@@ -440,9 +442,10 @@ def _assemble_phase_data(buffer: ReplayBuffer, raw_store: RawExemplarStore | Non
         raw_images = np.concatenate([raw_store.get(label) for label in raw_labels])
     else:  # ib-drr-star: only this phase's raws are available, none are kept
         raw_labels = sorted(new_labels)
-        raw_images = np.concatenate([
+        # Rounded to stored pixels, as the raw store rounds the views of ib-drr.
+        raw_images = from_pixel_bytes(to_pixel_bytes(np.concatenate([
             class_exemplars(train_by_class[label], buffer.exemplars_per_class, buffer.seed, label)
-            for label in raw_labels])
+            for label in raw_labels])))
     # rows are concatenated in label order, as the raw views are
     return Batch(recon=images, labels=labels, raw=raw_images,
                  pair_rows=np.flatnonzero(np.isin(labels, raw_labels)))

@@ -236,19 +236,17 @@ class LatentModelPair:
     """One chain model per grid level, versioned in lockstep.
 
     A pair is a value.  Its fields cannot be rebound, and its models must
-    not be mutated once the pair exists: a refit makes a new pair.  Coding
-    tables are derived once per pair and precision, on first use, and every
-    later `tables` call returns the same ones.
+    not be mutated once the pair exists: a refit makes a new pair.
 
-    A pair made by `from_tables`, as `deserialize`, `refit` and a buffer
-    make one, holds the dyadic models of its tables and knows their
-    `precision`; a pair of float models has precision None.
+    A pair made by `from_tables`, as `quantized`, `deserialize`, `refit`
+    and a buffer make one, holds the dyadic models of its one table pair
+    and codes at their `precision`.  A pair of float models has precision
+    None and codes nothing until it is `quantized`.
     """
 
     top: LatentChainModel
     bottom: LatentChainModel
-    precision: int | None = field(default=None, init=False, compare=False)
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.top.version != self.bottom.version:
@@ -257,6 +255,10 @@ class LatentModelPair:
     @property
     def version(self) -> int:
         return self.top.version
+
+    @property
+    def precision(self) -> int | None:
+        return None if self._tables is None else self._tables[0].precision
 
     @classmethod
     def seeded(cls, obs_alphabet: int, alphabets, block_len: int, seed: int) -> "LatentModelPair":
@@ -273,21 +275,32 @@ class LatentModelPair:
         if top.precision != bottom.precision:
             raise InvalidInputError("pair levels must share a precision")
         pair = cls(top.dyadic, bottom.dyadic)
-        object.__setattr__(pair, "precision", top.precision)
-        pair._tables[top.precision] = top, bottom
+        object.__setattr__(pair, "_tables", (top, bottom))
         return pair
 
     def copy(self) -> "LatentModelPair":
+        """A float pair of copies of the models."""
         return LatentModelPair(self.top.copy(), self.bottom.copy())
 
     def check_precision(self, precision: int, error=InvalidInputError) -> None:
         """`error` unless precision is one the coder takes, 2**precision
         covers every alphabet of both levels, as the coder's quantized
-        tables need, and a pair that knows its precision has this one."""
+        tables need, and a pair that codes at a precision codes at this one."""
         check_precision(precision, max(max(model.obs_alphabet, *model.alphabets)
                                        for model in (self.top, self.bottom)), error)
         if self.precision not in (None, precision):
             raise error(f"the models are stored at precision {self.precision}, not {precision}")
+
+    def quantized(self, precision: int) -> "LatentModelPair":
+        """The pair that codes at `precision`: this pair if it already does,
+        else the `from_tables` pair of both levels' `build_coding_tables`.
+        InvalidInputError as `check_precision` gives it, so a pair that
+        codes at one precision is never coded at another."""
+        self.check_precision(precision)
+        if self.precision == precision:
+            return self
+        return LatentModelPair.from_tables(build_coding_tables(self.top, precision),
+                                           build_coding_tables(self.bottom, precision))
 
     def check_codec(self, codec: CodecParams, error=InvalidInputError) -> None:
         """`error` unless both levels observe exactly the codec's codes."""
@@ -307,26 +320,26 @@ class LatentModelPair:
                 bottom += chunk_symbols(b, self.bottom.block_len)
         return top, bottom
 
-    def refit(self, indices, config: FitConfig, precision: int) -> "LatentModelPair":
+    def refit(self, indices, config: FitConfig) -> "LatentModelPair":
         """The one way to fit a pair: `finetune` of each level, warm-started
         from this pair, on the `blocks` of some stacked (top, bottom) index
-        arrays, kept as the dyadic models of its coding tables at
-        `precision`."""
+        arrays, `quantized` at this pair's precision.  StateError on a float
+        pair, which has no precision to keep."""
+        precision = self.tables()[0].precision
         top, bottom = self.blocks(indices)
-        fitted = LatentModelPair(finetune(self.top, top, config),
-                                 finetune(self.bottom, bottom, config))
-        return LatentModelPair.from_tables(*fitted.tables(precision))
+        return LatentModelPair(finetune(self.top, top, config),
+                               finetune(self.bottom, bottom, config)).quantized(precision)
 
-    def tables(self, precision: int = DEFAULT_PRECISION) -> tuple[CodingTables, CodingTables]:
-        """(top, bottom) coding tables, built on the first call per precision."""
-        if precision not in self._tables:
-            self._tables[precision] = (build_coding_tables(self.top, precision),
-                                       build_coding_tables(self.bottom, precision))
-        return self._tables[precision]
+    def tables(self) -> tuple[CodingTables, CodingTables]:
+        """The (top, bottom) coding tables the pair codes with.  StateError
+        on a float pair, which holds none."""
+        if self._tables is None:
+            raise StateError("a pair of float models codes nothing; quantize it first")
+        return self._tables
 
-    def serialize(self, precision: int) -> bytes:
-        """The model file of the pair's coding tables at `precision`."""
-        return serialize_models(self.tables(precision))
+    def serialize(self) -> bytes:
+        """The model file of the pair's coding tables."""
+        return serialize_models(self.tables())
 
     @staticmethod
     def deserialize(data: bytes) -> "LatentModelPair":
@@ -360,22 +373,21 @@ def _by_geometry(shapes) -> list[list[int]]:
 
 
 def compress_shelves(indices, pair: LatentModelPair, seeds,
-                     precision: int = DEFAULT_PRECISION,
                      initial_bits: int = DEFAULT_INITIAL_BITS) -> list[list[CompressedStream]]:
     """A stream per grid of every shelf, where shelf i is the stacked
     (top, bottom) index arrays indices[i] and seeds[i] lists one seed per
     grid: both levels' row-major symbols, chunked to each level's block
-    length and coded from the initial bits seeded with that grid's seed.
-    The grids of every shelf of one geometry are coded side by side, one
-    coder lane each; a stream does not depend on the other grids in the
-    call.  InvalidInputError unless there is one seed list per shelf and
-    one seed per grid."""
+    length and coded from the initial bits seeded with that grid's seed,
+    under the pair's tables.  The grids of every shelf of one geometry are
+    coded side by side, one coder lane each; a stream does not depend on
+    the other grids in the call.  InvalidInputError unless there is one
+    seed list per shelf and one seed per grid; StateError on a float pair."""
+    top_tables, bottom_tables = pair.tables()
     indices, seeds = list(indices), list(seeds)
     if len(seeds) != len(indices) or any(len(s) != len(t) for (t, _), s in zip(indices, seeds)):
         raise InvalidInputError("need one seed list per shelf and one seed per grid")
     out = [None] * len(indices)
     for members in _by_geometry((top.shape[1:], bottom.shape[1:]) for top, bottom in indices):
-        top_tables, bottom_tables = pair.tables(precision)
         top = np.concatenate([indices[i][0] for i in members])
         bottom = np.concatenate([indices[i][1] for i in members])
         streams = iter(encode_streams(
@@ -388,21 +400,20 @@ def compress_shelves(indices, pair: LatentModelPair, seeds,
     return out
 
 
-def decompress_shelves(streams, shapes, pair: LatentModelPair,
-                       tables: tuple[CodingTables, CodingTables] | None = None,
-                       precision: int = DEFAULT_PRECISION) -> list[tuple[np.ndarray, np.ndarray]]:
+def decompress_shelves(streams, shapes,
+                       pair: LatentModelPair) -> list[tuple[np.ndarray, np.ndarray]]:
     """The stacked int32 (top, bottom) index arrays of every shelf, where
     shelf i holds the streams streams[i] of grids of shapes[i] = (top
-    shape, bottom shape); `tables` defaults to the pair's tables at
-    `precision`.  The streams of every shelf of one geometry are decoded
-    side by side, one coder lane each.  InvalidInputError unless there is
-    one shape per shelf."""
+    shape, bottom shape), decoded under the pair's tables.  The streams of
+    every shelf of one geometry are decoded side by side, one coder lane
+    each.  InvalidInputError unless there is one shape per shelf;
+    StateError on a float pair."""
+    top_tables, bottom_tables = pair.tables()
     streams, shapes = list(streams), [(tuple(t), tuple(b)) for t, b in shapes]
     if len(shapes) != len(streams):
         raise InvalidInputError(f"{len(streams)} shelves of streams, {len(shapes)} shapes")
     out = [None] * len(streams)
     for members in _by_geometry(shapes):
-        top_tables, bottom_tables = pair.tables(precision) if tables is None else tables
         top_shape, bottom_shape = shapes[members[0]]
         # Checked before any block list is built, as a stored shape may be huge.
         codes = math.prod(top_shape) + math.prod(bottom_shape)
@@ -423,11 +434,12 @@ def decompress_shelves(streams, shapes, pair: LatentModelPair,
 
 def decompress_grid(stream: CompressedStream, pair: LatentModelPair,
                     top_shape, bottom_shape,
-                    tables: tuple[CodingTables, CodingTables] | None = None,
-                    precision: int = DEFAULT_PRECISION) -> CodeGrid:
-    """One stream's grid: the one-stream shelf of `decompress_shelves`."""
-    [(top, bottom)] = decompress_shelves([[stream]], [(top_shape, bottom_shape)], pair,
-                                         tables=tables, precision=precision)
+                    tables: tuple[CodingTables, CodingTables] | None = None) -> CodeGrid:
+    """One stream's grid: the one-stream shelf of `decompress_shelves`,
+    under the pair's tables, or under `from_tables(*tables)` if given."""
+    if tables is not None:
+        pair = LatentModelPair.from_tables(*tables)
+    [(top, bottom)] = decompress_shelves([[stream]], [(top_shape, bottom_shape)], pair)
     return CodeGrid(top=top[0], bottom=bottom[0])
 
 
@@ -484,9 +496,8 @@ class ReplayBuffer:
             raise InvalidInputError("initial_bits must be a nonnegative multiple of 8")
         check_seed(seed)
         pair.check_codec(codec)
-        pair.check_precision(precision)
         self.codec = codec
-        self.pair = LatentModelPair.from_tables(*pair.tables(precision))
+        self.pair = pair.quantized(precision)
         self.exemplars_per_class = exemplars_per_class
         self.initial_bits = initial_bits
         self.seed = seed
@@ -537,12 +548,12 @@ class ReplayBuffer:
         indices = {label: shelf.indices
                    for label, shelf in (*new_shelves.items(), *sorted(self._shelves.items()))}
 
-        self.pair = self.pair.refit(indices.values(), fit_config, self.precision)
+        self.pair = self.pair.refit(indices.values(), fit_config)
         streams = compress_shelves(
             indices.values(), self.pair,
             [[self._stream_seed(label, i) for i in range(len(grids))]
              for label, (grids, _) in indices.items()],
-            precision=self.precision, initial_bits=self.initial_bits)
+            initial_bits=self.initial_bits)
         self._shelves.update(new_shelves)
         for label, shelf_streams in zip(indices, streams):
             self._shelves[label].streams = shelf_streams
@@ -579,7 +590,7 @@ class ReplayBuffer:
         return MemoryReport(
             label="compressed", exemplar_count=count, raw_bytes=raw,
             stream_bytes=streams,
-            model_bytes=len(self.pair.serialize(self.precision)),
+            model_bytes=len(self.pair.serialize()),
             codec_bytes=len(serialize_codec(self.codec)),
         )
 
@@ -590,7 +601,7 @@ class ReplayBuffer:
         with open(os.path.join(directory, CODEC_NAME), "wb") as f:
             f.write(serialize_codec(self.codec))
         with open(os.path.join(directory, MODELS_NAME), "wb") as f:
-            f.write(self.pair.serialize(self.precision))
+            f.write(self.pair.serialize())
         lines = [INDEX_HEADER,
                  f"seed={self.seed} initial_bits={self.initial_bits} "
                  f"exemplars_per_class={self.exemplars_per_class} classes={len(self._shelves)}"]
@@ -676,7 +687,7 @@ class ReplayBuffer:
         # The one decode of every stream; one under other models fails here.
         decoded = decompress_shelves([streams for _, _, streams in entries.values()],
                                      [shapes for _, shapes, _ in entries.values()],
-                                     pair, precision=buffer.precision)
+                                     buffer.pair)
         for (label, (image_shape, _, streams)), indices in zip(entries.items(), decoded):
             buffer._shelves[label] = ClassShelf(label=label, image_shape=image_shape,
                                                 indices=indices, streams=streams)

@@ -309,6 +309,21 @@ class TestCompressDecompress:
                 if "bits/code" in ln][0]
         assert float(line.split()[2]) < 16.0
 
+    def test_widest_block_length_compresses(self, workspace, tmp_path, capsys):
+        # The model record's block length is a u16: 65535 fits, and every
+        # grid is one block.
+        model = str(tmp_path / "m.drrm")
+        argv = ["--codec", workspace["codec"], "--model", model]
+        assert main(["compress", *argv, "--in", workspace["data"], "--out", str(tmp_path / "s"),
+                     "--alphabets", "5,4", "--block-len", "65535",
+                     "--fit-iterations", "1"]) == EXIT_OK
+        with open(model, "rb") as f:
+            pair = LatentModelPair.deserialize(f.read())
+        assert pair.top.block_len == pair.bottom.block_len == 65535
+        assert main(["decompress", *argv, "--in", str(tmp_path / "s"),
+                     "--out", str(tmp_path / "r")]) == EXIT_OK
+        assert sorted(os.listdir(tmp_path / "r")) == sorted(os.listdir(workspace["data"]))
+
     def test_decompress_matches_codec_round_trip(self, workspace, compressed,
                                                  tmp_path, capsys):
         recon_dir = str(tmp_path / "recon")
@@ -447,8 +462,8 @@ class TestCompressDecompress:
         model = str(tmp_path / "m16.drrm")
         with open(compressed["model"], "rb") as f:
             pair = LatentModelPair.deserialize(f.read())
-        with open(model, "wb") as f:
-            f.write(pair.serialize(16))
+        with open(model, "wb") as f:  # its models as floats, quantized at 16
+            f.write(LatentModelPair(pair.top, pair.bottom).quantized(16).serialize())
         assert main(["decompress", "--codec", workspace["codec"], "--model", model,
                      "--in", compressed["out"], "--out", str(tmp_path / "r")]) == EXIT_CORRUPT
         assert "stored at precision 16, not 12" in capsys.readouterr().err
@@ -503,7 +518,7 @@ def wrong_size_model(root):
     """A model pair file over 64 codes, where the workspace codec has 16."""
     path = str(root / "k64.drrm")
     with open(path, "wb") as f:
-        f.write(LatentModelPair.seeded(64, (5, 4), 4, 0).serialize(12))
+        f.write(LatentModelPair.seeded(64, (5, 4), 4, 0).quantized(12).serialize())
     return path
 
 
@@ -738,6 +753,8 @@ def bad_input_cases(workspace, root):
     config.write_text("alphabets = a,b\n")
     negative_fit = root / "fit_iterations.conf"
     negative_fit.write_text(SMALL_RUN_CONFIG + "fit_iterations = -5\n")
+    long_blocks = root / "block_len.conf"  # the model record holds a u16 block length
+    long_blocks.write_text(SMALL_RUN_CONFIG + "block_len = 70000\n")
     # Training settings outside their domain: rejected before training, not
     # run to chance accuracy or an untrained codec.
     settings = {}
@@ -763,6 +780,9 @@ def bad_input_cases(workspace, root):
         ("config alphabets a,b", ["run-phases", "--config", str(config),
                                   "--out", str(root / "r.txt")]),
         ("fit iterations -5", compress + ["--fit-iterations", "-5"]),
+        ("block length 65536", compress + ["--block-len", "65536"]),
+        ("config block_len 70000", ["run-phases", "--config", str(long_blocks),
+                                    "--out", str(root / "r.txt")]),
         ("config fit_iterations -5", ["run-phases", "--config", str(negative_fit),
                                       "--out", str(root / "r.txt")]),
         ("zero-height image, pretrain", ["pretrain-codec", "--data", str(empty),
@@ -894,6 +914,7 @@ class TestBadInput:
         for name, argv in bad_input_cases(workspace, tmp_path):
             assert main(argv) == EXIT_USAGE, name
             assert "error:" in capsys.readouterr().err, name
+        assert not (tmp_path / "m.drrm").exists()
 
     @pytest.mark.parametrize("source", ["../evil.img", "{tmp}/evil.img", "sub/evil.img",
                                         "..", ""])
@@ -921,6 +942,7 @@ class TestBadInput:
                                   capture_output=True, text=True)
             assert proc.returncode in (EXIT_USAGE, EXIT_IO, EXIT_CORRUPT), name
             assert "Traceback" not in proc.stderr, name
+        assert not (tmp_path / "m.drrm").exists()
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "evil.img").exists()
 

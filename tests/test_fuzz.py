@@ -72,7 +72,7 @@ def cuts(data, seed):
     return [data[:n] for n in sorted(lengths)]
 
 
-TOY_PAIR = LatentModelPair.seeded(32, (6, 4), 8, 0)
+TOY_PAIR = LatentModelPair.seeded(32, (6, 4), 8, 0).quantized(12)
 
 
 def toy_codecs():
@@ -102,7 +102,7 @@ def toy_sets():
 # kind -> (the files, their reader)
 KINDS = {
     "codec": (toy_codecs, deserialize_codec),
-    "models": (lambda: [TOY_PAIR.serialize(12)], LatentModelPair.deserialize),
+    "models": (lambda: [TOY_PAIR.serialize()], LatentModelPair.deserialize),
     "stream": (toy_streams, deserialize_stream),
     "set": (toy_sets, read_stream_set),
 }

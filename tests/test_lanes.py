@@ -599,16 +599,16 @@ def pinned_streams(precision, method="bitswap"):
     call, or under "bb" by the scalar plain bits-back reference from the
     same blocks."""
     pair = LatentModelPair(random_model(64, (6, 1, 4), block_len=8, seed=3),
-                           random_model(64, (5, 3), block_len=7, seed=4))
+                           random_model(64, (5, 3), block_len=7, seed=4)).quantized(precision)
     rng = np.random.default_rng(12)
     h = hashlib.sha256()
     for i in range(6):
         shelf = (rng.integers(0, 64, (1, 3, 5)).astype(np.int32),
                  rng.integers(0, 64, (1, 6, 10)).astype(np.int32))
         if method == "bitswap":
-            [[stream]] = compress_shelves([shelf], pair, [[[5, i]]], precision=precision)
+            [[stream]] = compress_shelves([shelf], pair, [[[5, i]]])
         else:
-            stream = scalar_encode_stream(list(zip(pair.blocks([shelf]), pair.tables(precision))),
+            stream = scalar_encode_stream(list(zip(pair.blocks([shelf]), pair.tables())),
                                           DEFAULT_INITIAL_BITS, [5, i], method)
         h.update(serialize_stream(stream))
     return h.hexdigest()
@@ -646,7 +646,7 @@ def test_stream_flips_decode_identically_or_raise():
     # catches every single-bit error, even in the bottom k stack bytes,
     # which the decoder reads last and puts back as the seeded bytes, so
     # decoding alone could not check their values.
-    pair = LatentModelPair.seeded(32, (6, 4), 8, 0)
+    pair = LatentModelPair.seeded(32, (6, 4), 8, 0).quantized(12)
     rng = np.random.default_rng(21)
     shelves = [(rng.integers(0, 32, (1, 2, 2)).astype(np.int32),
                 rng.integers(0, 32, (1, 4, 4)).astype(np.int32)) for _ in range(4)]
@@ -731,7 +731,7 @@ class TestBufferBatches:
 
 def test_grids_of_mixed_geometry():
     pair = LatentModelPair(random_model(20, (4, 3), block_len=5, seed=1),
-                           random_model(20, (4, 3), block_len=6, seed=2))
+                           random_model(20, (4, 3), block_len=6, seed=2)).quantized(12)
     rng = np.random.default_rng(3)
     shapes = [((2, 3), (4, 6)), ((3, 3), (6, 6)), ((2, 3), (4, 6)), ((1, 1), (2, 2))]
     shelves = [(rng.integers(0, 20, (1, *t)).astype(np.int32),
@@ -750,7 +750,7 @@ def test_shelves_split_back_by_count():
     grid's stream is its one-grid call's, and each shelf decodes to exactly
     its own arrays."""
     pair = LatentModelPair(random_model(20, (4, 3), block_len=5, seed=1),
-                           random_model(20, (4, 3), block_len=6, seed=2))
+                           random_model(20, (4, 3), block_len=6, seed=2)).quantized(12)
     rng = np.random.default_rng(4)
     shapes = [((2, 3), (4, 6)), ((3, 3), (6, 6)), ((2, 3), (4, 6))]
     shelves = [(rng.integers(0, 20, (n, *t)).astype(np.int32),

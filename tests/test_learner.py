@@ -452,6 +452,10 @@ class TestIbPairs:
             for label in new_labels:
                 mine = paired == label
                 assert mine.sum() == 4
+                # The views are the buffer's exemplars rounded to stored pixels,
+                # as the raw store keeps them for ib-drr.
+                rounded = np.round(np.clip(encoded[label][0], 0.0, 1.0) * 255).astype(np.uint8)
+                assert np.array_equal(data.raw[mine], rounded / 255.0)
                 recon = decode_indices(*encode_indices(data.raw[mine], codec), codec)
                 assert np.array_equal(recon, data.recon[data.pair_rows[mine]])
 

@@ -166,28 +166,28 @@ class TestPair:
 
     def test_serialization_round_trip(self):
         pair = make_pair(seed=3, version=4)
-        back = LatentModelPair.deserialize(pair.serialize(12))
+        back = LatentModelPair.deserialize(pair.quantized(12).serialize())
         assert back.version == 4 and back.precision == 12 and pair.precision is None
-        assert np.array_equal(back.top.p_obs, pair.tables(12)[0].dyadic.p_obs)
-        assert np.array_equal(back.bottom.q_obs, pair.tables(12)[1].dyadic.q_obs)
+        assert np.array_equal(back.top.p_obs, pair.quantized(12).tables()[0].dyadic.p_obs)
+        assert np.array_equal(back.bottom.q_obs, pair.quantized(12).tables()[1].dyadic.q_obs)
 
     @pytest.mark.parametrize("precision", [6, 12, 16])
     def test_loaded_pair_is_the_held_pair_at_its_precision(self, precision):
         # The loaded pair holds the stored tables: the held pair's, array
         # for array and in the same memory layout, with no table built.
-        pair = make_pair(seed=3, version=4)
-        back = LatentModelPair.deserialize(pair.serialize(precision))
-        assert list(back._tables) == [precision]
-        for held, loaded in zip(pair.tables(precision), back.tables(precision)):
+        pair = make_pair(seed=3, version=4).quantized(precision)
+        back = LatentModelPair.deserialize(pair.serialize())
+        assert back.precision == precision
+        for held, loaded in zip(pair.tables(), back.tables()):
             assert_same_tables(held, loaded)
-        assert (back.top, back.bottom) == (back.tables(precision)[0].dyadic,
-                                           back.tables(precision)[1].dyadic)
-        assert back.serialize(precision) == pair.serialize(precision)
+        assert (back.top, back.bottom) == (back.tables()[0].dyadic, back.tables()[1].dyadic)
+        assert back.serialize() == pair.serialize()
 
     def test_from_tables_levels_share_a_precision(self):
         pair = make_pair()
         with pytest.raises(InvalidInputError, match="share a precision"):
-            LatentModelPair.from_tables(pair.tables(10)[0], pair.tables(12)[1])
+            LatentModelPair.from_tables(pair.quantized(10).tables()[0],
+                                        pair.quantized(12).tables()[1])
 
     def test_stored_levels_of_different_versions_rejected(self):
         # The constructor's InvalidInputError is for in-memory misuse; a
@@ -195,7 +195,7 @@ class TestPair:
         def flip(body):
             body[2] ^= 1  # bit 0 of the top level's version, after the count and precision
 
-        data = resealed(make_pair(seed=3, version=0).serialize(12), flip)
+        data = resealed(make_pair(seed=3, version=0).quantized(12).serialize(), flip)
         with pytest.raises(DataCorruptionError, match="versions 1 and 0"):
             LatentModelPair.deserialize(data)
 
@@ -210,21 +210,44 @@ class TestPair:
         with pytest.raises(dataclasses.FrozenInstanceError):
             pair.top = pair.bottom
 
-    def test_tables_built_once_per_precision(self):
-        pair = make_pair()
+    def test_tables_built_once_a_float_pair_has_none(self):
+        floats = make_pair()
+        with pytest.raises(StateError, match="quantize it first"):
+            floats.tables()
+        pair = floats.quantized(12)
         tables = pair.tables()
-        assert pair.tables() is tables
-        assert pair.tables(10) is not tables
-        assert pair.tables(10)[0].precision == 10
-        assert pair.copy().tables() is not tables
+        assert pair.tables() is tables and pair.quantized(12).tables() is tables
+        assert floats.quantized(10).tables()[0].precision == 10
         with pytest.raises(ValueError):  # shared, so nobody may write to them
             tables[0].p_obs.freqs[0] += 1
         with pytest.raises(ValueError):
             tables[1].dyadic.q_obs[0, 0] = 0.5
 
+    def test_a_pair_codes_only_at_its_own_precision(self):
+        # quantized(p) of a pair that codes at p is that pair, so a load
+        # builds no tables; any other precision is refused, not requantized.
+        loaded = LatentModelPair.deserialize(make_pair(seed=3).quantized(12).serialize())
+        assert loaded.quantized(12) is loaded
+        with pytest.raises(InvalidInputError, match="stored at precision 12, not 16"):
+            loaded.quantized(16)
+        with pytest.raises(InvalidInputError, match="precision 17 outside"):
+            make_pair().quantized(17)
+
+    def test_a_float_pair_codes_nothing(self, frozen_codec):
+        floats = make_pair()
+        shelf = encode_indices(toy_images(1, seed=9), frozen_codec)
+        [[stream]] = compress_shelves([shelf], floats.quantized(12), [[3]])
+        shapes = [(shelf[0].shape[1:], shelf[1].shape[1:])]
+        for call in (floats.tables, floats.serialize,
+                     lambda: floats.refit([shelf], FitConfig(1)),
+                     lambda: compress_shelves([shelf], floats, [[3]]),
+                     lambda: decompress_shelves([[stream]], shapes, floats)):
+            with pytest.raises(StateError, match="quantize it first"):
+                call()
+
     def test_equal_versions_never_share_tables(self):
-        a = make_pair(seed=0, version=3)
-        b = make_pair(seed=5, version=3)
+        a = make_pair(seed=0, version=3).quantized(12)
+        b = make_pair(seed=5, version=3).quantized(12)
         ta, tb = a.tables(), b.tables()
         assert ta[0].model_version == tb[0].model_version
         assert not np.array_equal(ta[0].dyadic.p_obs, tb[0].dyadic.p_obs)
@@ -243,10 +266,10 @@ class TestPairHelpers:
                 random_model(32, (6, 4), block_len=8, seed=2 * seed + 1),
                 random_model(32, (6, 4), block_len=8, seed=2 * seed + 2))
             assert pair.version == 0
-            for got, want in zip(pair.tables(), explicit.tables()):
+            for got, want in zip(pair.quantized(12).tables(), explicit.quantized(12).tables()):
                 for a, b in zip(got.dyadic.tables(), want.dyadic.tables()):
                     assert a[0] == b[0] and np.array_equal(a[1], b[1])
-            assert pair.serialize(12) == explicit.serialize(12)
+            assert pair.quantized(12).serialize() == explicit.quantized(12).serialize()
 
     def test_blocks_concatenate_grid_blocks(self, frozen_codec):
         pair = LatentModelPair.seeded(32, (6, 4), 3, 1)  # 3 leaves short last blocks
@@ -272,7 +295,7 @@ def one_grid_shelf(grid):
 
 class TestGridCoding:
     def test_grid_round_trip(self, frozen_codec):
-        pair = make_pair()
+        pair = make_pair().quantized(12)
         grid = encode_image(toy_images(1, seed=9)[0], frozen_codec)
         [[stream]] = compress_shelves([one_grid_shelf(grid)], pair, [[3]])
         back = decompress_grid(stream, pair, grid.top.shape, grid.bottom.shape)
@@ -287,7 +310,7 @@ class TestGridCoding:
         assert np.array_equal(np.concatenate(top), grid.top.ravel())
 
     def test_stream_seed_changes_payload_not_content(self, frozen_codec):
-        pair = make_pair()
+        pair = make_pair().quantized(12)
         grid = encode_image(toy_images(1, seed=9)[0], frozen_codec)
         [[a]] = compress_shelves([one_grid_shelf(grid)], pair, [[1]])
         [[b]] = compress_shelves([one_grid_shelf(grid)], pair, [[2]])
@@ -347,9 +370,10 @@ class TestReplayBuffer:
         pair = make_pair()
         buffer = ReplayBuffer(frozen_codec, pair, precision=10)
         assert buffer.precision == buffer.pair.precision == 10
-        assert all(held is built for held, built in zip(buffer.pair.tables(10), pair.tables(10)))
-        loaded = LatentModelPair.deserialize(buffer.pair.serialize(10))
-        for stored, held in zip(loaded.tables(10), buffer.pair.tables(10)):
+        for held, built in zip(buffer.pair.tables(), pair.quantized(10).tables()):
+            assert_same_tables(held, built)
+        loaded = LatentModelPair.deserialize(buffer.pair.serialize())
+        for stored, held in zip(loaded.tables(), buffer.pair.tables()):
             assert_same_tables(stored, held)
 
     @pytest.mark.parametrize("precision", [2, 4])
@@ -406,7 +430,7 @@ class TestReplayBuffer:
         buffer, _ = filled_buffer(frozen_codec, n_classes=1)
         buffer.save(str(tmp_path))
         buffer.ingest_phase({1: toy_images(12, seed=31)}, FitConfig(iterations=4))
-        (tmp_path / "models.drrm").write_bytes(buffer.pair.serialize(buffer.precision))
+        (tmp_path / "models.drrm").write_bytes(buffer.pair.serialize())
         with pytest.raises(DataCorruptionError, match="model version 1, got tables for version 2"):
             ReplayBuffer.load(str(tmp_path))
 
@@ -841,7 +865,7 @@ class TestPersistence:
         buffer, _ = filled_buffer(frozen_codec, n_classes=1)
         buffer.save(str(tmp_path))
         stale = make_pair(seed=21, version=99)
-        (tmp_path / "models.drrm").write_bytes(stale.serialize(12))
+        (tmp_path / "models.drrm").write_bytes(stale.quantized(12).serialize())
         with pytest.raises(DataCorruptionError):
             ReplayBuffer.load(str(tmp_path))
 
@@ -870,7 +894,7 @@ class TestArrayReadPath:
         at a time, then `decode_indices` of the stacked grids."""
         shelf = buffer._shelves[label]
         shapes = code_shapes(shelf.image_shape, buffer.codec)
-        grids = [decompress_grid(stream, buffer.pair, *shapes, precision=buffer.precision)
+        grids = [decompress_grid(stream, buffer.pair, *shapes)
                  for stream in shelf.streams]
         return decode_indices(np.stack([g.top for g in grids]),
                               np.stack([g.bottom for g in grids]), buffer.codec)
