@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .container import read_uvarint, seal, unseal, uvarint
+from .container import pack_array, read_uvarint, seal, unpack_array, unseal, uvarint
 from .errors import (
     DataCorruptionError,
     ExhaustedStreamError,
@@ -64,11 +64,11 @@ from .rans import (  # noqa: F401
 )
 
 MODEL_MAGIC = b"DRRM"
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 STREAM_MAGIC = b"DRRS"
 STREAM_FORMAT_VERSION = 4
 
-_MODEL_RECORD = struct.Struct("<IHIH")  # model version, levels, obs alphabet, block length
+MODEL_RECORD = struct.Struct("<IHIH")  # model version, levels, obs alphabet, block length
 _MODEL_FIELDS = (("model version", 32), ("levels", 16), ("observation alphabet", 32),
                  ("block length", 16))  # each record field's name and width in bits
 STORED_FREQ = np.dtype("<u2")  # a model file's frequency, freq - 1: at most 2**16 - 1
@@ -816,10 +816,12 @@ def serialize_models(tables) -> bytes:
     each given as its `CodingTables`, all at one precision.
 
     Layout: the container, the record count (u8), the precision (u8), then
-    per model its record header, its level alphabets (u32 each) and its
-    tables in `table_shapes` order, row-major, each frequency stored as
-    freq - 1 (`<u2`).  InvalidInputError naming the first field whose
-    value does not fit its width.
+    per model its record header and its level alphabets (u32 each), then
+    one `pack_array` of every model's tables in turn, each in
+    `table_shapes` order, row-major, each frequency stored as freq - 1
+    (`<u2`).  The records come first, so a reader knows the size of the
+    tables before it inflates them.  InvalidInputError naming the first
+    field whose value does not fit its width.
     """
     tables = list(tables)
     if not 1 <= len(tables) <= 255:
@@ -827,7 +829,7 @@ def serialize_models(tables) -> bytes:
     precisions = {t.precision for t in tables}
     if len(precisions) != 1:
         raise InvalidInputError(f"models of one file share a precision, got {sorted(precisions)}")
-    out = [bytes([len(tables), precisions.pop()])]
+    out, freqs = [bytes([len(tables), precisions.pop()])], []
     for t in tables:
         model = t.dyadic
         record = (model.version, model.levels, model.obs_alphabet, model.block_len)
@@ -835,53 +837,61 @@ def serialize_models(tables) -> bytes:
             if not 0 <= value < 1 << bits:
                 raise InvalidInputError(f"{what} must be in [0, 2**{bits}) to fit "
                                         f"the model record, got {value}")
-        out.append(_MODEL_RECORD.pack(*record))
+        out.append(MODEL_RECORD.pack(*record))
         out.append(np.asarray(model.alphabets, dtype="<u4").tobytes())
         for _, table in _flatten({name: getattr(t, name) for name in _TABLE_FIELDS}):
-            out.append((table.freqs - np.uint64(1)).astype(STORED_FREQ).tobytes())
+            freqs.append((table.freqs - np.uint64(1)).astype(STORED_FREQ).ravel())
+    out.append(pack_array(np.concatenate(freqs)))
     return seal(MODEL_MAGIC, MODEL_FORMAT_VERSION, b"".join(out))
 
 
 def deserialize_models(data: bytes) -> list[CodingTables]:
     """The coding tables of every model of a model file, at its precision.
 
-    DataCorruptionError on a bad container or record, a precision
-    `check_precision` rejects for a model's alphabets, or a row of
-    frequencies that does not sum to 2**precision.  The frequencies are
-    the tables: nothing is quantized or validated as floats here.
+    DataCorruptionError on a bad container, record or packed tables, a
+    precision `check_precision` rejects for a model's alphabets, or a row
+    of frequencies that does not sum to 2**precision.  Every record is
+    checked before the tables are inflated.  The frequencies are the
+    tables: nothing is quantized or validated as floats here.
     """
     body = unseal(data, MODEL_MAGIC, MODEL_FORMAT_VERSION, "model snapshot")
     offset = 2
-    models = []
+    records = []  # (version, obs alphabet, alphabets, block length) per model
     try:
         count, precision = body[0], body[1]
         if not count:
             raise DataCorruptionError("model snapshot holds no models")
         for _ in range(count):
-            version, levels, k, block_len = _MODEL_RECORD.unpack_from(body, offset)
-            offset += _MODEL_RECORD.size
+            version, levels, k, block_len = MODEL_RECORD.unpack_from(body, offset)
+            offset += MODEL_RECORD.size
             alphabets = np.frombuffer(body, dtype="<u4", count=levels, offset=offset).tolist()
             offset += 4 * levels
             if min(levels, k, block_len, *alphabets) < 1:
                 raise DataCorruptionError(
                     "model snapshot: levels, alphabets and block length must be positive")
             check_precision(precision, max(k, *alphabets), DataCorruptionError)
-            freqs = []
-            for name, shape in _flatten(table_shapes(k, alphabets)):
-                rows, alphabet = (1, *shape) if len(shape) == 1 else shape
-                stored = np.frombuffer(body, dtype=STORED_FREQ, count=rows * alphabet,
-                                       offset=offset)
-                offset += stored.nbytes
-                f = stored.reshape(rows, alphabet).astype(np.int64) + 1
-                bad = np.flatnonzero(f.sum(axis=1) != 1 << precision)
-                if bad.size:
-                    raise DataCorruptionError(
-                        f"model snapshot: {name} row {bad[0]} sums to "
-                        f"{f[bad[0]].sum()}, not 2**{precision}")
-                freqs.append(f)
-            models.append(_coding_tables(k, alphabets, block_len, version, freqs, precision))
+            records.append((version, k, alphabets, block_len))
     except (struct.error, ValueError, IndexError) as exc:
         raise DataCorruptionError("model snapshot truncated or inconsistent") from exc
-    if offset != len(body):
-        raise DataCorruptionError("model snapshot has trailing bytes")
+    # (name, rows, alphabet) of every table of every model, in file order
+    layouts = [[(name, *((1, *shape) if len(shape) == 1 else shape))
+                for name, shape in _flatten(table_shapes(k, alphabets))]
+               for _, k, alphabets, _ in records]
+    stored = unpack_array(body[offset:], STORED_FREQ,
+                          sum(rows * alphabet for layout in layouts
+                              for _, rows, alphabet in layout), "model snapshot tables")
+    models, offset = [], 0
+    for (version, k, alphabets, block_len), layout in zip(records, layouts):
+        freqs = []
+        for name, rows, alphabet in layout:
+            f = stored[offset:offset + rows * alphabet].reshape(rows, alphabet).astype(np.int64)
+            f += 1
+            offset += rows * alphabet
+            bad = np.flatnonzero(f.sum(axis=1) != 1 << precision)
+            if bad.size:
+                raise DataCorruptionError(
+                    f"model snapshot: {name} row {bad[0]} sums to "
+                    f"{f[bad[0]].sum()}, not 2**{precision}")
+            freqs.append(f)
+        models.append(_coding_tables(k, alphabets, block_len, version, freqs, precision))
     return models

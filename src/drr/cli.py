@@ -22,6 +22,7 @@ import numpy as np
 from .bits_back import (
     DEFAULT_INITIAL_BITS,
     MODEL_MAGIC,
+    MODEL_RECORD,
     STORED_FREQ,
     STREAM_MAGIC,
     FitConfig,
@@ -29,7 +30,7 @@ from .bits_back import (
     deserialize_stream,
     serialize_stream,
 )
-from .container import kind, read_uvarint, seal, unseal, uvarint
+from .container import HEADER_SIZE, kind, read_uvarint, seal, unseal, uvarint
 from .errors import (
     DataCorruptionError,
     DegenerateInputError,
@@ -55,10 +56,13 @@ from .replay_store import (
     from_pixel_bytes,
     parse_positive_ints,
     parse_record,
+    read_file,
     read_lines,
     to_pixel_bytes,
+    write_file,
 )
 from .vq_codec import (
+    CODEC_GEOMETRY,
     CODEC_MAGIC,
     CodecConfig,
     code_shapes,
@@ -95,13 +99,11 @@ def write_image(path: str, image: np.ndarray) -> None:
     image = np.asarray(image)
     if image.ndim != 3:
         raise InvalidInputError("images are written as (height, width, channels)")
-    with open(path, "wb") as f:
-        f.write(IMAGE_HEAD.pack(*image.shape) + to_pixel_bytes(image).tobytes())
+    write_file(path, IMAGE_HEAD.pack(*image.shape) + to_pixel_bytes(image).tobytes())
 
 
 def read_image(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
+    data = read_file(path)
     if len(data) < IMAGE_HEAD.size:
         raise DataCorruptionError(f"{path}: truncated image header")
     h, w, c = IMAGE_HEAD.unpack_from(data)
@@ -129,8 +131,7 @@ def cmd_pretrain_codec(args) -> int:
                          codebook_size=args.codebook_size, embed_dim=args.embed_dim,
                          beta=args.beta, lr=args.lr, epochs=args.epochs, seed=args.seed)
     params = freeze(train_codec(images, config))
-    with open(args.out, "wb") as f:
-        f.write(serialize_codec(params))
+    write_file(args.out, serialize_codec(params))
     top, bottom = encode_indices(images, params)
     mse = mean_reconstruction_error(images, (top, bottom), params)
     print(f"trained codec on {len(images)} images; reconstruction mse {mse:.6f}")
@@ -148,13 +149,11 @@ def cmd_pretrain_codec(args) -> int:
 # -- compress / decompress ----------------------------------------------------------
 
 def _load_codec(path: str):
-    with open(path, "rb") as f:
-        return deserialize_codec(f.read())
+    return deserialize_codec(read_file(path))
 
 
 def _load_pair(path: str) -> LatentModelPair:
-    with open(path, "rb") as f:
-        return LatentModelPair.deserialize(f.read())
+    return LatentModelPair.deserialize(read_file(path))
 
 
 def cmd_compress(args) -> int:
@@ -192,12 +191,9 @@ def cmd_compress(args) -> int:
                  uvarint(len(blob), 32, "stream length"), blob]
     data = seal(STREAM_SET_MAGIC, STREAM_SET_FORMAT_VERSION, b"".join(body))
     if fresh:
-        model = pair.serialize()
-        with open(args.model, "wb") as f:
-            f.write(model)
+        write_file(args.model, pair.serialize())
         print(f"wrote model pair to {args.model}")
-    with open(args.out, "wb") as f:
-        f.write(data)
+    write_file(args.out, data)
     net = sum(stream.net_bits for [stream] in streams)
     symbols = sum(stream.symbol_count for [stream] in streams)
     raw = sum(img.size for img in images)
@@ -242,8 +238,7 @@ def cmd_decompress(args) -> int:
     codec = _load_codec(args.codec)
     pair = _load_pair(args.model)
     pair.check_codec(codec, DataCorruptionError)
-    with open(args.in_file, "rb") as f:
-        precision, seeded, entries = read_stream_set(f.read())
+    precision, seeded, entries = read_stream_set(read_file(args.in_file))
     pair.check_precision(precision, DataCorruptionError)
     shapes = []
     for name, (bottom, stream) in entries.items():
@@ -362,8 +357,7 @@ def cmd_run_phases(args) -> int:
         channels=values["channels"], seed=values["data_seed"], salt=1)
     result = run_experiment(train_images, train_labels, test_images, test_labels, config)
     lines = results_lines(values, result)
-    with open(args.out, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    write_file(args.out, ("\n".join(lines) + "\n").encode())
     for line in lines[2:]:
         print(line)
     print(f"wrote {args.out}")
@@ -440,22 +434,26 @@ def cmd_report(args) -> int:
 # -- inspect ---------------------------------------------------------------------
 
 def cmd_inspect(args) -> int:
-    with open(args.file, "rb") as f:
-        data = f.read()
+    data = read_file(args.file)
     magic = kind(data)
+    # The packed array is what follows the container and the records.
     if magic == CODEC_MAGIC:
         codec = deserialize_codec(data)
         k, d = codec.codebook_bottom.shape
         dtype = stored_weight_dtype(codec.frozen)
         weights = sum(getattr(codec, name).size for name in codec.weight_fields())
+        packed = len(data) - HEADER_SIZE - CODEC_GEOMETRY.size
         print(f"codec: patch {codec.patch}, pool {codec.pool}, channels {codec.channels}, "
               f"codebook {k} x {d}, frozen {codec.frozen}, "
-              f"weights {dtype.str[1:]} ({weights * dtype.itemsize} bytes)")
+              f"weights {dtype.str[1:]} ({weights * dtype.itemsize} bytes, {packed} packed)")
     elif magic == MODEL_MAGIC:
         models = deserialize_models(data)
         entries = sum(table.size for t in models for _, table in t.dyadic.tables())
+        packed = len(data) - HEADER_SIZE - 2 - sum(
+            MODEL_RECORD.size + 4 * t.dyadic.levels for t in models)
         print(f"model snapshot: {len(models)} records, precision {models[0].precision}, "
-              f"tables {STORED_FREQ.str[1:]} ({entries * STORED_FREQ.itemsize} bytes)")
+              f"tables {STORED_FREQ.str[1:]} ({entries * STORED_FREQ.itemsize} bytes, "
+              f"{packed} packed)")
         for i, m in enumerate(t.dyadic for t in models):
             print(f"  [{i}] version {m.version}, levels {m.levels}, "
                   f"alphabet {m.obs_alphabet}, chain {m.alphabets}, block {m.block_len}")

@@ -14,17 +14,33 @@ bits per byte, least significant group first, the top bit set on every
 byte but the last.  `uvarint` writes one and `read_uvarint` reads it back;
 each value has exactly one encoding, the shortest, and each field has a
 bit width (a u32 field, say) that its value must fit.
+
+A body's numeric array may be packed: `pack_array` writes the values'
+little-endian bytes as byte planes, byte 0 of every value, then byte 1,
+and so on, and deflates the planes into one raw DEFLATE stream (RFC 1951:
+no zlib header, no checksum of its own; the container's CRC32 is the
+file's one checksum).  Planes put the bytes that repeat, such as a float's
+sign and exponent or the high byte of a small integer, next to each other,
+as PNG's filter-then-deflate does.  `unpack_array` is the one reader: the
+caller knows the value count from the fields before it, so it inflates at
+most one byte more than those values take.
 """
 
 from __future__ import annotations
 
 import operator
 import struct
+import sys
 import zlib
+
+import numpy as np
 
 from .errors import DataCorruptionError, InvalidInputError
 
 _HEAD = struct.Struct("<4sHI")  # magic, format version, CRC32 of the body
+HEADER_SIZE = _HEAD.size
+PACK_LEVEL = 6  # zlib's compression level for packed arrays
+_RAW_DEFLATE = -15  # zlib wbits of a raw DEFLATE stream with a 32 KB window
 
 
 def seal(magic: bytes, version: int, body: bytes) -> bytes:
@@ -92,3 +108,47 @@ def read_uvarint(data, offset: int, bits: int, what: str) -> tuple[int, int]:
     if value >> bits:
         raise DataCorruptionError(f"{what} {value} does not fit its {bits}-bit field")
     return value, end
+
+
+def pack_array(values: np.ndarray) -> bytes:
+    """The packed form of an array's values in row-major order: their
+    little-endian bytes as byte planes, deflated at PACK_LEVEL.  The dtype
+    must be little-endian or one byte wide."""
+    values = np.ascontiguousarray(values).reshape(-1)
+    planes = values.view(np.uint8).reshape(values.size, values.dtype.itemsize).T
+    deflate = zlib.compressobj(PACK_LEVEL, zlib.DEFLATED, _RAW_DEFLATE)
+    return deflate.compress(planes.tobytes()) + deflate.flush()
+
+
+def unpack_array(data, dtype, count: int, what: str) -> np.ndarray:
+    """The `count` values of dtype `dtype` that `pack_array` packed into
+    `data`, as a fresh 1-d array; `what` names the array in errors.
+
+    Inflates at most itemsize * count + 1 bytes, so a stream that claims
+    more than its header implies costs no more than one that is right.
+    DataCorruptionError unless the stream is valid DEFLATE, inflates to
+    exactly itemsize * count bytes, ends, and nothing follows its end."""
+    dtype = np.dtype(dtype)
+    size = dtype.itemsize * count
+    if size >= sys.maxsize:
+        raise DataCorruptionError(f"{what} claim {size} bytes, more than any buffer holds")
+    inflate = zlib.decompressobj(_RAW_DEFLATE)
+    try:
+        raw = inflate.decompress(data, size + 1)
+    except zlib.error as exc:
+        raise DataCorruptionError(f"{what}: corrupt deflate stream ({exc})") from exc
+    if len(raw) > size:
+        raise DataCorruptionError(f"{what} inflate past the {size} bytes their header implies")
+    if not inflate.eof:
+        raise DataCorruptionError(f"{what}: deflate stream cut short")
+    if inflate.unused_data:
+        raise DataCorruptionError(f"{what}: trailing bytes after the deflate stream")
+    if len(raw) != size:
+        raise DataCorruptionError(f"{what} inflate to {len(raw)} bytes, not the {size} "
+                                  f"their header implies")
+    out = np.empty(count, dtype)
+    columns = out.view(np.uint8).reshape(count, dtype.itemsize)
+    # One plane at a time: a third of the time of one transposing copy.
+    for column, plane in enumerate(np.frombuffer(raw, np.uint8).reshape(dtype.itemsize, count)):
+        columns[:, column] = plane
+    return out

@@ -150,11 +150,38 @@ def parse_positive_ints(text: str, error=DataCorruptionError,
     return values
 
 
+def read_file(path: str) -> bytes:
+    """The bytes of a file, read through one descriptor to its end: no
+    file object, so a read path opening hundreds of small files pays one
+    open, one fstat and two reads per file.  OSError passes through."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        want = os.fstat(fd).st_size + 1  # one read gets it all, the next finds the end
+        chunks = []
+        while chunk := os.read(fd, want):
+            chunks.append(chunk)
+        return b"".join(chunks)
+    finally:
+        os.close(fd)
+
+
+def write_file(path: str, data: bytes) -> None:
+    """Create or truncate the file at `path` and write `data` through one
+    descriptor, with mode 0o666 less the umask for a new file, as `open`
+    gives it.  OSError passes through."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
 def read_lines(path: str, error=DataCorruptionError) -> list[str]:
     """The lines of a text file.  The file is read as bytes and decoded
     here, so one that is not UTF-8 raises `error`; OSError passes through."""
-    with open(path, "rb") as f:
-        data = f.read()
+    data = read_file(path)
     try:
         return data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -241,12 +268,14 @@ class LatentModelPair:
     A pair made by `from_tables`, as `quantized`, `deserialize`, `refit`
     and a buffer make one, holds the dyadic models of its one table pair
     and codes at their `precision`.  A pair of float models has precision
-    None and codes nothing until it is `quantized`.
+    None and codes nothing until it is `quantized`.  A pair that codes
+    keeps its model file once it has been serialized or read.
     """
 
     top: LatentChainModel
     bottom: LatentChainModel
     _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _file: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.top.version != self.bottom.version:
@@ -338,13 +367,16 @@ class LatentModelPair:
         return self._tables
 
     def serialize(self) -> bytes:
-        """The model file of the pair's coding tables."""
-        return serialize_models(self.tables())
+        """The model file of the pair's coding tables, built on the first
+        call and kept for the later ones."""
+        if self._file is None:
+            object.__setattr__(self, "_file", serialize_models(self.tables()))
+        return self._file
 
     @staticmethod
     def deserialize(data: bytes) -> "LatentModelPair":
         """The pair of a model file: its dyadic models, holding the stored
-        tables at the stored precision."""
+        tables at the stored precision, and `data` as its file."""
         tables = deserialize_models(data)
         if len(tables) != 2:
             raise DataCorruptionError(f"expected 2 model records, found {len(tables)}")
@@ -352,7 +384,9 @@ class LatentModelPair:
         if top.model_version != bottom.model_version:
             raise DataCorruptionError(f"pair levels have versions {top.model_version} "
                                       f"and {bottom.model_version}; they must share one")
-        return LatentModelPair.from_tables(top, bottom)
+        pair = LatentModelPair.from_tables(top, bottom)
+        object.__setattr__(pair, "_file", bytes(data))
+        return pair
 
 
 def _block_lens(n_symbols: int, block_len: int) -> list[int]:
@@ -582,6 +616,8 @@ class ReplayBuffer:
                 for label in self.class_labels}
 
     def account(self) -> MemoryReport:
+        """Stored bytes: every stream, and the codec and model files the
+        codec and the pair keep, so no call deflates either again."""
         count = self.exemplar_count
         raw = sum(raw_store_bytes(len(s.streams), s.image_shape)
                   for s in self._shelves.values())
@@ -598,10 +634,8 @@ class ReplayBuffer:
 
     def save(self, directory: str) -> None:
         os.makedirs(os.path.join(directory, STREAM_DIR), exist_ok=True)
-        with open(os.path.join(directory, CODEC_NAME), "wb") as f:
-            f.write(serialize_codec(self.codec))
-        with open(os.path.join(directory, MODELS_NAME), "wb") as f:
-            f.write(self.pair.serialize())
+        write_file(os.path.join(directory, CODEC_NAME), serialize_codec(self.codec))
+        write_file(os.path.join(directory, MODELS_NAME), self.pair.serialize())
         lines = [INDEX_HEADER,
                  f"seed={self.seed} initial_bits={self.initial_bits} "
                  f"exemplars_per_class={self.exemplars_per_class} classes={len(self._shelves)}"]
@@ -614,20 +648,16 @@ class ReplayBuffer:
             for i, stream in enumerate(shelf.streams):
                 line, name = _stream_entry(label, i)
                 lines.append(line)
-                with open(os.path.join(directory, name), "wb") as f:
-                    f.write(serialize_stream(stream))
-        with open(os.path.join(directory, INDEX_NAME), "w") as f:
-            f.write("\n".join(lines) + "\n")
+                write_file(os.path.join(directory, name), serialize_stream(stream))
+        write_file(os.path.join(directory, INDEX_NAME), ("\n".join(lines) + "\n").encode())
 
     @staticmethod
     def load(directory: str) -> "ReplayBuffer":
         try:
             lines = [ln.strip() for ln in read_lines(os.path.join(directory, INDEX_NAME))
                      if ln.strip()]
-            with open(os.path.join(directory, CODEC_NAME), "rb") as f:
-                codec = deserialize_codec(f.read())
-            with open(os.path.join(directory, MODELS_NAME), "rb") as f:
-                pair = LatentModelPair.deserialize(f.read())
+            codec = deserialize_codec(read_file(os.path.join(directory, CODEC_NAME)))
+            pair = LatentModelPair.deserialize(read_file(os.path.join(directory, MODELS_NAME)))
         except OSError as exc:
             raise DataCorruptionError(f"unreadable buffer directory: {exc}") from exc
         if not lines or lines[0] != INDEX_HEADER:
@@ -674,8 +704,7 @@ class ReplayBuffer:
                         raise DataCorruptionError(
                             f"stream file entry {lines[i]!r} should read {line!r}")
                     i += 1
-                    with open(os.path.join(directory, name), "rb") as f:
-                        stream = deserialize_stream(f.read())
+                    stream = deserialize_stream(read_file(os.path.join(directory, name)))
                     stream.initial_bits = buffer.initial_bits
                     streams.append(stream)
                 entries[label] = image_shape, shapes, streams

@@ -20,12 +20,13 @@ toward their codebook rows (and nothing else).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .container import seal, unseal
+from .container import pack_array, seal, unpack_array, unseal
 from .errors import (
     DataCorruptionError,
     DegenerateInputError,
@@ -35,10 +36,10 @@ from .errors import (
 )
 
 CODEC_MAGIC = b"DRRC"
-CODEC_FORMAT_VERSION = 3
+CODEC_FORMAT_VERSION = 4
 # Codec geometry: patch, pool, channels, codebook size, embed dim, frozen
-# flag, beta; the weights follow, float32 if the codec is frozen.
-_CODEC_GEOMETRY = struct.Struct("<IIIIIBd")
+# flag, beta; the packed weights follow, float32 if the codec is frozen.
+CODEC_GEOMETRY = struct.Struct("<IIIIIBd")
 _GRID_HEAD = struct.Struct("<IIII")  # top grid shape, bottom grid shape
 
 DEFAULT_CODEBOOK_SIZE = 512
@@ -576,47 +577,59 @@ def stored_weight_dtype(frozen: bool) -> np.dtype:
 
 
 def serialize_codec(params: CodecParams) -> bytes:
-    """Codec file: the container, then the geometry, the weights and the
-    codebooks last, in `stored_weight_dtype`.  InvalidInputError for a
-    frozen codec whose weights are not float32 values."""
+    """Codec file: the container, then the geometry, then every weight in
+    `weight_shapes` order, codebooks last, in `stored_weight_dtype`, as
+    one `pack_array`.  InvalidInputError for a frozen codec whose weights
+    are not float32 values.
+
+    A frozen codec is a value, so its file is built once: the codec keeps
+    the bytes it was serialized to or read from, as an attribute outside
+    its dataclass fields, and returns them on every later call."""
+    kept = vars(params).get("_file")
+    if kept is not None:
+        return kept
     dtype = stored_weight_dtype(params.frozen)
-    head = _CODEC_GEOMETRY.pack(params.patch, params.pool, params.channels,
-                                params.codebook_size, params.embed_dim,
-                                1 if params.frozen else 0, params.beta)
-    body = [head]
+    head = CODEC_GEOMETRY.pack(params.patch, params.pool, params.channels,
+                               params.codebook_size, params.embed_dim,
+                               1 if params.frozen else 0, params.beta)
+    weights = []
     for name in params.weight_fields():
-        weights = np.asarray(getattr(params, name), dtype=np.float64)
+        values = np.asarray(getattr(params, name), dtype=np.float64).ravel()
         with np.errstate(over="ignore"):
-            stored = weights.astype(dtype)
-        if not np.array_equal(stored, weights, equal_nan=True):
+            stored = values.astype(dtype)
+        if not np.array_equal(stored, values, equal_nan=True):
             raise InvalidInputError(f"frozen codec weight {name} holds values that are not "
                                     f"float32; freeze rounds them")
-        body.append(stored.tobytes())
-    return seal(CODEC_MAGIC, CODEC_FORMAT_VERSION, b"".join(body))
+        weights.append(stored)
+    data = seal(CODEC_MAGIC, CODEC_FORMAT_VERSION, head + pack_array(np.concatenate(weights)))
+    if params.frozen:
+        params._file = data
+    return data
 
 
 def deserialize_codec(data: bytes) -> CodecParams:
-    data = unseal(data, CODEC_MAGIC, CODEC_FORMAT_VERSION, "codec")
-    if len(data) < _CODEC_GEOMETRY.size:
+    """The codec of a codec file; a frozen one keeps `data` as its file.
+    DataCorruptionError on a bad container, geometry or packed weights."""
+    body = unseal(data, CODEC_MAGIC, CODEC_FORMAT_VERSION, "codec")
+    if len(body) < CODEC_GEOMETRY.size:
         raise DataCorruptionError("codec file too short for its geometry")
-    patch, pool, channels, k, d, frozen, beta = _CODEC_GEOMETRY.unpack_from(data)
+    patch, pool, channels, k, d, frozen, beta = CODEC_GEOMETRY.unpack_from(body)
     if frozen not in (0, 1):
         raise DataCorruptionError(f"codec frozen flag is {frozen}, expected 0 or 1")
     _check_geometry(patch, pool, channels, k, d, DataCorruptionError)
     shapes = weight_shapes(patch * patch * channels, d, k)
-    dtype = stored_weight_dtype(frozen)
-    offset = _CODEC_GEOMETRY.size
-    if len(data) != offset + dtype.itemsize * sum(int(np.prod(s)) for s in shapes.values()):
-        raise DataCorruptionError("codec file length mismatch")
-    fields = {}
-    for name, shape in shapes.items():
-        count = int(np.prod(shape))
-        arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-        fields[name] = arr.reshape(shape).astype(np.float64)
-        offset += count * dtype.itemsize
-    return CodecParams(
-        patch=patch, pool=pool, channels=channels,
-        beta=beta, frozen=bool(frozen), **fields)
+    counts = [math.prod(shape) for shape in shapes.values()]
+    weights = unpack_array(body[CODEC_GEOMETRY.size:], stored_weight_dtype(frozen),
+                           sum(counts), "codec weights")
+    fields, offset = {}, 0
+    for (name, shape), count in zip(shapes.items(), counts):
+        fields[name] = weights[offset:offset + count].reshape(shape).astype(np.float64)
+        offset += count
+    params = CodecParams(patch=patch, pool=pool, channels=channels,
+                         beta=beta, frozen=bool(frozen), **fields)
+    if params.frozen:
+        params._file = bytes(data)
+    return params
 
 
 def serialize_code_grid(grid: CodeGrid) -> bytes:

@@ -1,6 +1,7 @@
 """Shared test helpers."""
 
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -61,6 +62,101 @@ def resealed(data, edit):
     edit(body)
     return seal(magic, version, bytes(body))
 
+
+
+# Codec and model files end in one packed array.  The helpers below read
+# and write it by the layout the README gives, not by the package's
+# reader: the values' little-endian bytes as byte planes, byte 0 of every
+# value first, in one raw DEFLATE stream (zlib wbits -15).  A file's
+# "plain body" is its body with the packed array replaced by the values'
+# bytes, value after value: the body of codec format 3, and of model
+# format 3 for a file of one model (`format_3` rebuilds any).
+
+def packed_split(magic, body):
+    """(bytes of records before the packed array, width of its values) of a
+    codec or model file's body."""
+    if magic == b"DRRC":  # geometry: five u32, the frozen flag u8, beta f64
+        return 29, 4 if body[20] else 8
+    offset = 2  # the record count and the precision, then per model
+    for _ in range(body[0]):  # its record (levels: u16 at 4) and u32 alphabets
+        offset += 12 + 4 * int.from_bytes(body[offset + 4:offset + 6], "little")
+    return offset, 2
+
+
+def plain_body(data):
+    """The plain body of codec or model file `data`."""
+    magic, version = bytes(data[:4]), int.from_bytes(data[4:6], "little")
+    body = bytes(unseal(data, magic, version, "packed"))
+    head, width = packed_split(magic, body)
+    planes = zlib.decompress(body[head:], -15)
+    return body[:head] + np.frombuffer(planes, np.uint8).reshape(width, -1).T.tobytes()
+
+
+def format_3(data):
+    """Codec or model file `data` as format 3 wrote it: the container at
+    version 3 around the records and the values unpacked.  A format-3
+    model file gives each model its tables right after its own record and
+    alphabets."""
+    magic = bytes(data[:4])
+    plain = plain_body(data)
+    if magic == b"DRRM":
+        head, _ = packed_split(magic, plain)
+        records, tables, offset, table = [plain[:2]], plain[head:], 2, 0
+        for _ in range(plain[0]):
+            k = int.from_bytes(plain[offset + 6:offset + 10], "little")
+            levels = int.from_bytes(plain[offset + 4:offset + 6], "little")
+            alphabets = np.frombuffer(plain, "<u4", levels, offset + 12).tolist()
+            # p_obs and q_obs, each link table once per direction, and p_top
+            size = 2 * (2 * k * alphabets[0] + alphabets[-1] + 2 * sum(
+                a * b for a, b in zip(alphabets, alphabets[1:])))
+            records += [plain[offset:offset + 12 + 4 * levels], tables[table:table + size]]
+            offset += 12 + 4 * levels
+            table += size
+        plain = b"".join(records)
+    return seal(magic, 3, plain)
+
+
+def packed(values, width):
+    """The packed array of `values`, the values' bytes value after value,
+    each `width` bytes wide, deflated at level 6."""
+    planes = np.frombuffer(bytes(values), np.uint8).reshape(-1, width).T.tobytes()
+    deflate = zlib.compressobj(6, zlib.DEFLATED, -15)
+    return deflate.compress(planes) + deflate.flush()
+
+
+def repacked(data, edit):
+    """Codec or model file `data` with `edit` applied to a mutable copy of
+    its plain body, the values packed again and the checksum made valid
+    again, so that the reader reaches the check under test.  The records'
+    size is taken before the edit."""
+    magic, version = bytes(data[:4]), int.from_bytes(data[4:6], "little")
+    plain = bytearray(plain_body(data))
+    head, width = packed_split(magic, plain)
+    edit(plain)
+    return seal(magic, version, bytes(plain[:head]) + packed(plain[head:], width))
+
+
+@pytest.fixture
+def inflated(monkeypatch):
+    """The byte count of every inflate call made during the test, in
+    order: `zlib.decompressobj` wrapped to record what its objects return."""
+    sizes = []
+    real = zlib.decompressobj
+
+    class Recording:
+        def __init__(self, *args):
+            self._inner = real(*args)
+
+        def decompress(self, data, max_length=0):
+            out = self._inner.decompress(data, max_length)
+            sizes.append(len(out))
+            return out
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+    monkeypatch.setattr(zlib, "decompressobj", Recording)
+    return sizes
 
 
 # A stream-set file's fields, read and written here by the layout the

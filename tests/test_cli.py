@@ -9,7 +9,14 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import edited_stream_set, resealed, stream_set_body, stream_set_fields
+from conftest import (
+    edited_stream_set,
+    plain_body,
+    repacked,
+    resealed,
+    stream_set_body,
+    stream_set_fields,
+)
 from drr import cli, replay_store
 from drr.bits_back import (
     DEFAULT_INITIAL_BITS,
@@ -271,8 +278,8 @@ def precision_3(body):  # 16 codes need at least 2**4
     body[1] = 3
 
 
-# Model-file edits under a valid checksum with the error `drr decompress`
-# gives for the workspace models (16 codes, chain 5,4, precision 12): the
+# Model-file edits of the plain body (`conftest.repacked`) under a valid
+# checksum with the error `drr decompress` gives for the workspace models (16 codes, chain 5,4, precision 12): the
 # bottom model's last table is q_link[0], 5 rows.
 CLI_MODEL_EDITS = [
     (row_sum_minus_one, "model snapshot: q_link[0] row 4 sums to 4095, not 2**12"),
@@ -385,15 +392,19 @@ class TestCompressDecompress:
                                                               tmp_path, monkeypatch):
         opened = []
 
-        def recording_open(path, mode="r", *args, **kwargs):
-            opened.append((str(path), mode))
-            return open(path, mode, *args, **kwargs)
+        def recording(name, call):
+            def record(path, *args):
+                opened.append((str(path), name))
+                return call(path, *args)
+            return record
 
-        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        for name in ("read_file", "write_file"):
+            monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
         assert main(["decompress", "--codec", workspace["codec"], "--model", compressed["model"],
                      "--in", compressed["out"], "--out", str(tmp_path / "r")]) == EXIT_OK
-        assert [(path, mode) for path, mode in opened if "w" not in mode] == [
-            (workspace["codec"], "rb"), (compressed["model"], "rb"), (compressed["out"], "rb")]
+        assert [(path, name) for path, name in opened if name == "read_file"] == [
+            (workspace["codec"], "read_file"), (compressed["model"], "read_file"),
+            (compressed["out"], "read_file")]
         assert len(opened) == 3 + len(os.listdir(workspace["data"]))
 
     def test_file_name_not_utf8_is_usage(self, workspace, tmp_path, capsys):
@@ -475,7 +486,7 @@ class TestCompressDecompress:
                                            edit, message):
         model = tmp_path / "bad.drrm"
         with open(compressed["model"], "rb") as f:
-            model.write_bytes(resealed(f.read(), edit))
+            model.write_bytes(repacked(f.read(), edit))
         assert main(["decompress", "--codec", workspace["codec"], "--model", str(model),
                      "--in", compressed["out"], "--out", str(tmp_path / "r")]) == EXIT_CORRUPT
         assert capsys.readouterr().err == f"corrupt data: {message}\n"
@@ -706,9 +717,12 @@ class TestInspect:
         for path, width in ((workspace["codec"], 4), (unfrozen, 8)):
             assert main(["inspect", "--file", str(path)]) == EXIT_OK
             out = capsys.readouterr().out
+            # The packed weights follow the container (10 B) and the geometry (29 B).
+            packed = os.path.getsize(path) - 39
             assert out.endswith(f", frozen {width == 4}, weights f{width} "
-                                f"({width * weights} bytes)\n"), out
-            assert os.path.getsize(path) == 39 + width * weights
+                                f"({width * weights} bytes, {packed} packed)\n"), out
+            with open(path, "rb") as f:
+                assert len(plain_body(f.read())) == 29 + width * weights
 
     def test_identifies_model_stream_set_and_stream(self, workspace, tmp_path, capsys):
         out = tmp_path / "s.drrz"
@@ -722,11 +736,14 @@ class TestInspect:
         # Per model over 16 codes and chain 4,3: 4x16 + 3x4 + 3 + 16x4 + 4x3
         # frequencies of 2 bytes, after a 12-byte record and two alphabets.
         entries = 2 * (64 + 12 + 3 + 64 + 12)
+        packed = os.path.getsize(model) - (10 + 2 + 2 * (12 + 8))
         assert capsys.readouterr().out == (
-            f"model snapshot: 2 records, precision 14, tables u2 ({2 * entries} bytes)\n"
+            f"model snapshot: 2 records, precision 14, tables u2 ({2 * entries} bytes, "
+            f"{packed} packed)\n"
             + "".join(f"  [{i}] version 1, levels 2, alphabet 16, chain (4, 3), block 4\n"
                       for i in range(2)))
-        assert os.path.getsize(model) == 10 + 2 + 2 * (12 + 8) + 2 * entries
+        with open(model, "rb") as f:
+            assert len(plain_body(f.read())) == 2 + 2 * (12 + 8) + 2 * entries
         assert main(["inspect", "--file", str(out)]) == EXIT_OK
         assert capsys.readouterr().out == (f"stream set: 10 images, precision 14, "
                                            f"initial bits 128, {out.stat().st_size} bytes\n")

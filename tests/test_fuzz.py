@@ -13,7 +13,10 @@ broken names no kind, so `drr inspect` calls it unrecognized (exit 1), as
 any other bytes.  Past the checksum (the body edited and resealed), damage
 to a stream's record and the head of its payload reads back the same grid
 or raises DataCorruptionError, and the CLI exits 3 on it with no
-traceback.
+traceback.  The packed array of a codec or model file, cut short,
+followed by a byte, swapped for 10 MB of zeros or under a header that
+claims an alphabet of 2**31, raises DataCorruptionError at once, without
+inflating more than one byte past what its header implies.
 
 A stream-set file gets bit 0 and bit 7 flipped at every byte and is cut at
 every fifth length, and `drr decompress` exits 3 on every case.  The
@@ -25,14 +28,26 @@ the summary does not check changes: neither text file has a checksum.
 
 import contextlib
 import io
+import math
+import re
 import shutil
+import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from conftest import edited_stream_set, resealed, stream_set_body, stream_set_fields
+from conftest import (
+    edited_stream_set,
+    packed,
+    packed_split,
+    plain_body,
+    resealed,
+    stream_set_body,
+    stream_set_fields,
+)
 from drr import cli
 from drr.bits_back import FitConfig, deserialize_stream, serialize_stream
 from drr.cli import EXIT_CORRUPT, EXIT_OK, EXIT_USAGE, main, read_stream_set, write_image
@@ -45,6 +60,7 @@ from drr.vq_codec import (
     freeze,
     init_codec_params,
     serialize_codec,
+    weight_shapes,
 )
 
 FLIP_POSITIONS = 300
@@ -123,7 +139,7 @@ def test_every_damaged_file_raises_data_corruption(kind, damage):
 
 
 @pytest.mark.parametrize("kind, what, magic, version", [
-    ("codec", "codec", b"DRRC", 3), ("models", "model snapshot", b"DRRM", 3),
+    ("codec", "codec", b"DRRC", 4), ("models", "model snapshot", b"DRRM", 4),
     ("stream", "stream", b"DRRS", 4), ("set", "stream set", b"DRRZ", 2)])
 def test_each_container_field_is_checked(kind, what, magic, version):
     # Each kind writes its own magic and format version, and its reader
@@ -301,6 +317,83 @@ def test_cli_subprocess_prints_no_traceback(stream_set, tmp_path):
         assert proc.returncode == EXIT_CORRUPT, name
         assert proc.stderr.startswith("corrupt data: "), name
         assert "Traceback" not in proc.stderr, name
+
+
+# -- packed bodies ----------------------------------------------------------------
+
+def adversarial_packed(data):
+    """(name, file, bytes its header implies, message) of four damages to
+    the packed array of codec or model file `data`, resealed: the deflate
+    stream cut in half, a byte after its end, a stream of 10 MB of zeros,
+    and the header's codebook size or observation alphabet set to 2**31."""
+    magic, plain = bytes(data[:4]), plain_body(data)
+    head, width = packed_split(magic, plain)
+    implied = len(plain) - head
+
+    def cut(body):
+        del body[head + (len(body) - head) // 2:]
+
+    def bomb(body):
+        body[head:] = packed(bytes(10 << 20), width)
+
+    def huge_alphabet(body):
+        # The codec's fourth geometry field; the first model's record field at 6.
+        at = 12 if magic == b"DRRC" else 2 + 6
+        body[at:at + 4] = (1 << 31).to_bytes(4, "little")
+
+    if magic == b"DRRC":
+        patch, _, channels, _, d = struct.unpack_from("<IIIII", plain)
+        huge = (4 * sum(math.prod(shape) for shape in weight_shapes(
+            patch * patch * channels, d, 1 << 31).values()),
+            f"codec weights inflate to {implied} bytes, not the ")
+    else:
+        huge = 0, "cannot code the models' alphabet of 2147483648 symbols"
+    return [("cut", resealed(data, cut), implied, "deflate stream cut short"),
+            ("trailing", resealed(data, lambda body: body.append(0)), implied,
+             "trailing bytes after the deflate stream"),
+            ("bomb", resealed(data, bomb), implied, f"inflate past the {implied} bytes"),
+            ("alphabet 2**31", resealed(data, huge_alphabet), *huge)]
+
+
+@pytest.mark.parametrize("kind", ["codec", "model"])
+def test_packed_body_damage_fails_fast_and_inflates_no_more_than_its_header_implies(
+        stream_set, kind, inflated):
+    # Each damage raises DataCorruptionError in well under a second, and no
+    # read inflates more than one byte past what the header implies: the
+    # 10 MB stream stops there, and a model record claiming an alphabet of
+    # 2**31 fails its precision check before any inflate.
+    read = deserialize_codec if kind == "codec" else LatentModelPair.deserialize
+    for name, bad, implied, message in adversarial_packed(stream_set[kind].read_bytes()):
+        inflated.clear()
+        start = time.perf_counter()
+        with pytest.raises(DataCorruptionError, match=re.escape(message)):
+            read(bad)
+        assert time.perf_counter() - start < 1.0, name
+        assert sum(inflated) <= implied + 1, name
+        assert inflated or name == "alphabet 2**31" and kind == "model", name
+
+
+def test_cli_exits_3_on_every_damaged_packed_body(stream_set, tmp_path, capsys):
+    # `drr inspect` of each damaged codec and model file, and `drr
+    # decompress` with it in place of its artifact; a subprocess for the
+    # 10 MB streams shows no traceback.
+    for kind in ("codec", "model"):
+        for name, bad, _, _ in adversarial_packed(stream_set[kind].read_bytes()):
+            path = tmp_path / f"{kind} {name}{stream_set[kind].suffix}"
+            path.write_bytes(bad)
+            args = {key: str(stream_set[key]) for key in ("codec", "model")}
+            args[kind] = str(path)
+            for argv in (["inspect", "--file", str(path)],
+                         ["decompress", "--codec", args["codec"], "--model", args["model"],
+                          "--in", str(stream_set["set"]), "--out", str(tmp_path / "recon")]):
+                assert main(argv) == EXIT_CORRUPT, (kind, name, argv[0])
+                assert capsys.readouterr().err.startswith("corrupt data: "), (kind, name)
+            if name == "bomb":
+                proc = subprocess.run([sys.executable, "-m", "drr.cli", "inspect", "--file",
+                                       str(path)], capture_output=True, text=True)
+                assert proc.returncode == EXIT_CORRUPT, kind
+                assert proc.stderr.startswith("corrupt data: ") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "recon").exists()
 
 
 # -- stream sets and the buffer index ------------------------------------------
@@ -512,6 +605,10 @@ def test_damaged_results_file_never_reports_silently_wrong_totals(results_file, 
     # shares one parser: building it is most of a `report` call.  Re-taken
     # for model format 3: the model and total byte counts shrank and the
     # last phase's net bits moved, so the file and the counts changed.
+    # Re-taken for codec and model format 4: the model, codec and total
+    # byte counts shrank with as many digits, so the file's length held,
+    # and three flips of a total that changed its printed megabytes now
+    # leave them as they were.
     assert len(results_file) == 1104
     parser = cli.build_parser()
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
@@ -532,7 +629,7 @@ def test_damaged_results_file_never_reports_silently_wrong_totals(results_file, 
         else:
             assert code == EXIT_OK, (bad, err)
             counts["identical" if out == good else "changed"] += 1
-    assert counts == {"corrupt": 1604, "identical": 813, "changed": 11, "usage": 1}
+    assert counts == {"corrupt": 1604, "identical": 816, "changed": 8, "usage": 1}
 
 
 def test_damaged_results_file_subprocess_prints_no_traceback(results_file, tmp_path):

@@ -2,12 +2,13 @@
 
 import dataclasses
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
-from conftest import resealed
-from drr import bits_back, rans, replay_store
+from conftest import format_3, repacked, resealed
+from drr import bits_back, rans, replay_store, vq_codec
 from drr.bits_back import FitConfig, build_coding_tables, random_model
 from drr.errors import DataCorruptionError, InvalidInputError, StateError
 from drr.replay_store import (
@@ -21,7 +22,9 @@ from drr.replay_store import (
     decompress_shelves,
     format_megabytes,
     raw_store_bytes,
+    read_file,
     select_exemplars,
+    write_file,
 )
 from test_bits_back import assert_same_tables
 from drr.vq_codec import (
@@ -181,7 +184,8 @@ class TestPair:
         for held, loaded in zip(pair.tables(), back.tables()):
             assert_same_tables(held, loaded)
         assert (back.top, back.bottom) == (back.tables()[0].dyadic, back.tables()[1].dyadic)
-        assert back.serialize() == pair.serialize()
+        # `back` keeps the file it was read from; a pair of its tables builds it again.
+        assert LatentModelPair.from_tables(*back.tables()).serialize() == pair.serialize()
 
     def test_from_tables_levels_share_a_precision(self):
         pair = make_pair()
@@ -554,8 +558,9 @@ def precision_too_small(body):  # 32 codes need at least 2**5
     body[1] = 4
 
 
-# Model-file edits under a valid checksum, each with the error `load` must
-# give for a toy buffer's models (32 codes, chain 6,4, precision 12).
+# Model-file edits of the plain body (`conftest.repacked`) under a valid
+# checksum, each with the error `load` must give for a toy buffer's models
+# (32 codes, chain 6,4, precision 12).
 MODEL_FILE_EDITS = [
     (row_sum_minus_one, "model snapshot: q_link[0] row 5 sums to 4095, not 2**12"),
     (row_sum_plus_one, "model snapshot: q_link[0] row 5 sums to 4097, not 2**12"),
@@ -564,6 +569,98 @@ MODEL_FILE_EDITS = [
     (precision_too_small,
      "precision 4 cannot code the models' alphabet of 32 symbols (at most 2**4)"),
 ]
+
+
+class TestFileIO:
+    def test_round_trip_and_truncate(self, tmp_path):
+        path = str(tmp_path / "f")
+        big = np.random.default_rng(0).integers(0, 256, 300_000, dtype=np.uint8).tobytes()
+        for data in (big, b"", b"short"):
+            write_file(path, data)
+            assert read_file(path) == data
+            with open(path, "rb") as f:
+                assert f.read() == data
+
+    def test_a_new_file_gets_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_file(str(tmp_path / "f"), b"x")
+        finally:
+            os.umask(old)
+        assert os.stat(tmp_path / "f").st_mode & 0o777 == 0o640
+
+    def test_os_errors_pass_through(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_file(str(tmp_path / "missing"))
+        with pytest.raises(FileNotFoundError):
+            write_file(str(tmp_path / "no dir" / "f"), b"x")
+        with pytest.raises(IsADirectoryError):
+            read_file(str(tmp_path))
+
+
+class TestKeptFiles:
+    """A frozen codec and a pair that codes keep their files: each is
+    deflated once, and `account` reads the kept bytes."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        """The module of every `pack_array` call made from here on: vq_codec
+        for a codec file, bits_back for a model file."""
+        packs = []
+        for module in (vq_codec, bits_back):
+            def pack(values, module=module, real=module.pack_array):
+                packs.append(module.__name__.split(".")[-1])
+                return real(values)
+            monkeypatch.setattr(module, "pack_array", pack)
+        return packs
+
+    @staticmethod
+    def saved_sizes(directory):
+        streams = sum(p.stat().st_size for p in (directory / "streams").iterdir())
+        return (streams, (directory / "models.drrm").stat().st_size,
+                (directory / "codec.drrc").stat().st_size)
+
+    def test_a_phase_deflates_one_model_file_and_the_codec_once(self, frozen_codec, tmp_path,
+                                                                monkeypatch):
+        packs = self.counting(monkeypatch)
+        codec = dataclasses.replace(frozen_codec)  # no file kept yet
+        buffer = ReplayBuffer(codec, make_pair(seed=21), exemplars_per_class=3, seed=1)
+        for phase, labels in enumerate(((0, 1), (2,), (3,))):
+            packs.clear()
+            buffer.ingest_phase({label: toy_images(6, seed=30 + label) for label in labels},
+                                FitConfig(iterations=1))
+            buffer.save(str(tmp_path / str(phase)))
+            report = buffer.account()
+            assert packs == (["vq_codec", "bits_back"] if phase == 0 else ["bits_back"])
+            assert (report.stream_bytes, report.model_bytes, report.codec_bytes) == (
+                self.saved_sizes(tmp_path / str(phase)))
+        assert serialize_codec(codec) is serialize_codec(codec)
+        assert buffer.pair.serialize() is buffer.pair.serialize()
+
+    def test_a_loaded_buffer_keeps_the_files_it_read(self, frozen_codec, tmp_path, monkeypatch):
+        buffer, _ = filled_buffer(frozen_codec, n_classes=2)
+        buffer.save(str(tmp_path))
+        packs = self.counting(monkeypatch)
+        loaded = ReplayBuffer.load(str(tmp_path))
+        report = loaded.account()
+        loaded.save(str(tmp_path / "again"))
+        assert packs == []
+        assert (report.stream_bytes, report.model_bytes, report.codec_bytes) == (
+            self.saved_sizes(tmp_path))
+        assert serialize_codec(loaded.codec) == (tmp_path / "codec.drrc").read_bytes()
+        assert loaded.pair.serialize() == (tmp_path / "models.drrm").read_bytes()
+
+    def test_an_unfrozen_codec_and_a_float_pair_keep_nothing(self, frozen_codec):
+        unfrozen = dataclasses.replace(frozen_codec, frozen=False)
+        serialize_codec(unfrozen)
+        assert "_file" not in vars(unfrozen)
+        pair = make_pair(seed=2)
+        with pytest.raises(StateError):
+            pair.serialize()
+        assert pair._file is None
+        # Copies and refits are new values, with no file until serialized.
+        assert "_file" not in vars(dataclasses.replace(frozen_codec))
+        assert pair.quantized(12)._file is None
 
 
 class TestPersistence:
@@ -810,7 +907,7 @@ class TestPersistence:
         buffer, _ = filled_buffer(frozen_codec, n_classes=1, fit_iterations=0)
         buffer.save(str(tmp_path))
         models = tmp_path / "models.drrm"
-        models.write_bytes(resealed(models.read_bytes(), edit))
+        models.write_bytes(repacked(models.read_bytes(), edit))
         with pytest.raises(DataCorruptionError) as info:
             ReplayBuffer.load(str(tmp_path))
         assert str(info.value) == message
@@ -943,10 +1040,15 @@ class TestArrayReadPath:
         # re-taken for buffer index 3 (no precision=, method= or count=), with
         # the buffer holding the dyadic pair from construction: the first
         # refit starts from the quantized seeded pair, so every model and
-        # stream moved; the codec and the reconstructions did not.
+        # stream moved; the codec and the reconstructions did not.  Held
+        # through codec and model format 4 with both files rewritten in
+        # format 3; the digest of the files as saved was taken then, and
+        # depends on the zlib build's deflate (1.2.13 when taken).
         mixed_buffer.save(str(tmp_path))
-        assert directory_digest(tmp_path) == (
+        assert directory_digest(tmp_path, plain=True) == (
             "fe01a330ca597e239db5dff56a4f63a48306045b9eb054ce57e06ba282466418")
+        assert directory_digest(tmp_path) == (
+            "11d08041ac379e3ae696af3b22fd475b4734f4d6747d49c981f5e604602ecada")
         recon = ReplayBuffer.load(str(tmp_path)).reconstruct_all()
         assert hashlib.sha256(b"".join(recon[label].tobytes() for label in recon)).hexdigest() == (
             "490968f5961a11c0f268d62d4c1b3dcfff508941c6e32e4b084fb75443604e02")
@@ -965,19 +1067,25 @@ class TestArrayReadPath:
 
     def test_decoding_never_writes_the_codec(self, mixed_buffer):
         codec = mixed_buffer.codec
-        before = serialize_codec(codec)
+        # A frozen codec keeps its file, so the weights themselves are compared.
+        before = [getattr(codec, name).tobytes() for name in codec.weight_fields()]
         mixed_buffer.reconstruct_all()
         mixed_buffer.reconstruct_class(1)
         decode_indices(*encode_indices(toy_images(3, seed=70), codec), codec)
-        assert serialize_codec(codec) == before
+        assert [getattr(codec, name).tobytes() for name in codec.weight_fields()] == before
 
 
-def directory_digest(directory):
-    """sha256 over every file under `directory`: relative path, then bytes."""
+def directory_digest(directory, plain=False):
+    """sha256 over every file under `directory`: relative path, then bytes.
+    With `plain`, the codec and model files count as `format_3` wrote
+    them, so the digest shows that nothing but their packing moved."""
     h = hashlib.sha256()
     for path in sorted(p for p in directory.rglob("*") if p.is_file()):
         h.update(path.relative_to(directory).as_posix().encode() + b"\0")
-        h.update(path.read_bytes())
+        data = path.read_bytes()
+        if plain and path.suffix in (".drrc", ".drrm"):
+            data = format_3(data)
+        h.update(data)
     return h.hexdigest()
 
 
@@ -992,7 +1100,8 @@ class TestSavedBufferPin:
         # stream format 4, for codec format 3 and for model format 3, as
         # the mixed buffer's was: after phase 1 only models.drrm moved.
         # Re-taken for buffer index 3 with the pair quantized at
-        # construction, as the mixed buffer's was.
+        # construction, as the mixed buffer's was, and held through codec
+        # and model format 4 as the mixed buffer's was.
         buffer = ReplayBuffer(frozen_codec, make_pair(seed=21), exemplars_per_class=4, seed=11)
         for phase in ((0, 1), (2, 3)):
             buffer.ingest_phase({label: toy_images(10, seed=30 + label) for label in phase},
@@ -1000,8 +1109,10 @@ class TestSavedBufferPin:
         buffer.save(str(tmp_path))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "codec.drrc", "index.txt", "models.drrm", "streams"]
-        assert directory_digest(tmp_path) == (
+        assert directory_digest(tmp_path, plain=True) == (
             "40fbd3415ffa1c597dba455c18289069a0774d133bac9cc2a46be8e08501b764")
+        assert directory_digest(tmp_path) == (
+            "08f487d13ac5f5511e1213d4916eddbaaf4b31c5312fb72d745b6453204ce040")
 
 
 class TestIndexPaths:

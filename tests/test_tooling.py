@@ -460,6 +460,27 @@ def test_header_formats_are_declared_once():
     assert magic_headers == ["container.py"], magic_headers
 
 
+def test_files_are_read_and_written_in_one_place():
+    """No module of drr calls `open`, and only replay_store's `read_file`
+    and `write_file` call `os.open`: every stored artifact goes through
+    them."""
+    callers = []
+    for filename, tree in package_trees():
+        scopes = [node for node in ast.walk(tree) if isinstance(node, FUNCTIONS)]
+        for scope in scopes:
+            for node in ast.walk(scope):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Name) and func.id == "open":
+                    callers.append((filename, scope.name, "open"))
+                if (isinstance(func, ast.Attribute) and func.attr == "open"
+                        and isinstance(func.value, ast.Name) and func.value.id == "os"):
+                    callers.append((filename, scope.name, "os.open"))
+    assert callers == [("replay_store.py", "read_file", "os.open"),
+                       ("replay_store.py", "write_file", "os.open")], callers
+
+
 def test_readme_example_runs(tmp_path):
     with open(os.path.join(ROOT, "README.md")) as f:
         examples = re.findall(r"```python\n(.*?)```", f.read(), re.DOTALL)

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import resealed
+from conftest import packed, plain_body, repacked, resealed
 from drr.errors import InvalidInputError
 from drr.vq_codec import (
     CodecConfig,
@@ -441,24 +441,27 @@ class TestSerialization:
         assert (back.patch, back.pool, back.channels) == (2, 2, 1)
         for name in params.weight_fields():
             assert np.array_equal(getattr(back, name), getattr(params, name))
-        assert serialize_codec(back) == blob
+        assert serialize_codec(back) is serialize_codec(back) == blob  # the kept file
+        assert serialize_codec(replace(back)) == blob  # built again from the weights
 
-    # The container (10 B) and the geometry (29 B) come before the weights.
-    HEAD = 10 + struct.calcsize("<IIIIIBd")
+    # The geometry (29 B) comes before the packed weights.
+    GEOMETRY = struct.calcsize("<IIIIIBd")
 
     def test_frozen_codec_stores_float32_weights(self):
         params = train_codec([random_image(np.random.default_rng(26))], tiny_config(epochs=3))
         frozen = freeze(params)
         blob = serialize_codec(frozen)
         weights = sum(getattr(params, name).size for name in params.weight_fields())
-        assert len(blob) == self.HEAD + 4 * weights
-        assert len(serialize_codec(params)) == self.HEAD + 8 * weights
+        assert len(plain_body(blob)) == self.GEOMETRY + 4 * weights
+        assert len(plain_body(serialize_codec(params))) == self.GEOMETRY + 8 * weights
+        assert plain_body(blob)[self.GEOMETRY:] == np.concatenate(
+            [getattr(frozen, name).ravel() for name in params.weight_fields()]).astype("<f4").tobytes()
         back = deserialize_codec(blob)
         assert back.frozen
         for name in params.weight_fields():
             assert getattr(back, name).dtype == np.float64
             assert getattr(back, name).tobytes() == getattr(frozen, name).tobytes()
-        assert serialize_codec(back) == blob
+        assert serialize_codec(replace(back)) == blob
 
     def test_unfrozen_codec_keeps_float64_weights(self):
         params = train_codec([random_image(np.random.default_rng(27))], tiny_config(epochs=3))
@@ -516,7 +519,7 @@ class TestSerialization:
             # only the geometry is wrong.
             zero = seal(CODEC_MAGIC, CODEC_FORMAT_VERSION,
                         struct.pack("<IIIIIBd", *g.values(), 1, 0.25)
-                        + bytes(4 * sum(int(np.prod(s)) for s in shapes.values())))
+                        + packed(bytes(4 * sum(int(np.prod(s)) for s in shapes.values())), 4))
             with pytest.raises(DataCorruptionError, match="must be positive"):
                 deserialize_codec(zero)
 
@@ -526,26 +529,29 @@ class TestSerialization:
         with pytest.raises(DataCorruptionError, match="frozen flag"):
             deserialize_codec(resealed(blob, flag))
         def short(body):
-            del body[-8:]  # one weight short
+            del body[-8:]  # one float64 weight short
 
         def cut_in_geometry(body):
             del body[struct.calcsize("<IIIII"):]
 
-        with pytest.raises(DataCorruptionError, match="length mismatch"):
-            deserialize_codec(resealed(blob, short))
+        weights = len(plain_body(blob)) - struct.calcsize("<IIIIIBd")
+        with pytest.raises(DataCorruptionError, match=f"^codec weights inflate to "
+                                                      f"{weights - 8} bytes, not the {weights}"):
+            deserialize_codec(repacked(blob, short))
         with pytest.raises(DataCorruptionError, match="too short for its geometry"):
             deserialize_codec(resealed(blob, cut_in_geometry))
 
 
 def format_2_digest(blob):
-    """sha256 of an unfrozen codec's file with the format-2 version put
-    back in its header.  Format 3 changed only what a frozen codec stores,
-    so an unfrozen codec's file is format 2's but for that field, and its
-    pins kept their format-2 digests."""
+    """sha256 of an unfrozen codec's file in format 2: the container at
+    version 2 around the geometry and the float64 weights, unpacked.
+    Format 3 changed only what a frozen codec stores and format 4 only how
+    the weights are stored, so the pins keep their format-2 digests."""
     import hashlib
+    from drr.container import seal
     from drr.vq_codec import CODEC_MAGIC
-    assert blob[:6] == CODEC_MAGIC + (3).to_bytes(2, "little") and not deserialize_codec(blob).frozen
-    return hashlib.sha256(blob[:4] + (2).to_bytes(2, "little") + blob[6:]).hexdigest()
+    assert blob[:6] == CODEC_MAGIC + (4).to_bytes(2, "little") and not deserialize_codec(blob).frozen
+    return hashlib.sha256(seal(CODEC_MAGIC, 2, plain_body(blob))).hexdigest()
 
 
 def codec_digest(dataset, config):
@@ -558,7 +564,7 @@ class TestTrainingPins:
     depend on BLAS rounding, so another BLAS build may need new digests.
     Re-taken for codec format 2, the checked container: with the format-1
     header put back, the same files give the earlier digests.  Held through
-    format 3 (`format_2_digest`)."""
+    formats 3 and 4 (`format_2_digest`)."""
 
     def test_acceptance_toy_config(self):
         from drr.learner import make_toy_dataset
@@ -854,7 +860,7 @@ def train_step(params, image, lr=0.05):
 class TestCodecLayout:
     # Taken before the weight layout was declared once, in `weight_shapes`.
     # Re-taken for codec format 2, the checked container, and held through
-    # format 3, as the training pins were.
+    # formats 3 and 4, as the training pins were.
     def test_init_codec_is_pinned(self):
         config = CodecConfig(patch=2, pool=2, channels=3, codebook_size=16, embed_dim=6, seed=11)
         assert format_2_digest(serialize_codec(init_codec_params(config))) == (
